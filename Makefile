@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint check typecheck test chaos chaos-net chaos-kill bench bench-show bench-engine bench-parallel bench-net bench-recovery bench-service report examples clean
+.PHONY: install lint check typecheck test chaos chaos-net chaos-kill bench bench-show bench-engine bench-parallel bench-net bench-recovery bench-suite report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -78,11 +78,11 @@ bench-net:
 bench-recovery:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_recovery.py
 
-# Multi-tenant service throughput: a seeded Poisson job stream over one
-# shared fleet, fifo vs fair share.  Regenerates BENCH_PR9.json.
-# QUICK=1 runs the CI smoke configuration into BENCH_PR9.ci.json.
-bench-service:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_service_throughput.py $(if $(QUICK),--quick --output BENCH_PR9.ci.json)
+# The benchmark suite (benchmarks/suite/README.md): five workloads on
+# real processes — serial engine, TCP fleet, multi-tenant service,
+# simulator — with named end-to-end metrics and a per-layer budget.
+bench-suite:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.suite run
 
 report:
 	$(PYTHON) -m repro.cli report

@@ -260,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "--checkpoint-dir before serving")
     service_p.add_argument("--no-journal", action="store_true",
                            help="disable the per-job reconciliation journal")
-    service_p.add_argument("--idle-retry", type=float, default=0.25,
-                           help="back-off hint sent to workers when no job "
-                                "has work")
     service_p.add_argument("--linger-seconds", type=float, default=10.0)
     service_p.add_argument("--drain-when-idle", action="store_true",
                            help="exit once every submitted job has settled "
@@ -329,13 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
     status_p = job_sub.add_parser("status", help="one status snapshot")
     status_p.add_argument("job_id")
 
+    result_help = ("wait until the job settles, then print it (blocks "
+                   "server-side: the service holds the reply until the "
+                   "job settles, nothing polls)")
     result_p = job_sub.add_parser(
-        "result", help="poll until the job settles, then print it"
+        "result", help=result_help, description=result_help
     )
     result_p.add_argument("job_id")
-    result_p.add_argument("--poll-interval", type=float, default=0.5)
+    result_p.add_argument("--poll-interval", type=float, default=0.5,
+                          help="least seconds between status requests; "
+                               "only matters against a service that "
+                               "answers a waiting request at once")
     result_p.add_argument("--wait-timeout", type=float, default=None,
-                          help="give up polling after this many seconds")
+                          help="give up waiting after this many seconds")
 
     cancel_p = job_sub.add_parser("cancel", help="cancel a queued or "
                                                  "running job")
@@ -668,7 +671,6 @@ def _cmd_grid_service(args) -> int:
                 max_queued_jobs=args.max_queued,
                 max_running_per_owner=args.max_per_owner,
             ),
-            idle_retry_after=args.idle_retry,
             drain_when_idle=args.drain_when_idle,
         )
     )

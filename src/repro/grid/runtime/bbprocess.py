@@ -86,6 +86,13 @@ __all__ = ["AdaptiveSlicer", "worker_main"]
 
 _BACKOFF_CAP = 8.0  # max multiplier over reply_timeout per attempt
 
+#: Jobs whose built problem and local incumbent a fleet worker keeps.
+#: The service streams jobs through a worker without end, but a worker
+#: only alternates between the few running at once: the least recently
+#: granted job beyond this many is forgotten (its next grant, should
+#: one ever come, carries the spec to rebuild it from).
+_JOB_CACHE_SIZE = 8
+
 
 class AdaptiveSlicer:
     """Size exploration slices (in nodes) toward a wall-clock period.
@@ -316,9 +323,11 @@ def worker_main(
     Against the multi-tenant solve service the same loop serves *many*
     jobs: grants arrive as :class:`JobGrant` (carrying an opaque job id
     plus the job's spec in wire form), the worker keeps one built
-    problem and one local incumbent per job id, tags its traffic with
-    the grant's id, and sleeps through :class:`Idle` replies when no
-    job has work.  ``spec`` may then be ``None`` — the fleet learns
+    problem and one local incumbent per job id (for the last
+    ``_JOB_CACHE_SIZE`` jobs it was granted), tags its traffic with
+    the grant's id, and asks again on an :class:`Idle` reply — the
+    service parks a Request it cannot grant, so the waiting is done
+    server-side.  ``spec`` may then be ``None`` — the fleet learns
     every problem from its grants.
     """
     connection = connector.connect(worker_id)
@@ -377,7 +386,8 @@ def _worker_loop(
     # One built problem per job id; "" is the classic single-job run
     # whose problem came in over ``spec``.  The multi-tenant service
     # repeats a job's spec on every JobGrant, so a fleet worker builds
-    # (and caches) each problem the first time it meets the job.
+    # each problem the first time it meets the job and keeps the most
+    # recently granted ``_JOB_CACHE_SIZE``.
     problems: Dict[str, Problem] = {}
     if spec is not None:
         problems[""] = spec.build()
@@ -462,10 +472,11 @@ def _worker_loop(
         if isinstance(reply, Terminate):
             break
         if isinstance(reply, Idle):
-            # The service has no runnable slice right now; the fleet
-            # outlives any one job, so nap and ask again.
+            # Keep-alive: no job had work for as long as the service
+            # parks a Request.  The fleet outlives any one job, so ask
+            # again (a pre-parking server may still ask for a pause).
             stats_total["idles"] += 1
-            time.sleep(min(max(reply.retry_after, 0.01), 30.0))
+            time.sleep(min(max(reply.retry_after, 0.0), 30.0))
             continue
         # A Grant claimed from a just-restarted coordinator is already
         # a fresh reconciliation; consume the flag so the first slice
@@ -473,14 +484,18 @@ def _worker_loop(
         connection.take_epoch_change()
         if isinstance(reply, JobGrant):
             job = reply.job
-            problem = problems.get(job)
+            problem = problems.pop(job, None)
             if problem is None:
                 if reply.spec is None:
                     raise TransportError(
                         f"grant for unknown job {job!r} carried no spec"
                     )
                 problem = spec_from_wire(reply.spec).build()
-                problems[job] = problem
+            problems[job] = problem  # (re)inserted last: most recent
+            if len(problems) > _JOB_CACHE_SIZE:
+                stale = next(iter(problems))
+                del problems[stale]
+                bests.pop(stale, None)
         else:
             assert isinstance(reply, GrantWork)
             job = ""

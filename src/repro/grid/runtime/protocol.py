@@ -319,11 +319,13 @@ class Idle:
     """Reply to a Request when no job currently has work to hand out.
 
     Unlike :class:`Terminate` this does not end the worker: the fleet
-    outlives any single job, so the worker sleeps ``retry_after``
-    seconds and asks again.
+    outlives any single job, so the worker asks again after
+    ``retry_after`` seconds.  The service *parks* a Request it cannot
+    grant and answers it the moment a job has work; the only Idle it
+    sends is ``Idle(0)``, the keep-alive of a long-parked Request.
     """
 
-    retry_after: float = 0.5
+    retry_after: float = 0.0
     seq: int = 0
     version: int = PROTOCOL_VERSION
 
@@ -366,10 +368,18 @@ class JobRefused:
 
 @dataclass
 class JobStatusRequest:
+    """Ask for one job's :class:`JobStatus`.
+
+    ``wait`` > 0 (wire v2) lets the service hold the reply back while
+    the job is unsettled — at most ``wait`` seconds or its keep-alive,
+    whichever is shorter.  0 answers at once.
+    """
+
     worker: str
     job: str
+    wait: float = 0.0
     seq: int = 0
-    version: int = PROTOCOL_VERSION
+    version: int = 2
 
 
 @dataclass

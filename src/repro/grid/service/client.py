@@ -175,8 +175,12 @@ class ServiceClient:
             raise TransportError(f"unexpected submit reply {reply!r}")
         return reply.job
 
-    async def status(self, job: str) -> JobStatus:
-        reply = await self._rpc(JobStatusRequest(self.client_id, job))
+    async def status(self, job: str, wait: float = 0.0) -> JobStatus:
+        """One snapshot; ``wait`` > 0 lets the service hold the reply
+        (at most ``wait`` s or its keep-alive) while the job is unsettled."""
+        reply = await self._rpc(
+            JobStatusRequest(self.client_id, job, wait=wait)
+        )
         if not isinstance(reply, JobStatus):
             raise TransportError(f"unexpected status reply {reply!r}")
         return reply
@@ -187,24 +191,28 @@ class ServiceClient:
         poll_interval: float = 0.2,
         timeout: Optional[float] = None,
     ) -> JobStatus:
-        """Poll until the job settles; returns its terminal status."""
-        deadline = (
-            None
-            if timeout is None
-            else asyncio.get_running_loop().time() + timeout
-        )
+        """Wait until the job settles; returns its terminal status.
+
+        The service does the waiting: it holds each status request
+        until the job settles or its keep-alive expires, one round trip
+        per keep-alive.  ``poll_interval`` is the least time between
+        requests; it only matters if the server answers at once.
+        """
+        clock = asyncio.get_running_loop().time
+        deadline = None if timeout is None else clock() + timeout
         while True:
-            status = await self.status(job)
+            asked = clock()
+            wait = self.timeout / 2  # reply well inside our RPC timeout
+            if deadline is not None:
+                wait = min(wait, max(deadline - asked, 0.0))
+            status = await self.status(job, wait=wait)
             if status.status in TERMINAL or status.status == "unknown":
                 return status
-            if (
-                deadline is not None
-                and asyncio.get_running_loop().time() >= deadline
-            ):
+            if deadline is not None and clock() >= deadline:
                 raise TransportTimeout(
                     f"job {job} still {status.status} after {timeout}s"
                 )
-            await asyncio.sleep(poll_interval)
+            await asyncio.sleep(max(asked + poll_interval - clock(), 0.0))
 
     async def cancel(self, job: str) -> JobStatus:
         reply = await self._rpc(CancelJob(self.client_id, job))

@@ -33,6 +33,13 @@ composed *above* any one coordinator.
 A worker that moves between jobs may let an old job's lease expire;
 the §4.1 interval invariant turns that into redundant exploration,
 never lost work — same guarantee as a worker crash.
+
+No peer naps or polls: an RPC the service cannot answer usefully yet —
+a ``Request`` while no job has work, a ``JobStatusRequest`` with
+``wait`` > 0 while its job is unsettled — is **parked**, and the pump
+re-evaluates the parked table on every iteration, right after it has
+settled finished jobs and promoted queued ones.  Nothing stays parked
+past :data:`KEEPALIVE_SECONDS` (see docs/service.md).
 """
 
 from __future__ import annotations
@@ -83,6 +90,11 @@ from repro.grid.service.store import (
 
 __all__ = ["ServiceConfig", "ServiceReport", "SolveService"]
 
+#: Longest a reply stays parked before the peer hears ``Idle(0)`` / the
+#: current status and asks again: far inside any workable
+#: ``reply_timeout``, so a healthy server never looks like a dead one.
+KEEPALIVE_SECONDS = 1.0
+
 
 @dataclass
 class ServiceConfig:
@@ -101,7 +113,6 @@ class ServiceConfig:
     resume: bool = False  # rebuild the job table from checkpoint_dir
     journal: bool = True
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    idle_retry_after: float = 0.25  # worker nap when no job has work
     drain_when_idle: bool = False  # exit once every seen job settled
 
 
@@ -154,6 +165,9 @@ class SolveService:
         # Update/Push dedup stays inside each job's coordinator.
         self._last_seq: Dict[str, int] = {}
         self._last_reply: Dict[str, Any] = {}
+        # Parked RPCs: sender -> (message, monotonic deadline), oldest
+        # first.  A peer has one RPC in flight, so one entry each.
+        self._parked: Dict[str, Tuple[Any, float]] = {}
         self._clients: Set[str] = set()
         self.byes: Dict[str, Dict[str, float]] = {}
         self.work_allocations = 0
@@ -286,6 +300,9 @@ class SolveService:
                 return True, self._last_reply.get(sender)
             if seq < last:
                 return True, None
+            if sender in self._parked and self._parked[sender][0].seq == seq:
+                return True, None  # a retry of the parked RPC: stay parked
+        self._parked.pop(sender, None)  # a newer RPC abandons the parked one
         return False, None
 
     def _remember(self, sender: str, seq: int, reply: Any) -> Any:
@@ -330,9 +347,14 @@ class SolveService:
         if cached:
             return reply
         reply = self._grant_for(msg)
+        if reply is None:
+            self.requests_idled += 1
+            self._park(msg, KEEPALIVE_SECONDS)
+            return None
         return self._remember(msg.worker, msg.seq, reply)
 
     def _grant_for(self, msg: Request) -> Any:
+        """A JobGrant (or Terminate when draining); None if no job has work."""
         if self._draining:
             return Terminate(float("inf"))
         while True:
@@ -344,8 +366,7 @@ class SolveService:
                 runnable.append((record, self._active_workers(coordinator)))
             record = self.scheduler.pick_grant(runnable)
             if record is None:
-                self.requests_idled += 1
-                return Idle(self.config.idle_retry_after)
+                return None
             coordinator = self._coordinators[record.job_id]
             # The coordinator's own handle() would cache this reply
             # under the worker's seq; harmless, but the authoritative
@@ -406,6 +427,7 @@ class SolveService:
 
     def _on_bye(self, msg: Bye) -> Any:
         self.byes[msg.worker] = msg.stats
+        self._parked.pop(msg.worker, None)
         for coordinator in self._coordinators.values():
             coordinator.release_worker(msg.worker)
         reply: Any = Ack(float("inf"))
@@ -426,6 +448,8 @@ class SolveService:
         if cached:
             return reply
         reply = handler(msg)
+        if reply is None:  # parked
+            return None
         return self._remember(msg.worker, msg.seq, reply)
 
     def _on_submit(self, msg: SubmitJob) -> Any:
@@ -474,6 +498,9 @@ class SolveService:
         record = self.jobs.get(msg.job)
         if record is None:
             return JobStatus(job=msg.job, status="unknown")
+        if msg.wait > 0 and not record.is_terminal():
+            self._park(msg, msg.wait)
+            return None
         return self._job_status(record)
 
     def _on_cancel(self, msg: CancelJob) -> Any:
@@ -491,6 +518,45 @@ class SolveService:
             if not msg.owner or record.owner == msg.owner
         ]
         return JobList(summaries)
+
+    # -- parked replies ------------------------------------------------
+    def _park(self, msg: Any, wait: float) -> None:
+        """Hold ``msg``'s reply back ``wait`` s, at most the keep-alive."""
+        deadline = time.monotonic() + min(wait, KEEPALIVE_SECONDS)
+        self._parked[msg.worker] = (msg, deadline)
+
+    def _flush_parked(self, now: float) -> None:
+        """Send every parked reply that exists by now, oldest first."""
+        if not self._parked:
+            return
+        connected = set(self.listener.connected_workers())
+        starved = False  # a Request already found no job with work
+        for sender, (msg, deadline) in list(self._parked.items()):
+            expired = now >= deadline
+            reply: Any = None
+            if sender not in connected:
+                # Never grant to a peer that cannot hear it (the slice
+                # would idle until its lease ran out).  The entry goes
+                # at its keep-alive; a peer that returns re-sends.
+                if expired:
+                    del self._parked[sender]
+                continue
+            if isinstance(msg, Request):
+                if not starved:
+                    reply = self._grant_for(msg)
+                    starved = reply is None
+                if reply is None and expired:
+                    reply = Idle(0.0)
+            else:
+                record = self.jobs.get(msg.job)
+                assert record is not None  # parked for a known job
+                if expired or record.is_terminal():
+                    reply = self._job_status(record)
+            if reply is not None:
+                del self._parked[sender]
+                self.listener.send(
+                    sender, self._remember(sender, msg.seq, reply)
+                )
 
     # ------------------------------------------------------------------
     # the pump
@@ -519,6 +585,7 @@ class SolveService:
                     and not self.jobs.in_status(QUEUED, RUNNING)
                 ):
                     self._draining = True
+                self._flush_parked(now)
                 if self._draining:
                     if drained_since is None:
                         drained_since = now

@@ -21,7 +21,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.checkpoint import CheckpointStore, MultiJobStore
 
@@ -129,6 +129,9 @@ class JobStore:
             MultiJobStore(Path(directory)) if directory is not None else None
         )
         self._records: Dict[str, JobRecord] = {}
+        # The unsettled few, in admission order: what the service asks
+        # about on every message, however many jobs it has ever settled.
+        self._unsettled: Dict[str, JobRecord] = {}
         self._order_counter = 0
 
     # ------------------------------------------------------------------
@@ -156,6 +159,7 @@ class JobStore:
             submitted_at=time.time(),
         )
         self._records[job_id] = record
+        self._unsettled[job_id] = record
         self.persist(record)
         return record
 
@@ -163,6 +167,8 @@ class JobStore:
         """Mirror the record's current state into ``meta.json``."""
         if self.disk is not None:
             self.disk.save_meta(record.job_id, record.meta())
+        if record.is_terminal():
+            self._unsettled.pop(record.job_id, None)
 
     def recover(self) -> List[JobRecord]:
         """Reload every on-disk job; returns the recovered records."""
@@ -178,6 +184,10 @@ class JobStore:
             recovered.append(record)
             if record.order > self._order_counter:
                 self._order_counter = record.order
+        recovered.sort(key=lambda r: r.order)
+        self._unsettled.update(
+            (r.job_id, r) for r in recovered if not r.is_terminal()
+        )
         return recovered
 
     # ------------------------------------------------------------------
@@ -191,8 +201,11 @@ class JobStore:
         return sorted(self._records.values(), key=lambda r: r.order)
 
     def in_status(self, *statuses: str) -> List[JobRecord]:
-        wanted = set(statuses)
-        return [r for r in self.records() if r.status in wanted]
+        """Records in any of ``statuses``, in admission order."""
+        pool: Iterable[JobRecord] = self._unsettled.values()  # the hot path
+        if TERMINAL.intersection(statuses):
+            pool = self.records()
+        return [r for r in pool if r.status in statuses]
 
     def __len__(self) -> int:
         return len(self._records)

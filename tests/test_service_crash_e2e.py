@@ -1,11 +1,15 @@
-"""kill -9 the multi-tenant service with two jobs in flight.
+"""kill -9 the multi-tenant service: two jobs in flight; an idle fleet.
 
 The service-level acceptance run for PR 9's crash-only claim: a real
 ``repro grid service`` subprocess is SIGKILLed over loopback TCP while
 two submitted jobs are mid-exploration, a successor restarts from the
 same checkpoint directory with ``--resume``, and the shared fleet
 still finishes *both* jobs with their serial optima — no Push lost, no
-job forgotten, every worker told Terminate.  Runs under ``make
+job forgotten, every worker told Terminate.  The second run kills the
+service while the whole fleet sits *parked* (every worker's Request
+held back because no job has work): the replies die with the service,
+so the workers must come back through their ordinary same-seq retry
+and pick up a job the successor recovers.  Runs under ``make
 chaos-net`` (slow marker).
 """
 
@@ -24,17 +28,25 @@ import pytest
 
 from repro.core import solve
 from repro.grid.runtime import flowshop_spec
+from repro.grid.runtime.protocol import spec_to_wire
 from repro.grid.runtime.supervisor import RespawnPolicy, WorkerSupervisor
+from repro.grid.service import DONE, JobStore
 from repro.grid.service.client import SyncServiceClient
 from repro.grid.net.transport import TransportError, TransportTimeout
 from repro.problems.flowshop import FlowShopProblem, makespan, random_instance
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+# Small: these jobs only have to finish.
 instance_a = random_instance(10, 5, seed=91)
 instance_b = random_instance(9, 5, seed=92)
 serial_a = solve(FlowShopProblem(instance_a))
 serial_b = solve(FlowShopProblem(instance_b))
+# ~100k nodes each (~1.5 s serial): both must still be mid-exploration
+# when the kill lands, however fast the service hands out work.  Their
+# serial solves run inside the slow test, not at import.
+inflight_a = random_instance(11, 5, seed=114)
+inflight_b = random_instance(12, 5, seed=93)
 
 
 def child_env():
@@ -58,7 +70,6 @@ def service_argv(port, ckpt, report_json=None, resume=False):
         "--checkpoint-period", "0.1",
         "--lease-seconds", "3.0",
         "--linger-seconds", "2.0",
-        "--idle-retry", "0.05",
         "--deadline", "180",
     ]
     if report_json is not None:
@@ -86,6 +97,25 @@ def worker_command(port):
     return command_for
 
 
+def spawn_service(argv):
+    return subprocess.Popen(
+        argv,
+        env=child_env(),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+
+
+def fleet_of_three(port):
+    return WorkerSupervisor(
+        worker_command(port),
+        workers=3,
+        policy=RespawnPolicy(backoff_base=0.05, backoff_cap=0.5),
+        poll_interval=0.02,
+        quiet=True,
+    )
+
+
 def wait_until(predicate, timeout, interval=0.05):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -111,26 +141,14 @@ def test_sigkill_service_with_two_jobs_in_flight(tmp_path):
     ckpt = tmp_path / "ckpt"
     report_json = tmp_path / "report.json"
     port = free_port()
-    env = child_env()
 
-    service1 = subprocess.Popen(
-        service_argv(port, ckpt),
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    supervisor = WorkerSupervisor(
-        worker_command(port),
-        workers=3,
-        policy=RespawnPolicy(backoff_base=0.05, backoff_cap=0.5),
-        poll_interval=0.02,
-        quiet=True,
-    )
+    service1 = spawn_service(service_argv(port, ckpt))
+    supervisor = fleet_of_three(port)
     service2 = None
     try:
         client = SyncServiceClient("127.0.0.1", port, timeout=10.0)
-        job_a = submit_with_retry(client, flowshop_spec(instance_a), "alice")
-        job_b = submit_with_retry(client, flowshop_spec(instance_b), "bob")
+        job_a = submit_with_retry(client, flowshop_spec(inflight_a), "alice")
+        job_b = submit_with_retry(client, flowshop_spec(inflight_b), "bob")
         supervisor.start()
 
         # Both jobs in flight: each per-job ledger has a snapshot and
@@ -155,11 +173,8 @@ def test_sigkill_service_with_two_jobs_in_flight(tmp_path):
         assert not report_json.exists()
 
         # Successor: same checkpoint dir, --resume, drain when done.
-        service2 = subprocess.Popen(
-            service_argv(port, ckpt, report_json=report_json, resume=True),
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+        service2 = spawn_service(
+            service_argv(port, ckpt, report_json=report_json, resume=True)
         )
 
         assert wait_until(
@@ -186,11 +201,72 @@ def test_sigkill_service_with_two_jobs_in_flight(tmp_path):
     # solutions really achieve those costs, so no Push was lost across
     # the kill (a lost incumbent would surface as a wrong cost or an
     # unachievable schedule here).
-    for job, instance, serial in (
-        (job_a, instance_a, serial_a),
-        (job_b, instance_b, serial_b),
-    ):
+    for job, instance in ((job_a, inflight_a), (job_b, inflight_b)):
+        serial = solve(FlowShopProblem(instance))
         summary = report["jobs"][job]
         assert summary["status"] == "done"
         assert summary["cost"] == serial.cost
         assert makespan(instance, tuple(summary["solution"])) == serial.cost
+
+
+@pytest.mark.slow
+def test_sigkill_service_while_the_whole_fleet_is_parked(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    report_json = tmp_path / "report.json"
+    port = free_port()
+
+    service1 = spawn_service(service_argv(port, ckpt))
+    supervisor = fleet_of_three(port)
+    service2 = None
+    try:
+        client = SyncServiceClient("127.0.0.1", port, timeout=10.0)
+        warm = submit_with_retry(client, flowshop_spec(instance_b), "bob")
+        supervisor.start()
+        # The fleet is up and has nothing left to do: from here on
+        # every worker's Request is parked in the service.
+        assert client.result(warm, timeout=90.0).status == DONE
+        time.sleep(0.5)
+        supervisor.poll()
+        assert not any(s.done for s in supervisor.slots)
+
+        assert service1.poll() is None, "service died before the kill"
+        os.kill(service1.pid, signal.SIGKILL)
+        assert service1.wait(timeout=30) == -signal.SIGKILL
+
+        # A job the successor will find in its durable queue.
+        staged = JobStore(ckpt)
+        staged.recover()
+        job = staged.create(
+            spec_to_wire(flowshop_spec(instance_a)), owner="alice"
+        ).job_id
+
+        service2 = spawn_service(
+            service_argv(port, ckpt, report_json=report_json, resume=True)
+        )
+        assert wait_until(
+            lambda: (
+                supervisor.poll() or all(s.done for s in supervisor.slots)
+            ),
+            timeout=150,
+        ), "parked fleet never came back to the recovered service"
+        assert all(s.outcome == "clean" for s in supervisor.slots)
+        assert service2.wait(timeout=90) == 0
+    finally:
+        supervisor.stop()
+        for proc in (service1, service2):
+            if proc is not None and proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+    report = json.loads(report_json.read_text())
+    assert report["aborted"] is False
+    assert report["epoch"] == 2
+    assert report["jobs_failed"] == 0
+    assert report["work_allocations"] >= 1
+    # Terminal stays terminal; the recovered job is serial-identical.
+    assert report["jobs"][warm]["status"] == "done"
+    assert report["jobs"][warm]["cost"] == serial_b.cost
+    summary = report["jobs"][job]
+    assert summary["status"] == "done"
+    assert summary["cost"] == serial_a.cost
+    assert makespan(instance_a, tuple(summary["solution"])) == serial_a.cost
