@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint check typecheck test chaos chaos-net chaos-kill bench bench-show bench-engine bench-parallel bench-net bench-recovery bench-suite report examples clean
+.PHONY: install lint check typecheck test chaos chaos-net chaos-kill bench bench-show bench-parallel bench-net bench-recovery bench-suite report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -56,12 +56,6 @@ bench:
 
 bench-show:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Engine throughput: pool-evaluation kernel backends vs batched vs the
-# per-node path.  Regenerates BENCH_PR7.json (see docs/performance.md).
-# QUICK=1 runs the tiny smoke configuration (stdout only, no artifact).
-bench-engine:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_throughput.py $(if $(QUICK),--quick)
 
 # Parallel runtime scaling: adaptive slicing, pipelined updates and the
 # shared-memory incumbent at 1/2/4/8 workers.  Regenerates BENCH_PR3.json.

@@ -37,10 +37,8 @@ __all__ = ["main", "build_parser"]
 def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1, rejected with a clear message.
 
-    Guards the engine-bound size knobs (``--pool-size``,
-    ``--frontier-width``, ``--pool-scan-budget``) at the parser, so a
-    bad value dies as a usage error instead of an ``EngineError``
-    traceback out of a worker process.
+    Guards the service's size limits and job priorities at the parser,
+    so a bad value dies as a usage error instead of a traceback.
     """
     try:
         value = int(text)
@@ -56,41 +54,16 @@ def _positive_int(text: str) -> int:
 
 
 def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
-    """The pool-evaluation kernel knobs shared by solve/worker/fleet."""
+    """The pool-evaluation kernel choice shared by solve/worker/fleet."""
     parser.add_argument(
         "--kernel-backend",
-        choices=["auto", "off", "numpy", "numba", "cupy"],
+        choices=["auto", "off", "numpy", "numba"],
         default="auto",
         help="bound-kernel backend for pool evaluation: 'auto' uses a "
              "registered pool kernel when one exists, 'off' keeps "
              "per-family batched bounds only, a name forces that "
-             "backend (numba/cupy fall back to numpy with a warning "
-             "when the dependency is missing)",
-    )
-    parser.add_argument(
-        "--pool-size", type=_positive_int, default=64,
-        help="frontier entries bounded per pool evaluation",
-    )
-    parser.add_argument(
-        "--pool-scan-budget", type=_positive_int, default=None,
-        help="stack entries one DFS pool refill may inspect while "
-             "gathering same-depth candidates (default: "
-             "max(4 * pool size, 64); ignored in wave mode, where the "
-             "wave itself is the pool)",
-    )
-    parser.add_argument(
-        "--frontier",
-        choices=["dfs", "wave"],
-        default="dfs",
-        help="exploration order: 'dfs' is the paper's "
-             "smallest-number-first order; 'wave' explores same-depth "
-             "waves that fill pool kernels to the pool size (identical "
-             "optimum and proof; node counts may differ)",
-    )
-    parser.add_argument(
-        "--frontier-width", type=_positive_int, default=32768,
-        help="wave mode only: spill to depth-first pops while the "
-             "frontier holds more than this many entries",
+             "backend (numba falls back to numpy with a warning when "
+             "it is not installed)",
     )
 
 
@@ -409,10 +382,6 @@ def _cmd_solve(args) -> int:
                 initial_upper_bound=ub,
                 initial_solution=warm,
                 kernel_backend=_kernel_backend_arg(args),
-                pool_size=args.pool_size,
-                pool_scan_budget=args.pool_scan_budget,
-                frontier=args.frontier,
-                frontier_width=args.frontier_width,
             ),
         )
         print(f"optimal makespan: {result.cost} (proof: {result.optimal})")
@@ -432,10 +401,6 @@ def _cmd_solve(args) -> int:
             initial_upper_bound=ub,
             initial_solution=warm,
             kernel_backend=_kernel_backend_arg(args),
-            pool_size=args.pool_size,
-            pool_scan_budget=args.pool_scan_budget,
-            frontier=args.frontier,
-            frontier_width=args.frontier_width,
         )
         if solver.progress.resumed_from is not None:
             print(f"resumed from {solver.progress.resumed_from}")
@@ -449,10 +414,6 @@ def _cmd_solve(args) -> int:
             initial_upper_bound=ub,
             initial_solution=warm,
             kernel_backend=_kernel_backend_arg(args),
-            pool_size=args.pool_size,
-            pool_scan_budget=args.pool_scan_budget,
-            frontier=args.frontier,
-            frontier_width=args.frontier_width,
         )
         print(f"optimal makespan: {result.cost} (proof: {result.optimal})")
         print(f"schedule: {list(result.solution)}")
@@ -810,10 +771,6 @@ def _cmd_grid_worker(args) -> int:
         max_reconnect_attempts=args.max_reconnect_attempts,
         backoff_cap=args.backoff_cap,
         kernel_backend=_kernel_backend_arg(args),
-        pool_size=args.pool_size,
-        pool_scan_budget=args.pool_scan_budget,
-        frontier=args.frontier,
-        frontier_width=args.frontier_width,
     )
     print(f"worker {worker_id} done: {outcome}")
     # The exit code is the supervision contract (see grid/runtime/
@@ -841,12 +798,7 @@ def _cmd_grid_fleet(args) -> int:
             "--max-retries", str(args.max_retries),
             "--backoff-cap", str(args.backoff_cap),
             "--kernel-backend", args.kernel_backend,
-            "--pool-size", str(args.pool_size),
-            "--frontier", args.frontier,
-            "--frontier-width", str(args.frontier_width),
         ]
-        if args.pool_scan_budget is not None:
-            argv += ["--pool-scan-budget", str(args.pool_scan_budget)]
         if args.peer_timeout is not None:
             argv += ["--peer-timeout", str(args.peer_timeout)]
         if args.max_reconnect_attempts is not None:

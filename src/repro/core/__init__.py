@@ -22,7 +22,6 @@ from repro.core.checkpoint import (
     RecoveredState,
 )
 from repro.core.engine import (
-    FRONTIER_CHOICES,
     IntervalExplorer,
     SolveResult,
     StepReport,
@@ -52,7 +51,6 @@ __all__ = [
     "JournalRecord",
     "RecoveredState",
     "ExplorationStats",
-    "FRONTIER_CHOICES",
     "Incumbent",
     "Interval",
     "IntervalExplorer",

@@ -11,29 +11,28 @@ coordinator for checkpointing (§4.1).
 
 Correspondence with the paper's four operators (§2):
 
-* **selection** — two strategies over one number-sorted stack.  The
-  default (``frontier="dfs"``) is the paper's: the smallest node
-  number is always explored next (eq. 9 then holds by construction
-  and folding is O(1)).  ``frontier="wave"`` pops *runs* of same-depth
-  entries off the top of the stack — up to ``pool_size`` decomposable
-  parents per wave — so the pool kernels receive wide pools instead of
-  whatever a thin DFS frontier happens to hold.  Waves still always
-  take the smallest-numbered entries, so leaves are evaluated in the
-  same left-to-right order, the stack stays number-sorted, and the
-  fold is still the two integers ``[top, B)`` (see
-  :meth:`IntervalExplorer.remaining_interval`);
+* **selection** — one loop over one number-sorted stack: each *wave*
+  pops up to ``W`` same-depth decomposable parents off the top (the
+  smallest-numbered entries), bounds all their children in one call
+  and pushes the survivors.  ``W = 1`` is the paper's order exactly —
+  the smallest node number is always explored next.  The engine picks
+  ``W`` itself from how long ago the incumbent last moved (see
+  :meth:`IntervalExplorer.step`): narrow while improvements are
+  arriving, so prune tests see the freshest incumbent; wide during
+  proof-only phases, so the pool kernels receive full pools.  Waves
+  always consume the top of the stack, so leaves are evaluated left to
+  right, the stack stays number-sorted, and the fold is always the two
+  integers ``[top, B)`` (:meth:`IntervalExplorer.remaining_interval`);
 * **branching** — delegated to :meth:`Problem.branch`;
 * **bounding** — delegated to :meth:`Problem.lower_bound`, or, when a
   problem implements :meth:`Problem.bound_children`, evaluated for all
   siblings at once at decomposition time (the batched-kernel structure
   of the GPU-B&B follow-on work); with a pool kernel backend
-  (:mod:`repro.core.kernels`) the engine goes further and bounds the
-  children of a whole *pool* of same-depth frontier nodes in one
-  backend call.  Bounds never depend on the incumbent, so evaluating
-  them ahead of DFS order is semantically invisible: cached bounds are
-  re-checked against the *current* incumbent when a node is popped,
-  and the explored / pruned / decomposed / bound-evaluation totals are
-  identical to the per-node path on every backend;
+  (:mod:`repro.core.kernels`) the children of the whole wave are
+  bounded in one backend call.  Bounds never depend on the incumbent,
+  so a bound cached on a stack entry stays valid and is only
+  *compared* against the then-current incumbent when the entry is
+  popped;
 * **elimination** — a node is eliminated when its bound reaches the
   incumbent cost *or* when its number falls outside the owned interval
   (the eq. 12 rule that makes work units independent).
@@ -45,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.active_list import ActiveList, ActiveNode
+from repro.core.active_list import ActiveList
 from repro.core.interval import Interval
 from repro.core.kernels import PoolEvaluator, pool_evaluator_for
 from repro.core.problem import Problem
@@ -55,7 +54,6 @@ from repro.core.unfold import unfold
 from repro.exceptions import EngineError, ProblemError
 
 __all__ = [
-    "FRONTIER_CHOICES",
     "IntervalExplorer",
     "StepReport",
     "SolveResult",
@@ -63,8 +61,11 @@ __all__ = [
     "brute_force_minimum",
 ]
 
-#: Frontier exploration strategies the engine implements.
-FRONTIER_CHOICES: Tuple[str, ...] = ("dfs", "wave")
+#: Wave width gained per this many parents decomposed since the
+#: incumbent last moved.  A constant, not a knob: ``//2 … //8`` measure
+#: within noise of each other on every benchmark workload (CHANGES.md,
+#: PR 15).
+_QUIET_PARENTS_PER_WIDTH = 4
 
 ImprovementCallback = Callable[[float, Any], None]
 
@@ -88,30 +89,25 @@ class SolveResult:
     interval: Interval
     optimal: bool = True
     # Pool-evaluation telemetry (kept out of ExplorationStats so node
-    # accounting stays byte-comparable across frontiers and backends):
-    # occupancy -> backend calls at that occupancy, and the number of
-    # wave-mode width spills.
+    # accounting stays byte-comparable across backends): wave width ->
+    # number of pool-evaluator calls that bounded that many parents.
     pool_occupancy: Dict[int, int] = field(default_factory=dict)
-    frontier_spills: int = 0
 
     def found_solution(self) -> bool:
         return self.solution is not None
 
 
 class _Entry:
-    """One frontier node on the DFS stack.
+    """One frontier node on the stack.
 
-    ``bound`` caches the node's lower bound when it was computed by a
-    batched :meth:`Problem.bound_children` call at decomposition time
-    (``None`` on the per-node path); the bound of a node never depends
-    on the incumbent, so the cached value stays valid and only the
-    prune *comparison* is deferred to pop time.  ``child_bounds``
-    likewise caches the bounds of this entry's children when a pool
-    kernel evaluated them ahead of the pop (bound-ahead speculation —
-    again incumbent-free, so always valid once computed).
+    ``bound`` caches the node's lower bound when it was computed by the
+    wave that decomposed its parent (``None`` on the per-node path);
+    the bound of a node never depends on the incumbent, so the cached
+    value stays valid and only the prune *comparison* is deferred to
+    pop time.
     """
 
-    __slots__ = ("ranks", "state", "number", "bound", "child_bounds")
+    __slots__ = ("ranks", "state", "number", "bound")
 
     def __init__(
         self,
@@ -124,11 +120,21 @@ class _Entry:
         self.state = state
         self.number = number
         self.bound = bound
-        self.child_bounds: Optional[List[float]] = None
 
 
 class IntervalExplorer:
-    """Resumable DFS B&B over one interval of node numbers.
+    """Resumable B&B over one interval of node numbers.
+
+    **Contract.**  The optimum, the optimal solution, the sequence of
+    improvements and the proof are the same for every ``pool_size``,
+    ``kernel_backend`` and ``batched_bounds`` setting, and the ledger
+    always reconciles: ``explored = pruned + decomposed + leaves``.
+    At ``pool_size=1`` the explored / pruned / decomposed /
+    bound-evaluation counters are additionally byte-identical to the
+    scalar per-node path (``batched_bounds=False``) on every backend.
+    At wider caps prune tests meet the incumbent at different moments,
+    so node counts may differ from the scalar path's and are reported
+    as they happened.
 
     Parameters
     ----------
@@ -147,9 +153,9 @@ class IntervalExplorer:
     batched_bounds:
         ``None`` (default) uses :meth:`Problem.bound_children` whenever
         the problem overrides it; ``False`` forces the per-node path
-        (the scalar baseline the throughput benchmark compares
-        against); ``True`` forces batch calls even on problems that
-        may return ``None`` (harmless — each ``None`` falls back).
+        (the scalar oracle the conformance tests compare against);
+        ``True`` forces batch calls even on problems that may return
+        ``None`` (harmless — each ``None`` falls back).
     bound_provider:
         Optional zero-arg callable returning an advisory global upper
         bound (e.g. a shared-memory incumbent).  Polled every
@@ -165,45 +171,16 @@ class IntervalExplorer:
         Pool bound-kernel backend (:mod:`repro.core.kernels`).
         ``None`` (auto, the default) pools with the ``numpy`` backend
         whenever the problem registered pooled kernels; ``"off"``
-        disables pooling (the plain PR 2 batched path); ``"numpy"`` /
-        ``"numba"`` / ``"cupy"`` select a backend explicitly (optional
-        backends degrade to numpy with a one-time warning when their
-        dependency is missing).  Ignored when ``batched_bounds=False``
-        — the scalar path is the oracle and stays pure.
+        disables pooling (per-family batched bounds only); ``"numpy"``
+        / ``"numba"`` select a backend explicitly (numba degrades to
+        numpy with a one-time warning when it is missing).  Ignored
+        when ``batched_bounds=False`` — the scalar path is the oracle
+        and stays pure.
     pool_size:
-        Maximum number of frontier nodes bounded per pool call
-        (default 64).  On the DFS frontier, pooling only *reorders
-        when bound arithmetic runs* — never which nodes are popped,
-        pruned or counted — so any value >= 1 yields identical
-        results and stats.  On the wave frontier it is also the wave
-        width: how many decomposable parents one wave accumulates.
-    pool_scan_budget:
-        How many stack entries one DFS pool refill may inspect while
-        gathering same-depth candidates (see :meth:`_pool_fill`).
-        ``None`` (default) uses ``max(4 * pool_size, 64)`` — enough to
-        skip past a few interleaved depths without turning every
-        refill into an O(stack) scan.  Raising it widens DFS pools on
-        deep, interleaved frontiers at O(budget) scan cost per refill;
-        the wave frontier does not scan at all (the wave itself is the
-        pool), so this knob is DFS-only.
-    frontier:
-        ``"dfs"`` (default) explores strictly smallest-number-first —
-        the paper's order, byte-identical stats across every backend.
-        ``"wave"`` pops whole same-depth runs (up to ``pool_size``
-        decomposable parents per wave) so pool kernels see wide pools
-        even where DFS would feed them one or two entries.  The wave
-        order still takes the smallest-numbered entries first, so the
-        optimum, the proof of optimality and the improvement sequence
-        match the DFS oracle exactly; the *explored-node counters* may
-        differ (pruning tests happen at different moments against the
-        then-current incumbent) and are reported honestly.
-    frontier_width:
-        Wave-mode memory bound: once the stack holds more than this
-        many entries, exploration spills to single-entry DFS pops
-        (draining the smallest subtrees first) until the frontier
-        shrinks back under the cap, then waves resume.  Spills are
-        counted in :attr:`frontier_spills`.  Ignored on the DFS
-        frontier, whose stack is O(depth x branching) by construction.
+        Cap on the wave width — how many parents one pool call may
+        bound (default 64).  ``1`` is strict smallest-number-first
+        order, the identity pin of the conformance tests.  Without a
+        pool evaluator the width is 1 whatever this says.
     """
 
     def __init__(
@@ -218,9 +195,6 @@ class IntervalExplorer:
         bound_poll_nodes: int = 256,
         kernel_backend: Optional[str] = None,
         pool_size: int = 64,
-        pool_scan_budget: Optional[int] = None,
-        frontier: str = "dfs",
-        frontier_width: int = 32768,
     ):
         self.problem = problem
         if batched_bounds is None:
@@ -231,31 +205,8 @@ class IntervalExplorer:
         if pool_size < 1:
             raise EngineError("pool_size must be >= 1")
         self.pool_size = pool_size
-        # How many stack entries one refill may inspect: bounded so a
-        # deep frontier does not turn every pool fill into an O(stack)
-        # scan when few candidates qualify.
-        if pool_scan_budget is not None and pool_scan_budget < 1:
-            raise EngineError("pool_scan_budget must be >= 1 (or None)")
-        self._pool_scan = (
-            pool_scan_budget
-            if pool_scan_budget is not None
-            else max(4 * pool_size, 64)
-        )
-        if frontier not in FRONTIER_CHOICES:
-            raise EngineError(
-                f"unknown frontier {frontier!r} "
-                f"(expected one of {', '.join(FRONTIER_CHOICES)})"
-            )
-        self.frontier = frontier
-        if frontier_width < 1:
-            raise EngineError("frontier_width must be >= 1")
-        self.frontier_width = frontier_width
-        #: Wave-mode spill events: waves deferred to DFS pops because
-        #: the stack exceeded ``frontier_width``.
-        self.frontier_spills: int = 0
-        #: Pool-evaluator call histogram: occupancy -> number of calls
-        #: that bounded that many parents at once (every backend call
-        #: is recorded, on both frontiers).
+        #: Pool-evaluator call histogram: wave width -> number of calls
+        #: that bounded that many parents at once.
         self.pool_occupancy: Dict[int, int] = {}
         self._pool_evaluator: Optional[PoolEvaluator] = (
             pool_evaluator_for(problem, kernel_backend)
@@ -275,8 +226,11 @@ class IntervalExplorer:
             raise EngineError("bound_poll_nodes must be >= 1")
         self.bound_poll_nodes = bound_poll_nodes
         self.stats = ExplorationStats()
+        # ``stats.nodes_decomposed`` when the incumbent last moved; the
+        # distance from it is what the wave width grows with.
+        self._incumbent_moved_at = 0
         # Stack ordered by DECREASING node number so list.pop() yields
-        # the leftmost (smallest-numbered) frontier node — DFS order.
+        # the leftmost (smallest-numbered) frontier node.
         self._stack: List[_Entry] = []
         if not interval.is_empty():
             self._init_stack(interval)
@@ -336,26 +290,15 @@ class IntervalExplorer:
         return Interval(self._stack[-1].number, self._end)
 
     def active_list(self) -> ActiveList:
-        """The frontier as an :class:`ActiveList` (increasing order).
+        """The canonical *covering* frontier (increasing order): the
+        unfold of :meth:`remaining_interval` — exactly the frontier a
+        resume would reconstruct from the fold.
 
-        Note: after :meth:`restrict_end` the last node's range may
-        extend past :attr:`end`; exploration clips lazily, so the list
-        covers *at least* the remaining interval.
-
-        A wave frontier is not a contiguous eq. 9 chain (pruned runs
-        leave gaps between surviving subtrees), so in wave mode this
-        returns the canonical *covering* list instead: the unfold of
-        :meth:`remaining_interval` — exactly the frontier a resume
-        would reconstruct from the fold.
+        The live stack is not a contiguous eq. 9 chain (pruned
+        subtrees leave gaps between the surviving ones), so it is the
+        covering list, not the stack, that has the paper's shape.
         """
-        if self.frontier == "wave":
-            return unfold(self.shape, self.remaining_interval())
-        nodes = [
-            ActiveNode(self.shape, entry.ranks)
-            for entry in reversed(self._stack)
-            if entry.number < self._end
-        ]
-        return ActiveList(self.shape, nodes)
+        return unfold(self.shape, self.remaining_interval())
 
     # ------------------------------------------------------------------
     # coordination hooks (load balancing & solution sharing)
@@ -398,6 +341,7 @@ class IntervalExplorer:
         if cost < self.incumbent.cost:
             self.incumbent.cost = cost
             self.incumbent.solution = solution
+            self._incumbent_moved_at = self.stats.nodes_decomposed
             return True
         return False
 
@@ -407,255 +351,52 @@ class IntervalExplorer:
     def step(self, max_nodes: float = math.inf) -> StepReport:
         """Explore up to ``max_nodes`` nodes; return what happened.
 
+        One loop: while the stack top is a leaf, evaluate it; otherwise
+        pop a *wave* — same-depth entries off the top, prune-checking
+        each against the incumbent, until ``W`` decomposable parents
+        are held — bound all their children in one call and push the
+        survivors, highest-numbered first, so the stack stays sorted.
+
+        ``W`` is not an option.  It is the number of parents
+        decomposed since the incumbent last moved (a leaf improvement,
+        :meth:`set_upper_bound`, or a ``bound_provider`` poll that
+        lowered it) ``// 4``, clamped to ``[1, pool_size]``: every
+        parent of a wave is tested against the incumbent as it stood
+        when the wave began, so a wide wave wastes work while
+        improvements are arriving and costs nothing once they have
+        stopped, which is also when the pool kernels have the most to
+        gain from full pools.  Decompositions, not explored nodes, are
+        counted because the children a wide wave prunes on the spot
+        are explored nodes too — counting them lets one wide wave
+        widen the next.  Without a pool evaluator (the scalar oracle,
+        ``kernel_backend="off"``, problems with no pooled kernels)
+        going wide buys nothing and ``W`` stays 1.
+
         One "node" is one frontier entry taken off the stack, matching
         the paper's explored-node accounting (pruned, decomposed and
-        leaf nodes all count).  On the batched path, children pruned at
-        decomposition time (they never reach the stack) also count —
-        they are the same nodes the per-node path would pop and prune —
-        so a step may overshoot ``max_nodes`` by at most one family of
-        siblings (one wave plus its children in wave mode).
-        """
-        if self.frontier == "wave":
-            return self._step_wave(max_nodes)
-        problem = self.problem
-        stack = self._stack
-        leaf_depth = self.shape.leaf_depth
-        weights = self._weights
-        stats = self.stats
-        batched = self._batched_bounds
-        pool_evaluator = self._pool_evaluator
-        processed = 0
-        improved = False
-        provider = self.bound_provider
-        poll = self.bound_poll_nodes if provider is not None else 0
-        countdown = poll
-
-        while stack and processed < max_nodes:
-            if poll:
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = poll
-                    shared = provider()
-                    if shared < self.incumbent.cost:
-                        self.incumbent.cost = shared
-                        self.incumbent.solution = None
-            entry = stack.pop()
-            if entry.number >= self._end:
-                # Stack is sorted by decreasing number: everything still
-                # on it is also out of range.
-                stats.nodes_skipped_out_of_range += len(stack) + 1
-                stack.clear()
-                break
-            processed += 1
-            stats.nodes_explored += 1
-            depth = len(entry.ranks)
-
-            if depth == leaf_depth:
-                stats.leaves_evaluated += 1
-                cost = problem.leaf_cost(entry.state)
-                if cost < self.incumbent.cost:
-                    self.incumbent.cost = cost
-                    self.incumbent.solution = problem.leaf_solution(entry.state)
-                    stats.improvements += 1
-                    improved = True
-                    if self.on_improvement is not None:
-                        self.on_improvement(
-                            self.incumbent.cost, self.incumbent.solution
-                        )
-                continue
-
-            # A bound cached by a batched decomposition is the exact
-            # value lower_bound would return; only the comparison with
-            # the (possibly since-improved) incumbent happens now.
-            stats.bound_evaluations += 1
-            bound = entry.bound
-            if bound is None:
-                bound = problem.lower_bound(entry.state, depth)
-            if bound >= self.incumbent.cost:
-                stats.nodes_pruned += 1
-                continue
-
-            stats.nodes_decomposed += 1
-            child_depth = depth + 1
-            child_bounds: Optional[List[float]] = entry.child_bounds
-            if (
-                child_bounds is None
-                and pool_evaluator is not None
-                and child_depth < leaf_depth
-            ):
-                child_bounds = self._pool_fill(pool_evaluator, entry, depth)
-            if child_bounds is None and batched and child_depth < leaf_depth:
-                raw_bounds = problem.bound_children(entry.state, depth)
-                if raw_bounds is not None:
-                    if len(raw_bounds) != self.shape.num_children(depth):
-                        raise ProblemError(
-                            f"{problem.name()}.bound_children returned "
-                            f"{len(raw_bounds)} bounds at depth {depth}, "
-                            f"shape expects {self.shape.num_children(depth)}"
-                        )
-                    # One bulk conversion: comparing / storing plain
-                    # Python scalars is cheaper per child than ndarray
-                    # scalar indexing.
-                    tolist = getattr(raw_bounds, "tolist", None)
-                    child_bounds = (
-                        tolist() if tolist is not None else list(raw_bounds)
-                    )
-            children = self._branch_checked(entry.state, depth)
-            child_weight = weights[child_depth]
-            if child_bounds is None:
-                # Per-node path: push everything in range; bounds are
-                # evaluated lazily when the children are popped.
-                for rank in range(len(children) - 1, -1, -1):
-                    child_number = entry.number + rank * child_weight
-                    if child_number >= self._end:
-                        stats.nodes_skipped_out_of_range += 1
-                        continue
-                    stack.append(
-                        _Entry(
-                            entry.ranks + (rank,), children[rank], child_number
-                        )
-                    )
-                continue
-            # Batched path: prune before pushing.  The incumbent cannot
-            # improve between here and the moment the per-node path
-            # would pop a child that is *already* prunable now (bounds
-            # do not depend on the incumbent and the incumbent never
-            # worsens), so accounting an early-pruned child as
-            # explored+bounded+pruned matches the per-node totals
-            # exactly.  Survivors carry their bound onto the stack.
-            incumbent_cost = self.incumbent.cost
-            for rank in range(len(children) - 1, -1, -1):
-                child_number = entry.number + rank * child_weight
-                if child_number >= self._end:
-                    stats.nodes_skipped_out_of_range += 1
-                    continue
-                child_bound = child_bounds[rank]
-                if child_bound >= incumbent_cost:
-                    processed += 1
-                    stats.nodes_explored += 1
-                    stats.bound_evaluations += 1
-                    stats.nodes_pruned += 1
-                    continue
-                stack.append(
-                    _Entry(
-                        entry.ranks + (rank,),
-                        children[rank],
-                        child_number,
-                        child_bound,
-                    )
-                )
-
-        return StepReport(processed, finished=not stack, improved=improved)
-
-    def _pool_fill(
-        self, evaluator: PoolEvaluator, entry: _Entry, depth: int
-    ) -> Optional[List[float]]:
-        """Bound-ahead refill: child bounds for ``entry`` plus up to
-        ``pool_size - 1`` more same-depth frontier entries, one call.
-
-        Only *bounding* runs ahead of DFS order here — bounds are pure
-        functions of the state, independent of the incumbent — so the
-        speculation cannot change which nodes are popped, pruned,
-        decomposed or counted; it only moves the arithmetic of nodes
-        the DFS would bound anyway into one amortised backend call.
-        Candidates are taken from the top of the stack (the DFS-soonest
-        entries), skipping entries that already carry child bounds,
-        sit at another depth, fell out of the owned interval, or whose
-        own cached bound already reaches the incumbent — those are
-        certain to be pruned at pop time, so their children are never
-        needed (wasted speculation, not a semantic hazard).
-        """
-        group = [entry]
-        if self.pool_size > 1:
-            cost = self.incumbent.cost
-            end = self._end
-            budget = self._pool_scan
-            for cand in reversed(self._stack):
-                if len(group) >= self.pool_size or budget <= 0:
-                    break
-                budget -= 1
-                if (
-                    cand.child_bounds is not None
-                    or len(cand.ranks) != depth
-                    or cand.number >= end
-                    or (cand.bound is not None and cand.bound >= cost)
-                ):
-                    continue
-                group.append(cand)
-        self._evaluate_pool(evaluator, group, depth)
-        return entry.child_bounds
-
-    def _evaluate_pool(
-        self, evaluator: PoolEvaluator, group: List[_Entry], depth: int
-    ) -> None:
-        """One backend call: bound the children of every entry in
-        ``group`` (all at ``depth``), cache the rows on the entries,
-        and record the call's occupancy in :attr:`pool_occupancy`.
-        Declined rows (``None``) leave ``child_bounds`` unset, so the
-        caller's per-parent fallbacks still apply.
-        """
-        results = evaluator([cand.state for cand in group], depth)
-        occupancy = len(group)
-        self.pool_occupancy[occupancy] = (
-            self.pool_occupancy.get(occupancy, 0) + 1
-        )
-        if results is None:
-            return
-        expected = self.shape.num_children(depth)
-        for cand, row in zip(group, results):
-            if row is None:
-                continue
-            if len(row) != expected:
-                raise ProblemError(
-                    f"{self.problem.name()} pool kernel returned "
-                    f"{len(row)} bounds at depth {depth}, "
-                    f"shape expects {expected}"
-                )
-            tolist = getattr(row, "tolist", None)
-            cand.child_bounds = tolist() if tolist is not None else list(row)
-
-    # ------------------------------------------------------------------
-    # wave frontier
-    # ------------------------------------------------------------------
-    def _step_wave(self, max_nodes: float) -> StepReport:
-        """Wave-mode :meth:`step`: same-depth runs instead of single pops.
-
-        Each iteration pops the top run of same-depth entries — prune-
-        checking as it goes — until it holds ``pool_size`` decomposable
-        parents, then bounds *all* their children in one pool-evaluator
-        call and pushes the surviving children (early-pruned exactly
-        like the batched DFS path).  Because the stack is sorted by
-        decreasing number and waves always consume its top, the frontier
-        stays number-sorted, leaves are still evaluated left to right,
-        and :meth:`remaining_interval` stays a valid fold: every
-        unexplored leaf is numbered at or above the top entry.  Leaves
-        and over-``frontier_width`` spills are processed by single DFS
-        pops (:meth:`_process_single`).
+        leaf nodes all count).  Children pruned at decomposition time
+        (they never reach the stack) also count — they are the same
+        nodes the per-node path would pop and prune.  A wave stops
+        taking parents once ``max_nodes`` would not cover the families
+        already held, so a step overshoots ``max_nodes`` by at most one
+        family of siblings.
         """
         problem = self.problem
         stack = self._stack
         leaf_depth = self.shape.leaf_depth
         weights = self._weights
         stats = self.stats
-        batched = self._batched_bounds
-        pool_evaluator = self._pool_evaluator
-        pool_size = self.pool_size
-        width = self.frontier_width
+        incumbent = self.incumbent
+        widest = self.pool_size if self._pool_evaluator is not None else 1
+        provider = self.bound_provider
+        next_poll = self.bound_poll_nodes
         processed = 0
         improved = False
-        provider = self.bound_provider
-        poll = self.bound_poll_nodes if provider is not None else 0
-        countdown = poll
 
         while stack and processed < max_nodes:
-            if poll and countdown <= 0:
-                # Wave-sized decrements: poll roughly every
-                # ``bound_poll_nodes`` processed nodes, like DFS.
-                countdown = poll
-                shared = provider()
-                if shared < self.incumbent.cost:
-                    self.incumbent.cost = shared
-                    self.incumbent.solution = None
+            if provider is not None and processed >= next_poll:
+                next_poll = processed + self.bound_poll_nodes
+                self.set_upper_bound(provider())
             if stack[-1].number >= self._end:
                 # Sorted stack: the smallest-numbered entry is already
                 # out of range, so everything else is too.
@@ -663,37 +404,43 @@ class IntervalExplorer:
                 stack.clear()
                 break
             depth = len(stack[-1].ranks)
-            if depth == leaf_depth or len(stack) > width:
-                # Leaves gain nothing from grouping (leaf_cost is
-                # scalar); an over-width stack must shrink before the
-                # next wave may multiply it — single DFS pops drain
-                # the smallest subtrees first either way.
-                if depth != leaf_depth:
-                    self.frontier_spills += 1
-                count, leaf_improved = self._process_single(stack.pop())
-                processed += count
-                countdown -= count
-                improved = improved or leaf_improved
+            if depth == leaf_depth:
+                entry = stack.pop()
+                processed += 1
+                stats.nodes_explored += 1
+                stats.leaves_evaluated += 1
+                cost = problem.leaf_cost(entry.state)
+                if cost < incumbent.cost:
+                    incumbent.cost = cost
+                    incumbent.solution = problem.leaf_solution(entry.state)
+                    self._incumbent_moved_at = stats.nodes_decomposed
+                    stats.improvements += 1
+                    improved = True
+                    if self.on_improvement is not None:
+                        self.on_improvement(cost, incumbent.solution)
                 continue
 
-            # Pop the wave: same-depth entries off the top until
-            # pool_size decomposable parents survive the prune test
-            # (no leaves are evaluated here, so the incumbent cannot
-            # move under the wave).
-            survivors: List[_Entry] = []
-            incumbent_cost = self.incumbent.cost
-            while stack and len(survivors) < pool_size:
+            # Pop the wave.  No leaf is evaluated inside it, so the
+            # incumbent cannot move under it.
+            width = min(
+                (stats.nodes_decomposed - self._incumbent_moved_at)
+                // _QUIET_PARENTS_PER_WIDTH,
+                widest,
+            )
+            fanout = self.shape.num_children(depth)
+            room = max_nodes - processed
+            incumbent_cost = incumbent.cost
+            parents: List[_Entry] = []
+            while room > 0 and stack:
                 cand = stack[-1]
-                if len(cand.ranks) != depth:
-                    break
-                if cand.number >= self._end:
-                    stats.nodes_skipped_out_of_range += len(stack)
-                    stack.clear()
+                if len(cand.ranks) != depth or cand.number >= self._end:
                     break
                 stack.pop()
+                room -= 1
                 processed += 1
-                countdown -= 1
                 stats.nodes_explored += 1
+                # A cached bound is the exact value lower_bound would
+                # return; only the comparison happens now.
                 stats.bound_evaluations += 1
                 bound = cand.bound
                 if bound is None:
@@ -702,70 +449,39 @@ class IntervalExplorer:
                     stats.nodes_pruned += 1
                     continue
                 stats.nodes_decomposed += 1
-                survivors.append(cand)
-            if not survivors:
+                parents.append(cand)
+                if len(parents) >= width:
+                    break
+                room -= fanout  # its children may all be counted below
+            if not parents:
                 continue
 
+            # Push children, highest-numbered parent first and highest
+            # rank first, so the stack stays sorted by decreasing
+            # number (subtree ranges are disjoint and ordered).  A
+            # child whose bound already reaches the incumbent is
+            # accounted explored+bounded+pruned here instead of being
+            # pushed: the incumbent never worsens, so the per-node
+            # path would pop and prune exactly that child later.
             child_depth = depth + 1
-            if pool_evaluator is not None and child_depth < leaf_depth:
-                group = [e for e in survivors if e.child_bounds is None]
-                if group:
-                    self._evaluate_pool(pool_evaluator, group, depth)
-
-            # Push children, highest-numbered parent first, so the
-            # stack stays sorted by decreasing number (subtree ranges
-            # are disjoint and ordered).
             child_weight = weights[child_depth]
-            for entry in reversed(survivors):
-                child_bounds = entry.child_bounds
-                if (
-                    child_bounds is None
-                    and batched
-                    and child_depth < leaf_depth
-                ):
-                    raw_bounds = problem.bound_children(entry.state, depth)
-                    if raw_bounds is not None:
-                        if len(raw_bounds) != self.shape.num_children(depth):
-                            raise ProblemError(
-                                f"{problem.name()}.bound_children returned "
-                                f"{len(raw_bounds)} bounds at depth {depth},"
-                                f" shape expects "
-                                f"{self.shape.num_children(depth)}"
-                            )
-                        tolist = getattr(raw_bounds, "tolist", None)
-                        child_bounds = (
-                            tolist()
-                            if tolist is not None
-                            else list(raw_bounds)
-                        )
+            families = self._bound_families(parents, depth)
+            for entry, child_bounds in zip(reversed(parents), reversed(families)):
                 children = self._branch_checked(entry.state, depth)
-                if child_bounds is None:
-                    for rank in range(len(children) - 1, -1, -1):
-                        child_number = entry.number + rank * child_weight
-                        if child_number >= self._end:
-                            stats.nodes_skipped_out_of_range += 1
-                            continue
-                        stack.append(
-                            _Entry(
-                                entry.ranks + (rank,),
-                                children[rank],
-                                child_number,
-                            )
-                        )
-                    continue
                 for rank in range(len(children) - 1, -1, -1):
                     child_number = entry.number + rank * child_weight
                     if child_number >= self._end:
                         stats.nodes_skipped_out_of_range += 1
                         continue
-                    child_bound = child_bounds[rank]
-                    if child_bound >= incumbent_cost:
-                        processed += 1
-                        countdown -= 1
-                        stats.nodes_explored += 1
-                        stats.bound_evaluations += 1
-                        stats.nodes_pruned += 1
-                        continue
+                    child_bound = None
+                    if child_bounds is not None:
+                        child_bound = child_bounds[rank]
+                        if child_bound >= incumbent_cost:
+                            processed += 1
+                            stats.nodes_explored += 1
+                            stats.bound_evaluations += 1
+                            stats.nodes_pruned += 1
+                            continue
                     stack.append(
                         _Entry(
                             entry.ranks + (rank,),
@@ -777,104 +493,42 @@ class IntervalExplorer:
 
         return StepReport(processed, finished=not stack, improved=improved)
 
-    def _process_single(self, entry: _Entry) -> Tuple[int, bool]:
-        """Explore one already-popped, in-range entry the DFS way.
+    def _bound_families(
+        self, parents: List[_Entry], depth: int
+    ) -> List[Optional[List[float]]]:
+        """Child bounds of every parent of a wave (all at ``depth``).
 
-        The wave loop's fallback for leaves and width spills — same
-        accounting as the main DFS loop, including the decomposition-
-        time pool refill and early pruning.  Returns ``(nodes counted,
-        incumbent improved)``.
+        One pool-evaluator call when there is one (its width recorded
+        in :attr:`pool_occupancy`), :meth:`Problem.bound_children` for
+        parents it declined or when there is none; ``None`` stays for
+        a parent whose children are leaves or that nothing bounded in
+        batch — those children get their bound when they are popped.
         """
-        problem = self.problem
-        stats = self.stats
-        stats.nodes_explored += 1
-        depth = len(entry.ranks)
-        leaf_depth = self.shape.leaf_depth
-
-        if depth == leaf_depth:
-            stats.leaves_evaluated += 1
-            cost = problem.leaf_cost(entry.state)
-            if cost < self.incumbent.cost:
-                self.incumbent.cost = cost
-                self.incumbent.solution = problem.leaf_solution(entry.state)
-                stats.improvements += 1
-                if self.on_improvement is not None:
-                    self.on_improvement(
-                        self.incumbent.cost, self.incumbent.solution
-                    )
-                return 1, True
-            return 1, False
-
-        stats.bound_evaluations += 1
-        bound = entry.bound
-        if bound is None:
-            bound = problem.lower_bound(entry.state, depth)
-        if bound >= self.incumbent.cost:
-            stats.nodes_pruned += 1
-            return 1, False
-
-        stats.nodes_decomposed += 1
-        child_depth = depth + 1
-        child_bounds: Optional[List[float]] = entry.child_bounds
-        if (
-            child_bounds is None
-            and self._pool_evaluator is not None
-            and child_depth < leaf_depth
-        ):
-            child_bounds = self._pool_fill(self._pool_evaluator, entry, depth)
-        if (
-            child_bounds is None
-            and self._batched_bounds
-            and child_depth < leaf_depth
-        ):
-            raw_bounds = problem.bound_children(entry.state, depth)
-            if raw_bounds is not None:
-                if len(raw_bounds) != self.shape.num_children(depth):
-                    raise ProblemError(
-                        f"{problem.name()}.bound_children returned "
-                        f"{len(raw_bounds)} bounds at depth {depth}, "
-                        f"shape expects {self.shape.num_children(depth)}"
-                    )
-                tolist = getattr(raw_bounds, "tolist", None)
-                child_bounds = (
-                    tolist() if tolist is not None else list(raw_bounds)
-                )
-        children = self._branch_checked(entry.state, depth)
-        child_weight = self._weights[child_depth]
-        stack = self._stack
-        processed = 1
-        if child_bounds is None:
-            for rank in range(len(children) - 1, -1, -1):
-                child_number = entry.number + rank * child_weight
-                if child_number >= self._end:
-                    stats.nodes_skipped_out_of_range += 1
+        rows: List[Any] = [None] * len(parents)
+        if not self._batched_bounds or depth + 1 >= self.shape.leaf_depth:
+            return rows
+        if self._pool_evaluator is not None:
+            width = len(parents)
+            self.pool_occupancy[width] = self.pool_occupancy.get(width, 0) + 1
+            pooled = self._pool_evaluator([p.state for p in parents], depth)
+            if pooled is not None:
+                rows = list(pooled)
+        expected = self.shape.num_children(depth)
+        for index, row in enumerate(rows):
+            if row is None:
+                row = self.problem.bound_children(parents[index].state, depth)
+                if row is None:
                     continue
-                stack.append(
-                    _Entry(entry.ranks + (rank,), children[rank], child_number)
+            if len(row) != expected:
+                raise ProblemError(
+                    f"{self.problem.name()} returned {len(row)} child "
+                    f"bounds at depth {depth}, shape expects {expected}"
                 )
-            return processed, False
-        incumbent_cost = self.incumbent.cost
-        for rank in range(len(children) - 1, -1, -1):
-            child_number = entry.number + rank * child_weight
-            if child_number >= self._end:
-                stats.nodes_skipped_out_of_range += 1
-                continue
-            child_bound = child_bounds[rank]
-            if child_bound >= incumbent_cost:
-                processed += 1
-                stats.nodes_explored += 1
-                stats.bound_evaluations += 1
-                stats.nodes_pruned += 1
-                continue
-            stack.append(
-                _Entry(
-                    entry.ranks + (rank,),
-                    children[rank],
-                    child_number,
-                    child_bound,
-                )
-            )
-        return processed, False
+            # One bulk conversion: comparing / storing plain Python
+            # scalars is cheaper per child than ndarray scalar indexing.
+            tolist = getattr(row, "tolist", None)
+            rows[index] = tolist() if tolist is not None else list(row)
+        return rows
 
     def run(self) -> ExplorationStats:
         """Explore the whole owned interval to completion."""
@@ -896,9 +550,6 @@ def solve(
     batched_bounds: Optional[bool] = None,
     kernel_backend: Optional[str] = None,
     pool_size: int = 64,
-    pool_scan_budget: Optional[int] = None,
-    frontier: str = "dfs",
-    frontier_width: int = 32768,
 ) -> SolveResult:
     """Sequentially solve ``problem`` (over ``interval``) with proof.
 
@@ -909,12 +560,9 @@ def solve(
     ``initial_upper_bound`` for the same effect (note: with a pure
     bound and no solution, an instance whose optimum equals the bound
     reports ``solution=None``; pass ``initial_solution`` to keep it).
-    ``kernel_backend`` / ``pool_size`` / ``pool_scan_budget`` select
-    the pool bound-kernel backend (see :class:`IntervalExplorer`); the
+    ``kernel_backend`` / ``pool_size`` select the pool bound-kernel
+    backend and cap the wave width (see :class:`IntervalExplorer`); the
     default pools with numpy on problems that register pooled kernels.
-    ``frontier="wave"`` (with its ``frontier_width`` memory cap) fills
-    those pools from same-depth exploration waves instead of the DFS
-    stack — same optimum and proof, wider kernel calls.
 
     A problem-supplied :meth:`Problem.warm_start` heuristic seeds the
     incumbent as well; the incumbent is monotonic, so whichever of the
@@ -933,9 +581,6 @@ def solve(
         batched_bounds=batched_bounds,
         kernel_backend=kernel_backend,
         pool_size=pool_size,
-        pool_scan_budget=pool_scan_budget,
-        frontier=frontier,
-        frontier_width=frontier_width,
     )
     explorer.run()
     full = Interval(0, problem.total_leaves()) if interval is None else interval
@@ -945,7 +590,6 @@ def solve(
         stats=explorer.stats,
         interval=full,
         pool_occupancy=dict(explorer.pool_occupancy),
-        frontier_spills=explorer.frontier_spills,
     )
 
 

@@ -6,9 +6,8 @@ This package is the seam between that loop and the arithmetic:
 
 * :class:`BoundKernel` / :data:`PoolEvaluator` — the backend contract
   (:mod:`~repro.core.kernels.base`);
-* :func:`get_backend` — ``"numpy"`` (always available, the default),
-  ``"numba"`` (JIT loop kernels, optional dep, graceful fallback) and
-  ``"cupy"`` (GPU stub, same interface);
+* :func:`get_backend` — ``"numpy"`` (always available, the default)
+  and ``"numba"`` (JIT loop kernels, optional dep, graceful fallback);
 * :func:`register_pool_factory` — how problem packages plug their
   pooled kernels in per backend, without the core importing them.
 
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 # The names the CLI / RuntimeConfig accept, beyond "auto" and "off".
-KERNEL_BACKEND_CHOICES: Tuple[str, ...] = ("numpy", "numba", "cupy")
+KERNEL_BACKEND_CHOICES: Tuple[str, ...] = ("numpy", "numba")
 
 
 def pool_evaluator_for(

@@ -13,9 +13,9 @@ pluggable:
   what :meth:`Problem.lower_bound` would return child by child — the
   engine's accounting equivalence rests on it, and the property suite
   (``tests/test_kernel_backends.py``) enforces it per backend.
-* :class:`BoundKernel` — a named backend (``numpy`` / ``numba`` /
-  ``cupy``) that resolves a :data:`PoolEvaluator` for a concrete
-  problem instance, typically via the factories problem packages
+* :class:`BoundKernel` — a named backend (``numpy`` / ``numba``)
+  that resolves a :data:`PoolEvaluator` for a concrete problem
+  instance, typically via the factories problem packages
   register with :mod:`repro.core.kernels.registry`.
 
 Optional-dependency backends must *never* import their accelerator at

@@ -11,8 +11,8 @@ Resolution order for a problem:
 3. otherwise ``None`` — nothing poolable, the engine stays on its
    plain paths.
 
-This backend is also the fallback target the optional backends
-(numba, cupy) degrade to when their dependency is missing.
+This backend is also the fallback target the optional numba backend
+degrades to when its dependency is missing.
 """
 
 from __future__ import annotations

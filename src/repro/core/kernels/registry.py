@@ -3,9 +3,9 @@
 Two registries, deliberately separate so the dependency arrows stay
 acyclic:
 
-* **backends** — name -> :class:`BoundKernel` singleton.  The three
-  built-ins (``numpy``, ``numba``, ``cupy``) register lazily on first
-  lookup, so importing this module costs nothing.
+* **backends** — name -> :class:`BoundKernel` singleton.  The two
+  built-ins (``numpy``, ``numba``) register lazily on first lookup,
+  so importing this module costs nothing.
 * **pool factories** — ``(backend name, problem type) -> factory``.
   Problem packages register their pooled kernels here at import time
   (e.g. :mod:`repro.problems.flowshop.pool`); the core never imports
@@ -51,11 +51,10 @@ def _ensure_builtins() -> None:
     if _BUILTINS_LOADED:
         return
     _BUILTINS_LOADED = True
-    from repro.core.kernels import cupy_backend, numba_backend, numpy_backend
+    from repro.core.kernels import numba_backend, numpy_backend
 
     register_backend(numpy_backend.NumpyKernel())
     register_backend(numba_backend.NumbaKernel())
-    register_backend(cupy_backend.CupyKernel())
 
 
 def register_backend(backend: BoundKernel) -> BoundKernel:

@@ -44,18 +44,13 @@ class ResumableSolver:
         directory starts from the root interval.
     checkpoint_nodes:
         Explore this many nodes between checkpoints.
-    kernel_backend / pool_size / pool_scan_budget:
-        Pool-evaluation kernel configuration forwarded to the
-        underlying :class:`IntervalExplorer` (see
-        :mod:`repro.core.kernels`).
-    frontier / frontier_width:
-        Frontier strategy forwarded to the explorer.  ``"wave"``
-        checkpoints exactly like ``"dfs"`` — the fold is still the
-        frontier's smallest number and the interval end — but a
-        resume re-expands from the *covering* interval, so a few
-        already-decomposed internal nodes above the fold point are
-        re-decomposed (never re-evaluated leaves; redundancy, not
-        loss).
+    kernel_backend:
+        Pool-evaluation kernel backend forwarded to the underlying
+        :class:`IntervalExplorer`.
+
+    A resume re-expands from the *covering* interval, so a few
+    already-decomposed internal nodes above the fold point are
+    re-decomposed (never re-evaluated leaves; redundancy, not loss).
 
     Example
     -------
@@ -72,10 +67,6 @@ class ResumableSolver:
         initial_upper_bound: float = math.inf,
         initial_solution=None,
         kernel_backend=None,
-        pool_size: int = 64,
-        pool_scan_budget: Optional[int] = None,
-        frontier: str = "dfs",
-        frontier_width: int = 32768,
     ):
         self.problem = problem
         self.store = CheckpointStore(Path(directory))
@@ -105,10 +96,6 @@ class ResumableSolver:
             interval,
             incumbent=incumbent,
             kernel_backend=kernel_backend,
-            pool_size=pool_size,
-            pool_scan_budget=pool_scan_budget,
-            frontier=frontier,
-            frontier_width=frontier_width,
         )
         self._checkpoint()  # make the starting state durable immediately
 
@@ -138,7 +125,6 @@ class ResumableSolver:
             interval=Interval(0, self.problem.total_leaves()),
             optimal=True,
             pool_occupancy=dict(self.explorer.pool_occupancy),
-            frontier_spills=self.explorer.frontier_spills,
         )
 
     def remaining_interval(self) -> Interval:

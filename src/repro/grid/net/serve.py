@@ -276,10 +276,6 @@ def run_worker(
     reconnect_base: float = 0.05,
     backoff_cap: float = 2.0,
     kernel_backend: Optional[str] = None,
-    pool_size: int = 64,
-    pool_scan_budget: Optional[int] = None,
-    frontier: str = "dfs",
-    frontier_width: int = 32768,
 ) -> str:
     """Connect to a :class:`GridServer` and work until terminated.
 
@@ -331,8 +327,4 @@ def run_worker(
         max_slice_nodes=max_slice_nodes,
         pipeline_updates=pipeline_updates,
         kernel_backend=kernel_backend,
-        pool_size=pool_size,
-        pool_scan_budget=pool_scan_budget,
-        frontier=frontier,
-        frontier_width=frontier_width,
     )

@@ -279,10 +279,6 @@ def worker_main(
     shared_bound: Optional[SharedBound] = None,
     bound_poll_nodes: int = 256,
     kernel_backend: Optional[str] = None,
-    pool_size: int = 64,
-    pool_scan_budget: Optional[int] = None,
-    frontier: str = "dfs",
-    frontier_width: int = 32768,
 ) -> str:
     """Run one B&B process until the coordinator says terminate.
 
@@ -299,15 +295,10 @@ def worker_main(
     immediately.  ``shared_bound`` is the run's advisory
     :class:`~repro.grid.runtime.shared.SharedBound` (or None).
 
-    ``kernel_backend`` / ``pool_size`` / ``pool_scan_budget``
-    configure the pool-evaluation bound kernels of every explorer
-    this worker runs (see :mod:`repro.core.kernels`): ``None``
-    auto-selects, ``"off"`` keeps per-family batched bounds only.
-    ``frontier`` / ``frontier_width`` select the exploration order
-    (``"dfs"`` or ``"wave"`` — see
-    :class:`~repro.core.engine.IntervalExplorer`); both orders fold
-    to the same two-integer interval at every update boundary, so
-    the coordinator protocol is unchanged.
+    ``kernel_backend`` selects the pool-evaluation bound kernels of
+    every explorer this worker runs (see :mod:`repro.core.kernels`):
+    ``None`` auto-selects, ``"off"`` keeps per-family batched bounds
+    only.
 
     ``crash_after_updates`` makes the worker exit abruptly (no Bye)
     after that many interval updates; ``hang_after_updates`` makes it
@@ -350,10 +341,6 @@ def worker_main(
             shared_bound=shared_bound,
             bound_poll_nodes=bound_poll_nodes,
             kernel_backend=kernel_backend,
-            pool_size=pool_size,
-            pool_scan_budget=pool_scan_budget,
-            frontier=frontier,
-            frontier_width=frontier_width,
         )
     finally:
         connection.close()
@@ -378,10 +365,6 @@ def _worker_loop(
     shared_bound: Optional[SharedBound],
     bound_poll_nodes: int,
     kernel_backend: Optional[str] = None,
-    pool_size: int = 64,
-    pool_scan_budget: Optional[int] = None,
-    frontier: str = "dfs",
-    frontier_width: int = 32768,
 ) -> str:
     # One built problem per job id; "" is the classic single-job run
     # whose problem came in over ``spec``.  The multi-tenant service
@@ -529,10 +512,6 @@ def _worker_loop(
             bound_provider=provider,
             bound_poll_nodes=bound_poll_nodes,
             kernel_backend=kernel_backend,
-            pool_size=pool_size,
-            pool_scan_budget=pool_scan_budget,
-            frontier=frontier,
-            frontier_width=frontier_width,
         )
 
         def collect_reconciled() -> str:

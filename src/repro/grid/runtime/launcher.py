@@ -79,17 +79,11 @@ class RuntimeConfig:
     full range — the parallel counterpart of ``solve(..., interval=…)``;
     the proved optimum is then the optimum over that slice.
 
-    ``kernel_backend`` / ``pool_size`` / ``pool_scan_budget``
-    configure every worker explorer's pool-evaluation bound kernels
-    (see :mod:`repro.core.kernels`): ``None`` auto-selects a
-    registered pool kernel, ``"off"`` disables pooling (per-family
-    batched bounds only), a name (``"numpy"``/``"numba"``/``"cupy"``)
-    forces that backend.  ``frontier`` selects the exploration order
-    per worker: ``"dfs"`` (the paper's, byte-identical stats) or
-    ``"wave"`` (same-depth waves that fill pool kernels to
-    ``pool_size``; identical optimum and proof, honest node counts),
-    with ``frontier_width`` bounding wave memory before spilling to
-    DFS.
+    ``kernel_backend`` selects every worker explorer's pool-evaluation
+    bound kernels (see :mod:`repro.core.kernels`): ``None``
+    auto-selects a registered pool kernel, ``"off"`` disables pooling
+    (per-family batched bounds only), a name (``"numpy"``/``"numba"``)
+    forces that backend.
 
     ``transport`` selects the wire between coordinator and workers:
     ``"inprocess"`` (fork-inherited multiprocessing queues) or
@@ -108,10 +102,6 @@ class RuntimeConfig:
     shared_incumbent: bool = True
     bound_poll_nodes: int = 256
     kernel_backend: Optional[str] = None  # pool kernels: auto/off/name
-    pool_size: int = 64  # frontier entries per pool evaluation
-    pool_scan_budget: Optional[int] = None  # DFS pool-refill scan cap
-    frontier: str = "dfs"  # exploration order: "dfs" | "wave"
-    frontier_width: int = 32768  # wave stack cap before DFS spill
     poll_interval: float = 0.05  # coordinator pump queue wait
     duplication_threshold: int = 64
     checkpoint_dir: Optional[Path] = None
@@ -262,10 +252,6 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
                 "shared_bound": shared_bound,
                 "bound_poll_nodes": config.bound_poll_nodes,
                 "kernel_backend": config.kernel_backend,
-                "pool_size": config.pool_size,
-                "pool_scan_budget": config.pool_scan_budget,
-                "frontier": config.frontier,
-                "frontier_width": config.frontier_width,
             },
             daemon=True,
         )

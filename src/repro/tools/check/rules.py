@@ -745,10 +745,10 @@ class DurableCheckpointWrites(Rule):
 
 @register
 class LazyAcceleratorImports(Rule):
-    """RC09 — optional accelerators (numba, cupy) import lazily.
+    """RC09 — the optional accelerator (numba) imports lazily.
 
     The kernel backends (PR 7) are *optional*: every module in this
-    repository must import cleanly on a machine without numba or cupy,
+    repository must import cleanly on a machine without numba,
     because that is the machine the fallback path exists for.  One
     top-level ``import numba`` outside ``repro/core/kernels/`` turns a
     missing accelerator into an ``ImportError`` at package import time
@@ -765,7 +765,7 @@ class LazyAcceleratorImports(Rule):
     code: ClassVar[str] = "RC09"
     title: ClassVar[str] = "optional accelerators import lazily"
     invariant: ClassVar[str] = (
-        "every module imports cleanly without numba/cupy; only the "
+        "every module imports cleanly without numba; only the "
         "kernel backends probe them, lazily, inside functions"
     )
     scope: ClassVar[Tuple[str, ...]] = (
@@ -779,7 +779,7 @@ class LazyAcceleratorImports(Rule):
     #: rule leaves the how to code review.
     allowed: ClassVar[Tuple[str, ...]] = ("repro/core/kernels/*.py",)
 
-    ACCELERATORS: ClassVar[FrozenSet[str]] = frozenset({"numba", "cupy"})
+    ACCELERATORS: ClassVar[FrozenSet[str]] = frozenset({"numba"})
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if any(_match(ctx.rel, p) for p in self.allowed):
@@ -834,24 +834,24 @@ class LazyAcceleratorImports(Rule):
 class FrontierIntExactness(Rule):
     """RC10 — frontier node numbering must stay int-exact.
 
-    PR 8's wave frontier multiplied the places that *compute* node
-    numbers: the DFS body, the wave loop, the spill path and the pool
-    refill all derive ``child_number = number + rank * weight`` from
-    tree weights as large as ``50!``.  RC01 protects the number-coding
-    modules; this rule extends the same discipline to the engine and
-    the resumable wrapper, where exploration statistics and wall-clock
-    floats live *beside* the exact arithmetic.  Any ``/``, ``float()``
-    or float literal touching a node-number identifier in these
-    modules is a rounding bug waiting for a tree deeper than 2**53 —
-    both frontier strategies fold to ``[stack[-1].number, end)``, so
-    one rounded number corrupts the checkpoint, not just a bound.
+    The engine's one exploration loop derives ``child_number = number
+    + rank * weight`` from tree weights as large as ``50!``, and sizes
+    its waves with integer arithmetic on node counts.  RC01 protects
+    the number-coding modules; this rule extends the same discipline
+    to the engine and the resumable wrapper, where exploration
+    statistics and wall-clock floats live *beside* the exact
+    arithmetic.  Any ``/``, ``float()`` or float literal touching a
+    node-number identifier in these modules is a rounding bug waiting
+    for a tree deeper than 2**53 — the loop folds to
+    ``[stack[-1].number, end)``, so one rounded number corrupts the
+    checkpoint, not just a bound.
     """
 
     code: ClassVar[str] = "RC10"
     title: ClassVar[str] = "frontier node numbering stays int-exact"
     invariant: ClassVar[str] = (
         "node numbers, tree weights and fold endpoints in the engine "
-        "are exact bignum ints on every frontier strategy "
+        "are exact bignum ints at every wave width "
         "(PAPER eq. 6-9; floats round above 2**53)"
     )
     scope: ClassVar[Tuple[str, ...]] = (

@@ -1,12 +1,11 @@
 """Property tests: batched child kernels == scalar bounds, exactly.
 
-PR 2's engine fast path prunes children with bounds produced by the
-``*_children`` batch kernels instead of per-node ``lower_bound``
-calls.  Its correctness argument rests on *exact* (not approximate)
-agreement between the two, so these tests quantify over randomized
-instances and partial schedules and require equality entry for entry —
-and, end to end, that ``solve()`` returns identical optima and
-byte-identical ``ExplorationStats`` on both paths.
+The engine prunes children with bounds produced by the ``*_children``
+batch kernels instead of per-node ``lower_bound`` calls.  Its
+correctness argument rests on *exact* (not approximate) agreement
+between the two, so these tests quantify over randomized instances and
+partial schedules and require equality entry for entry.  The end-to-end
+half (``solve()`` on both paths) is in ``tests/test_engine_conformance.py``.
 """
 
 import numpy as np
@@ -14,17 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import solve
 from repro.exceptions import ProblemError
 from repro.problems.flowshop import (
     BoundData,
-    FlowShopProblem,
     advance_fronts_batch,
     random_instance,
 )
 from repro.problems.flowshop.makespan import advance_front
 from repro.problems.tsp import (
-    TSPProblem,
     one_tree_bound,
     one_tree_bound_networkx,
     outgoing_edge_bound,
@@ -163,49 +159,3 @@ class TestTSPKernels:
             assert one_tree_bound(instance, special) == one_tree_bound_networkx(
                 instance, special
             )
-
-
-class TestSolveParity:
-    """Both engine paths must be indistinguishable except for speed."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("pair_strategy", ("adjacent+ends", "all"))
-    def test_flowshop(self, seed, pair_strategy):
-        instance = random_instance(7, 4, seed=seed)
-        results = [
-            solve(
-                FlowShopProblem(instance, pair_strategy=pair_strategy),
-                batched_bounds=batched,
-            )
-            for batched in (False, True)
-        ]
-        scalar, batched = results
-        assert scalar.cost == batched.cost
-        assert scalar.solution == batched.solution
-        assert vars(scalar.stats) == vars(batched.stats)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_tsp(self, seed):
-        instance = random_tsp(7, seed=seed)
-        results = [
-            solve(TSPProblem(instance), batched_bounds=batched)
-            for batched in (False, True)
-        ]
-        scalar, batched = results
-        assert scalar.cost == batched.cost
-        assert scalar.solution == batched.solution
-        assert vars(scalar.stats) == vars(batched.stats)
-
-    @pytest.mark.parametrize("bound", ("lb1", "lb2", "combined"))
-    def test_flowshop_bound_variants(self, bound):
-        instance = random_instance(7, 3, seed=11)
-        results = [
-            solve(
-                FlowShopProblem(instance, bound=bound),
-                batched_bounds=batched,
-            )
-            for batched in (False, True)
-        ]
-        scalar, batched = results
-        assert scalar.cost == batched.cost
-        assert vars(scalar.stats) == vars(batched.stats)

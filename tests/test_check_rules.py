@@ -510,7 +510,7 @@ def test_rc09_flags_top_level_accelerator_imports(tmp_path):
         """\
         import numpy as np
         import numba
-        from cupy import asarray
+        from numba import njit
         """,
         select=["RC09"],
     )
@@ -574,9 +574,9 @@ def test_rc09_kernel_backends_are_exempt(tmp_path):
 def test_rc09_applies_to_tests_and_benchmarks(tmp_path):
     result = run_check(
         tmp_path,
-        "benchmarks/bench_engine_throughput.py",
+        "benchmarks/bench_encoding_cost.py",
         """\
-        import cupy
+        import numba
         """,
         select=["RC09"],
     )

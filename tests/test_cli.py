@@ -19,6 +19,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fly"])
 
+    @pytest.mark.parametrize("value", ("0", "-3", "many"))
+    def test_size_limits_must_be_positive_integers(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["grid", "service", "--max-running", value]
+            )
+        assert exc.value.code == 2
+        expected = "invalid int" if value == "many" else "positive integer"
+        assert expected in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_sequential_solve(self, capsys):

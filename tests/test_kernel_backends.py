@@ -1,13 +1,13 @@
-"""Property suite: pool bound-kernel backends == scalar oracle, bitwise.
+"""Property suite: pool bound-kernel backends == scalar bounds, bitwise.
 
-PR 7's pool-evaluation engine bounds whole frontier pools per backend
-call.  Its correctness contract is the same as PR 2's, one level up:
-every backend must be *bit-identical* to the per-node scalar path —
-same optimum, same solution, byte-identical ``ExplorationStats`` —
-for every pool size, because the engine's pruning decisions ride on
-the returned bounds verbatim.  These tests quantify that contract
-over random instances and exercise the registry and the
-optional-dependency fallbacks, with and without numba installed.
+Every pool evaluator must return rows *bit-identical* to the per-node
+scalar bounds for every pool width, because the engine's pruning
+decisions ride on the returned bounds verbatim.  These tests quantify
+that at the evaluator level over random instances and exercise the
+registry and the optional-dependency fallback, with and without numba
+installed.  The end-to-end half of the contract — ``solve()`` under
+every backend x pool size against the scalar oracle — lives in
+``tests/test_engine_conformance.py``.
 """
 
 import warnings
@@ -27,7 +27,6 @@ from repro.core.kernels import (
     pool_factory_for,
     register_pool_factory,
 )
-from repro.core.kernels.cupy_backend import CupyKernel
 from repro.core.kernels.numba_backend import NumbaKernel
 from repro.exceptions import EngineError
 from repro.problems.flowshop import (
@@ -43,84 +42,13 @@ from repro.problems.tsp.pool import TSPNumpyPool
 
 NUMBA_AVAILABLE = get_backend("numba").available()
 
-# Backends whose end-to-end solve must equal the oracle on this
-# machine.  "numpy" always; "numba" joins on the CI leg that installs
-# it (elsewhere its *fallback* is tested instead, below).
-EXACT_BACKENDS = ("numpy", "numba") if NUMBA_AVAILABLE else ("numpy",)
-
 PAIR_STRATEGIES = ("adjacent", "adjacent+ends", "all")
 BOUNDS = ("lb1", "lb2", "combined")
 
 
-def _assert_same_resolution(reference, candidate):
-    assert candidate.cost == reference.cost
-    assert candidate.solution == reference.solution
-    assert vars(candidate.stats) == vars(reference.stats)
-
-
 # ----------------------------------------------------------------------
-# End-to-end: solve() under every backend == the scalar per-node oracle.
-# ----------------------------------------------------------------------
-
-
-@st.composite
-def flowshop_solve_case(draw):
-    jobs = draw(st.integers(4, 7))
-    machines = draw(st.integers(1, 4))
-    seed = draw(st.integers(0, 10_000))
-    bound = draw(st.sampled_from(BOUNDS))
-    strategy = draw(st.sampled_from(PAIR_STRATEGIES))
-    pool_size = draw(st.sampled_from((1, 2, 5, 64)))
-    return jobs, machines, seed, bound, strategy, pool_size
-
-
-class TestBackendsMatchScalarOracle:
-    @given(flowshop_solve_case())
-    @settings(max_examples=20, deadline=None)
-    def test_flowshop(self, case):
-        jobs, machines, seed, bound, strategy, pool_size = case
-        instance = random_instance(jobs, machines, seed=seed)
-
-        def make():
-            # Fresh problem per solve: the handoff caches must never be
-            # the thing making two runs agree.
-            return FlowShopProblem(instance, bound=bound, pair_strategy=strategy)
-
-        oracle = solve(make(), batched_bounds=False)
-        for backend in EXACT_BACKENDS:
-            pooled = solve(
-                make(), kernel_backend=backend, pool_size=pool_size
-            )
-            _assert_same_resolution(oracle, pooled)
-
-    @given(
-        st.integers(4, 7),
-        st.integers(0, 10_000),
-        st.sampled_from((1, 3, 64)),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_tsp(self, cities, seed, pool_size):
-        instance = random_tsp(cities, seed=seed)
-        oracle = solve(TSPProblem(instance), batched_bounds=False)
-        pooled = solve(
-            TSPProblem(instance),
-            kernel_backend="numpy",
-            pool_size=pool_size,
-        )
-        _assert_same_resolution(oracle, pooled)
-
-    def test_off_equals_auto(self):
-        """``kernel_backend="off"`` is the PR 2 batched path, same stats."""
-        instance = random_instance(7, 4, seed=3)
-        auto = solve(FlowShopProblem(instance))
-        off = solve(FlowShopProblem(instance), kernel_backend="off")
-        _assert_same_resolution(auto, off)
-
-
-# ----------------------------------------------------------------------
-# Pool boundaries: size 1, an exact multiple of the frontier, a ragged
-# tail — at the engine (pool_size sweep) and at the evaluator (pool
-# width sweep, including the singleton fast path).
+# Pool boundaries at the evaluator: width 1 (the singleton fast path),
+# a handful, a ragged tail.
 # ----------------------------------------------------------------------
 
 
@@ -155,20 +83,6 @@ class _FrontState:
 
 
 class TestPoolBoundaries:
-    @pytest.mark.parametrize("pool_size", (1, 2, 3, 5, 64))
-    def test_engine_pool_size_sweep(self, pool_size):
-        # The measured frontier of this instance is a handful of
-        # entries wide: 1 forces singleton pools, 2/3 split it into an
-        # exact multiple or a ragged tail, 64 swallows it whole.
-        instance = random_instance(7, 4, seed=11)
-        oracle = solve(FlowShopProblem(instance), batched_bounds=False)
-        pooled = solve(
-            FlowShopProblem(instance),
-            kernel_backend="numpy",
-            pool_size=pool_size,
-        )
-        _assert_same_resolution(oracle, pooled)
-
     @pytest.mark.parametrize("n_pool", (1, 4, 7))
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_flowshop_evaluator_widths(self, n_pool, bound):
@@ -309,7 +223,7 @@ class TestRegistry:
             get_backend("jax")
 
     def test_builtin_names(self):
-        assert backend_names() == ["cupy", "numba", "numpy"]
+        assert backend_names() == ["numba", "numpy"]
         assert set(KERNEL_BACKEND_CHOICES) == set(backend_names())
 
     def test_numpy_always_available(self):
@@ -338,8 +252,8 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# Optional-dependency fallbacks: selecting numba/cupy must never break
-# a run — one RuntimeWarning per process, then the numpy evaluator.
+# Optional-dependency fallback: selecting numba must never break a run
+# — one RuntimeWarning per process, then the numpy evaluator.
 # ----------------------------------------------------------------------
 
 
@@ -375,33 +289,9 @@ class TestOptionalBackendFallback:
         # subclass inherits via MRO lookup.
         assert isinstance(evaluator, FlowShopNumpyPool)
 
-    def test_cupy_warns_once_then_numpy(self):
-        # Warns whether cupy is missing or merely has no kernels
-        # registered yet — either way the numpy evaluator does the work.
-        backend = CupyKernel()
-        with pytest.warns(RuntimeWarning):
-            evaluator = backend.evaluator_for(self._problem())
-        assert isinstance(evaluator, FlowShopNumpyPool)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            backend.evaluator_for(self._problem())
-
     @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed here")
     def test_jit_kernels_raises_without_numba(self):
         with pytest.raises(RuntimeError, match="numba is not installed"):
             kernels_numba.jit_kernels()
         with pytest.raises(RuntimeError):
             FlowShopNumbaPool(self._problem())
-
-    def test_solve_with_optional_backend_still_exact(self):
-        # End to end through the registry singletons (which may have
-        # warned already in this process — swallow, don't assert).
-        instance = random_instance(6, 3, seed=7)
-        oracle = solve(FlowShopProblem(instance), batched_bounds=False)
-        for backend in ("numba", "cupy"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                pooled = solve(
-                    FlowShopProblem(instance), kernel_backend=backend
-                )
-            _assert_same_resolution(oracle, pooled)
