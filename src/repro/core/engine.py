@@ -29,10 +29,15 @@ Correspondence with the paper's four operators (§2):
   siblings at once at decomposition time (the batched-kernel structure
   of the GPU-B&B follow-on work); with a pool kernel backend
   (:mod:`repro.core.kernels`) the children of the whole wave are
-  bounded in one backend call.  Bounds never depend on the incumbent,
-  so a bound cached on a stack entry stays valid and is only
-  *compared* against the then-current incumbent when the entry is
-  popped;
+  bounded in one backend call.  The engine writes the incumbent cost
+  to :attr:`Problem.prune_at` before each such call, so a staged
+  bound can stop early on families it has already shown dead; every
+  value that comes back is admissible, and it is the exact
+  :meth:`Problem.lower_bound` value wherever it is below ``prune_at``
+  and for every child of a parent with such a child.  Only those
+  children reach the stack, so a bound cached on a stack entry is
+  exact, stays valid, and is only *compared* against the then-current
+  incumbent when the entry is popped;
 * **elimination** — a node is eliminated when its bound reaches the
   incumbent cost *or* when its number falls outside the owned interval
   (the eq. 12 rule that makes work units independent).
@@ -101,10 +106,11 @@ class _Entry:
     """One frontier node on the stack.
 
     ``bound`` caches the node's lower bound when it was computed by the
-    wave that decomposed its parent (``None`` on the per-node path);
-    the bound of a node never depends on the incumbent, so the cached
-    value stays valid and only the prune *comparison* is deferred to
-    pop time.
+    wave that decomposed its parent (``None`` on the per-node path).
+    Only children below the incumbent are pushed and those carry the
+    exact ``lower_bound`` value (module docstring), so the cached value
+    stays valid and only the prune *comparison* is deferred to pop
+    time.
     """
 
     __slots__ = ("ranks", "state", "number", "bound")
@@ -131,7 +137,10 @@ class IntervalExplorer:
     always reconciles: ``explored = pruned + decomposed + leaves``.
     At ``pool_size=1`` the explored / pruned / decomposed /
     bound-evaluation counters are additionally byte-identical to the
-    scalar per-node path (``batched_bounds=False``) on every backend.
+    scalar per-node path (``batched_bounds=False``) on every backend
+    — with the :attr:`Problem.prune_at` hint live as well: a staged
+    bound may report a weaker value only for a child that is pruned
+    either way, so prune decisions are unchanged by construction.
     At wider caps prune tests meet the incumbent at different moments,
     so node counts may differ from the scalar path's and are reported
     as they happened.
@@ -462,34 +471,43 @@ class IntervalExplorer:
             # child whose bound already reaches the incumbent is
             # accounted explored+bounded+pruned here instead of being
             # pushed: the incumbent never worsens, so the per-node
-            # path would pop and prune exactly that child later.
-            child_depth = depth + 1
-            child_weight = weights[child_depth]
+            # path would pop and prune exactly that child later.  All
+            # of that is decided from the bound row alone, so a family
+            # with no survivor is never branched.
+            child_weight = weights[depth + 1]
+            problem.prune_at = incumbent_cost
             families = self._bound_families(parents, depth)
+            pruned_unpushed = 0
             for entry, child_bounds in zip(reversed(parents), reversed(families)):
-                children = self._branch_checked(entry.state, depth)
-                for rank in range(len(children) - 1, -1, -1):
-                    child_number = entry.number + rank * child_weight
-                    if child_number >= self._end:
+                number = entry.number
+                survivors = []
+                for rank in range(fanout - 1, -1, -1):
+                    if number + rank * child_weight >= self._end:
                         stats.nodes_skipped_out_of_range += 1
-                        continue
-                    child_bound = None
-                    if child_bounds is not None:
-                        child_bound = child_bounds[rank]
-                        if child_bound >= incumbent_cost:
-                            processed += 1
-                            stats.nodes_explored += 1
-                            stats.bound_evaluations += 1
-                            stats.nodes_pruned += 1
-                            continue
+                    elif (
+                        child_bounds is not None
+                        and child_bounds[rank] >= incumbent_cost
+                    ):
+                        pruned_unpushed += 1
+                    else:
+                        survivors.append(rank)
+                if not survivors:
+                    continue
+                children = self._branch_checked(entry.state, depth)
+                ranks = entry.ranks
+                for rank in survivors:
                     stack.append(
                         _Entry(
-                            entry.ranks + (rank,),
+                            ranks + (rank,),
                             children[rank],
-                            child_number,
-                            child_bound,
+                            number + rank * child_weight,
+                            None if child_bounds is None else child_bounds[rank],
                         )
                     )
+            processed += pruned_unpushed
+            stats.nodes_explored += pruned_unpushed
+            stats.bound_evaluations += pruned_unpushed
+            stats.nodes_pruned += pruned_unpushed
 
         return StepReport(processed, finished=not stack, improved=improved)
 

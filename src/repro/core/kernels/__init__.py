@@ -17,8 +17,10 @@ This package is the seam between that loop and the arithmetic:
     evaluator = get_backend("numpy").evaluator_for(problem)
     rows = evaluator(states, depth)   # one row of child bounds each
 
-Every backend must be *bit-identical* to the scalar oracle
-(``Problem.lower_bound``) — asserted by tests/test_kernel_backends.py.
+Every backend must agree with the scalar oracle
+(``Problem.lower_bound``) as :mod:`~repro.core.kernels.base` states —
+bit-identical wherever a bound can matter, admissible everywhere —
+asserted by tests/test_kernel_backends.py.
 """
 
 from __future__ import annotations

@@ -9,10 +9,15 @@ pluggable:
 * :data:`PoolEvaluator` — the per-problem callable a backend resolves:
   ``evaluator(states, depth)`` bounds the children of every parent in
   ``states`` (all at the same ``depth``) and returns one row of child
-  bounds per parent, in rank order.  Rows must be **bit-identical** to
-  what :meth:`Problem.lower_bound` would return child by child — the
-  engine's accounting equivalence rests on it, and the property suite
-  (``tests/test_kernel_backends.py``) enforces it per backend.
+  bounds per parent, in rank order.  Every value must be an
+  admissible bound; it must be the exact :meth:`Problem.lower_bound`
+  value wherever it is below :attr:`Problem.prune_at` (the incumbent
+  cost the engine wrote just before the call; ``inf`` unless someone
+  did) and for every child of a parent with such a child; a child at
+  or above ``prune_at`` may report any admissible value
+  ``>= prune_at``.  The engine's accounting equivalence rests on the
+  exact part, and the property suite
+  (``tests/test_kernel_backends.py``) enforces both per backend.
 * :class:`BoundKernel` — a named backend (``numpy`` / ``numba``)
   that resolves a :data:`PoolEvaluator` for a concrete problem
   instance, typically via the factories problem packages

@@ -16,6 +16,7 @@ hosts.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Any, Optional, Sequence, Tuple
 
@@ -30,6 +31,18 @@ class Problem(ABC):
     Subclasses provide immutable-ish *states*; the engine never mutates
     a state it did not create and may keep many alive on its stack.
     """
+
+    #: Advisory prune threshold for batch bounding: the incumbent cost
+    #: of the engine about to call :meth:`bound_children` (or a pool
+    #: evaluator built on this problem), written by that engine before
+    #: every such call.  A staged bound may stop at a cheap admissible
+    #: value for children it has already shown to be ``>= prune_at``
+    #: (see :meth:`bound_children`).  It is only ever *compared* with
+    #: bounds; a stale or foreign value can weaken a reported bound,
+    #: never the soundness of a prune, because every value returned is
+    #: admissible whatever the hint says.  ``inf`` (the default) asks
+    #: for exact bounds everywhere.
+    prune_at: float = math.inf
 
     @abstractmethod
     def tree_shape(self) -> TreeShape:
@@ -71,12 +84,17 @@ class Problem(ABC):
 
         The returned sequence must have exactly
         ``tree_shape().num_children(depth)`` entries — one per child
-        returned by :meth:`branch` — and entry ``r`` must equal
-        ``lower_bound(branch(state, depth)[r], depth + 1)`` exactly
-        (same admissibility, same value; the engine's node accounting
-        relies on the equivalence).  Returning ``None`` falls back to
-        the per-node path for this decomposition.  The engine never
-        calls this when the children are leaves.
+        returned by :meth:`branch`.  Every entry must be an admissible
+        bound of its child.  It must be exactly
+        ``lower_bound(branch(state, depth)[r], depth + 1)`` wherever
+        that value is below :attr:`prune_at`, and for every child of a
+        state that has such a child (the engine caches those values on
+        its stack, and its node accounting relies on the equivalence);
+        a child at or above :attr:`prune_at` may report any admissible
+        value ``>= prune_at`` — it is pruned on the spot either way.
+        Returning ``None`` falls back to the per-node path for this
+        decomposition.  The engine never calls this when the children
+        are leaves.
         """
         return None
 

@@ -25,10 +25,19 @@ in one NumPy evaluation, the structure the GPU flow-shop B&B line
 kernel replays the shared Johnson order once per pair with prefix /
 suffix maxima of the F2 critical-path terms, making each child's
 "replay minus its own job" an O(1) lookup.
+
+At B&B depths the kernels are dispatch-bound, not arithmetic-bound
+(docs/performance.md, PR 18), so they spend as few NumPy calls as the
+array sizes allow: LB1's head recurrence over machines runs as one
+closed-form scan while its temporary is small (:func:`_head_avail`),
+and ``combined`` is *staged* — LB2, whose cost is per (parent, pair),
+runs only for parents LB1 left a child below the caller's
+``prune_at``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -44,6 +53,7 @@ __all__ = [
     "BoundDataCache",
     "bound_data_for",
     "clear_bound_data_cache",
+    "live_parent_rows",
     "machine_pairs",
     "one_machine_bound",
     "two_machine_bound",
@@ -136,6 +146,86 @@ def _min_over_rows_excluding_self_pool(values: np.ndarray) -> np.ndarray:
     out[:] = min1[:, None, :]
     out[pool_idx, am, col_idx] = min2
     return out
+
+
+def live_parent_rows(lb1: np.ndarray, prune_at: float) -> Optional[np.ndarray]:
+    """Rows of the ``(N, r)`` LB1 matrix that still owe their children
+    LB2: parents with a child below ``prune_at``.  ``None`` when that
+    is every row (always, when ``prune_at`` is ``inf``)."""
+    live = (lb1 < prune_at).any(axis=1)
+    return None if live.all() else np.flatnonzero(live)
+
+
+# LB1's head term has two exact forms (:func:`_head_avail`): a machine
+# loop of 3(M-1)-1 NumPy calls on (N, r, r) arrays, and a closed-form
+# scan of ``_SCAN_CALLS`` calls on one (N, r, r, M-1) temporary.  The
+# scan saves dispatches and pays for them per element of that
+# temporary; the PR 18 probe sweep (docs/performance.md) puts one saved
+# call within a factor of two of this many elements from ten machines
+# up, and a wrong pick near the break-even costs ~30 %, not 2x.
+_SCAN_CALLS = 8
+_SCAN_ELEMENTS_PER_SAVED_CALL = 512
+
+
+def _head_by_scan(n_pool: int, r: int, m: int) -> bool:
+    """Whether :func:`_head_avail` takes its scan for this shape: while
+    the temporary it is about to build costs less than the calls it
+    saves (never at M <= 4, where the loop is already the shorter)."""
+    saved_calls = 3 * (m - 1) - 1 - _SCAN_CALLS
+    return n_pool * r * r * (m - 1) <= saved_calls * _SCAN_ELEMENTS_PER_SAVED_CALL
+
+
+def _head_avail(fronts: np.ndarray, p_rem: np.ndarray) -> np.ndarray:
+    """LB1 machine availabilities of every child, head term included.
+
+    ``fronts`` / ``p_rem`` are ``(..., r, M)``: child ``c``'s completion
+    front and remaining job ``i``'s processing times (any leading pool
+    axes).  ``avail[..., c, j]`` is the earliest machine ``j`` can start
+    on child ``c``'s unscheduled set: its own front, or — the
+    Ignall-Schrage head — the earliest any *other* remaining job ``i``
+    can clear machine ``j-1`` when appended to that front,
+    ``E[c, i, j-1]`` with ``E[c, i, j] = max(E[c, i, j-1], front[c, j])
+    + p[i, j]``.  Child ``c`` must ignore its own job, so the diagonal
+    ``i == c`` is parked at +"inf" before the minimum over ``i``.
+    """
+    r, m = p_rem.shape[-2:]
+    avail = np.empty(p_rem.shape, dtype=np.int64)
+    avail[..., 0] = fronts[..., 0]
+    if m == 1:
+        return avail
+    ar = np.arange(r)
+    if _head_by_scan(p_rem.size // (r * m), r, m):
+        # The recurrence in closed form (the unrolling of
+        # makespan.py): E[c, i, j] = S[i, j] + max over k <= j of
+        # (front[c, k] - S[i, k-1]), S the cumulative times of job i —
+        # all machines in one accumulate over a (..., c, i, M-1) array.
+        # The sentinel goes in after the adds, so it cannot overflow.
+        head_times = p_rem[..., :-1]
+        total = head_times.cumsum(axis=-1)
+        e = total - head_times
+        e = fronts[..., :, np.newaxis, :-1] - e[..., np.newaxis, :, :]
+        np.maximum.accumulate(e, axis=-1, out=e)
+        e += total[..., np.newaxis, :, :]
+        e[..., ar, ar, :] = _INT_MAX
+        rest = avail[..., 1:]
+        np.minimum.reduce(e, axis=-2, out=rest)
+        np.maximum(rest, fronts[..., 1:], out=rest)
+        return avail
+    # Machine by machine: completion[..., c, i] carries E[c, i, j-1];
+    # the sentinel survives the max/add recurrence, so every row
+    # minimum stays a plain min.
+    completion = fronts[..., 0:1] + p_rem[..., np.newaxis, :, 0]
+    completion[..., ar, ar] = _INT_MAX
+    minimum_reduce = np.minimum.reduce
+    maximum = np.maximum
+    for j in range(1, m):
+        col = avail[..., j]
+        minimum_reduce(completion, axis=-1, out=col)
+        maximum(col, fronts[..., j], out=col)
+        if j < m - 1:
+            maximum(completion, fronts[..., j : j + 1], out=completion)
+            completion += p_rem[..., np.newaxis, :, j]
+    return avail
 
 
 class BoundData:
@@ -310,31 +400,9 @@ class BoundData:
     def _lb1_children(
         self, fronts: np.ndarray, p_rem: np.ndarray, tails_rem: np.ndarray
     ) -> np.ndarray:
-        r, m = p_rem.shape
-        loads = p_rem.sum(axis=0) - p_rem
-        min_tails = _min_over_rows_excluding_self(tails_rem)
-        avail = np.empty((r, m), dtype=np.int64)
-        avail[:, 0] = fronts[:, 0]
-        if m > 1:
-            # completion[c, i] = earliest completion of job i on the
-            # current machine when appended to child c's front; child c
-            # must ignore column c (its own job), so the diagonal is
-            # parked at +"inf" once — the sentinel survives the max/add
-            # recurrence, keeping every later row minimum a plain min.
-            ar = self._r_scratch(r)[0]
-            completion = fronts[:, 0:1] + p_rem[:, 0]
-            completion[ar, ar] = _INT_MAX
-            minimum_reduce = np.minimum.reduce
-            maximum = np.maximum
-            for j in range(1, m):
-                col = avail[:, j]
-                minimum_reduce(completion, axis=1, out=col)
-                maximum(col, fronts[:, j], out=col)
-                if j < m - 1:
-                    maximum(completion, fronts[:, j : j + 1], out=completion)
-                    completion += p_rem[:, j]
-        avail += loads
-        avail += min_tails
+        avail = _head_avail(fronts, p_rem)
+        avail += p_rem.sum(axis=0) - p_rem
+        avail += _min_over_rows_excluding_self(tails_rem)
         return avail.max(axis=1)
 
     def two_machine_children(
@@ -426,9 +494,16 @@ class BoundData:
         fronts: np.ndarray,
         remaining: np.ndarray,
         p_rem: Optional[np.ndarray] = None,
+        prune_at: float = math.inf,
     ) -> np.ndarray:
         """Batched max(LB1, LB2) with the same short-circuit as scalar
         :meth:`combined` (children with <= 1 unscheduled job skip LB2).
+
+        Staged: when LB1 alone already puts every child at or above
+        ``prune_at`` the family is dead whatever LB2 says, so LB2 is
+        skipped and the row reports LB1 (admissible, ``>= prune_at``).
+        A family with any child below ``prune_at`` gets the exact
+        ``max(LB1, LB2)`` for every child.
 
         The gathers both kernels need (``p[remaining]``,
         ``tails[remaining]``, the membership mask) are computed once
@@ -442,7 +517,7 @@ class BoundData:
             p_rem = self.p[remaining]
         tails_rem = self.tails[remaining]
         lb1 = self._lb1_children(fronts, p_rem, tails_rem)
-        if r - 1 <= 1 or not self._pair_data:
+        if r - 1 <= 1 or not self._pair_data or not (lb1 < prune_at).any():
             return lb1
         mask = self._mask_buffer
         mask[:] = False
@@ -479,30 +554,9 @@ class BoundData:
     def _lb1_children_pool(
         self, fronts: np.ndarray, p_rem: np.ndarray, tails_rem: np.ndarray
     ) -> np.ndarray:
-        n_pool, r, m = p_rem.shape
-        loads = p_rem.sum(axis=1, keepdims=True) - p_rem
-        min_tails = _min_over_rows_excluding_self_pool(tails_rem)
-        avail = np.empty((n_pool, r, m), dtype=np.int64)
-        avail[:, :, 0] = fronts[:, :, 0]
-        if m > 1:
-            # Same sentinel-diagonal recurrence as _lb1_children, one
-            # pool axis to the left: completion[n, c, i] tracks job i's
-            # earliest completion appended to child (n, c)'s front,
-            # with each child's own column parked at +"inf".
-            ar = np.arange(r)
-            completion = fronts[:, :, 0:1] + p_rem[:, :, 0][:, None, :]
-            completion[:, ar, ar] = _INT_MAX
-            minimum_reduce = np.minimum.reduce
-            maximum = np.maximum
-            for j in range(1, m):
-                col = avail[:, :, j]
-                minimum_reduce(completion, axis=2, out=col)
-                maximum(col, fronts[:, :, j], out=col)
-                if j < m - 1:
-                    maximum(completion, fronts[:, :, j : j + 1], out=completion)
-                    completion += p_rem[:, :, j][:, None, :]
-        avail += loads
-        avail += min_tails
+        avail = _head_avail(fronts, p_rem)
+        avail += p_rem.sum(axis=1, keepdims=True) - p_rem
+        avail += _min_over_rows_excluding_self_pool(tails_rem)
         return avail.max(axis=2)
 
     def two_machine_children_pool(
@@ -586,10 +640,15 @@ class BoundData:
         fronts: np.ndarray,
         remaining: np.ndarray,
         p_rem: Optional[np.ndarray] = None,
+        prune_at: float = math.inf,
     ) -> np.ndarray:
         """Pooled max(LB1, LB2), same short-circuits as the per-family
         :meth:`combined_children` (the pool is depth-homogeneous, so
-        the r-dependent short-circuit applies to every parent alike)."""
+        the r-dependent short-circuit applies to every parent alike).
+
+        Staged the same way: LB2's cost is per (parent, pair), so the
+        pool is compacted to the parents LB1 left a child below
+        ``prune_at`` and only those rows run LB2."""
         n_pool, r, _m = fronts.shape
         if r == 1:
             return fronts[:, :, -1].astype(np.int64)
@@ -599,8 +658,16 @@ class BoundData:
         lb1 = self._lb1_children_pool(fronts, p_rem, tails_rem)
         if r - 1 <= 1 or not self._pair_data:
             return lb1
-        lb2 = self._lb2_children_pool(fronts, remaining, tails_rem)
-        return np.maximum(lb1, lb2, out=lb1)
+        live = live_parent_rows(lb1, prune_at)
+        if live is None:
+            lb2 = self._lb2_children_pool(fronts, remaining, tails_rem)
+            return np.maximum(lb1, lb2, out=lb1)
+        if live.size:
+            lb2 = self._lb2_children_pool(
+                fronts[live], remaining[live], tails_rem[live]
+            )
+            lb1[live] = np.maximum(lb1[live], lb2, out=lb2)
+        return lb1
 
 
 class BoundDataCache:

@@ -6,11 +6,18 @@ The makespan recurrence is the classic completion-time sweep: with
 
     C[i, j] = max(C[i, j-1], C[i-1, j]) + p[job_i, j]
 
-The per-job update is a length-``M`` scan (inherently sequential in
-``j``); the hot paths below keep the data in NumPy arrays and push the
-prefix-maximum into C where possible.  Profiling on Taillard-sized
-instances shows the bound evaluation — not this sweep — dominates B&B
-time, per the optimisation guidance of working on measured bottlenecks.
+The per-job update is a length-``M`` scan, sequential in ``j`` as
+written — but ``max`` and ``+`` form a semiring, so it unrolls.  With
+``S[j]`` the job's cumulative processing time through machine ``j``
+and ``f`` the front it is appended to::
+
+    C[j] - S[j] = max(C[j-1] - S[j-1], f[j] - S[j-1])
+                = max over k <= j of (f[k] - S[k-1])
+
+so ``C = S + running_max(f - (S - p))``: one cumulative sum and one
+``maximum.accumulate`` along machines instead of ``2M - 1`` calls, the
+same int64 values.  The batched kernels below use that form; the scalar
+:func:`advance_front` keeps the recurrence and is their test oracle.
 """
 
 from __future__ import annotations
@@ -62,19 +69,11 @@ def advance_fronts_batch(front: np.ndarray, job_times: np.ndarray) -> np.ndarray
     The batched kernel behind child decomposition: ``job_times`` is the
     ``(batch, machines)`` stack of processing-time rows of the candidate
     jobs, and row ``c`` of the result is exactly
-    ``advance_front(front, job_times[c])``.  The recurrence stays
-    sequential in machines (inherent) but vectorises over the batch, so
-    branching a node costs ``M`` NumPy ops instead of ``batch * M``
-    Python-level steps.
+    ``advance_front(front, job_times[c])``.  The recurrence is solved in
+    closed form (module docstring), so branching a node costs five
+    NumPy calls whatever the machine count.
     """
-    times = np.atleast_2d(job_times)
-    batch, m = times.shape
-    out = np.empty((batch, m), dtype=np.int64)
-    np.add(front[0], times[:, 0], out=out[:, 0])
-    for j in range(1, m):
-        np.maximum(out[:, j - 1], front[j], out=out[:, j])
-        out[:, j] += times[:, j]
-    return out
+    return _advance_closed_form(front, np.atleast_2d(job_times))
 
 
 def advance_fronts_pool(fronts: np.ndarray, job_times: np.ndarray) -> np.ndarray:
@@ -85,16 +84,23 @@ def advance_fronts_pool(fronts: np.ndarray, job_times: np.ndarray) -> np.ndarray
     ``(N, r, M)`` processing-time rows of each parent's r candidate
     jobs; slice ``[n]`` of the result equals
     ``advance_fronts_batch(fronts[n], job_times[n])`` exactly (same
-    int64 recurrence, still sequential in machines, vectorised over
-    pool x batch).
+    int64 closed form, vectorised over pool x batch).
     """
-    n_pool, batch, m = job_times.shape
-    out = np.empty((n_pool, batch, m), dtype=np.int64)
-    np.add(fronts[:, 0:1], job_times[:, :, 0], out=out[:, :, 0])
-    for j in range(1, m):
-        np.maximum(out[:, :, j - 1], fronts[:, j : j + 1], out=out[:, :, j])
-        out[:, :, j] += job_times[:, :, j]
-    return out
+    return _advance_closed_form(fronts[:, np.newaxis, :], job_times)
+
+
+def _advance_closed_form(front: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``S + running_max(front - (S - times))`` along the machine axis.
+
+    ``front`` broadcasts against ``times`` (``(..., batch, M)``); all
+    int64, so the result is the recurrence's, bit for bit.
+    """
+    total = times.cumsum(axis=-1, dtype=np.int64)
+    slack = total - times
+    np.subtract(front, slack, out=slack)
+    np.maximum.accumulate(slack, axis=-1, out=slack)
+    total += slack
+    return total
 
 
 def completion_front(

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.kernels import register_pool_factory
 from repro.problems.flowshop import kernels_numba
-from repro.problems.flowshop.bounds import BoundData
+from repro.problems.flowshop.bounds import BoundData, live_parent_rows
 from repro.problems.flowshop.makespan import (
     advance_fronts_batch,
     advance_fronts_pool,
@@ -77,7 +77,9 @@ class FlowShopNumpyPool:
                 states, fronts1[np.newaxis], p_rem1[np.newaxis]
             )
             if self._bound == "combined":
-                row = data.combined_children(fronts1, remaining1, p_rem1)
+                row = data.combined_children(
+                    fronts1, remaining1, p_rem1, self._problem.prune_at
+                )
             elif self._bound == "lb1":
                 row = data.one_machine_children(fronts1, remaining1)
             else:
@@ -85,7 +87,9 @@ class FlowShopNumpyPool:
             return row[np.newaxis]
         fronts, remaining, p_rem = _gather(self._problem, states)
         if self._bound == "combined":
-            return data.combined_children_pool(fronts, remaining, p_rem)
+            return data.combined_children_pool(
+                fronts, remaining, p_rem, self._problem.prune_at
+            )
         if self._bound == "lb1":
             return data.one_machine_children_pool(fronts, remaining, p_rem)
         return data.two_machine_children_pool(fronts, remaining)
@@ -97,7 +101,8 @@ class FlowShopNumbaPool:
     Mirrors the short-circuits of the numpy pool kernels exactly:
     ``r == 1`` children are leaves of the bound recursion (their bound
     is their Cmax), LB2 is skipped for ``combined`` when the children
-    keep <= 1 job or the instance has no machine pairs.
+    keep <= 1 job or the instance has no machine pairs, and runs only
+    on the parents LB1 left a child below ``problem.prune_at``.
     """
 
     def __init__(self, problem: FlowShopProblem):
@@ -144,19 +149,28 @@ class FlowShopNumbaPool:
             return fronts[:, :, -1].astype(np.int64)
         tails_rem = data.tails[remaining]
         bound = self._bound
-        want_lb1 = bound in ("lb1", "combined")
-        want_lb2 = bound == "lb2" or (
-            bound == "combined" and r - 1 > 1 and bool(data.pairs)
-        )
         lb1: Optional[np.ndarray] = None
-        if want_lb1:
+        if bound != "lb2":
             lb1 = np.empty((n_pool, r), dtype=np.int64)
             self._kernels.lb1(fronts, p_rem, tails_rem, lb1)
-        if not want_lb2:
-            return lb1
-        if not data.pairs:
+            if bound == "lb1" or r - 1 <= 1 or not data.pairs:
+                return lb1
+        elif not data.pairs:
             return np.zeros((n_pool, r), dtype=np.int64)
-        lb2 = np.empty((n_pool, r), dtype=np.int64)
+        # Staged like combined_children_pool: LB2 only for the parents
+        # LB1 left a child below the incumbent.
+        live = None
+        if lb1 is not None:
+            live = live_parent_rows(lb1, self._problem.prune_at)
+        if live is not None:
+            if not live.size:
+                return lb1
+            fronts, remaining, tails_rem = (
+                fronts[live],
+                remaining[live],
+                tails_rem[live],
+            )
+        lb2 = np.empty(remaining.shape, dtype=np.int64)
         self._kernels.lb2(
             fronts,
             remaining,
@@ -171,7 +185,10 @@ class FlowShopNumbaPool:
         )
         if lb1 is None:
             return lb2
-        return np.maximum(lb1, lb2, out=lb1)
+        if live is None:
+            return np.maximum(lb1, lb2, out=lb1)
+        lb1[live] = np.maximum(lb1[live], lb2, out=lb2)
+        return lb1
 
 
 def _numpy_factory(problem: FlowShopProblem) -> FlowShopNumpyPool:

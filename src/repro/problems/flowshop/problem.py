@@ -96,14 +96,14 @@ class FlowShopProblem(Problem):
             Tuple[FlowShopState, np.ndarray, np.ndarray]
         ] = None
         # Pool-kernel handoff: the pool evaluator computes the child
-        # fronts of many parents in one call, long before the engine
-        # pops and branches each parent.  Rows are parked here (keyed
-        # by state identity, holding a strong reference so the id
-        # cannot be recycled) and consumed by the first _child_fronts
-        # call; FIFO eviction bounds entries left behind by parents
-        # that were pruned before branching.
+        # fronts of a whole wave of parents in one call, before the
+        # engine branches each of them.  Rows are parked here (keyed by
+        # state identity, holding a strong reference so the id cannot
+        # be recycled) and consumed by the first _child_fronts call.
+        # A wave's parents are all branched or dropped before the next
+        # evaluator call, so each call replaces the previous wave's
+        # leftovers: the cache never holds more than one wave.
         self._pool_fronts: "dict[int, Tuple[FlowShopState, np.ndarray, np.ndarray]]" = {}
-        self._pool_fronts_cap = 1024
         # Per-child-count index matrices for branch(): row c selects
         # the remaining vector minus entry c, so the r child remaining
         # sets come from one fancy gather (allocating an r x r boolean
@@ -154,13 +154,14 @@ class FlowShopProblem(Problem):
 
         ``fronts`` / ``p_rem`` are the (N, r, M) pool arrays; row ``n``
         belongs to ``states[n]``.  Called by the pool evaluators so the
-        fronts computed for bounding are not recomputed at branch time.
+        fronts computed for bounding are not recomputed at branch time;
+        whatever the previous wave left unconsumed (parents with no
+        surviving child are never branched) is dropped first.
         """
         cache = self._pool_fronts
+        cache.clear()
         for n, state in enumerate(states):
             cache[id(state)] = (state, fronts[n], p_rem[n])
-        while len(cache) > self._pool_fronts_cap:
-            cache.pop(next(iter(cache)))
 
     def branch(self, state: FlowShopState, depth: int) -> List[FlowShopState]:
         remaining = state.remaining
@@ -194,7 +195,7 @@ class FlowShopProblem(Problem):
         fronts, p_rem = self._child_fronts(state)
         if self.bound == "combined":
             return self.bound_data.combined_children(
-                fronts, state.remaining, p_rem
+                fronts, state.remaining, p_rem, self.prune_at
             )
         return self._batch_bound_fn(fronts, state.remaining)
 

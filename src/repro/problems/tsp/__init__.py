@@ -8,7 +8,6 @@ Public surface::
 from repro.problems.tsp.bounds import (
     best_one_tree_bound,
     one_tree_bound,
-    one_tree_bound_networkx,
     outgoing_edge_bound,
     outgoing_edge_bound_children,
     outgoing_edge_bound_children_pool,
@@ -24,7 +23,6 @@ __all__ = [
     "best_one_tree_bound",
     "nearest_neighbour_tour",
     "one_tree_bound",
-    "one_tree_bound_networkx",
     "outgoing_edge_bound",
     "outgoing_edge_bound_children",
     "outgoing_edge_bound_children_pool",

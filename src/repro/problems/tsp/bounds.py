@@ -14,15 +14,14 @@ Two bounds of increasing strength:
   D15112, Usa13509) were driven by exactly this bound family
   (with Lagrangian refinement); the plain 1-tree is implemented here
   and dominates the outgoing-edge bound at the root.  The MST runs on
-  ``scipy.sparse.csgraph``; the original networkx formulation is kept
-  as :func:`one_tree_bound_networkx`, the test oracle.
+  ``scipy.sparse.csgraph``; a textbook Prim in
+  ``tests/test_batched_kernels.py`` is its oracle.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
@@ -35,7 +34,6 @@ __all__ = [
     "outgoing_edge_bound_children",
     "outgoing_edge_bound_children_pool",
     "one_tree_bound",
-    "one_tree_bound_networkx",
 ]
 
 
@@ -198,26 +196,6 @@ def one_tree_bound(instance: TSPInstance, special: int = 0) -> int:
     mst = minimum_spanning_tree(csr_matrix(shifted))
     mst_weight = int(mst.sum()) - (m - 1)
     incident = np.sort(d[special, others])
-    return int(mst_weight + incident[0] + incident[1])
-
-
-def one_tree_bound_networkx(instance: TSPInstance, special: int = 0) -> int:
-    """Reference 1-tree via networkx — the oracle the fast path is
-    tested against (kept deliberately close to the textbook phrasing)."""
-    n = instance.cities
-    if not 0 <= special < n:
-        raise ProblemError(f"special node {special} outside 0..{n - 1}")
-    d = instance.distances
-    graph = nx.Graph()
-    others = [v for v in range(n) if v != special]
-    for i, u in enumerate(others):
-        for v in others[i + 1:]:
-            graph.add_edge(u, v, weight=int(d[u, v]))
-    mst_weight = sum(
-        data["weight"]
-        for _, _, data in nx.minimum_spanning_edges(graph, data=True)
-    )
-    incident = sorted(int(d[special, v]) for v in others)
     return int(mst_weight + incident[0] + incident[1])
 
 

@@ -8,8 +8,11 @@ the node counters are byte-identical to it as well.  Each row of the
 table checks that on a full tree and on a leaf-number slice, run
 straight through and paused with ``step(k)``, folded and resumed.
 
-The second half pins how the engine sizes its waves: from how long ago
-the incumbent last moved, within the node budget, within a bounded stack.
+The second half pins what the engine hands the bound kernels — the
+``Problem.prune_at`` hint, which may change no count, and families with
+no survivor, which are never branched — and the third how it sizes its
+waves: from how long ago the incumbent last moved, within the node
+budget, within a bounded stack.
 """
 
 import math
@@ -27,7 +30,7 @@ from repro.core import (
     solve,
 )
 from repro.core.kernels import register_pool_factory
-from repro.exceptions import EngineError
+from repro.exceptions import EngineError, ProblemError
 from repro.problems.flowshop import FlowShopProblem, random_instance
 from repro.problems.flowshop.pool import FlowShopNumpyPool
 from repro.problems.tsp import TSPProblem, random_tsp
@@ -191,6 +194,90 @@ def test_bad_pool_size_rejected():
     problem = FlowShopProblem(random_instance(4, 2, seed=0))
     with pytest.raises(EngineError, match="pool_size"):
         IntervalExplorer(problem, pool_size=0)
+
+
+# ----------------------------------------------------------------------
+# The prune hint and dead families: cheaper, never different.
+# ----------------------------------------------------------------------
+
+
+class _Unhinted(FlowShopProblem):
+    """A flow shop deaf to the engine's hint: ``prune_at`` pinned at
+    ``inf``, so every bound it reports is the exact one."""
+
+    prune_at = property(lambda self: math.inf, lambda self, value: None)
+
+
+@pytest.mark.parametrize("pool_size", (1, 64))
+@pytest.mark.parametrize("bound", ("lb1", "lb2", "combined"))
+@given(case=CASES)
+@settings(max_examples=5, deadline=None)
+def test_prune_hint_changes_no_count(bound, pool_size, case):
+    size, machines, seed, strategy = case
+    instance = random_instance(size, machines, seed=seed)
+    for interval in _extents(FlowShopProblem(instance)):
+        hinted, pinned = (
+            _straight(
+                lambda: cls(instance, bound=bound, pair_strategy=strategy),
+                interval,
+                pool_size=pool_size,
+            )
+            for cls in (FlowShopProblem, _Unhinted)
+        )
+        assert vars(hinted[0].stats) == vars(pinned[0].stats)
+        assert hinted[0].solution == pinned[0].solution
+        assert hinted[1] == pinned[1]  # improvement sequences
+
+
+class _CountingBranches(FlowShopProblem):
+    """Counts ``branch`` calls and what the front handoff carries over."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.branched = 0
+        self.leftovers = 0  # most rows parked beyond the wave just stored
+
+    def branch(self, state, depth):
+        self.branched += 1
+        return super().branch(state, depth)
+
+    def store_child_fronts(self, states, fronts, p_rem):
+        super().store_child_fronts(states, fronts, p_rem)
+        self.leftovers = max(
+            self.leftovers, len(self._pool_fronts) - len(states)
+        )
+
+
+def test_families_with_no_survivor_are_counted_but_never_branched():
+    # A `costly`-style work unit: a leaf-number slice of a 20x20 shop.
+    instance = random_instance(20, 20, seed=4)
+    begin = math.factorial(20) // 3
+    interval = Interval(begin, begin + 10**8)
+    oracle = solve(FlowShopProblem(instance), interval=interval, batched_bounds=False)
+    for pool_size in (1, 64):
+        problem = _CountingBranches(instance)
+        explorer = IntervalExplorer(problem, interval, pool_size=pool_size)
+        unfolded = problem.branched
+        result = explorer.run()
+        assert _ledger_reconciles(result)
+        assert explorer.incumbent.cost == oracle.cost
+        # Some decomposed parents had every child pruned from the bound
+        # row alone; none of those cost a branch() call.
+        assert 0 < problem.branched - unfolded < result.nodes_decomposed
+        if pool_size == 1:
+            assert vars(result) == vars(oracle.stats)
+        # Dead parents leave their rows unconsumed, yet the handoff
+        # cache never holds more than the one wave just stored.
+        assert problem.leftovers == 0
+
+
+def test_wrong_sized_branch_still_raises_on_a_family_with_a_survivor():
+    class Short(FlowShopProblem):
+        def branch(self, state, depth):
+            return super().branch(state, depth)[:-1]
+
+    with pytest.raises(ProblemError, match="shape expects"):
+        solve(Short(random_instance(6, 3, seed=1)))
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Property suite: pool bound-kernel backends == scalar bounds, bitwise.
 
-Every pool evaluator must return rows *bit-identical* to the per-node
-scalar bounds for every pool width, because the engine's pruning
-decisions ride on the returned bounds verbatim.  These tests quantify
-that at the evaluator level over random instances and exercise the
-registry and the optional-dependency fallback, with and without numba
-installed.  The end-to-end half of the contract — ``solve()`` under
-every backend x pool size against the scalar oracle — lives in
-``tests/test_engine_conformance.py``.
+With no prune hint every pool evaluator must return rows
+*bit-identical* to the per-node scalar bounds for every pool width,
+because the engine's pruning decisions ride on the returned bounds
+verbatim; with ``Problem.prune_at`` set, a staged evaluator may stop
+at LB1 on families it has shown dead and nowhere else.  These tests
+quantify both at the evaluator level over random instances and
+exercise the registry and the optional-dependency fallback, with and
+without numba installed.  The end-to-end half of the contract —
+``solve()`` under every backend x pool size against the scalar oracle
+— lives in ``tests/test_engine_conformance.py``.
 """
 
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,7 +152,9 @@ class TestPoolBoundaries:
 @st.composite
 def loop_kernel_case(draw):
     jobs = draw(st.integers(4, 7))
-    machines = draw(st.integers(2, 4))
+    # 12 machines puts these pools on the closed-form LB1 scan, the
+    # rest on the machine loop (bounds._head_by_scan).
+    machines = draw(st.sampled_from((2, 3, 4, 12)))
     seed = draw(st.integers(0, 10_000))
     strategy = draw(st.sampled_from(PAIR_STRATEGIES))
     depth = draw(st.integers(1, jobs - 2))
@@ -161,8 +167,6 @@ class TestLoopKernelsMatchNumpy:
     @settings(max_examples=40, deadline=None)
     def test_lb1_and_lb2_pools(self, case):
         jobs, machines, seed, strategy, depth, n_pool = case
-        import math
-
         instance = random_instance(jobs, machines, seed=seed)
         data = BoundData(instance, pair_strategy=strategy)
         n_pool = min(n_pool, math.perm(jobs, depth))
@@ -210,6 +214,54 @@ class TestLoopKernelsMatchNumpy:
         np.testing.assert_array_equal(
             np.asarray(numpy_rows), np.asarray(numba_rows)
         )
+
+
+# ----------------------------------------------------------------------
+# Staged ``combined``: LB2 only for parents LB1 left a child below
+# ``Problem.prune_at``.  Whatever the hint, prune decisions are the
+# exact bound's, and every family with a survivor is exact throughout.
+# ----------------------------------------------------------------------
+
+
+def _python_loop_kernels():
+    return kernels_numba.PoolKernels(
+        kernels_numba.lb1_pool, kernels_numba.lb2_pool
+    )
+
+
+class TestStagedCombinedBound:
+    @given(loop_kernel_case(), st.integers(0, 10_000), st.integers(-1, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_evaluator_only_weakens_dead_families(self, case, pick, nudge):
+        jobs, machines, seed, strategy, depth, n_pool = case
+        instance = random_instance(jobs, machines, seed=seed)
+        problem = FlowShopProblem(instance, pair_strategy=strategy)
+        n_pool = min(n_pool, math.perm(jobs, depth))
+        parent_fronts, remainings = _pool_parents(instance, depth, n_pool)
+        states = [
+            _FrontState(parent_fronts[i], remainings[i]) for i in range(n_pool)
+        ]
+        numpy_pool = FlowShopNumpyPool(problem)
+        with mock.patch.object(kernels_numba, "jit_kernels", _python_loop_kernels):
+            loop_pool = FlowShopNumbaPool(problem)
+        assert problem.prune_at == math.inf  # no hint yet: exact everywhere
+        exact = np.asarray(numpy_pool(states, depth))
+        # A threshold at, just below or just above some child's bound.
+        problem.prune_at = int(exact.flat[pick % exact.size]) + nudge
+        staged_rows = {
+            "numpy pool": numpy_pool(states, depth),
+            "numpy singleton": [numpy_pool([s], depth)[0] for s in states],
+            "per-family": [problem.bound_children(s, depth) for s in states],
+            "loop kernels": loop_pool(states, depth),
+        }
+        live = (exact < problem.prune_at).any(axis=1)
+        for name, rows in staged_rows.items():
+            staged = np.asarray(rows)
+            np.testing.assert_array_equal(
+                staged >= problem.prune_at, exact >= problem.prune_at, name
+            )
+            np.testing.assert_array_equal(staged[live], exact[live], name)
+            assert (staged <= exact).all(), name  # still admissible
 
 
 # ----------------------------------------------------------------------
