@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint check typecheck test chaos chaos-net chaos-kill bench bench-show bench-parallel bench-net bench-recovery bench-suite report examples clean
+.PHONY: install lint check typecheck test chaos chaos-net chaos-kill bench bench-show bench-parallel bench-net bench-recovery bench-suite bench-pairs report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -77,6 +77,16 @@ bench-recovery:
 # simulator — with named end-to-end metrics and a per-layer budget.
 bench-suite:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.suite run
+
+# Alternating parent/change pairs of one suite workload, judged as the
+# choosing-metrics guide (section 8) asks: medians, quartiles, pairs won.
+#   make bench-pairs WORKLOAD=service_stream PARENT=/path/to/parent-checkout [PAIRS=10 SEED=2007]
+WORKLOAD ?= service_stream
+PAIRS ?= 10
+SEED ?= 2007
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs WORKLOAD=... PARENT=<checkout of the parent commit>"; exit 2; }
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 report:
 	$(PYTHON) -m repro.cli report

@@ -20,7 +20,8 @@ The set provides the paper's coordinator-side operations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional
+from typing import Sequence, Set, Tuple
 
 from repro.core.interval import Interval
 from repro.core.operators import partition_point, requester_share_length
@@ -115,6 +116,14 @@ class IntervalSet:
 
     def records(self) -> Mapping[int, IntervalRecord]:
         return dict(self._records)
+
+    def iter_records(self) -> Iterable[IntervalRecord]:
+        """Every copy, without :meth:`records`' dict copy (read only)."""
+        return self._records.values()
+
+    def owners(self) -> Set[WorkerId]:
+        """Every process currently exploring some copy."""
+        return set().union(*(rec.owners for rec in self._records.values()))
 
     def intervals(self) -> List[Interval]:
         """All intervals, sorted by begin (stable external view)."""
@@ -282,7 +291,9 @@ class IntervalSet:
             rec.interval = right
             rec.owners = {requester}
             return Assignment(right, duplicated=False)
-        rec.interval = left  # holder learns of the cut at its next update
+        # The holder learns of the cut from the Reconciled reply to its
+        # next Update — with pipelined Updates, collected one slice later.
+        rec.interval = left
         self.add(right, owners=(requester,))
         self.splits += 1
         return Assignment(right, duplicated=False)

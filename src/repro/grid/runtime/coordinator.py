@@ -11,7 +11,7 @@ simulator uses: :class:`~repro.core.interval_set.IntervalSet`,
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from repro.core.checkpoint import CheckpointStore
 from repro.core.interval import Interval
@@ -80,6 +80,8 @@ class Coordinator:
         self._last_seq: Dict[str, int] = {}
         self._last_reply: Dict[str, Any] = {}
         self._last_heard: Dict[str, float] = {}
+        # Holders whose latest Update left work: see can_use_requester().
+        self._outlasted_slice: Set[str] = set()
         self.terminated = False
         # Table 2-style counters
         self.worker_checkpoint_ops = 0
@@ -173,6 +175,7 @@ class Coordinator:
 
     def _on_request(self, msg: Request) -> Union[GrantWork, Terminate]:
         self._powers[msg.worker] = msg.power
+        self._outlasted_slice.discard(msg.worker)
         if self.intervals.is_empty():
             self.terminated = True
             return Terminate(self.solution.cost)
@@ -192,12 +195,17 @@ class Coordinator:
             # remainder).  The unowned-reclaim path cannot know what
             # was explored, so it journals nothing — replay then keeps
             # that work, costing redundancy, never loss.
-            rid = self.intervals.record_for_worker(msg.worker)
-            if rid is not None:
-                owned = self.intervals.records()[rid].interval
-                cut = min(max(reported.begin, owned.begin), owned.end)
-                explored = Interval(owned.begin, cut)
+            for rec in self.intervals.iter_records():
+                if msg.worker in rec.owners:
+                    owned = rec.interval
+                    cut = min(max(reported.begin, owned.begin), owned.end)
+                    explored = Interval(owned.begin, cut)
+                    break
         merged = self.intervals.update(msg.worker, reported)
+        if merged.is_empty():
+            self._outlasted_slice.discard(msg.worker)
+        else:
+            self._outlasted_slice.add(msg.worker)
         if explored is not None and not explored.is_empty():
             assert self.store is not None
             self.store.journal_explored(explored)
@@ -230,6 +238,21 @@ class Coordinator:
         self.intervals.release(worker)
         self._powers.pop(worker, None)
         self._last_heard.pop(worker, None)
+        self._outlasted_slice.discard(worker)
+
+    def can_use_requester(self) -> bool:
+        """Whether one more worker would add work done, not work doubled.
+
+        True when some copy is unowned (fresh, released, lease-expired)
+        or some holder's latest Update left work — the only evidence that
+        it will collect another ``Reconciled`` and so ever hear of a cut.
+        A holder that finishes inside its first slice explores its whole
+        grant; whatever was cut off it is then explored twice.
+        """
+        return any(
+            not rec.owners or not self._outlasted_slice.isdisjoint(rec.owners)
+            for rec in self.intervals.iter_records()
+        )
 
     def check_leases(self, now: Optional[float] = None) -> List[str]:
         """Release every interval owner silent past ``lease_seconds``.
@@ -243,11 +266,8 @@ class Coordinator:
             return []
         if now is None:
             now = time.monotonic()
-        owners: set = set()
-        for rec in self.intervals.records().values():
-            owners |= rec.owners
         expired: List[str] = []
-        for worker in sorted(owners, key=str):
+        for worker in sorted(self.intervals.owners(), key=str):
             heard = self._last_heard.get(worker)
             if heard is None:
                 self._last_heard[worker] = now

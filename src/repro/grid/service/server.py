@@ -95,6 +95,9 @@ __all__ = ["ServiceConfig", "ServiceReport", "SolveService"]
 #: ``reply_timeout``, so a healthy server never looks like a dead one.
 KEEPALIVE_SECONDS = 1.0
 
+#: Built problems kept between admission and promotion, at most.
+_BUILT_STASH = 64
+
 
 @dataclass
 class ServiceConfig:
@@ -127,6 +130,7 @@ class ServiceReport:
     jobs_failed: int = 0
     jobs_cancelled: int = 0
     work_allocations: int = 0
+    grants_per_job: float = 0.0  # over the jobs that were granted at all
     requests_idled: int = 0
     protocol_errors: int = 0
     worker_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -145,6 +149,8 @@ class SolveService:
         self.jobs = JobStore(self.config.checkpoint_dir)
         self.scheduler = Scheduler(self.config.scheduler)
         self._coordinators: Dict[str, Coordinator] = {}
+        # Problems built at admission, awaiting promotion (job id -> it).
+        self._built: Dict[str, Any] = {}
         if self.config.resume:
             self.jobs.recover()
         self.epoch = self.jobs.bump_epoch()
@@ -202,7 +208,9 @@ class SolveService:
     def _start_job(self, record: JobRecord, recover: bool = False) -> bool:
         """Promote ``record`` to running (or fail it durably)."""
         try:
-            problem = spec_from_wire(record.spec_wire).build()
+            problem = self._built.pop(record.job_id, None)
+            if problem is None:  # --resume, or it outlived the stash
+                problem = spec_from_wire(record.spec_wire).build()
             root = Interval(0, problem.total_leaves())
         except Exception as exc:  # noqa: BLE001 - tenant input, not ours
             record.status = FAILED
@@ -252,24 +260,31 @@ class SolveService:
         coordinator = self._coordinators.pop(record.job_id, None)
         if coordinator is None:
             return
-        record.status = DONE
-        record.cost = coordinator.solution.cost
-        record.solution = coordinator.solution.solution
-        record.nodes_explored = coordinator.nodes_explored
-        if not self._abort:
-            coordinator.maybe_checkpoint(force=True)
-        self.jobs.persist(record)
+        self._settle(record, DONE, coordinator)
         self.jobs_completed += 1
 
     def _cancel_job(self, record: JobRecord) -> None:
-        coordinator = self._coordinators.pop(record.job_id, None)
-        record.status = CANCELLED
+        self._built.pop(record.job_id, None)
+        self._settle(
+            record, CANCELLED, self._coordinators.pop(record.job_id, None)
+        )
+        self.jobs_cancelled += 1
+
+    def _settle(
+        self, record: JobRecord, status: str, coordinator: Optional[Coordinator]
+    ) -> None:
+        """Write the one thing recovery reads of a settled job: its meta.
+
+        No final snapshot: if the crash beats this write the job is still
+        ``running`` and snapshot + journal replay re-derive its ledger.
+        """
+        record.status = status
         if coordinator is not None:
             record.cost = coordinator.solution.cost
             record.solution = coordinator.solution.solution
             record.nodes_explored = coordinator.nodes_explored
         self.jobs.persist(record)
-        self.jobs_cancelled += 1
+        self.jobs.drop_checkpoint(record.job_id)
 
     def _sweep_finished(self) -> None:
         for job_id in list(self._coordinators):
@@ -361,9 +376,12 @@ class SolveService:
             runnable: List[Tuple[JobRecord, int]] = []
             for record in self.jobs.in_status(RUNNING):
                 coordinator = self._coordinators.get(record.job_id)
-                if coordinator is None or coordinator.intervals.is_empty():
+                # A cut off a holder that finishes inside its first
+                # slice would be explored twice: can_use_requester().
+                if coordinator is None or not coordinator.can_use_requester():
                     continue
-                runnable.append((record, self._active_workers(coordinator)))
+                workers = len(coordinator.intervals.owners())
+                runnable.append((record, workers))
             record = self.scheduler.pick_grant(runnable)
             if record is None:
                 return None
@@ -382,6 +400,7 @@ class SolveService:
             if inner is None:  # pragma: no cover - seq cached upstream
                 return None
             self.work_allocations += 1
+            record.work_allocations += 1
             return JobGrant(
                 record.job_id,
                 inner.interval,
@@ -434,13 +453,6 @@ class SolveService:
         reply.seq = msg.seq
         return reply
 
-    @staticmethod
-    def _active_workers(coordinator: Coordinator) -> int:
-        owners: Set[str] = set()
-        for rec in coordinator.intervals.records().values():
-            owners |= rec.owners
-        return len(owners)
-
     # -- clients -------------------------------------------------------
     def _on_client(self, msg: Any, handler: Any) -> Any:
         self._clients.add(msg.worker)
@@ -464,13 +476,22 @@ class SolveService:
             # Build once to validate: a spec that cannot produce a
             # problem must bounce at the front door, not fail the job
             # minutes later in the scheduler.
-            spec_from_wire(msg.spec).build()
+            problem = spec_from_wire(msg.spec).build()
         except Exception as exc:  # noqa: BLE001 - tenant input
             return JobRefused(f"spec rejected: {exc}")
         record = self.jobs.create(
-            msg.spec, owner=msg.owner, priority=msg.priority
+            msg.spec, owner=msg.owner, priority=msg.priority, persist=False
         )
         self._jobs_seen += 1
+        # Popped by promotion; one pushed out of the stash is rebuilt.
+        self._built[record.job_id] = problem
+        if len(self._built) > _BUILT_STASH:
+            del self._built[next(iter(self._built))]
+        # A free running slot is taken here and now, so the record is
+        # written once (as running) — either way before the ack leaves.
+        self._promote()
+        if record.status == QUEUED:
+            self.jobs.persist(record)
         return JobAccepted(record.job_id)
 
     def _job_status(self, record: JobRecord) -> JobStatus:
@@ -630,12 +651,15 @@ class SolveService:
         for record in self.jobs.records():
             doc = record.summary()
             doc["queue_wait_seconds"] = record.queue_wait_seconds
+            doc["work_allocations"] = record.work_allocations
             doc["solution"] = (
                 list(record.solution)
                 if isinstance(record.solution, (list, tuple))
                 else record.solution
             )
             jobs[record.job_id] = doc
+        grants = [doc["work_allocations"] for doc in jobs.values()]
+        granted = [count for count in grants if count]
         return ServiceReport(
             jobs=jobs,
             wall_seconds=wall_seconds,
@@ -644,6 +668,7 @@ class SolveService:
             jobs_failed=self.jobs_failed,
             jobs_cancelled=self.jobs_cancelled,
             work_allocations=self.work_allocations,
+            grants_per_job=sum(granted) / max(1, len(granted)),
             requests_idled=self.requests_idled,
             protocol_errors=self.protocol_errors,
             worker_stats=dict(self.byes),

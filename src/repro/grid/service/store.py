@@ -62,6 +62,7 @@ class JobRecord:
     solution: Any = None
     error: str = ""
     nodes_explored: int = 0
+    work_allocations: int = 0  # grants made for this job (durable with its status)
 
     def is_terminal(self) -> bool:
         return self.status in TERMINAL
@@ -81,6 +82,7 @@ class JobRecord:
             else self.solution,
             "error": self.error,
             "nodes_explored": self.nodes_explored,
+            "work_allocations": self.work_allocations,
         }
 
     @classmethod
@@ -101,6 +103,7 @@ class JobRecord:
             solution=solution,
             error=str(meta.get("error", "")),
             nodes_explored=int(meta.get("nodes_explored", 0)),
+            work_allocations=int(meta.get("work_allocations", 0)),
         )
 
     def summary(self) -> Dict[str, Any]:
@@ -143,8 +146,14 @@ class JobStore:
         owner: str = "anonymous",
         priority: int = 1,
         job_id: Optional[str] = None,
+        persist: bool = True,
     ) -> JobRecord:
-        """Admit one job (status ``queued``), durably."""
+        """Admit one job (status ``queued``), durably.
+
+        With ``persist=False`` the caller owes the :meth:`persist` —
+        the service, which may promote the job first and so write its
+        record once instead of twice.
+        """
         if job_id is None:
             job_id = uuid.uuid4().hex[:12]
         if job_id in self._records:
@@ -160,7 +169,8 @@ class JobStore:
         )
         self._records[job_id] = record
         self._unsettled[job_id] = record
-        self.persist(record)
+        if persist:
+            self.persist(record)
         return record
 
     def persist(self, record: JobRecord) -> None:
@@ -218,6 +228,15 @@ class JobStore:
         if self.disk is None:
             return None
         return self.disk.job_store(job_id)
+
+    def drop_checkpoint(self, job_id: str) -> None:
+        """Unlink a settled job's snapshot pair and journal.
+
+        Unsynced on purpose: recovery never opens a settled job's
+        checkpoint, so files that resurface after a crash are ignored.
+        """
+        if self.disk is not None:
+            self.disk.job_store(job_id).clear()
 
     def bump_epoch(self) -> int:
         """Advance the *service* epoch (0 for an in-memory store)."""

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import gc
 import math
+import os
 import threading
+import time
 import weakref
 
 import pytest
 
-from repro.core import solve
+from repro.core import Incumbent, Interval, IntervalExplorer, solve
 from repro.core.checkpoint import MultiJobStore
 from repro.exceptions import CheckpointError
 from repro.grid.net.framing import decode_message, encode_frame
@@ -51,6 +53,7 @@ from repro.grid.runtime.protocol import (
     Request,
     SubmitJob,
     Terminate,
+    spec_from_wire,
     spec_to_wire,
 )
 from repro.grid.service import (
@@ -305,10 +308,11 @@ class ScriptedListener:
     service is shut down.  Every reply sent is recorded in order.
     """
 
-    def __init__(self, service, script, connected):
+    def __init__(self, service, script, connected, on_send=None):
         self.service = service
         self.script = list(script)
         self.connected = set(connected)
+        self.on_send = on_send  # called with each reply as it leaves
         self.sent = []
 
     def connected_workers(self):
@@ -327,17 +331,19 @@ class ScriptedListener:
 
     def send(self, worker, reply):
         self.sent.append((worker, reply))
+        if self.on_send is not None:
+            self.on_send(reply)
 
     def close(self):
         pass
 
 
-def play(script, connected, service=None, **config):
+def play(script, connected, service=None, on_send=None, **config):
     """Run ``script`` through a service; returns (replies, report)."""
     if service is None:
         service = SolveService(service_config(**config))
     service.listener.close()  # the real socket is never used
-    fake = ScriptedListener(service, script, connected)
+    fake = ScriptedListener(service, script, connected, on_send)
     service.listener = fake
     return fake.sent, service.serve_forever()
 
@@ -486,6 +492,324 @@ def service_config(tmp_path=None, **overrides):
     )
     base.update(overrides)
     return ServiceConfig(**base)
+
+
+# ----------------------------------------------------------------------
+# Grants sized to the job: a second worker only where it can be used
+
+
+def grant_to(worker):
+    """Script item: the latest JobGrant ``worker`` was sent."""
+
+    def find(net):
+        return [r for to, r in net.sent if to == worker and isinstance(r, JobGrant)][-1]
+
+    return find
+
+
+class ScriptedWorker:
+    """A worker for :func:`play`: explores its grant when the script says so."""
+
+    def __init__(self, name):
+        self.name = name
+        self.seq = 0
+        self.explorer = None
+        self.found = []
+
+    def _stamp(self, message):
+        self.seq += 1
+        message.seq = self.seq
+        return message
+
+    def request(self, net=None):
+        return self._stamp(Request(self.name))
+
+    def bye(self, net=None):
+        return self._stamp(Bye(self.name, {}))
+
+    def explore(self, max_nodes=math.inf):
+        """Script item: one slice of the current grant.
+
+        Delivers the JobPush of what the slice found (a tick if it found
+        nothing); :meth:`update` then reports the slice, as a worker does.
+        """
+
+        def item(net):
+            grant = grant_to(self.name)(net)
+            if self.explorer is None or self.job != grant.job:
+                self.job = grant.job
+                self.explorer = IntervalExplorer(
+                    spec_from_wire(grant.spec).build(),
+                    Interval.from_tuple(grant.interval),
+                    incumbent=Incumbent(grant.best_cost, None),
+                    on_improvement=lambda *found: self.found.append(found),
+                )
+            self.found.clear()
+            before = self.explorer.remaining_interval()
+            report = self.explorer.step(max_nodes)
+            after = self.explorer.remaining_interval()
+            self.slice = JobUpdate(
+                self.name,
+                self.job,
+                after.as_tuple(),
+                nodes=report.nodes_processed,
+                consumed=after.begin - before.begin,
+            )
+            if not self.found:
+                return None
+            cost, solution = self.found[-1]
+            return self._stamp(JobPush(self.name, self.job, cost, solution))
+
+        return item
+
+    def update(self, net=None):
+        """Script item: the JobUpdate of the slice just explored."""
+        return self._stamp(self.slice)
+
+
+def fifo_or_fair(policy, **overrides):
+    return service_config(scheduler=SchedulerConfig(policy=policy), **overrides)
+
+
+@pytest.mark.parametrize("policy", ["fifo", "fair"])
+def test_single_slice_job_is_granted_once_and_explored_once(policy):
+    w0, w1 = ScriptedWorker("w0"), ScriptedWorker("w1")
+    service = SolveService(fifo_or_fair(policy))
+    sent, report = play(
+        [
+            SubmitJob("c0", wire_a(), owner="alice", seq=1),
+            w0.request,
+            w1.request,  # parked: w0 has shown no sign of outlasting a slice
+            None,
+            w0.explore(),  # the whole job inside one slice
+            w0.update,
+            None,
+        ],
+        connected={"w0", "w1", "c0"},
+        service=service,
+    )
+    assert [(to, type(reply)) for to, reply in sent] == [
+        ("c0", JobAccepted),
+        ("w0", JobGrant),
+        ("w0", Ack),
+        ("w0", Reconciled),
+    ]
+    (summary,) = report.jobs.values()
+    assert summary["status"] == DONE and summary["cost"] == serial_a.cost
+    assert summary["nodes"] == serial_a.stats.nodes_explored
+    assert summary["work_allocations"] == 1
+    assert report.work_allocations == 1 and report.grants_per_job == 1.0
+
+
+@pytest.mark.parametrize("policy", ["fifo", "fair"])
+def test_second_worker_arrives_with_the_holders_first_unfinished_update(policy):
+    w0, w1 = ScriptedWorker("w0"), ScriptedWorker("w1")
+    sent, report = play(
+        [
+            SubmitJob("c0", wire_a(), owner="alice", seq=1),
+            w0.request,
+            w1.request,
+            None,  # a tick changes nothing: still parked
+            w0.explore(max_nodes=20),
+            w0.update,  # leaves work: the job outlasts a slice
+        ],
+        connected={"w0", "w1", "c0"},
+        service=SolveService(fifo_or_fair(policy)),
+    )
+    # The grant leaves in the pump pass right after the Update's own
+    # reply: no tick, no further message in between.
+    assert [(to, type(reply)) for to, reply in sent] == [
+        ("c0", JobAccepted),
+        ("w0", JobGrant),
+        ("w0", Ack),
+        ("w0", Reconciled),
+        ("w1", JobGrant),
+    ]
+    # (the holder hears of the cut from its *next* Reconciled)
+    held, cut = sent[3][1].interval, sent[4][1].interval
+    assert held[0] < cut[0] < cut[1] == held[1]
+    assert report.work_allocations == 2 and report.requests_idled == 1
+
+
+@pytest.mark.parametrize("leaves_by", ["bye", "lease"])
+def test_holder_gone_before_any_update_frees_its_interval(leaves_by):
+    w0, w1 = ScriptedWorker("w0"), ScriptedWorker("w1")
+    service = SolveService(service_config())
+
+    def lease_runs_out(net):
+        (coordinator,) = service._coordinators.values()
+        assert coordinator.check_leases(now=time.monotonic() + 3600) == ["w0"]
+
+    sent, report = play(
+        [
+            SubmitJob("c0", wire_a(), owner="alice", seq=1),
+            w0.request,
+            w1.request,
+            w0.bye if leaves_by == "bye" else lease_runs_out,
+            w1.explore(),
+            w1.update,
+            None,
+        ],
+        connected={"w0", "w1", "c0"},
+        service=service,
+    )
+    grants = [(to, r.interval) for to, r in sent if isinstance(r, JobGrant)]
+    whole = (0, math.factorial(7))
+    assert grants == [("w0", whole), ("w1", whole)]
+    (summary,) = report.jobs.values()
+    assert summary["status"] == DONE and summary["cost"] == serial_a.cost
+    assert makespan(instance_a, tuple(summary["solution"])) == serial_a.cost
+
+
+@pytest.mark.parametrize("policy, later_grants", [("fifo", "aa"), ("fair", "ab")])
+def test_splittable_jobs_are_shared_out_by_the_policy(policy, later_grants):
+    workers = [ScriptedWorker(f"w{i}") for i in range(4)]
+    w0, w1, w2, w3 = workers
+    sent, _ = play(
+        [
+            SubmitJob("c0", wire_a(), owner="alice", seq=1),
+            SubmitJob("c0", spec_to_wire(flowshop_spec(instance_b)), owner="bob", seq=2),
+            w0.request,  # job a: the older of two idle jobs
+            w1.request,  # job b: a's only interval is held and unproven
+            w0.explore(max_nodes=20),
+            w0.update,
+            w1.explore(max_nodes=20),
+            w1.update,
+            w2.request,  # both splittable, one worker each: the older
+            w3.request,  # fair: b is now the starved one; fifo: a again
+        ],
+        connected={"c0", "w0", "w1", "w2", "w3"},
+        service=SolveService(fifo_or_fair(policy)),
+    )
+    job = {sent[0][1].job: "a", sent[1][1].job: "b"}
+    order = "".join(job[r.job] for _, r in sent if isinstance(r, JobGrant))
+    assert order == "ab" + later_grants
+
+
+# ----------------------------------------------------------------------
+# The write budget: what a job costs in fsyncs, and what it leaves on disk
+
+
+@pytest.mark.parametrize("slices", [1, 2])
+def test_a_small_job_costs_four_fsyncs_and_leaves_one_file(
+    tmp_path, monkeypatch, slices
+):
+    service = SolveService(service_config(tmp_path, checkpoint_period=3600.0))
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    w0 = ScriptedWorker("w0")
+    sent, report = play(
+        [
+            SubmitJob("c0", wire_a(), owner="alice", seq=1),
+            w0.request,
+            *([w0.explore(max_nodes=20), w0.update] * (slices - 1)),
+            w0.explore(),
+            w0.update,
+            None,
+        ],
+        connected={"w0", "c0"},
+        service=service,
+    )
+    (job,) = report.jobs
+    assert report.jobs[job]["status"] == DONE
+    # meta(running) + meta(done), and one journal append per Push kept
+    # and per Update: four for a job that fits one slice.
+    kinds = [type(reply) for _, reply in sent]
+    assert kinds.count(Ack) == kinds.count(Reconciled) == slices
+    assert len(fsyncs) == 4 + 2 * (slices - 1)
+    assert sorted(p.name for p in (tmp_path / "jobs" / job).iterdir()) == ["meta.json"]
+
+
+def test_a_submit_that_must_queue_is_written_once_as_queued(tmp_path, monkeypatch):
+    service = SolveService(
+        service_config(tmp_path, scheduler=SchedulerConfig(max_running_jobs=1))
+    )
+    fsyncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    durable_at_ack = []
+    sent, report = play(
+        [
+            SubmitJob("c0", wire_a(), owner="alice", seq=1),
+            SubmitJob("c1", wire_a(), owner="bob", seq=1),
+        ],
+        connected={"c0", "c1"},
+        service=service,
+        on_send=lambda reply: durable_at_ack.append(len(fsyncs)),
+    )
+    first, second = (reply.job for _, reply in sent)
+    assert durable_at_ack == [1, 2]  # one write each, before its ack
+    assert MultiJobStore(tmp_path).load_meta(first)["status"] == RUNNING
+    assert MultiJobStore(tmp_path).load_meta(second)["status"] == QUEUED
+
+
+def run_one_job_then_abort(tmp_path, after):
+    """Play one job through; ``kill -9`` when ``after(reply)`` says so."""
+    service = SolveService(service_config(tmp_path))
+    w0 = ScriptedWorker("w0")
+
+    def kill(reply):
+        if after(reply):
+            service.abort()
+
+    sent, report = play(
+        [
+            SubmitJob("c0", wire_a(), owner="alice", seq=1),
+            w0.request,
+            w0.explore(max_nodes=20),
+            w0.update,
+            w0.explore(),
+            w0.update,
+            lambda net: JobStatusRequest("c0", net.sent[0][1].job, seq=2),
+        ],
+        connected={"w0", "c0"},
+        service=service,
+        on_send=kill,
+    )
+    assert report.aborted
+    return sent[0][1].job
+
+
+def resumed(tmp_path):
+    successor = SolveService(service_config(tmp_path, resume=True))
+    _, report = play([None], connected=set(), service=successor)
+    return report
+
+
+def test_kill_between_the_final_update_and_meta_done_resumes_to_the_proof(tmp_path):
+    job = run_one_job_then_abort(
+        tmp_path,
+        after=lambda r: isinstance(r, Reconciled) and r.interval[0] == r.interval[1],
+    )
+    job_dir = tmp_path / "jobs" / job
+    assert MultiJobStore(tmp_path).load_meta(job)["status"] == RUNNING
+    assert (job_dir / "journal.log").stat().st_size > 0
+
+    report = resumed(tmp_path)
+    # Snapshot (if any) + journal replay re-derive the empty ledger and
+    # the incumbent; the first sweep settles the job.
+    assert report.epoch == 2 and report.jobs_completed == 1
+    summary = report.jobs[job]
+    assert summary["status"] == DONE and summary["cost"] == serial_a.cost
+    assert makespan(instance_a, tuple(summary["solution"])) == serial_a.cost
+    assert sorted(p.name for p in job_dir.iterdir()) == ["meta.json"]
+
+
+def test_kill_after_meta_done_leaves_a_done_job_with_no_snapshot(tmp_path):
+    job = run_one_job_then_abort(
+        tmp_path, after=lambda r: isinstance(r, JobStatus)
+    )
+    job_dir = tmp_path / "jobs" / job
+    assert sorted(p.name for p in job_dir.iterdir()) == ["meta.json"]
+
+    report = resumed(tmp_path)
+    assert report.jobs_completed == 0  # nothing left to do or to redo
+    summary = report.jobs[job]
+    assert summary["status"] == DONE and summary["cost"] == serial_a.cost
+    assert makespan(instance_a, tuple(summary["solution"])) == serial_a.cost
+    assert sorted(p.name for p in job_dir.iterdir()) == ["meta.json"]
+
 
 
 def start_service(service):
@@ -772,8 +1096,6 @@ def test_abort_then_resume_completes_both_jobs(tmp_path):
     job_b = client.submit(flowshop_spec(instance_b), owner="bob")
     workers, _ = start_workers(host, port, 2)
     # Let some interval updates reach the per-job journals, then die.
-    import time
-
     time.sleep(0.5)
     service.abort()
     thread.join(timeout=30)
