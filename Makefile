@@ -16,7 +16,7 @@ lint:
 		echo "ruff not installed; skipping lint (pip install -e '.[dev]')"; \
 	fi
 
-# Project-specific invariants (RC01..RC15): the repro-check pass ships
+# Project-specific invariants (RC01..RC15, RC02 retired): the repro-check pass ships
 # with the package, so this runs everywhere — no extra install needed.
 check:
 	PYTHONPATH=src $(PYTHON) -m repro.tools.check src tests benchmarks examples --strict
@@ -34,7 +34,8 @@ test: lint check
 	$(PYTHON) -m pytest tests/
 
 # Seeded fault schedules against the real multiprocessing runtime:
-# coordinator crash/recover, lossy channels, worker crashes and hangs.
+# coordinator crash/recover, lossy channels, worker crashes and hangs,
+# and the notice families (every Notice dropped; all duplicated/delayed).
 chaos:
 	$(PYTHON) -m pytest tests/test_chaos_runtime.py -q -s
 
@@ -57,8 +58,8 @@ bench:
 bench-show:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Parallel runtime scaling: adaptive slicing, pipelined updates and the
-# shared-memory incumbent at 1/2/4/8 workers.  Regenerates BENCH_PR3.json.
+# Parallel runtime scaling: adaptive slicing, pipelined updates and
+# coordinator notices at 1/2/4/8 workers.  Regenerates BENCH_PR3.json.
 bench-parallel:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_parallel_scaling.py
 

@@ -4,7 +4,8 @@ PR 3's tentpole restructured the farmer–worker hot path so exploration
 never blocks on coordination: pipelined interval updates (the
 ``Reconciled`` reply is collected a slice later), adaptive slice sizing
 toward a wall-clock update period, a batch-draining coordinator pump,
-and a shared-memory advisory incumbent polled mid-slice.  This
+and an advisory bound heard mid-slice (since PR 20 through the
+coordinator's notices, not a shared-memory cell).  This
 benchmark solves the same Ta021 20×20 interval slice at 1/2/4/8
 workers, asserts that **every** configuration proves the exact optimum
 the serial engine proves, and records into ``BENCH_PR3.json``:
@@ -12,9 +13,10 @@ the serial engine proves, and records into ``BENCH_PR3.json``:
 * aggregate nodes/sec and the speedup over the 1-worker run;
 * the per-worker explore-time vs RPC-wait-time breakdown (measured by
   the workers themselves, not inferred);
-* a coordination-tax comparison at the widest worker count: the PR 3
-  hot path vs the legacy mode (fixed slices, synchronous updates, no
-  shared incumbent) on identical work.
+* a coordination-tax comparison at the widest worker count: adaptive
+  slices vs the legacy fixed-size slices on identical work (the
+  synchronous-update and no-shared-bound halves of the legacy mode went
+  with their knobs in PR 20; ``BENCH_PR3.json`` keeps their figures).
 
 Honest-measurement note: ``host_cpus`` is recorded because aggregate
 nodes/sec cannot exceed what the host's cores can execute — on a
@@ -87,12 +89,8 @@ def _runtime_config(
         root_interval=None if interval is None else interval.as_tuple(),
     )
     if legacy:
-        # The pre-PR 3 coordination shape: fixed slices, one blocking
-        # Update round-trip per slice, bound sharing only at slice
-        # boundaries through the coordinator.
+        # The pre-PR 3 slicing: a fixed node count between Updates.
         config.update_period = None
-        config.pipeline_updates = False
-        config.shared_incumbent = False
     return config
 
 
@@ -176,8 +174,8 @@ def run_benchmark(
             record["nodes_per_sec"] / base, 2
         )
 
-    # Coordination tax: identical work, widest worker count, PR 3 hot
-    # path vs the legacy synchronous mode.
+    # Coordination tax: identical work, widest worker count, adaptive
+    # vs legacy fixed-size slices.
     tax_workers = max(worker_counts)
     legacy = _run_parallel(
         spec, tax_workers, quick, serial.cost, interval, legacy=True
@@ -199,7 +197,7 @@ def run_benchmark(
         "pr": 3,
         "benchmark": (
             "parallel runtime scaling: adaptive slicing, pipelined updates, "
-            "shared-memory incumbent"
+            "coordinator notices"
         ),
         "command": "make bench-parallel",
         "quick": quick,

@@ -390,7 +390,9 @@ def _cmd_solve(args) -> int:
             f"workers={result.workers} allocations={result.work_allocations} "
             f"updates={result.checkpoint_operations} "
             f"nodes={result.nodes_explored} "
-            f"redundant={result.redundant_rate:.2%}"
+            f"redundant={result.redundant_rate:.2%} "
+            f"notices={result.notices_sent} "
+            f"early_yields={result.early_yields}"
         )
     elif args.checkpoint_dir:
         from repro.core import ResumableSolver
@@ -577,7 +579,9 @@ def _cmd_grid_serve(args) -> int:
         f"allocations={result.work_allocations} "
         f"updates={result.checkpoint_operations} "
         f"nodes={result.nodes_explored} "
-        f"redundant={result.redundant_rate:.2%}"
+        f"redundant={result.redundant_rate:.2%} "
+        f"notices={result.notices_sent} "
+        f"early_yields={result.early_yields}"
     )
     if args.result_json:
         _write_serve_result(args.result_json, result)
@@ -601,6 +605,8 @@ def _write_serve_result(path_text: str, result) -> None:
         "work_allocations": result.work_allocations,
         "checkpoint_operations": result.checkpoint_operations,
         "redundant_rate": result.redundant_rate,
+        "notices_sent": result.notices_sent,
+        "early_yields": result.early_yields,
         "wall_seconds": result.wall_seconds,
         "worker_stats": result.worker_stats,
     }
@@ -648,7 +654,8 @@ def _cmd_grid_service(args) -> int:
           f"{report.jobs_completed} done, {report.jobs_failed} failed, "
           f"{report.jobs_cancelled} cancelled "
           f"(allocations={report.work_allocations} "
-          f"idled={report.requests_idled})")
+          f"idled={report.requests_idled} "
+          f"notices={report.notices_sent})")
     if args.report_json:
         _write_service_report(args.report_json, report)
     return 0 if not report.aborted and report.jobs_failed == 0 else 1

@@ -34,6 +34,19 @@ class ActiveNode:
         self.ranks: RankPath = check_rank_path(shape, ranks)
         self.range: Interval = node_range(shape, self.ranks)
 
+    @classmethod
+    def from_range(cls, ranks: RankPath, rng: Interval) -> "ActiveNode":
+        """A node whose valid path and range the caller already holds.
+
+        :func:`~repro.core.unfold.unfold` walks down from the root and
+        knows both for every node it emits; checking the path and
+        summing its number again would cost O(P) per node.
+        """
+        node = cls.__new__(cls)
+        node.ranks = ranks
+        node.range = rng
+        return node
+
     @property
     def depth(self) -> int:
         return len(self.ranks)

@@ -167,12 +167,14 @@ class IntervalExplorer:
         ``None`` (harmless — each ``None`` falls back).
     bound_provider:
         Optional zero-arg callable returning an advisory global upper
-        bound (e.g. a shared-memory incumbent).  Polled every
-        ``bound_poll_nodes`` processed nodes *inside* :meth:`step`, so
-        a bound improvement found elsewhere tightens pruning mid-slice
-        instead of waiting for the next coordination boundary (sharing
-        rule 3, §4.4, without the round-trip).  The provider carries a
-        cost only — adopting it never installs a solution.
+        bound (the grid worker's drain of its coordinator connection).
+        Polled on entry to :meth:`step` and then every
+        ``bound_poll_nodes`` processed nodes *inside* it, so a bound
+        improvement found elsewhere tightens pruning mid-slice instead
+        of waiting for the next coordination boundary (sharing rule 3,
+        §4.4, without the round-trip).  The provider carries a cost
+        only — adopting it never installs a solution.  It may call
+        :meth:`yield_at_poll` to end the slice at that poll.
     bound_poll_nodes:
         How many nodes to explore between provider polls (default 256;
         ignored without a provider).
@@ -234,6 +236,7 @@ class IntervalExplorer:
         if bound_poll_nodes < 1:
             raise EngineError("bound_poll_nodes must be >= 1")
         self.bound_poll_nodes = bound_poll_nodes
+        self._yield_requested = False
         self.stats = ExplorationStats()
         # ``stats.nodes_decomposed`` when the incumbent last moved; the
         # distance from it is what the wave width grows with.
@@ -333,17 +336,25 @@ class IntervalExplorer:
     def apply_interval(self, interval: Interval) -> None:
         """Reconcile with a coordinator-side copy (intersection, eq. 14).
 
-        The coordinator can only have *shrunk* the work (raised begin is
-        impossible — only this process advances begin — so in practice
-        this lowers ``end``).  An empty intersection means all remaining
-        work was reassigned: the frontier is dropped.
+        Almost always this lowers ``end``: the coordinator gave the
+        tail to a requester.  An empty intersection means all remaining
+        work was reassigned: the frontier is dropped.  A raised
+        ``begin`` means the coordinator knows the head explored (by a
+        holder that ran past a cut before it heard of it); the frontier
+        then restarts from the unfold of what is left, as a resume does.
         """
-        merged = self.remaining_interval().intersect(interval)
+        remaining = self.remaining_interval()
+        merged = remaining.intersect(interval)
         if merged.is_empty():
+            # Fold to the empty interval at the position reached: the
+            # next report then still says how far this process got.
             self._stack.clear()
-            self._end = merged.end
+            self._end = remaining.begin
             return
         self.restrict_end(merged.end)
+        if merged.begin > remaining.begin:
+            self._stack.clear()
+            self._init_stack(merged)
 
     def set_upper_bound(self, cost: float, solution: Any = None) -> bool:
         """Adopt a better global bound (sharing rule 3, §4.4)."""
@@ -353,6 +364,15 @@ class IntervalExplorer:
             self._incumbent_moved_at = self.stats.nodes_decomposed
             return True
         return False
+
+    def yield_at_poll(self) -> None:
+        """Make :meth:`step` return at its next provider poll.
+
+        For the provider itself to call (the slice then ends at the poll
+        that is running); a request made anywhere else waits for the
+        next poll point — a slice never ends mid-wave.
+        """
+        self._yield_requested = True
 
     # ------------------------------------------------------------------
     # exploration
@@ -389,6 +409,10 @@ class IntervalExplorer:
         taking parents once ``max_nodes`` would not cover the families
         already held, so a step overshoots ``max_nodes`` by at most one
         family of siblings.
+
+        With a ``bound_provider`` the loop polls it between waves — on
+        entry, then every ``bound_poll_nodes`` nodes — and returns early
+        at a poll during which :meth:`yield_at_poll` was asked for.
         """
         problem = self.problem
         stack = self._stack
@@ -398,7 +422,7 @@ class IntervalExplorer:
         incumbent = self.incumbent
         widest = self.pool_size if self._pool_evaluator is not None else 1
         provider = self.bound_provider
-        next_poll = self.bound_poll_nodes
+        next_poll = 0
         processed = 0
         improved = False
 
@@ -406,6 +430,9 @@ class IntervalExplorer:
             if provider is not None and processed >= next_poll:
                 next_poll = processed + self.bound_poll_nodes
                 self.set_upper_bound(provider())
+                if self._yield_requested:
+                    self._yield_requested = False
+                    break
             if stack[-1].number >= self._end:
                 # Sorted stack: the smallest-numbered entry is already
                 # out of range, so everything else is too.

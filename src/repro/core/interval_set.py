@@ -45,10 +45,16 @@ class IntervalRecord:
 
 @dataclass
 class Assignment:
-    """Result of a successful work request."""
+    """Result of a successful work request.
+
+    ``cut`` names the holders whose copy this request shrank or took
+    away (the owners of the left part of a split) — they explore on
+    into the requester's part until they hear of it.
+    """
 
     interval: Interval
     duplicated: bool
+    cut: Tuple[WorkerId, ...] = ()
 
 
 class IntervalSet:
@@ -68,6 +74,9 @@ class IntervalSet:
             raise IntervalError("duplication threshold must be >= 0")
         self.duplication_threshold = duplication_threshold
         self._records: Dict[int, IntervalRecord] = {}
+        # worker -> id of the one copy it owns.  ``owners`` sets are
+        # only ever changed in this module, each change mirrored here.
+        self._owned: Dict[WorkerId, int] = {}
         self._next_id = 0
         # Table 2 counters
         self.allocations = 0
@@ -95,7 +104,19 @@ class IntervalSet:
         rid = self._next_id
         self._next_id += 1
         self._records[rid] = IntervalRecord(interval, set(owners))
+        for worker in owners:
+            self._owned[worker] = rid
         return rid
+
+    def _own(self, rid: int, worker: WorkerId) -> None:
+        self._records[rid].owners.add(worker)
+        self._owned[worker] = rid
+
+    def _disown(self, rid: int) -> None:
+        owners = self._records[rid].owners
+        for worker in owners:
+            del self._owned[worker]
+        owners.clear()
 
     # ------------------------------------------------------------------
     # inspection
@@ -123,7 +144,7 @@ class IntervalSet:
 
     def owners(self) -> Set[WorkerId]:
         """Every process currently exploring some copy."""
-        return set().union(*(rec.owners for rec in self._records.values()))
+        return set(self._owned)
 
     def intervals(self) -> List[Interval]:
         """All intervals, sorted by begin (stable external view)."""
@@ -134,10 +155,12 @@ class IntervalSet:
 
     def record_for_worker(self, worker: WorkerId) -> Optional[int]:
         """Id of the record ``worker`` currently owns, if any."""
-        for rid, rec in self._records.items():
-            if worker in rec.owners:
-                return rid
-        return None
+        return self._owned.get(worker)
+
+    def owned_record(self, worker: WorkerId) -> Optional[IntervalRecord]:
+        """The copy ``worker`` currently owns, if any (read only)."""
+        rid = self._owned.get(worker)
+        return None if rid is None else self._records[rid]
 
     def covered_union_length(self) -> int:
         """Length of the union of all intervals (duplicates counted once).
@@ -179,7 +202,7 @@ class IntervalSet:
         (the §4.1 guarantee is re-exploration, never loss).
         """
         self.updates += 1
-        rid = self.record_for_worker(worker)
+        rid = self._owned.get(worker)
         if rid is not None:
             # Normal path: the worker owns this copy, so everything
             # outside the intersection is known-explored (left) or
@@ -187,6 +210,7 @@ class IntervalSet:
             rec = self._records[rid]
             merged = rec.interval.intersect(reported)
             if merged.is_empty():
+                self._disown(rid)  # a duplicate twin loses its copy too
                 del self._records[rid]
                 return merged
             rec.interval = merged
@@ -202,7 +226,7 @@ class IntervalSet:
         left = Interval(rec.interval.begin, piece.begin)
         right = Interval(piece.end, rec.interval.end)
         rec.interval = piece
-        rec.owners.add(worker)
+        self._own(rid, worker)
         if not left.is_empty():
             self.add(left)
         if not right.is_empty():
@@ -267,12 +291,12 @@ class IntervalSet:
             # Null-power virtual holder: hand the whole interval over
             # ("they are thus assigned entirely to the requesting
             # process") — never a duplication.
-            rec.owners = {requester}
+            self._own(best_rid, requester)
             return Assignment(rec.interval, duplicated=False)
 
         if rec.interval.length < self.duplication_threshold:
             # Duplicate: same numbers, one coordinator copy, two explorers.
-            rec.owners.add(requester)
+            self._own(best_rid, requester)
             self.duplications += 1
             self.duplicated_length_assigned += rec.interval.length
             return Assignment(rec.interval, duplicated=True)
@@ -282,21 +306,23 @@ class IntervalSet:
         if right.is_empty():
             # Degenerate split (e.g. zero requester power on a live
             # holder): fall back to duplication semantics.
-            rec.owners.add(requester)
+            self._own(best_rid, requester)
             self.duplications += 1
             self.duplicated_length_assigned += rec.interval.length
             return Assignment(rec.interval, duplicated=True)
+        holders = tuple(rec.owners)
         if left.is_empty():
-            # Whole interval handed over (unassigned holder).
+            # Whole interval handed over (null-power holders).
+            self._disown(best_rid)
             rec.interval = right
-            rec.owners = {requester}
-            return Assignment(right, duplicated=False)
-        # The holder learns of the cut from the Reconciled reply to its
-        # next Update — with pipelined Updates, collected one slice later.
+            self._own(best_rid, requester)
+            return Assignment(right, duplicated=False, cut=holders)
+        # The holders learn of the cut from the Reconciled reply to
+        # their next Update; the runtime tells them to send it now.
         rec.interval = left
         self.add(right, owners=(requester,))
         self.splits += 1
-        return Assignment(right, duplicated=False)
+        return Assignment(right, duplicated=False, cut=holders)
 
     def subtract(self, explored: Interval) -> int:
         """Remove ``explored`` from every copy that overlaps it.
@@ -317,30 +343,33 @@ class IntervalSet:
             left = Interval(rec.interval.begin, overlap.begin)
             right = Interval(overlap.end, rec.interval.end)
             if left.is_empty() and right.is_empty():
+                self._disown(rid)
                 del self._records[rid]
             elif right.is_empty():
                 rec.interval = left
             elif left.is_empty():
                 rec.interval = right
             else:
+                # A worker owns one copy: the left part stays with the
+                # owners, the right part waits for a requester.  (Replay
+                # runs on a restored, ownership-free set anyway.)
                 rec.interval = left
-                self.add(right, owners=tuple(rec.owners))
+                self.add(right)
         return removed
 
     def release(self, worker: WorkerId) -> int:
-        """Detach ``worker`` from every record (death or completion).
+        """Detach ``worker`` from the record it owns (death or completion).
 
-        Returns the number of records it was detached from.  Records it
-        leaves behind stay in the set (owned by the virtual null-power
+        Returns the number of records it was detached from.  A record it
+        leaves behind stays in the set (owned by the virtual null-power
         process) until another request picks them up — this is the
         §4.1 recovery path.
         """
-        count = 0
-        for rec in self._records.values():
-            if worker in rec.owners:
-                rec.owners.discard(worker)
-                count += 1
-        return count
+        rid = self._owned.pop(worker, None)
+        if rid is None:
+            return 0
+        self._records[rid].owners.discard(worker)
+        return 1
 
     # ------------------------------------------------------------------
     # checkpoint payloads (§4.1 — the INTERVALS file)

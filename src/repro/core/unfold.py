@@ -69,7 +69,7 @@ def unfold_with_stats(shape, interval):
             # eq. 12 first case + eq. 13: eliminated with range included
             # in [A, B) => member of the active list.
             stats.nodes_emitted += 1
-            nodes.append(ActiveNode(shape, ranks))
+            nodes.append(ActiveNode.from_range(ranks, node_rng))
             return
         # The caller only recurses into overlapping children, and a
         # non-included overlapping node must be decomposed (eq. 12).

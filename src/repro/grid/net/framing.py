@@ -66,6 +66,7 @@ from repro.grid.runtime.protocol import (
     JobStatusRequest,
     JobUpdate,
     ListJobs,
+    Notice,
     Push,
     Reconciled,
     Request,
@@ -166,6 +167,7 @@ _WIRE_TYPES = {
         Reconciled,
         Ack,
         Terminate,
+        Notice,
         JobGrant,
         JobUpdate,
         JobPush,

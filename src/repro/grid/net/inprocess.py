@@ -55,6 +55,12 @@ class InProcessConnection(Connection):
                 f"no reply within {timeout}s"
             ) from None
 
+    def poll(self) -> Any:
+        try:
+            return self._reply_queue.get_nowait()
+        except queue_mod.Empty:
+            return None
+
     def close(self) -> None:
         pass  # queues are owned by the transport
 

@@ -84,6 +84,8 @@ class ServeResult:
     checkpoint_operations: int
     redundant_rate: float
     worker_stats: Dict[str, Dict[str, float]]
+    notices_sent: int = 0
+    early_yields: int = 0  # summed over the workers that said goodbye
     leases_expired: List[str] = field(default_factory=list)
     duplicates_ignored: int = 0
     epoch: int = 0
@@ -222,6 +224,8 @@ class GridServer:
                 reply = coordinator.handle(message)
                 if reply is not None:
                     listener.send(message.worker, reply)
+                for worker, notice in coordinator.take_notices():
+                    listener.send(worker, notice)
                 coordinator.check_leases()
         finally:
             if not self._abort:
@@ -237,6 +241,10 @@ class GridServer:
             checkpoint_operations=coordinator.worker_checkpoint_ops,
             redundant_rate=coordinator.redundant_rate(self._total_leaves),
             worker_stats=dict(coordinator.byes),
+            notices_sent=coordinator.notices_sent,
+            early_yields=int(
+                sum(s.get("early_yields", 0) for s in coordinator.byes.values())
+            ),
             leases_expired=list(coordinator.leases_expired),
             duplicates_ignored=coordinator.duplicates_ignored,
             epoch=self.epoch,
@@ -265,7 +273,6 @@ def run_worker(
     update_period: Optional[float] = 0.25,
     min_slice_nodes: int = 64,
     max_slice_nodes: int = 1 << 20,
-    pipeline_updates: bool = True,
     reply_timeout: float = 60.0,
     max_retries: int = 2,
     connect_timeout: float = 10.0,
@@ -281,8 +288,9 @@ def run_worker(
 
     The problem definition comes from the server's Welcome unless an
     explicit ``spec`` overrides it.  Runs the same loop as the forked
-    workers — adaptive slicing, pipelined updates, at-least-once RPC —
-    just over a socket the caller could point at another machine.
+    workers — adaptive slicing, pipelined updates, coordinator notices,
+    at-least-once RPC — just over a socket the caller could point at
+    another machine.
 
     Returns the loop's outcome: ``"terminate"`` when the coordinator
     proved the space empty, ``"gave-up"`` when the RPC layer exhausted
@@ -325,6 +333,5 @@ def run_worker(
         update_period=update_period,
         min_slice_nodes=min_slice_nodes,
         max_slice_nodes=max_slice_nodes,
-        pipeline_updates=pipeline_updates,
         kernel_backend=kernel_backend,
     )

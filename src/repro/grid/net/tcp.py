@@ -38,6 +38,7 @@ from __future__ import annotations
 import asyncio
 import queue as queue_mod
 import random
+import select
 import socket
 import struct
 import threading
@@ -550,31 +551,54 @@ class TcpClientConnection(Connection):
                         self._drop_locked(expected=sock)
                 continue
             except OSError:
-                with self._send_lock:
-                    self._drop_locked(expected=sock)
-                continue
-            if not data:
-                with self._send_lock:
-                    self._drop_locked(expected=sock)
-                continue
-            self._last_rx = time.monotonic()
+                data = b""
+            self._ingest(sock, buf, data)
+
+    def _ingest(self, sock: socket.socket, buf: FrameBuffer, data: bytes) -> None:
+        """Queue the protocol messages in ``data`` (``b""``: the link died).
+
+        Heartbeats are swallowed and a Welcome is noted here, for
+        :meth:`recv` and :meth:`poll` alike; a frame this build cannot
+        decode (a message type from a newer peer) is skipped.
+        """
+        payloads = None
+        if data:
             try:
                 payloads = buf.feed(data)
             except FrameError:
-                with self._send_lock:
-                    self._drop_locked(expected=sock)
+                pass  # an unrecoverable stream is a dead link too
+        if payloads is None:
+            with self._send_lock:
+                self._drop_locked(expected=sock)
+            return
+        self._last_rx = time.monotonic()
+        for payload in payloads:
+            try:
+                message = decode_message(payload)
+            except FrameError:
                 continue
-            for payload in payloads:
-                try:
-                    message = decode_message(payload)
-                except FrameError:
-                    continue
-                if isinstance(message, Heartbeat):
-                    continue
-                if isinstance(message, Welcome):
-                    self._note_welcome(message)
-                    continue
-                self._inbound.append(message)
+            if isinstance(message, Heartbeat):
+                continue
+            if isinstance(message, Welcome):
+                self._note_welcome(message)
+                continue
+            self._inbound.append(message)
+
+    def poll(self) -> Any:
+        if not self._inbound:
+            sock, buf = self._sock, self._buf
+            if sock is None:
+                return None  # reconnecting is send/recv's job
+            try:
+                # The socket carries io_timeout, so recv() alone would
+                # wait; look first.
+                if not select.select([sock], [], [], 0)[0]:
+                    return None
+                data = sock.recv(_RECV_CHUNK)
+            except (OSError, ValueError):
+                data = b""
+            self._ingest(sock, buf, data)
+        return self._inbound.popleft() if self._inbound else None
 
     def take_epoch_change(self) -> bool:
         with self._send_lock:

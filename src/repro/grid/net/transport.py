@@ -1,8 +1,10 @@
 """The transport abstraction the farmer–worker runtime is written against.
 
 The runtime's protocol (``repro.grid.runtime.protocol``) is pull-model
-request/reply: workers initiate every exchange and the coordinator only
-answers.  A transport therefore has exactly two sides:
+request/reply: workers open every connection and initiate every
+exchange; the coordinator answers, and may put one advisory
+:class:`~repro.grid.runtime.protocol.Notice` on a connection unasked.
+A transport therefore has exactly two sides:
 
 * the coordinator holds a :class:`Listener` — a single inbox merging
   the traffic of every worker (``recv``), plus reply routing keyed by
@@ -74,6 +76,16 @@ class Connection(abc.ABC):
         Raises :class:`TransportTimeout` when nothing arrives within
         ``timeout`` seconds (``None`` blocks indefinitely).
         """
+
+    def poll(self) -> Any:
+        """A message that has already arrived, or ``None`` — never blocks.
+
+        The worker calls this mid-slice, every ``bound_poll_nodes``
+        nodes: it must not wait, reconnect or raise.  A transport that
+        cannot look without blocking returns ``None`` and delivers
+        through :meth:`recv` as before.
+        """
+        return None
 
     @abc.abstractmethod
     def close(self) -> None:

@@ -1,7 +1,8 @@
 """Real parallel farmer–worker runtime on local processes.
 
 The same protocol as the simulator — pull-model workers, interval
-updates through the intersection operator, two-file checkpoints — but
+updates through the intersection operator, two-file checkpoints, plus
+one advisory coordinator notice on the worker-opened connection — but
 executed by genuine OS processes exchanging messages over a pluggable
 transport (:mod:`repro.grid.net`): fork-inherited queues by default,
 loopback TCP with ``RuntimeConfig(transport="tcp")``, and a standalone
@@ -35,7 +36,6 @@ from repro.grid.runtime.launcher import (
     solve_parallel,
 )
 from repro.grid.runtime.protocol import ProblemSpec, flowshop_spec, tsp_spec
-from repro.grid.runtime.shared import SharedBound
 from repro.grid.runtime.supervisor import (
     FleetReport,
     RespawnPolicy,
@@ -56,7 +56,6 @@ __all__ = [
     "ProcessKiller",
     "RespawnPolicy",
     "RuntimeConfig",
-    "SharedBound",
     "SlotStatus",
     "WorkerHang",
     "WorkerSupervisor",

@@ -21,17 +21,26 @@ coordination — on the critical path:
   risk is the tail the farmer gave away meanwhile, which the §4.1
   invariant makes redundant, never wrong.  At most one RPC is ever in
   flight, so the PR 1 at-least-once machinery (same-seq retries, the
-  coordinator's per-worker reply cache) carries over unchanged.
-* **Shared incumbent** (:class:`~repro.grid.runtime.shared.SharedBound`):
-  the engine polls a shared-memory cost cell mid-slice, so a bound
-  pushed by any worker tightens pruning in every worker within
-  ``bound_poll_nodes`` nodes of the launcher broadcasting it — no
-  round-trip, no slice boundary.  Workers are strictly *readers*: only
-  the launcher writes the cell, and only with costs whose solutions
-  the coordinator already holds.  A worker must never offer its own
-  improvement before the Push is secured — if it crashed in between,
-  the cost would keep pruning the equal-cost optimum everywhere while
-  the solution itself was lost, turning a crash into a wrong answer.
+  coordinator's per-worker reply cache) carries over unchanged.  The
+  reply is collected at once exactly when something says the copy the
+  worker explores from may be stale: a server epoch change, or a cut
+  notice.
+* **Coordinator notices** (:class:`~repro.grid.runtime.protocol.Notice`):
+  the engine's mid-slice poll (every ``bound_poll_nodes`` nodes) is a
+  non-blocking drain of the connection.  A notice's ``best_cost`` is
+  adopted on the spot, so a bound pushed by any worker tightens pruning
+  in every holder within one poll of the coordinator handling the Push.
+  A ``cut`` notice — the coordinator split this worker's interval for a
+  requester — ends the slice at that poll, and so does an improvement
+  of the worker's own once any notice has shown that the job has other
+  holders: the loop then does what it does at any slice boundary (Push,
+  Update), and after a cut collects the ``Reconciled``
+  before another node is explored.  Notices are advisory and carry no
+  interval: one that is lost, late or repeated costs redundant work or
+  one early Update.  The worker never prunes siblings with a cost of
+  its own before the Push is acknowledged — the bound it hears back is
+  read off ``SOLUTION``, so no crash can leave a cost pruning the
+  optimum while its solution is lost.
 
 Every exchange is an at-least-once RPC: the worker stamps a monotonic
 sequence number on the message, waits ``reply_timeout`` for a reply
@@ -56,7 +65,8 @@ import itertools
 import math
 import random
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.engine import IntervalExplorer
 from repro.core.interval import Interval
@@ -64,7 +74,6 @@ from repro.core.problem import Problem
 from repro.core.stats import Incumbent
 from repro.grid.net.backoff import decorrelated_jitter
 from repro.grid.net.transport import Connection, Connector, TransportError
-from repro.grid.runtime.shared import SharedBound
 from repro.grid.runtime.protocol import (
     Ack,
     Bye,
@@ -73,6 +82,7 @@ from repro.grid.runtime.protocol import (
     JobGrant,
     JobPush,
     JobUpdate,
+    Notice,
     ProblemSpec,
     Push,
     Reconciled,
@@ -183,6 +193,11 @@ class _RpcChannel:
     Time spent blocked on the connection is accumulated into
     ``wait_stats["rpc_wait_seconds"]`` so coordination overhead is a
     measured number, not an inference.
+
+    The coordinator may put a :class:`Notice` on the connection at any
+    time.  It is never a reply, whatever else is in flight: ``collect``
+    sets one aside for the next ``poll``, and ``poll`` keeps a reply
+    that arrived early for ``collect``.
     """
 
     def __init__(
@@ -200,6 +215,8 @@ class _RpcChannel:
         self._rng = rng if rng is not None else random.Random()
         self._seq_counter = itertools.count(1)
         self._pending = None  # message awaiting its reply, or None
+        self._early: Deque[Any] = deque()  # replies poll() read ahead
+        self.notices: List[Notice] = []  # set aside until the next poll()
         self.gave_up = False  # a full retry budget expired: farmer gone
 
     def has_pending(self) -> bool:
@@ -226,21 +243,25 @@ class _RpcChannel:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                waited_from = time.monotonic()
-                try:
-                    reply = self._connection.recv(timeout=remaining)
-                except TransportError:
-                    # Timeout, or the channel broke mid-wait: either
-                    # way the reply is missing — same retry recovers.
-                    self._wait_stats["rpc_wait_seconds"] += (
-                        time.monotonic() - waited_from
-                    )
-                    break
-                self._wait_stats["rpc_wait_seconds"] += (
-                    time.monotonic() - waited_from
-                )
+                if self._early:
+                    reply = self._early.popleft()
+                else:
+                    waited_from = time.monotonic()
+                    try:
+                        reply = self._connection.recv(timeout=remaining)
+                    except TransportError:
+                        # Timeout, or the channel broke mid-wait: either
+                        # way the reply is missing — same retry recovers.
+                        break
+                    finally:
+                        self._wait_stats["rpc_wait_seconds"] += (
+                            time.monotonic() - waited_from
+                        )
+                if isinstance(reply, Notice):
+                    self.notices.append(reply)
+                    continue
                 reply_seq = getattr(reply, "seq", 0)
-                if reply_seq in (0, seq):
+                if reply_seq in (0, seq):  # 0: a legacy unsequenced reply
                     self._pending = None
                     return reply
                 # A stale reply from an RPC we already retried past:
@@ -260,6 +281,19 @@ class _RpcChannel:
         self.send(message)
         return self.collect()
 
+    def poll(self) -> List[Notice]:
+        """Drain the connection without blocking; the notices so far."""
+        while True:
+            message = self._connection.poll()
+            if message is None:
+                break
+            if isinstance(message, Notice):
+                self.notices.append(message)
+            else:
+                self._early.append(message)
+        notices, self.notices = self.notices, []
+        return notices
+
 
 def worker_main(
     worker_id: str,
@@ -275,8 +309,6 @@ def worker_main(
     update_period: Optional[float] = None,
     min_slice_nodes: int = 64,
     max_slice_nodes: int = 1 << 20,
-    pipeline_updates: bool = True,
-    shared_bound: Optional[SharedBound] = None,
     bound_poll_nodes: int = 256,
     kernel_backend: Optional[str] = None,
 ) -> str:
@@ -289,11 +321,9 @@ def worker_main(
 
     ``update_nodes`` is the first slice's node budget; with
     ``update_period`` set, later slices adapt toward that many wall
-    seconds of exploration (see :class:`AdaptiveSlicer`).  With
-    ``pipeline_updates`` the ``Reconciled`` reply of each interval
-    update is collected at the *next* slice boundary instead of
-    immediately.  ``shared_bound`` is the run's advisory
-    :class:`~repro.grid.runtime.shared.SharedBound` (or None).
+    seconds of exploration (see :class:`AdaptiveSlicer`).  Every
+    ``bound_poll_nodes`` nodes the connection is drained of coordinator
+    notices without blocking (module docstring).
 
     ``kernel_backend`` selects the pool-evaluation bound kernels of
     every explorer this worker runs (see :mod:`repro.core.kernels`):
@@ -337,8 +367,6 @@ def worker_main(
             update_period=update_period,
             min_slice_nodes=min_slice_nodes,
             max_slice_nodes=max_slice_nodes,
-            pipeline_updates=pipeline_updates,
-            shared_bound=shared_bound,
             bound_poll_nodes=bound_poll_nodes,
             kernel_backend=kernel_backend,
         )
@@ -361,8 +389,6 @@ def _worker_loop(
     update_period: Optional[float],
     min_slice_nodes: int,
     max_slice_nodes: int,
-    pipeline_updates: bool,
-    shared_bound: Optional[SharedBound],
     bound_poll_nodes: int,
     kernel_backend: Optional[str] = None,
 ) -> str:
@@ -381,16 +407,21 @@ def _worker_loop(
         "improvements": 0,
         "idles": 0,
         "epoch_resyncs": 0,
+        "notices": 0,
+        "early_yields": 0,
         "explore_seconds": 0.0,
         "rpc_wait_seconds": 0.0,
     }
     updates_sent = 0
     # Per-job local incumbents: a bound proved for one job must never
-    # prune another job's tree.
+    # prune another job's tree.  ``shared`` turns true with the first
+    # notice heard for the job: somebody else holds a part of it.
     bests: Dict[str, Dict[str, Any]] = {}
 
     def best_for(job: str) -> Dict[str, Any]:
-        return bests.setdefault(job, {"cost": float("inf"), "solution": None})
+        return bests.setdefault(
+            job, {"cost": float("inf"), "solution": None, "shared": False}
+        )
 
     chan = _RpcChannel(
         connection,
@@ -405,10 +436,6 @@ def _worker_loop(
         min_nodes=min_slice_nodes,
         max_nodes=max_slice_nodes,
     )
-    provider = shared_bound.as_provider() if shared_bound is not None else None
-
-    def shared_cost() -> float:
-        return shared_bound.read() if shared_bound is not None else math.inf
 
     def push_message(job: str, cost: float, solution: Any) -> Any:
         if job:
@@ -493,23 +520,38 @@ def _worker_loop(
         reinform_if_stale(job, reply.best_cost)
         interval = Interval.from_tuple(reply.interval)
         improvements: List[Tuple[float, Any]] = []
+        # A notice that came before this grant is about another interval.
+        chan.notices.clear()
+        cut_noticed = False
 
-        def on_improvement(cost: float, solution: Any) -> None:
-            # Deliberately NOT offered to shared_bound here: the cell
-            # must only ever hold costs the coordinator has a solution
-            # for, or a crash before the Push would leave a bound that
-            # prunes the optimum everywhere with its solution lost.
-            # The launcher broadcasts it once the Push is handled.
-            improvements.append((cost, solution))
+        def poll_notices() -> float:
+            """The engine's mid-slice poll: hear the coordinator, never wait."""
+            nonlocal cut_noticed
+            cost = math.inf
+            for notice in chan.poll():
+                if notice.job != job:
+                    continue  # a job this worker has moved on from
+                stats_total["notices"] += 1
+                best["shared"] = True
+                cost = min(cost, notice.best_cost)
+                cut_noticed = cut_noticed or notice.cut
+            if cut_noticed or (improvements and best["shared"]):
+                # The coordinator's copy of this interval changed under
+                # us, or it lacks a solution that other holders of the
+                # job could prune with: end the slice here and let the
+                # boundary below do its Push / Update now.  (The only
+                # holder of a job pushes at its slice boundaries, as
+                # the paper's worker does: nobody is waiting for it.)
+                stats_total["early_yields"] += 1
+                explorer.yield_at_poll()
+            return cost
 
         explorer = IntervalExplorer(
             problem,
             interval,
-            incumbent=Incumbent(
-                min(reply.best_cost, best["cost"], shared_cost()), None
-            ),
-            on_improvement=on_improvement,
-            bound_provider=provider,
+            incumbent=Incumbent(min(reply.best_cost, best["cost"]), None),
+            on_improvement=lambda cost, sol: improvements.append((cost, sol)),
+            bound_provider=poll_notices,
             bound_poll_nodes=bound_poll_nodes,
             kernel_backend=kernel_backend,
         )
@@ -539,7 +581,6 @@ def _worker_loop(
         terminate = False
         while not explorer.is_finished():
             before = explorer.remaining_interval()
-            explorer.set_upper_bound(shared_cost(), None)
             slice_started = time.monotonic()
             report = explorer.step(slicer.next_slice())
             slice_seconds = time.monotonic() - slice_started
@@ -568,7 +609,8 @@ def _worker_loop(
             # state it recovered may be stale.  Re-push our best (the
             # snapshot may predate it) and force the next Update to
             # reconcile synchronously so we learn of any reassignment
-            # before exploring further on stale assumptions.
+            # before exploring further on stale assumptions.  A cut
+            # notice asks for the same: the Reconciled carries the cut.
             resync = connection.take_epoch_change()
             if resync:
                 stats_total["epoch_resyncs"] += 1
@@ -601,7 +643,8 @@ def _worker_loop(
                     consumed=consumed,
                 )
             )
-            if not pipeline_updates or resync:
+            if resync or cut_noticed:
+                cut_noticed = False
                 outcome = collect_reconciled()
                 if outcome in ("dead", "crash"):
                     return "gave-up" if outcome == "dead" else "crash"

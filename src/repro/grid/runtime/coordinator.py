@@ -11,7 +11,7 @@ simulator uses: :class:`~repro.core.interval_set.IntervalSet`,
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.checkpoint import CheckpointStore
 from repro.core.interval import Interval
@@ -22,6 +22,7 @@ from repro.grid.runtime.protocol import (
     Ack,
     Bye,
     GrantWork,
+    Notice,
     Push,
     Reconciled,
     Request,
@@ -82,6 +83,11 @@ class Coordinator:
         self._last_heard: Dict[str, float] = {}
         # Holders whose latest Update left work: see can_use_requester().
         self._outlasted_slice: Set[str] = set()
+        # Notices owed (see take_notices): holders whose copy someone
+        # else cut, and the worker whose Push last lowered SOLUTION.
+        self._cut: List[str] = []
+        self._lowered_by: Optional[str] = None
+        self.notices_sent = 0
         self.terminated = False
         # Table 2-style counters
         self.worker_checkpoint_ops = 0
@@ -184,31 +190,41 @@ class Coordinator:
             self.terminated = True
             return Terminate(self.solution.cost)
         self.work_allocations += 1
+        self._cut.extend(assignment.cut)
         return GrantWork(assignment.interval.as_tuple(), self.solution.cost)
 
     def _on_update(self, msg: Update) -> Reconciled:
         reported = Interval.from_tuple(msg.interval)
-        explored: Optional[Interval] = None
-        if self._journaling():
-            # Owned path only: everything between the copy's begin and
-            # the reported begin is definitely explored (eq. 14's left
-            # remainder).  The unowned-reclaim path cannot know what
-            # was explored, so it journals nothing — replay then keeps
-            # that work, costing redundancy, never loss.
-            for rec in self.intervals.iter_records():
-                if msg.worker in rec.owners:
-                    owned = rec.interval
-                    cut = min(max(reported.begin, owned.begin), owned.end)
-                    explored = Interval(owned.begin, cut)
-                    break
+        rec = self.intervals.owned_record(msg.worker)
+        owned = rec.interval if rec is not None else None
+        twins = [w for w in rec.owners if w != msg.worker] if rec else []
         merged = self.intervals.update(msg.worker, reported)
         if merged.is_empty():
             self._outlasted_slice.discard(msg.worker)
+            self._cut.extend(twins)  # their duplicate is finished
         else:
             self._outlasted_slice.add(msg.worker)
-        if explored is not None and not explored.is_empty():
-            assert self.store is not None
-            self.store.journal_explored(explored)
+        if owned is not None and reported.begin > owned.begin:
+            # Owned path only: everything between the copy's begin and
+            # the reported begin is definitely explored — eq. 14's left
+            # remainder, and past the copy's end when the worker ran
+            # over a cut it had not heard of yet.  The unowned-reclaim
+            # path cannot know what was explored, so it journals
+            # nothing — replay then keeps that work, costing
+            # redundancy, never loss.
+            if reported.begin > owned.end:
+                # What it explored of the copies handed out behind its
+                # back is not theirs to explore again.
+                past = Interval(owned.end, reported.begin)
+                for other in self.intervals.iter_records():
+                    if other.interval.overlaps(past):
+                        self._cut.extend(other.owners)
+                self.intervals.subtract(past)
+            if self._journaling():
+                assert self.store is not None
+                self.store.journal_explored(
+                    Interval(owned.begin, reported.begin)
+                )
         self.worker_checkpoint_ops += 1
         self.nodes_explored += msg.nodes
         self.leaves_consumed += msg.consumed
@@ -219,10 +235,41 @@ class Coordinator:
     def _on_push(self, msg: Push) -> Ack:
         if self.solution.update(msg.cost, msg.solution):
             self.improvements += 1
+            self._lowered_by = msg.worker
             if self._journaling():
                 assert self.store is not None
                 self.store.journal_push(msg.cost, msg.solution)
         return Ack(self.solution.cost)
+
+    def take_notices(self) -> List[Tuple[str, Notice]]:
+        """The ``(worker, Notice)`` pairs owed since the last call.
+
+        The pump sends them after the reply to the message it just
+        handled.  ``cut=True`` goes to every holder whose copy was
+        shrunk or dropped for a reason it did not itself report — a
+        split in ``assign``, a duplicate twin finishing, a holder that
+        had explored past the cut before it heard of it; ``cut=False``
+        to every other holder once a Push lowered ``SOLUTION`` (a worker
+        holding nothing is about to Request and reads the cost off its
+        grant).  The cost is read here, off ``SOLUTION``, after that
+        Push was handled and journaled: a notice never carries a cost
+        whose solution the coordinator lacks.
+        """
+        if not self._cut and self._lowered_by is None:
+            return []
+        cost = self.solution.cost
+        notices = [(worker, Notice(cost, True)) for worker in self._cut]
+        if self._lowered_by is not None:
+            told = set(self._cut)
+            told.add(self._lowered_by)
+            notices.extend(
+                (worker, Notice(cost, False))
+                for worker in sorted(self.intervals.owners() - told, key=str)
+            )
+        self._cut = []
+        self._lowered_by = None
+        self.notices_sent += len(notices)
+        return notices
 
     def _journaling(self) -> bool:
         return self.store is not None and self.journal_enabled
@@ -245,9 +292,8 @@ class Coordinator:
 
         True when some copy is unowned (fresh, released, lease-expired)
         or some holder's latest Update left work — the only evidence that
-        it will collect another ``Reconciled`` and so ever hear of a cut.
-        A holder that finishes inside its first slice explores its whole
-        grant; whatever was cut off it is then explored twice.
+        its interval outlasts a slice.  A job that fits in one slice is
+        over before a second worker has built the problem.
         """
         return any(
             not rec.owners or not self._outlasted_slice.isdisjoint(rec.owners)

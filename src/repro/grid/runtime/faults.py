@@ -32,12 +32,12 @@ default: workers keep an interval update in flight while exploring, so
 a coordinator crash, drop, or reorder routinely lands on a pipelined
 ``Update`` whose ``Reconciled`` reply is still owed — the retry (same
 seq) must ride out the fault and reconcile against whatever state the
-coordinator recovered.  The shared-memory incumbent is deliberately
-out of scope for fault injection: it is advisory (a cost, never the
-answer), its monotonic-min writes are atomic under the cell's lock,
-and the launcher is its sole writer — only costs whose solutions the
-coordinator already holds ever enter the cell, so no crash schedule
-can leave it pruning against a solution nobody has.
+coordinator recovered.  The coordinator's advisory
+:class:`~repro.grid.runtime.protocol.Notice` crosses the same lossy
+reply path; ``ChannelFaults.notices`` gives it fault rates of its own,
+so a schedule can drop *every* notice (the run must then behave like
+the pull-only protocol: same optimum, more redundant work) or
+duplicate and delay them all (a stale notice costs one early Update).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.grid.net.transport import Listener, TransportTimeout
+from repro.grid.runtime.protocol import Notice
 
 __all__ = [
     "CoordinatorCrash",
@@ -94,11 +95,16 @@ class WorkerHang:
 
 @dataclass(frozen=True)
 class ChannelFaults:
-    """Per-message fault probabilities for a lossy queue wrapper."""
+    """Per-message fault probabilities for a lossy queue wrapper.
+
+    ``notices``, when given, replaces these rates for the coordinator's
+    unsolicited ``Notice`` messages (replies keep the rates above).
+    """
 
     drop: float = 0.0
     duplicate: float = 0.0
     delay: float = 0.0
+    notices: Optional["ChannelFaults"] = None
 
     def __post_init__(self) -> None:
         total = self.drop + self.duplicate + self.delay
@@ -262,6 +268,8 @@ class LossySender:
     def put(self, item: Any) -> None:
         roll = self._rng.random()
         f = self._faults
+        if f.notices is not None and isinstance(item, Notice):
+            f = f.notices
         if roll < f.drop:
             self.stats.dropped += 1
             self.flush()

@@ -6,11 +6,12 @@ messages until the termination condition (INTERVALS empty) is reached
 and every live worker said goodbye, and returns the proved optimum
 with aggregate statistics.  The pump wakes on traffic (or every
 ``poll_interval`` seconds) and batch-drains the whole request queue
-per wake, so pipelining workers never serialize behind the poll; a
-shared-memory advisory bound (:class:`~repro.grid.runtime.shared.SharedBound`)
-broadcasts incumbent improvements to every worker without a
-round-trip, while the coordinator's ``SOLUTION`` stays the source of
-truth for the answer.
+per wake, so pipelining workers never serialize behind the poll.  After
+each message it sends the advisory notices the coordinator owes
+(:meth:`Coordinator.take_notices`): a holder hears that its interval
+was cut, or that another worker lowered the bound, within one of its
+mid-slice polls, while the coordinator's ``SOLUTION`` stays the source
+of truth for the answer.
 
 Worker death is detected two ways: process sentinels (a worker that
 exits without a Bye gets its interval released) and, when
@@ -54,7 +55,6 @@ from repro.grid.runtime.bbprocess import worker_main
 from repro.grid.runtime.coordinator import Coordinator
 from repro.grid.runtime.faults import FaultPlan, FaultStats, FaultyListener
 from repro.grid.runtime.protocol import Bye, ProblemSpec
-from repro.grid.runtime.shared import SharedBound
 
 __all__ = ["RuntimeConfig", "ParallelResult", "solve_parallel"]
 
@@ -67,10 +67,10 @@ class RuntimeConfig:
     ``update_period`` set (the default), each worker then adapts its
     slice size toward that many wall-clock seconds of exploration per
     interval update (``update_period=None`` restores the fixed-size
-    slices).  ``pipeline_updates`` overlaps each Update round-trip
-    with the next slice of exploration; ``shared_incumbent`` maps a
-    shared-memory advisory bound into every process, polled mid-slice
-    every ``bound_poll_nodes`` nodes.  ``poll_interval`` is the
+    slices).  Each Update round-trip overlaps the next slice of
+    exploration; every ``bound_poll_nodes`` nodes a worker drains its
+    connection of coordinator notices (a cut of its interval, a lower
+    bound) without blocking.  ``poll_interval`` is the
     coordinator pump's queue wait — each wake batch-drains everything
     queued, so it bounds idle latency, not throughput.
 
@@ -98,9 +98,7 @@ class RuntimeConfig:
     update_period: Optional[float] = 0.25  # target seconds per slice
     min_slice_nodes: int = 64
     max_slice_nodes: int = 1 << 20
-    pipeline_updates: bool = True
-    shared_incumbent: bool = True
-    bound_poll_nodes: int = 256
+    bound_poll_nodes: int = 256  # nodes between mid-slice notice polls
     kernel_backend: Optional[str] = None  # pool kernels: auto/off/name
     poll_interval: float = 0.05  # coordinator pump queue wait
     duplication_threshold: int = 64
@@ -136,6 +134,10 @@ class ParallelResult:
     redundant_rate: float
     worker_stats: Dict[str, Dict[str, float]]
     crashed_workers: List[str]
+    # Notices the coordinator sent, and slices the workers that said
+    # goodbye ended at a poll because of one (or an improvement).
+    notices_sent: int = 0
+    early_yields: int = 0
     coordinator_restarts: int = 0
     leases_expired: List[str] = field(default_factory=list)
     duplicates_ignored: int = 0
@@ -217,11 +219,6 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
     )
 
     ctx = mp.get_context("fork") if hasattr(mp, "get_context") else mp
-    shared_bound = (
-        SharedBound(config.initial_upper_bound, ctx=ctx)
-        if config.shared_incumbent
-        else None
-    )
     transport = _build_transport(config, ctx)
     listener: Any = transport.listen()
     fault_stats = FaultStats()
@@ -248,8 +245,6 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
                 "update_period": config.update_period,
                 "min_slice_nodes": config.min_slice_nodes,
                 "max_slice_nodes": config.max_slice_nodes,
-                "pipeline_updates": config.pipeline_updates,
-                "shared_bound": shared_bound,
                 "bound_poll_nodes": config.bound_poll_nodes,
                 "kernel_backend": config.kernel_backend,
             },
@@ -265,6 +260,7 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
     coordinator_restarts = 0
     leases_expired: List[str] = []
     duplicates_ignored = 0
+    notices_sent = 0
     messages_handled = 0
     down_until: Optional[float] = None
 
@@ -293,6 +289,7 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
                         pass
                     continue
                 duplicates_ignored += coordinator.duplicates_ignored
+                notices_sent += coordinator.notices_sent
                 leases_expired.extend(coordinator.leases_expired)
                 byes.update(coordinator.byes)
                 coordinator = Coordinator.recover(
@@ -339,6 +336,8 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
                         crashed.remove(message.worker)  # late Bye won the race
                 if reply is not None:
                     listener.send(message.worker, reply)
+                for worker, notice in coordinator.take_notices():
+                    listener.send(worker, notice)
                 if (
                     next_crash is not None
                     and messages_handled >= next_crash.after_messages
@@ -353,11 +352,6 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
                         crash_schedule.pop(0) if crash_schedule else None
                     )
                     break
-            if shared_bound is not None:
-                # Sole writer of the advisory cell: broadcast SOLUTION
-                # only after its Push was handled, so the cell never
-                # holds a cost whose solution could die with a worker.
-                shared_bound.offer(coordinator.solution.cost)
             coordinator.check_leases()
     finally:
         coordinator.maybe_checkpoint(force=True)
@@ -372,6 +366,7 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
             temp_ckpt.cleanup()
 
     duplicates_ignored += coordinator.duplicates_ignored
+    notices_sent += coordinator.notices_sent
     leases_expired.extend(coordinator.leases_expired)
     byes.update(coordinator.byes)
     optimal = coordinator.intervals.is_empty()
@@ -393,6 +388,8 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
         redundant_rate=coordinator.redundant_rate(total_leaves),
         worker_stats=dict(byes),
         crashed_workers=crashed,
+        notices_sent=notices_sent,
+        early_yields=int(sum(s.get("early_yields", 0) for s in byes.values())),
         coordinator_restarts=coordinator_restarts,
         leases_expired=leases_expired,
         duplicates_ignored=duplicates_ignored,

@@ -51,6 +51,7 @@ __all__ = [
     "Reconciled",
     "Ack",
     "Terminate",
+    "Notice",
     "JobGrant",
     "JobUpdate",
     "JobPush",
@@ -255,6 +256,34 @@ class Ack:
 class Terminate:
     best_cost: float
     seq: int = 0
+    version: int = PROTOCOL_VERSION
+
+
+@dataclass
+class Notice:
+    """The one message the coordinator sends unasked — never a reply.
+
+    Sent on the connection the worker opened itself: with ``cut`` when
+    the coordinator shrank or dropped this worker's copy for a reason
+    the worker did not report (its interval was split for a requester,
+    a duplicate twin finished it), without when another worker's Push
+    lowered ``SOLUTION``.  ``best_cost`` is read off ``SOLUTION`` after
+    that Push was handled, so it is never a cost whose solution the
+    coordinator lacks.  ``job`` is the service's job id ("" on a
+    single-job run); a notice for a job the worker is not exploring is
+    ignored.
+
+    Purely advisory: it carries no interval and changes none.  A cut
+    notice only makes the worker send its next Update now and collect
+    the ``Reconciled`` before exploring on, so the cut itself still
+    arrives through eq. 14.  Lost, duplicated, reordered or stale, a
+    notice costs redundant work or one early Update, never an answer.
+    It has no ``seq``: the RPC layer tells it from a reply by its type.
+    """
+
+    best_cost: float
+    cut: bool
+    job: str = ""
     version: int = PROTOCOL_VERSION
 
 

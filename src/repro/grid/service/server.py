@@ -133,6 +133,8 @@ class ServiceReport:
     grants_per_job: float = 0.0  # over the jobs that were granted at all
     requests_idled: int = 0
     protocol_errors: int = 0
+    notices_sent: int = 0
+    early_yields: int = 0  # summed over the workers that said goodbye
     worker_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     aborted: bool = False
 
@@ -178,6 +180,7 @@ class SolveService:
         self.byes: Dict[str, Dict[str, float]] = {}
         self.work_allocations = 0
         self.requests_idled = 0
+        self.notices_sent = 0
         self.jobs_completed = 0
         self.jobs_failed = 0
         self.jobs_cancelled = 0
@@ -376,8 +379,8 @@ class SolveService:
             runnable: List[Tuple[JobRecord, int]] = []
             for record in self.jobs.in_status(RUNNING):
                 coordinator = self._coordinators.get(record.job_id)
-                # A cut off a holder that finishes inside its first
-                # slice would be explored twice: can_use_requester().
+                # A job that fits inside its holder's first slice is
+                # not worth a second grant: can_use_requester().
                 if coordinator is None or not coordinator.can_use_requester():
                     continue
                 workers = len(coordinator.intervals.owners())
@@ -399,6 +402,7 @@ class SolveService:
                 continue
             if inner is None:  # pragma: no cover - seq cached upstream
                 return None
+            self._send_notices(record.job_id, coordinator)
             self.work_allocations += 1
             record.work_allocations += 1
             return JobGrant(
@@ -424,7 +428,7 @@ class SolveService:
             reply: Any = Reconciled((begin, begin), cost)
             reply.seq = msg.seq
             return reply
-        return coordinator.handle(
+        reply = coordinator.handle(
             Update(
                 msg.worker,
                 msg.interval,
@@ -433,6 +437,8 @@ class SolveService:
                 seq=msg.seq,
             )
         )
+        self._send_notices(msg.job, coordinator)
+        return reply
 
     def _on_job_push(self, msg: JobPush) -> Any:
         coordinator = self._coordinators.get(msg.job)
@@ -440,9 +446,22 @@ class SolveService:
             reply: Any = Ack(float("inf"))
             reply.seq = msg.seq
             return reply
-        return coordinator.handle(
+        reply = coordinator.handle(
             Push(msg.worker, msg.cost, msg.solution, seq=msg.seq)
         )
+        self._send_notices(msg.job, coordinator)
+        return reply
+
+    def _send_notices(self, job_id: str, coordinator: Coordinator) -> None:
+        """Tell the job's other holders of a cut or a lower bound.
+
+        A notice is no reply — it waits for nothing and may overtake the
+        reply to the message that caused it, which goes to someone else.
+        """
+        for worker, notice in coordinator.take_notices():
+            notice.job = job_id
+            self.notices_sent += 1
+            self.listener.send(worker, notice)
 
     def _on_bye(self, msg: Bye) -> Any:
         self.byes[msg.worker] = msg.stats
@@ -671,6 +690,10 @@ class SolveService:
             grants_per_job=sum(granted) / max(1, len(granted)),
             requests_idled=self.requests_idled,
             protocol_errors=self.protocol_errors,
+            notices_sent=self.notices_sent,
+            early_yields=int(
+                sum(s.get("early_yields", 0) for s in self.byes.values())
+            ),
             worker_stats=dict(self.byes),
             aborted=self._abort,
         )

@@ -55,7 +55,7 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--select",
         default=None,
-        metavar="RC01,RC02",
+        metavar="RC01,RC03",
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(

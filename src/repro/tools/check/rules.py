@@ -28,7 +28,6 @@ from repro.tools.check.dataflow import (
 
 __all__ = [
     "IntExactIntervals",
-    "SharedBoundWriteDiscipline",
     "VersionedWireMessages",
     "RawSendOutsideRetryHelper",
     "SimulatorDeterminism",
@@ -192,48 +191,6 @@ class IntExactIntervals(Rule):
                         floats[0],
                         "float literal mixed into interval arithmetic",
                     )
-
-
-@register
-class SharedBoundWriteDiscipline(Rule):
-    """RC02 — only the launcher writes the shared incumbent.
-
-    Pins the PR 3 post-review fix: a worker that offered its own cost
-    before the Push round-trip could crash in the window and leave a
-    bound that prunes the equal-cost optimum everywhere while the
-    solution died with it.  Workers are strictly readers; the launcher
-    broadcasts ``SOLUTION``'s cost only after the Push is handled.
-    """
-
-    code: ClassVar[str] = "RC02"
-    title: ClassVar[str] = "SharedBound writes are launcher-only"
-    invariant: ClassVar[str] = (
-        "the advisory incumbent cell never holds a cost whose solution "
-        "the coordinator lacks (PR 3 lost-solution fix)"
-    )
-    scope: ClassVar[Tuple[str, ...]] = ("repro/grid/*.py",)
-    #: The sole legitimate writer, and the defining module itself.
-    allowed: ClassVar[Tuple[str, ...]] = (
-        "repro/grid/runtime/launcher.py",
-        "repro/grid/runtime/shared.py",
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if any(_match(ctx.rel, p) for p in self.allowed):
-            return
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "offer"
-            ):
-                yield self.violation(
-                    ctx,
-                    node,
-                    ".offer() outside the launcher — workers are "
-                    "read-only on the shared incumbent (a crash between "
-                    "offer() and Push loses the solution)",
-                )
 
 
 @register

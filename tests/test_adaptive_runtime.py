@@ -1,28 +1,24 @@
 """Property tests for the PR 3 coordination hot-path machinery.
 
-Three pieces get pinned down here, independently of any OS process:
+Two pieces get pinned down here, independently of any OS process:
 
 * :class:`~repro.grid.runtime.bbprocess.AdaptiveSlicer` must converge
   toward its wall-clock period target under any (steady) throughput,
   re-converge after a throughput shift, and never move faster than its
   growth cap or outside its clamp range.
-* :class:`~repro.grid.runtime.shared.SharedBound` must be a
-  monotonic-min cell: under concurrent writer processes the stored
-  value is always exactly the minimum of everything offered.
 * The engine's ``bound_provider`` hook must tighten pruning mid-slice
-  without ever changing the proved optimum.
+  without ever changing the proved optimum, and end a slice only when
+  asked to, only at a poll.
 """
 
 import math
-import multiprocessing as mp
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Interval, solve
 from repro.core.engine import IntervalExplorer
-from repro.grid.runtime import AdaptiveSlicer, SharedBound
+from repro.grid.runtime import AdaptiveSlicer
 from repro.problems.flowshop import FlowShopProblem, random_instance
 
 
@@ -110,51 +106,6 @@ class TestAdaptiveSlicer:
         assert slicer.rate is None
 
 
-def _offer_many(bound, costs, barrier):
-    barrier.wait()  # maximise real interleaving across writers
-    for cost in costs:
-        bound.offer(cost)
-
-
-class TestSharedBound:
-    def test_monotonic_min_under_concurrent_writers(self):
-        ctx = mp.get_context("fork")
-        bound = SharedBound(ctx=ctx)
-        rng = random.Random(7)
-        per_writer = [
-            [rng.uniform(0.0, 1000.0) for _ in range(200)] for _ in range(4)
-        ]
-        barrier = ctx.Barrier(4)
-        procs = [
-            ctx.Process(target=_offer_many, args=(bound, costs, barrier))
-            for costs in per_writer
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=30)
-            assert p.exitcode == 0
-        expected = min(min(costs) for costs in per_writer)
-        assert bound.read() == expected
-
-    @given(st.lists(st.floats(-1e9, 1e9), max_size=60))
-    @settings(max_examples=60, deadline=None)
-    def test_read_never_regresses(self, costs):
-        bound = SharedBound()
-        low = math.inf
-        for cost in costs:
-            improved = bound.offer(cost)
-            assert improved == (cost < low)
-            low = min(low, cost)
-            assert bound.read() == (low if low < math.inf else math.inf)
-
-    def test_initial_and_provider(self):
-        bound = SharedBound(123.0)
-        assert bound.as_provider()() == 123.0
-        assert not bound.offer(123.0)  # ties do not rewrite
-        assert bound.offer(122.0)
-
-
 class TestEngineBoundProvider:
     def test_mid_slice_refresh_prunes_but_preserves_optimum(self):
         instance = random_instance(7, 3, seed=5)
@@ -194,3 +145,60 @@ class TestEngineBoundProvider:
         explorer.run()
         assert explorer.incumbent.cost == plain.cost
         assert vars(explorer.stats) == vars(plain.stats)
+
+    def test_yield_request_is_honoured_only_at_poll_points(self):
+        instance = random_instance(8, 3, seed=5)
+        polled_at = []
+        improved_at = []
+
+        def provider():
+            polled_at.append(explorer.stats.nodes_explored)
+            return math.inf
+
+        def on_improvement(cost, solution):
+            # Asked for between two polls: the slice runs on to the next.
+            improved_at.append(explorer.stats.nodes_explored)
+            explorer.yield_at_poll()
+
+        explorer = IntervalExplorer(
+            FlowShopProblem(instance),
+            on_improvement=on_improvement,
+            bound_provider=provider,
+            bound_poll_nodes=16,
+            pool_size=1,
+        )
+        assert explorer.step(0).nodes_processed == 0  # no poll, no nodes
+        report = explorer.step(10_000)
+        assert improved_at and not report.finished
+        # It returned at a poll, the first one after the request ...
+        assert explorer.stats.nodes_explored == polled_at[-1]
+        assert polled_at[-2] < improved_at[0] <= polled_at[-1]
+        # ... which is one poll period (plus at most one family) later.
+        assert polled_at[-1] - polled_at[-2] <= 16 + instance.jobs
+        # The request is spent: the next step runs to its own end.
+        assert polled_at[0] == 0  # a step polls on entry
+        before = len(polled_at)
+        explorer.step(40)
+        assert len(polled_at) > before + 1
+
+    def test_provider_that_yields_ends_the_slice_at_that_poll(self):
+        instance = random_instance(8, 3, seed=5)
+        calls = {"n": 0}
+
+        def provider():
+            calls["n"] += 1
+            if calls["n"] == 3:
+                explorer.yield_at_poll()
+            return math.inf
+
+        explorer = IntervalExplorer(
+            FlowShopProblem(instance),
+            bound_provider=provider,
+            bound_poll_nodes=32,
+        )
+        report = explorer.step(10_000)
+        assert calls["n"] == 3 and not report.finished
+        assert 64 <= report.nodes_processed <= 64 + 2 * 8 * 64
+        plain = solve(FlowShopProblem(instance))
+        explorer.run()
+        assert explorer.incumbent.cost == plain.cost

@@ -70,8 +70,8 @@ def tsp_expected(tsp_instance):
 def chaos_config(plan: FaultPlan) -> RuntimeConfig:
     """Aggressive-but-bounded knobs so injected faults resolve fast.
 
-    The PR 3 hot-path machinery — pipelined updates, adaptive slicing,
-    the shared-memory incumbent — is explicitly ON, with the adaptive
+    The hot-path machinery — pipelined updates, adaptive slicing,
+    coordinator notices — is what every run uses, with the adaptive
     range clamped small so tiny instances still produce many slices
     (every fault needs boundaries to fire at).
     """
@@ -80,8 +80,6 @@ def chaos_config(plan: FaultPlan) -> RuntimeConfig:
         update_nodes=200,
         update_period=0.05,  # adaptive, but re-targeted every 50 ms
         max_slice_nodes=400,  # keep many boundaries on tiny instances
-        pipeline_updates=True,
-        shared_incumbent=True,
         checkpoint_period=0.0,  # every pump iteration persists
         deadline=90,
         reply_timeout=0.4,
@@ -116,6 +114,59 @@ class TestChaosSchedules:
         assert result.optimal
         assert result.cost == expected
         assert 0.0 <= result.redundant_rate < 1.0
+
+
+class TestNoticeFaults:
+    """The coordinator's notices are advisory: lose them all, or repeat
+    and reorder them all, and the run is the pull-only protocol again —
+    same proved optimum, no hang, at worst more redundant work."""
+
+    NOTICE_SEEDS = [0, 1, 2, 3]
+
+    def _run(self, seed, notices, fs_instance, tsp_instance, transport):
+        plan = FaultPlan(channel=ChannelFaults(notices=notices), seed=seed)
+        config = chaos_config(plan)
+        config.transport = transport
+        config.bound_poll_nodes = 32  # polls inside the ≤ 400-node slices
+        if seed % 2 == 0:
+            return solve_parallel(flowshop_spec(fs_instance), config)
+        return solve_parallel(tsp_spec(tsp_instance), config)
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("seed", NOTICE_SEEDS)
+    def test_every_notice_dropped_matches_serial(
+        self, seed, fs_instance, fs_expected, tsp_instance, tsp_expected
+    ):
+        result = self._run(
+            seed,
+            ChannelFaults(drop=1.0),
+            fs_instance,
+            tsp_instance,
+            "tcp" if seed >= 2 else "inprocess",
+        )
+        assert result.optimal
+        assert result.cost == (fs_expected if seed % 2 == 0 else tsp_expected)
+        assert result.notices_sent > 0
+        assert result.faults_injected["dropped"] == result.notices_sent
+        assert sum(s["notices"] for s in result.worker_stats.values()) == 0
+
+    @pytest.mark.timeout(120)
+    @pytest.mark.parametrize("seed", NOTICE_SEEDS)
+    def test_notices_duplicated_and_delayed_match_serial(
+        self, seed, fs_instance, fs_expected, tsp_instance, tsp_expected
+    ):
+        result = self._run(
+            seed,
+            ChannelFaults(duplicate=0.5, delay=0.5),
+            fs_instance,
+            tsp_instance,
+            "tcp" if seed >= 2 else "inprocess",
+        )
+        assert result.optimal
+        assert result.cost == (fs_expected if seed % 2 == 0 else tsp_expected)
+        faults = result.faults_injected
+        assert faults["duplicated"] + faults["delayed"] == result.notices_sent > 0
+        assert not result.crashed_workers
 
 
 class TestTargetedFaults:
@@ -192,7 +243,6 @@ class TestTargetedFaults:
         config = chaos_config(plan)
         config.update_nodes = 50
         config.max_slice_nodes = 100
-        assert config.pipeline_updates  # the path under test
         result = solve_parallel(flowshop_spec(fs_instance), config)
         assert result.coordinator_restarts >= 1
         assert result.optimal

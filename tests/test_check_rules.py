@@ -124,38 +124,6 @@ def test_rc01_flags_float_literal_mixed_into_interval_compare(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# RC02 — launcher-only SharedBound writes
-
-
-def test_rc02_flags_offer_outside_launcher(tmp_path):
-    result = run_check(
-        tmp_path,
-        "repro/grid/runtime/bbprocess.py",
-        """\
-        def report(shared, cost):
-            shared.offer(cost)
-        """,
-        select=["RC02"],
-    )
-    assert codes(result) == ["RC02"]
-    assert result.violations[0].line == 2
-    assert "read-only" in result.violations[0].message
-
-
-def test_rc02_allows_offer_in_launcher(tmp_path):
-    result = run_check(
-        tmp_path,
-        "repro/grid/runtime/launcher.py",
-        """\
-        def broadcast(shared, cost):
-            shared.offer(cost)
-        """,
-        select=["RC02"],
-    )
-    assert result.clean
-
-
-# ----------------------------------------------------------------------
 # RC03 — versioned, codec-registered wire messages
 
 
@@ -1224,51 +1192,51 @@ def test_rc15_non_handler_functions_are_not_audited(tmp_path):
 
 def test_reasoned_suppression_silences_the_violation(tmp_path):
     source = """\
-    def report(shared, cost):
-        shared.offer(cost)  MARKER
-    """.replace("MARKER", marker("RC02", "fixture exercising the ignore path"))
+    def report(connection, message):
+        connection.send(message)  MARKER
+    """.replace("MARKER", marker("RC04", "fixture exercising the ignore path"))
     result = run_check(
-        tmp_path, "repro/grid/runtime/bbprocess.py", source, select=["RC02"]
+        tmp_path, "repro/grid/runtime/bbprocess.py", source, select=["RC04"]
     )
     assert result.clean
 
 
 def test_reasoned_suppression_on_preceding_comment_line(tmp_path):
     source = """\
-    def report(shared, cost):
+    def report(connection, message):
         MARKER
-        shared.offer(cost)
-    """.replace("MARKER", marker("RC02", "fixture exercising the ignore path"))
+        connection.send(message)
+    """.replace("MARKER", marker("RC04", "fixture exercising the ignore path"))
     result = run_check(
-        tmp_path, "repro/grid/runtime/bbprocess.py", source, select=["RC02"]
+        tmp_path, "repro/grid/runtime/bbprocess.py", source, select=["RC04"]
     )
     assert result.clean
 
 
 def test_trailing_suppression_does_not_leak_to_the_next_line(tmp_path):
     source = """\
-    def report(shared, cost):
-        staged = cost  MARKER
-        shared.offer(staged)
-    """.replace("MARKER", marker("RC02", "anchored to the wrong line"))
+    def report(connection, message):
+        staged = message  MARKER
+        connection.send(staged)
+    """.replace("MARKER", marker("RC04", "anchored to the wrong line"))
     result = run_check(
-        tmp_path, "repro/grid/runtime/bbprocess.py", source, select=["RC02"]
+        tmp_path, "repro/grid/runtime/bbprocess.py", source, select=["RC04"]
     )
     # The violation still fires, and the mis-anchored ignore (which
     # silenced nothing) is itself reported as an unused suppression.
-    assert codes(result) == ["RC00", "RC02"]
+    assert codes(result) == ["RC00", "RC04"]
     assert "unused suppression" in result.violations[0].message
 
 
 def test_reasonless_suppression_is_rc00_and_does_not_suppress(tmp_path):
     source = """\
-    def report(shared, cost):
-        shared.offer(cost)  MARKER
-    """.replace("MARKER", marker("RC02"))
+    def report(connection, message):
+        connection.send(message)  MARKER
+    """.replace("MARKER", marker("RC04"))
     result = run_check(
-        tmp_path, "repro/grid/runtime/bbprocess.py", source, select=["RC02"]
+        tmp_path, "repro/grid/runtime/bbprocess.py", source, select=["RC04"]
     )
-    assert sorted(codes(result)) == ["RC00", "RC02"]
+    assert sorted(codes(result)) == ["RC00", "RC04"]
 
 
 def test_unknown_rule_code_in_suppression_is_rc00(tmp_path):
@@ -1311,7 +1279,7 @@ def test_syntax_error_reports_check_error_exit_2(tmp_path):
 
 
 def test_every_rule_registered_with_metadata():
-    assert sorted(RULES) == [f"RC0{i}" for i in range(1, 10)] + [
+    assert sorted(RULES) == ["RC01"] + [f"RC0{i}" for i in range(3, 10)] + [
         "RC10",
         "RC11",
         "RC12",
@@ -1329,25 +1297,25 @@ def test_every_rule_registered_with_metadata():
 
 
 def test_cli_json_format_and_exit_code(tmp_path, capsys):
-    target = tmp_path / "repro/grid/runtime/other.py"
+    target = tmp_path / "repro/grid/runtime/bbprocess.py"
     target.parent.mkdir(parents=True)
-    target.write_text("def f(shared, cost):\n    shared.offer(cost)\n")
+    target.write_text("def f(conn, message):\n    conn.send(message)\n")
     exit_code = check_main(
-        [str(target), "--select", "RC02", "--format", "json"]
+        [str(target), "--select", "RC04", "--format", "json"]
     )
     payload = json.loads(capsys.readouterr().out)
     assert exit_code == 1
     assert payload["files_checked"] == 1
-    assert [v["rule"] for v in payload["violations"]] == ["RC02"]
+    assert [v["rule"] for v in payload["violations"]] == ["RC04"]
     assert payload["violations"][0]["line"] == 2
 
 
 def test_cli_sarif_format(tmp_path, capsys):
-    target = tmp_path / "repro/grid/runtime/other.py"
+    target = tmp_path / "repro/grid/runtime/bbprocess.py"
     target.parent.mkdir(parents=True)
-    target.write_text("def f(shared, cost):\n    shared.offer(cost)\n")
+    target.write_text("def f(conn, message):\n    conn.send(message)\n")
     exit_code = check_main(
-        [str(target), "--select", "RC02", "--output", "sarif"]
+        [str(target), "--select", "RC04", "--output", "sarif"]
     )
     sarif = json.loads(capsys.readouterr().out)
     assert exit_code == 1
@@ -1355,9 +1323,9 @@ def test_cli_sarif_format(tmp_path, capsys):
     run = sarif["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-check"
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"RC00", "RC02", "RC12", "RC15"} <= rule_ids
+    assert {"RC00", "RC04", "RC12", "RC15"} <= rule_ids
     (found,) = run["results"]
-    assert found["ruleId"] == "RC02"
+    assert found["ruleId"] == "RC04"
     region = found["locations"][0]["physicalLocation"]["region"]
     assert region["startLine"] == 2
 

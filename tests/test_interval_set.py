@@ -232,3 +232,72 @@ class TestFaultTolerance:
     def test_payload_skips_empty(self):
         restored = IntervalSet.from_payload([(5, 5), (1, 3)])
         assert restored.cardinality == 1
+
+
+class TestOwnerIndex:
+    """``record_for_worker`` is a dict lookup; it must agree with a scan
+    of the ``owners`` sets after any mix of the set's operations."""
+
+    @staticmethod
+    def scan(s):
+        return {w: rid for rid, rec in s.records().items() for w in rec.owners}
+
+    def test_index_agrees_with_a_scan_under_random_operations(self):
+        import random
+
+        rng = random.Random(20)
+        for threshold in (0, 64):
+            s = fresh(100_000, threshold)
+            position = {}
+            for step in range(600):
+                worker = f"w{rng.randrange(8)}"
+                op = rng.random()
+                if op < 0.35:
+                    a = s.assign(worker, holder_powers={"w0": 0.0})
+                    if a is not None:
+                        position[worker] = a.interval.begin
+                        for holder in a.cut:
+                            assert holder != worker
+                elif op < 0.8 and s.owned_record(worker) is not None:
+                    rec = s.owned_record(worker)
+                    position[worker] = min(
+                        rec.interval.end + rng.randrange(-50, 20),
+                        max(position[worker], rec.interval.begin)
+                        + rng.randrange(1, 2000),
+                    )
+                    s.update(worker, Interval(position[worker], rec.interval.end))
+                elif op < 0.9:
+                    s.release(worker)
+                else:
+                    begin = rng.randrange(100_000)
+                    s.subtract(Interval(begin, begin + rng.randrange(1, 3000)))
+                index = {w: s.record_for_worker(w) for w in s.owners()}
+                assert index == self.scan(s)
+                assert all(
+                    s.owned_record(w) is s.records()[rid] for w, rid in index.items()
+                )
+
+    def test_split_reports_the_holders_it_cut(self):
+        s = fresh(1000)
+        assert s.assign("w1").cut == ()  # unowned: handed over whole
+        assert s.assign("w2").cut == ("w1",)  # w1 keeps [0, 500)
+        s.release("w2")
+        assert s.assign("w3").cut == ()  # w2's orphan, whole
+
+    def test_a_duplicate_cuts_nobody_and_joins_the_copy(self):
+        s = fresh(50, threshold=100)
+        s.assign("w1")
+        twin = s.assign("w2")
+        assert twin.duplicated and twin.cut == ()
+        assert s.record_for_worker("w1") == s.record_for_worker("w2")
+        s.update("w1", Interval(50, 50))  # finished: the copy is gone
+        assert s.record_for_worker("w2") is None and s.owners() == set()
+
+    def test_subtract_through_the_middle_leaves_the_right_part_unowned(self):
+        s = fresh(1000)
+        s.assign("w1")
+        s.subtract(Interval(400, 600))
+        assert s.record_for_worker("w1") is not None
+        assert s.owned_record("w1").interval == Interval(0, 400)
+        assert s.owners() == {"w1"}
+        assert s.intervals() == [Interval(0, 400), Interval(600, 1000)]

@@ -1,0 +1,522 @@
+"""The coordinator's one unsolicited message, end to end.
+
+* ``Coordinator.take_notices`` names exactly the holders whose copy
+  someone else cut, and the other holders after a Push lowered SOLUTION.
+* ``Connection.poll`` never blocks, on either transport; the RPC layer
+  tells a ``Notice`` from a reply by its type.
+* A scripted connection drives the real ``_worker_loop``: a cut notice
+  ends the slice at the next poll and the Update is reconciled before
+  another node is explored; a bound notice only tightens pruning; an
+  improvement is pushed at the next poll.
+* ``solve_parallel`` over both transports and one service job with two
+  holders: same optimum, proof, reconciled ledger, notices sent.
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+import time
+from collections import deque
+
+import pytest
+
+from repro.core import Interval, solve
+from repro.core.engine import IntervalExplorer
+from repro.grid.net import tcp
+from repro.grid.net.framing import MessageDecodeError, decode_message
+from repro.grid.net.inprocess import InProcessTransport
+from repro.grid.net.tcp import TcpClientConnection, TcpListener
+from repro.grid.net.transport import Connection, TransportError, TransportTimeout
+from repro.grid.runtime import (
+    Coordinator,
+    RuntimeConfig,
+    flowshop_spec,
+    solve_parallel,
+)
+from repro.grid.runtime.bbprocess import _RpcChannel, _worker_loop
+from repro.grid.runtime.protocol import (
+    Ack,
+    Bye,
+    GrantWork,
+    JobGrant,
+    JobPush,
+    JobUpdate,
+    Notice,
+    Push,
+    Reconciled,
+    Request,
+    Terminate,
+    Update,
+    spec_to_wire,
+)
+from repro.problems.flowshop import FlowShopProblem, random_instance
+
+instance = random_instance(9, 5, seed=3)
+serial = solve(FlowShopProblem(instance))
+TOTAL = math.factorial(instance.jobs)
+
+
+# ----------------------------------------------------------------------
+# the coordinator names who to tell
+# ----------------------------------------------------------------------
+def coordinator(threshold=1):
+    return Coordinator(Interval(0, 1000), duplication_threshold=threshold)
+
+
+def test_split_names_the_holder_and_an_unowned_hand_over_names_nobody():
+    coord = coordinator()
+    coord.handle(Request("w0", seq=1))  # the whole root: nobody held it
+    assert coord.take_notices() == []
+    grant = coord.handle(Request("w1", seq=1))
+    assert grant.interval == (500, 1000)
+    assert coord.take_notices() == [("w0", Notice(math.inf, True))]
+    assert coord.take_notices() == []  # taken once
+    coord.release_worker("w1")
+    coord.handle(Request("w2", seq=1))  # w1's orphan, whole
+    assert coord.take_notices() == []
+    assert coord.notices_sent == 1
+
+
+def test_a_finished_duplicate_names_the_twin():
+    coord = coordinator(threshold=2000)  # everything is duplicated
+    coord.handle(Request("w0", seq=1))
+    coord.handle(Request("w1", seq=1))
+    assert coord.take_notices() == []  # a twin joining cuts nobody
+    coord.handle(Update("w0", (400, 1000), nodes=10, consumed=400, seq=2))
+    assert coord.take_notices() == []  # the copy shrank, but from the left
+    coord.handle(Update("w0", (1000, 1000), nodes=10, consumed=600, seq=3))
+    assert coord.take_notices() == [("w1", Notice(math.inf, True))]
+    assert coord.intervals.is_empty()
+
+
+def test_a_push_tells_every_other_holder_the_cost_solution_holds():
+    coord = coordinator()
+    grants = {
+        worker: coord.handle(Request(worker, seq=1)).interval
+        for worker in ("w0", "w1", "w2")
+    }
+    coord.take_notices()
+    coord.handle(Push("w1", 90.0, (1, 2), seq=2))
+    assert coord.take_notices() == [
+        ("w0", Notice(90.0, False)),
+        ("w2", Notice(90.0, False)),
+    ]
+    coord.handle(Push("w0", 95.0, (2, 1), seq=2))  # no improvement
+    assert coord.take_notices() == []
+    # A worker holding nothing reads the cost off its next grant.
+    end = grants["w2"][1]
+    coord.handle(Update("w2", (end, end), nodes=1, consumed=1, seq=2))
+    coord.handle(Push("w0", 80.0, (2, 1), seq=3))
+    assert coord.take_notices() == [("w1", Notice(80.0, False))]
+
+
+def test_a_holder_that_ran_past_the_cut_shrinks_the_requesters_copy():
+    coord = coordinator()
+    coord.handle(Request("w0", seq=1))
+    coord.handle(Request("w1", seq=1))  # w0 keeps [0, 500), w1 [500, 1000)
+    coord.take_notices()
+    # w0 had not heard yet: it is at 700 of the [0, 1000) it was granted.
+    reply = coord.handle(Update("w0", (700, 1000), nodes=50, consumed=700, seq=2))
+    assert Interval.from_tuple(reply.interval).is_empty()
+    assert coord.intervals.intervals() == [Interval(700, 1000)]
+    assert coord.take_notices() == [("w1", Notice(math.inf, True))]
+    # w1's own report is then reconciled with what is left of its copy.
+    reply = coord.handle(Update("w1", (520, 1000), nodes=5, consumed=20, seq=2))
+    assert reply.interval == (700, 1000)
+    assert coord.take_notices() == []
+
+
+# ----------------------------------------------------------------------
+# poll() never waits; a Notice is never a reply
+# ----------------------------------------------------------------------
+def test_inprocess_poll_returns_what_has_arrived_or_none():
+    transport = InProcessTransport()
+    listener = transport.listen()
+    conn = transport.connector_for("w0").connect("w0")
+    assert conn.poll() is None
+    listener.send("w0", Notice(7.0, True))
+    deadline = time.monotonic() + 2.0
+    got = None
+    while got is None and time.monotonic() < deadline:
+        got = conn.poll()  # the queue's feeder thread needs a moment
+    assert got == Notice(7.0, True)
+    assert conn.poll() is None
+
+
+def test_tcp_poll_reads_the_socket_without_blocking():
+    listener = TcpListener(peer_timeout=5.0)
+    conn = TcpClientConnection(*listener.address, "w0", heartbeat_interval=None)
+    try:
+        # The parent's only non-blocking read, recv(timeout=0), gives up
+        # before it looks at the socket.
+        assert conn.poll() is None  # not connected: no dialling from here
+        conn.open(timeout=5.0)
+        started = time.monotonic()
+        assert conn.poll() is None
+        assert time.monotonic() - started < 0.2  # io_timeout is 0.25 s
+        listener.send("w0", Notice(7.0, False, job="j"))
+        listener.send("w0", Ack(1.0, seq=1))
+        got = []
+        deadline = time.monotonic() + 2.0
+        while len(got) < 2 and time.monotonic() < deadline:
+            message = conn.poll()
+            if message is not None:
+                got.append(message)
+        assert got == [Notice(7.0, False, job="j"), Ack(1.0, seq=1)]
+    finally:
+        conn.close()
+        listener.close()
+
+
+def test_a_worker_that_predates_the_notice_drops_the_frame(monkeypatch):
+    def old_decode(payload):
+        if b'"t":"Notice"' in payload:
+            raise MessageDecodeError("unknown message type 'Notice'")
+        return decode_message(payload)
+
+    listener = TcpListener(peer_timeout=5.0)
+    conn = TcpClientConnection(*listener.address, "w0", heartbeat_interval=None)
+    try:
+        conn.open(timeout=5.0)
+        monkeypatch.setattr(tcp, "decode_message", old_decode)
+        listener.send("w0", Notice(7.0, True))
+        listener.send("w0", Ack(1.0, seq=1))
+        assert conn.recv(timeout=2.0) == Ack(1.0, seq=1)
+        assert conn.connects == 1  # the stream survived the unknown type
+    finally:
+        conn.close()
+        listener.close()
+
+
+class Fifo(Connection):
+    """A connection whose coordinator is a function of what was sent."""
+
+    def __init__(self, answer=None):
+        self.sent = []
+        self.fifo = deque()
+        self.answer = answer
+
+    def send(self, message):
+        self.sent.append(message)
+        if self.answer is not None:
+            for item in self.answer(message):
+                self.fifo.append(item)
+
+    def recv(self, timeout=None):
+        if not self.fifo:
+            raise TransportTimeout("nothing sent")
+        return self.fifo.popleft()
+
+    def poll(self):
+        return self.fifo.popleft() if self.fifo else None
+
+    def close(self):
+        pass
+
+
+def channel(conn):
+    return _RpcChannel(conn, 1.0, 0, {"rpc_wait_seconds": 0.0})
+
+
+def test_notice_arriving_while_collect_waits_is_not_the_reply():
+    conn = Fifo()
+    chan = channel(conn)
+    conn.fifo.extend([Notice(5.0, True), Ack(3.0, seq=1)])
+    # The parent took any seq-0 frame for the reply: the Notice.
+    assert chan.call(Push("w0", 3.0, (0,))) == Ack(3.0, seq=1)
+    assert chan.poll() == [Notice(5.0, True)]
+    assert chan.poll() == []
+
+
+def test_poll_keeps_an_early_reply_for_collect():
+    conn = Fifo()
+    chan = channel(conn)
+    chan.send(Update("w0", (0, 9), nodes=1, consumed=1))
+    conn.fifo.extend([Reconciled((0, 9), 5.0, seq=1), Notice(4.0, False)])
+    assert chan.poll() == [Notice(4.0, False)]
+    assert not conn.fifo
+    assert chan.collect() == Reconciled((0, 9), 5.0, seq=1)
+
+
+def test_a_legacy_unsequenced_reply_is_still_a_reply():
+    conn = Fifo()
+    conn.fifo.append(Ack(3.0))  # seq 0
+    assert channel(conn).call(Push("w0", 3.0, (0,))) == Ack(3.0)
+
+
+# ----------------------------------------------------------------------
+# the worker loop, against a scripted coordinator
+# ----------------------------------------------------------------------
+POLL_NODES = 32
+SLICE_NODES = 256  # several slices per run, each far longer than a poll period
+
+
+class ScriptedCoordinator(Fifo):
+    """One grant of ``[0, end)``, then Terminate; notices on cue.
+
+    ``cue(self)`` runs at every ``poll`` and may put a Notice in the
+    FIFO.  ``via`` records, per reply, whether the worker took it off
+    the connection blocking (``recv``) or mid-slice (``poll``).
+    """
+
+    def __init__(self, end=TOTAL, best=math.inf, job="", cue=None):
+        super().__init__(self._reply)
+        self.end = end
+        self.best = best
+        self.job = job
+        self.cue = cue
+        self.polls = 0
+        self.granted = False
+        self.halve_next = False  # cut the next Update's report in half
+        self.via = {}
+
+    def _reply(self, message):
+        if isinstance(message, Request):
+            if self.granted:
+                reply = Terminate(self.best)
+            elif self.job:
+                reply = JobGrant(
+                    self.job, (0, self.end), self.best,
+                    spec=spec_to_wire(flowshop_spec(instance)),
+                )
+            else:
+                reply = GrantWork((0, self.end), self.best)
+            self.granted = True
+        elif isinstance(message, (Update, JobUpdate)):
+            begin, end = message.interval
+            if self.halve_next:
+                self.halve_next = False
+                self.end = begin + (end - begin) // 2
+            reply = Reconciled((begin, min(end, self.end)), self.best)
+        else:
+            assert isinstance(message, (Push, JobPush, Bye))
+            if not isinstance(message, Bye):
+                self.best = min(self.best, message.cost)
+            reply = Ack(self.best)
+        reply.seq = message.seq
+        return [reply]
+
+    def _take(self, how):
+        message = self.fifo.popleft()
+        if not isinstance(message, Notice):
+            self.via[message.seq] = how
+        return message
+
+    def recv(self, timeout=None):
+        if not self.fifo:
+            raise TransportTimeout("nothing sent")
+        return self._take("recv")
+
+    def poll(self):
+        self.polls += 1
+        if self.cue is not None:
+            self.cue(self)
+        return self._take("poll") if self.fifo else None
+
+    def updates(self):
+        return [m for m in self.sent if isinstance(m, (Update, JobUpdate))]
+
+    def pushes(self):
+        return [m for m in self.sent if isinstance(m, (Push, JobPush))]
+
+
+def run_worker_loop(conn, spec=flowshop_spec(instance), slice_nodes=SLICE_NODES):
+    outcome = _worker_loop(
+        "w0",
+        spec,
+        conn,
+        update_nodes=slice_nodes,
+        power=1.0,
+        reply_timeout=5.0,
+        max_retries=0,
+        crash_after_updates=None,
+        hang_after_updates=None,
+        hang_seconds=0.0,
+        update_period=None,
+        min_slice_nodes=64,
+        max_slice_nodes=1 << 20,
+        bound_poll_nodes=POLL_NODES,
+        kernel_backend="off",  # one parent per wave: polls every 32 nodes
+    )
+    assert outcome == "terminate"
+    (bye,) = [m for m in conn.sent if isinstance(m, Bye)]
+    return bye.stats
+
+
+def test_cut_notice_ends_the_slice_and_is_reconciled_before_the_next_node():
+    def cue(conn):
+        if conn.polls == 4:  # ~96 nodes into the first slice
+            conn.halve_next = True  # what assign() did to the copy
+            conn.fifo.append(Notice(conn.best, True))
+
+    conn = ScriptedCoordinator(best=serial.cost, cue=cue)
+    stats = run_worker_loop(conn)
+    first, second = conn.updates()[:2]
+    # The slice ended at the poll that read the notice, not 256 nodes in.
+    assert 3 * POLL_NODES <= first.nodes <= 3 * POLL_NODES + instance.jobs
+    assert first.interval[1] == TOTAL  # it reports what it believes ...
+    assert conn.via[first.seq] == "recv"  # ... and waits to be corrected
+    assert second.interval[1] == conn.end < TOTAL  # explorer.end shrank
+    assert stats["notices"] == 1 and stats["early_yields"] == 1
+    # Every other Update of the run was pipelined: its reply was lying
+    # there when the next slice's entry poll looked.
+    later = [u for u in conn.updates()[1:-1]]
+    assert later and all(conn.via[u.seq] == "poll" for u in later)
+
+
+def test_bound_notice_is_adopted_and_costs_no_update():
+    def cue(conn):
+        if conn.polls == 3:
+            conn.fifo.append(Notice(serial.cost, False))
+
+    # Granted one above the optimum: left alone, it finds and pushes it.
+    quiet = ScriptedCoordinator(best=serial.cost + 1)
+    baseline = run_worker_loop(quiet)
+    assert [p.cost for p in quiet.pushes()] == [serial.cost]
+    # Told the optimum's cost ~64 nodes in, nothing it finds is better.
+    conn = ScriptedCoordinator(best=serial.cost + 1, cue=cue)
+    stats = run_worker_loop(conn)
+    assert stats["notices"] == 1 and conn.pushes() == []
+    assert stats["nodes"] <= baseline["nodes"]
+    # The notice ended no slice and caused no Update of its own.
+    assert stats["early_yields"] == 0
+    assert all(u.nodes >= SLICE_NODES for u in conn.updates()[:-1])
+
+
+def test_notice_for_another_job_is_ignored():
+    def cue(conn):
+        if conn.polls == 3:
+            conn.fifo.append(Notice(0.0, True, job="some-other-job"))
+            conn.fifo.append(Notice(0.0, True, job=""))
+
+    conn = ScriptedCoordinator(best=serial.cost, job="job-1", cue=cue)
+    stats = run_worker_loop(conn, spec=None)
+    assert stats["notices"] == 0 and stats["early_yields"] == 0
+    assert stats["nodes"] == sum(u.nodes for u in conn.updates())
+    assert stats["nodes"] > 0  # a cost of 0 would have pruned the root
+
+
+def improvements_found_serially():
+    found = []
+    explorer = IntervalExplorer(
+        FlowShopProblem(instance),
+        on_improvement=lambda cost, sol: found.append(cost),
+        kernel_backend="off",
+    )
+    explorer.run()
+    assert len(found) > 1  # the instance improves several times
+    return found
+
+
+def test_improvements_are_pushed_at_the_next_poll_one_push_per_poll():
+    found = improvements_found_serially()
+
+    def cue(conn):
+        if conn.polls == 1:  # any notice: the job has another holder
+            conn.fifo.append(Notice(math.inf, False))
+
+    conn = ScriptedCoordinator(cue=cue)
+    stats = run_worker_loop(conn, slice_nodes=1 << 20)  # one slice, left alone
+    pushes = conn.pushes()
+    # Improvements that fell between the same two polls left as one Push.
+    assert 1 <= len(pushes) < len(found)
+    assert [p.cost for p in pushes] == sorted({p.cost for p in pushes}, reverse=True)
+    assert pushes[-1].cost == serial.cost
+    assert stats["early_yields"] == len(pushes) == stats["improvements"]
+    # Each Push is followed by the Update of the slice it cut short.
+    for push in pushes:
+        update = next(m for m in conn.sent if m.seq == push.seq + 1)
+        assert isinstance(update, Update) and 0 < update.nodes < stats["nodes"]
+
+
+def test_the_only_holder_of_a_job_pushes_at_its_slice_boundaries():
+    # Nobody is waiting for its bound: no slice is cut short, and the
+    # coordinator is not written to once per improvement.
+    conn = ScriptedCoordinator()
+    stats = run_worker_loop(conn, slice_nodes=1 << 20)
+    assert stats["early_yields"] == 0 and stats["notices"] == 0
+    (update,) = conn.updates()
+    assert update.nodes == stats["nodes"]
+    assert [p.cost for p in conn.pushes()] == [serial.cost]
+
+
+# ----------------------------------------------------------------------
+# real processes, both transports, and the service
+# ----------------------------------------------------------------------
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("transport", ["inprocess", "tcp"])
+def test_solve_parallel_sends_notices_and_proves_the_serial_optimum(transport):
+    result = solve_parallel(
+        flowshop_spec(instance),
+        RuntimeConfig(
+            workers=2,
+            update_nodes=100,
+            update_period=None,
+            bound_poll_nodes=32,
+            transport=transport,
+            deadline=90,
+        ),
+    )
+    assert result.optimal and result.cost == serial.cost
+    assert tuple(result.solution) is not None
+    assert not result.crashed_workers
+    assert result.notices_sent > 0
+    stats = result.worker_stats.values()
+    assert result.nodes_explored == sum(s["nodes"] for s in stats)
+    assert result.checkpoint_operations == sum(s["updates"] for s in stats)
+    assert result.early_yields == sum(s["early_yields"] for s in stats)
+    assert sum(s["notices"] for s in stats) <= result.notices_sent
+
+
+@pytest.mark.timeout(120)
+def test_service_job_with_two_holders_gets_job_tagged_notices(tmp_path):
+    from repro.grid.net.serve import run_worker
+    from repro.grid.service.client import SyncServiceClient
+    from repro.grid.service.server import ServiceConfig, SolveService
+
+    service = SolveService(
+        ServiceConfig(
+            checkpoint_dir=tmp_path,
+            poll_interval=0.01,
+            linger_seconds=2.0,
+            drain_when_idle=True,
+        )
+    )
+    host, port = service.address
+    outcome = {}
+    pump = threading.Thread(
+        target=lambda: outcome.update(report=service.serve_forever()), daemon=True
+    )
+    pump.start()
+    client = SyncServiceClient(host, port, timeout=10.0)
+    job = client.submit(flowshop_spec(instance), owner="alice")
+    def work(worker_id):
+        try:
+            run_worker(
+                host, port, worker_id,
+                update_nodes=100, update_period=None, heartbeat_interval=None,
+            )
+        except TransportError:
+            pass  # the service drained and left before this one got in
+
+    workers = [
+        threading.Thread(target=work, args=(f"w{i}",), daemon=True)
+        for i in range(2)
+    ]
+    for worker in workers:
+        worker.start()
+    status = client.result(job, timeout=60.0)
+    for worker in workers:
+        worker.join(timeout=30)
+    pump.join(timeout=30)
+    report = outcome["report"]
+    assert status.status == "done" and status.best_cost == serial.cost
+    assert report.jobs[job]["work_allocations"] >= 2  # it had two holders
+    assert report.notices_sent > 0
+    heard = sum(s["notices"] for s in report.worker_stats.values())
+    assert 0 < heard <= report.notices_sent  # tagged with the job: counted
+    # (a slice reported after the job settled is not on its ledger)
+    assert 0 < report.jobs[job]["nodes"] <= sum(
+        s["nodes"] for s in report.worker_stats.values()
+    )

@@ -225,16 +225,15 @@ class TestParallelSolve:
     def test_legacy_coordination_mode_matches_sequential(
         self, fs_instance, fs_expected
     ):
-        # Fixed slices, synchronous updates, no shared incumbent — the
-        # pre-PR 3 coordination shape must stay available and correct.
+        # Fixed slices — the pre-PR 3 slicing must stay available and
+        # correct (synchronous collection now happens exactly when a
+        # cut notice or an epoch change asks for it: test_notices.py).
         result = solve_parallel(
             flowshop_spec(fs_instance),
             RuntimeConfig(
                 workers=2,
                 update_nodes=500,
                 update_period=None,
-                pipeline_updates=False,
-                shared_incumbent=False,
                 deadline=120,
             ),
         )
@@ -250,8 +249,6 @@ class TestParallelSolve:
                 workers=3,
                 update_nodes=100,
                 update_period=0.05,
-                pipeline_updates=True,
-                shared_incumbent=True,
                 bound_poll_nodes=32,
                 deadline=120,
             ),

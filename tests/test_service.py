@@ -48,6 +48,7 @@ from repro.grid.runtime.protocol import (
     JobStatusRequest,
     JobUpdate,
     ListJobs,
+    Notice,
     ProblemSpec,
     Reconciled,
     Request,
@@ -623,10 +624,15 @@ def test_second_worker_arrives_with_the_holders_first_unfinished_update(policy):
         ("w0", JobGrant),
         ("w0", Ack),
         ("w0", Reconciled),
+        ("w0", Notice),
         ("w1", JobGrant),
     ]
-    # (the holder hears of the cut from its *next* Reconciled)
-    held, cut = sent[3][1].interval, sent[4][1].interval
+    # The holder is told of the cut at once (and hears what was cut
+    # from the Reconciled it then asks for).
+    notice, grant = sent[4][1], sent[5][1]
+    assert notice.cut and notice.job == grant.job
+    assert report.notices_sent == 1
+    held, cut = sent[3][1].interval, grant.interval
     assert held[0] < cut[0] < cut[1] == held[1]
     assert report.work_allocations == 2 and report.requests_idled == 1
 
