@@ -9,11 +9,8 @@ reports the wire-size ratio, plus the serialisation time of each.
 
 import pickle
 
+from repro.analysis.report import active_list_wire_size, interval_wire_size
 from repro.core import Interval, TreeShape, fold, unfold
-from repro.grid.simulator.messages import (
-    active_list_wire_size,
-    interval_wire_size,
-)
 
 
 def frontier_at(shape, fraction_num, fraction_den):

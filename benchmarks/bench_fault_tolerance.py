@@ -37,8 +37,10 @@ def test_fault_tolerance_matrix(benchmark):
             workload=RealBBWorkload(problem, nodes_per_second=0.2),
             horizon=3000 * 86400.0,
             seed=31,
+            # the proof takes ~10 virtual minutes: up-periods must be
+            # shorter than that for a host to leave mid-unit at all
             availability=AvailabilityModel(
-                mean_up=1800.0, mean_down=900.0, diurnal_amplitude=0.0
+                mean_up=300.0, mean_down=150.0, diurnal_amplitude=0.0
             ),
             farmer=FarmerConfig(duplication_threshold=300),
             worker=WorkerConfig(update_period=10.0),

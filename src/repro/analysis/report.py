@@ -11,14 +11,37 @@ from __future__ import annotations
 import math
 
 from repro.analysis.compare import ComparisonSet
+from repro.core.interval import Interval
 
-__all__ = ["quick_report", "PAPER_TA056_SCHEDULE"]
+__all__ = [
+    "quick_report",
+    "PAPER_TA056_SCHEDULE",
+    "interval_wire_size",
+    "active_list_wire_size",
+]
 
 PAPER_TA056_SCHEDULE = [
     14, 37, 3, 18, 8, 33, 11, 21, 42, 5, 13, 49, 50, 20, 28, 45, 43,
     41, 46, 15, 24, 44, 40, 36, 39, 4, 16, 47, 17, 27, 1, 26, 10, 19,
     32, 25, 30, 7, 2, 31, 23, 6, 48, 22, 29, 34, 9, 35, 38, 12,
 ]
+
+
+def interval_wire_size(interval: Interval) -> int:
+    """Bytes ``interval`` adds to a frame: what a grant of it weighs on
+    the wire over the refusal that carries none (measured, not modelled)."""
+    from repro.grid.net.framing import encode_frame
+    from repro.grid.runtime.protocol import GrantWork, Terminate
+
+    grant = encode_frame(GrantWork(interval.as_tuple(), 0.0))
+    return len(grant) - len(encode_frame(Terminate(0.0)))
+
+
+def active_list_wire_size(cardinality: int, depth: int) -> int:
+    """Bytes to ship an explicit active list (the coding the paper
+    replaces), packed tight: each node needs its rank path (~depth
+    small ints)."""
+    return cardinality * (4 * depth + 8)
 
 
 def quick_report(seed: int = 1) -> ComparisonSet:
@@ -51,11 +74,7 @@ def _check_instance_identity(cs: ComparisonSet) -> None:
 
 
 def _check_interval_coding(cs: ComparisonSet) -> None:
-    from repro.core import Interval, TreeShape, fold, unfold, unfold_with_stats
-    from repro.grid.simulator.messages import (
-        active_list_wire_size,
-        interval_wire_size,
-    )
+    from repro.core import TreeShape, fold, unfold_with_stats
 
     shape = TreeShape.permutation(50)
     total = shape.total_leaves

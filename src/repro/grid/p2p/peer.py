@@ -14,15 +14,23 @@ Solution sharing is epidemic: an improvement is pushed to
 ``gossip_fanout`` random peers, each of which re-forwards while the
 value keeps improving its local best; steal replies also piggyback the
 sender's best, so costs diffuse even without improvements.
+
+Peers speak no wire vocabulary of their own; each message is charged
+the measured frame of the farmer–worker message that carries the same
+payload (``StealRequest`` a ``Request``, a ``StealReply`` with work a
+``GrantWork`` and without a ``Terminate``, ``Gossip`` a ``Push``, the
+token an ``Ack``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.interval import Interval
 from repro.exceptions import SimulationError
+from repro.grid.net.framing import encode_frame
+from repro.grid.runtime.protocol import Ack, GrantWork, Push, Request, Terminate
 from repro.grid.simulator.events import SimClock
 from repro.grid.simulator.metrics import MetricsCollector
 from repro.grid.simulator.network import NetworkModel
@@ -37,26 +45,17 @@ __all__ = [
     "Peer",
 ]
 
-_INT_BYTES = 32
-_HEADER = 16
-
 
 @dataclass
 class StealRequest:
     thief: int
     thief_power: float
 
-    def wire_size(self) -> int:
-        return _HEADER + 8
-
 
 @dataclass
 class StealReply:
     interval: Optional[Interval]  # None: victim had nothing to give
     best_cost: float
-
-    def wire_size(self) -> int:
-        return _HEADER + (2 * _INT_BYTES if self.interval else 0) + 8
 
 
 @dataclass
@@ -65,10 +64,6 @@ class Gossip:
     solution: Any
     hops_left: int
 
-    def wire_size(self) -> int:
-        payload = len(self.solution) * 2 if hasattr(self.solution, "__len__") else 8
-        return _HEADER + 8 + payload
-
 
 @dataclass
 class SafraToken:
@@ -76,9 +71,6 @@ class SafraToken:
 
     count: int = 0
     black: bool = False
-
-    def wire_size(self) -> int:
-        return _HEADER + 9
 
 
 class Peer:
@@ -92,6 +84,7 @@ class Peer:
         network: NetworkModel,
         workload: Workload,
         metrics: MetricsCollector,
+        frame_bytes: Dict[type, int],
         *,
         num_peers: int,
         update_period: float,
@@ -108,6 +101,7 @@ class Peer:
         self.network = network
         self.workload = workload
         self.metrics = metrics
+        self._frame_bytes = frame_bytes
         self.num_peers = num_peers
         self.update_period = update_period
         self.steal_backoff = steal_backoff
@@ -160,13 +154,24 @@ class Peer:
     # ------------------------------------------------------------------
     # message transport (in-process: direct delivery with network delay)
     # ------------------------------------------------------------------
+    def wire_size(self, message: Any) -> int:
+        """The measured frame that would carry ``message``'s payload."""
+        if isinstance(message, Gossip):
+            push = Push(self.host.host_id, message.cost, message.solution)
+            return len(encode_frame(push))
+        if isinstance(message, StealReply):
+            return self._frame_bytes[GrantWork if message.interval else Terminate]
+        return self._frame_bytes[
+            Request if isinstance(message, StealRequest) else Ack
+        ]
+
     def _send(self, target: int, message: Any, handler_name: str) -> None:
-        self.metrics.message_sent(message.wire_size())
+        size = self.wire_size(message)
+        self.metrics.message_sent(size)
         if not isinstance(message, SafraToken):
             self.safra_count += 1  # Safra: one more basic message out
         delay = self.network.delay(
-            self.host.cluster, self.peers[target].host.cluster,
-            message.wire_size(),
+            self.host.cluster, self.peers[target].host.cluster, size
         )
         self.clock.schedule(
             delay, self.peers[target]._receive, self.index, message, handler_name

@@ -16,6 +16,7 @@ from repro.core.interval import Interval
 from repro.exceptions import SimulationError
 from repro.grid.simulator.events import SimClock
 from repro.grid.simulator.metrics import MetricsCollector
+from repro.grid.simulator.network import frame_sizes
 from repro.grid.simulator.platform import PlatformSpec, small_platform
 from repro.grid.simulator.rng import RngRegistry
 from repro.grid.simulator.workload import Workload
@@ -73,6 +74,8 @@ class P2PSimulation:
         self._message_load: List[int] = []
 
         hosts = config.platform.all_hosts()
+        root = Interval(0, config.workload.total_leaves())
+        frame_bytes = frame_sizes(root, hosts[0].host_id)
         self.peers: List[Peer] = []
         for index, host in enumerate(hosts):
             peer = Peer(
@@ -82,6 +85,7 @@ class P2PSimulation:
                 config.platform.network,
                 config.workload,
                 self.metrics,
+                frame_bytes,
                 num_peers=len(hosts),
                 update_period=config.update_period,
                 steal_backoff=config.steal_backoff,
@@ -94,7 +98,6 @@ class P2PSimulation:
             peer.peers = self.peers
         self._message_load = [0] * len(self.peers)
         self._wrap_message_accounting()
-        root = Interval(0, config.workload.total_leaves())
         self.peers[0].give_initial_work(root)
 
     def _wrap_message_accounting(self) -> None:

@@ -1,17 +1,18 @@
 """The real coordinator: INTERVALS + SOLUTION behind a message loop.
 
-Pure protocol logic — no process or queue handling here (the launcher
-owns those), which keeps the coordinator unit-testable by feeding it
-messages directly.  The state and operators are exactly the ones the
-simulator uses: :class:`~repro.core.interval_set.IntervalSet`,
-:class:`~repro.core.stats.Incumbent`, and the two-file
+Pure protocol logic — no process or queue handling here, and no clock
+of its own: the launcher, the solve service and the grid simulator
+(``simulator/farmer.py``, under its virtual clock) all drive this one
+class by feeding it messages.  The state is an
+:class:`~repro.core.interval_set.IntervalSet`, an
+:class:`~repro.core.stats.Incumbent` and, when given, the two-file
 :class:`~repro.core.checkpoint.CheckpointStore`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.checkpoint import CheckpointStore
 from repro.core.interval import Interval
@@ -53,6 +54,9 @@ class Coordinator:
         merely slow reconciles later through the carve path — the
         interval-set invariant makes a wrongly-expired lease cost
         redundancy, never lost work.
+    clock:
+        Where "now" comes from — leases and the checkpoint period read
+        nothing else.  The simulator passes its virtual clock.
     """
 
     def __init__(
@@ -64,7 +68,9 @@ class Coordinator:
         initial_best: Optional[Incumbent] = None,
         lease_seconds: Optional[float] = None,
         journal: bool = True,
+        clock: Callable[[], float] = time.monotonic,
     ):
+        self._clock = clock
         self.intervals = IntervalSet.initial(root_interval, duplication_threshold)
         self.solution = (initial_best or Incumbent()).copy()
         self.store = store
@@ -73,8 +79,11 @@ class Coordinator:
         self.journal_enabled = journal
         self.journal_replayed = 0
         self.journal_leaves_replayed = 0
-        self._last_checkpoint = time.monotonic()
+        self._last_checkpoint = clock()
         self._powers: Dict[str, float] = {}
+        # End of each worker's last grant: how far its word is taken
+        # for what it explored past its own copy (see _on_update).
+        self._granted_end: Dict[str, int] = {}
         # At-least-once RPC state: per-worker highest seq seen and the
         # reply it produced, so retries and channel duplicates are
         # answered idempotently instead of re-applied.
@@ -143,7 +152,7 @@ class Coordinator:
         """
         worker = getattr(message, "worker", None)
         if worker is not None:
-            self._last_heard[worker] = time.monotonic()
+            self._last_heard[worker] = self._clock()
         seq = getattr(message, "seq", 0)
         if worker is not None and seq > 0:
             last = self._last_seq.get(worker, 0)
@@ -162,10 +171,10 @@ class Coordinator:
         return reply
 
     def _dispatch(self, message: Any) -> Optional[Any]:
+        if isinstance(message, Update):  # the common one first
+            return self._on_update(message)
         if isinstance(message, Request):
             return self._on_request(message)
-        if isinstance(message, Update):
-            return self._on_update(message)
         if isinstance(message, Push):
             return self._on_push(message)
         if isinstance(message, Bye):
@@ -191,19 +200,29 @@ class Coordinator:
             return Terminate(self.solution.cost)
         self.work_allocations += 1
         self._cut.extend(assignment.cut)
+        self._granted_end[msg.worker] = assignment.interval.end
         return GrantWork(assignment.interval.as_tuple(), self.solution.cost)
 
     def _on_update(self, msg: Update) -> Reconciled:
+        worker = msg.worker
         reported = Interval.from_tuple(msg.interval)
-        rec = self.intervals.owned_record(msg.worker)
-        owned = rec.interval if rec is not None else None
-        twins = [w for w in rec.owners if w != msg.worker] if rec else []
-        merged = self.intervals.update(msg.worker, reported)
-        if merged.is_empty():
-            self._outlasted_slice.discard(msg.worker)
+        rec = self.intervals.owned_record(worker)
+        owned: Optional[Interval] = None
+        twins: List[str] = []
+        if rec is None:
+            # An unowned reclaim (lease expired, farmer resumed): no
+            # grant vouches for what this worker explored.
+            self._granted_end.pop(worker, None)
+        else:
+            owned = rec.interval
+            if len(rec.owners) > 1:
+                twins = [w for w in rec.owners if w != worker]
+        merged = self.intervals.update(worker, reported)
+        if merged.begin >= merged.end:
+            self._outlasted_slice.discard(worker)
             self._cut.extend(twins)  # their duplicate is finished
         else:
-            self._outlasted_slice.add(msg.worker)
+            self._outlasted_slice.add(worker)
         if owned is not None and reported.begin > owned.begin:
             # Owned path only: everything between the copy's begin and
             # the reported begin is definitely explored — eq. 14's left
@@ -213,13 +232,7 @@ class Coordinator:
             # nothing — replay then keeps that work, costing
             # redundancy, never loss.
             if reported.begin > owned.end:
-                # What it explored of the copies handed out behind its
-                # back is not theirs to explore again.
-                past = Interval(owned.end, reported.begin)
-                for other in self.intervals.iter_records():
-                    if other.interval.overlaps(past):
-                        self._cut.extend(other.owners)
-                self.intervals.subtract(past)
+                self._subtract_past_cut(worker, owned.end, reported.begin)
             if self._journaling():
                 assert self.store is not None
                 self.store.journal_explored(
@@ -231,6 +244,24 @@ class Coordinator:
         if self.intervals.is_empty():
             self.terminated = True
         return Reconciled(merged.as_tuple(), self.solution.cost)
+
+    def _subtract_past_cut(self, worker: str, cut: int, begin: int) -> None:
+        """``worker`` ran on from ``cut`` to ``begin``, into copies handed
+        out behind its back: that much is not theirs to explore again.
+
+        Its word is taken only as far as the end of its last grant — an
+        honest worker never runs past it, so a ``begin`` beyond it (a
+        stray retry, a worker bug, a corrupt frame) erases nothing; and
+        with no grant remembered nothing is subtracted at all, which
+        costs redundancy, never a leaf.
+        """
+        past = Interval(cut, min(begin, self._granted_end.get(worker, cut)))
+        if past.is_empty():
+            return
+        for other in self.intervals.iter_records():
+            if other.interval.overlaps(past):
+                self._cut.extend(other.owners)
+        self.intervals.subtract(past)
 
     def _on_push(self, msg: Push) -> Ack:
         if self.solution.update(msg.cost, msg.solution):
@@ -284,6 +315,7 @@ class Coordinator:
         """
         self.intervals.release(worker)
         self._powers.pop(worker, None)
+        self._granted_end.pop(worker, None)
         self._last_heard.pop(worker, None)
         self._outlasted_slice.discard(worker)
 
@@ -311,7 +343,7 @@ class Coordinator:
         if self.lease_seconds is None:
             return []
         if now is None:
-            now = time.monotonic()
+            now = self._clock()
         expired: List[str] = []
         for worker in sorted(self.intervals.owners(), key=str):
             heard = self._last_heard.get(worker)
@@ -327,7 +359,7 @@ class Coordinator:
         """Persist INTERVALS and SOLUTION when the period elapsed."""
         if self.store is None:
             return False
-        now = time.monotonic()
+        now = self._clock()
         if not force and now - self._last_checkpoint < self.checkpoint_period:
             return False
         self.store.save(self.intervals, self.solution)

@@ -87,32 +87,27 @@ class SimClock:
         ``until`` advances the clock to exactly that time when the
         queue drains or the next event lies beyond it.
         """
-        fired = 0
+        heap = self._heap
+        pop = heapq.heappop
+        budget = None if max_events is None else self._fired + max_events
         while True:
             if stop_when is not None and stop_when():
                 return
-            if max_events is not None and fired >= max_events:
+            if budget is not None and self._fired >= budget:
                 raise SimulationError(
                     f"simulation exceeded {max_events} events — "
                     f"likely a livelock (e.g. duplication threshold 0 "
                     f"with dead workers holding intervals)"
                 )
-            nxt = self._next_time()
-            if nxt is None:
+            while heap and heap[0][2].cancelled:
+                pop(heap)
+            if not heap:
                 if until is not None:
                     self.now = max(self.now, until)
                 return
-            if until is not None and nxt > until:
+            if until is not None and heap[0][0] > until:
                 self.now = until
                 return
-            self.step()
-            fired += 1
-
-    def _next_time(self) -> Optional[float]:
-        while self._heap:
-            time, _, handle, _, _ = self._heap[0]
-            if handle.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            return time
-        return None
+            self.now, _, _, callback, args = pop(heap)
+            self._fired += 1
+            callback(*args)

@@ -1,39 +1,37 @@
-"""The simulated coordinator (farmer) — paper §4.
+"""The simulated farmer: a virtual-clock driver of the runtime coordinator.
 
-A single-server message processor: requests queue FIFO, each takes a
-configurable service time (that is what the 1.7 % coordinator CPU
-exploitation of Table 2 measures), and every reply goes back over the
-network to the pulling worker.
+The protocol — ``INTERVALS``, ``SOLUTION``, eq. 14, the §4.2 operators —
+is :class:`~repro.grid.runtime.coordinator.Coordinator`, the class every
+production run executes.  What lives here is only what is *simulated*:
 
-State: ``INTERVALS`` (an :class:`~repro.core.interval_set.IntervalSet`)
-and ``SOLUTION`` (an :class:`~repro.core.stats.Incumbent`), checkpointed
-every ``checkpoint_period`` into in-memory snapshots standing in for
-the two files of §4.1.  A crash (from the
-:class:`~repro.grid.simulator.failures.FarmerFailurePlan`) drops the
-live state and all queued messages; recovery restores the snapshots —
-losing the ownership map, which the protocol tolerates by design
-(workers re-claim their intervals at the next update).
+* a single-server FIFO queue: each message takes ``service_time`` of
+  farmer CPU (that is what the 1.7 % coordinator exploitation of
+  Table 2 measures) and is handed to ``Coordinator.handle`` when its
+  service completes;
+* the two files of §4.1 as in-memory snapshots, taken every
+  ``checkpoint_period`` and once more at termination;
+* the outage plan: a crash drops the queue, a recovery builds a fresh
+  coordinator from the snapshots — ownership, powers and leases are
+  lost, as in ``Coordinator.recover``, and workers re-claim their
+  intervals at their next update;
+* ``death_timeout`` as the coordinator's lease, checked at every
+  checkpoint tick.
+
+The simulated grid is the paper's firewalled, pull-only one: the
+notices the coordinator would send unasked are taken and dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.core.interval import Interval
 from repro.core.interval_set import IntervalSet
 from repro.core.stats import Incumbent
-from repro.exceptions import SimulationError
+from repro.grid.runtime.coordinator import Coordinator
 from repro.grid.simulator.events import SimClock
 from repro.grid.simulator.failures import FarmerFailurePlan
-from repro.grid.simulator.messages import (
-    IntervalUpdate,
-    SolutionAck,
-    SolutionPush,
-    UpdateReply,
-    WorkReply,
-    WorkRequest,
-)
 from repro.grid.simulator.metrics import MetricsCollector
 
 __all__ = ["FarmerConfig", "SimFarmer"]
@@ -51,7 +49,7 @@ class FarmerConfig:
 
 
 class SimFarmer:
-    """Coordinator state machine under the virtual clock."""
+    """Queue, clock, snapshots and outages around one ``Coordinator``."""
 
     def __init__(
         self,
@@ -61,86 +59,83 @@ class SimFarmer:
         config: Optional[FarmerConfig] = None,
         failure_plan: Optional[FarmerFailurePlan] = None,
         initial_best: Optional[Incumbent] = None,
-    ):
+    ) -> None:
         self.clock = clock
         self.metrics = metrics
         self.config = config or FarmerConfig()
         self.failure_plan = failure_plan or FarmerFailurePlan()
-        self.intervals = IntervalSet.initial(
-            root_interval, self.config.duplication_threshold
-        )
-        self.solution = (initial_best or Incumbent()).copy()
+        self._root = root_interval
+        self.coordinator = self._coordinator(initial_best)
         self.terminated = False
         self.down = False
         self._epoch = 0  # bumped on crash: stale queued work is dropped
         self._next_free = 0.0
-        self._worker_powers: Dict[str, float] = {}
-        self._last_contact: Dict[str, float] = {}
-        # checkpoint snapshots: the "two files"
-        self._intervals_snapshot = self.intervals.to_payload()
-        self._solution_snapshot = self.solution.copy()
         self.checkpoints_taken = 0
         self.recoveries = 0
         self.messages_dropped = 0
-        self._schedule_failures()
-        self._checkpoint_timer()
+        self._snapshot()
+        for crash, downtime in self.failure_plan.outages:
+            clock.schedule_at(crash, self._crash)
+            clock.schedule_at(crash + downtime, self._recover)
+        clock.schedule(self.config.checkpoint_period, self._checkpoint_tick)
+
+    def _coordinator(self, solution: Optional[Incumbent]) -> Coordinator:
+        return Coordinator(
+            self._root,
+            self.config.duplication_threshold,
+            initial_best=solution,
+            lease_seconds=self.config.death_timeout,
+            clock=lambda: self.clock.now,
+        )
 
     # ------------------------------------------------------------------
-    # failure machinery
+    # the two files, and the outages that need them
     # ------------------------------------------------------------------
-    def _schedule_failures(self) -> None:
-        for crash, downtime in self.failure_plan.outages:
-            self.clock.schedule_at(crash, self._crash)
-            self.clock.schedule_at(crash + downtime, self._recover)
+    def _snapshot(self) -> None:
+        self._intervals_snapshot = self.coordinator.intervals.to_payload()
+        self._solution_snapshot = self.coordinator.solution.copy()
 
     def _crash(self) -> None:
         self.down = True
         self._epoch += 1  # queued-but-unserved messages die with us
 
     def _recover(self) -> None:
-        """Restart: reload INTERVALS and SOLUTION from the files."""
+        """Restart: a fresh coordinator over the two files."""
         self.down = False
         self.recoveries += 1
-        self.intervals = IntervalSet.from_payload(
+        self.flush_accounting()
+        self.coordinator = self._coordinator(self._solution_snapshot)
+        self.coordinator.intervals = IntervalSet.from_payload(
             self._intervals_snapshot, self.config.duplication_threshold
         )
-        self.solution = self._solution_snapshot.copy()
-        self._worker_powers.clear()
-        self._last_contact.clear()
         self._next_free = self.clock.now
 
-    def _checkpoint_timer(self) -> None:
+    def _checkpoint_tick(self) -> None:
         if self.terminated:
             return
-        self.clock.schedule(self.config.checkpoint_period, self._do_checkpoint)
-
-    def _do_checkpoint(self) -> None:
-        if not self.down and not self.terminated:
-            self._intervals_snapshot = self.intervals.to_payload()
-            self._solution_snapshot = self.solution.copy()
+        if not self.down:
+            self._snapshot()
             self.checkpoints_taken += 1
             self.metrics.add_farmer_busy(self.config.checkpoint_service_time)
-            self._cull_dead_workers()
-        self._checkpoint_timer()
+            self.coordinator.check_leases(self.clock.now)
+        self.clock.schedule(self.config.checkpoint_period, self._checkpoint_tick)
 
-    def _cull_dead_workers(self) -> None:
-        timeout = self.config.death_timeout
-        if timeout is None:
-            return
-        deadline = self.clock.now - timeout
-        for worker, last in list(self._last_contact.items()):
-            if last < deadline:
-                self.intervals.release(worker)
-                del self._last_contact[worker]
+    def flush_accounting(self) -> None:
+        """Fold the coordinator's counters into the metrics — once per
+        coordinator: before a recovery replaces it, and at the end."""
+        self.metrics.work_allocations += self.coordinator.work_allocations
+        self.metrics.worker_checkpoint_ops += self.coordinator.worker_checkpoint_ops
 
     # ------------------------------------------------------------------
     # message intake (single-server queue)
     # ------------------------------------------------------------------
-    def deliver(self, message: Any, respond: Callable[[Any], None]) -> None:
+    def deliver(
+        self, message: Any, respond: Callable[..., None], *context: Any
+    ) -> None:
         """A message arrives (network delay already elapsed).
 
-        ``respond(reply)`` is invoked at service completion time; the
-        caller adds the return-path network delay.
+        ``respond(reply, *context)`` is invoked at service completion
+        time; the caller adds the return-path network delay.
         """
         if self.down:
             self.messages_dropped += 1
@@ -149,68 +144,33 @@ class SimFarmer:
         finish = start + self.config.service_time
         self._next_free = finish
         self.metrics.add_farmer_busy(self.config.service_time)
-        self.clock.schedule_at(finish, self._process, message, respond, self._epoch)
+        self.clock.schedule_at(
+            finish, self._serve, message, respond, context, self._epoch
+        )
 
-    def _process(
-        self, message: Any, respond: Callable[[Any], None], epoch: int
+    def _serve(
+        self,
+        message: Any,
+        respond: Callable[..., None],
+        context: Tuple[Any, ...],
+        epoch: int,
     ) -> None:
         if epoch != self._epoch or self.down:
             self.messages_dropped += 1
             return
-        reply = self._handle(message)
+        coordinator = self.coordinator
+        improvements = coordinator.improvements
+        reply = coordinator.handle(message)
+        coordinator.take_notices()  # pull-only grid: nobody to tell
+        if coordinator.improvements != improvements:
+            self.metrics.solution_improved(
+                self.clock.now, coordinator.solution.cost
+            )
+        if coordinator.terminated and not self.terminated:
+            # Persist the terminal state first: a crash after this
+            # point must not recover a stale non-empty INTERVALS with
+            # every worker already dismissed.
+            self.terminated = True
+            self._snapshot()
         if reply is not None:
-            respond(reply)
-
-    # ------------------------------------------------------------------
-    # protocol handlers
-    # ------------------------------------------------------------------
-    def _handle(self, message: Any) -> Any:
-        if isinstance(message, WorkRequest):
-            return self._on_work_request(message)
-        if isinstance(message, IntervalUpdate):
-            return self._on_update(message)
-        if isinstance(message, SolutionPush):
-            return self._on_solution(message)
-        raise SimulationError(f"farmer cannot handle {type(message).__name__}")
-
-    def _mark_terminated(self) -> None:
-        """Record termination and checkpoint the final (empty) state.
-
-        Without this a farmer crash *after* termination would recover
-        a stale non-empty INTERVALS while every worker has already
-        been dismissed — resurrecting finished work with nobody left
-        to do it.  Persisting the terminal state first closes that
-        window.
-        """
-        self.terminated = True
-        self._intervals_snapshot = self.intervals.to_payload()
-        self._solution_snapshot = self.solution.copy()
-
-    def _on_work_request(self, msg: WorkRequest) -> WorkReply:
-        self._worker_powers[msg.worker] = msg.power
-        self._last_contact[msg.worker] = self.clock.now
-        if self.intervals.is_empty():
-            self._mark_terminated()
-            return WorkReply(None, self.solution.cost, terminate=True)
-        assignment = self.intervals.assign(
-            msg.worker, msg.power, self._worker_powers
-        )
-        if assignment is None:
-            self._mark_terminated()
-            return WorkReply(None, self.solution.cost, terminate=True)
-        self.metrics.work_allocations += 1
-        return WorkReply(assignment.interval, self.solution.cost)
-
-    def _on_update(self, msg: IntervalUpdate) -> UpdateReply:
-        self._last_contact[msg.worker] = self.clock.now
-        merged = self.intervals.update(msg.worker, msg.interval)
-        self.metrics.worker_checkpoint_ops += 1
-        if self.intervals.is_empty():
-            self._mark_terminated()
-        return UpdateReply(merged, self.solution.cost)
-
-    def _on_solution(self, msg: SolutionPush) -> SolutionAck:
-        self._last_contact[msg.worker] = self.clock.now
-        if self.solution.update(msg.cost, msg.solution):
-            self.metrics.solution_improved(self.clock.now, msg.cost)
-        return SolutionAck(self.solution.cost)
+            respond(reply, *context)

@@ -19,6 +19,7 @@ from repro.grid.simulator.events import SimClock
 from repro.grid.simulator.failures import FarmerFailurePlan
 from repro.grid.simulator.farmer import FarmerConfig, SimFarmer
 from repro.grid.simulator.metrics import MetricsCollector, Table2Stats
+from repro.grid.simulator.network import frame_sizes
 from repro.grid.simulator.platform import PlatformSpec
 from repro.grid.simulator.rng import RngRegistry
 from repro.grid.simulator.worker import SimWorker, WorkerConfig
@@ -93,7 +94,10 @@ class GridSimulation:
         workers = []
         from repro.grid.simulator.availability import AvailabilityTrace
 
-        for host in cfg.platform.all_hosts():
+        hosts = cfg.platform.all_hosts()
+        # one measured frame per message type, shared by every worker
+        frame_bytes = frame_sizes(root, hosts[0].host_id) if hosts else {}
+        for host in hosts:
             if cfg.always_on:
                 trace = AvailabilityTrace(host.host_id, [(0.0, cfg.horizon)])
             else:
@@ -109,6 +113,7 @@ class GridSimulation:
                 network=cfg.platform.network,
                 workload=cfg.workload,
                 metrics=self.metrics,
+                frame_bytes=frame_bytes,
                 config=cfg.worker,
             )
             workers.append(worker)
@@ -124,9 +129,11 @@ class GridSimulation:
         )
         for worker in self.workers:
             worker.flush_accounting()
+        self.farmer.flush_accounting()
         wall = self.clock.now
-        finished = self.farmer.terminated or self.farmer.intervals.is_empty()
-        best = self.farmer.solution
+        coordinator = self.farmer.coordinator
+        finished = self.farmer.terminated or coordinator.intervals.is_empty()
+        best = coordinator.solution
         table2 = self.metrics.table2(wall, best.cost, finished)
         return SimulationReport(
             table2=table2,

@@ -2,34 +2,38 @@
 
 Lifecycle follows the cycle-stealing availability trace of its host:
 each up-period is a *session*.  Inside a session the worker pulls work
-(WorkRequest), explores its interval in slices of ``update_period``
-virtual seconds, pushes solution improvements immediately, and reports
-its remaining interval at each slice boundary (the worker-side
-checkpoint of §4.1).  A down-transition is a crash: no goodbye, the
-unit is dropped, the coordinator's copy lingers until reassigned.
+(``Request``), explores its interval in slices of ``update_period``
+virtual seconds, pushes solution improvements immediately (``Push``),
+and reports its remaining interval at each slice boundary (``Update``,
+the worker-side checkpoint of §4.1) — the messages of
+:mod:`repro.grid.runtime.protocol`, unsequenced.  A down-transition is
+a crash: no goodbye, the unit is dropped, the coordinator's copy
+lingers until reassigned.
 
 Every exchange blocks the worker for one round trip (pull model); the
-time spent waiting counts against the 97 % exploitation figure.
+time spent waiting counts against the 97 % exploitation figure.  Each
+message costs the network what its real frame weighs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.exceptions import SimulationError
+from repro.core.interval import Interval
+from repro.grid.net.framing import encode_frame
+from repro.grid.runtime.protocol import (
+    Ack,
+    GrantWork,
+    Push,
+    Reconciled,
+    Request,
+    Terminate,
+    Update,
+)
 from repro.grid.simulator.availability import AvailabilityTrace
 from repro.grid.simulator.events import SimClock
 from repro.grid.simulator.farmer import SimFarmer
-from repro.grid.simulator.messages import (
-    IntervalUpdate,
-    SolutionAck,
-    SolutionPush,
-    UpdateReply,
-    WorkReply,
-    WorkRequest,
-)
 from repro.grid.simulator.metrics import MetricsCollector
 from repro.grid.simulator.network import NetworkModel
 from repro.grid.simulator.platform import HostSpec
@@ -59,16 +63,20 @@ class SimWorker:
         network: NetworkModel,
         workload: Workload,
         metrics: MetricsCollector,
+        frame_bytes: Dict[type, int],
         config: Optional[WorkerConfig] = None,
     ):
         self.clock = clock
         self.host = host
         self.trace = trace
         self.farmer = farmer
-        self.farmer_cluster = farmer_cluster
-        self.network = network
         self.workload = workload
         self.metrics = metrics
+        self._frame_bytes = frame_bytes
+        # the platform's wiring does not change under a run: look the
+        # two directions up once, not twice per message
+        self._uplink = network.link(host.cluster, farmer_cluster)
+        self._downlink = network.link(farmer_cluster, host.cluster)
         self.config = config or WorkerConfig()
         self.id = host.host_id
         self.power = host.relative_power
@@ -78,7 +86,6 @@ class SimWorker:
         self._leave_time = 0.0
         self._unit: Optional[WorkUnit] = None
         self._terminated = False
-        self._seq = itertools.count()
         self.sessions = 0
         self.crash_count = 0
         # Local best (sharing rules 1-3, §4.4).  Kept so a worker that
@@ -136,38 +143,34 @@ class SimWorker:
     # messaging (pull model with optional retry)
     # ------------------------------------------------------------------
     def _send(self, message: Any, on_reply: Callable[[Any], None]) -> None:
-        epoch = self._epoch
-        seq = next(self._seq)
-        pending = {"done": False}
-        size = message.wire_size()
+        # ``call`` is emptied by whichever comes first: the reply, or
+        # the retry that gives up on this attempt and sends afresh.
+        call = [on_reply]
+        size = self._frame_bytes.get(type(message)) or len(encode_frame(message))
         self.metrics.message_sent(size)
-        out_delay = self.network.delay(
-            self.host.cluster, self.farmer_cluster, size
-        )
-
-        def respond(reply: Any) -> None:
-            back_delay = self.network.delay(
-                self.farmer_cluster, self.host.cluster, reply.wire_size()
-            )
-            self.clock.schedule(back_delay, receive, reply)
-
-        def receive(reply: Any) -> None:
-            if epoch != self._epoch or pending["done"]:
-                return  # session ended, or a retry already won
-            pending["done"] = True
-            on_reply(reply)
-
-        def retry() -> None:
-            if epoch != self._epoch or pending["done"]:
-                return
-            pending["done"] = True  # kill this attempt; resend fresh
-            self._send(message, on_reply)
-
         self.clock.schedule(
-            out_delay, self.farmer.deliver, message, respond
+            self._uplink.delay(size),
+            self.farmer.deliver, message, self._reply_leaves, self._epoch, call,
         )
         if self.config.retry_timeout is not None:
-            self.clock.schedule(self.config.retry_timeout, retry)
+            self.clock.schedule(
+                self.config.retry_timeout, self._retry, message, self._epoch, call
+            )
+
+    def _reply_leaves(self, reply: Any, epoch: int, call: List[Any]) -> None:
+        """Service done at the farmer: the reply starts its way back."""
+        self.clock.schedule(
+            self._downlink.delay(self._frame_bytes[type(reply)]),
+            self._reply_arrives, reply, epoch, call,
+        )
+
+    def _reply_arrives(self, reply: Any, epoch: int, call: List[Any]) -> None:
+        if epoch == self._epoch and call:  # else: session over, or a retry won
+            call.pop()(reply)
+
+    def _retry(self, message: Any, epoch: int, call: List[Any]) -> None:
+        if epoch == self._epoch and call:
+            self._send(message, call.pop())
 
     # ------------------------------------------------------------------
     # protocol: request -> explore slices -> update -> ...
@@ -175,18 +178,17 @@ class SimWorker:
     def _request_work(self) -> None:
         if not self._in_session:
             return
-        self._send(
-            WorkRequest(self.id, self.power), self._on_work_reply
-        )
+        self._send(Request(self.id, self.power), self._on_work_reply)
 
-    def _on_work_reply(self, reply: WorkReply) -> None:
-        if reply.terminate or reply.interval is None:
+    def _on_work_reply(self, reply: Union[GrantWork, Terminate]) -> None:
+        if isinstance(reply, Terminate):
             self._terminated = True
             self._close_session()
             return
         self._reinform_if_stale(reply.best_cost)
         self._unit = self.workload.create_unit(
-            reply.interval, min(reply.best_cost, self._best_cost)
+            Interval.from_tuple(reply.interval),
+            min(reply.best_cost, self._best_cost),
         )
         self._explore_slice()
 
@@ -213,12 +215,12 @@ class SimWorker:
                 self._best_cost = cost
                 self._best_solution = solution
 
-            def after_push(ack: SolutionAck) -> None:
+            def after_push(ack: Ack) -> None:
                 if self._unit is not None:
                     self._unit.set_upper_bound(ack.best_cost)
                 self._send_update()
 
-            self._send(SolutionPush(self.id, cost, solution), after_push)
+            self._send(Push(self.id, cost, solution), after_push)
         else:
             self._send_update()
 
@@ -228,24 +230,23 @@ class SimWorker:
         push our solution again."""
         if self._best_solution is not None and global_best > self._best_cost:
             self._send(
-                SolutionPush(self.id, self._best_cost, self._best_solution),
+                Push(self.id, self._best_cost, self._best_solution),
                 lambda ack: None,
             )
 
     def _send_update(self) -> None:
         if self._unit is None:
             return
-        remaining = self._unit.remaining_interval()
-        msg = IntervalUpdate(
-            self.id, remaining, consumed=0, nodes=0
-        )
-        self._send(msg, self._on_update_reply)
+        # nodes / consumed stay 0: the collector counts exploration at
+        # the slice, where a host that leaves mid-unit still counts.
+        remaining = self._unit.remaining_interval().as_tuple()
+        self._send(Update(self.id, remaining, 0, 0), self._on_update_reply)
 
-    def _on_update_reply(self, reply: UpdateReply) -> None:
+    def _on_update_reply(self, reply: Reconciled) -> None:
         if self._unit is None:
             return
         self._reinform_if_stale(reply.best_cost)
-        self._unit.apply_interval(reply.interval)
+        self._unit.apply_interval(Interval.from_tuple(reply.interval))
         self._unit.set_upper_bound(reply.best_cost)
         if self._unit.is_finished():
             self._unit = None

@@ -62,16 +62,18 @@ class TestMessageAccounting:
         assert not peer.safra_black
 
     def test_wire_sizes_positive(self):
-        assert StealRequest(0, 1.0).wire_size() > 0
-        assert StealReply(Interval(0, 5), 1.0).wire_size() > 0
-        assert StealReply(None, 1.0).wire_size() > 0
-        assert Gossip(1.0, (1, 2), 3).wire_size() > 0
-        assert SafraToken().wire_size() > 0
+        peer = P2PSimulation(tiny_config(peers=2)).peers[0]
+        assert peer.wire_size(StealRequest(0, 1.0)) > 0
+        assert peer.wire_size(StealReply(Interval(0, 5), 1.0)) > 0
+        assert peer.wire_size(StealReply(None, 1.0)) > 0
+        assert peer.wire_size(Gossip(1.0, (1, 2), 3)) > 0
+        assert peer.wire_size(SafraToken()) > 0
 
     def test_empty_reply_smaller_than_grant(self):
+        peer = P2PSimulation(tiny_config(peers=2)).peers[0]
         grant = StealReply(Interval(0, 10), 1.0)
         empty = StealReply(None, 1.0)
-        assert empty.wire_size() < grant.wire_size()
+        assert peer.wire_size(empty) < peer.wire_size(grant)
 
 
 class TestTerminationSafety:

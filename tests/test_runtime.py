@@ -74,6 +74,33 @@ class TestCoordinatorUnit:
         reply = coord.handle(Request("w1"))
         assert reply.interval == (0, 1000)
 
+    def test_update_past_the_granted_end_erases_nothing(self):
+        # The past-the-cut subtraction takes a worker's word only as far
+        # as the end of its last grant: a begin beyond it (stray retry,
+        # worker bug, corrupt frame) must not erase unexplored leaves.
+        coord = self.make()
+        coord.handle(Request("w0"))  # [0, 1000)
+        coord.handle(Request("w1"))  # [500, 1000); w0 keeps [0, 500)
+        assert coord.handle(Request("w2")).interval == (250, 500)
+        reply = coord.handle(Update("w2", (900, 1000), nodes=1, consumed=650))
+        assert reply.interval[0] >= reply.interval[1]  # its own copy is gone
+        assert coord.intervals.to_payload() == [(0, 250), (500, 1000)]
+
+    def test_overrun_inside_the_grant_is_subtracted(self):
+        coord = self.make()
+        coord.handle(Request("w0"))  # granted [0, 1000), then cut at 500
+        coord.handle(Request("w1"))
+        coord.handle(Update("w0", (600, 1000), nodes=1, consumed=600))
+        assert coord.intervals.to_payload() == [(600, 1000)]
+        # ...but not once the grant is forgotten (released, then reclaimed)
+        coord = self.make()
+        coord.handle(Request("w0"))
+        coord.release_worker("w0")
+        coord.handle(Update("w0", (0, 1000), nodes=0, consumed=0))  # reclaim
+        coord.handle(Request("w1"))
+        coord.handle(Update("w0", (600, 1000), nodes=1, consumed=600))
+        assert coord.intervals.to_payload() == [(500, 1000)]
+
     def test_unknown_message_rejected(self):
         with pytest.raises(RuntimeProtocolError):
             self.make().handle("banana")

@@ -19,7 +19,7 @@ from repro.grid.simulator import (
     WorkerConfig,
 )
 from repro.grid.simulator.farmer import SimFarmer
-from repro.grid.simulator.messages import WorkRequest
+from repro.grid.runtime.protocol import Request
 from repro.grid.simulator.events import SimClock
 from repro.grid.simulator.metrics import MetricsCollector
 from repro.core import Interval
@@ -47,10 +47,10 @@ class TestPowerProportionalSplits:
                 pass
             return box[0]
 
-        rpc(WorkRequest("slow", 1.0))
-        reply = rpc(WorkRequest("fast", 4.0))
+        rpc(Request("slow", 1.0))
+        reply = rpc(Request("fast", 4.0))
         # the fast host takes 4/5 of the interval
-        assert reply.interval == Interval(200, 1000)
+        assert reply.interval == (200, 1000)
 
     def test_fast_hosts_consume_more_in_full_run(self):
         leaves = 10**7

@@ -5,7 +5,9 @@ true optimum *with proof* regardless of churn, crashes, duplication
 and farmer failures — the paper's fault-tolerance claims (§4.1–§4.3).
 """
 
+import hashlib
 import math
+import time
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.grid.simulator import (
     SimulationConfig,
     SyntheticWorkload,
     WorkerConfig,
+    paper_availability_model,
     small_platform,
 )
 from repro.problems.flowshop import FlowShopProblem, random_instance
@@ -244,3 +247,54 @@ class TestDeathPaths:
         report = GridSimulation(cfg).run()
         assert report.finished
         assert report.best_cost == expected
+
+
+class TestOneFarmer:
+    """The simulated farmer is a driver of the runtime ``Coordinator``."""
+
+    @staticmethod
+    def churning_grid():
+        leaves, hosts = 10**12, 32
+        return GridSimulation(SimulationConfig(
+            platform=small_platform(workers=hosts, clusters=4, dedicated=False),
+            workload=SyntheticWorkload(
+                leaves, seed=5, mean_leaf_rate=leaves / (hosts * 3600.0),
+                irregularity=1.3, segments=512, nodes_per_second=9.4e3,
+            ),
+            horizon=6 * 3600.0,
+            seed=5,
+            availability=paper_availability_model(),
+            farmer=FarmerConfig(duplication_threshold=10**4, checkpoint_period=600.0),
+            worker=WorkerConfig(update_period=30.0),
+        ))
+
+    def test_ledger_pinned_to_the_last_hand_written_farmer(self):
+        # Constants recorded at the commit before ``SimFarmer`` became a
+        # driver (its own protocol handlers, guessed message sizes): the
+        # driver swap must not move an event, a message or a leaf.
+        sim = self.churning_grid()
+        report = sim.run()
+        assert report.worker_crashes > 0 and not report.finished
+        payload = sim.farmer.coordinator.intervals.to_payload()
+        assert (
+            sim.clock.events_fired,
+            report.messages,
+            report.table2.work_allocations,
+            report.table2.checkpoint_operations,
+            hashlib.sha1(repr(payload).encode()).hexdigest(),
+        ) == (40347, 10079, 80, 9993, "7ac5f6d4216ae26d7a6a7fbdf2750c2d8dfb330b")
+
+    def test_no_wall_clock_under_the_virtual_one(self, monkeypatch):
+        # RC05 keeps wall clocks out of repro/grid/simulator/*.py; the
+        # coordinator lives outside that scope and must read the clock
+        # it is given — leases included.
+        def wall_clock():
+            raise AssertionError("the simulation read a wall clock")
+
+        monkeypatch.setattr(time, "monotonic", wall_clock)
+        monkeypatch.setattr(time, "time", wall_clock)
+        config = synthetic_config(workers=4)
+        config.farmer.death_timeout = 3600.0
+        config.farmer_failures = FarmerFailurePlan([(200.0, 60.0)])
+        report = GridSimulation(config).run()
+        assert report.finished and report.farmer_recoveries == 1

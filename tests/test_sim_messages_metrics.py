@@ -1,63 +1,99 @@
-"""Unit tests for protocol messages (wire sizes) and the metrics collector."""
+"""Unit tests for the simulator's wire sizes and the metrics collector."""
+
+import math
 
 import pytest
 
+from repro.analysis.report import active_list_wire_size, interval_wire_size
 from repro.core import Interval
-from repro.grid.simulator.messages import (
-    IntervalUpdate,
-    SolutionAck,
-    SolutionPush,
-    UpdateReply,
-    WorkReply,
-    WorkRequest,
-    active_list_wire_size,
-    interval_wire_size,
-    wire_size,
+from repro.grid.net.framing import encode_frame
+from repro.grid.runtime.protocol import (
+    Ack,
+    GrantWork,
+    Push,
+    Reconciled,
+    Request,
+    Terminate,
+    Update,
+)
+from repro.grid.simulator import (
+    GridSimulation,
+    SimulationConfig,
+    SyntheticWorkload,
+    small_platform,
 )
 from repro.grid.simulator.metrics import MetricsCollector
+from repro.grid.simulator.network import frame_sizes
 
 
 class TestWireSizes:
-    def test_interval_wire_size_constant(self):
-        # The headline property: two big integers no matter the span.
-        small = interval_wire_size(Interval(0, 10))
-        huge = interval_wire_size(Interval(0, 10**64))
-        assert small == huge == 64
+    ROOT = Interval(0, math.factorial(50))
 
-    def test_none_interval_is_free(self):
-        assert interval_wire_size(None) == 0
+    def test_interval_wire_size_constant(self):
+        # The headline property, on measured frames: two integers,
+        # however many leaves (or frontier nodes) lie between them.
+        n = self.ROOT.end
+        one_leaf = interval_wire_size(Interval(n - 1, n))
+        half_the_tree = interval_wire_size(Interval(n // 2, n))
+        assert one_leaf == half_the_tree == len(f'"interval":[{n},{n}],')
+
+    def test_all_messages_have_sizes(self):
+        # every size the simulator charges is a measured frame: the real
+        # message, with root-sized leaf numbers, through the real encoder
+        n = self.ROOT.end
+        sizes = frame_sizes(self.ROOT, "c0/0007")
+        assert sizes == {
+            Request: len(encode_frame(Request("c0/0007"))),
+            Update: len(encode_frame(Update("c0/0007", (n, n), 0, 0))),
+            GrantWork: len(encode_frame(GrantWork((n, n), 0.0))),
+            Reconciled: len(encode_frame(Reconciled((n, n), 0.0))),
+            Ack: len(encode_frame(Ack(0.0))),
+            Terminate: len(encode_frame(Terminate(0.0))),
+        }
+
+    def test_simulated_bytes_are_the_frames_sent(self):
+        leaves = 10**6
+        workload = SyntheticWorkload(
+            leaves, seed=1, mean_leaf_rate=leaves / 600.0, segments=16,
+            improvement_count=1,
+        )
+        sim = GridSimulation(SimulationConfig(
+            platform=small_platform(workers=1, clusters=1),
+            workload=workload, horizon=86400.0, always_on=True,
+        ))
+        report = sim.run()
+        assert report.finished
+        worker = sim.workers[0].id
+        sizes = frame_sizes(Interval(0, leaves), worker)
+        (position, cost), = workload._improvement_points
+        push = Push(worker, cost, ("synthetic-solution", position))
+        updates = sim.farmer.coordinator.worker_checkpoint_ops
+        requests = report.messages - updates - 1
+        assert requests == 1 and updates > 1  # the run ends at the emptying Update
+        assert report.message_bytes == (
+            requests * sizes[Request]
+            + updates * sizes[Update]
+            + len(encode_frame(push))
+        )
+
+    def test_terminate_reply_smaller_than_grant(self):
+        sizes = frame_sizes(self.ROOT, "w")
+        assert sizes[Terminate] < sizes[GrantWork]
+
+    def test_solution_push_scales_with_solution(self):
+        # a Push is not in the table: it is encoded as it comes
+        assert Push not in frame_sizes(self.ROOT, "w")
+        short = Push("w", 1.0, (1,))
+        long = Push("w", 1.0, tuple(range(50)))
+        assert len(encode_frame(long)) > len(encode_frame(short))
 
     def test_active_list_grows_with_cardinality(self):
         assert active_list_wire_size(10, 50) < active_list_wire_size(100, 50)
         assert active_list_wire_size(10, 5) < active_list_wire_size(10, 50)
 
     def test_interval_beats_active_list_for_real_frontiers(self):
-        # a Ta056 frontier has ~P*branching/2 nodes
-        assert interval_wire_size(Interval(0, 1)) < active_list_wire_size(2, 50)
-
-    def test_all_messages_have_sizes(self):
-        iv = Interval(3, 9)
-        messages = [
-            WorkRequest("w", 1.0),
-            WorkReply(iv, 10.0),
-            WorkReply(None, 10.0, terminate=True),
-            IntervalUpdate("w", iv, 5, 7),
-            UpdateReply(iv, 10.0),
-            SolutionPush("w", 9.0, (1, 2, 3)),
-            SolutionAck(9.0),
-        ]
-        for msg in messages:
-            assert wire_size(msg) > 0
-
-    def test_terminate_reply_smaller_than_grant(self):
-        grant = WorkReply(Interval(0, 10), 1.0)
-        term = WorkReply(None, 1.0, terminate=True)
-        assert term.wire_size() < grant.wire_size()
-
-    def test_solution_push_scales_with_solution(self):
-        short = SolutionPush("w", 1.0, (1,))
-        long = SolutionPush("w", 1.0, tuple(range(50)))
-        assert long.wire_size() > short.wire_size()
+        # a Ta056 frontier has ~P*branching/2 nodes; one node is enough
+        assert interval_wire_size(self.ROOT) < active_list_wire_size(1, 50)
 
 
 class TestMetricsCollector:
