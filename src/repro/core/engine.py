@@ -77,11 +77,16 @@ ImprovementCallback = Callable[[float, Any], None]
 
 @dataclass
 class StepReport:
-    """Outcome of one :meth:`IntervalExplorer.step` slice."""
+    """Outcome of one :meth:`IntervalExplorer.step` slice.
+
+    ``consumed``: leaf numbers retired — how far the remaining interval's
+    begin advanced (never past its end), or all of it once finished.
+    """
 
     nodes_processed: int
     finished: bool
     improved: bool
+    consumed: int
 
 
 @dataclass
@@ -422,6 +427,7 @@ class IntervalExplorer:
         incumbent = self.incumbent
         widest = self.pool_size if self._pool_evaluator is not None else 1
         provider = self.bound_provider
+        before = self.remaining_interval()
         next_poll = 0
         processed = 0
         improved = False
@@ -536,7 +542,14 @@ class IntervalExplorer:
             stats.bound_evaluations += pruned_unpushed
             stats.nodes_pruned += pruned_unpushed
 
-        return StepReport(processed, finished=not stack, improved=improved)
+        if stack:
+            after = self.remaining_interval()
+            consumed = max(0, min(after.begin, before.end) - before.begin)
+        else:
+            consumed = before.length
+        return StepReport(
+            processed, finished=not stack, improved=improved, consumed=consumed
+        )
 
     def _bound_families(
         self, parents: List[_Entry], depth: int

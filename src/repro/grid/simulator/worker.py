@@ -1,43 +1,39 @@
-"""The simulated B&B process (worker) — paper §4.
+"""The simulated B&B process: a virtual-clock driver of the worker core.
 
-Lifecycle follows the cycle-stealing availability trace of its host:
-each up-period is a *session*.  Inside a session the worker pulls work
-(``Request``), explores its interval in slices of ``update_period``
-virtual seconds, pushes solution improvements immediately (``Push``),
-and reports its remaining interval at each slice boundary (``Update``,
-the worker-side checkpoint of §4.1) — the messages of
-:mod:`repro.grid.runtime.protocol`, unsequenced.  A down-transition is
-a crash: no goodbye, the unit is dropped, the coordinator's copy
-lingers until reassigned.
+Every decision — pull work, push the slice's best improvement before
+the Update, apply eq. 14, re-inform a coordinator that lost a solution
+— is :class:`~repro.grid.runtime.worker.WorkerCore`, the class every
+production worker runs.  What lives here is only what is *simulated*:
 
-Every exchange blocks the worker for one round trip (pull model); the
-time spent waiting counts against the 97 % exploitation figure.  Each
-message costs the network what its real frame weighs.
+* the host's cycle-stealing availability trace: each up-period is a
+  *session*, and a down-transition is a crash — no goodbye, the unit is
+  dropped, the coordinator's copy lingers until reassigned;
+* slices of ``update_period`` virtual seconds, explored by the
+  workload's ``WorkUnit.advance``;
+* the network: each message costs the link its real frame, and
+  ``retry_timeout`` re-sends one whose reply never came.
+
+The simulated grid is pull-only: each exchange blocks the worker for
+one round trip (the wait counts against the 97 % exploitation figure),
+so every count repeats exactly from the seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.interval import Interval
 from repro.grid.net.framing import encode_frame
-from repro.grid.runtime.protocol import (
-    Ack,
-    GrantWork,
-    Push,
-    Reconciled,
-    Request,
-    Terminate,
-    Update,
-)
+from repro.grid.runtime.protocol import Terminate
+from repro.grid.runtime.worker import WorkerCore
 from repro.grid.simulator.availability import AvailabilityTrace
 from repro.grid.simulator.events import SimClock
 from repro.grid.simulator.farmer import SimFarmer
 from repro.grid.simulator.metrics import MetricsCollector
 from repro.grid.simulator.network import NetworkModel
 from repro.grid.simulator.platform import HostSpec
-from repro.grid.simulator.workload import Workload, WorkUnit
+from repro.grid.simulator.workload import AdvanceReport, Workload, WorkUnit
 
 __all__ = ["WorkerConfig", "SimWorker"]
 
@@ -48,6 +44,10 @@ class WorkerConfig:
 
     update_period: float = 30.0  # seconds between interval updates
     retry_timeout: Optional[float] = None  # resend if no reply (farmer down)
+
+
+def _drop(reply: Any) -> None:
+    """A re-inform Push is not waited for, and its Ack is not applied."""
 
 
 class SimWorker:
@@ -65,9 +65,8 @@ class SimWorker:
         metrics: MetricsCollector,
         frame_bytes: Dict[type, int],
         config: Optional[WorkerConfig] = None,
-    ):
+    ) -> None:
         self.clock = clock
-        self.host = host
         self.trace = trace
         self.farmer = farmer
         self.workload = workload
@@ -80,20 +79,15 @@ class SimWorker:
         self.config = config or WorkerConfig()
         self.id = host.host_id
         self.power = host.relative_power
-        self._epoch = 0  # bumped at session end; stale callbacks no-op
+        # One core per host: its local best outlives a session.
+        self._core = WorkerCore(self.id, self.power)
+        self._unit: Optional[WorkUnit] = None
+        self._epoch = 0  # bumped at session start and end; stale callbacks no-op
         self._in_session = False
         self._session_started = 0.0
         self._leave_time = 0.0
-        self._unit: Optional[WorkUnit] = None
-        self._terminated = False
-        self.sessions = 0
+        self.terminated = False
         self.crash_count = 0
-        # Local best (sharing rules 1-3, §4.4).  Kept so a worker that
-        # observes a *stale* global SOLUTION — the farmer recovered
-        # from a checkpoint taken before our push — re-informs the
-        # coordinator instead of silently letting the value be lost.
-        self._best_cost = float("inf")
-        self._best_solution = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -104,24 +98,22 @@ class SimWorker:
             self.clock.schedule_at(join, self._join, leave)
 
     def _join(self, leave_time: float) -> None:
-        if self._terminated:
+        if self.terminated:
             return
         self._epoch += 1
         self._in_session = True
         self._session_started = self.clock.now
         self._leave_time = leave_time
-        self.sessions += 1
         self.metrics.worker_joined(self.clock.now)
         self.clock.schedule_at(leave_time, self._leave, self._epoch)
-        self._request_work()
+        self._send(self._core.request(), self._on_work_reply)
 
     def _leave(self, epoch: int) -> None:
         if epoch != self._epoch or not self._in_session:
             return
         self._close_session()
-        if self._unit is not None and not self._unit.is_finished():
+        if self._core.exploring:
             self.crash_count += 1
-        self._unit = None
 
     def _close_session(self) -> None:
         self._in_session = False
@@ -172,29 +164,36 @@ class SimWorker:
         if epoch == self._epoch and call:
             self._send(message, call.pop())
 
+    def _send_in_turn(self, messages: List[Any]) -> None:
+        """Each of the core's messages once the previous one's reply came."""
+        if len(messages) == 1:
+            self._send(messages[0], self._on_update_reply)
+            return
+
+        def acked(ack: Any) -> None:
+            self._core.acked(ack)
+            self._send_in_turn(messages[1:])
+
+        self._send(messages[0], acked)
+
     # ------------------------------------------------------------------
     # protocol: request -> explore slices -> update -> ...
     # ------------------------------------------------------------------
-    def _request_work(self) -> None:
-        if not self._in_session:
-            return
-        self._send(Request(self.id, self.power), self._on_work_reply)
-
-    def _on_work_reply(self, reply: Union[GrantWork, Terminate]) -> None:
+    def _on_work_reply(self, reply: Any) -> None:
         if isinstance(reply, Terminate):
-            self._terminated = True
+            self.terminated = True
             self._close_session()
             return
-        self._reinform_if_stale(reply.best_cost)
-        self._unit = self.workload.create_unit(
-            Interval.from_tuple(reply.interval),
-            min(reply.best_cost, self._best_cost),
+        push = self._core.grant(reply)
+        if push is not None:
+            self._send(push, _drop)
+        self._unit = self._core.unit = self.workload.create_unit(
+            Interval.from_tuple(reply.interval), self._core.start_bound
         )
         self._explore_slice()
 
     def _explore_slice(self) -> None:
-        if not self._in_session or self._unit is None:
-            return
+        assert self._unit is not None
         budget = min(
             self.config.update_period, self._leave_time - self.clock.now
         )
@@ -206,55 +205,22 @@ class SimWorker:
         # The slice conceptually occupies [now, now + elapsed].
         self.clock.schedule(report.elapsed, self._after_slice, report, self._epoch)
 
-    def _after_slice(self, report, epoch: int) -> None:
-        if epoch != self._epoch or self._unit is None:
+    def _after_slice(self, report: AdvanceReport, epoch: int) -> None:
+        if epoch != self._epoch:
             return
-        if report.improvements:
-            cost, solution = report.improvements[-1]  # best of the slice
-            if cost < self._best_cost:
-                self._best_cost = cost
-                self._best_solution = solution
+        for cost, solution in report.improvements:
+            self._core.found(cost, solution)
+        # nodes / consumed stay 0 on the wire: the collector counts
+        # exploration at the slice, where a host that leaves mid-unit
+        # still counts.
+        messages, _ = self._core.slice_done(0, 0)
+        self._send_in_turn(messages)
 
-            def after_push(ack: Ack) -> None:
-                if self._unit is not None:
-                    self._unit.set_upper_bound(ack.best_cost)
-                self._send_update()
-
-            self._send(Push(self.id, cost, solution), after_push)
-        else:
-            self._send_update()
-
-    def _reinform_if_stale(self, global_best: float) -> None:
-        """Sharing repair: the coordinator believes something worse
-        than our local best (it recovered from an old checkpoint) —
-        push our solution again."""
-        if self._best_solution is not None and global_best > self._best_cost:
-            self._send(
-                Push(self.id, self._best_cost, self._best_solution),
-                lambda ack: None,
-            )
-
-    def _send_update(self) -> None:
-        if self._unit is None:
-            return
-        # nodes / consumed stay 0: the collector counts exploration at
-        # the slice, where a host that leaves mid-unit still counts.
-        remaining = self._unit.remaining_interval().as_tuple()
-        self._send(Update(self.id, remaining, 0, 0), self._on_update_reply)
-
-    def _on_update_reply(self, reply: Reconciled) -> None:
-        if self._unit is None:
-            return
-        self._reinform_if_stale(reply.best_cost)
-        self._unit.apply_interval(Interval.from_tuple(reply.interval))
-        self._unit.set_upper_bound(reply.best_cost)
-        if self._unit.is_finished():
-            self._unit = None
-            self._request_work()
-        else:
+    def _on_update_reply(self, reply: Any) -> None:
+        push = self._core.reconciled(reply)
+        if push is not None:
+            self._send(push, _drop)
+        if self._core.exploring:
             self._explore_slice()
-
-    # ------------------------------------------------------------------
-    @property
-    def terminated(self) -> bool:
-        return self._terminated
+        else:
+            self._send(self._core.request(), self._on_work_reply)

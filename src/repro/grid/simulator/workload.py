@@ -32,6 +32,7 @@ from repro.core.interval import Interval
 from repro.core.problem import Problem
 from repro.core.stats import Incumbent
 from repro.exceptions import SimulationError
+from repro.grid.runtime.worker import Unit
 from repro.grid.simulator.rng import stable_seed
 
 import numpy as np
@@ -56,27 +57,12 @@ class AdvanceReport:
     finished: bool = False
 
 
-class WorkUnit(ABC):
-    """One interval being explored by one process."""
+class WorkUnit(Unit):
+    """One interval being explored by one process, by CPU budget."""
 
     @abstractmethod
     def advance(self, budget_seconds: float, power: float) -> AdvanceReport:
         """Explore for up to ``budget_seconds`` of CPU at ``power``."""
-
-    @abstractmethod
-    def remaining_interval(self) -> Interval:
-        """Fold of the current frontier (what an update reports)."""
-
-    @abstractmethod
-    def apply_interval(self, interval: Interval) -> None:
-        """Adopt the coordinator's reconciled interval (eq. 14)."""
-
-    @abstractmethod
-    def set_upper_bound(self, cost: float) -> None:
-        """Adopt a shared global best (sharing rule 3)."""
-
-    @abstractmethod
-    def is_finished(self) -> bool: ...
 
 
 class Workload(ABC):
@@ -114,18 +100,13 @@ class _RealUnit(WorkUnit):
 
     def advance(self, budget_seconds: float, power: float) -> AdvanceReport:
         budget_nodes = max(1, int(budget_seconds * self.nodes_per_second * power))
-        before = self.explorer.remaining_interval()
         report = self.explorer.step(budget_nodes)
-        after = self.explorer.remaining_interval()
-        consumed = max(0, min(after.begin, before.end) - before.begin)
-        if report.finished:
-            consumed = max(0, before.end - before.begin)
         improvements, self._improvements = self._improvements, []
         elapsed = report.nodes_processed / (self.nodes_per_second * power)
         return AdvanceReport(
             elapsed=min(elapsed, budget_seconds),
             nodes=report.nodes_processed,
-            consumed=consumed,
+            consumed=report.consumed,
             improvements=improvements,
             finished=report.finished,
         )

@@ -394,7 +394,9 @@ class SimulatorDeterminism(Rule):
     Chaos schedules and Table 2 reproductions replay byte-identically
     only because every stochastic source is a seeded ``random.Random``
     and every clock is virtual.  ``random.<fn>()`` module calls share
-    one ambient global state, and ``time.time()`` reads the host.
+    one ambient global state, and ``time.time()`` / ``time.monotonic()``
+    read the host.  The worker core is in scope because the simulator
+    runs it.
     """
 
     code: ClassVar[str] = "RC05"
@@ -403,7 +405,10 @@ class SimulatorDeterminism(Rule):
         "simulation runs replay exactly from their seed (Table 2 / "
         "chaos schedules)"
     )
-    scope: ClassVar[Tuple[str, ...]] = ("repro/grid/simulator/*.py",)
+    scope: ClassVar[Tuple[str, ...]] = (
+        "repro/grid/simulator/*.py",
+        "repro/grid/runtime/worker.py",
+    )
     #: --strict extends the no-global-randomness part to benchmarks
     #: and examples, whose results are committed / copy-pasted.
     strict_scope: ClassVar[Tuple[str, ...]] = (
@@ -434,6 +439,9 @@ class SimulatorDeterminism(Rule):
             "weibullvariate",
         }
     )
+    WALL_CLOCKS: ClassVar[FrozenSet[str]] = frozenset(
+        {"monotonic", "perf_counter", "time"}
+    )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         in_simulator = any(_match(ctx.rel, p) for p in self.scope)
@@ -452,11 +460,11 @@ class SimulatorDeterminism(Rule):
                     f"random.{attr}() uses the ambient global RNG — "
                     "thread a seeded random.Random instance instead",
                 )
-            elif in_simulator and owner == "time" and attr == "time":
+            elif in_simulator and owner == "time" and attr in self.WALL_CLOCKS:
                 yield self.violation(
                     ctx,
                     node,
-                    "time.time() reads the wall clock inside the "
+                    f"time.{attr}() reads the wall clock inside the "
                     "simulator — use the virtual clock",
                 )
 
@@ -568,9 +576,10 @@ class TypedCoreDiscipline(Rule):
         "repro/grid/runtime/*.py",
         "repro/grid/net/*.py",
         "repro/grid/service/*.py",
-        # the one simulator module in the perimeter: the driver that
-        # sits between the typed coordinator and the typed protocol
+        # the simulator's two drivers, between the typed runtime classes
+        # they drive (Coordinator, WorkerCore) and the typed protocol
         "repro/grid/simulator/farmer.py",
+        "repro/grid/simulator/worker.py",
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:

@@ -123,47 +123,31 @@ class TestNoticeFaults:
 
     NOTICE_SEEDS = [0, 1, 2, 3]
 
-    def _run(self, seed, notices, fs_instance, tsp_instance, transport):
+    def _run(self, seed, notices):
         plan = FaultPlan(channel=ChannelFaults(notices=notices), seed=seed)
         config = chaos_config(plan)
-        config.transport = transport
+        config.transport = "tcp" if seed >= 2 else "inprocess"
         config.bound_poll_nodes = 32  # polls inside the ≤ 400-node slices
-        if seed % 2 == 0:
-            return solve_parallel(flowshop_spec(fs_instance), config)
-        return solve_parallel(tsp_spec(tsp_instance), config)
+        # Trees of several slices: the module's 7-job ones fit in the first
+        # worker's first slice, and a run with nobody to cut sends no notice.
+        spec = [flowshop_spec(random_instance(10, 5, seed=91)), tsp_spec(random_tsp(10, seed=13))]
+        result = solve_parallel(spec[seed % 2], config)
+        assert result.optimal
+        assert result.cost == solve(spec[seed % 2].build()).cost
+        return result
 
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("seed", NOTICE_SEEDS)
-    def test_every_notice_dropped_matches_serial(
-        self, seed, fs_instance, fs_expected, tsp_instance, tsp_expected
-    ):
-        result = self._run(
-            seed,
-            ChannelFaults(drop=1.0),
-            fs_instance,
-            tsp_instance,
-            "tcp" if seed >= 2 else "inprocess",
-        )
-        assert result.optimal
-        assert result.cost == (fs_expected if seed % 2 == 0 else tsp_expected)
+    def test_every_notice_dropped_matches_serial(self, seed):
+        result = self._run(seed, ChannelFaults(drop=1.0))
         assert result.notices_sent > 0
         assert result.faults_injected["dropped"] == result.notices_sent
         assert sum(s["notices"] for s in result.worker_stats.values()) == 0
 
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("seed", NOTICE_SEEDS)
-    def test_notices_duplicated_and_delayed_match_serial(
-        self, seed, fs_instance, fs_expected, tsp_instance, tsp_expected
-    ):
-        result = self._run(
-            seed,
-            ChannelFaults(duplicate=0.5, delay=0.5),
-            fs_instance,
-            tsp_instance,
-            "tcp" if seed >= 2 else "inprocess",
-        )
-        assert result.optimal
-        assert result.cost == (fs_expected if seed % 2 == 0 else tsp_expected)
+    def test_notices_duplicated_and_delayed_match_serial(self, seed):
+        result = self._run(seed, ChannelFaults(duplicate=0.5, delay=0.5))
         faults = result.faults_injected
         assert faults["duplicated"] + faults["delayed"] == result.notices_sent > 0
         assert not result.crashed_workers

@@ -278,6 +278,13 @@ def test_rc05_flags_global_rng_and_wall_clock_in_simulator(tmp_path):
     assert all(v.line == 6 for v in result.violations)
 
 
+def test_rc05_covers_the_worker_core_the_simulator_runs(tmp_path):
+    source = "import random, time\nstamp = random.random(), time.monotonic()\n"
+    result = run_check(tmp_path, "repro/grid/runtime/worker.py", source, select=["RC05"])
+    assert codes(result) == ["RC05", "RC05"]
+    assert "time.monotonic()" in result.violations[1].message
+
+
 def test_rc05_seeded_rng_and_virtual_clock_pass(tmp_path):
     result = run_check(
         tmp_path,

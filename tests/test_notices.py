@@ -4,10 +4,9 @@
   someone else cut, and the other holders after a Push lowered SOLUTION.
 * ``Connection.poll`` never blocks, on either transport; the RPC layer
   tells a ``Notice`` from a reply by its type.
-* A scripted connection drives the real ``_worker_loop``: a cut notice
-  ends the slice at the next poll and the Update is reconciled before
-  another node is explored; a bound notice only tightens pruning; an
-  improvement is pushed at the next poll.
+* A scripted connection drives the real ``worker_main`` (its decisions
+  are tested sans IO in ``test_worker_core.py``): a cut is reconciled
+  before another node, a dead coordinator noticed at the re-inform Push.
 * ``solve_parallel`` over both transports and one service job with two
   holders: same optimum, proof, reconciled ledger, notices sent.
 """
@@ -22,7 +21,6 @@ from collections import deque
 import pytest
 
 from repro.core import Interval, solve
-from repro.core.engine import IntervalExplorer
 from repro.grid.net import tcp
 from repro.grid.net.framing import MessageDecodeError, decode_message
 from repro.grid.net.inprocess import InProcessTransport
@@ -34,21 +32,17 @@ from repro.grid.runtime import (
     flowshop_spec,
     solve_parallel,
 )
-from repro.grid.runtime.bbprocess import _RpcChannel, _worker_loop
+from repro.grid.runtime.bbprocess import _RpcChannel, worker_main
 from repro.grid.runtime.protocol import (
     Ack,
     Bye,
     GrantWork,
-    JobGrant,
-    JobPush,
-    JobUpdate,
     Notice,
     Push,
     Reconciled,
     Request,
     Terminate,
     Update,
-    spec_to_wire,
 )
 from repro.problems.flowshop import FlowShopProblem, random_instance
 
@@ -214,6 +208,9 @@ class Fifo(Connection):
     def close(self):
         pass
 
+    def connect(self, worker_id):
+        return self
+
 
 def channel(conn):
     return _RpcChannel(conn, 1.0, 0, {"rpc_wait_seconds": 0.0})
@@ -260,11 +257,10 @@ class ScriptedCoordinator(Fifo):
     the connection blocking (``recv``) or mid-slice (``poll``).
     """
 
-    def __init__(self, end=TOTAL, best=math.inf, job="", cue=None):
+    def __init__(self, best, cue):
         super().__init__(self._reply)
-        self.end = end
+        self.end = TOTAL
         self.best = best
-        self.job = job
         self.cue = cue
         self.polls = 0
         self.granted = False
@@ -275,22 +271,17 @@ class ScriptedCoordinator(Fifo):
         if isinstance(message, Request):
             if self.granted:
                 reply = Terminate(self.best)
-            elif self.job:
-                reply = JobGrant(
-                    self.job, (0, self.end), self.best,
-                    spec=spec_to_wire(flowshop_spec(instance)),
-                )
             else:
                 reply = GrantWork((0, self.end), self.best)
             self.granted = True
-        elif isinstance(message, (Update, JobUpdate)):
+        elif isinstance(message, Update):
             begin, end = message.interval
             if self.halve_next:
                 self.halve_next = False
                 self.end = begin + (end - begin) // 2
             reply = Reconciled((begin, min(end, self.end)), self.best)
         else:
-            assert isinstance(message, (Push, JobPush, Bye))
+            assert isinstance(message, (Push, Bye))
             if not isinstance(message, Bye):
                 self.best = min(self.best, message.cost)
             reply = Ack(self.best)
@@ -315,33 +306,19 @@ class ScriptedCoordinator(Fifo):
         return self._take("poll") if self.fifo else None
 
     def updates(self):
-        return [m for m in self.sent if isinstance(m, (Update, JobUpdate))]
-
-    def pushes(self):
-        return [m for m in self.sent if isinstance(m, (Push, JobPush))]
+        return [m for m in self.sent if isinstance(m, Update)]
 
 
-def run_worker_loop(conn, spec=flowshop_spec(instance), slice_nodes=SLICE_NODES):
-    outcome = _worker_loop(
+def run_worker(conn, slice_nodes=SLICE_NODES):
+    return worker_main(
         "w0",
-        spec,
+        flowshop_spec(instance),
         conn,
         update_nodes=slice_nodes,
-        power=1.0,
-        reply_timeout=5.0,
         max_retries=0,
-        crash_after_updates=None,
-        hang_after_updates=None,
-        hang_seconds=0.0,
-        update_period=None,
-        min_slice_nodes=64,
-        max_slice_nodes=1 << 20,
         bound_poll_nodes=POLL_NODES,
         kernel_backend="off",  # one parent per wave: polls every 32 nodes
     )
-    assert outcome == "terminate"
-    (bye,) = [m for m in conn.sent if isinstance(m, Bye)]
-    return bye.stats
 
 
 def test_cut_notice_ends_the_slice_and_is_reconciled_before_the_next_node():
@@ -351,7 +328,8 @@ def test_cut_notice_ends_the_slice_and_is_reconciled_before_the_next_node():
             conn.fifo.append(Notice(conn.best, True))
 
     conn = ScriptedCoordinator(best=serial.cost, cue=cue)
-    stats = run_worker_loop(conn)
+    assert run_worker(conn) == "terminate"
+    (stats,) = [m.stats for m in conn.sent if isinstance(m, Bye)]
     first, second = conn.updates()[:2]
     # The slice ended at the poll that read the notice, not 256 nodes in.
     assert 3 * POLL_NODES <= first.nodes <= 3 * POLL_NODES + instance.jobs
@@ -365,80 +343,27 @@ def test_cut_notice_ends_the_slice_and_is_reconciled_before_the_next_node():
     assert later and all(conn.via[u.seq] == "poll" for u in later)
 
 
-def test_bound_notice_is_adopted_and_costs_no_update():
-    def cue(conn):
-        if conn.polls == 3:
-            conn.fifo.append(Notice(serial.cost, False))
+def test_an_unanswered_reinform_push_gives_up_before_any_update():
+    def answer(message):
+        if isinstance(message, Request):
+            requests.append(message)  # each time: "nobody has a solution"
+            reply = GrantWork((0, TOTAL), math.inf)
+        elif len(requests) > 1:
+            return []  # the coordinator is gone
+        elif isinstance(message, Update):
+            reply = Reconciled(message.interval, math.inf)
+        else:
+            reply = Ack(message.cost)
+        reply.seq = message.seq
+        return [reply]
 
-    # Granted one above the optimum: left alone, it finds and pushes it.
-    quiet = ScriptedCoordinator(best=serial.cost + 1)
-    baseline = run_worker_loop(quiet)
-    assert [p.cost for p in quiet.pushes()] == [serial.cost]
-    # Told the optimum's cost ~64 nodes in, nothing it finds is better.
-    conn = ScriptedCoordinator(best=serial.cost + 1, cue=cue)
-    stats = run_worker_loop(conn)
-    assert stats["notices"] == 1 and conn.pushes() == []
-    assert stats["nodes"] <= baseline["nodes"]
-    # The notice ended no slice and caused no Update of its own.
-    assert stats["early_yields"] == 0
-    assert all(u.nodes >= SLICE_NODES for u in conn.updates()[:-1])
-
-
-def test_notice_for_another_job_is_ignored():
-    def cue(conn):
-        if conn.polls == 3:
-            conn.fifo.append(Notice(0.0, True, job="some-other-job"))
-            conn.fifo.append(Notice(0.0, True, job=""))
-
-    conn = ScriptedCoordinator(best=serial.cost, job="job-1", cue=cue)
-    stats = run_worker_loop(conn, spec=None)
-    assert stats["notices"] == 0 and stats["early_yields"] == 0
-    assert stats["nodes"] == sum(u.nodes for u in conn.updates())
-    assert stats["nodes"] > 0  # a cost of 0 would have pruned the root
-
-
-def improvements_found_serially():
-    found = []
-    explorer = IntervalExplorer(
-        FlowShopProblem(instance),
-        on_improvement=lambda cost, sol: found.append(cost),
-        kernel_backend="off",
-    )
-    explorer.run()
-    assert len(found) > 1  # the instance improves several times
-    return found
-
-
-def test_improvements_are_pushed_at_the_next_poll_one_push_per_poll():
-    found = improvements_found_serially()
-
-    def cue(conn):
-        if conn.polls == 1:  # any notice: the job has another holder
-            conn.fifo.append(Notice(math.inf, False))
-
-    conn = ScriptedCoordinator(cue=cue)
-    stats = run_worker_loop(conn, slice_nodes=1 << 20)  # one slice, left alone
-    pushes = conn.pushes()
-    # Improvements that fell between the same two polls left as one Push.
-    assert 1 <= len(pushes) < len(found)
-    assert [p.cost for p in pushes] == sorted({p.cost for p in pushes}, reverse=True)
-    assert pushes[-1].cost == serial.cost
-    assert stats["early_yields"] == len(pushes) == stats["improvements"]
-    # Each Push is followed by the Update of the slice it cut short.
-    for push in pushes:
-        update = next(m for m in conn.sent if m.seq == push.seq + 1)
-        assert isinstance(update, Update) and 0 < update.nodes < stats["nodes"]
-
-
-def test_the_only_holder_of_a_job_pushes_at_its_slice_boundaries():
-    # Nobody is waiting for its bound: no slice is cut short, and the
-    # coordinator is not written to once per improvement.
-    conn = ScriptedCoordinator()
-    stats = run_worker_loop(conn, slice_nodes=1 << 20)
-    assert stats["early_yields"] == 0 and stats["notices"] == 0
-    (update,) = conn.updates()
-    assert update.nodes == stats["nodes"]
-    assert [p.cost for p in conn.pushes()] == [serial.cost]
+    requests = []
+    conn = Fifo(answer)
+    # One slice finds and pushes the optimum; the second grant's stale
+    # best asks for a re-inform that nobody answers.
+    assert run_worker(conn, slice_nodes=1 << 20) == "gave-up"
+    assert [type(m) for m in conn.sent[-2:]] == [Request, Push]
+    assert conn.sent[-1].cost == serial.cost
 
 
 # ----------------------------------------------------------------------

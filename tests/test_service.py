@@ -26,14 +26,9 @@ from repro.core.checkpoint import MultiJobStore
 from repro.exceptions import CheckpointError
 from repro.grid.net.framing import decode_message, encode_frame
 from repro.grid.net.serve import run_worker
-from repro.grid.net.transport import (
-    Connection,
-    Connector,
-    TransportError,
-    TransportTimeout,
-)
+from repro.grid.net.transport import TransportError, TransportTimeout
 from repro.grid.runtime import flowshop_spec
-from repro.grid.runtime import bbprocess
+from repro.grid.runtime.worker import _JOB_CACHE_SIZE, WorkerCore
 from repro.grid.runtime.protocol import (
     Ack,
     Bye,
@@ -546,15 +541,13 @@ class ScriptedWorker:
                     on_improvement=lambda *found: self.found.append(found),
                 )
             self.found.clear()
-            before = self.explorer.remaining_interval()
             report = self.explorer.step(max_nodes)
-            after = self.explorer.remaining_interval()
             self.slice = JobUpdate(
                 self.name,
                 self.job,
-                after.as_tuple(),
+                self.explorer.remaining_interval().as_tuple(),
                 nodes=report.nodes_processed,
-                consumed=after.begin - before.begin,
+                consumed=report.consumed,
             )
             if not self.found:
                 return None
@@ -1031,64 +1024,15 @@ def _tracked_flowshop(processing_times):
     return problem
 
 
-class OneWorkerService(Connection, Connector):
-    """Plays the service to a single worker: one tiny job per Request."""
-
-    def __init__(self, jobs):
-        self.jobs = jobs
-        self.granted = 0
-        self.live_at_terminate = None
-        self.inbox = []
-
-    def connect(self, worker_id):
-        return self
-
-    def send(self, message):
-        if isinstance(message, Request):
-            if self.granted == self.jobs:
-                gc.collect()
-                self.live_at_terminate = len(_live_problems)
-                reply = Terminate(math.inf)
-            else:
-                self.granted += 1
-                tiny = random_instance(3, 2, seed=self.granted)
-                reply = JobGrant(
-                    f"job-{self.granted}",
-                    (0, math.factorial(3)),
-                    math.inf,
-                    spec=spec_to_wire(
-                        ProblemSpec(
-                            _tracked_flowshop,
-                            (tiny.processing_times.tolist(),),
-                        )
-                    ),
-                )
-        elif isinstance(message, JobUpdate):
-            reply = Reconciled(message.interval, math.inf)
-        else:
-            assert isinstance(message, (JobPush, Bye))
-            reply = Ack(math.inf)
-        reply.seq = message.seq
-        self.inbox.append(reply)
-
-    def recv(self, timeout=None):
-        if not self.inbox:
-            raise TransportTimeout("nothing sent")
-        return self.inbox.pop(0)
-
-    def close(self):
-        pass
-
-
 def test_worker_forgets_jobs_it_has_moved_on_from():
-    service = OneWorkerService(jobs=50)
-    outcome = bbprocess.worker_main(
-        "w0", None, service, reply_timeout=5.0, max_retries=0
-    )
-    assert outcome == "terminate"
-    assert service.granted == 50
+    core = WorkerCore("w0")
+    for n in range(50):
+        times = random_instance(3, 2, seed=n).processing_times.tolist()
+        spec = spec_to_wire(ProblemSpec(_tracked_flowshop, (times,)))
+        core.grant(JobGrant(f"job-{n}", (0, 6), math.inf, spec=spec))
+    gc.collect()
     # All 50 problems were built; only the newest few are still held.
-    assert service.live_at_terminate == bbprocess._JOB_CACHE_SIZE
+    assert len(_live_problems) == _JOB_CACHE_SIZE
 
 
 def test_abort_then_resume_completes_both_jobs(tmp_path):
