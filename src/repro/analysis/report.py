@@ -29,12 +29,12 @@ PAPER_TA056_SCHEDULE = [
 
 def interval_wire_size(interval: Interval) -> int:
     """Bytes ``interval`` adds to a frame: what a grant of it weighs on
-    the wire over the refusal that carries none (measured, not modelled)."""
+    the wire over a grant of the empty pair (measured, not modelled)."""
     from repro.grid.net.framing import encode_frame
-    from repro.grid.runtime.protocol import GrantWork, Terminate
+    from repro.grid.runtime.protocol import GrantWork
 
     grant = encode_frame(GrantWork(interval.as_tuple(), 0.0))
-    return len(grant) - len(encode_frame(Terminate(0.0)))
+    return len(grant) - len(encode_frame(GrantWork((), 0.0)))
 
 
 def active_list_wire_size(cardinality: int, depth: int) -> int:

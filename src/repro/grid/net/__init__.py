@@ -52,6 +52,7 @@ from repro.grid.net.transport import (
     TransportClosed,
     TransportError,
     TransportTimeout,
+    WireVersionError,
 )
 
 __all__ = [
@@ -74,6 +75,7 @@ __all__ = [
     "TransportTimeout",
     "WIRE_VERSION",
     "Welcome",
+    "WireVersionError",
     "decode_message",
     "decorrelated_jitter",
     "encode_frame",

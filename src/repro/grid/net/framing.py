@@ -58,13 +58,10 @@ from repro.grid.runtime.protocol import (
     GrantWork,
     Idle,
     JobAccepted,
-    JobGrant,
     JobList,
-    JobPush,
     JobRefused,
     JobStatus,
     JobStatusRequest,
-    JobUpdate,
     ListJobs,
     Notice,
     Push,
@@ -90,8 +87,10 @@ __all__ = [
 ]
 
 #: Highest wire version this build understands.  v2 added the server
-#: ``epoch`` to the Hello/Welcome handshake (crash-only recovery).
-WIRE_VERSION = 2
+#: ``epoch`` to the Hello/Welcome handshake (crash-only recovery); v3
+#: put the job id on GrantWork/Update/Push and dropped their job-tagged
+#: twins, so both ends of a handshake must speak exactly this version.
+WIRE_VERSION = 3
 
 #: Upper bound on a single frame; anything larger is a protocol error
 #: (or garbage on the port), not a message worth buffering.
@@ -168,9 +167,6 @@ _WIRE_TYPES = {
         Ack,
         Terminate,
         Notice,
-        JobGrant,
-        JobUpdate,
-        JobPush,
         Idle,
         SubmitJob,
         JobAccepted,

@@ -316,7 +316,7 @@ def run_worker(
             if welcome is not None and welcome.spec is not None:
                 spec = spec_from_wire(welcome.spec)
             # A spec-less Welcome is the multi-tenant service: every
-            # JobGrant carries its job's spec, so the worker starts
+            # grant carries its job's spec, so the worker starts
             # with none and learns problems per grant.
     except Exception:
         connection.close()

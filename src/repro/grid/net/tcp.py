@@ -3,7 +3,8 @@
 The coordinator side (:class:`TcpListener`) runs an asyncio server on
 a background thread: one task per client connection reads frames
 (:mod:`repro.grid.net.framing`), answers :class:`Hello` with
-:class:`Welcome`, swallows :class:`Heartbeat`, and funnels every
+:class:`Welcome` (or, at another wire version, closes the connection
+unregistered), swallows :class:`Heartbeat`, and funnels every
 protocol message into a thread-safe inbox the coordinator pump drains
 exactly like a queue.  Replies are routed to the connection that last
 said Hello for that worker id.
@@ -50,10 +51,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.grid.net.backoff import decorrelated_jitter
 from repro.grid.net.framing import (
     MAX_FRAME_BYTES,
+    WIRE_VERSION,
     FrameBuffer,
     FrameError,
     Heartbeat,
     Hello,
+    MessageDecodeError,
     Welcome,
     decode_message,
     encode_frame,
@@ -66,6 +69,7 @@ from repro.grid.net.transport import (
     TransportClosed,
     TransportError,
     TransportTimeout,
+    WireVersionError,
 )
 
 __all__ = [
@@ -78,6 +82,20 @@ __all__ = [
 
 _HEADER = struct.Struct("!I")
 _RECV_CHUNK = 65536
+
+
+def _read_welcome(payload: bytes) -> Welcome:
+    """The server's first frame, which must be a Welcome of this version."""
+    try:
+        message = decode_message(payload)
+    except MessageDecodeError as exc:
+        raise WireVersionError(f"undecodable handshake reply: {exc}") from exc
+    if not isinstance(message, Welcome) or message.version != WIRE_VERSION:
+        raise WireVersionError(
+            f"the server answered {message!r}; this worker speaks only "
+            f"a v{WIRE_VERSION} Welcome"
+        )
+    return message
 
 
 @dataclass(frozen=True)
@@ -209,6 +227,8 @@ class TcpListener(Listener):
                 except FrameError:
                     break  # undecodable stream: drop the connection
                 if isinstance(message, Hello):
+                    if message.version != WIRE_VERSION:
+                        break  # another wire version: never registered
                     worker = message.worker
                     stale = self._writers.get(worker)
                     self._writers[worker] = writer
@@ -377,16 +397,19 @@ class TcpClientConnection(Connection):
                 if not data:
                     raise OSError("connection closed during the handshake")
                 for payload in buf.feed(data):
+                    if welcome is None:
+                        welcome = _read_welcome(payload)
+                        continue
                     message = decode_message(payload)
-                    if isinstance(message, Welcome):
-                        welcome = message
-                    elif not isinstance(message, Heartbeat):
+                    if not isinstance(message, Heartbeat):
                         self._inbound.append(message)
-        except (OSError, FrameError):
+        except (OSError, FrameError, WireVersionError) as exc:
             try:
                 sock.close()
             except OSError:
                 pass
+            if isinstance(exc, WireVersionError):
+                raise  # no reconnect changes the server's version
             return False
         self._sock = sock
         self._buf = buf
@@ -479,7 +502,11 @@ class TcpClientConnection(Connection):
 
         Optional — ``send``/``recv`` connect lazily — but standalone
         workers call it to obtain the :class:`Welcome` (and its problem
-        spec) before starting the B&B loop.
+        spec) before starting the B&B loop.  A server that answers with
+        anything but a Welcome of this wire version raises
+        :class:`~repro.grid.net.transport.WireVersionError` at once,
+        without reconnect attempts — here, and from the lazy reconnect
+        of ``send`` / ``recv`` alike.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._send_lock:

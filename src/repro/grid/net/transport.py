@@ -47,6 +47,7 @@ __all__ = [
     "TransportClosed",
     "TransportError",
     "TransportTimeout",
+    "WireVersionError",
 ]
 
 
@@ -62,19 +63,29 @@ class TransportClosed(TransportError):
     """The endpoint was closed locally; no further traffic is possible."""
 
 
+class WireVersionError(TransportError):
+    """The peer speaks another wire version: no retry can fix that."""
+
+
 class Connection(abc.ABC):
     """A worker's bidirectional message channel to the coordinator."""
 
     @abc.abstractmethod
     def send(self, message: Any) -> None:
-        """Best-effort send; an unreachable peer drops the message."""
+        """Best-effort send; an unreachable peer drops the message.
+
+        A transport that reconnects lazily raises
+        :class:`WireVersionError` if the peer it reaches speaks another
+        wire version: that, unlike an unreachable peer, no retry fixes.
+        """
 
     @abc.abstractmethod
     def recv(self, timeout: Optional[float] = None) -> Any:
         """Next message from the coordinator.
 
         Raises :class:`TransportTimeout` when nothing arrives within
-        ``timeout`` seconds (``None`` blocks indefinitely).
+        ``timeout`` seconds (``None`` blocks indefinitely), and
+        :class:`WireVersionError` as :meth:`send` does.
         """
 
     def poll(self) -> Any:

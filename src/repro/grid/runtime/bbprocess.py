@@ -213,12 +213,11 @@ class _RpcChannel:
                 if isinstance(reply, Notice):
                     self.notices.append(reply)
                     continue
-                reply_seq = getattr(reply, "seq", 0)
-                if reply_seq in (0, seq):  # 0: a legacy unsequenced reply
+                if getattr(reply, "seq", 0) == seq:
                     self._pending = None
                     return reply
-                # A stale reply from an RPC we already retried past:
-                # discard and keep waiting for the current one.
+                # A stale reply from an RPC we already retried past (or
+                # one that names no RPC): discard, wait for the current one.
             timeout = decorrelated_jitter(
                 self._rng,
                 self._reply_timeout,
@@ -294,14 +293,14 @@ def worker_main(
     Process supervisors respawn anything but a clean ``"terminate"``.
 
     Against the multi-tenant solve service the same loop serves *many*
-    jobs: grants arrive as :class:`JobGrant` (carrying an opaque job id
-    plus the job's spec in wire form), the worker keeps one built
-    problem and one local incumbent per job id (for the last few jobs
-    it was granted — :class:`WorkerCore`), tags its traffic with
-    the grant's id, and asks again on an :class:`Idle` reply — the
-    service parks a Request it cannot grant, so the waiting is done
-    server-side.  ``spec`` may then be ``None`` — the fleet learns
-    every problem from its grants.
+    jobs: each grant carries an opaque job id plus the job's spec in
+    wire form, the worker keeps one built problem and one local
+    incumbent per job id (for the last few jobs it was granted —
+    :class:`WorkerCore`), stamps its Updates and Pushes with the grant's
+    id, and asks again on an :class:`Idle` reply — the service parks a
+    Request it cannot grant, so the waiting is done server-side.
+    ``spec`` may then be ``None`` — the fleet learns every problem from
+    its grants.
     """
     core = WorkerCore(worker_id, power, None if spec is None else spec.build())
     stats = core.stats
@@ -358,8 +357,8 @@ def worker_main(
             if isinstance(reply, Idle):
                 # Keep-alive: no job had work for as long as the service
                 # parks a Request.  The fleet outlives any one job, so
-                # ask again (a pre-parking server may ask for a pause).
-                time.sleep(core.idle(reply))
+                # ask again.
+                core.idle()
                 continue
             # A Grant claimed from a just-restarted coordinator is
             # already a fresh reconciliation; consume the flag so the

@@ -180,9 +180,9 @@ class Coordinator:
         if isinstance(message, Bye):
             self.byes[message.worker] = message.stats
             # Best-effort ack so the worker's retry helper can stop
-            # re-sending; a legacy unsequenced Bye (seq 0) gets one
-            # too — the launcher still delivers it, but the worker has
-            # already exited, so it sits unread in the reply queue.
+            # re-sending; the unsequenced Bye (seq 0) of a worker that
+            # gave up gets one too — but that worker has already
+            # exited, so it sits unread in the reply queue.
             return Ack(self.solution.cost)
         raise RuntimeProtocolError(
             f"coordinator cannot handle {type(message).__name__}"

@@ -52,9 +52,6 @@ __all__ = [
     "Ack",
     "Terminate",
     "Notice",
-    "JobGrant",
-    "JobUpdate",
-    "JobPush",
     "Idle",
     "SubmitJob",
     "JobAccepted",
@@ -168,10 +165,18 @@ def spec_from_wire(wire: Dict[str, Any]) -> ProblemSpec:
 # worker -> coordinator
 # ----------------------------------------------------------------------
 # ``seq`` is a per-worker monotonic sequence number (0 = unsequenced,
-# for legacy senders).  A worker reuses the same seq when it *retries*
+# sent by the simulator's ``SimWorker``, whose virtual network neither
+# drops nor duplicates).  A worker reuses the same seq when it *retries*
 # an RPC whose reply timed out, so the coordinator can tell a retry or
 # a channel-duplicated message from new traffic and answer it
 # idempotently from its reply cache.
+#
+# ``job`` on ``Update`` / ``Push`` (and on ``GrantWork`` below) names
+# the job the slice belongs to: the solve service multiplexes many jobs
+# over one fleet and routes each message to that job's ledger; a
+# single-job run leaves it "".  Job ids are *opaque strings* (rule
+# RC11): equality only, never arithmetic or ordering.  The coordinator
+# never reads it.
 
 
 @dataclass
@@ -189,7 +194,8 @@ class Update:
     nodes: int  # nodes explored since the previous update
     consumed: int
     seq: int = 0
-    version: int = PROTOCOL_VERSION
+    job: str = ""
+    version: int = 3
 
 
 @dataclass
@@ -198,7 +204,8 @@ class Push:
     cost: float
     solution: Any
     seq: int = 0
-    version: int = PROTOCOL_VERSION
+    job: str = ""
+    version: int = 3
 
 
 @dataclass
@@ -208,8 +215,8 @@ class Bye:
     Acknowledged with an :class:`Ack` and routed through the worker's
     RPC retry helper (best effort): a dropped Bye under a lossy channel
     is re-sent with the same seq instead of stalling the run until the
-    process sentinel notices the exit.  ``seq == 0`` marks the legacy
-    fire-and-forget form, still accepted (no reply is awaited).
+    process sentinel notices the exit.  ``seq == 0`` is the farewell of
+    a worker whose retry budget ran out: sent once, no reply awaited.
 
     ``stats`` carries integer counters plus the measured
     ``explore_seconds`` / ``rpc_wait_seconds`` breakdown.
@@ -231,10 +238,22 @@ class Bye:
 
 @dataclass
 class GrantWork:
+    """A work slice, ``[begin, end)`` of the job named by ``job``.
+
+    ``spec`` is that job's problem recipe in wire form
+    (:func:`spec_to_wire`), repeated on every grant of the solve service
+    so the exchange stays stateless: a worker that has never seen the
+    job (or that restarted since) rebuilds the problem without a second
+    round trip.  ``None`` on a single-job run, whose workers were given
+    the problem up front.
+    """
+
     interval: Tuple[int, int]
     best_cost: float
     seq: int = 0
-    version: int = PROTOCOL_VERSION
+    job: str = ""
+    spec: Optional[Dict[str, Any]] = None
+    version: int = 3
 
 
 @dataclass
@@ -287,76 +306,18 @@ class Notice:
     version: int = PROTOCOL_VERSION
 
 
-# ----------------------------------------------------------------------
-# multi-tenant service: job-tagged worker traffic
-# ----------------------------------------------------------------------
-# The solve service multiplexes many jobs over one worker fleet.  A
-# worker stays a dumb interval-explorer: it sends the same Request it
-# always sent, but the service answers with a :class:`JobGrant` — a
-# GrantWork stamped with an opaque job id plus the job's problem spec
-# in wire form — and the worker tags its Update/Push traffic for that
-# slice with the same id so the service can route each message to the
-# right job ledger.  Job ids are *opaque strings* (rule RC11): equality
-# only, never arithmetic or ordering.
-
-
-@dataclass
-class JobGrant:
-    """A work slice from one job of many.
-
-    ``spec`` repeats the job's problem recipe on every grant so the
-    exchange stays stateless: a worker that has never seen the job (or
-    that restarted since) can rebuild the problem without a second
-    round trip.  Workers cache built problems per job id.
-    """
-
-    job: str
-    interval: Tuple[int, int]
-    best_cost: float
-    spec: Optional[Dict[str, Any]] = None
-    seq: int = 0
-    version: int = PROTOCOL_VERSION
-
-
-@dataclass
-class JobUpdate:
-    """An :class:`Update` tagged with the job the slice belongs to."""
-
-    worker: str
-    job: str
-    interval: Tuple[int, int]
-    nodes: int
-    consumed: int
-    seq: int = 0
-    version: int = PROTOCOL_VERSION
-
-
-@dataclass
-class JobPush:
-    """A :class:`Push` tagged with the job the solution belongs to."""
-
-    worker: str
-    job: str
-    cost: float
-    solution: Any
-    seq: int = 0
-    version: int = PROTOCOL_VERSION
-
-
 @dataclass
 class Idle:
     """Reply to a Request when no job currently has work to hand out.
 
     Unlike :class:`Terminate` this does not end the worker: the fleet
-    outlives any single job, so the worker asks again after
-    ``retry_after`` seconds.  The service *parks* a Request it cannot
-    grant and answers it the moment a job has work; the only Idle it
-    sends is ``Idle(0)``, the keep-alive of a long-parked Request.
+    outlives any single job, so the worker asks again at once.  The
+    service *parks* a Request it cannot grant and answers it the moment
+    a job has work; Idle is the keep-alive of a long-parked Request.
     """
 
-    retry_after: float = 0.0
     seq: int = 0
-    version: int = PROTOCOL_VERSION
+    version: int = 3
 
 
 # ----------------------------------------------------------------------

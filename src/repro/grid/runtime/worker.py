@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from abc import abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.core.interval import Interval
 from repro.core.problem import Problem
@@ -26,10 +26,6 @@ from repro.grid.runtime.protocol import (
     Ack,
     Bye,
     GrantWork,
-    Idle,
-    JobGrant,
-    JobPush,
-    JobUpdate,
     Notice,
     Push,
     Reconciled,
@@ -85,11 +81,10 @@ class _Job:
 class WorkerCore:
     """One B&B process's state machine, driven by message outcomes.
 
-    ``problem`` is the single-job run's problem (granted by
-    ``GrantWork``); a job-aware server's ``JobGrant`` carries its
-    problem's spec, built the first time the job is met.  ``stats`` is
-    the ``Bye`` counters dict; a driver adds its measured
-    ``explore_seconds`` and ``rpc_wait_seconds`` to it.
+    ``problem`` is the single-job run's problem, the job ``""``; the
+    solve service's grants carry their job's spec, built the first time
+    the job is met.  ``stats`` is the ``Bye`` counters dict; a driver
+    adds its measured ``explore_seconds`` and ``rpc_wait_seconds`` to it.
     """
 
     def __init__(
@@ -128,29 +123,24 @@ class WorkerCore:
         self.unit = None
         return Request(self.worker_id, self.power)
 
-    def idle(self, reply: Idle) -> float:
-        """No job had work: seconds to wait before asking again."""
+    def idle(self) -> None:
+        """An Idle reply: no job had work yet, so the driver asks again."""
         self.stats["idles"] += 1
-        return min(max(reply.retry_after, 0.0), 30.0)
 
-    def grant(self, reply: Union[GrantWork, JobGrant]) -> Optional[Any]:
+    def grant(self, reply: GrantWork) -> Optional[Any]:
         """Take on a grant; the re-inform Push to send first, if any.
 
         The driver then sets :attr:`unit` to the grant's unit, built on
         :attr:`problem` from :attr:`start_bound`.
         """
-        if isinstance(reply, JobGrant):
-            self.job = reply.job
-            job = self._jobs.pop(reply.job, None)
-            if job is None:
-                spec = reply.spec
-                job = _Job(None if spec is None else spec_from_wire(spec).build())
-            self._jobs[reply.job] = job  # (re)inserted last: most recent
-            if len(self._jobs) > _JOB_CACHE_SIZE:
-                del self._jobs[next(iter(self._jobs))]
-        else:
-            self.job = ""
-            job = self._jobs.setdefault("", _Job(None))
+        self.job = reply.job
+        job = self._jobs.pop(reply.job, None)
+        if job is None:
+            spec = reply.spec
+            job = _Job(None if spec is None else spec_from_wire(spec).build())
+        self._jobs[reply.job] = job  # (re)inserted last: most recent
+        if len(self._jobs) > _JOB_CACHE_SIZE:
+            del self._jobs[next(iter(self._jobs))]
         self._current = job
         self.stats["allocations"] += 1
         self.start_bound = min(reply.best_cost, job.cost)
@@ -223,12 +213,9 @@ class WorkerCore:
                 job.cost, job.solution = cost, solution
             messages.append(self._push(cost, solution))
         interval = self.unit.remaining_interval().as_tuple()
-        if self.job:
-            messages.append(
-                JobUpdate(self.worker_id, self.job, interval, nodes, consumed)
-            )
-        else:
-            messages.append(Update(self.worker_id, interval, nodes, consumed))
+        messages.append(
+            Update(self.worker_id, interval, nodes, consumed, job=self.job)
+        )
         reconcile_now = resync or self._cut
         self._cut = False
         return messages, reconcile_now
@@ -257,7 +244,5 @@ class WorkerCore:
             return self._push(job.cost, job.solution)
         return None
 
-    def _push(self, cost: float, solution: Any) -> Any:
-        if self.job:
-            return JobPush(self.worker_id, self.job, cost, solution)
-        return Push(self.worker_id, cost, solution)
+    def _push(self, cost: float, solution: Any) -> Push:
+        return Push(self.worker_id, cost, solution, job=self.job)

@@ -148,7 +148,7 @@ class ServiceClient:
         deadline = asyncio.get_running_loop().time() + self.timeout
         while True:
             reply = await self._recv(deadline)
-            if getattr(reply, "seq", 0) in (0, self._seq):
+            if getattr(reply, "seq", 0) == self._seq:
                 return reply
             # Stale reply from an abandoned RPC: drop and keep waiting.
 

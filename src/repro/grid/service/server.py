@@ -7,11 +7,10 @@ owning a single coordinator it keeps **one
 and lets the :class:`~repro.grid.service.scheduler.Scheduler` decide
 which job feeds each hungry worker.  Workers stay dumb
 interval-explorers: a ``Request`` comes in untagged, the service picks
-a job, asks that job's coordinator for a slice, and wraps the grant in
-a :class:`~repro.grid.runtime.protocol.JobGrant` carrying the job id
-and the job's spec; the worker then tags its ``JobUpdate``/``JobPush``
-traffic with the same id and the service routes each message to the
-right ledger.
+a job, hands the Request to that job's coordinator, and stamps the
+job id and the job's spec on the ``GrantWork`` it returns; the worker
+then stamps the same id on its ``Update``/``Push`` and the service
+passes each one to that job's coordinator unchanged.
 
 Crash-only by construction: job metadata transitions go through the
 durable :class:`~repro.grid.service.store.JobStore`, per-job
@@ -27,8 +26,8 @@ keep their own at-least-once dedup caches — a worker's global
 sequence counter interleaves across jobs, but each coordinator still
 sees a strictly increasing subsequence, so retry detection is intact.
 Requests and client RPCs are deduplicated at the service layer
-instead, because their replies (grant wrapping, scheduling) are
-composed *above* any one coordinator.
+instead, because their replies (job choice, scheduling) are composed
+*above* any one coordinator.
 
 A worker that moves between jobs may let an old job's lease expire;
 the §4.1 interval invariant turns that into redundant exploration,
@@ -61,13 +60,10 @@ from repro.grid.runtime.protocol import (
     CancelJob,
     Idle,
     JobAccepted,
-    JobGrant,
     JobList,
-    JobPush,
     JobRefused,
     JobStatus,
     JobStatusRequest,
-    JobUpdate,
     ListJobs,
     Push,
     Reconciled,
@@ -90,7 +86,7 @@ from repro.grid.service.store import (
 
 __all__ = ["ServiceConfig", "ServiceReport", "SolveService"]
 
-#: Longest a reply stays parked before the peer hears ``Idle(0)`` / the
+#: Longest a reply stays parked before the peer hears ``Idle`` / the
 #: current status and asks again: far inside any workable
 #: ``reply_timeout``, so a healthy server never looks like a dead one.
 KEEPALIVE_SECONDS = 1.0
@@ -165,7 +161,7 @@ class SolveService:
         self.listener = TcpListener(
             self.config.host,
             self.config.port,
-            spec_wire=None,  # specs travel per JobGrant, not per Welcome
+            spec_wire=None,  # specs travel per grant, not per Welcome
             peer_timeout=self.config.peer_timeout,
             epoch=self.epoch,
         )
@@ -334,10 +330,8 @@ class SolveService:
     def _handle(self, message: Any) -> Optional[Any]:
         if isinstance(message, Request):
             return self._on_request(message)
-        if isinstance(message, JobUpdate):
-            return self._on_job_update(message)
-        if isinstance(message, JobPush):
-            return self._on_job_push(message)
+        if isinstance(message, (Update, Push)):
+            return self._on_work(message)
         if isinstance(message, Bye):
             return self._on_bye(message)
         if isinstance(message, SubmitJob):
@@ -348,13 +342,6 @@ class SolveService:
             return self._on_client(message, self._on_cancel)
         if isinstance(message, ListJobs):
             return self._on_client(message, self._on_list)
-        if isinstance(message, (Update, Push)):
-            # Untagged worker traffic means a legacy single-job worker
-            # got a grant it should not have; refuse loudly.
-            raise RuntimeProtocolError(
-                f"service received untagged {type(message).__name__}; "
-                f"workers must speak the job-tagged protocol"
-            )
         raise RuntimeProtocolError(
             f"service cannot handle {type(message).__name__}"
         )
@@ -372,7 +359,7 @@ class SolveService:
         return self._remember(msg.worker, msg.seq, reply)
 
     def _grant_for(self, msg: Request) -> Any:
-        """A JobGrant (or Terminate when draining); None if no job has work."""
+        """A job's GrantWork (Terminate when draining); None: no job has work."""
         if self._draining:
             return Terminate(float("inf"))
         while True:
@@ -389,66 +376,43 @@ class SolveService:
             if record is None:
                 return None
             coordinator = self._coordinators[record.job_id]
-            # The coordinator's own handle() would cache this reply
-            # under the worker's seq; harmless, but the authoritative
-            # cache for Requests is the service layer's (the wrapped
-            # JobGrant), so dispatch below it.
-            inner = coordinator.handle(
-                Request(msg.worker, msg.power, seq=msg.seq)
-            )
-            if isinstance(inner, Terminate):
+            # The coordinator caches its reply under the worker's seq
+            # too; harmless, but the authoritative cache for Requests is
+            # the service layer's, since the job choice is made here.
+            grant = coordinator.handle(msg)
+            if isinstance(grant, Terminate):
                 # That job just proved empty; settle it and pick again.
                 self._finalize_job(record)
                 continue
-            if inner is None:  # pragma: no cover - seq cached upstream
+            if grant is None:  # pragma: no cover - seq cached upstream
                 return None
             self._send_notices(record.job_id, coordinator)
             self.work_allocations += 1
             record.work_allocations += 1
-            return JobGrant(
-                record.job_id,
-                inner.interval,
-                inner.best_cost,
-                spec=dict(record.spec_wire),
-            )
+            grant.job = record.job_id
+            grant.spec = record.spec_wire
+            return grant
 
-    def _on_job_update(self, msg: JobUpdate) -> Any:
+    def _on_work(self, msg: Any) -> Any:
+        """An Update or Push, handed to the coordinator of ``msg.job``."""
         coordinator = self._coordinators.get(msg.job)
         if coordinator is None:
             # The job settled (done/cancelled/failed) while the worker
-            # explored: report its slice as withdrawn so the explorer
-            # folds immediately and asks for new work.
-            record = self.jobs.get(msg.job)
-            cost = (
-                record.cost
-                if record is not None and record.cost is not None
-                else float("inf")
-            )
-            begin = msg.interval[0]
-            reply: Any = Reconciled((begin, begin), cost)
-            reply.seq = msg.seq
-            return reply
-        reply = coordinator.handle(
-            Update(
-                msg.worker,
-                msg.interval,
-                nodes=msg.nodes,
-                consumed=msg.consumed,
-                seq=msg.seq,
-            )
-        )
-        self._send_notices(msg.job, coordinator)
-        return reply
-
-    def _on_job_push(self, msg: JobPush) -> Any:
-        coordinator = self._coordinators.get(msg.job)
-        if coordinator is None:
+            # explored, or was never ours: report the slice withdrawn so
+            # the explorer folds at once and asks for new work.
             reply: Any = Ack(float("inf"))
+            if isinstance(msg, Update):
+                record = self.jobs.get(msg.job)
+                cost = (
+                    record.cost
+                    if record is not None and record.cost is not None
+                    else float("inf")
+                )
+                begin = msg.interval[0]
+                reply = Reconciled((begin, begin), cost)
             reply.seq = msg.seq
             return reply
-        reply = coordinator.handle(
-            Push(msg.worker, msg.cost, msg.solution, seq=msg.seq)
-        )
+        reply = coordinator.handle(msg)
         self._send_notices(msg.job, coordinator)
         return reply
 
@@ -586,7 +550,7 @@ class SolveService:
                     reply = self._grant_for(msg)
                     starved = reply is None
                 if reply is None and expired:
-                    reply = Idle(0.0)
+                    reply = Idle()
             else:
                 record = self.jobs.get(msg.job)
                 assert record is not None  # parked for a known job

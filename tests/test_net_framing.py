@@ -65,6 +65,19 @@ _stats = st.dictionaries(
     ),
     max_size=6,
 )
+_job = st.one_of(st.just(""), st.text(max_size=16))
+_spec = st.one_of(
+    st.none(),
+    st.fixed_dictionaries(
+        {
+            "factory": st.text(max_size=20),
+            "args": st.lists(st.integers(), max_size=3),
+            "kwargs": st.dictionaries(
+                st.text(max_size=8), st.integers(), max_size=3
+            ),
+        }
+    ),
+)
 
 _MESSAGES = st.one_of(
     st.builds(Request, worker=_worker, power=_cost, seq=_seq),
@@ -75,10 +88,20 @@ _MESSAGES = st.one_of(
         nodes=st.integers(0, 10**9),
         consumed=st.integers(0, 10**9),
         seq=_seq,
+        job=_job,
     ),
-    st.builds(Push, worker=_worker, cost=_cost, solution=_solution, seq=_seq),
+    st.builds(
+        Push, worker=_worker, cost=_cost, solution=_solution, seq=_seq, job=_job
+    ),
     st.builds(Bye, worker=_worker, stats=_stats, seq=_seq),
-    st.builds(GrantWork, interval=_interval, best_cost=_cost, seq=_seq),
+    st.builds(
+        GrantWork,
+        interval=_interval,
+        best_cost=_cost,
+        seq=_seq,
+        job=_job,
+        spec=_spec,
+    ),
     st.builds(Reconciled, interval=_interval, best_cost=_cost, seq=_seq),
     st.builds(Ack, best_cost=_cost, seq=_seq),
     st.builds(Terminate, best_cost=_cost, seq=_seq),
@@ -90,18 +113,7 @@ _MESSAGES = st.one_of(
     ),
     st.builds(
         Welcome,
-        spec=st.one_of(
-            st.none(),
-            st.fixed_dictionaries(
-                {
-                    "factory": st.text(max_size=20),
-                    "args": st.lists(st.integers(), max_size=3),
-                    "kwargs": st.dictionaries(
-                        st.text(max_size=8), st.integers(), max_size=3
-                    ),
-                }
-            ),
-        ),
+        spec=_spec,
         best_cost=_cost,
         epoch=st.integers(min_value=0, max_value=9),
     ),
@@ -126,9 +138,10 @@ class TestRoundTrip:
         assert buf.pending_bytes() == 0
 
     def test_version_field_travels(self):
-        # Runtime protocol messages are stamped with PROTOCOL_VERSION
+        # Unchanged runtime messages are stamped with PROTOCOL_VERSION
         # (still 1); the handshake messages carry WIRE_VERSION, bumped
-        # to 2 when the epoch field joined Hello/Welcome.
+        # to 2 when the epoch field joined Hello/Welcome and to 3 when
+        # the job id joined GrantWork/Update/Push.
         payload = encode_message(Request("w", seq=3))
         assert b'"version":1' in payload
         assert decode_message(payload).version == 1

@@ -10,6 +10,8 @@ standalone ``GridServer`` / ``run_worker`` pair.
 from __future__ import annotations
 
 import random
+import socket
+import struct
 import threading
 import time
 
@@ -17,6 +19,7 @@ import pytest
 
 from repro.core import solve
 from repro.grid.net.backoff import decorrelated_jitter
+from repro.grid.net.framing import WIRE_VERSION, Hello, Welcome, encode_frame
 from repro.grid.net.inprocess import InProcessTransport
 from repro.grid.net.serve import GridServer, ServeConfig, run_worker
 from repro.grid.net.tcp import (
@@ -25,7 +28,11 @@ from repro.grid.net.tcp import (
     TcpListener,
     TcpTransport,
 )
-from repro.grid.net.transport import TransportError, TransportTimeout
+from repro.grid.net.transport import (
+    TransportError,
+    TransportTimeout,
+    WireVersionError,
+)
 from repro.grid.runtime import (
     CoordinatorCrash,
     FaultPlan,
@@ -56,6 +63,41 @@ def tcp_config(**overrides) -> RuntimeConfig:
     )
     base.update(overrides)
     return RuntimeConfig(**base)
+
+
+def _frame(payload: bytes) -> bytes:
+    return struct.pack("!I", len(payload)) + payload
+
+
+class RawServer:
+    """A bare socket that answers every connection's Hello with ``reply``."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.accepted = 0
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.05)
+        self.address = self.sock.getsockname()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self.sock.accept()
+            except socket.timeout:
+                continue
+            self.accepted += 1
+            with conn:
+                conn.recv(4096)  # the Hello
+                conn.sendall(self.reply)
+                conn.recv(4096)  # until the client hangs up
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=5.0)
+        self.sock.close()
 
 
 class TestDecorrelatedJitter:
@@ -227,6 +269,59 @@ class TestTcpTransport:
             new.close()
         finally:
             listener.close()
+
+    def test_a_hello_at_another_wire_version_is_closed_unregistered(self):
+        listener = TcpListener(peer_timeout=5.0)
+        try:
+            with socket.create_connection(listener.address, timeout=5.0) as sock:
+                sock.sendall(
+                    encode_frame(Hello("old", version=2))
+                    + encode_frame(Request("old", seq=1))
+                )
+                try:
+                    assert sock.recv(4096) == b""  # no Welcome: closed
+                except ConnectionResetError:
+                    pass  # closed with the Request unread
+            assert listener.connected_workers() == []
+            with pytest.raises(TransportTimeout):
+                listener.recv(timeout=0.2)  # the Request never got in
+        finally:
+            listener.close()
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            encode_frame(Welcome(version=2)),
+            _frame(b'{"t":"Welcome","version":%d}' % (WIRE_VERSION + 1)),
+        ],
+        ids=["v2-welcome", "future-frame"],
+    )
+    @pytest.mark.parametrize(
+        "dial",
+        [
+            lambda conn: conn.open(timeout=10.0),
+            lambda conn: conn.send(Request("w0", seq=1)),  # lazy reconnect
+        ],
+        ids=["open", "send"],
+    )
+    def test_a_welcome_at_another_wire_version_fails_at_once(self, reply, dial):
+        server = RawServer(reply)
+        conn = TcpClientConnection(
+            *server.address,
+            "w0",
+            heartbeat_interval=None,
+            reconnect_base=0.01,
+            reconnect_cap=0.05,
+        )
+        try:
+            started = time.monotonic()
+            with pytest.raises(WireVersionError):
+                dial(conn)
+            assert time.monotonic() - started < 2.0
+            assert server.accepted == 1  # no reconnect attempt
+        finally:
+            conn.close()
+            server.close()
 
     def test_unreachable_coordinator_times_out_not_raises(self):
         # Nothing listens on this port: send must drop silently (the

@@ -236,10 +236,10 @@ def test_poll_keeps_an_early_reply_for_collect():
     assert chan.collect() == Reconciled((0, 9), 5.0, seq=1)
 
 
-def test_a_legacy_unsequenced_reply_is_still_a_reply():
+def test_an_unsequenced_reply_is_discarded_not_returned():
     conn = Fifo()
-    conn.fifo.append(Ack(3.0))  # seq 0
-    assert channel(conn).call(Push("w0", 3.0, (0,))) == Ack(3.0)
+    conn.fifo.extend([Ack(3.0), Ack(2.0, seq=1)])  # seq 0 names no RPC
+    assert channel(conn).call(Push("w0", 3.0, (0,))) == Ack(2.0, seq=1)
 
 
 # ----------------------------------------------------------------------

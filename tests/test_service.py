@@ -33,22 +33,22 @@ from repro.grid.runtime.protocol import (
     Ack,
     Bye,
     CancelJob,
+    GrantWork,
     Idle,
     JobAccepted,
-    JobGrant,
     JobList,
-    JobPush,
     JobRefused,
     JobStatus,
     JobStatusRequest,
-    JobUpdate,
     ListJobs,
     Notice,
     ProblemSpec,
+    Push,
     Reconciled,
     Request,
     SubmitJob,
     Terminate,
+    Update,
     spec_from_wire,
     spec_to_wire,
 )
@@ -256,10 +256,10 @@ def test_fifo_grants_by_admission_order_fair_by_weighted_share():
         SubmitJob("client-1", {"kind": "k"}, priority=2, owner="alice"),
         JobAccepted("job-1"),
         JobRefused("queue full"),
-        JobGrant("job-1", (3, 17), 99, spec={"kind": "k"}),
-        JobUpdate("w1", "job-1", (3, 9), 120, 6),
-        JobPush("w1", "job-1", 41, (1, 0, 2)),
-        Idle(retry_after=0.75),
+        GrantWork((3, 17), 99, job="job-1", spec={"kind": "k"}),
+        Update("w1", (3, 9), 120, 6, job="job-1"),
+        Push("w1", 41, (1, 0, 2), job="job-1"),
+        Idle(),
         JobStatusRequest("client-1", "job-1"),
         JobStatusRequest("client-1", "job-1", wait=2.5),
         JobStatus("job-1", "done", best_cost=41, solution=(1, 0, 2)),
@@ -284,7 +284,7 @@ def test_status_request_from_a_pre_wait_client_decodes_as_non_blocking():
 
 def test_job_grant_intervals_survive_as_exact_int_tuples():
     big = math.factorial(50)
-    grant = JobGrant("job-1", (big, big + 17), 10, spec={})
+    grant = GrantWork((big, big + 17), 10, job="job-1", spec={})
     decoded = decode_message(encode_frame(grant)[4:])
     assert decoded.interval == (big, big + 17)
     assert all(type(v) is int for v in decoded.interval)
@@ -361,8 +361,8 @@ def test_parked_request_is_granted_in_the_iteration_that_promotes_the_job():
     # No tick and no further Request between the submit and the grant.
     assert [(to, type(reply)) for to, reply in sent] == [
         ("c0", JobAccepted),
-        ("w0", JobGrant),
-        ("w0", JobGrant),
+        ("w0", GrantWork),
+        ("w0", GrantWork),
     ]
     grant = sent[1][1]
     assert grant.job == sent[0][1].job
@@ -396,7 +396,7 @@ def test_keepalive_answers_with_idle_and_the_current_status(monkeypatch):
     ]
     assert sent[0][1].status == RUNNING and sent[1] == sent[0]
     assert sent[2][1].status == CANCELLED
-    assert sent[3][1].retry_after == 0.0
+    assert sent[3][1] == Idle(seq=9)
     assert report.requests_idled == 1
 
 
@@ -417,13 +417,48 @@ def test_bye_and_newer_rpcs_abandon_what_the_peer_had_parked():
     )
     kinds = [(to, type(reply)) for to, reply in sent]
     assert kinds == [
-        ("w0", JobGrant),
+        ("w0", GrantWork),
         ("c1", JobStatus),
         ("w0", Ack),
         ("c0", JobStatus),
         ("c0", JobAccepted),
     ]  # ... and no grant for the worker that said goodbye
     assert report.work_allocations == 1
+
+
+@pytest.mark.parametrize("job", ["", "job-unknown"])
+def test_work_for_no_running_job_is_withdrawn_and_touches_no_ledger(job):
+    service = SolveService(service_config())
+    service.jobs.create(wire_a(), owner="alice", job_id="job-x")
+    ledgers = []
+
+    def ledger(net):
+        (coordinator,) = service._coordinators.values()
+        ledgers.append(
+            (
+                coordinator.intervals.to_payload(),
+                coordinator.solution.cost,
+                coordinator.nodes_explored,
+            )
+        )
+
+    sent, report = play(
+        [
+            Request("w0", seq=1),  # granted: job-x now has a ledger
+            ledger,
+            Update("w0", (0, 7), nodes=5, consumed=7, seq=2, job=job),
+            Push("w0", 1.0, (0, 1, 2), seq=3, job=job),
+            ledger,
+        ],
+        connected={"w0"},
+        service=service,
+    )
+    assert sent[1:] == [
+        ("w0", Reconciled((0, 0), math.inf, seq=2)),
+        ("w0", Ack(math.inf, seq=3)),
+    ]
+    assert ledgers[0] == ledgers[1]
+    assert report.protocol_errors == 0
 
 
 def test_cancel_answers_a_parked_status_wait():
@@ -495,10 +530,10 @@ def service_config(tmp_path=None, **overrides):
 
 
 def grant_to(worker):
-    """Script item: the latest JobGrant ``worker`` was sent."""
+    """Script item: the latest grant ``worker`` was sent."""
 
     def find(net):
-        return [r for to, r in net.sent if to == worker and isinstance(r, JobGrant)][-1]
+        return [r for to, r in net.sent if to == worker and isinstance(r, GrantWork)][-1]
 
     return find
 
@@ -526,7 +561,7 @@ class ScriptedWorker:
     def explore(self, max_nodes=math.inf):
         """Script item: one slice of the current grant.
 
-        Delivers the JobPush of what the slice found (a tick if it found
+        Delivers the Push of what the slice found (a tick if it found
         nothing); :meth:`update` then reports the slice, as a worker does.
         """
 
@@ -542,22 +577,22 @@ class ScriptedWorker:
                 )
             self.found.clear()
             report = self.explorer.step(max_nodes)
-            self.slice = JobUpdate(
+            self.slice = Update(
                 self.name,
-                self.job,
                 self.explorer.remaining_interval().as_tuple(),
                 nodes=report.nodes_processed,
                 consumed=report.consumed,
+                job=self.job,
             )
             if not self.found:
                 return None
             cost, solution = self.found[-1]
-            return self._stamp(JobPush(self.name, self.job, cost, solution))
+            return self._stamp(Push(self.name, cost, solution, job=self.job))
 
         return item
 
     def update(self, net=None):
-        """Script item: the JobUpdate of the slice just explored."""
+        """Script item: the Update of the slice just explored."""
         return self._stamp(self.slice)
 
 
@@ -584,7 +619,7 @@ def test_single_slice_job_is_granted_once_and_explored_once(policy):
     )
     assert [(to, type(reply)) for to, reply in sent] == [
         ("c0", JobAccepted),
-        ("w0", JobGrant),
+        ("w0", GrantWork),
         ("w0", Ack),
         ("w0", Reconciled),
     ]
@@ -614,11 +649,11 @@ def test_second_worker_arrives_with_the_holders_first_unfinished_update(policy):
     # reply: no tick, no further message in between.
     assert [(to, type(reply)) for to, reply in sent] == [
         ("c0", JobAccepted),
-        ("w0", JobGrant),
+        ("w0", GrantWork),
         ("w0", Ack),
         ("w0", Reconciled),
         ("w0", Notice),
-        ("w1", JobGrant),
+        ("w1", GrantWork),
     ]
     # The holder is told of the cut at once (and hears what was cut
     # from the Reconciled it then asks for).
@@ -652,7 +687,7 @@ def test_holder_gone_before_any_update_frees_its_interval(leaves_by):
         connected={"w0", "w1", "c0"},
         service=service,
     )
-    grants = [(to, r.interval) for to, r in sent if isinstance(r, JobGrant)]
+    grants = [(to, r.interval) for to, r in sent if isinstance(r, GrantWork)]
     whole = (0, math.factorial(7))
     assert grants == [("w0", whole), ("w1", whole)]
     (summary,) = report.jobs.values()
@@ -681,7 +716,7 @@ def test_splittable_jobs_are_shared_out_by_the_policy(policy, later_grants):
         service=SolveService(fifo_or_fair(policy)),
     )
     job = {sent[0][1].job: "a", sent[1][1].job: "b"}
-    order = "".join(job[r.job] for _, r in sent if isinstance(r, JobGrant))
+    order = "".join(job[r.job] for _, r in sent if isinstance(r, GrantWork))
     assert order == "ab" + later_grants
 
 
@@ -1029,7 +1064,7 @@ def test_worker_forgets_jobs_it_has_moved_on_from():
     for n in range(50):
         times = random_instance(3, 2, seed=n).processing_times.tolist()
         spec = spec_to_wire(ProblemSpec(_tracked_flowshop, (times,)))
-        core.grant(JobGrant(f"job-{n}", (0, 6), math.inf, spec=spec))
+        core.grant(GrantWork((0, 6), math.inf, job=f"job-{n}", spec=spec))
     gc.collect()
     # All 50 problems were built; only the newest few are still held.
     assert len(_live_problems) == _JOB_CACHE_SIZE

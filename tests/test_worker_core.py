@@ -8,8 +8,6 @@ from repro.grid.runtime import flowshop_spec
 from repro.grid.runtime.protocol import (
     Ack,
     GrantWork,
-    JobGrant,
-    JobPush,
     Notice,
     Push,
     Reconciled,
@@ -80,7 +78,7 @@ def test_bound_notice_is_adopted_and_costs_no_update():
 
 def test_notice_for_another_job_is_ignored():
     core = WorkerCore("w0")
-    take(core, JobGrant("job-1", (0, 6), INF, spec=SPEC))
+    take(core, GrantWork((0, 6), INF, job="job-1", spec=SPEC))
     assert core.hear([Notice(0.0, True, job="other-job"), Notice(0.0, True)]) == (INF, False)
     core.found(9.0, "s")  # nothing has said the job has another holder
     assert core.hear([]) == (INF, False)
@@ -114,11 +112,11 @@ def test_the_only_holder_of_a_job_pushes_at_its_slice_boundaries():
 def test_eviction_forgets_a_jobs_best():
     core = WorkerCore("w0")
     for n in range(_JOB_CACHE_SIZE + 1):
-        take(core, JobGrant(f"j{n}", (0, 6), INF, spec=SPEC))
+        take(core, GrantWork((0, 6), INF, job=f"j{n}", spec=SPEC))
         core.found(9.0, n)
         push, update = core.slice_done(nodes=1, consumed=0)[0]
-        assert push == JobPush("w0", f"j{n}", 9.0, n) and update.job == f"j{n}"
+        assert push == Push("w0", 9.0, n, job=f"j{n}") and update.job == f"j{n}"
     # j1 is still held: its best is re-informed; j0 went when j8 came.
-    assert take(core, JobGrant("j1", (0, 6), INF)) == JobPush("w0", "j1", 9.0, 1)
-    assert take(core, JobGrant("j0", (0, 6), INF, spec=SPEC)) is None
+    assert take(core, GrantWork((0, 6), INF, job="j1")) == Push("w0", 9.0, 1, job="j1")
+    assert take(core, GrantWork((0, 6), INF, job="j0", spec=SPEC)) is None
     assert core.start_bound == INF
