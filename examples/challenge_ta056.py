@@ -58,13 +58,9 @@ def main() -> None:
         sub = FlowShopInstance(
             ta056.processing_times[:k], name=f"Ta056[:{k}]"
         )
-        sub_seq, sub_ub = neh(sub)
+        _, sub_ub = neh(sub)
         t0 = time.perf_counter()
-        result = solve(
-            FlowShopProblem(sub),
-            initial_upper_bound=sub_ub,
-            initial_solution=tuple(sub_seq),
-        )
+        result = solve(FlowShopProblem(sub))  # starts from NEH by itself
         dt = time.perf_counter() - t0
         print(f"{k:>3} {result.cost:>8} {sub_ub:>6} "
               f"{result.stats.nodes_explored:>10} {dt:>8.2f}")

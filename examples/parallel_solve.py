@@ -17,16 +17,12 @@ from repro.problems.flowshop import FlowShopProblem, neh, random_instance
 
 def main() -> None:
     instance = random_instance(jobs=10, machines=5, seed=7)
-    schedule, upper_bound = neh(instance)
+    _, upper_bound = neh(instance)  # every run below starts from it
     print(f"instance: {instance.name}, NEH upper bound {upper_bound}")
 
     # Sequential reference (the ground truth the parallel run must hit).
     t0 = time.perf_counter()
-    reference = solve(
-        FlowShopProblem(instance),
-        initial_upper_bound=upper_bound,
-        initial_solution=tuple(schedule),
-    )
+    reference = solve(FlowShopProblem(instance))
     sequential_seconds = time.perf_counter() - t0
     print(
         f"sequential optimum: {reference.cost} "
@@ -40,12 +36,7 @@ def main() -> None:
     print("=== 4 workers, clean run (the Figure 5 architecture) ===")
     result = solve_parallel(
         spec,
-        RuntimeConfig(
-            workers=4,
-            update_nodes=50,
-            initial_upper_bound=upper_bound,
-            initial_solution=tuple(schedule),
-        ),
+        RuntimeConfig(workers=4, update_nodes=50),
     )
     assert result.cost == reference.cost, "parallel must match sequential"
     print(f"optimum {result.cost} proved={result.optimal} "
@@ -59,13 +50,7 @@ def main() -> None:
     print("\n=== 3 workers, one crashes after 2 updates (§4.1) ===")
     result = solve_parallel(
         spec,
-        RuntimeConfig(
-            workers=3,
-            update_nodes=50,
-            initial_upper_bound=upper_bound,
-            initial_solution=tuple(schedule),
-            crash_workers={0: 2},
-        ),
+        RuntimeConfig(workers=3, update_nodes=50, crash_workers={0: 2}),
     )
     assert result.cost == reference.cost
     print(f"optimum {result.cost} proved={result.optimal} despite "

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Quickstart: exactly solve a flow-shop instance with proof.
 
-The 60-second tour of the library: build an instance, get an upper
-bound from NEH, run the interval-coded Branch and Bound, and check the
+The 60-second tour of the library: build an instance, run the
+interval-coded Branch and Bound from NEH's upper bound, and check the
 proof of optimality.
 
 Run:  python examples/quickstart.py
@@ -12,7 +12,6 @@ from repro.core import solve
 from repro.problems.flowshop import (
     FlowShopProblem,
     makespan,
-    neh,
     random_instance,
 )
 
@@ -23,19 +22,16 @@ def main() -> None:
     print(f"instance: {instance.name}")
     print(f"trivial lower bound: {instance.trivial_lower_bound()}")
 
-    # NEH gives the warm-start upper bound (the paper seeded Ta056 with
-    # the best-known metaheuristic solution the same way).
-    schedule, upper_bound = neh(instance)
-    print(f"NEH schedule: {schedule}  (makespan {upper_bound})")
+    # The problem's warm start is NEH: solve() starts from its makespan
+    # (the paper seeded Ta056 with the best-known metaheuristic solution
+    # the same way).
+    problem = FlowShopProblem(instance, bound="combined")
+    upper_bound, schedule = problem.warm_start()
+    print(f"NEH schedule: {list(schedule)}  (makespan {upper_bound})")
 
     # Exact resolution: DFS B&B over the permutation tree with the
     # combined one-machine/two-machine lower bound.
-    problem = FlowShopProblem(instance, bound="combined")
-    result = solve(
-        problem,
-        initial_upper_bound=upper_bound,
-        initial_solution=tuple(schedule),
-    )
+    result = solve(problem)
 
     print(f"\noptimal makespan: {result.cost}  (proof: {result.optimal})")
     print(f"optimal schedule: {list(result.solution)}")

@@ -94,11 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="0: sequential; N>0: parallel processes")
     solve_p.add_argument("--bound", choices=["lb1", "lb2", "combined"],
                          default="combined")
-    solve_p.add_argument("--no-neh", action="store_true",
-                         help="skip the NEH warm start")
     solve_p.add_argument("--ig-iterations", type=int, default=0,
-                         help="refine the warm start with Iterated Greedy "
-                              "(the paper's reference [9]) for N iterations")
+                         help="refine the NEH warm start with Iterated "
+                              "Greedy (the paper's reference [9]) for N "
+                              "iterations")
     solve_p.add_argument("--checkpoint-dir", default=None,
                          help="periodic fold-and-persist checkpoints; "
                               "re-running with the same dir resumes")
@@ -150,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument("--bound", choices=["lb1", "lb2", "combined"],
                          default="combined")
-    serve_p.add_argument("--no-neh", action="store_true",
-                         help="skip the NEH warm start")
     serve_p.add_argument("--interval", type=int, nargs=2, default=None,
                          metavar=("BEGIN", "END"),
                          help="solve only this leaf interval of the tree")
@@ -343,7 +340,6 @@ def _cmd_solve(args) -> int:
     from repro.core import solve
     from repro.problems.flowshop import (
         FlowShopProblem,
-        neh,
         random_instance,
         taillard_instance,
     )
@@ -354,23 +350,18 @@ def _cmd_solve(args) -> int:
         instance = random_instance(args.jobs, args.machines, args.seed)
     print(f"instance: {instance.name} ({instance.jobs}x{instance.machines})")
 
-    ub = math.inf
-    warm = None
-    if not args.no_neh:
-        seq, ub = neh(instance)
-        warm = tuple(seq)
-        print(f"NEH upper bound: {ub}")
-        if args.ig_iterations > 0:
-            from repro.problems.flowshop import iterated_greedy
+    # Every solve starts from NEH (FlowShopProblem.warm_start); Iterated
+    # Greedy, which starts from NEH too, is an explicit extra.
+    ub, warm = math.inf, None
+    if args.ig_iterations > 0:
+        from repro.problems.flowshop import iterated_greedy
 
-            ig = iterated_greedy(
-                instance, iterations=args.ig_iterations, seed=args.seed
-            )
-            if ig.cost < ub:
-                ub = ig.cost
-                warm = tuple(ig.sequence)
-            print(f"Iterated Greedy upper bound: {ig.cost} "
-                  f"({args.ig_iterations} iterations)")
+        ig = iterated_greedy(
+            instance, iterations=args.ig_iterations, seed=args.seed
+        )
+        ub, warm = ig.cost, tuple(ig.sequence)
+        print(f"Iterated Greedy upper bound: {ig.cost} "
+              f"({args.ig_iterations} iterations)")
 
     if args.workers > 0:
         from repro.grid.runtime import RuntimeConfig, flowshop_spec, solve_parallel
@@ -527,7 +518,7 @@ def _cmd_grid_serve(args) -> int:
 
     from repro.grid.net.serve import GridServer, ServeConfig
     from repro.grid.runtime import flowshop_spec
-    from repro.problems.flowshop import neh, random_instance, taillard_instance
+    from repro.problems.flowshop import random_instance, taillard_instance
 
     if args.taillard is not None:
         instance = taillard_instance(args.jobs, args.machines, args.taillard)
@@ -535,19 +526,11 @@ def _cmd_grid_serve(args) -> int:
         instance = random_instance(args.jobs, args.machines, args.seed)
     print(f"instance: {instance.name} ({instance.jobs}x{instance.machines})")
 
-    ub, warm = math.inf, None
-    if not args.no_neh:
-        seq, ub = neh(instance)
-        warm = tuple(seq)
-        print(f"NEH upper bound: {ub}")
-
     server = GridServer(
         flowshop_spec(instance, bound=args.bound),
         ServeConfig(
             host=args.host,
             port=args.port,
-            initial_upper_bound=ub,
-            initial_solution=warm,
             deadline=args.deadline,
             lease_seconds=args.lease_seconds,
             checkpoint_dir=(

@@ -36,7 +36,7 @@ from repro.core.numbering import (
     node_number,
     node_range,
 )
-from repro.core.problem import Problem
+from repro.core.problem import Problem, seed_incumbent
 from repro.core.resumable import ResumableSolver
 from repro.core.stats import ExplorationStats, Incumbent
 from repro.core.tree import TreeShape
@@ -68,6 +68,7 @@ __all__ = [
     "leaf_ranks_for_number",
     "node_number",
     "node_range",
+    "seed_incumbent",
     "solve",
     "unfold",
     "unfold_with_stats",

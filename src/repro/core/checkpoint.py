@@ -573,6 +573,11 @@ class MultiJobStore:
             self._stores[job_id] = store
         return store
 
+    def drop_job_store(self, job_id: str) -> None:
+        """Clear a job's checkpoint files and forget its cached store."""
+        store = self._stores.pop(job_id, None) or CheckpointStore(self.job_dir(job_id))
+        store.clear()
+
     def job_ids(self) -> List[str]:
         """Every job with an on-disk directory, in stable (name) order."""
         try:

@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.core.active_list import ActiveList
 from repro.core.interval import Interval
 from repro.core.kernels import PoolEvaluator, pool_evaluator_for
-from repro.core.problem import Problem
+from repro.core.problem import Problem, seed_incumbent
 from repro.core.stats import ExplorationStats, Incumbent
 from repro.core.tree import TreeShape
 from repro.core.unfold import unfold
@@ -622,15 +622,15 @@ def solve(
     backend and cap the wave width (see :class:`IntervalExplorer`); the
     default pools with numpy on problems that register pooled kernels.
 
-    A problem-supplied :meth:`Problem.warm_start` heuristic seeds the
-    incumbent as well; the incumbent is monotonic, so whichever of the
-    warm start and ``initial_upper_bound`` is better wins, and a warm
-    start can only speed the proof up, never change the optimum.
+    On a whole-tree run a problem-supplied :meth:`Problem.warm_start`
+    heuristic seeds the incumbent as well (:func:`seed_incumbent`); the
+    incumbent is monotonic, so whichever of the warm start and
+    ``initial_upper_bound`` is better wins, and a warm start can only
+    speed the proof up, never change the optimum.
     """
-    incumbent = Incumbent(initial_upper_bound, initial_solution)
-    warm = problem.warm_start()
-    if warm is not None:
-        incumbent.update(*warm)
+    incumbent = seed_incumbent(
+        problem, Incumbent(initial_upper_bound, initial_solution), interval
+    )
     explorer = IntervalExplorer(
         problem,
         interval,

@@ -20,9 +20,11 @@ import math
 from abc import ABC, abstractmethod
 from typing import Any, Optional, Sequence, Tuple
 
+from repro.core.interval import Interval
+from repro.core.stats import Incumbent
 from repro.core.tree import TreeShape
 
-__all__ = ["Problem"]
+__all__ = ["Problem", "seed_incumbent"]
 
 
 class Problem(ABC):
@@ -113,16 +115,20 @@ class Problem(ABC):
     def warm_start(self) -> Optional[Tuple[float, Any]]:
         """Optional heuristic incumbent ``(cost, solution)`` to seed solves.
 
-        Consulted by :func:`~repro.core.engine.solve`, the
-        :class:`~repro.core.resumable.ResumableSolver` and the grid
-        service before exploration begins.  ``cost`` must be the exact
-        cost of a *feasible* ``solution`` (the incumbent's solution may
-        be reported as the optimum if nothing beats it), so a roll-out
-        or greedy heuristic qualifies; a mere estimate does not.
-        Because B&B only prunes subtrees whose bound reaches the
-        incumbent and bounds are admissible, a valid warm start can
-        never change the proved optimum — only how fast it is reached
-        (property-tested in ``tests/test_warm_start.py``).
+        Every front door — :func:`~repro.core.engine.solve`, the
+        :class:`~repro.core.resumable.ResumableSolver`, the solve
+        service, ``GridServer`` and ``solve_parallel`` — consults it
+        through :func:`seed_incumbent`, which decides where it applies.
+        ``cost`` must be the exact cost of a *feasible* ``solution``
+        (the incumbent's solution may be reported as the optimum if
+        nothing beats it), so a roll-out or greedy heuristic qualifies;
+        a mere estimate does not.  Because B&B only prunes subtrees
+        whose bound reaches the incumbent and bounds are admissible, a
+        valid warm start can never change the proved optimum — only how
+        fast it is reached (property-tested in
+        ``tests/test_warm_start.py``).  It must return the same pair on
+        every call, without a time box: node counts must not depend on
+        the host.
 
         Default: ``None`` (no heuristic — exploration starts cold).
         """
@@ -138,3 +144,23 @@ class Problem(ABC):
     def name(self) -> str:
         """Human-readable identifier used in logs and benchmark tables."""
         return type(self).__name__
+
+
+def seed_incumbent(
+    problem: Problem, incumbent: Incumbent, interval: Optional[Interval] = None
+) -> Incumbent:
+    """Tighten ``incumbent`` with ``problem.warm_start()``; return it.
+
+    Whole-tree runs only: no ``interval``, or one covering every leaf.
+    A run over a slice must return the optimum *over that slice*, and a
+    heuristic solution from elsewhere in the tree may beat it and would
+    be reported in its place.  The update is monotonic, so a better
+    incumbent already held survives.
+    """
+    if interval is None or interval.contains_interval(
+        Interval(0, problem.total_leaves())
+    ):
+        warm = problem.warm_start()
+        if warm is not None:
+            incumbent.update(*warm)
+    return incumbent

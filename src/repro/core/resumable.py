@@ -19,7 +19,7 @@ from repro.core.checkpoint import CheckpointStore
 from repro.core.engine import IntervalExplorer, SolveResult
 from repro.core.interval import Interval
 from repro.core.interval_set import IntervalSet
-from repro.core.problem import Problem
+from repro.core.problem import Problem, seed_incumbent
 from repro.core.stats import Incumbent
 
 __all__ = ["ResumableSolver"]
@@ -85,16 +85,13 @@ class ResumableSolver:
             self.progress.resumed_from = interval
         if incumbent is None:
             incumbent = Incumbent(initial_upper_bound, initial_solution)
-        # A problem-supplied warm start seeds (or tightens) the
-        # incumbent; monotonic update, so a checkpointed bound that is
-        # already better survives and the proved optimum is unchanged.
-        warm = problem.warm_start()
-        if warm is not None:
-            incumbent.update(*warm)
+        # The run covers the whole tree, resumed or not: a warm start
+        # seeds (or tightens) the incumbent; a checkpointed bound that
+        # is already better survives.
         self.explorer = IntervalExplorer(
             problem,
             interval,
-            incumbent=incumbent,
+            incumbent=seed_incumbent(problem, incumbent),
             kernel_backend=kernel_backend,
         )
         self._checkpoint()  # make the starting state durable immediately

@@ -31,6 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.checkpoint import CheckpointStore
 from repro.core.interval import Interval
+from repro.core.problem import seed_incumbent
 from repro.core.stats import Incumbent
 from repro.exceptions import RuntimeProtocolError
 from repro.grid.net.tcp import TcpClientConnection, TcpListener
@@ -133,8 +134,8 @@ class GridServer:
                 lease_seconds=self.config.lease_seconds,
                 journal=self.config.journal,
             )
-            # A warm start passed on the command line may still beat
-            # what the snapshot knew; the incumbent is monotonic.
+            # A warm start passed by the caller may still beat what the
+            # snapshot knew; the incumbent is monotonic.
             self.coordinator.solution.update(
                 self.config.initial_upper_bound, self.config.initial_solution
             )
@@ -151,6 +152,7 @@ class GridServer:
                 lease_seconds=self.config.lease_seconds,
                 journal=self.config.journal,
             )
+        seed_incumbent(problem, self.coordinator.solution, root)
         self.listener = TcpListener(
             self.config.host,
             self.config.port,

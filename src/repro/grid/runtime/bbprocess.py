@@ -319,13 +319,28 @@ def worker_main(
         rng=random.Random(worker_id),  # deterministic, per-worker jitter
     )
 
+    resync = False  # a new server incarnation answered since the last slice
+
+    def answered(reply: Any) -> Any:
+        """Pass a reply on, telling the core if a new incarnation sent it.
+
+        A reconnect to a *new server incarnation* (its Welcome epoch
+        changed) happens before the first reply that incarnation sends,
+        and no earlier reply is still unread by then.
+        """
+        nonlocal resync
+        if connection.take_epoch_change():
+            core.new_incarnation()
+            resync = True
+        return reply
+
     def reinform(push: Optional[Any]) -> bool:
         """Send the core's re-inform Push, if any; False: coordinator gone."""
-        return push is None or chan.call(push) is not None
+        return push is None or answered(chan.call(push)) is not None
 
     def settle() -> str:
         """Retire the in-flight Update: "ok", "terminate", "crash", "gave-up"."""
-        reply = chan.collect()
+        reply = answered(chan.collect())
         if reply is None:
             return "gave-up"
         push = core.reconciled(reply)
@@ -347,7 +362,7 @@ def worker_main(
 
     try:
         while True:
-            reply = chan.call(core.request())
+            reply = answered(chan.call(core.request()))
             if reply is None:
                 # repro-check: ignore[RC04] -- best-effort Bye after the retry budget is exhausted; the launcher's process sentinel covers the exit
                 connection.send(core.bye())
@@ -361,9 +376,9 @@ def worker_main(
                 core.idle()
                 continue
             # A Grant claimed from a just-restarted coordinator is
-            # already a fresh reconciliation; consume the flag so the
+            # already a fresh reconciliation; clear the flag so the
             # first slice boundary is not forced synchronous for nothing.
-            connection.take_epoch_change()
+            resync = False
             if not reinform(core.grant(reply)):
                 return "gave-up"
             if core.problem is None:
@@ -396,17 +411,15 @@ def worker_main(
                     outcome = settle()
                     if outcome != "ok":
                         break
-                # A reconnect to a *new server incarnation* (its Welcome
-                # epoch changed) may have recovered stale state: the core
-                # re-pushes the best and the Update is reconciled before
-                # another node, as after a cut notice.
+                # A new server incarnation may have recovered stale
+                # state: the core re-pushes the best and the Update is
+                # reconciled before another node, as after a cut notice.
                 messages, reconcile_now = core.slice_done(
-                    report.nodes_processed,
-                    report.consumed,
-                    resync=connection.take_epoch_change(),
+                    report.nodes_processed, report.consumed, resync=resync
                 )
+                resync = False
                 for push in messages[:-1]:
-                    ack = chan.call(push)
+                    ack = answered(chan.call(push))
                     if ack is None:
                         return "gave-up"
                     core.acked(ack)

@@ -48,6 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.checkpoint import CheckpointStore
 from repro.core.interval import Interval
+from repro.core.problem import seed_incumbent
 from repro.core.stats import Incumbent
 from repro.exceptions import RuntimeProtocolError
 from repro.grid.net.transport import Transport, TransportTimeout
@@ -206,14 +207,17 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
         if checkpoint_dir is not None
         else None
     )
+    initial_best = seed_incumbent(
+        problem,
+        Incumbent(config.initial_upper_bound, config.initial_solution),
+        root,
+    )
     coordinator = Coordinator(
         root,
         duplication_threshold=config.duplication_threshold,
         store=store,
         checkpoint_period=config.checkpoint_period,
-        initial_best=Incumbent(
-            config.initial_upper_bound, config.initial_solution
-        ),
+        initial_best=initial_best,
         lease_seconds=config.lease_seconds,
         journal=config.journal,
     )
@@ -300,6 +304,9 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
                     lease_seconds=config.lease_seconds,
                     journal=config.journal,
                 )
+                # A crash before the first snapshot lost the initial
+                # incumbent, which no worker will ever push back.
+                coordinator.solution.update(initial_best.cost, initial_best.solution)
                 coordinator_restarts += 1
                 down_until = None
 

@@ -114,6 +114,8 @@ class WorkerCore:
         self.unit: Optional[Unit] = None  # what explores the current grant
         self._found: Optional[Tuple[float, Any]] = None  # not pushed yet
         self._cut = False
+        self._in_flight = 0  # nodes of the Update awaiting its reply
+        self._acknowledged = 0  # nodes this coordinator incarnation answered
 
     # ------------------------------------------------------------------
     # work requests and grants
@@ -200,6 +202,7 @@ class WorkerCore:
         assert self.unit is not None, "slice_done() without a unit"
         job = self._current
         self.stats["nodes"] += nodes
+        self._in_flight = nodes
         messages: List[Any] = []
         if resync:
             self.stats["epoch_resyncs"] += 1
@@ -228,11 +231,24 @@ class WorkerCore:
     def reconciled(self, reply: Any) -> Optional[Any]:
         """An Update's reply: eq. 14 applied; the re-inform Push, if any."""
         self.stats["updates"] += 1
+        self._acknowledged += self._in_flight
+        self._in_flight = 0
         if not isinstance(reply, Reconciled) or self.unit is None:
             return None  # Terminate: nothing left to apply
         self.unit.apply_interval(Interval.from_tuple(reply.interval))
         self.unit.set_upper_bound(reply.best_cost)
         return self._reinform(reply.best_cost)
+
+    def new_incarnation(self) -> None:
+        """The next reply comes from a coordinator restarted from a checkpoint.
+
+        It counts nodes from zero, so the nodes its predecessor already
+        answered for leave ``stats["nodes"]``: the ``Bye`` reconciles
+        with the ledger of the incarnation that hears it.  An Update
+        still awaiting its reply counts for the new incarnation.
+        """
+        self.stats["nodes"] -= self._acknowledged
+        self._acknowledged = 0
 
     def bye(self) -> Bye:
         return Bye(self.worker_id, dict(self.stats))

@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.interval import Interval
+from repro.core.problem import seed_incumbent
 from repro.core.stats import Incumbent
 from repro.exceptions import RuntimeProtocolError
 from repro.grid.net.tcp import TcpListener
@@ -238,12 +239,7 @@ class SolveService:
                 lease_seconds=config.lease_seconds,
                 journal=config.journal,
             )
-        # A problem-supplied warm start seeds the job's incumbent; the
-        # incumbent is monotonic, so this can only tighten pruning and
-        # never changes the proved optimum.
-        warm = problem.warm_start()
-        if warm is not None:
-            coordinator.solution.update(*warm)
+        seed_incumbent(problem, coordinator.solution)  # a job is a whole tree
         self._coordinators[record.job_id] = coordinator
         if record.status != RUNNING:
             record.status = RUNNING

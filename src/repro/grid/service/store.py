@@ -234,9 +234,10 @@ class JobStore:
 
         Unsynced on purpose: recovery never opens a settled job's
         checkpoint, so files that resurface after a crash are ignored.
+        The cached store goes too: the cache holds unsettled jobs only.
         """
         if self.disk is not None:
-            self.disk.job_store(job_id).clear()
+            self.disk.drop_job_store(job_id)
 
     def bump_epoch(self) -> int:
         """Advance the *service* epoch (0 for an in-memory store)."""

@@ -22,6 +22,7 @@ from repro.exceptions import ProblemError
 from repro.problems.flowshop.bounds import BoundData
 from repro.problems.flowshop.instance import FlowShopInstance
 from repro.problems.flowshop.makespan import advance_fronts_batch
+from repro.problems.flowshop.neh import neh
 
 __all__ = ["FlowShopProblem", "FlowShopState"]
 
@@ -204,6 +205,11 @@ class FlowShopProblem(Problem):
 
     def leaf_solution(self, state: FlowShopState) -> Tuple[int, ...]:
         return state.scheduled
+
+    def warm_start(self) -> Tuple[int, Tuple[int, ...]]:
+        """NEH's ``(makespan, sequence)``: deterministic, no time box."""
+        sequence, cost = neh(self.instance)
+        return cost, tuple(sequence)
 
     def name(self) -> str:
         return f"FlowShop({self.instance.name}, bound={self.bound})"

@@ -87,6 +87,11 @@ class TSPProblem(Problem):
     def leaf_solution(self, state: _TourState) -> Tuple[int, ...]:
         return state.path
 
+    def warm_start(self) -> Tuple[int, Tuple[int, ...]]:
+        """The nearest-neighbour tour, as :meth:`leaf_solution` spells it."""
+        tour, length = nearest_neighbour_tour(self.instance)
+        return length, tuple(tour)
+
     def name(self) -> str:
         return f"TSP({self.instance.name})"
 

@@ -49,7 +49,8 @@ CHAOS_WORKERS = 3
 
 @pytest.fixture(scope="module")
 def fs_instance():
-    return random_instance(7, 4, seed=91)
+    # NEH is not optimal here: ~300 nodes and 3 Pushes from its bound.
+    return random_instance(7, 4, seed=92)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +131,7 @@ class TestNoticeFaults:
         config.bound_poll_nodes = 32  # polls inside the ≤ 400-node slices
         # Trees of several slices: the module's 7-job ones fit in the first
         # worker's first slice, and a run with nobody to cut sends no notice.
-        spec = [flowshop_spec(random_instance(10, 5, seed=91)), tsp_spec(random_tsp(10, seed=13))]
+        spec = [flowshop_spec(random_instance(10, 5, seed=93)), tsp_spec(random_tsp(10, seed=13))]
         result = solve_parallel(spec[seed % 2], config)
         assert result.optimal
         assert result.cost == solve(spec[seed % 2].build()).cost

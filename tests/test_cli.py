@@ -37,12 +37,6 @@ class TestSolveCommand:
         assert "optimal makespan: 582" in out
         assert "proof: True" in out
 
-    def test_solve_without_neh(self, capsys):
-        assert main(
-            ["solve", "--jobs", "6", "--machines", "3", "--seed", "1", "--no-neh"]
-        ) == 0
-        assert "NEH" not in capsys.readouterr().out
-
     def test_ig_warm_start(self, capsys):
         assert main(
             ["solve", "--jobs", "8", "--machines", "3", "--seed", "2",

@@ -42,11 +42,12 @@ instance_a = random_instance(10, 5, seed=91)
 instance_b = random_instance(9, 5, seed=92)
 serial_a = solve(FlowShopProblem(instance_a))
 serial_b = solve(FlowShopProblem(instance_b))
-# ~100k nodes each (~1.5 s serial): both must still be mid-exploration
-# when the kill lands, however fast the service hands out work.  Their
-# serial solves run inside the slow test, not at import.
-inflight_a = random_instance(11, 5, seed=114)
-inflight_b = random_instance(12, 5, seed=93)
+# 126k and 834k nodes from NEH's bound, each with Pushes to lose: both
+# must still be mid-exploration when the kill lands, however fast the
+# service hands out work.  Their serial solves run inside the slow
+# test, not at import.
+inflight_a = random_instance(11, 5, seed=117)
+inflight_b = random_instance(12, 5, seed=96)
 
 
 def child_env():

@@ -15,6 +15,13 @@ from repro.problems.tsp import (
 )
 
 
+class _ColdTSP(TSPProblem):
+    """A TSP that starts every solve cold."""
+
+    def warm_start(self):
+        return None
+
+
 def brute_force_tour(inst):
     best = None
     for perm in itertools.permutations(range(1, inst.cities)):
@@ -87,11 +94,19 @@ class TestProblem:
         inst = random_tsp(8, seed=6)
         tour, length = nearest_neighbour_tour(inst)
         assert sorted(tour) == list(range(8))
-        prob = TSPProblem(inst)
-        result = solve(prob, initial_upper_bound=length, initial_solution=tuple(tour))
-        cold = solve(prob)
+        assert TSPProblem(inst).warm_start() == (length, tuple(tour))
+        result = solve(TSPProblem(inst))
+        cold = solve(_ColdTSP(inst))
         assert result.cost == cold.cost
         assert result.stats.nodes_explored <= cold.stats.nodes_explored
+
+    def test_a_warm_start_left_unbeaten_is_reported_as_a_tour(self):
+        inst = random_tsp(7, seed=2)
+        tour, length = nearest_neighbour_tour(inst)
+        result = solve(TSPProblem(inst))
+        assert result.cost == length == brute_force_tour(inst)  # premise
+        assert result.stats.improvements == 0
+        assert inst.tour_length(list(result.solution)) == result.cost
 
     def test_nearest_neighbour_at_least_optimum(self):
         inst = random_tsp(7, seed=12)

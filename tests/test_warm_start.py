@@ -7,19 +7,40 @@ cost is proved optimal.  These tests quantify that over random
 instances and random (valid and adversarially tight) warm starts, for
 ``solve()``, the :class:`ResumableSolver`, and the multi-tenant
 service path that seeds per-job coordinators.
+
+A flow shop starts from NEH.  :func:`seed_incumbent` applies a warm
+start to whole-tree runs only: a slice's result is the optimum over
+that slice, which a heuristic schedule from elsewhere may beat.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Optional, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ResumableSolver, solve
+from repro.core import (
+    Incumbent,
+    Interval,
+    ResumableSolver,
+    seed_incumbent,
+    solve,
+)
+from repro.core.engine import iter_leaf_costs
+from repro.grid.net.serve import GridServer, ServeConfig, run_worker
+from repro.grid.runtime import (
+    CoordinatorCrash,
+    FaultPlan,
+    RuntimeConfig,
+    flowshop_spec,
+    solve_parallel,
+)
 from repro.problems.flowshop import (
     FlowShopProblem,
     makespan,
+    neh,
     random_instance,
 )
 
@@ -38,6 +59,13 @@ class WarmStartedFlowShop(FlowShopProblem):
         )
 
 
+class ColdFlowShop(FlowShopProblem):
+    """A flow shop that starts every solve cold: the baseline."""
+
+    def warm_start(self) -> None:
+        return None
+
+
 @st.composite
 def instance_and_permutation(draw):
     jobs = draw(st.integers(4, 6))
@@ -47,34 +75,39 @@ def instance_and_permutation(draw):
     return random_instance(jobs, machines, seed), tuple(permutation)
 
 
-def test_default_warm_start_is_none():
-    problem = FlowShopProblem(random_instance(5, 3, seed=1))
-    assert problem.warm_start() is None
+def test_flowshop_warm_start_is_neh_the_same_pair_every_call():
+    instance = random_instance(8, 4, seed=1)
+    problem = FlowShopProblem(instance)
+    sequence, cost = neh(instance)
+    assert problem.warm_start() == (cost, tuple(sequence))
+    assert problem.warm_start() == problem.warm_start()
+    assert makespan(instance, tuple(sequence)) == cost
 
 
 @settings(max_examples=25, deadline=None)
 @given(instance_and_permutation())
 def test_warm_start_never_changes_the_proved_optimum(case):
     instance, permutation = case
-    cold = solve(FlowShopProblem(instance))
-    warm = solve(WarmStartedFlowShop(instance, permutation))
-    assert warm.cost == cold.cost
-    assert warm.optimal
-    # Whatever solution is reported must achieve the proved optimum —
-    # including when the warm start itself *is* an optimal schedule
-    # that nothing in the tree strictly beats.
-    assert makespan(instance, tuple(warm.solution)) == cold.cost
+    cold = solve(ColdFlowShop(instance))
+    for problem in (FlowShopProblem(instance), WarmStartedFlowShop(instance, permutation)):
+        warm = solve(problem)
+        assert warm.cost == cold.cost
+        assert warm.optimal
+        # Whatever solution is reported must achieve the proved optimum
+        # — including when the warm start itself *is* an optimal
+        # schedule that nothing in the tree strictly beats.
+        assert makespan(instance, tuple(warm.solution)) == cold.cost
 
 
 @settings(max_examples=10, deadline=None)
 @given(instance_and_permutation())
 def test_warm_start_prunes_but_counts_stay_sane(case):
     instance, permutation = case
-    cold = solve(FlowShopProblem(instance))
-    warm = solve(WarmStartedFlowShop(instance, permutation))
-    # A (valid) incumbent can only shrink the explored tree, never the
-    # other way — pruning is monotone in the upper bound.
-    assert warm.stats.nodes_explored <= cold.stats.nodes_explored
+    cold = solve(ColdFlowShop(instance))
+    for problem in (FlowShopProblem(instance), WarmStartedFlowShop(instance, permutation)):
+        # A (valid) incumbent can only shrink the explored tree, never
+        # the other way — pruning is monotone in the upper bound.
+        assert solve(problem).stats.nodes_explored <= cold.stats.nodes_explored
 
 
 def test_resumable_solver_seeds_the_warm_start(tmp_path):
@@ -115,3 +148,90 @@ def test_resumable_solver_keeps_a_better_checkpointed_bound(tmp_path):
     )
     assert resumed.explorer.incumbent.cost <= min(optimal.cost, worst)
     assert resumed.run().cost == optimal.cost
+
+
+# ----------------------------------------------------------------------
+# Whole-tree runs only
+
+
+SLICE_INSTANCE = random_instance(6, 3, seed=2)
+SLICE = Interval(100, 500)
+
+
+def _slice_optimum():
+    """Brute force over SLICE, and a check of the premise: NEH beats it."""
+    best = min(
+        cost
+        for number, cost in iter_leaf_costs(FlowShopProblem(SLICE_INSTANCE))
+        if number in SLICE
+    )
+    _, neh_cost = neh(SLICE_INSTANCE)
+    assert neh_cost < best
+    return best
+
+
+def test_seed_incumbent_seeds_a_whole_tree_only():
+    problem = FlowShopProblem(SLICE_INSTANCE)
+    neh_cost, _ = problem.warm_start()
+    whole = Interval(0, problem.total_leaves())
+    for interval in (None, whole):
+        assert seed_incumbent(problem, Incumbent(), interval).cost == neh_cost
+    assert seed_incumbent(problem, Incumbent(), SLICE).cost == float("inf")
+    # Monotonic: a better incumbent already held survives.
+    assert seed_incumbent(problem, Incumbent(1.0, "held")).solution == "held"
+
+
+def test_a_slice_returns_its_own_optimum_serially_and_in_parallel():
+    best = _slice_optimum()
+    result = solve(FlowShopProblem(SLICE_INSTANCE), interval=SLICE)
+    assert result.cost == best
+    parallel = solve_parallel(
+        flowshop_spec(SLICE_INSTANCE),
+        RuntimeConfig(workers=1, root_interval=SLICE.as_tuple(), deadline=60.0),
+    )
+    assert parallel.optimal and parallel.cost == best
+    assert makespan(SLICE_INSTANCE, tuple(parallel.solution)) == best
+
+
+def test_a_farmer_crash_before_the_first_snapshot_keeps_the_warm_start(tmp_path):
+    instance = random_instance(7, 3, seed=71)
+    serial = solve(FlowShopProblem(instance))
+    assert serial.stats.improvements == 0  # premise: no worker will Push
+    result = solve_parallel(
+        flowshop_spec(instance),
+        RuntimeConfig(
+            workers=1,
+            checkpoint_dir=tmp_path,
+            checkpoint_period=3600.0,  # no snapshot: the journal alone
+            deadline=60.0,
+            reply_timeout=0.4,  # retry into the recovered farmer soon
+            max_retries=6,
+            fault_plan=FaultPlan(
+                # After the Update that explored the whole tree.
+                coordinator_crashes=[CoordinatorCrash(after_messages=2, downtime=0.1)]
+            ),
+        ),
+    )
+    assert result.coordinator_restarts == 1
+    assert result.optimal and result.cost == serial.cost
+    assert makespan(instance, tuple(result.solution)) == serial.cost
+
+
+def test_a_served_slice_returns_its_own_optimum():
+    best = _slice_optimum()
+    server = GridServer(
+        flowshop_spec(SLICE_INSTANCE),
+        ServeConfig(
+            port=0, deadline=60, linger_seconds=5.0, root_interval=SLICE.as_tuple()
+        ),
+    )
+    assert server.coordinator.solution.cost == float("inf")
+    host, port = server.address
+    outcome = {}
+    thread = threading.Thread(
+        target=lambda: outcome.update(result=server.serve_forever()), daemon=True
+    )
+    thread.start()
+    run_worker(host, port, "w0", update_nodes=200, reply_timeout=2.0)
+    thread.join(timeout=60)
+    assert outcome["result"].optimal and outcome["result"].cost == best

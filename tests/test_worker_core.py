@@ -68,6 +68,20 @@ def test_one_push_per_slice_of_its_best_then_the_update():
     assert core.bye().stats["improvements"] == core.stats["epoch_resyncs"] == 1
 
 
+def test_a_new_incarnation_hears_of_the_nodes_it_answered_for_only():
+    core = granted()
+    core.slice_done(nodes=5, consumed=0)
+    core.reconciled(Reconciled((0, 100), INF))  # the killed server counted 5
+    core.slice_done(nodes=7, consumed=0)  # in flight when it died
+    core.new_incarnation()  # the reply comes from its successor
+    core.reconciled(Reconciled((0, 100), INF))
+    core.slice_done(nodes=3, consumed=0, resync=True)
+    core.reconciled(Reconciled((100, 100), INF))
+    assert core.bye().stats["nodes"] == 7 + 3
+    core.new_incarnation()  # and a third incarnation counts from zero again
+    assert core.bye().stats["nodes"] == 0
+
+
 def test_bound_notice_is_adopted_and_costs_no_update():
     core = granted(best=90.0)
     assert core.hear([Notice(85.0, False), Notice(80.0, False)]) == (80.0, False)
