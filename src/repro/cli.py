@@ -7,9 +7,9 @@ Commands
 ``repro simulate``
     Run a grid simulation and print the Table 2 statistics.
 ``repro grid serve`` / ``repro grid worker``
-    Run the farmer–worker runtime over real TCP: a standalone
-    coordinator server, and workers that connect to it by address
-    (two terminals on one machine, or many machines).
+    Run the farmer–worker runtime over real TCP: a solve service
+    holding one job, and workers that connect to it by address (two
+    terminals on one machine, or many machines).
 ``repro grid service`` / ``repro job ...``
     The multi-tenant front door: one job-queue service multiplexing
     many concurrent solves over a shared worker fleet, and the client
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid_sub = grid_p.add_subparsers(dest="grid_command", required=True)
 
     serve_p = grid_sub.add_parser(
-        "serve", help="run the coordinator server for one resolution"
+        "serve", help="run a solve service for one resolution"
     )
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=4715,
@@ -161,8 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seconds between full INTERVALS+SOLUTION "
                               "snapshots")
     serve_p.add_argument("--resume", action="store_true",
-                         help="restore INTERVALS+SOLUTION (and replay the "
-                              "journal) from --checkpoint-dir before serving")
+                         help="continue the job in --checkpoint-dir (its "
+                              "INTERVALS+SOLUTION and journal); an empty "
+                              "directory starts fresh")
     serve_p.add_argument("--no-journal", action="store_true",
                          help="disable the reconciliation journal between "
                               "snapshots (recovery falls back to the last "
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="grace for worker goodbyes once the search "
                               "space is empty")
     serve_p.add_argument("--result-json", default=None, metavar="PATH",
-                         help="write the final ServeResult as JSON to PATH")
+                         help="write the final ServiceReport as JSON to PATH")
 
     worker_p = grid_sub.add_parser(
         "worker", help="connect to a coordinator server and work"
@@ -514,10 +515,14 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_grid_serve(args) -> int:
+    """A solve service that admits the command line's job and drains."""
     from pathlib import Path
 
-    from repro.grid.net.serve import GridServer, ServeConfig
+    from repro.exceptions import RuntimeProtocolError
     from repro.grid.runtime import flowshop_spec
+    from repro.grid.runtime.protocol import JobRefused, spec_to_wire
+    from repro.grid.service.server import ServiceConfig, SolveService
+    from repro.grid.service.store import JobStore
     from repro.problems.flowshop import random_instance, taillard_instance
 
     if args.taillard is not None:
@@ -525,75 +530,67 @@ def _cmd_grid_serve(args) -> int:
     else:
         instance = random_instance(args.jobs, args.machines, args.seed)
     print(f"instance: {instance.name} ({instance.jobs}x{instance.machines})")
-
-    server = GridServer(
-        flowshop_spec(instance, bound=args.bound),
-        ServeConfig(
+    wire = spec_to_wire(flowshop_spec(instance, bound=args.bound))
+    root = tuple(args.interval) if args.interval else None
+    checkpoint_dir = Path(args.checkpoint_dir) if args.checkpoint_dir else None
+    if checkpoint_dir is not None:
+        # One directory, one job: a fresh start never buries another
+        # job's checkpoint, and --resume continues only this one.
+        for record in JobStore(checkpoint_dir).recover():
+            if not args.resume:
+                raise RuntimeProtocolError(
+                    f"{checkpoint_dir} already holds job {record.job_id} "
+                    f"({record.status}): continue it with --resume, or "
+                    f"start in an empty directory"
+                )
+            if (record.spec_wire, record.root) != (wire, root):
+                raise RuntimeProtocolError(
+                    f"--resume: job {record.job_id} in {checkpoint_dir} "
+                    f"solves another problem or slice than this command line"
+                )
+    service = SolveService(
+        ServiceConfig(
             host=args.host,
             port=args.port,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_period=args.checkpoint_period,
             deadline=args.deadline,
             lease_seconds=args.lease_seconds,
-            checkpoint_dir=(
-                Path(args.checkpoint_dir) if args.checkpoint_dir else None
-            ),
-            checkpoint_period=args.checkpoint_period,
-            root_interval=tuple(args.interval) if args.interval else None,
             linger_seconds=args.linger_seconds,
             resume=args.resume,
             journal=not args.no_journal,
-        ),
-    )
-    host, port = server.address
-    if args.resume:
-        print(
-            f"resumed from {args.checkpoint_dir} "
-            f"(epoch {server.epoch}, "
-            f"journal records replayed: "
-            f"{server.coordinator.journal_replayed})"
+            drain_when_idle=True,
         )
+    )
+    recovered = service.jobs.records()
+    if recovered:
+        job = recovered[-1].job_id
+        print(f"resumed job {job} from {checkpoint_dir} (epoch {service.epoch})")
+    else:  # a fresh start, or --resume over an empty directory
+        reply = service.admit(wire, root=root)
+        if isinstance(reply, JobRefused):
+            service.listener.close()
+            raise RuntimeProtocolError(reply.reason)
+        job = reply.job
+    host, port = service.address
     print(f"serving on {host}:{port} — connect workers with:")
     print(f"  repro grid worker --connect {host}:{port}")
-    result = server.serve_forever()
-    print(f"optimal makespan: {result.cost} (proof: {result.optimal})")
-    if result.solution is not None:
-        print(f"schedule: {list(result.solution)}")
+    report = service.serve_forever()
+    doc = report.jobs[job]
+    optimal = doc["status"] == "done"
+    print(f"optimal makespan: {doc['cost']} (proof: {optimal})")
+    if doc["solution"] is not None:
+        print(f"schedule: {doc['solution']}")
     print(
-        f"workers={len(result.worker_stats)} "
-        f"allocations={result.work_allocations} "
-        f"updates={result.checkpoint_operations} "
-        f"nodes={result.nodes_explored} "
-        f"redundant={result.redundant_rate:.2%} "
-        f"notices={result.notices_sent} "
-        f"early_yields={result.early_yields}"
+        f"workers={len(report.worker_stats)} "
+        f"allocations={doc['work_allocations']} "
+        f"nodes={doc['nodes']} "
+        f"notices={report.notices_sent} "
+        f"early_yields={report.early_yields}"
     )
     if args.result_json:
-        _write_serve_result(args.result_json, result)
-    return 0 if result.optimal else 1
-
-
-def _write_serve_result(path_text: str, result) -> None:
-    import json
-    from pathlib import Path
-
-    payload = {
-        "cost": result.cost,
-        "solution": (
-            list(result.solution) if result.solution is not None else None
-        ),
-        "optimal": result.optimal,
-        "aborted": result.aborted,
-        "epoch": result.epoch,
-        "journal_replayed": result.journal_replayed,
-        "nodes_explored": result.nodes_explored,
-        "work_allocations": result.work_allocations,
-        "checkpoint_operations": result.checkpoint_operations,
-        "redundant_rate": result.redundant_rate,
-        "notices_sent": result.notices_sent,
-        "early_yields": result.early_yields,
-        "wall_seconds": result.wall_seconds,
-        "worker_stats": result.worker_stats,
-    }
-    Path(path_text).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_service_report(args.result_json, report)
+    return 0 if optimal else 1
 
 
 def _cmd_grid_service(args) -> int:

@@ -117,8 +117,9 @@ class Problem(ABC):
 
         Every front door — :func:`~repro.core.engine.solve`, the
         :class:`~repro.core.resumable.ResumableSolver`, the solve
-        service, ``GridServer`` and ``solve_parallel`` — consults it
-        through :func:`seed_incumbent`, which decides where it applies.
+        service (``repro grid service`` and ``repro grid serve``) and
+        ``solve_parallel`` — consults it through :func:`seed_incumbent`,
+        which decides where it applies.
         ``cost`` must be the exact cost of a *feasible* ``solution``
         (the incumbent's solution may be reported as the optimum if
         nothing beats it), so a roll-out or greedy heuristic qualifies;
@@ -152,10 +153,12 @@ def seed_incumbent(
     """Tighten ``incumbent`` with ``problem.warm_start()``; return it.
 
     Whole-tree runs only: no ``interval``, or one covering every leaf.
-    A run over a slice must return the optimum *over that slice*, and a
-    heuristic solution from elsewhere in the tree may beat it and would
-    be reported in its place.  The update is monotonic, so a better
-    incumbent already held survives.
+    A run over a slice — ``solve(interval=)``,
+    ``RuntimeConfig.root_interval``, or a service job admitted with a
+    ``root`` (``repro grid serve --interval``) — must return the
+    optimum *over that slice*, and a heuristic solution from elsewhere
+    in the tree may beat it and would be reported in its place.  The
+    update is monotonic, so a better incumbent already held survives.
     """
     if interval is None or interval.contains_interval(
         Interval(0, problem.total_leaves())

@@ -24,9 +24,10 @@ message, and the runtime's seq/reply-cache retry machinery (PR 1)
 recovers either the same way.
 
 :mod:`repro.grid.net.framing` defines the versioned wire encoding;
-:mod:`repro.grid.net.serve` runs a standalone coordinator server and
-standalone workers (the ``repro grid serve`` / ``repro grid worker``
-CLI entry points).
+:mod:`repro.grid.net.serve` runs a standalone worker (``repro grid
+worker``) against a :class:`~repro.grid.service.server.SolveService`,
+which is the coordinator server of both ``repro grid serve`` (one job)
+and ``repro grid service`` (many).
 """
 
 from repro.grid.net.backoff import decorrelated_jitter

@@ -131,10 +131,9 @@ class Hello:
 class Welcome:
     """The server's reply to :class:`Hello`.
 
-    ``spec`` is the run's problem in wire form
-    (:func:`repro.grid.runtime.protocol.spec_to_wire`) when the server
-    distributes work definitions, ``None`` when workers are configured
-    out of band.  ``epoch`` counts server incarnations over one
+    ``spec`` is always ``None``: every ``GrantWork`` carries its job's
+    problem, so the field is dead and goes with the next wire-version
+    bump.  ``epoch`` counts server incarnations over one
     checkpoint directory (0 when the server keeps no checkpoints): a
     client that sees it change knows the coordinator restarted from a
     snapshot and must re-reconcile its interval copy (eq. 14) instead

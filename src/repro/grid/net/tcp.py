@@ -123,13 +123,11 @@ class TcpListener(Listener):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        spec_wire: Optional[Dict[str, Any]] = None,
         peer_timeout: Optional[float] = 30.0,
         epoch: int = 0,
     ):
         self._host = host
         self._requested_port = port
-        self._spec_wire = spec_wire
         self._peer_timeout = peer_timeout
         self._epoch = epoch
         self._inbox: "queue_mod.Queue[Any]" = queue_mod.Queue()
@@ -235,13 +233,7 @@ class TcpListener(Listener):
                     if stale is not None and stale is not writer:
                         stale.close()  # a reconnect supersedes the old conn
                     try:
-                        writer.write(
-                            encode_frame(
-                                Welcome(
-                                    spec=self._spec_wire, epoch=self._epoch
-                                )
-                            )
-                        )
+                        writer.write(encode_frame(Welcome(epoch=self._epoch)))
                         await writer.drain()
                     except (ConnectionError, OSError):
                         break
@@ -501,9 +493,9 @@ class TcpClientConnection(Connection):
         """Eagerly connect (and handshake); raises on failure.
 
         Optional — ``send``/``recv`` connect lazily — but standalone
-        workers call it to obtain the :class:`Welcome` (and its problem
-        spec) before starting the B&B loop.  A server that answers with
-        anything but a Welcome of this wire version raises
+        workers call it to fail fast on an unreachable server before
+        starting the B&B loop.  A server that answers with anything
+        but a Welcome of this wire version raises
         :class:`~repro.grid.net.transport.WireVersionError` at once,
         without reconnect attempts — here, and from the lazy reconnect
         of ``send`` / ``recv`` alike.
@@ -682,7 +674,6 @@ class TcpTransport(Transport):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        spec_wire: Optional[Dict[str, Any]] = None,
         peer_timeout: Optional[float] = 30.0,
         connect_timeout: float = 10.0,
         heartbeat_interval: Optional[float] = 2.0,
@@ -690,7 +681,6 @@ class TcpTransport(Transport):
     ):
         self._host = host
         self._port = port
-        self._spec_wire = spec_wire
         self._peer_timeout = peer_timeout
         self._connect_timeout = connect_timeout
         self._heartbeat_interval = heartbeat_interval
@@ -702,7 +692,6 @@ class TcpTransport(Transport):
             self._listener = TcpListener(
                 self._host,
                 self._port,
-                spec_wire=self._spec_wire,
                 peer_timeout=self._peer_timeout,
             )
         return self._listener

@@ -5,12 +5,12 @@ updates through the intersection operator, two-file checkpoints, plus
 one advisory coordinator notice on the worker-opened connection — but
 executed by genuine OS processes exchanging messages over a pluggable
 transport (:mod:`repro.grid.net`): fork-inherited queues by default,
-loopback TCP with ``RuntimeConfig(transport="tcp")``, and a standalone
-network coordinator via ``repro grid serve`` /
-``repro grid worker --connect`` for runs that span machines.  This is
-the deployment a user runs to exactly solve an instance in parallel
-(the paper's grid collapsed to a single host's cores, or spread over
-real sockets).
+loopback TCP with ``RuntimeConfig(transport="tcp")``, and, for runs
+that span machines, ``repro grid serve`` (a one-job
+:class:`~repro.grid.service.server.SolveService`) with
+``repro grid worker --connect``.  This is the deployment a user runs
+to exactly solve an instance in parallel (the paper's grid collapsed
+to a single host's cores, or spread over real sockets).
 
 Public surface::
 

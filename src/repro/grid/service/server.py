@@ -1,16 +1,19 @@
-"""The multi-tenant solve server: N farmers behind one socket.
+"""The solve server: N farmers behind one socket.
 
 :class:`SolveService` pumps one :class:`~repro.grid.net.tcp.TcpListener`
-exactly like :class:`~repro.grid.net.serve.GridServer`, but instead of
-owning a single coordinator it keeps **one
-:class:`~repro.grid.runtime.coordinator.Coordinator` per running job**
-and lets the :class:`~repro.grid.service.scheduler.Scheduler` decide
-which job feeds each hungry worker.  Workers stay dumb
-interval-explorers: a ``Request`` comes in untagged, the service picks
-a job, hands the Request to that job's coordinator, and stamps the
-job id and the job's spec on the ``GrantWork`` it returns; the worker
-then stamps the same id on its ``Update``/``Push`` and the service
-passes each one to that job's coordinator unchanged.
+and keeps **one :class:`~repro.grid.runtime.coordinator.Coordinator`
+per running job**, letting the
+:class:`~repro.grid.service.scheduler.Scheduler` decide which job feeds
+each hungry worker.  Workers stay dumb interval-explorers: a
+``Request`` comes in untagged, the service picks a job, hands the
+Request to that job's coordinator, and stamps the job id and the job's
+spec on the ``GrantWork`` it returns; the worker then stamps the same
+id on its ``Update``/``Push`` and the service passes each one to that
+job's coordinator unchanged.
+
+``repro grid serve`` is this service with one job: it admits the
+command line's job in process through :meth:`SolveService.admit` (the
+path every ``SubmitJob`` takes) and drains once that job settles.
 
 Crash-only by construction: job metadata transitions go through the
 durable :class:`~repro.grid.service.store.JobStore`, per-job
@@ -18,16 +21,17 @@ INTERVALS/SOLUTION pairs checkpoint through each coordinator's own
 :class:`~repro.core.checkpoint.CheckpointStore` (journal included),
 and a restart with ``resume=True`` rebuilds the queue from
 ``jobs/*/meta.json``, recovering every job that was mid-flight.  The
-service epoch rides the Welcome so surviving workers resync exactly as
-they do against a restarted single-job server.
+service epoch rides the Welcome, so workers that survive a restart
+resync their interval copies.
 
-Delivery semantics mirror the single-job design.  Per-job coordinators
-keep their own at-least-once dedup caches — a worker's global
-sequence counter interleaves across jobs, but each coordinator still
-sees a strictly increasing subsequence, so retry detection is intact.
-Requests and client RPCs are deduplicated at the service layer
-instead, because their replies (job choice, scheduling) are composed
-*above* any one coordinator.
+Per-job coordinators keep their own at-least-once dedup caches — a
+worker's global sequence counter interleaves across jobs, but each
+coordinator still sees a strictly increasing subsequence, so retry
+detection is intact.  The service layer keeps one more cache, over
+every sequenced RPC it answers: Requests and client RPCs, whose
+replies (job choice, scheduling) are composed *above* any one
+coordinator, and Updates/Pushes, whose retry can arrive after the
+job's coordinator is gone.
 
 A worker that moves between jobs may let an old job's lease expire;
 the §4.1 interval invariant turns that into redundant exploration,
@@ -136,6 +140,17 @@ class ServiceReport:
     aborted: bool = False
 
 
+def _job_root(problem: Any, root: Optional[Tuple[int, int]]) -> Interval:
+    """The job's root interval: ``root`` clipped to the tree, or all of it."""
+    whole = Interval(0, problem.total_leaves())
+    if root is None:
+        return whole
+    clipped = Interval.from_tuple(root).intersect(whole)
+    if clipped.is_empty():
+        raise ValueError(f"interval {root} does not overlap {whole}")
+    return clipped
+
+
 class SolveService:
     """A job-queue front door over the shared worker fleet."""
 
@@ -162,12 +177,11 @@ class SolveService:
         self.listener = TcpListener(
             self.config.host,
             self.config.port,
-            spec_wire=None,  # specs travel per grant, not per Welcome
             peer_timeout=self.config.peer_timeout,
             epoch=self.epoch,
         )
-        # Service-layer at-least-once caches (Requests + client RPCs);
-        # Update/Push dedup stays inside each job's coordinator.
+        # Service-layer at-least-once caches, one entry per peer; each
+        # job's coordinator also dedups the Updates/Pushes it sees.
         self._last_seq: Dict[str, int] = {}
         self._last_reply: Dict[str, Any] = {}
         # Parked RPCs: sender -> (message, monotonic deadline), oldest
@@ -211,7 +225,7 @@ class SolveService:
             problem = self._built.pop(record.job_id, None)
             if problem is None:  # --resume, or it outlived the stash
                 problem = spec_from_wire(record.spec_wire).build()
-            root = Interval(0, problem.total_leaves())
+            root = _job_root(problem, record.root)
         except Exception as exc:  # noqa: BLE001 - tenant input, not ours
             record.status = FAILED
             record.error = f"spec failed to build: {exc}"
@@ -229,6 +243,9 @@ class SolveService:
                 lease_seconds=config.lease_seconds,
                 journal=config.journal,
             )
+            # A job's grants and nodes count one incarnation, the one
+            # that settles it: both restart with the coordinator.
+            record.work_allocations = 0
         else:
             coordinator = Coordinator(
                 root,
@@ -239,7 +256,7 @@ class SolveService:
                 lease_seconds=config.lease_seconds,
                 journal=config.journal,
             )
-        seed_incumbent(problem, coordinator.solution)  # a job is a whole tree
+        seed_incumbent(problem, coordinator.solution, root)  # a slice starts cold
         self._coordinators[record.job_id] = coordinator
         if record.status != RUNNING:
             record.status = RUNNING
@@ -331,7 +348,9 @@ class SolveService:
         if isinstance(message, Bye):
             return self._on_bye(message)
         if isinstance(message, SubmitJob):
-            return self._on_client(message, self._on_submit)
+            return self._on_client(
+                message, lambda m: self.admit(m.spec, m.owner, m.priority)
+            )
         if isinstance(message, JobStatusRequest):
             return self._on_client(message, self._on_status)
         if isinstance(message, CancelJob):
@@ -391,26 +410,32 @@ class SolveService:
 
     def _on_work(self, msg: Any) -> Any:
         """An Update or Push, handed to the coordinator of ``msg.job``."""
+        # A retry can outlive its job's coordinator (and its cache), so
+        # the service remembers these replies too: nothing counts twice.
+        cached, reply = self._dedup(msg.worker, msg.seq)
+        if cached:
+            return reply
         coordinator = self._coordinators.get(msg.job)
         if coordinator is None:
             # The job settled (done/cancelled/failed) while the worker
             # explored, or was never ours: report the slice withdrawn so
             # the explorer folds at once and asks for new work.
-            reply: Any = Ack(float("inf"))
+            reply = Ack(float("inf"))
             if isinstance(msg, Update):
                 record = self.jobs.get(msg.job)
-                cost = (
-                    record.cost
-                    if record is not None and record.cost is not None
-                    else float("inf")
-                )
+                cost = float("inf")
+                if record is not None:
+                    # A cut twin's last slice is still the job's work:
+                    # its nodes count, so the job's ledger matches the Byes.
+                    record.nodes_explored += msg.nodes
+                    if record.cost is not None:
+                        cost = record.cost
                 begin = msg.interval[0]
                 reply = Reconciled((begin, begin), cost)
-            reply.seq = msg.seq
-            return reply
-        reply = coordinator.handle(msg)
-        self._send_notices(msg.job, coordinator)
-        return reply
+        else:
+            reply = coordinator.handle(msg)
+            self._send_notices(msg.job, coordinator)
+        return self._remember(msg.worker, msg.seq, reply)
 
     def _send_notices(self, job_id: str, coordinator: Coordinator) -> None:
         """Tell the job's other holders of a cut or a lower bound.
@@ -443,11 +468,23 @@ class SolveService:
             return None
         return self._remember(msg.worker, msg.seq, reply)
 
-    def _on_submit(self, msg: SubmitJob) -> Any:
+    def admit(
+        self,
+        spec_wire: Dict[str, Any],
+        owner: str = "anonymous",
+        priority: int = 1,
+        root: Optional[Tuple[int, int]] = None,
+    ) -> Any:
+        """Admit one job: ``JobAccepted`` with its id, or ``JobRefused``.
+
+        Every ``SubmitJob`` lands here, and so does the one job of
+        ``repro grid serve``, the only caller that passes a ``root``:
+        a leaf-number slice of the tree to solve instead of all of it.
+        """
         if self._draining:
             return JobRefused("service is draining")
         refusal = self.scheduler.admission_error(
-            self.jobs.in_status(QUEUED), msg.priority
+            self.jobs.in_status(QUEUED), priority
         )
         if refusal is not None:
             return JobRefused(refusal)
@@ -455,11 +492,12 @@ class SolveService:
             # Build once to validate: a spec that cannot produce a
             # problem must bounce at the front door, not fail the job
             # minutes later in the scheduler.
-            problem = spec_from_wire(msg.spec).build()
+            problem = spec_from_wire(spec_wire).build()
+            _job_root(problem, root)
         except Exception as exc:  # noqa: BLE001 - tenant input
             return JobRefused(f"spec rejected: {exc}")
         record = self.jobs.create(
-            msg.spec, owner=msg.owner, priority=msg.priority, persist=False
+            spec_wire, owner=owner, priority=priority, persist=False, root=root
         )
         self._jobs_seen += 1
         # Popped by promotion; one pushed out of the stash is rebuilt.

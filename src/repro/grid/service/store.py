@@ -21,7 +21,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.checkpoint import CheckpointStore, MultiJobStore
 
@@ -63,6 +63,7 @@ class JobRecord:
     error: str = ""
     nodes_explored: int = 0
     work_allocations: int = 0  # grants made for this job (durable with its status)
+    root: Optional[Tuple[int, int]] = None  # a slice of the tree; None: all of it
 
     def is_terminal(self) -> bool:
         return self.status in TERMINAL
@@ -83,6 +84,8 @@ class JobRecord:
             "error": self.error,
             "nodes_explored": self.nodes_explored,
             "work_allocations": self.work_allocations,
+            # Decimal strings, as in the journal: endpoints exceed 2**53.
+            "root": None if self.root is None else [str(x) for x in self.root],
         }
 
     @classmethod
@@ -90,6 +93,7 @@ class JobRecord:
         solution = meta.get("solution")
         if isinstance(solution, list):
             solution = tuple(solution)
+        root = meta.get("root")
         return cls(
             job_id=job_id,
             spec_wire=dict(meta.get("spec", {})),
@@ -104,6 +108,7 @@ class JobRecord:
             error=str(meta.get("error", "")),
             nodes_explored=int(meta.get("nodes_explored", 0)),
             work_allocations=int(meta.get("work_allocations", 0)),
+            root=None if root is None else (int(root[0]), int(root[1])),
         )
 
     def summary(self) -> Dict[str, Any]:
@@ -147,6 +152,7 @@ class JobStore:
         priority: int = 1,
         job_id: Optional[str] = None,
         persist: bool = True,
+        root: Optional[Tuple[int, int]] = None,
     ) -> JobRecord:
         """Admit one job (status ``queued``), durably.
 
@@ -166,6 +172,7 @@ class JobStore:
             priority=priority,
             order=self._order_counter,
             submitted_at=time.time(),
+            root=root,
         )
         self._records[job_id] = record
         self._unsettled[job_id] = record

@@ -4,7 +4,8 @@ Covers the backoff helper, the wire form of problem specs, both
 transport backends against the interface contract, reconnect behavior
 under injected socket resets, Bye-stat survival across a coordinator
 restart when the goodbye rides a reconnected transport, and the
-standalone ``GridServer`` / ``run_worker`` pair.
+one-job solve service of ``repro grid serve`` with its ``run_worker``
+clients.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from repro.core import solve
 from repro.grid.net.backoff import decorrelated_jitter
 from repro.grid.net.framing import WIRE_VERSION, Hello, Welcome, encode_frame
 from repro.grid.net.inprocess import InProcessTransport
-from repro.grid.net.serve import GridServer, ServeConfig, run_worker
+from repro.grid.net.serve import run_worker
 from repro.grid.net.tcp import (
     SocketFaults,
     TcpClientConnection,
     TcpListener,
-    TcpTransport,
 )
 from repro.grid.net.transport import (
     TransportError,
@@ -46,6 +46,7 @@ from repro.grid.runtime.protocol import (
     spec_from_wire,
     spec_to_wire,
 )
+from repro.grid.service.server import ServiceConfig, SolveService
 from repro.problems.flowshop import FlowShopProblem, random_instance
 
 fs_instance = random_instance(8, 4, seed=51)
@@ -180,26 +181,6 @@ class TestInProcessTransport:
 
 
 class TestTcpTransport:
-    def test_welcome_carries_spec(self):
-        spec = flowshop_spec(fs_instance)
-        listener = TcpListener(spec_wire=spec_to_wire(spec), peer_timeout=5.0)
-        try:
-            conn = TcpClientConnection(
-                *listener.address, "w0", heartbeat_interval=None
-            )
-            try:
-                conn.open(timeout=5.0)
-                assert conn.welcome is not None
-                rebuilt = spec_from_wire(conn.welcome.spec)
-                assert (
-                    rebuilt.build().total_leaves()
-                    == spec.build().total_leaves()
-                )
-            finally:
-                conn.close()
-        finally:
-            listener.close()
-
     def test_rpc_survives_client_resets(self):
         """Every other send aborts the connection with an RST; a retry
         loop with the same seq still completes every RPC."""
@@ -406,19 +387,20 @@ class TestParallelOverTcp:
             assert stats["nodes"] > 0
 
 
-class TestGridServer:
+class TestOneJobService:
+    """``repro grid serve``: a solve service that admits one job."""
+
     def test_serve_and_workers_loopback(self):
-        spec = flowshop_spec(fs_instance)
-        server = GridServer(
-            spec,
-            ServeConfig(port=0, deadline=60, lease_seconds=5.0,
-                        linger_seconds=5.0),
+        service = SolveService(
+            ServiceConfig(port=0, deadline=60, lease_seconds=5.0,
+                          linger_seconds=5.0, drain_when_idle=True),
         )
-        host, port = server.address
+        job = service.admit(spec_to_wire(flowshop_spec(fs_instance))).job
+        host, port = service.address
         outcome = {}
 
         def serve():
-            outcome["result"] = server.serve_forever()
+            outcome["report"] = service.serve_forever()
 
         server_thread = threading.Thread(target=serve, daemon=True)
         server_thread.start()
@@ -443,22 +425,24 @@ class TestGridServer:
             t.join(timeout=60)
         server_thread.join(timeout=60)
         assert not server_thread.is_alive()
-        result = outcome["result"]
-        assert result.optimal
-        assert result.cost == serial.cost
-        # The workers got the problem from the Welcome, not from us;
+        report = outcome["report"]
+        doc = report.jobs[job]
+        assert doc["status"] == "done"
+        assert doc["cost"] == serial.cost
+        # The workers got the problem from their grants, not from us;
         # node accounting must still reconcile exactly.
-        assert set(result.worker_stats) == {"tw-0", "tw-1"}
-        reported = sum(s["nodes"] for s in result.worker_stats.values())
-        assert result.nodes_explored == reported
+        assert set(report.worker_stats) == {"tw-0", "tw-1"}
+        reported = sum(s["nodes"] for s in report.worker_stats.values())
+        assert doc["nodes"] == reported
 
     def test_shutdown_stops_an_idle_server(self):
-        server = GridServer(
-            flowshop_spec(fs_instance), ServeConfig(port=0, deadline=30)
+        service = SolveService(
+            ServiceConfig(port=0, deadline=30, drain_when_idle=True)
         )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        service.admit(spec_to_wire(flowshop_spec(fs_instance)))
+        thread = threading.Thread(target=service.serve_forever, daemon=True)
         thread.start()
         time.sleep(0.2)
-        server.shutdown()
+        service.shutdown()
         thread.join(timeout=5.0)
         assert not thread.is_alive()

@@ -147,6 +147,17 @@ def test_job_store_recovers_records_and_order_counter(tmp_path):
     assert recovered.create({}, owner="c", priority=1).order > back.order
 
 
+def test_a_slice_root_near_20_factorial_survives_recovery_exactly(tmp_path):
+    top = math.factorial(20)  # > 2**53: a float would round it
+    root = (top - 12_345, top - 1)
+    record = JobStore(tmp_path).create({"n": 20}, root=root)
+    meta = MultiJobStore(tmp_path).load_meta(record.job_id)
+    assert meta["root"] == [str(root[0]), str(root[1])]  # as the journal does
+    (back,) = JobStore(tmp_path).recover()
+    assert back.root == root
+    assert JobStore(tmp_path).create({}).root is None  # a whole tree
+
+
 def test_job_store_is_memory_only_without_a_directory():
     jobs = JobStore(None)
     record = jobs.create({}, owner="alice", priority=1)
@@ -475,6 +486,37 @@ def test_work_for_no_running_job_is_withdrawn_and_touches_no_ledger(job):
     ]
     assert ledgers[0] == ledgers[1]
     assert report.protocol_errors == 0
+
+
+def test_a_retried_update_counts_once_after_its_job_settled():
+    service = SolveService(service_config())
+    service.jobs.create(wire_a(), owner="alice", job_id="job-x")
+
+    def update(seq, nodes):
+        return lambda net: Update(
+            "w0", grant_to("w0")(net).interval, nodes=nodes, consumed=1,
+            seq=seq, job="job-x",
+        )
+
+    sent, report = play(
+        [
+            Request("w0", seq=1),  # granted
+            update(2, 5),  # counted by the job's coordinator
+            CancelJob("c1", "job-x", seq=1),  # settles it with nodes 5
+            update(2, 5),  # that Update retried (its reply was lost)
+            update(3, 7),  # a late Update: the job's work, counted
+            update(3, 7),  # ... and retried
+        ],
+        connected={"w0", "c1"},
+        service=service,
+    )
+    replies = [reply for to, reply in sent if to == "w0"]
+    assert len(replies) == 5
+    assert replies[2] == replies[1]  # the coordinator's own answer
+    assert replies[3].interval[0] == replies[3].interval[1]  # withdrawn
+    assert replies[4] == replies[3]
+    assert report.jobs["job-x"]["status"] == CANCELLED
+    assert report.jobs["job-x"]["nodes"] == 5 + 7
 
 
 def test_cancel_answers_a_parked_status_wait():

@@ -29,7 +29,7 @@ from repro.core import (
     solve,
 )
 from repro.core.engine import iter_leaf_costs
-from repro.grid.net.serve import GridServer, ServeConfig, run_worker
+from repro.grid.net.serve import run_worker
 from repro.grid.runtime import (
     CoordinatorCrash,
     FaultPlan,
@@ -37,6 +37,8 @@ from repro.grid.runtime import (
     flowshop_spec,
     solve_parallel,
 )
+from repro.grid.runtime.protocol import spec_to_wire
+from repro.grid.service.server import ServiceConfig, SolveService
 from repro.problems.flowshop import (
     FlowShopProblem,
     makespan,
@@ -217,21 +219,43 @@ def test_a_farmer_crash_before_the_first_snapshot_keeps_the_warm_start(tmp_path)
     assert makespan(instance, tuple(result.solution)) == serial.cost
 
 
-def test_a_served_slice_returns_its_own_optimum():
-    best = _slice_optimum()
-    server = GridServer(
-        flowshop_spec(SLICE_INSTANCE),
-        ServeConfig(
-            port=0, deadline=60, linger_seconds=5.0, root_interval=SLICE.as_tuple()
-        ),
-    )
-    assert server.coordinator.solution.cost == float("inf")
-    host, port = server.address
+def _serve_with_one_worker(service):
+    host, port = service.address
     outcome = {}
     thread = threading.Thread(
-        target=lambda: outcome.update(result=server.serve_forever()), daemon=True
+        target=lambda: outcome.update(report=service.serve_forever()), daemon=True
     )
     thread.start()
     run_worker(host, port, "w0", update_nodes=200, reply_timeout=2.0)
     thread.join(timeout=60)
-    assert outcome["result"].optimal and outcome["result"].cost == best
+    return outcome["report"]
+
+
+def test_a_served_slice_returns_its_own_optimum(tmp_path):
+    best = _slice_optimum()
+    wire = spec_to_wire(flowshop_spec(SLICE_INSTANCE))
+
+    def config(name, **overrides):
+        return ServiceConfig(
+            port=0, deadline=60, linger_seconds=5.0, drain_when_idle=True,
+            checkpoint_dir=tmp_path / name, **overrides,
+        )
+
+    fresh = SolveService(config("fresh"))
+    job = fresh.admit(wire, root=SLICE.as_tuple()).job
+    assert fresh._coordinators[job].solution.cost == float("inf")
+    doc = _serve_with_one_worker(fresh).jobs[job]
+    assert doc["status"] == "done" and doc["cost"] == best
+
+    # Abort before any worker came, then --resume: the slice is read
+    # back from the job's meta.json, and the resumed job starts cold too.
+    crashed = SolveService(config("crash"))
+    job = crashed.admit(wire, root=SLICE.as_tuple()).job
+    crashed.abort()
+    crashed.serve_forever()
+    resumed = SolveService(config("crash", resume=True))
+    coordinator = resumed._coordinators[job]
+    assert coordinator.intervals.to_payload() == [SLICE.as_tuple()]
+    assert coordinator.solution.cost == float("inf")
+    doc = _serve_with_one_worker(resumed).jobs[job]
+    assert doc["status"] == "done" and doc["cost"] == best
