@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint check typecheck test chaos chaos-net chaos-kill bench bench-show bench-parallel bench-net bench-recovery bench-suite bench-pairs report examples clean
+.PHONY: install lint check typecheck test chaos chaos-net chaos-kill bench bench-show bench-recovery bench-suite bench-pairs report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -57,16 +57,6 @@ bench:
 
 bench-show:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Parallel runtime scaling: adaptive slicing, pipelined updates and
-# coordinator notices at 1/2/4/8 workers.  Regenerates BENCH_PR3.json.
-bench-parallel:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_parallel_scaling.py
-
-# Transport tax: the same Ta001 slice over in-process queues vs
-# loopback TCP, per-worker RPC-wait split.  Regenerates BENCH_PR4.json.
-bench-net:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_net_transport.py
 
 # Crash recovery: journal replay vs snapshot-only restart, plus the
 # replay-latency sweep.  Regenerates BENCH_PR6.json.

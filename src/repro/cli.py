@@ -584,7 +584,9 @@ def _cmd_grid_serve(args) -> int:
     print(
         f"workers={len(report.worker_stats)} "
         f"allocations={doc['work_allocations']} "
+        f"updates={doc['updates']} "
         f"nodes={doc['nodes']} "
+        f"redundant={doc['redundant_rate']:.2%} "
         f"notices={report.notices_sent} "
         f"early_yields={report.early_yields}"
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import queue as queue_mod
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.grid.net.transport import (
     Connection,
@@ -85,6 +85,9 @@ class InProcessListener(Listener):
 
     def register(self, worker_id: str, reply_queue: Any) -> None:
         self._reply_queues[worker_id] = reply_queue
+
+    def connected_workers(self) -> List[str]:
+        return sorted(self._reply_queues)
 
     def recv(self, timeout: Optional[float] = None) -> Any:
         try:

@@ -81,7 +81,6 @@ def run_worker(
     # worker_main closes the connection it gets from the connector.
     return worker_main(
         worker_id,
-        None,  # every grant carries its job's spec
         _PreopenedConnector(connection),
         update_nodes=update_nodes,
         power=power,

@@ -46,7 +46,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.grid.net.backoff import decorrelated_jitter
 from repro.grid.net.framing import (
@@ -132,6 +132,7 @@ class TcpListener(Listener):
         self._epoch = epoch
         self._inbox: "queue_mod.Queue[Any]" = queue_mod.Queue()
         self._writers: Dict[str, asyncio.StreamWriter] = {}
+        self._registered: Set[str] = set()  # see connected_workers()
         self._all_writers: set = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
@@ -255,9 +256,14 @@ class TcpListener(Listener):
     def address(self) -> Optional[Tuple[str, int]]:
         return self._address
 
+    def register(self, worker_id: str) -> None:
+        """Count ``worker_id`` as connected even while its socket is down:
+        a worker its transport launched, which will dial in (again)."""
+        self._registered.add(worker_id)
+
     def connected_workers(self) -> List[str]:
-        """Workers with a live, identified connection right now."""
-        return sorted(self._writers)
+        """Workers with a live, identified connection, plus the registered."""
+        return sorted(self._registered.union(self._writers))
 
     def recv(self, timeout: Optional[float] = None) -> Any:
         try:
@@ -698,6 +704,7 @@ class TcpTransport(Transport):
 
     def connector_for(self, worker_id: str) -> TcpConnector:
         listener = self.listen()
+        listener.register(worker_id)
         host, port = listener.address
         return TcpConnector(
             host,

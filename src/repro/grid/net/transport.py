@@ -37,7 +37,7 @@ from a dropped message, and the same retry recovers both.
 from __future__ import annotations
 
 import abc
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 __all__ = [
     "Connection",
@@ -132,6 +132,12 @@ class Listener(abc.ABC):
     @abc.abstractmethod
     def send(self, worker: str, reply: Any) -> None:
         """Route ``reply`` to ``worker``; dropped if it is unreachable."""
+
+    @abc.abstractmethod
+    def connected_workers(self) -> List[str]:
+        """Live connections, plus every worker the listener's transport
+        built a connector for: whom a draining service waits for (their
+        ``Bye``, or ``SolveService.release_worker``)."""
 
     def flush(self) -> None:
         """Release any internally buffered traffic (fault wrappers)."""

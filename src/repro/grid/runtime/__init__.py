@@ -4,11 +4,13 @@ The same protocol as the simulator — pull-model workers, interval
 updates through the intersection operator, two-file checkpoints, plus
 one advisory coordinator notice on the worker-opened connection — but
 executed by genuine OS processes exchanging messages over a pluggable
-transport (:mod:`repro.grid.net`): fork-inherited queues by default,
-loopback TCP with ``RuntimeConfig(transport="tcp")``, and, for runs
-that span machines, ``repro grid serve`` (a one-job
-:class:`~repro.grid.service.server.SolveService`) with
-``repro grid worker --connect``.  This is the deployment a user runs
+transport (:mod:`repro.grid.net`).  There is one farmer pump,
+:class:`~repro.grid.service.server.SolveService`: ``solve_parallel``
+admits its one job to it and forks the workers at its listener
+(fork-inherited queues by default, loopback TCP with
+``RuntimeConfig(transport="tcp")``); for runs that span machines,
+``repro grid serve`` runs the same one-job service and
+``repro grid worker --connect`` dials in.  This is the deployment a user runs
 to exactly solve an instance in parallel (the paper's grid collapsed
 to a single host's cores, or spread over real sockets).
 
@@ -26,8 +28,6 @@ from repro.grid.runtime.faults import (
     ChannelFaults,
     CoordinatorCrash,
     FaultPlan,
-    ProcessKill,
-    ProcessKiller,
     WorkerHang,
 )
 from repro.grid.runtime.launcher import (
@@ -52,8 +52,6 @@ __all__ = [
     "FleetReport",
     "ParallelResult",
     "ProblemSpec",
-    "ProcessKill",
-    "ProcessKiller",
     "RespawnPolicy",
     "RuntimeConfig",
     "SlotStatus",

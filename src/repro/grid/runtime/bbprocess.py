@@ -50,7 +50,7 @@ from repro.core.interval import Interval
 from repro.core.stats import Incumbent
 from repro.grid.net.backoff import decorrelated_jitter
 from repro.grid.net.transport import Connection, Connector, TransportError
-from repro.grid.runtime.protocol import Idle, Notice, ProblemSpec, Terminate
+from repro.grid.runtime.protocol import Idle, Notice, Terminate
 from repro.grid.runtime.worker import WorkerCore
 
 __all__ = ["AdaptiveSlicer", "worker_main"]
@@ -248,7 +248,6 @@ class _RpcChannel:
 
 def worker_main(
     worker_id: str,
-    spec: Optional[ProblemSpec],
     connector: Connector,
     update_nodes: int = 2000,
     power: float = 1.0,
@@ -292,17 +291,15 @@ def worker_main(
     an unreachable coordinator) or ``"crash"`` (a fault hook fired).
     Process supervisors respawn anything but a clean ``"terminate"``.
 
-    Against the multi-tenant solve service the same loop serves *many*
-    jobs: each grant carries an opaque job id plus the job's spec in
-    wire form, the worker keeps one built problem and one local
+    The coordinator is always a solve service, and the same loop serves
+    *many* jobs: each grant carries an opaque job id plus the job's spec
+    in wire form, the worker keeps one built problem and one local
     incumbent per job id (for the last few jobs it was granted —
     :class:`WorkerCore`), stamps its Updates and Pushes with the grant's
     id, and asks again on an :class:`Idle` reply — the service parks a
     Request it cannot grant, so the waiting is done server-side.
-    ``spec`` may then be ``None`` — the fleet learns every problem from
-    its grants.
     """
-    core = WorkerCore(worker_id, power, None if spec is None else spec.build())
+    core = WorkerCore(worker_id, power)
     stats = core.stats
     slicer = AdaptiveSlicer(
         update_nodes,
@@ -384,7 +381,7 @@ def worker_main(
             if core.problem is None:
                 raise TransportError(
                     f"granted job {core.job!r} but no problem: the grant "
-                    "carried no spec and none was configured"
+                    "carried no spec"
                 )
             # A notice that came before this grant is about another interval.
             chan.notices.clear()

@@ -1,7 +1,8 @@
 """The real coordinator: INTERVALS + SOLUTION behind a message loop.
 
 Pure protocol logic — no process or queue handling here, and no clock
-of its own: the launcher, the solve service and the grid simulator
+of its own: the solve service (behind ``solve_parallel`` and every
+``repro grid`` front door) and the grid simulator
 (``simulator/farmer.py``, under its virtual clock) all drive this one
 class by feeding it messages.  The state is an
 :class:`~repro.core.interval_set.IntervalSet`, an
@@ -21,7 +22,6 @@ from repro.core.stats import Incumbent
 from repro.exceptions import RuntimeProtocolError
 from repro.grid.runtime.protocol import (
     Ack,
-    Bye,
     GrantWork,
     Notice,
     Push,
@@ -71,14 +71,13 @@ class Coordinator:
         clock: Callable[[], float] = time.monotonic,
     ):
         self._clock = clock
+        self.root = root_interval
         self.intervals = IntervalSet.initial(root_interval, duplication_threshold)
         self.solution = (initial_best or Incumbent()).copy()
         self.store = store
         self.checkpoint_period = checkpoint_period
         self.lease_seconds = lease_seconds
         self.journal_enabled = journal
-        self.journal_replayed = 0
-        self.journal_leaves_replayed = 0
         self._last_checkpoint = clock()
         self._powers: Dict[str, float] = {}
         # End of each worker's last grant: how far its word is taken
@@ -106,7 +105,6 @@ class Coordinator:
         self.improvements = 0
         self.duplicates_ignored = 0
         self.leases_expired: List[str] = []
-        self.byes: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -136,13 +134,11 @@ class Coordinator:
         )
         if state.intervals is not None:
             coord.intervals = state.intervals
-        coord.journal_replayed = state.replayed_records
-        coord.journal_leaves_replayed = state.replayed_leaves
         return coord
 
     # ------------------------------------------------------------------
     def handle(self, message: Any) -> Optional[Any]:
-        """Process one worker message; return the reply (None for Bye).
+        """Process one worker message; return the reply.
 
         Sequenced messages (``seq > 0``) are deduplicated: a seq equal
         to the last one processed for that worker returns the cached
@@ -177,13 +173,6 @@ class Coordinator:
             return self._on_request(message)
         if isinstance(message, Push):
             return self._on_push(message)
-        if isinstance(message, Bye):
-            self.byes[message.worker] = message.stats
-            # Best-effort ack so the worker's retry helper can stop
-            # re-sending; the unsequenced Bye (seq 0) of a worker that
-            # gave up gets one too — but that worker has already
-            # exited, so it sits unread in the reply queue.
-            return Ack(self.solution.cost)
         raise RuntimeProtocolError(
             f"coordinator cannot handle {type(message).__name__}"
         )

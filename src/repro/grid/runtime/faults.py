@@ -4,11 +4,13 @@ The simulator injects failures under a virtual clock; this module does
 it against real OS processes and queues so the paper's recovery claims
 are exercised where they matter:
 
-* **Coordinator crash** — the launcher discards the live
-  :class:`~repro.grid.runtime.coordinator.Coordinator` (losing all
-  in-memory state, including the per-worker sequence cache), drops
-  every message that arrives during the downtime window, and rebuilds
-  via :meth:`Coordinator.recover` from the two checkpoint files.
+* **Coordinator crash** — the launcher aborts its solve service
+  (:meth:`~repro.grid.service.server.SolveService.abort`: all in-memory
+  state is lost, sequence caches included, and no final checkpoint is
+  written), drops every message that arrives during the downtime
+  window, and starts a successor with ``resume=True`` over the same
+  checkpoint directory and listener — the crash-only path a real
+  ``kill -9`` of ``repro grid serve`` takes.
 * **Lossy channel** — :class:`LossyReceiver` / :class:`LossySender`
   wrap the request and reply queues and probabilistically drop,
   duplicate, or delay (reorder) individual protocol messages, driven
@@ -42,14 +44,12 @@ duplicate and delay them all (a stale notice costs one early Update).
 
 from __future__ import annotations
 
-import os
 import queue as queue_mod
 import random
-import signal
-import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.grid.net.transport import Listener, TransportTimeout
 from repro.grid.runtime.protocol import Notice
@@ -63,22 +63,29 @@ __all__ = [
     "FaultyListener",
     "LossyReceiver",
     "LossySender",
-    "ProcessKill",
-    "ProcessKiller",
 ]
 
 
 @dataclass(frozen=True)
 class CoordinatorCrash:
-    """Kill the coordinator after it handled ``after_messages`` messages.
+    """Abort the solve service after it handled ``after_messages`` messages.
 
     The launcher then ignores traffic for ``downtime`` seconds (the
-    farmer is down: messages sent to it are lost) before recovering
-    from the checkpoint store.
+    farmer is down: messages sent to it are lost) before resuming a new
+    service from the checkpoint directory.
     """
 
     after_messages: int
     downtime: float = 0.25
+
+    def down(self, listener: Listener) -> None:
+        """The downtime: whatever workers send is lost (they will retry)."""
+        until = time.monotonic() + self.downtime
+        while (left := until - time.monotonic()) > 0:
+            try:
+                listener.recv(timeout=min(0.05, left))
+            except TransportTimeout:
+                pass
 
 
 @dataclass(frozen=True)
@@ -128,9 +135,6 @@ class FaultStats:
             "duplicated": self.duplicated,
             "delayed": self.delayed,
         }
-
-    def total(self) -> int:
-        return self.dropped + self.duplicated + self.delayed
 
 
 @dataclass
@@ -249,10 +253,10 @@ class LossyReceiver:
 class LossySender:
     """Wrap a worker's reply-queue ``put`` with channel faults.
 
-    A dropped reply forces the worker's RPC retry (the coordinator
-    then answers from its sequence cache); a delayed reply is emitted
+    A dropped reply forces the worker's RPC retry (the service then
+    answers from its reply cache); a delayed reply is emitted
     *after* the next one, exercising the worker's stale-reply discard.
-    ``flush`` releases any still-buffered replies — the launcher calls
+    ``flush`` releases any still-buffered replies — the service pump calls
     it on idle iterations so a delayed terminal reply cannot strand a
     worker forever.
     """
@@ -365,6 +369,9 @@ class FaultyListener(Listener):
             self._senders[worker] = sender
         sender.put(reply)
 
+    def connected_workers(self) -> List[str]:
+        return self._listener.connected_workers()
+
     def flush(self) -> None:
         for sender in self._senders.values():
             sender.flush()
@@ -376,79 +383,3 @@ class FaultyListener(Listener):
 
     def close(self) -> None:
         self._listener.close()
-
-
-@dataclass(frozen=True)
-class ProcessKill:
-    """Signal a *real* process after a wall-clock delay.
-
-    The process-level companion of :class:`CoordinatorCrash`: instead
-    of simulating a failure inside the launcher, the schedule delivers
-    an actual OS signal (SIGKILL by default — no handlers, no
-    cleanup, no final checkpoint) to a live PID.  Used by the crash
-    e2e suite against supervisor-spawned workers and the standalone
-    server subprocess.
-    """
-
-    after_seconds: float
-    sig: int = signal.SIGKILL
-
-    def __post_init__(self) -> None:
-        if self.after_seconds < 0:
-            raise ValueError("after_seconds must be >= 0")
-
-
-class ProcessKiller:
-    """Arms :class:`ProcessKill` schedules against live processes.
-
-    Targets are *resolvers* — zero-argument callables returning the
-    PID to hit (or ``None`` to skip), evaluated at fire time.  That
-    lets a schedule aim at "whatever incarnation slot 2 runs when the
-    timer fires" rather than a PID that a supervisor respawn may have
-    already replaced.  Every delivered signal is recorded in
-    ``kills`` as ``(pid, sig)``.
-    """
-
-    def __init__(self) -> None:
-        self._timers: List[threading.Timer] = []
-        self._lock = threading.Lock()
-        self.kills: List[Tuple[int, int]] = []
-
-    def arm(
-        self, resolve: Callable[[], Optional[int]], kill: ProcessKill
-    ) -> threading.Timer:
-        def fire() -> None:
-            pid = resolve()
-            if pid is None:
-                return
-            try:
-                os.kill(pid, kill.sig)
-            except (ProcessLookupError, PermissionError):
-                return  # already gone (or not ours): nothing to record
-            with self._lock:
-                self.kills.append((pid, kill.sig))
-
-        timer = threading.Timer(kill.after_seconds, fire)
-        timer.daemon = True
-        with self._lock:
-            self._timers.append(timer)
-        timer.start()
-        return timer
-
-    def arm_pid(self, pid: int, kill: ProcessKill) -> threading.Timer:
-        """Convenience: a schedule against one already-known PID."""
-        return self.arm(lambda: pid, kill)
-
-    def cancel(self) -> None:
-        """Cancel every pending timer (fired ones are unaffected)."""
-        with self._lock:
-            timers = list(self._timers)
-        for timer in timers:
-            timer.cancel()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Wait for armed timers to finish firing (test teardown)."""
-        with self._lock:
-            timers = list(self._timers)
-        for timer in timers:
-            timer.join(timeout)

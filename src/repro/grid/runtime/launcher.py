@@ -1,43 +1,42 @@
-"""Launcher: spawn worker processes, pump the coordinator, collect results.
+"""Launcher: fork worker processes against a one-job solve service.
 
-``solve_parallel`` is the user-facing call: it builds the coordinator
-in the parent process, forks ``workers`` B&B processes, routes queue
-messages until the termination condition (INTERVALS empty) is reached
-and every live worker said goodbye, and returns the proved optimum
-with aggregate statistics.  The pump wakes on traffic (or every
-``poll_interval`` seconds) and batch-drains the whole request queue
-per wake, so pipelining workers never serialize behind the poll.  After
-each message it sends the advisory notices the coordinator owes
-(:meth:`Coordinator.take_notices`): a holder hears that its interval
-was cut, or that another worker lowered the bound, within one of its
-mid-slice polls, while the coordinator's ``SOLUTION`` stays the source
-of truth for the answer.
+``solve_parallel`` is the user-facing call, and a thin driver of
+:class:`~repro.grid.service.server.SolveService` — the one farmer pump
+(docs/protocol.md).  It admits the run's job (the ``root_interval``
+slice, seeded with the caller's incumbent) to a service that drains
+when idle, forks ``workers`` B&B processes at the service's listener,
+serves until the job is proved and every worker said goodbye, and reads
+the :class:`ParallelResult` off the job's entry in the
+:class:`~repro.grid.service.server.ServiceReport`.
 
-Worker death is detected two ways: process sentinels (a worker that
-exits without a Bye gets its interval released) and, when
-``lease_seconds`` is set, lease expiry — a worker silent for too long
-is presumed dead and its interval goes back to the load balancer even
-if the OS still shows the process alive (a hang, not a crash).
+Two things stay here, because only the launcher has them:
 
-A :class:`~repro.grid.runtime.faults.FaultPlan` turns the run into a
-chaos experiment: the coordinator itself can be crashed mid-run (state
-dropped, messages lost during the downtime, then recovered from the
-two checkpoint files), and the channel can drop, duplicate, or reorder
-individual messages.  The §4.1 invariant — the union of coordinator
-interval copies always covers all unexplored work — makes every such
-run terminate with the same proved optimum, at worst re-exploring.
+* **Process sentinels.**  A worker process that exited without a
+  ``Bye`` is released (:meth:`SolveService.release_worker`) at the
+  pump's next idle tick: its interval goes back to the load balancer,
+  and a draining service does not wait for it.  A worker that hangs
+  instead is covered by lease expiry when ``lease_seconds`` is set.
+* **Fault wiring.**  A :class:`~repro.grid.runtime.faults.FaultPlan`
+  turns the run into a chaos experiment: channel faults wrap the
+  listener (:class:`~repro.grid.runtime.faults.FaultyListener`),
+  workers crash or hang on cue, and a farmer crash is
+  :meth:`SolveService.abort` after N handled messages, a downtime in
+  which worker traffic is dropped, then a successor service with
+  ``resume=True`` over the same checkpoint directory and listener.  The
+  §4.1 invariant — the union of coordinator interval copies always
+  covers all unexplored work — makes every such run terminate with the
+  same proved optimum, at worst re-exploring.
 
-All traffic runs over a pluggable transport
-(:mod:`repro.grid.net`): ``transport="inprocess"`` is the original
-multiprocessing-queue wiring, ``transport="tcp"`` puts a real loopback
-TCP coordinator server between the same forked workers — byte-exact
-framing, reconnects and all — without changing a line of the pump or
-the worker loop.  Channel faults wrap the listener generically, and
-``socket_faults`` adds TCP-only chaos (client-side RSTs mid-run).
+``transport="inprocess"`` wires the workers over fork-inherited
+multiprocessing queues, ``transport="tcp"`` over a loopback TCP
+listener (byte-exact framing, reconnects and all); the same service
+pumps either, and ``socket_faults`` adds TCP-only chaos (client-side
+RSTs mid-run).
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import random
 import tempfile
@@ -46,16 +45,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.checkpoint import CheckpointStore
-from repro.core.interval import Interval
-from repro.core.problem import seed_incumbent
 from repro.core.stats import Incumbent
 from repro.exceptions import RuntimeProtocolError
-from repro.grid.net.transport import Transport, TransportTimeout
+from repro.grid.net.transport import Listener, Transport
 from repro.grid.runtime.bbprocess import worker_main
-from repro.grid.runtime.coordinator import Coordinator
 from repro.grid.runtime.faults import FaultPlan, FaultStats, FaultyListener
-from repro.grid.runtime.protocol import Bye, ProblemSpec
+from repro.grid.runtime.protocol import JobRefused, ProblemSpec, spec_to_wire
 
 __all__ = ["RuntimeConfig", "ParallelResult", "solve_parallel"]
 
@@ -72,8 +67,9 @@ class RuntimeConfig:
     exploration; every ``bound_poll_nodes`` nodes a worker drains its
     connection of coordinator notices (a cut of its interval, a lower
     bound) without blocking.  ``poll_interval`` is the
-    coordinator pump's queue wait — each wake batch-drains everything
-    queued, so it bounds idle latency, not throughput.
+    service pump's longest wait for a message: it bounds how late an
+    idle tick (lease expiry, a dead worker's release) comes, not
+    throughput.
 
     ``root_interval`` restricts the run to one ``(begin, end)`` slice
     of the tree's leaf numbering (the paper's work unit) instead of the
@@ -101,7 +97,7 @@ class RuntimeConfig:
     max_slice_nodes: int = 1 << 20
     bound_poll_nodes: int = 256  # nodes between mid-slice notice polls
     kernel_backend: Optional[str] = None  # pool kernels: auto/off/name
-    poll_interval: float = 0.05  # coordinator pump queue wait
+    poll_interval: float = 0.05  # service pump's message wait
     duplication_threshold: int = 64
     checkpoint_dir: Optional[Path] = None
     checkpoint_period: float = 2.0
@@ -152,30 +148,32 @@ class ParallelResult:
 
 def _build_transport(config: RuntimeConfig, ctx: Any) -> Transport:
     """Instantiate the configured transport backend."""
-    if config.transport == "inprocess":
-        if config.socket_faults is not None:
-            raise RuntimeProtocolError(
-                "socket_faults needs transport='tcp'"
-            )
-        from repro.grid.net.inprocess import InProcessTransport
+    # Imported here, not at module top: repro.grid.net.tcp needs the
+    # framing module, which imports this package back — the lazy
+    # import keeps `import repro.grid.net` from re-entering a
+    # half-initialized module either way around.
+    from repro.grid.net.inprocess import InProcessTransport
+    from repro.grid.net.tcp import TcpTransport
 
-        return InProcessTransport(ctx)
     if config.transport == "tcp":
-        # Imported here, not at module top: repro.grid.net.tcp needs
-        # the framing module, which imports this package back — the
-        # lazy import keeps `import repro.grid.net` from re-entering a
-        # half-initialized module either way around.
-        from repro.grid.net.tcp import TcpTransport
-
         return TcpTransport(faults=config.socket_faults)
-    raise RuntimeProtocolError(
-        f"unknown transport {config.transport!r} "
-        f"(expected 'inprocess' or 'tcp')"
-    )
+    if config.transport != "inprocess":
+        raise RuntimeProtocolError(
+            f"unknown transport {config.transport!r} "
+            f"(expected 'inprocess' or 'tcp')"
+        )
+    if config.socket_faults is not None:
+        raise RuntimeProtocolError("socket_faults needs transport='tcp'")
+    return InProcessTransport(ctx)
 
 
 def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) -> ParallelResult:
     """Exactly solve ``spec`` with a farmer and N worker processes."""
+    # Imported here, not at module top: the service imports this
+    # package's coordinator back (see _build_transport).
+    from repro.grid.service.server import ServiceConfig, SolveService
+    from repro.grid.service.store import DONE
+
     config = config or RuntimeConfig()
     if config.workers < 1:
         raise RuntimeProtocolError("need at least one worker")
@@ -183,62 +181,31 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
     crash_workers = dict(config.crash_workers)
     for idx, after in plan.worker_crashes.items():
         crash_workers.setdefault(idx, after)
-
-    problem = spec.build()
-    total_leaves = problem.total_leaves()
-    root = Interval(0, total_leaves)
-    if config.root_interval is not None:
-        root = Interval.from_tuple(config.root_interval).intersect(root)
-        if root.is_empty():
-            raise RuntimeProtocolError(
-                f"root_interval {config.root_interval} does not overlap "
-                f"[0, {total_leaves})"
-            )
-        total_leaves = root.length
+    crashes = sorted(plan.coordinator_crashes, key=lambda c: c.after_messages)
     checkpoint_dir = config.checkpoint_dir
     temp_ckpt: Optional[tempfile.TemporaryDirectory] = None
-    if checkpoint_dir is None and plan.coordinator_crashes:
-        # A coordinator crash is only recoverable through the two
-        # checkpoint files; give the run a store if the caller didn't.
+    if checkpoint_dir is None and crashes:
+        # A farmer crash is only recoverable through the checkpoint
+        # files; give the run a store if the caller didn't.
         temp_ckpt = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
         checkpoint_dir = Path(temp_ckpt.name)
-    store = (
-        CheckpointStore(Path(checkpoint_dir))
-        if checkpoint_dir is not None
-        else None
-    )
-    initial_best = seed_incumbent(
-        problem,
-        Incumbent(config.initial_upper_bound, config.initial_solution),
-        root,
-    )
-    coordinator = Coordinator(
-        root,
-        duplication_threshold=config.duplication_threshold,
-        store=store,
-        checkpoint_period=config.checkpoint_period,
-        initial_best=initial_best,
-        lease_seconds=config.lease_seconds,
-        journal=config.journal,
-    )
 
-    ctx = mp.get_context("fork") if hasattr(mp, "get_context") else mp
+    ctx = mp.get_context("fork")
     transport = _build_transport(config, ctx)
-    listener: Any = transport.listen()
+    listener: Listener = transport.listen()
     fault_stats = FaultStats()
-    fault_rng = random.Random(plan.seed)
     if plan.channel is not None:
         listener = FaultyListener(
-            listener, plan.channel, fault_rng, fault_stats
+            listener, plan.channel, random.Random(plan.seed), fault_stats
         )
+    started = time.monotonic()
     processes: Dict[str, Any] = {}
     for i in range(config.workers):
         worker_id = f"worker-{i}"
-        connector = transport.connector_for(worker_id)
         hang = plan.worker_hangs.get(i)
         proc = ctx.Process(
             target=worker_main,
-            args=(worker_id, spec, connector),
+            args=(worker_id, transport.connector_for(worker_id)),
             kwargs={
                 "update_nodes": config.update_nodes,
                 "reply_timeout": config.reply_timeout,
@@ -257,113 +224,64 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
         processes[worker_id] = proc
         proc.start()
 
-    crash_schedule = sorted(
-        plan.coordinator_crashes, key=lambda c: c.after_messages
-    )
-    next_crash = crash_schedule.pop(0) if crash_schedule else None
-    coordinator_restarts = 0
-    leases_expired: List[str] = []
-    duplicates_ignored = 0
-    notices_sent = 0
-    messages_handled = 0
-    down_until: Optional[float] = None
+    def start_service(resume: bool) -> Any:
+        return SolveService(
+            ServiceConfig(
+                duplication_threshold=config.duplication_threshold,
+                checkpoint_dir=checkpoint_dir,
+                checkpoint_period=config.checkpoint_period,
+                deadline=config.deadline - (time.monotonic() - started),
+                poll_interval=config.poll_interval,
+                lease_seconds=config.lease_seconds,
+                resume=resume,
+                journal=config.journal,
+                drain_when_idle=True,
+            ),
+            listener=listener,
+        )
 
-    started = time.monotonic()
-    done_workers: set = set()
-    crashed: List[str] = []
-    # Bye stats survive coordinator restarts here (recover() starts
-    # with an empty byes dict), like done_workers does.
+    handled = 0
+
+    def tick(message: Any) -> None:
+        """Process sentinels on an idle tick; a farmer crash on cue."""
+        nonlocal handled
+        if message is None:
+            # Only with a drained inbox: a worker that exits right after
+            # its Bye must not be misread as dead before the Bye is read.
+            for worker_id, proc in processes.items():
+                if worker_id not in service.byes and not proc.is_alive():
+                    service.release_worker(worker_id)
+            return
+        handled += 1
+        if crashes and handled >= crashes[0].after_messages:
+            service.abort()  # the rest of the inbox is lost with it
+
     byes: Dict[str, Dict[str, float]] = {}
     try:
-        while len(done_workers) < len(processes):
-            now = time.monotonic()
-            if now - started > config.deadline:
-                raise RuntimeProtocolError(
-                    f"parallel solve exceeded the {config.deadline}s deadline"
-                )
-
-            if down_until is not None:
-                # The farmer is down: whatever workers send is lost
-                # (they will retry).  When the downtime elapses, the
-                # coordinator restarts from the checkpoint files.
-                if now < down_until:
-                    try:
-                        listener.recv(timeout=min(0.05, down_until - now))
-                    except TransportTimeout:
-                        pass
-                    continue
-                duplicates_ignored += coordinator.duplicates_ignored
-                notices_sent += coordinator.notices_sent
-                leases_expired.extend(coordinator.leases_expired)
-                byes.update(coordinator.byes)
-                coordinator = Coordinator.recover(
-                    store,
-                    root,
-                    duplication_threshold=config.duplication_threshold,
-                    checkpoint_period=config.checkpoint_period,
-                    lease_seconds=config.lease_seconds,
-                    journal=config.journal,
-                )
-                # A crash before the first snapshot lost the initial
-                # incumbent, which no worker will ever push back.
-                coordinator.solution.update(initial_best.cost, initial_best.solution)
-                coordinator_restarts += 1
-                down_until = None
-
-            coordinator.maybe_checkpoint()
-            try:
-                message = listener.recv(timeout=config.poll_interval)
-            except TransportTimeout:
-                coordinator.check_leases()
-                listener.flush()
-                # Only with a drained inbox do we look for crashes —
-                # a worker that exits right after its Bye must not be
-                # misread as dead before the Bye is processed.
-                for worker_id, proc in processes.items():
-                    if worker_id not in done_workers and not proc.is_alive():
-                        done_workers.add(worker_id)
-                        crashed.append(worker_id)
-                        coordinator.release_worker(worker_id)
-                continue
-            # Batch-drain: one wake handles *everything* already queued
-            # instead of one message per poll, so N pipelining workers
-            # never serialize behind the poll interval.
-            batch = [message]
-            while True:
-                try:
-                    batch.append(listener.recv(timeout=0))
-                except TransportTimeout:
-                    break
-            for message in batch:
-                reply = coordinator.handle(message)
-                messages_handled += 1
-                if isinstance(message, Bye):
-                    done_workers.add(message.worker)
-                    if message.worker in crashed:
-                        crashed.remove(message.worker)  # late Bye won the race
-                if reply is not None:
-                    listener.send(message.worker, reply)
-                for worker, notice in coordinator.take_notices():
-                    listener.send(worker, notice)
-                if (
-                    next_crash is not None
-                    and messages_handled >= next_crash.after_messages
-                ):
-                    # Crash the farmer: in-memory INTERVALS, SOLUTION,
-                    # and the sequence cache are gone; only the
-                    # checkpoint files survive the downtime — and the
-                    # rest of this batch is lost with the process.
-                    coordinator.maybe_checkpoint()  # periodic, not a flush
-                    down_until = time.monotonic() + next_crash.downtime
-                    next_crash = (
-                        crash_schedule.pop(0) if crash_schedule else None
-                    )
-                    break
-            coordinator.check_leases()
+        service = start_service(resume=False)
+        reply = service.admit(
+            spec_to_wire(spec),
+            root=config.root_interval,
+            incumbent=Incumbent(config.initial_upper_bound, config.initial_solution),
+        )
+        if isinstance(reply, JobRefused):
+            raise RuntimeProtocolError(reply.reason)
+        reports = [service.serve_forever(tick)]
+        while reports[-1].aborted:
+            byes.update(reports[-1].worker_stats)
+            crashes.pop(0).down(listener)
+            service = start_service(resume=True)
+            reports.append(service.serve_forever(tick))
+        byes.update(reports[-1].worker_stats)
+        crashed = [
+            worker_id
+            for worker_id, proc in processes.items()
+            if worker_id not in byes and not proc.is_alive()
+        ]
     finally:
-        coordinator.maybe_checkpoint(force=True)
-        listener.flush()
-        for proc in processes.values():
+        for worker_id, proc in processes.items():
+            if worker_id not in byes:
+                proc.terminate()  # it never heard a Terminate: nobody waits
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()
@@ -372,35 +290,25 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
         if temp_ckpt is not None:
             temp_ckpt.cleanup()
 
-    duplicates_ignored += coordinator.duplicates_ignored
-    notices_sent += coordinator.notices_sent
-    leases_expired.extend(coordinator.leases_expired)
-    byes.update(coordinator.byes)
-    optimal = coordinator.intervals.is_empty()
-    explore_seconds = sum(
-        s.get("explore_seconds", 0.0) for s in byes.values()
-    )
-    rpc_wait_seconds = sum(
-        s.get("rpc_wait_seconds", 0.0) for s in byes.values()
-    )
+    doc = reports[-1].jobs[reply.job]
     return ParallelResult(
-        cost=coordinator.solution.cost,
-        solution=coordinator.solution.solution,
-        optimal=optimal,
+        cost=math.inf if doc["cost"] is None else doc["cost"],
+        solution=doc["solution"],
+        optimal=doc["status"] == DONE,
         wall_seconds=time.monotonic() - started,
         workers=config.workers,
-        work_allocations=coordinator.work_allocations,
-        checkpoint_operations=coordinator.worker_checkpoint_ops,
-        nodes_explored=coordinator.nodes_explored,
-        redundant_rate=coordinator.redundant_rate(total_leaves),
-        worker_stats=dict(byes),
+        work_allocations=doc["work_allocations"],
+        checkpoint_operations=doc["updates"],
+        nodes_explored=doc["nodes"],
+        redundant_rate=doc["redundant_rate"],
+        worker_stats=byes,
         crashed_workers=crashed,
-        notices_sent=notices_sent,
+        notices_sent=sum(r.notices_sent for r in reports),
         early_yields=int(sum(s.get("early_yields", 0) for s in byes.values())),
-        coordinator_restarts=coordinator_restarts,
-        leases_expired=leases_expired,
-        duplicates_ignored=duplicates_ignored,
+        coordinator_restarts=len(reports) - 1,
+        leases_expired=[w for r in reports for w in r.leases_expired],
+        duplicates_ignored=sum(r.duplicates_ignored for r in reports),
         faults_injected=fault_stats.as_dict(),
-        explore_seconds=explore_seconds,
-        rpc_wait_seconds=rpc_wait_seconds,
+        explore_seconds=sum(s.get("explore_seconds", 0.0) for s in byes.values()),
+        rpc_wait_seconds=sum(s.get("rpc_wait_seconds", 0.0) for s in byes.values()),
     )

@@ -81,15 +81,13 @@ class _Job:
 class WorkerCore:
     """One B&B process's state machine, driven by message outcomes.
 
-    ``problem`` is the single-job run's problem, the job ``""``; the
-    solve service's grants carry their job's spec, built the first time
-    the job is met.  ``stats`` is the ``Bye`` counters dict; a driver
-    adds its measured ``explore_seconds`` and ``rpc_wait_seconds`` to it.
+    Every grant carries its job's spec, built the first time the job is
+    met (the simulator's grants carry none: its units need no problem).
+    ``stats`` is the ``Bye`` counters dict; a driver adds its measured
+    ``explore_seconds`` and ``rpc_wait_seconds`` to it.
     """
 
-    def __init__(
-        self, worker_id: str, power: float = 1.0, problem: Optional[Problem] = None
-    ) -> None:
+    def __init__(self, worker_id: str, power: float = 1.0) -> None:
         self.worker_id = worker_id
         self.power = power
         self.stats: Dict[str, float] = {
@@ -105,9 +103,7 @@ class WorkerCore:
             "rpc_wait_seconds": 0.0,
         }
         self._jobs: Dict[str, _Job] = {}  # least recently granted first
-        if problem is not None:
-            self._jobs[""] = _Job(problem)
-        self.job = ""  # the current grant's job id; "" for a single-job run
+        self.job = ""  # the current grant's job id
         self._current = _Job(None)
         #: Incumbent cost to explore the current grant from.
         self.start_bound = math.inf

@@ -1,8 +1,9 @@
-"""The solve server: N farmers behind one socket.
+"""The solve server: N farmers behind one listener — the only farmer pump.
 
-:class:`SolveService` pumps one :class:`~repro.grid.net.tcp.TcpListener`
-and keeps **one :class:`~repro.grid.runtime.coordinator.Coordinator`
-per running job**, letting the
+:class:`SolveService` pumps one listener (its own
+:class:`~repro.grid.net.tcp.TcpListener` unless handed one) and keeps
+**one :class:`~repro.grid.runtime.coordinator.Coordinator` per running
+job**, letting the
 :class:`~repro.grid.service.scheduler.Scheduler` decide which job feeds
 each hungry worker.  Workers stay dumb interval-explorers: a
 ``Request`` comes in untagged, the service picks a job, hands the
@@ -11,9 +12,11 @@ spec on the ``GrantWork`` it returns; the worker then stamps the same
 id on its ``Update``/``Push`` and the service passes each one to that
 job's coordinator unchanged.
 
-``repro grid serve`` is this service with one job: it admits the
-command line's job in process through :meth:`SolveService.admit` (the
-path every ``SubmitJob`` takes) and drains once that job settles.
+``repro grid serve`` and ``solve_parallel`` are this service with one
+job: each admits its job in process through :meth:`SolveService.admit`
+(the path every ``SubmitJob`` takes) and drains once that job settles.
+A service that drains when idle never parks a worker while a job runs
+(:meth:`SolveService._grant_for`).
 
 Crash-only by construction: job metadata transitions go through the
 durable :class:`~repro.grid.service.store.JobStore`, per-job
@@ -50,14 +53,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.interval import Interval
 from repro.core.problem import seed_incumbent
 from repro.core.stats import Incumbent
 from repro.exceptions import RuntimeProtocolError
 from repro.grid.net.tcp import TcpListener
-from repro.grid.net.transport import TransportTimeout
+from repro.grid.net.transport import Listener, TransportTimeout
 from repro.grid.runtime.coordinator import Coordinator
 from repro.grid.runtime.protocol import (
     Ack,
@@ -135,6 +138,8 @@ class ServiceReport:
     requests_idled: int = 0
     protocol_errors: int = 0
     notices_sent: int = 0
+    duplicates_ignored: int = 0  # retries and channel duplicates answered from the cache
+    leases_expired: List[str] = field(default_factory=list)
     early_yields: int = 0  # summed over the workers that said goodbye
     worker_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     aborted: bool = False
@@ -154,7 +159,11 @@ def _job_root(problem: Any, root: Optional[Tuple[int, int]]) -> Interval:
 class SolveService:
     """A job-queue front door over the shared worker fleet."""
 
-    def __init__(self, config: Optional[ServiceConfig] = None):
+    def __init__(
+        self, config: Optional[ServiceConfig] = None, listener: Optional[Listener] = None
+    ):
+        """``listener``, if given, replaces a TCP listener on
+        ``config.host:port``; its owner closes it."""
         self.config = config or ServiceConfig()
         if self.config.resume and self.config.checkpoint_dir is None:
             raise RuntimeProtocolError(
@@ -174,7 +183,8 @@ class SolveService:
             # just wait for promotion again.
             for record in self.jobs.in_status(RUNNING):
                 self._start_job(record, recover=True)
-        self.listener = TcpListener(
+        self._owns_listener = listener is None
+        self.listener: Listener = listener or TcpListener(
             self.config.host,
             self.config.port,
             peer_timeout=self.config.peer_timeout,
@@ -189,9 +199,12 @@ class SolveService:
         self._parked: Dict[str, Tuple[Any, float]] = {}
         self._clients: Set[str] = set()
         self.byes: Dict[str, Dict[str, float]] = {}
+        self._departed: Set[str] = set()  # said Bye, or were released
         self.work_allocations = 0
         self.requests_idled = 0
         self.notices_sent = 0
+        self.duplicates_ignored = 0
+        self.leases_expired: List[str] = []
         self.jobs_completed = 0
         self.jobs_failed = 0
         self.jobs_cancelled = 0
@@ -203,7 +216,7 @@ class SolveService:
 
     # ------------------------------------------------------------------
     @property
-    def address(self) -> Tuple[str, int]:
+    def address(self) -> Optional[Tuple[str, int]]:
         """The bound ``(host, port)`` — useful with ``port=0``."""
         return self.listener.address
 
@@ -256,6 +269,8 @@ class SolveService:
                 lease_seconds=config.lease_seconds,
                 journal=config.journal,
             )
+        if record.cost is not None:  # the admitting caller's incumbent
+            coordinator.solution.update(record.cost, record.solution)
         seed_incumbent(problem, coordinator.solution, root)  # a slice starts cold
         self._coordinators[record.job_id] = coordinator
         if record.status != RUNNING:
@@ -295,6 +310,10 @@ class SolveService:
             record.cost = coordinator.solution.cost
             record.solution = coordinator.solution.solution
             record.nodes_explored = coordinator.nodes_explored
+            record.updates = coordinator.worker_checkpoint_ops
+            record.redundant_rate = coordinator.redundant_rate(
+                coordinator.root.length
+            )
         self.jobs.persist(record)
         self.jobs.drop_checkpoint(record.job_id)
 
@@ -323,12 +342,12 @@ class SolveService:
         """Service-layer retry cache (same discipline as the coordinator)."""
         if seq > 0:
             last = self._last_seq.get(sender, 0)
-            if seq == last:
-                return True, self._last_reply.get(sender)
-            if seq < last:
-                return True, None
-            if sender in self._parked and self._parked[sender][0].seq == seq:
-                return True, None  # a retry of the parked RPC: stay parked
+            parked = self._parked.get(sender)
+            if seq <= last or (parked is not None and parked[0].seq == seq):
+                # A retry or a duplicate: the reply already sent, or none
+                # (a stale seq; a retry of the parked RPC stays parked).
+                self.duplicates_ignored += 1
+                return True, self._last_reply.get(sender) if seq == last else None
         self._parked.pop(sender, None)  # a newer RPC abandons the parked one
         return False, None
 
@@ -379,14 +398,22 @@ class SolveService:
             return Terminate(float("inf"))
         while True:
             runnable: List[Tuple[JobRecord, int]] = []
+            gated: List[Tuple[JobRecord, int]] = []
             for record in self.jobs.in_status(RUNNING):
                 coordinator = self._coordinators.get(record.job_id)
+                if coordinator is None:
+                    continue
                 # A job that fits inside its holder's first slice is
                 # not worth a second grant: can_use_requester().
-                if coordinator is None or not coordinator.can_use_requester():
-                    continue
-                workers = len(coordinator.intervals.owners())
-                runnable.append((record, workers))
+                entry = (record, len(coordinator.intervals.owners()))
+                if coordinator.can_use_requester():
+                    runnable.append(entry)
+                else:
+                    gated.append(entry)
+            if not runnable and self.config.drain_when_idle:
+                # No later job will come to use the worker parking would
+                # idle: a one-shot service grants into a gated job.
+                runnable = gated
             record = self.scheduler.pick_grant(runnable)
             if record is None:
                 return None
@@ -428,6 +455,7 @@ class SolveService:
                     # A cut twin's last slice is still the job's work:
                     # its nodes count, so the job's ledger matches the Byes.
                     record.nodes_explored += msg.nodes
+                    record.updates += 1
                     if record.cost is not None:
                         cost = record.cost
                 begin = msg.interval[0]
@@ -450,12 +478,19 @@ class SolveService:
 
     def _on_bye(self, msg: Bye) -> Any:
         self.byes[msg.worker] = msg.stats
-        self._parked.pop(msg.worker, None)
-        for coordinator in self._coordinators.values():
-            coordinator.release_worker(msg.worker)
+        self.release_worker(msg.worker)
         reply: Any = Ack(float("inf"))
         reply.seq = msg.seq
         return reply
+
+    def release_worker(self, worker: str) -> None:
+        """``worker`` is gone — it said Bye, or its process exited without
+        one (``solve_parallel``'s sentinel): its copies go back to every
+        job's INTERVALS, and a draining service stops waiting for it."""
+        self._departed.add(worker)
+        self._parked.pop(worker, None)
+        for coordinator in self._coordinators.values():
+            coordinator.release_worker(worker)
 
     # -- clients -------------------------------------------------------
     def _on_client(self, msg: Any, handler: Any) -> Any:
@@ -474,12 +509,15 @@ class SolveService:
         owner: str = "anonymous",
         priority: int = 1,
         root: Optional[Tuple[int, int]] = None,
+        incumbent: Optional[Incumbent] = None,
     ) -> Any:
         """Admit one job: ``JobAccepted`` with its id, or ``JobRefused``.
 
-        Every ``SubmitJob`` lands here, and so does the one job of
-        ``repro grid serve``, the only caller that passes a ``root``:
-        a leaf-number slice of the tree to solve instead of all of it.
+        Every ``SubmitJob`` lands here, and so do the one job of
+        ``repro grid serve`` and of ``solve_parallel``, the callers that
+        pass a ``root`` — a leaf-number slice of the tree to solve
+        instead of all of it — or an ``incumbent`` to start from (kept
+        in the job's record, so a resumed job starts from it too).
         """
         if self._draining:
             return JobRefused("service is draining")
@@ -499,6 +537,8 @@ class SolveService:
         record = self.jobs.create(
             spec_wire, owner=owner, priority=priority, persist=False, root=root
         )
+        if incumbent is not None and incumbent.cost < float("inf"):
+            record.cost, record.solution = incumbent.cost, incumbent.solution
         self._jobs_seen += 1
         # Popped by promotion; one pushed out of the stash is rebuilt.
         self._built[record.job_id] = problem
@@ -599,8 +639,16 @@ class SolveService:
     # ------------------------------------------------------------------
     # the pump
     # ------------------------------------------------------------------
-    def serve_forever(self) -> ServiceReport:
-        """Serve until shutdown (or, when draining, until the fleet left)."""
+    def serve_forever(
+        self, tick: Optional[Callable[[Any], None]] = None
+    ) -> ServiceReport:
+        """Serve until shutdown (or, when draining, until the fleet left).
+
+        ``tick``, if given, is called with every message the pump
+        handled, right after it, and with ``None`` whenever a wait ran
+        out on a drained inbox: ``solve_parallel`` hangs its process
+        sentinels and its farmer-crash schedule there.
+        """
         config = self.config
         listener = self.listener
         started = time.monotonic()
@@ -630,7 +678,7 @@ class SolveService:
                     remaining = (
                         set(listener.connected_workers()) - self._clients
                     )
-                    if remaining <= set(self.byes):
+                    if remaining <= self._departed:
                         break
                     if now - drained_since > config.linger_seconds:
                         break
@@ -642,6 +690,9 @@ class SolveService:
                     message = listener.recv(timeout=config.poll_interval)
                 except TransportTimeout:
                     self._check_leases()
+                    listener.flush()  # a delayed reply must not strand its peer
+                    if tick is not None:
+                        tick(None)
                     continue
                 try:
                     reply = self._handle(message)
@@ -652,16 +703,20 @@ class SolveService:
                 if reply is not None:
                     listener.send(message.worker, reply)
                 self._check_leases()
+                if tick is not None:
+                    tick(message)
         finally:
             if not self._abort:
                 for coordinator in self._coordinators.values():
                     coordinator.maybe_checkpoint(force=True)
-            listener.close()
+                listener.flush()
+            if self._owns_listener:
+                listener.close()
         return self._report(time.monotonic() - started)
 
     def _check_leases(self) -> None:
         for coordinator in self._coordinators.values():
-            coordinator.check_leases()
+            self.leases_expired.extend(coordinator.check_leases())
 
     def _report(self, wall_seconds: float) -> ServiceReport:
         jobs: Dict[str, Dict[str, Any]] = {}
@@ -669,11 +724,9 @@ class SolveService:
             doc = record.summary()
             doc["queue_wait_seconds"] = record.queue_wait_seconds
             doc["work_allocations"] = record.work_allocations
-            doc["solution"] = (
-                list(record.solution)
-                if isinstance(record.solution, (list, tuple))
-                else record.solution
-            )
+            doc["updates"] = record.updates
+            doc["redundant_rate"] = record.redundant_rate
+            doc["solution"] = record.solution
             jobs[record.job_id] = doc
         grants = [doc["work_allocations"] for doc in jobs.values()]
         granted = [count for count in grants if count]
@@ -689,6 +742,8 @@ class SolveService:
             requests_idled=self.requests_idled,
             protocol_errors=self.protocol_errors,
             notices_sent=self.notices_sent,
+            duplicates_ignored=self.duplicates_ignored,
+            leases_expired=list(self.leases_expired),
             early_yields=int(
                 sum(s.get("early_yields", 0) for s in self.byes.values())
             ),

@@ -58,10 +58,14 @@ class JobRecord:
     status: str = QUEUED
     submitted_at: float = 0.0  # wall clock, for operators reading meta
     queue_wait_seconds: Optional[float] = None
+    # The best known: the admitting caller's incumbent, if it gave one,
+    # until the job settles with its proved result.
     cost: Optional[float] = None
     solution: Any = None
     error: str = ""
     nodes_explored: int = 0
+    updates: int = 0  # Updates the job's ledger took (its checkpoint operations)
+    redundant_rate: float = 0.0  # share of leaves explored twice, at settle
     work_allocations: int = 0  # grants made for this job (durable with its status)
     root: Optional[Tuple[int, int]] = None  # a slice of the tree; None: all of it
 
@@ -83,6 +87,8 @@ class JobRecord:
             else self.solution,
             "error": self.error,
             "nodes_explored": self.nodes_explored,
+            "updates": self.updates,
+            "redundant_rate": self.redundant_rate,
             "work_allocations": self.work_allocations,
             # Decimal strings, as in the journal: endpoints exceed 2**53.
             "root": None if self.root is None else [str(x) for x in self.root],
@@ -107,6 +113,8 @@ class JobRecord:
             solution=solution,
             error=str(meta.get("error", "")),
             nodes_explored=int(meta.get("nodes_explored", 0)),
+            updates=int(meta.get("updates", 0)),
+            redundant_rate=float(meta.get("redundant_rate", 0.0)),
             work_allocations=int(meta.get("work_allocations", 0)),
             root=None if root is None else (int(root[0]), int(root[1])),
         )

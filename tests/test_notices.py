@@ -43,12 +43,14 @@ from repro.grid.runtime.protocol import (
     Request,
     Terminate,
     Update,
+    spec_to_wire,
 )
 from repro.problems.flowshop import FlowShopProblem, random_instance
 
 instance = random_instance(9, 5, seed=3)
 serial = solve(FlowShopProblem(instance))
 TOTAL = math.factorial(instance.jobs)
+SPEC = spec_to_wire(flowshop_spec(instance))  # every grant carries its job's spec
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +274,7 @@ class ScriptedCoordinator(Fifo):
             if self.granted:
                 reply = Terminate(self.best)
             else:
-                reply = GrantWork((0, self.end), self.best)
+                reply = GrantWork((0, self.end), self.best, spec=SPEC)
             self.granted = True
         elif isinstance(message, Update):
             begin, end = message.interval
@@ -312,7 +314,6 @@ class ScriptedCoordinator(Fifo):
 def run_worker(conn, slice_nodes=SLICE_NODES):
     return worker_main(
         "w0",
-        flowshop_spec(instance),
         conn,
         update_nodes=slice_nodes,
         max_retries=0,
@@ -347,7 +348,7 @@ def test_an_unanswered_reinform_push_gives_up_before_any_update():
     def answer(message):
         if isinstance(message, Request):
             requests.append(message)  # each time: "nobody has a solution"
-            reply = GrantWork((0, TOTAL), math.inf)
+            reply = GrantWork((0, TOTAL), math.inf, spec=SPEC)
         elif len(requests) > 1:
             return []  # the coordinator is gone
         elif isinstance(message, Update):

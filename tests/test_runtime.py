@@ -27,6 +27,7 @@ from repro.grid.runtime.protocol import (
     Terminate,
     Update,
 )
+from repro.grid.service.store import DONE, JobStore
 from repro.problems.flowshop import FlowShopProblem, random_instance
 from repro.problems.tsp import TSPProblem, random_tsp
 
@@ -104,21 +105,6 @@ class TestCoordinatorUnit:
     def test_unknown_message_rejected(self):
         with pytest.raises(RuntimeProtocolError):
             self.make().handle("banana")
-
-    def test_bye_is_acknowledged(self):
-        from repro.grid.runtime.protocol import Bye
-
-        coord = self.make()
-        coord.handle(Push("w0", 42.0, (1, 2, 3)))
-        ack = coord.handle(Bye("w0", {"nodes": 7}, seq=3))
-        assert isinstance(ack, Ack)
-        assert ack.best_cost == 42.0
-        assert ack.seq == 3
-        assert coord.byes["w0"] == {"nodes": 7}
-        # a retried Bye (same seq) is answered from the cache
-        again = coord.handle(Bye("w0", {"nodes": 7}, seq=3))
-        assert isinstance(again, Ack)
-        assert coord.duplicates_ignored == 1
 
     def test_checkpoint_and_recover(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -211,10 +197,10 @@ class TestParallelSolve:
             ),
         )
         assert result.optimal
-        store = CheckpointStore(tmp_path)
-        intervals, incumbent = store.load()
-        assert intervals is not None and intervals.is_empty()
-        assert incumbent.cost == result.cost
+        # The service's layout: the run's job settled, and its meta.json
+        # (all a settled job keeps) holds the proved result.
+        (record,) = JobStore(tmp_path).recover()
+        assert record.status == DONE and record.cost == result.cost
 
     def test_tsp_spec_roundtrip(self):
         inst = random_tsp(7, seed=5)
@@ -286,3 +272,12 @@ class TestParallelSolve:
     def test_zero_workers_rejected(self, fs_instance):
         with pytest.raises(RuntimeProtocolError):
             solve_parallel(flowshop_spec(fs_instance), RuntimeConfig(workers=0))
+
+    def test_a_root_interval_off_the_tree_is_refused(self, fs_instance):
+        # The service refuses the job at admission; the forked workers go.
+        off = (10**9, 10**9 + 5)  # 8! leaves: far past the last one
+        with pytest.raises(RuntimeProtocolError, match="does not overlap"):
+            solve_parallel(
+                flowshop_spec(fs_instance),
+                RuntimeConfig(workers=1, root_interval=off, deadline=30),
+            )

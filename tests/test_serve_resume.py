@@ -12,6 +12,7 @@ line's rule for which job a ``--resume`` continues.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 import time
@@ -344,3 +345,18 @@ class TestResumeErrors:
         expected = solve(FlowShopProblem(random_instance(6, 3, seed=5))).cost
         assert f"optimal makespan: {expected} (proof: True)" in out
         assert "resumed" not in out
+
+
+def test_serve_prints_the_jobs_updates_and_redundancy(tmp_path, capsys):
+    result_json = tmp_path / "result.json"
+    argv = serve_argv(
+        free_port(), tmp_path / "ckpt", 7, "--result-json", str(result_json)
+    )
+    assert serve_with_a_worker(argv) == 0
+    out = capsys.readouterr().out
+    report = json.loads(result_json.read_text())
+    (doc,) = report["jobs"].values()
+    # The job's ledger took every Update its one worker had answered.
+    assert doc["updates"] == report["worker_stats"]["w0"]["updates"] > 0
+    assert f" updates={doc['updates']} " in out
+    assert f" redundant={doc['redundant_rate']:.2%} " in out

@@ -357,6 +357,9 @@ class ScriptedListener:
         if self.on_send is not None:
             self.on_send(reply)
 
+    def flush(self):
+        pass
+
     def close(self):
         pass
 
@@ -425,6 +428,14 @@ def test_keepalive_answers_with_idle_and_the_current_status(monkeypatch):
     assert sent[2][1].status == CANCELLED
     assert sent[3][1] == Idle(seq=9)
     assert report.requests_idled == 1
+
+
+def test_a_bye_is_acknowledged_and_its_stats_kept():
+    # A retried Bye (same seq) is acknowledged again, its stats kept once.
+    bye = Bye("w0", {"nodes": 7}, seq=3)
+    sent, report = play([bye, bye], connected={"w0"})
+    assert sent == [("w0", Ack(math.inf, seq=3))] * 2
+    assert report.worker_stats == {"w0": {"nodes": 7}}
 
 
 def test_bye_and_newer_rpcs_abandon_what_the_peer_had_parked():
@@ -686,6 +697,27 @@ def test_single_slice_job_is_granted_once_and_explored_once(policy):
     assert summary["nodes"] == serial_a.stats.nodes_explored
     assert summary["work_allocations"] == 1
     assert report.work_allocations == 1 and report.grants_per_job == 1.0
+
+
+def test_a_service_that_drains_when_idle_grants_the_second_worker_at_once():
+    # The same opening as above, on a one-shot service: no later job
+    # could use the worker that parking would idle, so the gate yields.
+    w0, w1 = ScriptedWorker("w0"), ScriptedWorker("w1")
+    service = SolveService(service_config(drain_when_idle=True))
+    job = service.admit(wire_a()).job
+    sent, report = play(
+        [w0.request, w1.request], connected={"w0", "w1"}, service=service
+    )
+    assert [(to, type(reply)) for to, reply in sent] == [
+        ("w0", GrantWork),
+        ("w0", Notice),  # its copy was split: a cut
+        ("w1", GrantWork),
+    ]
+    first, cut, second = (reply for _, reply in sent)
+    assert second.job == first.job == cut.job == job and cut.cut
+    assert second.interval[0] == first.interval[1] // 2
+    assert report.requests_idled == 0
+    assert report.jobs[job]["work_allocations"] == 2
 
 
 @pytest.mark.parametrize("policy", ["fifo", "fair"])
