@@ -16,7 +16,7 @@ lint:
 		echo "ruff not installed; skipping lint (pip install -e '.[dev]')"; \
 	fi
 
-# Project-specific invariants (RC01..RC15, RC02 retired): the repro-check pass ships
+# Project-specific invariants (RC01..RC15, RC02 and RC09 retired): the repro-check pass ships
 # with the package, so this runs everywhere — no extra install needed.
 check:
 	PYTHONPATH=src $(PYTHON) -m repro.tools.check src tests benchmarks examples --strict

@@ -53,25 +53,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
-    """The pool-evaluation kernel choice shared by solve/worker/fleet."""
-    parser.add_argument(
-        "--kernel-backend",
-        choices=["auto", "off", "numpy", "numba"],
-        default="auto",
-        help="bound-kernel backend for pool evaluation: 'auto' uses a "
-             "registered pool kernel when one exists, 'off' keeps "
-             "per-family batched bounds only, a name forces that "
-             "backend (numba falls back to numpy with a warning when "
-             "it is not installed)",
-    )
-
-
-def _kernel_backend_arg(args) -> Optional[str]:
-    """Map the CLI spelling to the engine's kernel_backend parameter."""
-    return None if args.kernel_backend == "auto" else args.kernel_backend
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -101,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--checkpoint-dir", default=None,
                          help="periodic fold-and-persist checkpoints; "
                               "re-running with the same dir resumes")
-    _add_kernel_arguments(solve_p)
 
     sim_p = sub.add_parser("simulate", help="run a grid simulation")
     sim_p.add_argument("--workers", type=int, default=64,
@@ -197,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker_p.add_argument("--backoff-cap", type=float, default=2.0,
                           help="cap (seconds) on the decorrelated-jitter "
                                "reconnect backoff")
-    _add_kernel_arguments(worker_p)
 
     service_p = grid_sub.add_parser(
         "service",
@@ -262,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-slot respawn budget (default: unlimited)")
     fleet_p.add_argument("--deadline", type=float, default=None,
                          help="stop supervising after this many seconds")
-    _add_kernel_arguments(fleet_p)
 
     job_p = sub.add_parser(
         "job", help="talk to a running `repro grid service`"
@@ -373,7 +351,6 @@ def _cmd_solve(args) -> int:
                 workers=args.workers,
                 initial_upper_bound=ub,
                 initial_solution=warm,
-                kernel_backend=_kernel_backend_arg(args),
             ),
         )
         print(f"optimal makespan: {result.cost} (proof: {result.optimal})")
@@ -394,7 +371,6 @@ def _cmd_solve(args) -> int:
             args.checkpoint_dir,
             initial_upper_bound=ub,
             initial_solution=warm,
-            kernel_backend=_kernel_backend_arg(args),
         )
         if solver.progress.resumed_from is not None:
             print(f"resumed from {solver.progress.resumed_from}")
@@ -407,7 +383,6 @@ def _cmd_solve(args) -> int:
             FlowShopProblem(instance, bound=args.bound),
             initial_upper_bound=ub,
             initial_solution=warm,
-            kernel_backend=_kernel_backend_arg(args),
         )
         print(f"optimal makespan: {result.cost} (proof: {result.optimal})")
         print(f"schedule: {list(result.solution)}")
@@ -759,7 +734,6 @@ def _cmd_grid_worker(args) -> int:
         peer_timeout=args.peer_timeout,
         max_reconnect_attempts=args.max_reconnect_attempts,
         backoff_cap=args.backoff_cap,
-        kernel_backend=_kernel_backend_arg(args),
     )
     print(f"worker {worker_id} done: {outcome}")
     # The exit code is the supervision contract (see grid/runtime/
@@ -786,7 +760,6 @@ def _cmd_grid_fleet(args) -> int:
             "--reply-timeout", str(args.reply_timeout),
             "--max-retries", str(args.max_retries),
             "--backoff-cap", str(args.backoff_cap),
-            "--kernel-backend", args.kernel_backend,
         ]
         if args.peer_timeout is not None:
             argv += ["--peer-timeout", str(args.peer_timeout)]

@@ -27,9 +27,9 @@ Correspondence with the paper's four operators (§2):
 * **bounding** — delegated to :meth:`Problem.lower_bound`, or, when a
   problem implements :meth:`Problem.bound_children`, evaluated for all
   siblings at once at decomposition time (the batched-kernel structure
-  of the GPU-B&B follow-on work); with a pool kernel backend
-  (:mod:`repro.core.kernels`) the children of the whole wave are
-  bounded in one backend call.  The engine writes the incumbent cost
+  of the GPU-B&B follow-on work); when the problem registered pool
+  kernels (:mod:`repro.core.kernels`) the children of the whole wave
+  are bounded in one call.  The engine writes the incumbent cost
   to :attr:`Problem.prune_at` before each such call, so a staged
   bound can stop early on families it has already shown dead; every
   value that comes back is admissible, and it is the exact
@@ -99,8 +99,9 @@ class SolveResult:
     interval: Interval
     optimal: bool = True
     # Pool-evaluation telemetry (kept out of ExplorationStats so node
-    # accounting stays byte-comparable across backends): wave width ->
-    # number of pool-evaluator calls that bounded that many parents.
+    # accounting stays byte-comparable with the unpooled paths): wave
+    # width -> number of pool-evaluator calls that bounded that many
+    # parents.
     pool_occupancy: Dict[int, int] = field(default_factory=dict)
 
     def found_solution(self) -> bool:
@@ -137,15 +138,15 @@ class IntervalExplorer:
     """Resumable B&B over one interval of node numbers.
 
     **Contract.**  The optimum, the optimal solution, the sequence of
-    improvements and the proof are the same for every ``pool_size``,
-    ``kernel_backend`` and ``batched_bounds`` setting, and the ledger
+    improvements and the proof are the same for every ``pool_size``
+    and ``batched_bounds`` setting, pooled or not, and the ledger
     always reconciles: ``explored = pruned + decomposed + leaves``.
     At ``pool_size=1`` the explored / pruned / decomposed /
     bound-evaluation counters are additionally byte-identical to the
-    scalar per-node path (``batched_bounds=False``) on every backend
-    — with the :attr:`Problem.prune_at` hint live as well: a staged
-    bound may report a weaker value only for a child that is pruned
-    either way, so prune decisions are unchanged by construction.
+    scalar per-node path (``batched_bounds=False``) — with the
+    :attr:`Problem.prune_at` hint live as well: a staged bound may
+    report a weaker value only for a child that is pruned either way,
+    so prune decisions are unchanged by construction.
     At wider caps prune tests meet the incumbent at different moments,
     so node counts may differ from the scalar path's and are reported
     as they happened.
@@ -183,20 +184,14 @@ class IntervalExplorer:
     bound_poll_nodes:
         How many nodes to explore between provider polls (default 256;
         ignored without a provider).
-    kernel_backend:
-        Pool bound-kernel backend (:mod:`repro.core.kernels`).
-        ``None`` (auto, the default) pools with the ``numpy`` backend
-        whenever the problem registered pooled kernels; ``"off"``
-        disables pooling (per-family batched bounds only); ``"numpy"``
-        / ``"numba"`` select a backend explicitly (numba degrades to
-        numpy with a one-time warning when it is missing).  Ignored
-        when ``batched_bounds=False`` — the scalar path is the oracle
-        and stays pure.
     pool_size:
         Cap on the wave width — how many parents one pool call may
         bound (default 64).  ``1`` is strict smallest-number-first
         order, the identity pin of the conformance tests.  Without a
-        pool evaluator the width is 1 whatever this says.
+        pool evaluator — the problem registered none
+        (:mod:`repro.core.kernels`), or ``batched_bounds=False``, which
+        keeps the scalar oracle pure — the width is 1 whatever this
+        says.
     """
 
     def __init__(
@@ -209,7 +204,6 @@ class IntervalExplorer:
         batched_bounds: Optional[bool] = None,
         bound_provider: Optional[Callable[[], float]] = None,
         bound_poll_nodes: int = 256,
-        kernel_backend: Optional[str] = None,
         pool_size: int = 64,
     ):
         self.problem = problem
@@ -225,7 +219,7 @@ class IntervalExplorer:
         #: that bounded that many parents at once.
         self.pool_occupancy: Dict[int, int] = {}
         self._pool_evaluator: Optional[PoolEvaluator] = (
-            pool_evaluator_for(problem, kernel_backend)
+            pool_evaluator_for(problem)
             if self._batched_bounds
             else None
         )
@@ -403,8 +397,8 @@ class IntervalExplorer:
         counted because the children a wide wave prunes on the spot
         are explored nodes too — counting them lets one wide wave
         widen the next.  Without a pool evaluator (the scalar oracle,
-        ``kernel_backend="off"``, problems with no pooled kernels)
-        going wide buys nothing and ``W`` stays 1.
+        problems with no pooled kernels) going wide buys nothing and
+        ``W`` stays 1.
 
         One "node" is one frontier entry taken off the stack, matching
         the paper's explored-node accounting (pruned, decomposed and
@@ -606,7 +600,6 @@ def solve(
     initial_solution: Any = None,
     on_improvement: Optional[ImprovementCallback] = None,
     batched_bounds: Optional[bool] = None,
-    kernel_backend: Optional[str] = None,
     pool_size: int = 64,
 ) -> SolveResult:
     """Sequentially solve ``problem`` (over ``interval``) with proof.
@@ -618,9 +611,8 @@ def solve(
     ``initial_upper_bound`` for the same effect (note: with a pure
     bound and no solution, an instance whose optimum equals the bound
     reports ``solution=None``; pass ``initial_solution`` to keep it).
-    ``kernel_backend`` / ``pool_size`` select the pool bound-kernel
-    backend and cap the wave width (see :class:`IntervalExplorer`); the
-    default pools with numpy on problems that register pooled kernels.
+    ``pool_size`` caps the wave width (see :class:`IntervalExplorer`);
+    problems that register pool kernels are pooled.
 
     On a whole-tree run a problem-supplied :meth:`Problem.warm_start`
     heuristic seeds the incumbent as well (:func:`seed_incumbent`); the
@@ -637,7 +629,6 @@ def solve(
         incumbent=incumbent,
         on_improvement=on_improvement,
         batched_bounds=batched_bounds,
-        kernel_backend=kernel_backend,
         pool_size=pool_size,
     )
     explorer.run()

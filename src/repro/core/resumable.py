@@ -44,9 +44,6 @@ class ResumableSolver:
         directory starts from the root interval.
     checkpoint_nodes:
         Explore this many nodes between checkpoints.
-    kernel_backend:
-        Pool-evaluation kernel backend forwarded to the underlying
-        :class:`IntervalExplorer`.
 
     A resume re-expands from the *covering* interval, so a few
     already-decomposed internal nodes above the fold point are
@@ -66,7 +63,6 @@ class ResumableSolver:
         checkpoint_nodes: int = 100_000,
         initial_upper_bound: float = math.inf,
         initial_solution=None,
-        kernel_backend=None,
     ):
         self.problem = problem
         self.store = CheckpointStore(Path(directory))
@@ -89,10 +85,7 @@ class ResumableSolver:
         # seeds (or tightens) the incumbent; a checkpointed bound that
         # is already better survives.
         self.explorer = IntervalExplorer(
-            problem,
-            interval,
-            incumbent=seed_incumbent(problem, incumbent),
-            kernel_backend=kernel_backend,
+            problem, interval, incumbent=seed_incumbent(problem, incumbent)
         )
         self._checkpoint()  # make the starting state durable immediately
 

@@ -48,7 +48,6 @@ def run_worker(
     max_reconnect_attempts: Optional[int] = None,
     reconnect_base: float = 0.05,
     backoff_cap: float = 2.0,
-    kernel_backend: Optional[str] = None,
 ) -> str:
     """Connect to a solve service and work until terminated.
 
@@ -89,5 +88,4 @@ def run_worker(
         update_period=update_period,
         min_slice_nodes=min_slice_nodes,
         max_slice_nodes=max_slice_nodes,
-        kernel_backend=kernel_backend,
     )

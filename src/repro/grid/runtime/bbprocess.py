@@ -260,7 +260,6 @@ def worker_main(
     min_slice_nodes: int = 64,
     max_slice_nodes: int = 1 << 20,
     bound_poll_nodes: int = 256,
-    kernel_backend: Optional[str] = None,
 ) -> str:
     """Run one B&B process until the coordinator says terminate.
 
@@ -274,11 +273,6 @@ def worker_main(
     seconds of exploration (see :class:`AdaptiveSlicer`).  Every
     ``bound_poll_nodes`` nodes the connection is drained of coordinator
     notices without blocking (module docstring).
-
-    ``kernel_backend`` selects the pool-evaluation bound kernels of
-    every explorer this worker runs (see :mod:`repro.core.kernels`):
-    ``None`` auto-selects, ``"off"`` keeps per-family batched bounds
-    only.
 
     ``crash_after_updates`` makes the worker exit abruptly (no Bye)
     after that many interval updates; ``hang_after_updates`` makes it
@@ -392,7 +386,6 @@ def worker_main(
                 on_improvement=core.found,
                 bound_provider=poll,
                 bound_poll_nodes=bound_poll_nodes,
-                kernel_backend=kernel_backend,
             )
             core.unit = explorer
             outcome = "ok"

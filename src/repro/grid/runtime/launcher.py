@@ -76,12 +76,6 @@ class RuntimeConfig:
     full range — the parallel counterpart of ``solve(..., interval=…)``;
     the proved optimum is then the optimum over that slice.
 
-    ``kernel_backend`` selects every worker explorer's pool-evaluation
-    bound kernels (see :mod:`repro.core.kernels`): ``None``
-    auto-selects a registered pool kernel, ``"off"`` disables pooling
-    (per-family batched bounds only), a name (``"numpy"``/``"numba"``)
-    forces that backend.
-
     ``transport`` selects the wire between coordinator and workers:
     ``"inprocess"`` (fork-inherited multiprocessing queues) or
     ``"tcp"`` (a loopback TCP server; the same forked workers connect
@@ -96,7 +90,6 @@ class RuntimeConfig:
     min_slice_nodes: int = 64
     max_slice_nodes: int = 1 << 20
     bound_poll_nodes: int = 256  # nodes between mid-slice notice polls
-    kernel_backend: Optional[str] = None  # pool kernels: auto/off/name
     poll_interval: float = 0.05  # service pump's message wait
     duplication_threshold: int = 64
     checkpoint_dir: Optional[Path] = None
@@ -217,7 +210,6 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
                 "min_slice_nodes": config.min_slice_nodes,
                 "max_slice_nodes": config.max_slice_nodes,
                 "bound_poll_nodes": config.bound_poll_nodes,
-                "kernel_backend": config.kernel_backend,
             },
             daemon=True,
         )

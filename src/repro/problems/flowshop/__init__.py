@@ -40,11 +40,7 @@ from repro.problems.flowshop.makespan import (
     tails_matrix,
 )
 from repro.problems.flowshop.neh import insertion_best_position, neh
-from repro.problems.flowshop.pool import (
-    FlowShopNumbaPool,
-    FlowShopNumpyPool,
-    register_pool_kernels,
-)
+from repro.problems.flowshop.pool import FlowShopNumpyPool
 from repro.problems.flowshop.problem import FlowShopProblem, FlowShopState
 from repro.problems.flowshop.reference import (
     KNOWN_OPTIMA,
@@ -63,13 +59,11 @@ __all__ = [
     "BoundData",
     "BoundDataCache",
     "FlowShopInstance",
-    "FlowShopNumbaPool",
     "FlowShopNumpyPool",
     "advance_fronts_batch",
     "advance_fronts_pool",
     "bound_data_for",
     "clear_bound_data_cache",
-    "register_pool_kernels",
     "FlowShopProblem",
     "FlowShopState",
     "IGResult",

@@ -53,7 +53,6 @@ __all__ = [
     "BoundDataCache",
     "bound_data_for",
     "clear_bound_data_cache",
-    "live_parent_rows",
     "machine_pairs",
     "one_machine_bound",
     "two_machine_bound",
@@ -146,14 +145,6 @@ def _min_over_rows_excluding_self_pool(values: np.ndarray) -> np.ndarray:
     out[:] = min1[:, None, :]
     out[pool_idx, am, col_idx] = min2
     return out
-
-
-def live_parent_rows(lb1: np.ndarray, prune_at: float) -> Optional[np.ndarray]:
-    """Rows of the ``(N, r)`` LB1 matrix that still owe their children
-    LB2: parents with a child below ``prune_at``.  ``None`` when that
-    is every row (always, when ``prune_at`` is ``inf``)."""
-    live = (lb1 < prune_at).any(axis=1)
-    return None if live.all() else np.flatnonzero(live)
 
 
 # LB1's head term has two exact forms (:func:`_head_avail`): a machine
@@ -262,20 +253,20 @@ class BoundData:
                 lag = np.zeros(instance.jobs, dtype=p.dtype)
             order = np.array(johnson_order(a + lag, lag + b), dtype=np.intp)
             self._pair_data.append(_PairData(j, k, a, b, lag, order))
-        # Pair-stacked copies for the batched LB2 kernel: one (P, n)
-        # matrix per ingredient lets a single node evaluation sweep
-        # every pair at once instead of looping Python-side.  a/b and
-        # a/b/lag are additionally fused into one (2|3, P, n) block so
-        # the kernel pays one fancy-index per gather, not three.
+        # Pair-stacked copies for the batched LB2 kernel: a single node
+        # evaluation sweeps every pair at once instead of looping
+        # Python-side.  a/b/lag are fused into one (3, P, n) block (a/b
+        # its first two planes) so the kernel pays one fancy-index per
+        # gather, not three.
         npairs = len(self._pair_data)
         if npairs:
             self._j_idx = np.array([pd.j for pd in self._pair_data])
             self._k_idx = np.array([pd.k for pd in self._pair_data])
             self._jk_idx = np.concatenate([self._j_idx, self._k_idx])
-            self._a_all = np.stack([pd.a for pd in self._pair_data]).astype(np.int64)
-            self._b_all = np.stack([pd.b for pd in self._pair_data]).astype(np.int64)
-            self._lag_all = np.stack([pd.lag for pd in self._pair_data]).astype(np.int64)
-            self._abl_all = np.stack([self._a_all, self._b_all, self._lag_all])
+            self._abl_all = np.array(
+                [[getattr(pd, name) for pd in self._pair_data] for name in ("a", "b", "lag")],
+                dtype=np.int64,
+            )
             self._ab_all = self._abl_all[:2]
             self._order_all = np.stack([pd.order for pd in self._pair_data])
             self._pair_rows = np.arange(npairs)[:, None]
@@ -658,15 +649,17 @@ class BoundData:
         lb1 = self._lb1_children_pool(fronts, p_rem, tails_rem)
         if r - 1 <= 1 or not self._pair_data:
             return lb1
-        live = live_parent_rows(lb1, prune_at)
-        if live is None:
+        # Only parents with a child below prune_at still owe LB2.
+        live = (lb1 < prune_at).any(axis=1)
+        if live.all():
             lb2 = self._lb2_children_pool(fronts, remaining, tails_rem)
             return np.maximum(lb1, lb2, out=lb1)
-        if live.size:
+        rows = np.flatnonzero(live)
+        if rows.size:
             lb2 = self._lb2_children_pool(
-                fronts[live], remaining[live], tails_rem[live]
+                fronts[rows], remaining[rows], tails_rem[rows]
             )
-            lb1[live] = np.maximum(lb1[live], lb2, out=lb2)
+            lb1[rows] = np.maximum(lb1[rows], lb2, out=lb2)
         return lb1
 
 

@@ -3,9 +3,8 @@
 One evaluator call bounds the children of a whole pool of same-depth
 partial tours via :func:`outgoing_edge_bound_children_pool` — the
 (N, r, r+1) leave-one-out scan replacing N separate (r, r+1) scans.
-Registered for the ``numpy`` backend at import time (the package
-``__init__`` imports this module), which also makes pooling the
-default for ``solve(TSPProblem(...))``.
+Registered at import time (the package ``__init__`` imports this
+module), so ``solve(TSPProblem(...))`` pools.
 """
 
 from __future__ import annotations
@@ -14,14 +13,14 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.core.kernels import register_pool_factory
+from repro.core.kernels import TIER, register_pool_factory
 from repro.problems.tsp.bounds import (
     outgoing_edge_bound_children,
     outgoing_edge_bound_children_pool,
 )
 from repro.problems.tsp.problem import TSPProblem
 
-__all__ = ["TSPNumpyPool", "register_pool_kernels"]
+__all__ = ["TSPNumpyPool"]
 
 
 class TSPNumpyPool:
@@ -49,13 +48,4 @@ class TSPNumpyPool:
         )
 
 
-def _numpy_factory(problem: TSPProblem) -> TSPNumpyPool:
-    return TSPNumpyPool(problem)
-
-
-def register_pool_kernels() -> None:
-    """Idempotently register the TSP pool factory."""
-    register_pool_factory("numpy", TSPProblem, _numpy_factory)
-
-
-register_pool_kernels()
+register_pool_factory(TIER, TSPProblem, TSPNumpyPool)

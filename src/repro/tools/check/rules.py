@@ -34,7 +34,6 @@ __all__ = [
     "NoBlockingIOInAsync",
     "TypedCoreDiscipline",
     "DurableCheckpointWrites",
-    "LazyAcceleratorImports",
     "FrontierIntExactness",
     "OpaqueJobIds",
     "WireSchemaCompatibility",
@@ -572,7 +571,7 @@ class TypedCoreDiscipline(Rule):
         "repro/core/operators.py",
         "repro/core/stats.py",
         "repro/core/problem.py",
-        "repro/core/kernels/*.py",
+        "repro/core/kernels.py",
         "repro/grid/runtime/*.py",
         "repro/grid/net/*.py",
         "repro/grid/service/*.py",
@@ -710,93 +709,6 @@ class DurableCheckpointWrites(Rule):
         if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
             return mode.value in self.WRITE_MODES
         return True  # dynamic mode: assume the worst
-
-
-@register
-class LazyAcceleratorImports(Rule):
-    """RC09 — the optional accelerator (numba) imports lazily.
-
-    The kernel backends (PR 7) are *optional*: every module in this
-    repository must import cleanly on a machine without numba,
-    because that is the machine the fallback path exists for.  One
-    top-level ``import numba`` outside ``repro/core/kernels/`` turns a
-    missing accelerator into an ``ImportError`` at package import time
-    — the CLI, the grid workers and the test suite all die before any
-    backend fallback can run.  Even ``try: import numba`` probes
-    belong in the backend modules, so availability has exactly one
-    source of truth (``BoundKernel.available``) instead of per-module
-    flags that can disagree.  Everywhere else the accelerator is
-    imported inside the function that uses it (see
-    ``flowshop/kernels_numba.jit_kernels``), where a failure is
-    catchable and the fallback decides.
-    """
-
-    code: ClassVar[str] = "RC09"
-    title: ClassVar[str] = "optional accelerators import lazily"
-    invariant: ClassVar[str] = (
-        "every module imports cleanly without numba; only the "
-        "kernel backends probe them, lazily, inside functions"
-    )
-    scope: ClassVar[Tuple[str, ...]] = (
-        "repro/*.py",
-        "tests/*.py",
-        "benchmarks/*.py",
-        "examples/*.py",
-    )
-    #: The backends are where lazy probes live; within this package
-    #: the imports are still function-local by convention, but the
-    #: rule leaves the how to code review.
-    allowed: ClassVar[Tuple[str, ...]] = ("repro/core/kernels/*.py",)
-
-    ACCELERATORS: ClassVar[FrozenSet[str]] = frozenset({"numba"})
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if any(_match(ctx.rel, p) for p in self.allowed):
-            return
-        yield from self._walk(ctx, ctx.tree.body)
-
-    def _walk(
-        self, ctx: FileContext, body: List[ast.stmt]
-    ) -> Iterator[Violation]:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # function bodies run lazily — that is the point
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in self.ACCELERATORS:
-                        yield self._flag(ctx, node, root)
-            elif isinstance(node, ast.ImportFrom):
-                root = (node.module or "").split(".")[0]
-                if node.level == 0 and root in self.ACCELERATORS:
-                    yield self._flag(ctx, node, root)
-            elif isinstance(node, ast.If):
-                if "TYPE_CHECKING" in _identifiers(node.test):
-                    continue  # never executes at runtime
-                yield from self._walk(ctx, node.body)
-                yield from self._walk(ctx, node.orelse)
-            elif isinstance(node, ast.Try):
-                yield from self._walk(ctx, node.body)
-                for handler in node.handlers:
-                    yield from self._walk(ctx, handler.body)
-                yield from self._walk(ctx, node.orelse)
-                yield from self._walk(ctx, node.finalbody)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                yield from self._walk(ctx, node.body)
-            elif isinstance(node, ast.ClassDef):
-                yield from self._walk(ctx, node.body)
-
-    def _flag(
-        self, ctx: FileContext, node: ast.stmt, root: str
-    ) -> Violation:
-        return self.violation(
-            ctx,
-            node,
-            f"top-level import of optional accelerator {root!r} — "
-            f"import it lazily inside the function that uses it (or a "
-            f"repro/core/kernels/ backend) so machines without it "
-            f"still run",
-        )
 
 
 @register

@@ -475,90 +475,6 @@ def test_rc08_checkpoint_module_itself_is_exempt(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# RC09 — optional accelerators import lazily
-
-
-def test_rc09_flags_top_level_accelerator_imports(tmp_path):
-    result = run_check(
-        tmp_path,
-        "repro/problems/flowshop/bounds.py",
-        """\
-        import numpy as np
-        import numba
-        from numba import njit
-        """,
-        select=["RC09"],
-    )
-    assert codes(result) == ["RC09", "RC09"]
-    assert [v.line for v in result.violations] == [2, 3]
-    assert "numba" in result.violations[0].message
-    assert "lazily" in result.violations[0].message
-
-
-def test_rc09_flags_guarded_probe_outside_the_backends(tmp_path):
-    # Even a try/except probe pins availability at import time and
-    # forks the source of truth away from BoundKernel.available().
-    result = run_check(
-        tmp_path,
-        "repro/problems/flowshop/kernels_numba.py",
-        """\
-        try:
-            from numba import njit
-        except ImportError:
-            njit = None
-        """,
-        select=["RC09"],
-    )
-    assert codes(result) == ["RC09"]
-    assert result.violations[0].line == 2
-
-
-def test_rc09_function_local_and_type_checking_imports_pass(tmp_path):
-    result = run_check(
-        tmp_path,
-        "repro/problems/flowshop/kernels_numba.py",
-        """\
-        from typing import TYPE_CHECKING
-
-        if TYPE_CHECKING:
-            import numba
-
-
-        def jit_kernels():
-            from numba import njit
-
-            return njit
-        """,
-        select=["RC09"],
-    )
-    assert result.clean
-
-
-def test_rc09_kernel_backends_are_exempt(tmp_path):
-    result = run_check(
-        tmp_path,
-        "repro/core/kernels/numba_backend.py",
-        """\
-        import numba
-        """,
-        select=["RC09"],
-    )
-    assert result.clean
-
-
-def test_rc09_applies_to_tests_and_benchmarks(tmp_path):
-    result = run_check(
-        tmp_path,
-        "benchmarks/bench_encoding_cost.py",
-        """\
-        import numba
-        """,
-        select=["RC09"],
-    )
-    assert codes(result) == ["RC09"]
-
-
-# ----------------------------------------------------------------------
 # RC10 — frontier node numbering stays int-exact
 
 
@@ -1286,7 +1202,7 @@ def test_syntax_error_reports_check_error_exit_2(tmp_path):
 
 
 def test_every_rule_registered_with_metadata():
-    assert sorted(RULES) == ["RC01"] + [f"RC0{i}" for i in range(3, 10)] + [
+    assert sorted(RULES) == ["RC01"] + [f"RC0{i}" for i in range(3, 9)] + [
         "RC10",
         "RC11",
         "RC12",

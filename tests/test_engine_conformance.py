@@ -1,7 +1,7 @@
 """Conformance table: every engine configuration against the scalar oracle.
 
 The contract is stated once, in the :class:`IntervalExplorer` docstring:
-for every ``pool_size`` x ``kernel_backend`` the optimum, the solution,
+for every ``pool_size``, pooled or not, the optimum, the solution,
 the improvement sequence and the proof equal those of the per-node path
 (``batched_bounds=False``) and the ledger reconciles; at ``pool_size=1``
 the node counters are byte-identical to it as well.  Each row of the
@@ -15,8 +15,9 @@ waves: from how long ago the incumbent last moved, within the node
 budget, within a bounded stack.
 """
 
+import contextlib
 import math
-import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from repro.core import (
     seed_incumbent,
     solve,
 )
+from repro.core import engine
 from repro.core.kernels import register_pool_factory
 from repro.exceptions import EngineError, ProblemError
 from repro.problems.flowshop import FlowShopProblem, random_instance
@@ -62,11 +64,18 @@ CASES = st.tuples(
     st.integers(0, 10_000),
     st.sampled_from(PAIR_STRATEGIES),
 )
-# None is auto (numpy for both problems).  "numba" runs jitted on the CI
-# leg that installs it and through its numpy fallback everywhere else.
-BACKENDS = (None, "numpy", "numba", "off")
+# None: the problem's registered pool kernels (both problems have
+# them); "off": none, as for a problem that registered no pool kernels.
+POOLING = (None, "off")
 POOL_SIZES = (1, 3, 64)
 PAUSES = (1, 17, 80)
+
+
+def _pooling(mode):
+    """A context in which explorers pool as ``mode`` says."""
+    if mode == "off":
+        return mock.patch.object(engine, "pool_evaluator_for", lambda problem: None)
+    return contextlib.nullcontext()
 
 
 def _ledger_reconciles(stats):
@@ -135,19 +144,18 @@ def _paused(make, interval, pause, **options):
 
 
 @pytest.mark.parametrize("pool_size", POOL_SIZES)
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("pooling", POOLING)
 @pytest.mark.parametrize("kind", sorted(PROBLEMS))
 @given(case=CASES)
 @settings(max_examples=4, deadline=None)
-def test_configuration_matches_scalar_oracle(kind, backend, pool_size, case):
+def test_configuration_matches_scalar_oracle(kind, pooling, pool_size, case):
     def make():
         # Fresh problem per solve: the handoff caches must never be
         # the thing making two runs agree.
         return PROBLEMS[kind](*case)
 
-    options = {"kernel_backend": backend, "pool_size": pool_size}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numba fallback
+    options = {"pool_size": pool_size}
+    with _pooling(pooling):
         for interval in _extents(make()):
             oracle, improved = _straight(make, interval, batched_bounds=False)
             result, sequence = _straight(make, interval, **options)
@@ -170,14 +178,14 @@ def test_configuration_matches_scalar_oracle(kind, backend, pool_size, case):
 @pytest.mark.parametrize("batched", (True, None))
 @pytest.mark.parametrize("kind", sorted(PROBLEMS))
 def test_batched_children_without_pool_match_oracle(kind, batched):
-    """``kernel_backend="off"`` never goes wide, so the per-family
-    batched path is byte-identical to the oracle at the default cap."""
+    """Without pool kernels the engine never goes wide, so the
+    per-family batched path is byte-identical to the oracle at the
+    default cap."""
     for seed in range(4):
         case = (7, 4, seed, "adjacent+ends")
         oracle = solve(PROBLEMS[kind](*case), batched_bounds=False)
-        result = solve(
-            PROBLEMS[kind](*case), batched_bounds=batched, kernel_backend="off"
-        )
+        with _pooling("off"):
+            result = solve(PROBLEMS[kind](*case), batched_bounds=batched)
         assert (result.cost, result.solution) == (oracle.cost, oracle.solution)
         assert vars(result.stats) == vars(oracle.stats)
 
@@ -408,12 +416,13 @@ class TestWaveWidth:
             assert report.nodes_processed <= 10 + self.INSTANCE.jobs
 
     def test_without_a_pool_evaluator_width_stays_one(self):
-        for options in ({"kernel_backend": "off"}, {"batched_bounds": False}):
-            result = solve(
-                FlowShopProblem(self.INSTANCE),
-                initial_upper_bound=self.OPTIMUM,
-                **options,
-            )
+        for pooling, batched in (("off", None), (None, False)):
+            with _pooling(pooling):
+                result = solve(
+                    FlowShopProblem(self.INSTANCE),
+                    initial_upper_bound=self.OPTIMUM,
+                    batched_bounds=batched,
+                )
             assert result.pool_occupancy == {}
 
 

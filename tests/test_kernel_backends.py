@@ -1,4 +1,4 @@
-"""Property suite: pool bound-kernel backends == scalar bounds, bitwise.
+"""Property suite: the pool bound kernels == scalar bounds, bitwise.
 
 With no prune hint every pool evaluator must return rows
 *bit-identical* to the per-node scalar bounds for every pool width,
@@ -6,45 +6,30 @@ because the engine's pruning decisions ride on the returned bounds
 verbatim; with ``Problem.prune_at`` set, a staged evaluator may stop
 at LB1 on families it has shown dead and nowhere else.  These tests
 quantify both at the evaluator level over random instances and
-exercise the registry and the optional-dependency fallback, with and
-without numba installed.  The end-to-end half of the contract —
-``solve()`` under every backend x pool size against the scalar oracle
-— lives in ``tests/test_engine_conformance.py``.
+exercise the registry that finds an evaluator by problem type.  The
+end-to-end half of the contract — ``solve()`` pooled and unpooled x
+pool size against the scalar oracle — lives in
+``tests/test_engine_conformance.py``.
 """
 
 import math
-import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import solve
 from repro.core.kernels import (
-    KERNEL_BACKEND_CHOICES,
-    available_backends,
-    backend_names,
-    get_backend,
     pool_evaluator_for,
     pool_factory_for,
     register_pool_factory,
 )
-from repro.core.kernels.numba_backend import NumbaKernel
 from repro.exceptions import EngineError
-from repro.problems.flowshop import (
-    BoundData,
-    FlowShopProblem,
-    kernels_numba,
-    random_instance,
-)
+from repro.problems.flowshop import FlowShopProblem, random_instance
 from repro.problems.flowshop.makespan import advance_front, advance_fronts_pool
-from repro.problems.flowshop.pool import FlowShopNumbaPool, FlowShopNumpyPool
+from repro.problems.flowshop.pool import FlowShopNumpyPool
 from repro.problems.tsp import TSPProblem, random_tsp
 from repro.problems.tsp.pool import TSPNumpyPool
-
-NUMBA_AVAILABLE = get_backend("numba").available()
 
 PAIR_STRATEGIES = ("adjacent", "adjacent+ends", "all")
 BOUNDS = ("lb1", "lb2", "combined")
@@ -143,14 +128,14 @@ class TestPoolBoundaries:
 
 
 # ----------------------------------------------------------------------
-# The plain-Python loop kernels (numba's source of truth) against the
-# vectorised numpy pool kernels — runs even where numba is absent, so
-# a broken loop cannot hide behind a missing dependency.
+# Staged ``combined``: LB2 only for parents LB1 left a child below
+# ``Problem.prune_at``.  Whatever the hint, prune decisions are the
+# exact bound's, and every family with a survivor is exact throughout.
 # ----------------------------------------------------------------------
 
 
 @st.composite
-def loop_kernel_case(draw):
+def pool_case(draw):
     jobs = draw(st.integers(4, 7))
     # 12 machines puts these pools on the closed-form LB1 scan, the
     # rest on the machine loop (bounds._head_by_scan).
@@ -162,75 +147,8 @@ def loop_kernel_case(draw):
     return jobs, machines, seed, strategy, depth, n_pool
 
 
-class TestLoopKernelsMatchNumpy:
-    @given(loop_kernel_case())
-    @settings(max_examples=40, deadline=None)
-    def test_lb1_and_lb2_pools(self, case):
-        jobs, machines, seed, strategy, depth, n_pool = case
-        instance = random_instance(jobs, machines, seed=seed)
-        data = BoundData(instance, pair_strategy=strategy)
-        n_pool = min(n_pool, math.perm(jobs, depth))
-        parent_fronts, remaining = _pool_parents(instance, depth, n_pool)
-        p_rem = instance.processing_times[remaining]
-        fronts = advance_fronts_pool(parent_fronts, p_rem)
-        r = remaining.shape[1]
-        tails_rem = data.tails[remaining]
-
-        out1 = np.empty((n_pool, r), dtype=np.int64)
-        kernels_numba.lb1_pool(fronts, p_rem, tails_rem, out1)
-        np.testing.assert_array_equal(
-            out1, data.one_machine_children_pool(fronts, remaining, p_rem)
-        )
-
-        if r >= 2 and data.pairs:
-            out2 = np.empty((n_pool, r), dtype=np.int64)
-            kernels_numba.lb2_pool(
-                fronts,
-                remaining,
-                data._order_all,
-                data._a_all,
-                data._b_all,
-                data._lag_all,
-                data._j_idx,
-                data._k_idx,
-                tails_rem,
-                out2,
-            )
-            np.testing.assert_array_equal(
-                out2, data.two_machine_children_pool(fronts, remaining)
-            )
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    @pytest.mark.parametrize("bound", BOUNDS)
-    def test_jitted_pool_equals_numpy_pool(self, bound):
-        instance = random_instance(7, 4, seed=21)
-        problem = FlowShopProblem(instance, bound=bound)
-        parent_fronts, remainings = _pool_parents(instance, 2, 5)
-        states = [
-            _FrontState(parent_fronts[i], remainings[i]) for i in range(5)
-        ]
-        numpy_rows = FlowShopNumpyPool(problem)(states, depth=2)
-        numba_rows = FlowShopNumbaPool(problem)(states, depth=2)
-        np.testing.assert_array_equal(
-            np.asarray(numpy_rows), np.asarray(numba_rows)
-        )
-
-
-# ----------------------------------------------------------------------
-# Staged ``combined``: LB2 only for parents LB1 left a child below
-# ``Problem.prune_at``.  Whatever the hint, prune decisions are the
-# exact bound's, and every family with a survivor is exact throughout.
-# ----------------------------------------------------------------------
-
-
-def _python_loop_kernels():
-    return kernels_numba.PoolKernels(
-        kernels_numba.lb1_pool, kernels_numba.lb2_pool
-    )
-
-
 class TestStagedCombinedBound:
-    @given(loop_kernel_case(), st.integers(0, 10_000), st.integers(-1, 1))
+    @given(pool_case(), st.integers(0, 10_000), st.integers(-1, 1))
     @settings(max_examples=60, deadline=None)
     def test_every_evaluator_only_weakens_dead_families(self, case, pick, nudge):
         jobs, machines, seed, strategy, depth, n_pool = case
@@ -242,8 +160,6 @@ class TestStagedCombinedBound:
             _FrontState(parent_fronts[i], remainings[i]) for i in range(n_pool)
         ]
         numpy_pool = FlowShopNumpyPool(problem)
-        with mock.patch.object(kernels_numba, "jit_kernels", _python_loop_kernels):
-            loop_pool = FlowShopNumbaPool(problem)
         assert problem.prune_at == math.inf  # no hint yet: exact everywhere
         exact = np.asarray(numpy_pool(states, depth))
         # A threshold at, just below or just above some child's bound.
@@ -252,7 +168,6 @@ class TestStagedCombinedBound:
             "numpy pool": numpy_pool(states, depth),
             "numpy singleton": [numpy_pool([s], depth)[0] for s in states],
             "per-family": [problem.bound_children(s, depth) for s in states],
-            "loop kernels": loop_pool(states, depth),
         }
         live = (exact < problem.prune_at).any(axis=1)
         for name, rows in staged_rows.items():
@@ -271,79 +186,30 @@ class TestStagedCombinedBound:
 
 class TestRegistry:
     def test_unknown_backend_raises(self):
-        with pytest.raises(EngineError, match="unknown kernel backend"):
-            get_backend("jax")
-
-    def test_builtin_names(self):
-        assert backend_names() == ["numba", "numpy"]
-        assert set(KERNEL_BACKEND_CHOICES) == set(backend_names())
+        # numpy is the one kernel tier; a factory filed under any other
+        # name would never be found, so registering one is an error.
+        with pytest.raises(EngineError, match="unknown kernel tier"):
+            register_pool_factory("numba", FlowShopProblem, FlowShopNumpyPool)
+        with pytest.raises(EngineError, match="unknown kernel tier"):
+            pool_factory_for("jax", FlowShopProblem)
 
     def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
+        # Importing a problem package files its numpy kernels: nothing
+        # to install, no fallback to take.
+        flowshop = FlowShopProblem(random_instance(4, 2, seed=0))
+        tsp = TSPProblem(random_tsp(4, seed=0))
+        assert isinstance(pool_evaluator_for(flowshop), FlowShopNumpyPool)
+        assert isinstance(pool_evaluator_for(tsp), TSPNumpyPool)
 
     def test_mro_lookup_covers_subclasses(self):
         class Narrowed(FlowShopProblem):
             pass
 
         problem = Narrowed(random_instance(4, 2, seed=0))
-        evaluator = pool_evaluator_for(problem, "numpy")
+        evaluator = pool_evaluator_for(problem)
         assert isinstance(evaluator, FlowShopNumpyPool)
 
     def test_unregistered_problem_pools_nothing(self):
-        # No factory, no bound_children override: auto mode must leave
-        # the engine on its exact pre-pool paths, and the numpy backend
-        # must decline rather than invent a per-parent loop.
+        # No factory: the engine stays on its exact pre-pool paths.
         assert pool_factory_for("numpy", object) is None
-        assert pool_evaluator_for(object(), None) is None
-        assert get_backend("numpy").evaluator_for(object()) is None
-
-    def test_engine_rejects_unknown_backend(self):
-        instance = random_instance(4, 2, seed=0)
-        with pytest.raises(EngineError, match="unknown kernel backend"):
-            solve(FlowShopProblem(instance), kernel_backend="jax")
-
-
-# ----------------------------------------------------------------------
-# Optional-dependency fallback: selecting numba must never break a run
-# — one RuntimeWarning per process, then the numpy evaluator.
-# ----------------------------------------------------------------------
-
-
-class TestOptionalBackendFallback:
-    def _problem(self):
-        return FlowShopProblem(random_instance(5, 3, seed=1))
-
-    def test_numba_missing_warns_once_then_numpy(self):
-        backend = NumbaKernel()
-        backend._probed = False  # force the missing-dep path everywhere
-        with pytest.warns(RuntimeWarning, match="numba is not"):
-            evaluator = backend.evaluator_for(self._problem())
-        assert isinstance(evaluator, FlowShopNumpyPool)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second resolve stays silent
-            backend.evaluator_for(self._problem())
-
-    def test_numba_setup_failure_warns_and_falls_back(self):
-        class Boom(FlowShopProblem):
-            pass
-
-        def exploding_factory(problem):
-            raise RuntimeError("boom")
-
-        register_pool_factory("numba", Boom, exploding_factory)
-        backend = NumbaKernel()
-        backend._probed = True  # pretend the import side is fine
-        with pytest.warns(RuntimeWarning, match="setup failed"):
-            evaluator = backend.evaluator_for(
-                Boom(random_instance(5, 3, seed=1))
-            )
-        # Fallback resolves through the numpy registry entry, which the
-        # subclass inherits via MRO lookup.
-        assert isinstance(evaluator, FlowShopNumpyPool)
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed here")
-    def test_jit_kernels_raises_without_numba(self):
-        with pytest.raises(RuntimeError, match="numba is not installed"):
-            kernels_numba.jit_kernels()
-        with pytest.raises(RuntimeError):
-            FlowShopNumbaPool(self._problem())
+        assert pool_evaluator_for(object()) is None

@@ -17,10 +17,11 @@ import math
 import threading
 import time
 from collections import deque
+from unittest import mock
 
 import pytest
 
-from repro.core import Interval, solve
+from repro.core import Interval, engine, solve
 from repro.grid.net import tcp
 from repro.grid.net.framing import MessageDecodeError, decode_message
 from repro.grid.net.inprocess import InProcessTransport
@@ -312,14 +313,15 @@ class ScriptedCoordinator(Fifo):
 
 
 def run_worker(conn, slice_nodes=SLICE_NODES):
-    return worker_main(
-        "w0",
-        conn,
-        update_nodes=slice_nodes,
-        max_retries=0,
-        bound_poll_nodes=POLL_NODES,
-        kernel_backend="off",  # one parent per wave: polls every 32 nodes
-    )
+    # Unpooled explorers: one parent per wave, so polls every 32 nodes.
+    with mock.patch.object(engine, "pool_evaluator_for", lambda problem: None):
+        return worker_main(
+            "w0",
+            conn,
+            update_nodes=slice_nodes,
+            max_retries=0,
+            bound_poll_nodes=POLL_NODES,
+        )
 
 
 def test_cut_notice_ends_the_slice_and_is_reconciled_before_the_next_node():
