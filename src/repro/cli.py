@@ -329,8 +329,9 @@ def _cmd_solve(args) -> int:
         instance = random_instance(args.jobs, args.machines, args.seed)
     print(f"instance: {instance.name} ({instance.jobs}x{instance.machines})")
 
-    # Every solve starts from NEH (FlowShopProblem.warm_start); Iterated
-    # Greedy, which starts from NEH too, is an explicit extra.
+    # Every solve starts from NEH completed inside its interval
+    # (FlowShopProblem.warm_start); Iterated Greedy, which starts from
+    # whole-tree NEH, is an explicit extra.
     ub, warm = math.inf, None
     if args.ig_iterations > 0:
         from repro.problems.flowshop import iterated_greedy

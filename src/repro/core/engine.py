@@ -614,11 +614,11 @@ def solve(
     ``pool_size`` caps the wave width (see :class:`IntervalExplorer`);
     problems that register pool kernels are pooled.
 
-    On a whole-tree run a problem-supplied :meth:`Problem.warm_start`
-    heuristic seeds the incumbent as well (:func:`seed_incumbent`); the
-    incumbent is monotonic, so whichever of the warm start and
-    ``initial_upper_bound`` is better wins, and a warm start can only
-    speed the proof up, never change the optimum.
+    A problem-supplied :meth:`Problem.warm_start` heuristic seeds the
+    incumbent as well, with a solution inside ``interval``
+    (:func:`seed_incumbent`); the incumbent is monotonic, so whichever
+    of the warm start and ``initial_upper_bound`` is better wins, and a
+    warm start can only speed the proof up, never change the optimum.
     """
     incumbent = seed_incumbent(
         problem, Incumbent(initial_upper_bound, initial_solution), interval

@@ -112,14 +112,20 @@ class Problem(ABC):
         """
         return state
 
-    def warm_start(self) -> Optional[Tuple[float, Any]]:
-        """Optional heuristic incumbent ``(cost, solution)`` to seed solves.
+    def warm_start(
+        self, interval: Optional[Interval] = None
+    ) -> Optional[Tuple[float, Any]]:
+        """Optional heuristic incumbent ``(cost, solution)`` for ``interval``.
 
+        ``interval`` is the run's slice of leaf numbers (``None``: the
+        whole tree), and the solution's leaf must lie *inside* it: a
+        slice's result is the optimum over that slice, and a solution
+        from elsewhere in the tree could beat it and be reported in its
+        place.  Return ``None`` when no such solution is at hand.
         Every front door — :func:`~repro.core.engine.solve`, the
         :class:`~repro.core.resumable.ResumableSolver`, the solve
         service (``repro grid service`` and ``repro grid serve``) and
-        ``solve_parallel`` — consults it through :func:`seed_incumbent`,
-        which decides where it applies.
+        ``solve_parallel`` — consults it through :func:`seed_incumbent`.
         ``cost`` must be the exact cost of a *feasible* ``solution``
         (the incumbent's solution may be reported as the optimum if
         nothing beats it), so a roll-out or greedy heuristic qualifies;
@@ -150,20 +156,16 @@ class Problem(ABC):
 def seed_incumbent(
     problem: Problem, incumbent: Incumbent, interval: Optional[Interval] = None
 ) -> Incumbent:
-    """Tighten ``incumbent`` with ``problem.warm_start()``; return it.
+    """Tighten ``incumbent`` with ``problem.warm_start(interval)``; return it.
 
-    Whole-tree runs only: no ``interval``, or one covering every leaf.
-    A run over a slice — ``solve(interval=)``,
-    ``RuntimeConfig.root_interval``, or a service job admitted with a
-    ``root`` (``repro grid serve --interval``) — must return the
-    optimum *over that slice*, and a heuristic solution from elsewhere
-    in the tree may beat it and would be reported in its place.  The
-    update is monotonic, so a better incumbent already held survives.
+    ``interval`` is the run's slice (``None``: the whole tree) —
+    ``solve(interval=)``, ``RuntimeConfig.root_interval``, or a service
+    job admitted with a ``root`` (``repro grid serve --interval``).
+    The problem's warm start stays inside it, so a slice still returns
+    the optimum over that slice.  The update is monotonic, so a better
+    incumbent already held survives.
     """
-    if interval is None or interval.contains_interval(
-        Interval(0, problem.total_leaves())
-    ):
-        warm = problem.warm_start()
-        if warm is not None:
-            incumbent.update(*warm)
+    warm = problem.warm_start(interval)
+    if warm is not None:
+        incumbent.update(*warm)
     return incumbent

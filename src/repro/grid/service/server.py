@@ -271,7 +271,7 @@ class SolveService:
             )
         if record.cost is not None:  # the admitting caller's incumbent
             coordinator.solution.update(record.cost, record.solution)
-        seed_incumbent(problem, coordinator.solution, root)  # a slice starts cold
+        seed_incumbent(problem, coordinator.solution, root)
         self._coordinators[record.job_id] = coordinator
         if record.status != RUNNING:
             record.status = RUNNING

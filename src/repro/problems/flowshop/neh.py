@@ -16,25 +16,77 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
+from repro.exceptions import ProblemError
 from repro.problems.flowshop.instance import FlowShopInstance
 
 __all__ = ["neh", "insertion_best_position"]
 
 
-def _sequence_makespan(p: np.ndarray, machines: int, sequence: Sequence[int]) -> int:
-    front = np.zeros(machines, dtype=np.int64)
+def _fronts(
+    rows: List[List[int]], front: List[int], sequence: Sequence[int]
+) -> List[List[int]]:
+    """``front``, then the completion front after each job of ``sequence``."""
+    fronts = [front]
     for job in sequence:
-        row = p[job]
         prev = 0
-        for j in range(machines):
-            f = front[j]
+        nxt = []
+        for f, t in zip(front, rows[job]):
             if prev > f:
                 f = prev
-            prev = f + row[j]
-            front[j] = prev
-    return int(front[-1])
+            prev = f + t
+            nxt.append(prev)
+        front = nxt
+        fronts.append(front)
+    return fronts
+
+
+def _best_insertion(
+    rows: List[List[int]], head: List[int], sequence: List[int], job: int
+) -> Tuple[int, int]:
+    """:func:`insertion_best_position` after a fixed front ``head``.
+
+    ``rows`` are the processing times as Python ints (indexing them is
+    several times cheaper than numpy scalars) and ``head`` is the
+    completion front of whatever precedes ``sequence``.
+    """
+    heads = _fronts(rows, head, sequence)
+
+    # tails[q] = backward front of jobs q.. (time from their start on
+    # each machine to the end of the schedule).
+    m = len(head)
+    tail = [0] * m
+    tails = [tail]
+    for existing in reversed(sequence):
+        row = rows[existing]
+        nxt = 0
+        back = [0] * m
+        for j in range(m - 1, -1, -1):
+            t = tail[j]
+            if nxt > t:
+                t = nxt
+            nxt = t + row[j]
+            back[j] = nxt
+        tail = back
+        tails.append(tail)
+    tails.reverse()
+
+    job_row = rows[job]
+    best_pos = 0
+    best_value = -1
+    for q, (front, back) in enumerate(zip(heads, tails)):
+        # makespan with `job` inserted at position q
+        prev = 0
+        value = 0
+        for f, t, b in zip(front, job_row, back):
+            if prev > f:
+                f = prev
+            prev = f + t
+            if prev + b > value:
+                value = prev + b
+        if best_value < 0 or value < best_value:
+            best_value = value
+            best_pos = q
+    return best_pos, best_value
 
 
 def insertion_best_position(
@@ -48,67 +100,35 @@ def insertion_best_position(
     whole scan costs ``O(len(sequence) * machines)`` instead of
     ``O(len(sequence)^2 * machines)``.
     """
-    p = instance.processing_times
-    m = instance.machines
-    k = len(sequence)
-
-    # heads[q] = completion front after the first q jobs of `sequence`.
-    heads = np.zeros((k + 1, m), dtype=np.int64)
-    for q, existing in enumerate(sequence):
-        row = p[existing]
-        prev = 0
-        for j in range(m):
-            f = heads[q, j]
-            if prev > f:
-                f = prev
-            prev = f + row[j]
-            heads[q + 1, j] = prev
-
-    # tails[q] = backward front of jobs q.. (time from their start on
-    # each machine to the end of the schedule).
-    tails = np.zeros((k + 1, m), dtype=np.int64)
-    for q in range(k - 1, -1, -1):
-        row = p[sequence[q]]
-        nxt = 0
-        for j in range(m - 1, -1, -1):
-            t = tails[q + 1, j]
-            if nxt > t:
-                t = nxt
-            nxt = t + row[j]
-            tails[q, j] = nxt
-
-    job_row = p[job]
-    best_pos = 0
-    best_value = None
-    for q in range(k + 1):
-        # front after inserting `job` at position q
-        prev = 0
-        value = 0
-        for j in range(m):
-            f = heads[q, j]
-            if prev > f:
-                f = prev
-            prev = f + job_row[j]
-            total = prev + tails[q, j]
-            if total > value:
-                value = total
-        if best_value is None or value < best_value:
-            best_value = value
-            best_pos = q
-    return best_pos, int(best_value)
+    rows = instance.processing_times.tolist()
+    return _best_insertion(rows, [0] * instance.machines, sequence, job)
 
 
-def neh(instance: FlowShopInstance) -> Tuple[List[int], int]:
-    """Run NEH; return ``(permutation, makespan)``.
+def neh(
+    instance: FlowShopInstance, prefix: Sequence[int] = ()
+) -> Tuple[List[int], int]:
+    """Run NEH after a fixed ``prefix``; return ``(permutation, makespan)``.
 
-    Deterministic: the initial order sorts by decreasing job total with
-    job index as tie-break.
+    The permutation starts with ``prefix`` verbatim; the other jobs are
+    inserted one by one, in decreasing order of their total processing
+    time (job index breaks ties), each at the position *after the
+    prefix* that minimises the partial makespan timed from the prefix's
+    completion front.  The empty prefix is classic NEH; a prefix is a
+    node of the permutation tree, completed to one of its leaves.
     """
-    totals = instance.job_totals()
-    order = sorted(range(instance.jobs), key=lambda i: (-int(totals[i]), i))
-    sequence: List[int] = [order[0]]
-    value = int(instance.processing_times[order[0]].sum())
-    for job in order[1:]:
-        pos, value = insertion_best_position(instance, sequence, job)
+    rows = instance.processing_times.tolist()
+    fixed = set(prefix)
+    if len(fixed) != len(prefix) or not fixed <= set(range(instance.jobs)):
+        raise ProblemError(f"prefix {list(prefix)!r} is not a partial permutation")
+    head = _fronts(rows, [0] * instance.machines, prefix)[-1]
+    totals = instance.job_totals().tolist()
+    order = sorted(
+        (job for job in range(instance.jobs) if job not in fixed),
+        key=lambda job: (-totals[job], job),
+    )
+    sequence: List[int] = []
+    value = head[-1]
+    for job in order:
+        pos, value = _best_insertion(rows, head, sequence, job)
         sequence.insert(pos, job)
-    return sequence, value
+    return list(prefix) + sequence, value

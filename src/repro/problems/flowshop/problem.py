@@ -12,12 +12,15 @@ branching and for the bounds without touching the prefix again.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.active_list import ActiveNode
+from repro.core.interval import Interval
 from repro.core.problem import Problem
 from repro.core.tree import TreeShape
+from repro.core.unfold import unfold
 from repro.exceptions import ProblemError
 from repro.problems.flowshop.bounds import BoundData
 from repro.problems.flowshop.instance import FlowShopInstance
@@ -206,10 +209,38 @@ class FlowShopProblem(Problem):
     def leaf_solution(self, state: FlowShopState) -> Tuple[int, ...]:
         return state.scheduled
 
-    def warm_start(self) -> Tuple[int, Tuple[int, ...]]:
-        """NEH's ``(makespan, sequence)``: deterministic, no time box."""
-        sequence, cost = neh(self.instance)
-        return cost, tuple(sequence)
+    def warm_start(
+        self, interval: Optional[Interval] = None
+    ) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """NEH completed inside ``interval`` (default: the whole tree).
+
+        The interval unfolds into its active nodes; the first and the
+        last node of each depth (at most ``2 P``, the nodes along the
+        interval's two boundaries) have their rank paths read as fixed
+        job prefixes, which :func:`neh` completes.  The best completion
+        wins, ties going to the leftmost node.  A completion is a leaf
+        below its node, so it lies inside ``interval``; an empty
+        interval gives ``None``.  The whole tree unfolds to the root,
+        whose completion is classic NEH.  Deterministic, no time box.
+        """
+        shape = self._shape
+        if interval is None:
+            interval = Interval(0, shape.total_leaves)
+        ends: Dict[int, Tuple[ActiveNode, ActiveNode]] = {}
+        for node in unfold(shape, interval):  # left to right
+            first, _ = ends.get(node.depth, (node, node))
+            ends[node.depth] = (first, node)
+        best: Optional[Tuple[int, Tuple[int, ...]]] = None
+        for node in sorted(
+            {node for pair in ends.values() for node in pair},
+            key=lambda node: node.number,
+        ):
+            remaining = list(range(self.instance.jobs))
+            prefix = [remaining.pop(rank) for rank in node.ranks]
+            sequence, cost = neh(self.instance, prefix)
+            if best is None or cost < best[0]:
+                best = (cost, tuple(sequence))
+        return best
 
     def name(self) -> str:
         return f"FlowShop({self.instance.name}, bound={self.bound})"

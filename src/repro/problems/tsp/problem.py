@@ -16,10 +16,11 @@ decomposition time all children are bounded by one batched call
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.interval import Interval
 from repro.core.problem import Problem
 from repro.core.tree import TreeShape
 from repro.problems.tsp.bounds import (
@@ -87,8 +88,18 @@ class TSPProblem(Problem):
     def leaf_solution(self, state: _TourState) -> Tuple[int, ...]:
         return state.path
 
-    def warm_start(self) -> Tuple[int, Tuple[int, ...]]:
-        """The nearest-neighbour tour, as :meth:`leaf_solution` spells it."""
+    def warm_start(
+        self, interval: Optional[Interval] = None
+    ) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """The nearest-neighbour tour, as :meth:`leaf_solution` spells it.
+
+        Whole-tree runs only: the tour's leaf may lie anywhere, so a
+        proper slice starts cold (``None``).
+        """
+        if interval is not None and not interval.contains_interval(
+            Interval(0, self.total_leaves())
+        ):
+            return None
         tour, length = nearest_neighbour_tour(self.instance)
         return length, tuple(tour)
 

@@ -112,7 +112,7 @@ def _paused(make, interval, pause, **options):
     def record(cost, sol):
         improvements.append((cost, sol))
 
-    # Seeded as solve() seeds the oracle: the warm start, whole tree only.
+    # Seeded as solve() seeds the oracle: the warm start inside the slice.
     problem = make()
     explorer = IntervalExplorer(
         problem,
@@ -271,7 +271,12 @@ def test_families_with_no_survivor_are_counted_but_never_branched():
     oracle = solve(FlowShopProblem(instance), interval=interval, batched_bounds=False)
     for pool_size in (1, 64):
         problem = _CountingBranches(instance)
-        explorer = IntervalExplorer(problem, interval, pool_size=pool_size)
+        explorer = IntervalExplorer(
+            problem,
+            interval,
+            incumbent=seed_incumbent(problem, Incumbent(), interval),
+            pool_size=pool_size,
+        )
         unfolded = problem.branched
         result = explorer.run()
         assert _ledger_reconciles(result)

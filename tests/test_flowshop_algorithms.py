@@ -1,5 +1,6 @@
 """Tests for makespan evaluation, Johnson's algorithm, bounds and NEH."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -210,6 +211,42 @@ class TestNEH:
         seq, value = neh(inst)
         assert seq == [0]
         assert value == 15
+
+    def test_the_empty_prefix_is_the_pinned_classic_neh(self):
+        # Classic NEH's sequences and makespans over a 75-instance
+        # sweep, pinned as a digest when NEH moved from numpy scalars
+        # to Python ints: the empty prefix must not change them.
+        sweep = [
+            neh(random_instance(jobs, machines, seed=seed), prefix=())
+            for jobs in (2, 5, 9, 14, 20)
+            for machines in (1, 3, 5, 10, 20)
+            for seed in range(3)
+        ]
+        assert hashlib.sha256(repr(sweep).encode()).hexdigest() == (
+            "b2e78ed1c3134d5bdf87abbf15d948b13fc785861797fdc042ae244bec729d5b"
+        )
+        assert neh(random_instance(9, 5, seed=3)) == ([2, 4, 5, 8, 3, 7, 6, 1, 0], 670)
+        assert neh(random_instance(12, 5, seed=7)) == (
+            [10, 3, 4, 8, 5, 7, 6, 0, 2, 11, 9, 1], 916
+        )
+
+    @pytest.mark.parametrize("prefix", [(3,), (6, 0, 2), (5, 4, 3, 2, 1, 0, 6)])
+    def test_a_prefix_is_kept_verbatim(self, prefix):
+        inst = random_instance(7, 4, seed=11)
+        seq, value = neh(inst, prefix=prefix)
+        assert tuple(seq[: len(prefix)]) == prefix
+        assert sorted(seq) == list(range(7))
+        assert value == makespan(inst, seq)
+        # No completion below the prefix beats the best one.
+        rest = [job for job in range(7) if job not in prefix]
+        assert value >= min(
+            makespan(inst, prefix + tail) for tail in itertools.permutations(rest)
+        )
+
+    @pytest.mark.parametrize("prefix", [(1, 1), (7,), (-1,)])
+    def test_a_prefix_that_is_not_a_partial_permutation_is_refused(self, prefix):
+        with pytest.raises(ProblemError):
+            neh(random_instance(7, 4, seed=11), prefix=prefix)
 
     def test_insertion_scan_matches_naive(self):
         from repro.problems.flowshop import insertion_best_position

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import solve
+from repro.core import Interval, solve
+from repro.core.engine import iter_leaf_costs
 from repro.exceptions import ProblemError
 from repro.problems.tsp import (
     TSPInstance,
@@ -18,7 +19,7 @@ from repro.problems.tsp import (
 class _ColdTSP(TSPProblem):
     """A TSP that starts every solve cold."""
 
-    def warm_start(self):
+    def warm_start(self, interval=None):
         return None
 
 
@@ -107,6 +108,18 @@ class TestProblem:
         assert result.cost == length == brute_force_tour(inst)  # premise
         assert result.stats.improvements == 0
         assert inst.tour_length(list(result.solution)) == result.cost
+
+    def test_a_slice_proves_its_own_optimum(self):
+        inst = random_tsp(7, seed=2)
+        problem = TSPProblem(inst)
+        piece = Interval(100, 300)
+        best = min(c for n, c in iter_leaf_costs(problem) if n in piece)
+        _, length = nearest_neighbour_tour(inst)
+        assert length < best  # premise: the tour lies outside the slice
+        assert problem.warm_start(piece) is None
+        result = solve(TSPProblem(inst), interval=piece)
+        assert result.optimal and result.cost == best
+        assert inst.tour_length(list(result.solution)) == best
 
     def test_nearest_neighbour_at_least_optimum(self):
         inst = random_tsp(7, seed=12)

@@ -8,9 +8,9 @@ instances and random (valid and adversarially tight) warm starts, for
 ``solve()``, the :class:`ResumableSolver`, and the multi-tenant
 service path that seeds per-job coordinators.
 
-A flow shop starts from NEH.  :func:`seed_incumbent` applies a warm
-start to whole-tree runs only: a slice's result is the optimum over
-that slice, which a heuristic schedule from elsewhere may beat.
+A flow shop starts from NEH completed inside the run's interval, so a
+slice starts warm too; its result is still the optimum over that
+slice, because the warm start's leaf lies inside it.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.core import (
     solve,
 )
 from repro.core.engine import iter_leaf_costs
+from repro.core.numbering import node_number
 from repro.grid.net.serve import run_worker
 from repro.grid.runtime import (
     CoordinatorCrash,
@@ -47,6 +48,16 @@ from repro.problems.flowshop import (
 )
 
 
+def leaf_number(problem: FlowShopProblem, permutation) -> int:
+    """The leaf number of ``permutation`` in the permutation tree."""
+    remaining = list(range(problem.instance.jobs))
+    ranks = []
+    for job in permutation:
+        ranks.append(remaining.index(job))
+        remaining.remove(job)
+    return node_number(problem.tree_shape(), ranks)
+
+
 class WarmStartedFlowShop(FlowShopProblem):
     """A flow shop whose warm start is a fixed feasible permutation."""
 
@@ -54,7 +65,9 @@ class WarmStartedFlowShop(FlowShopProblem):
         super().__init__(instance)
         self._permutation = tuple(permutation)
 
-    def warm_start(self) -> Optional[Tuple[float, Any]]:
+    def warm_start(self, interval=None) -> Optional[Tuple[float, Any]]:
+        if interval is not None and leaf_number(self, self._permutation) not in interval:
+            return None
         return (
             makespan(self.instance, self._permutation),
             self._permutation,
@@ -64,7 +77,7 @@ class WarmStartedFlowShop(FlowShopProblem):
 class ColdFlowShop(FlowShopProblem):
     """A flow shop that starts every solve cold: the baseline."""
 
-    def warm_start(self) -> None:
+    def warm_start(self, interval=None) -> None:
         return None
 
 
@@ -153,7 +166,7 @@ def test_resumable_solver_keeps_a_better_checkpointed_bound(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Whole-tree runs only
+# Slices: a warm start from inside the slice
 
 
 SLICE_INSTANCE = random_instance(6, 3, seed=2)
@@ -172,13 +185,38 @@ def _slice_optimum():
     return best
 
 
-def test_seed_incumbent_seeds_a_whole_tree_only():
+@st.composite
+def instance_and_slice(draw):
+    instance = random_instance(
+        draw(st.integers(4, 7)), draw(st.integers(2, 4)), draw(st.integers(0, 10_000))
+    )
+    leaves = FlowShopProblem(instance).total_leaves()
+    begin = draw(st.integers(0, leaves - 1))
+    return instance, Interval(begin, draw(st.integers(begin + 1, leaves)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance_and_slice())
+def test_a_slice_warm_start_lies_inside_it_and_keeps_its_optimum(case):
+    instance, piece = case
+    problem = FlowShopProblem(instance)
+    cost, solution = problem.warm_start(piece)
+    assert leaf_number(problem, solution) in piece
+    assert cost == makespan(instance, solution)
+    assert seed_incumbent(problem, Incumbent(), piece).cost == cost
+    best = min(c for n, c in iter_leaf_costs(problem) if n in piece)
+    result = solve(FlowShopProblem(instance), interval=piece)
+    assert result.optimal and result.cost == best
+    assert makespan(instance, tuple(result.solution)) == best
+
+
+def test_the_whole_tree_warm_start_is_neh_and_a_held_incumbent_survives():
     problem = FlowShopProblem(SLICE_INSTANCE)
     neh_cost, _ = problem.warm_start()
     whole = Interval(0, problem.total_leaves())
     for interval in (None, whole):
         assert seed_incumbent(problem, Incumbent(), interval).cost == neh_cost
-    assert seed_incumbent(problem, Incumbent(), SLICE).cost == float("inf")
+    assert problem.warm_start(Interval(5, 5)) is None
     # Monotonic: a better incumbent already held survives.
     assert seed_incumbent(problem, Incumbent(1.0, "held")).solution == "held"
 
@@ -241,14 +279,16 @@ def test_a_served_slice_returns_its_own_optimum(tmp_path):
             checkpoint_dir=tmp_path / name, **overrides,
         )
 
+    warm_cost, _ = FlowShopProblem(SLICE_INSTANCE).warm_start(SLICE)
     fresh = SolveService(config("fresh"))
     job = fresh.admit(wire, root=SLICE.as_tuple()).job
-    assert fresh._coordinators[job].solution.cost == float("inf")
+    assert fresh._coordinators[job].solution.cost == warm_cost
     doc = _serve_with_one_worker(fresh).jobs[job]
     assert doc["status"] == "done" and doc["cost"] == best
 
     # Abort before any worker came, then --resume: the slice is read
-    # back from the job's meta.json, and the resumed job starts cold too.
+    # back from the job's meta.json, and the resumed job starts from the
+    # slice's own warm start too.
     crashed = SolveService(config("crash"))
     job = crashed.admit(wire, root=SLICE.as_tuple()).job
     crashed.abort()
@@ -256,6 +296,6 @@ def test_a_served_slice_returns_its_own_optimum(tmp_path):
     resumed = SolveService(config("crash", resume=True))
     coordinator = resumed._coordinators[job]
     assert coordinator.intervals.to_payload() == [SLICE.as_tuple()]
-    assert coordinator.solution.cost == float("inf")
+    assert coordinator.solution.cost == warm_cost
     doc = _serve_with_one_worker(resumed).jobs[job]
     assert doc["status"] == "done" and doc["cost"] == best
