@@ -60,7 +60,7 @@ def main() -> None:
         )
         _, sub_ub = neh(sub)
         t0 = time.perf_counter()
-        result = solve(FlowShopProblem(sub))  # starts from NEH by itself
+        result = solve(FlowShopProblem(sub))  # starts from its warm start
         dt = time.perf_counter() - t0
         print(f"{k:>3} {result.cost:>8} {sub_ub:>6} "
               f"{result.stats.nodes_explored:>10} {dt:>8.2f}")

@@ -76,9 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p.add_argument("--bound", choices=["lb1", "lb2", "combined"],
                          default="combined")
     solve_p.add_argument("--ig-iterations", type=int, default=0,
-                         help="refine the NEH warm start with Iterated "
-                              "Greedy (the paper's reference [9]) for N "
-                              "iterations")
+                         help="also seed with a classic Iterated Greedy "
+                              "run (the paper's reference [9]) of N "
+                              "iterations, beyond the warm start's own "
+                              "20-cycle polish")
     solve_p.add_argument("--checkpoint-dir", default=None,
                          help="periodic fold-and-persist checkpoints; "
                               "re-running with the same dir resumes")
@@ -329,9 +330,10 @@ def _cmd_solve(args) -> int:
         instance = random_instance(args.jobs, args.machines, args.seed)
     print(f"instance: {instance.name} ({instance.jobs}x{instance.machines})")
 
-    # Every solve starts from NEH completed inside its interval
-    # (FlowShopProblem.warm_start); Iterated Greedy, which starts from
-    # whole-tree NEH, is an explicit extra.
+    # Every solve starts from NEH completed inside its interval and
+    # polished by a fixed 20-cycle Iterated Greedy below the same node
+    # (FlowShopProblem.warm_start); a longer classic Iterated Greedy
+    # run from whole-tree NEH is an explicit extra.
     ub, warm = math.inf, None
     if args.ig_iterations > 0:
         from repro.problems.flowshop import iterated_greedy

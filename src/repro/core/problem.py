@@ -128,14 +128,17 @@ class Problem(ABC):
         ``solve_parallel`` — consults it through :func:`seed_incumbent`.
         ``cost`` must be the exact cost of a *feasible* ``solution``
         (the incumbent's solution may be reported as the optimum if
-        nothing beats it), so a roll-out or greedy heuristic qualifies;
-        a mere estimate does not.  Because B&B only prunes subtrees
-        whose bound reaches the incumbent and bounds are admissible, a
-        valid warm start can never change the proved optimum — only how
-        fast it is reached (property-tested in
-        ``tests/test_warm_start.py``).  It must return the same pair on
-        every call, without a time box: node counts must not depend on
-        the host.
+        nothing beats it), so a roll-out, greedy or local-search
+        heuristic qualifies (a flow shop runs NEH then Iterated Greedy
+        below the interval's boundary nodes); a mere estimate does not.
+        Because B&B only prunes subtrees whose bound reaches the
+        incumbent and bounds are admissible, a valid warm start can
+        never change the proved optimum — only how fast it is reached
+        (property-tested in ``tests/test_warm_start.py``).  It must
+        return the same pair on every call, under a fixed budget and
+        without a time box: node counts must not depend on the host.
+        It runs in the service's pump when a job starts, so that budget
+        is the pump's too.
 
         Default: ``None`` (no heuristic — exploration starts cold).
         """

@@ -14,7 +14,7 @@ incumbent is available.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.exceptions import ProblemError
 from repro.problems.flowshop.instance import FlowShopInstance
@@ -38,6 +38,14 @@ def _fronts(
         front = nxt
         fronts.append(front)
     return fronts
+
+
+def _check_prefix(instance: FlowShopInstance, prefix: Sequence[int]) -> Set[int]:
+    """The jobs of ``prefix``; refuses one that is not a partial permutation."""
+    fixed = set(prefix)
+    if len(fixed) != len(prefix) or not fixed <= set(range(instance.jobs)):
+        raise ProblemError(f"prefix {list(prefix)!r} is not a partial permutation")
+    return fixed
 
 
 def _best_insertion(
@@ -117,9 +125,7 @@ def neh(
     node of the permutation tree, completed to one of its leaves.
     """
     rows = instance.processing_times.tolist()
-    fixed = set(prefix)
-    if len(fixed) != len(prefix) or not fixed <= set(range(instance.jobs)):
-        raise ProblemError(f"prefix {list(prefix)!r} is not a partial permutation")
+    fixed = _check_prefix(instance, prefix)
     head = _fronts(rows, [0] * instance.machines, prefix)[-1]
     totals = instance.job_totals().tolist()
     order = sorted(

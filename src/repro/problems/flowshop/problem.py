@@ -24,10 +24,20 @@ from repro.core.unfold import unfold
 from repro.exceptions import ProblemError
 from repro.problems.flowshop.bounds import BoundData
 from repro.problems.flowshop.instance import FlowShopInstance
+from repro.problems.flowshop.iterated_greedy import iterated_greedy
 from repro.problems.flowshop.makespan import advance_fronts_batch
 from repro.problems.flowshop.neh import neh
 
 __all__ = ["FlowShopProblem", "FlowShopState"]
+
+# The Iterated Greedy polish every warm start gets: a fixed budget, not
+# an option and not a clock, so an interval's warm start is the same
+# pair on every host.  Candidates are accepted when not worse (no
+# temperature).  Chosen by a sweep over the benchmark catalogue's trees
+# and slices (docs/performance.md, "Polished warm starts").
+POLISH_ITERATIONS = 20
+POLISH_DESTRUCTION = 3
+POLISH_SEED = 0
 
 
 class FlowShopState:
@@ -212,16 +222,19 @@ class FlowShopProblem(Problem):
     def warm_start(
         self, interval: Optional[Interval] = None
     ) -> Optional[Tuple[int, Tuple[int, ...]]]:
-        """NEH completed inside ``interval`` (default: the whole tree).
+        """Iterated Greedy run inside ``interval`` (default: the whole tree).
 
         The interval unfolds into its active nodes; the first and the
         last node of each depth (at most ``2 P``, the nodes along the
         interval's two boundaries) have their rank paths read as fixed
         job prefixes, which :func:`neh` completes.  The best completion
-        wins, ties going to the leftmost node.  A completion is a leaf
-        below its node, so it lies inside ``interval``; an empty
-        interval gives ``None``.  The whole tree unfolds to the root,
-        whose completion is classic NEH.  Deterministic, no time box.
+        (ties going to the leftmost node) is then polished by
+        :func:`iterated_greedy` with the same prefix, under the fixed
+        ``POLISH_*`` budget.  Every schedule is a leaf below its node,
+        so the result lies inside ``interval`` and is never worse than
+        that node's NEH; an empty interval gives ``None``.  The whole
+        tree unfolds to the root, whose completion is classic NEH.
+        Deterministic, no time box.
         """
         shape = self._shape
         if interval is None:
@@ -230,7 +243,7 @@ class FlowShopProblem(Problem):
         for node in unfold(shape, interval):  # left to right
             first, _ = ends.get(node.depth, (node, node))
             ends[node.depth] = (first, node)
-        best: Optional[Tuple[int, Tuple[int, ...]]] = None
+        best: Optional[Tuple[int, List[int], List[int]]] = None
         for node in sorted(
             {node for pair in ends.values() for node in pair},
             key=lambda node: node.number,
@@ -239,8 +252,23 @@ class FlowShopProblem(Problem):
             prefix = [remaining.pop(rank) for rank in node.ranks]
             sequence, cost = neh(self.instance, prefix)
             if best is None or cost < best[0]:
-                best = (cost, tuple(sequence))
-        return best
+                best = (cost, sequence, prefix)
+        if best is None:
+            return None
+        cost, sequence, prefix = best
+        free = self.instance.jobs - len(prefix)
+        if free > 1:
+            polished = iterated_greedy(
+                self.instance,
+                iterations=POLISH_ITERATIONS,
+                destruction=min(POLISH_DESTRUCTION, free),
+                temperature_factor=0.0,
+                seed=POLISH_SEED,
+                initial=sequence,
+                prefix=prefix,
+            )
+            cost, sequence = polished.cost, polished.sequence
+        return cost, tuple(sequence)
 
     def name(self) -> str:
         return f"FlowShop({self.instance.name}, bound={self.bound})"

@@ -49,8 +49,9 @@ CHAOS_WORKERS = 3
 
 @pytest.fixture(scope="module")
 def fs_instance():
-    # NEH is not optimal here: ~300 nodes and 3 Pushes from its bound.
-    return random_instance(7, 4, seed=92)
+    # The warm start is not optimal here: ~320 nodes and 2 Pushes from
+    # its bound.
+    return random_instance(7, 4, seed=423)
 
 
 @pytest.fixture(scope="module")

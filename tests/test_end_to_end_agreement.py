@@ -26,7 +26,7 @@ from repro.problems.flowshop import FlowShopProblem, makespan, random_instance
 
 @pytest.fixture(scope="module")
 def instance():
-    return random_instance(8, 4, seed=2027)  # 299 nodes from NEH's bound
+    return random_instance(8, 4, seed=2027)  # 77 nodes from its warm start's bound
 
 
 @pytest.fixture(scope="module")

@@ -191,7 +191,7 @@ def test_batched_children_without_pool_match_oracle(kind, batched):
 
 
 def test_resumable_solver_round_trip(tmp_path):
-    instance = random_instance(7, 3, seed=34)  # 271 nodes from NEH's bound
+    instance = random_instance(7, 3, seed=34)  # 271 nodes from its warm start's bound
     oracle = solve(FlowShopProblem(instance), batched_bounds=False)
     solver = ResumableSolver(
         FlowShopProblem(instance), tmp_path, checkpoint_nodes=50

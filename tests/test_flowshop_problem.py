@@ -49,7 +49,8 @@ class TestExactness:
             FlowShopProblem(inst), initial_upper_bound=ub, initial_solution=tuple(seq)
         )
         assert warm.cost == cold.incumbent.cost
-        # solve() starts from NEH by itself, and prunes more for it.
+        # solve() starts from its own warm start (never worse than NEH),
+        # so an explicit NEH seed changes nothing; it prunes more for it.
         assert vars(warm.stats) == vars(explicit.stats)
         assert warm.stats.nodes_explored < cold.stats.nodes_explored
 

@@ -76,6 +76,51 @@ class TestQuality:
         assert result.cost >= known_optimum(20, 5, 1)
 
 
+class TestPrefix:
+    @pytest.mark.parametrize("prefix", [(), (4,), (2, 7), (9, 0, 5, 3)])
+    def test_the_prefix_is_kept_verbatim(self, prefix):
+        inst = random_instance(10, 4, seed=21)
+        result = iterated_greedy(inst, iterations=30, destruction=3, seed=2, prefix=prefix)
+        assert tuple(result.sequence[: len(prefix)]) == prefix
+        assert sorted(result.sequence) == list(range(10))
+        assert makespan(inst, result.sequence) == result.cost
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_never_worse_than_neh_after_the_same_prefix(self, seed):
+        inst = random_instance(11, 5, seed=seed)
+        prefix = [(seed + 3 * k) % 11 for k in range(seed % 4)]
+        _, neh_cost = neh(inst, prefix)
+        result = iterated_greedy(
+            inst, iterations=20, destruction=3, temperature_factor=0.0,
+            seed=seed, prefix=prefix,
+        )
+        assert result.initial_cost == neh_cost
+        assert result.cost <= neh_cost
+
+    @pytest.mark.parametrize("prefix", [(1, 1), (8,), (-1,)])
+    def test_an_invalid_prefix_is_refused_as_neh_refuses_it(self, prefix):
+        inst = random_instance(8, 3, seed=4)
+        with pytest.raises(ProblemError):
+            neh(inst, prefix)
+        with pytest.raises(ProblemError):
+            iterated_greedy(inst, iterations=5, destruction=1, prefix=prefix)
+
+    def test_a_destruction_beyond_the_free_jobs_is_refused(self):
+        inst = random_instance(8, 3, seed=4)
+        prefix = (5, 1, 0, 7, 2, 6)  # two jobs left free
+        with pytest.raises(ProblemError):
+            iterated_greedy(inst, iterations=5, destruction=3, prefix=prefix)
+        result = iterated_greedy(inst, iterations=5, destruction=2, prefix=prefix)
+        assert tuple(result.sequence[:6]) == prefix
+
+    def test_an_initial_that_does_not_start_with_the_prefix_is_refused(self):
+        inst = random_instance(8, 3, seed=4)
+        with pytest.raises(ProblemError):
+            iterated_greedy(
+                inst, iterations=5, destruction=2, initial=list(range(8)), prefix=(3,)
+            )
+
+
 class TestValidation:
     def test_invalid_destruction_size(self):
         inst = random_instance(5, 3, seed=1)

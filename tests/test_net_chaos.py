@@ -25,7 +25,9 @@ from repro.grid.runtime import FaultPlan, RuntimeConfig, flowshop_spec, solve_pa
 from repro.grid.runtime.protocol import Ack, Request
 from repro.problems.flowshop import FlowShopProblem, random_instance
 
-fs_instance = random_instance(8, 4, seed=51)
+# The warm start is not optimal here: 525 nodes and 3 Pushes from its
+# bound, so a lost Push would surface as a wrong cost.
+fs_instance = random_instance(8, 4, seed=153)
 serial = solve(FlowShopProblem(fs_instance))
 
 TRANSPORTS = ("inprocess", "tcp")
@@ -57,6 +59,7 @@ class TestChaosBothTransports:
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_chaos_schedule_still_proves_optimum(self, seed, transport):
+        assert serial.stats.improvements > 0  # premise: Pushes to lose
         plan = FaultPlan.chaos(seed, workers=3)
         result = solve_parallel(
             flowshop_spec(fs_instance), chaos_config(plan, transport)

@@ -72,12 +72,16 @@ from repro.problems.flowshop import (
     random_instance,
 )
 
-# Neither NEH schedule is optimal: from NEH's bound a worker still
-# explores 205 and 167 nodes and Pushes an improvement.
+# Both warm starts are optimal: from their bound a worker still
+# explores 197 and 161 nodes to prove it, and Pushes nothing.
 instance_a = random_instance(7, 3, seed=78)
 instance_b = random_instance(6, 4, seed=72)
 serial_a = solve(FlowShopProblem(instance_a))
 serial_b = solve(FlowShopProblem(instance_b))
+# A job whose warm start a worker beats, once, at its 18th node of 238:
+# for the tests that script a Push.
+instance_beaten = random_instance(7, 3, seed=88)
+serial_beaten = solve(FlowShopProblem(instance_beaten))
 
 
 # ----------------------------------------------------------------------
@@ -378,6 +382,14 @@ def wire_a():
     return spec_to_wire(flowshop_spec(instance_a))
 
 
+def wire_beaten():
+    """``instance_beaten``'s spec, once the premise holds: its warm start is beaten."""
+    warm_cost, _ = FlowShopProblem(instance_beaten).warm_start()
+    assert serial_beaten.cost < warm_cost
+    assert serial_beaten.stats.improvements == 1
+    return spec_to_wire(flowshop_spec(instance_beaten))
+
+
 def test_parked_request_is_granted_in_the_iteration_that_promotes_the_job():
     sent, report = play(
         [
@@ -675,7 +687,7 @@ def test_single_slice_job_is_granted_once_and_explored_once(policy):
     service = SolveService(fifo_or_fair(policy))
     sent, report = play(
         [
-            SubmitJob("c0", wire_a(), owner="alice", seq=1),
+            SubmitJob("c0", wire_beaten(), owner="alice", seq=1),
             w0.request,
             w1.request,  # parked: w0 has shown no sign of outlasting a slice
             None,
@@ -693,8 +705,8 @@ def test_single_slice_job_is_granted_once_and_explored_once(policy):
         ("w0", Reconciled),
     ]
     (summary,) = report.jobs.values()
-    assert summary["status"] == DONE and summary["cost"] == serial_a.cost
-    assert summary["nodes"] == serial_a.stats.nodes_explored
+    assert summary["status"] == DONE and summary["cost"] == serial_beaten.cost
+    assert summary["nodes"] == serial_beaten.stats.nodes_explored
     assert summary["work_allocations"] == 1
     assert report.work_allocations == 1 and report.grants_per_job == 1.0
 
@@ -725,11 +737,11 @@ def test_second_worker_arrives_with_the_holders_first_unfinished_update(policy):
     w0, w1 = ScriptedWorker("w0"), ScriptedWorker("w1")
     sent, report = play(
         [
-            SubmitJob("c0", wire_a(), owner="alice", seq=1),
+            SubmitJob("c0", wire_beaten(), owner="alice", seq=1),
             w0.request,
             w1.request,
             None,  # a tick changes nothing: still parked
-            w0.explore(max_nodes=40),  # improves on NEH at node 33
+            w0.explore(max_nodes=40),  # beats the warm start at node 18
             w0.update,  # leaves work: the job outlasts a slice
         ],
         connected={"w0", "w1", "c0"},
@@ -853,11 +865,11 @@ def test_a_small_job_costs_four_fsyncs_and_leaves_one_file(
     tmp_path, monkeypatch, slices
 ):
     kinds, fsyncs = play_one_job_counting_fsyncs(
-        tmp_path, monkeypatch, wire_a(), slices
+        tmp_path, monkeypatch, wire_beaten(), slices
     )
-    # Both of instance_a's improvements on NEH come in its first 40
-    # nodes: one Push, four fsyncs for a job that fits one slice, one
-    # more per extra slice.
+    # instance_beaten's one improvement on its warm start comes in its
+    # first 40 nodes: one Push, four fsyncs for a job that fits one
+    # slice, one more per extra slice.
     assert kinds.count(Ack) == 1
     assert fsyncs == 4 + (slices - 1)
 

@@ -8,16 +8,19 @@ instances and random (valid and adversarially tight) warm starts, for
 ``solve()``, the :class:`ResumableSolver`, and the multi-tenant
 service path that seeds per-job coordinators.
 
-A flow shop starts from NEH completed inside the run's interval, so a
-slice starts warm too; its result is still the optimum over that
-slice, because the warm start's leaf lies inside it.
+A flow shop starts from NEH completed inside the run's interval and
+polished by Iterated Greedy below the same node, so a slice starts
+warm too; its result is still the optimum over that slice, because the
+warm start's leaf lies inside it.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Optional, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +33,7 @@ from repro.core import (
 )
 from repro.core.engine import iter_leaf_costs
 from repro.core.numbering import node_number
+from repro.core.unfold import unfold
 from repro.grid.net.serve import run_worker
 from repro.grid.runtime import (
     CoordinatorCrash,
@@ -90,13 +94,18 @@ def instance_and_permutation(draw):
     return random_instance(jobs, machines, seed), tuple(permutation)
 
 
-def test_flowshop_warm_start_is_neh_the_same_pair_every_call():
-    instance = random_instance(8, 4, seed=1)
+def test_flowshop_warm_start_never_worse_than_neh_same_pair_every_call(monkeypatch):
+    instance = random_instance(12, 5, seed=0)
+    _, neh_cost = neh(instance)
     problem = FlowShopProblem(instance)
-    sequence, cost = neh(instance)
-    assert problem.warm_start() == (cost, tuple(sequence))
-    assert problem.warm_start() == problem.warm_start()
-    assert makespan(instance, tuple(sequence)) == cost
+    cost, solution = problem.warm_start()
+    assert cost < neh_cost  # the polish is on: NEH is beaten here
+    assert makespan(instance, solution) == cost
+    # No clock: the same pair on every call, from any instance object.
+    for clock in ("time", "monotonic", "perf_counter", "process_time"):
+        monkeypatch.setattr(time, clock, lambda: pytest.fail("warm_start read a clock"))
+    assert problem.warm_start() == (cost, solution)
+    assert FlowShopProblem(instance).warm_start() == (cost, solution)
 
 
 @settings(max_examples=25, deadline=None)
@@ -210,12 +219,49 @@ def test_a_slice_warm_start_lies_inside_it_and_keeps_its_optimum(case):
     assert makespan(instance, tuple(result.solution)) == best
 
 
-def test_the_whole_tree_warm_start_is_neh_and_a_held_incumbent_survives():
+def boundary_neh(problem: FlowShopProblem, interval: Interval) -> int:
+    """The best NEH completion of the first and last active node per depth."""
+    ends = {}
+    for node in unfold(problem.tree_shape(), interval):
+        ends.setdefault(node.depth, []).append(node)
+    costs = []
+    for nodes in ends.values():
+        for node in (nodes[0], nodes[-1]):
+            remaining = list(range(problem.instance.jobs))
+            prefix = [remaining.pop(rank) for rank in node.ranks]
+            costs.append(neh(problem.instance, prefix)[1])
+    return min(costs)
+
+
+@st.composite
+def larger_instance_and_slice(draw):
+    instance = random_instance(
+        draw(st.integers(6, 10)), draw(st.integers(2, 6)), draw(st.integers(0, 10_000))
+    )
+    leaves = FlowShopProblem(instance).total_leaves()
+    begin = draw(st.integers(0, leaves - 1))
+    return instance, Interval(begin, draw(st.integers(begin + 1, leaves)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(larger_instance_and_slice())
+def test_a_polished_slice_warm_start_is_never_worse_than_its_best_neh(case):
+    instance, piece = case
+    problem = FlowShopProblem(instance)
+    cost, solution = problem.warm_start(piece)
+    assert cost <= boundary_neh(problem, piece)
+    assert leaf_number(problem, solution) in piece
+    assert cost == makespan(instance, solution)
+
+
+def test_whole_tree_warm_start_never_worse_than_neh_held_incumbent_survives():
     problem = FlowShopProblem(SLICE_INSTANCE)
-    neh_cost, _ = problem.warm_start()
+    warm_cost, _ = problem.warm_start()
+    assert warm_cost <= neh(SLICE_INSTANCE)[1]
     whole = Interval(0, problem.total_leaves())
+    assert problem.warm_start(whole) == problem.warm_start()
     for interval in (None, whole):
-        assert seed_incumbent(problem, Incumbent(), interval).cost == neh_cost
+        assert seed_incumbent(problem, Incumbent(), interval).cost == warm_cost
     assert problem.warm_start(Interval(5, 5)) is None
     # Monotonic: a better incumbent already held survives.
     assert seed_incumbent(problem, Incumbent(1.0, "held")).solution == "held"
