@@ -111,8 +111,7 @@ class Peer:
         self.peers: List["Peer"] = []  # filled by the orchestrator
 
         self.unit: Optional[WorkUnit] = None
-        self.best_cost = workload.initial_best().cost
-        self.best_solution = workload.initial_best().solution
+        self.best_cost, self.best_solution = workload.warm_start() or (float("inf"), None)
         self.exploring = False
         self.terminated = False
 

@@ -1,10 +1,10 @@
 """The real coordinator: INTERVALS + SOLUTION behind a message loop.
 
-Pure protocol logic — no process or queue handling here, and no clock
-of its own: the solve service (behind ``solve_parallel`` and every
-``repro grid`` front door) and the grid simulator
-(``simulator/farmer.py``, under its virtual clock) all drive this one
-class by feeding it messages.  The state is an
+Pure protocol logic — no process or queue handling here, and no clock:
+the time arrives with each call.  The solve service core
+(:class:`~repro.grid.service.core.ServiceCore`) runs one per job, under
+the TCP pump and the grid simulator alike, and answers retries itself:
+every message reaching ``handle`` is new.  The state is an
 :class:`~repro.core.interval_set.IntervalSet`, an
 :class:`~repro.core.stats.Incumbent` and, when given, the two-file
 :class:`~repro.core.checkpoint.CheckpointStore`.
@@ -12,8 +12,7 @@ class by feeding it messages.  The state is an
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.checkpoint import CheckpointStore
 from repro.core.interval import Interval
@@ -46,7 +45,7 @@ class Coordinator:
     store:
         Optional checkpoint store; when given, :meth:`maybe_checkpoint`
         persists INTERVALS and SOLUTION every ``checkpoint_period``
-        wall seconds, and :meth:`recover` restores them.
+        seconds, and :meth:`recover` restores them.
     lease_seconds:
         When set, a worker that owns an interval but has not been
         heard from for this long is presumed dead: :meth:`check_leases`
@@ -54,9 +53,9 @@ class Coordinator:
         merely slow reconciles later through the carve path — the
         interval-set invariant makes a wrongly-expired lease cost
         redundancy, never lost work.
-    clock:
-        Where "now" comes from — leases and the checkpoint period read
-        nothing else.  The simulator passes its virtual clock.
+
+    Every ``now`` is the driver's clock in seconds: the pump's monotonic
+    one, or the simulator's virtual one.
     """
 
     def __init__(
@@ -68,9 +67,7 @@ class Coordinator:
         initial_best: Optional[Incumbent] = None,
         lease_seconds: Optional[float] = None,
         journal: bool = True,
-        clock: Callable[[], float] = time.monotonic,
     ):
-        self._clock = clock
         self.root = root_interval
         self.intervals = IntervalSet.initial(root_interval, duplication_threshold)
         self.solution = (initial_best or Incumbent()).copy()
@@ -78,16 +75,11 @@ class Coordinator:
         self.checkpoint_period = checkpoint_period
         self.lease_seconds = lease_seconds
         self.journal_enabled = journal
-        self._last_checkpoint = clock()
+        self._last_checkpoint: Optional[float] = None  # the period starts at the first call
         self._powers: Dict[str, float] = {}
         # End of each worker's last grant: how far its word is taken
         # for what it explored past its own copy (see _on_update).
         self._granted_end: Dict[str, int] = {}
-        # At-least-once RPC state: per-worker highest seq seen and the
-        # reply it produced, so retries and channel duplicates are
-        # answered idempotently instead of re-applied.
-        self._last_seq: Dict[str, int] = {}
-        self._last_reply: Dict[str, Any] = {}
         self._last_heard: Dict[str, float] = {}
         # Holders whose latest Update left work: see can_use_requester().
         self._outlasted_slice: Set[str] = set()
@@ -95,7 +87,6 @@ class Coordinator:
         # else cut, and the worker whose Push last lowered SOLUTION.
         self._cut: List[str] = []
         self._lowered_by: Optional[str] = None
-        self.notices_sent = 0
         self.terminated = False
         # Table 2-style counters
         self.worker_checkpoint_ops = 0
@@ -103,7 +94,6 @@ class Coordinator:
         self.nodes_explored = 0
         self.leaves_consumed = 0
         self.improvements = 0
-        self.duplicates_ignored = 0
         self.leases_expired: List[str] = []
 
     # ------------------------------------------------------------------
@@ -137,45 +127,24 @@ class Coordinator:
         return coord
 
     # ------------------------------------------------------------------
-    def handle(self, message: Any) -> Optional[Any]:
-        """Process one worker message; return the reply.
+    def handle(self, message: Any, now: float = 0.0) -> Any:
+        """Apply one worker message, heard at ``now``; return the reply.
 
-        Sequenced messages (``seq > 0``) are deduplicated: a seq equal
-        to the last one processed for that worker returns the cached
-        reply without touching state (retries, channel duplicates); an
-        older seq returns ``None`` (a reordered stale duplicate — the
-        worker has already moved past it).
+        Every message is applied: a retry or a channel duplicate is
+        answered from the service core's cache before it gets here.
         """
-        worker = getattr(message, "worker", None)
-        if worker is not None:
-            self._last_heard[worker] = self._clock()
-        seq = getattr(message, "seq", 0)
-        if worker is not None and seq > 0:
-            last = self._last_seq.get(worker, 0)
-            if seq == last:
-                self.duplicates_ignored += 1
-                return self._last_reply.get(worker)
-            if seq < last:
-                self.duplicates_ignored += 1
-                return None
-        reply = self._dispatch(message)
-        if worker is not None and seq > 0:
-            self._last_seq[worker] = seq
-            if reply is not None:
-                reply.seq = seq
-            self._last_reply[worker] = reply
-        return reply
-
-    def _dispatch(self, message: Any) -> Optional[Any]:
         if isinstance(message, Update):  # the common one first
-            return self._on_update(message)
-        if isinstance(message, Request):
-            return self._on_request(message)
-        if isinstance(message, Push):
-            return self._on_push(message)
-        raise RuntimeProtocolError(
-            f"coordinator cannot handle {type(message).__name__}"
-        )
+            reply: Any = self._on_update(message)
+        elif isinstance(message, Request):
+            reply = self._on_request(message)
+        elif isinstance(message, Push):
+            reply = self._on_push(message)
+        else:
+            raise RuntimeProtocolError(
+                f"coordinator cannot handle {type(message).__name__}"
+            )
+        self._last_heard[message.worker] = now
+        return reply
 
     def _on_request(self, msg: Request) -> Union[GrantWork, Terminate]:
         self._powers[msg.worker] = msg.power
@@ -288,7 +257,6 @@ class Coordinator:
             )
         self._cut = []
         self._lowered_by = None
-        self.notices_sent += len(notices)
         return notices
 
     def _journaling(self) -> bool:
@@ -298,9 +266,8 @@ class Coordinator:
     def release_worker(self, worker: str) -> None:
         """A worker process died: orphan its interval (§4.1).
 
-        The sequence cache is kept — if the worker is alive after all
-        (an expired lease on a slow worker), its retries must still be
-        deduplicated; only the lease clock restarts.
+        If it is alive after all (an expired lease on a slow worker),
+        its next Update reclaims through the carve path.
         """
         self.intervals.release(worker)
         self._powers.pop(worker, None)
@@ -321,7 +288,7 @@ class Coordinator:
             for rec in self.intervals.iter_records()
         )
 
-    def check_leases(self, now: Optional[float] = None) -> List[str]:
+    def check_leases(self, now: float) -> List[str]:
         """Release every interval owner silent past ``lease_seconds``.
 
         Returns the workers released this call.  A worker first seen
@@ -331,8 +298,6 @@ class Coordinator:
         """
         if self.lease_seconds is None:
             return []
-        if now is None:
-            now = self._clock()
         expired: List[str] = []
         for worker in sorted(self.intervals.owners(), key=str):
             heard = self._last_heard.get(worker)
@@ -344,11 +309,12 @@ class Coordinator:
         self.leases_expired.extend(expired)
         return expired
 
-    def maybe_checkpoint(self, force: bool = False) -> bool:
+    def maybe_checkpoint(self, now: float = 0.0, force: bool = False) -> bool:
         """Persist INTERVALS and SOLUTION when the period elapsed."""
         if self.store is None:
             return False
-        now = self._clock()
+        if self._last_checkpoint is None:
+            self._last_checkpoint = now
         if not force and now - self._last_checkpoint < self.checkpoint_period:
             return False
         self.store.save(self.intervals, self.solution)

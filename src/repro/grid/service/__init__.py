@@ -3,11 +3,12 @@
 The paper's farmer–worker design (§4) dedicates the whole grid to a
 single resolution.  This package is the front door that lifts that
 restriction: a job queue (:mod:`store`), a slice scheduler
-(:mod:`scheduler`), a network server multiplexing per-job coordinators
-over the PR 4 transport (:mod:`server`), and an async client
-(:mod:`client`).  Interval coding (§3, eq. 7–9) makes the sharding
-natural — a job is exactly one INTERVALS/SOLUTION pair, so the service
-is N independent farmers behind one socket and one fleet.
+(:mod:`scheduler`), a sans-IO core multiplexing per-job coordinators
+(:mod:`core`, which the simulator drives too), the TCP pump around it
+(:mod:`server`), and an async client (:mod:`client`).  Interval coding
+(§3, eq. 7–9) makes the sharding natural — a job is exactly one
+INTERVALS/SOLUTION pair, so the service is N independent farmers
+behind one socket and one fleet.
 
 Submodules are imported lazily by the CLI; importing the package does
 not pull the server (and its transport thread machinery) in.

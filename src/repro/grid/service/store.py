@@ -17,7 +17,6 @@ never by id.
 
 from __future__ import annotations
 
-import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,12 +160,14 @@ class JobStore:
         job_id: Optional[str] = None,
         persist: bool = True,
         root: Optional[Tuple[int, int]] = None,
+        submitted_at: float = 0.0,
     ) -> JobRecord:
         """Admit one job (status ``queued``), durably.
 
         With ``persist=False`` the caller owes the :meth:`persist` —
         the service, which may promote the job first and so write its
-        record once instead of twice.
+        record once instead of twice.  ``submitted_at`` is the caller's
+        Unix time (0: unknown); the store reads no clock.
         """
         if job_id is None:
             job_id = uuid.uuid4().hex[:12]
@@ -179,7 +180,7 @@ class JobStore:
             owner=owner,
             priority=priority,
             order=self._order_counter,
-            submitted_at=time.time(),
+            submitted_at=submitted_at,
             root=root,
         )
         self._records[job_id] = record

@@ -1,24 +1,25 @@
-"""The simulated farmer: a virtual-clock driver of the runtime coordinator.
+"""The simulated farmer: a virtual-clock driver of the service core.
 
-The protocol — ``INTERVALS``, ``SOLUTION``, eq. 14, the §4.2 operators —
-is :class:`~repro.grid.runtime.coordinator.Coordinator`, the class every
-production run executes.  What lives here is only what is *simulated*:
+The farmer is :class:`~repro.grid.service.core.ServiceCore`, the one
+every production run executes, holding the workload as its one job
+(the single-job id ``""``, drained when idle, started from the
+workload's warm start); that job's
+:class:`~repro.grid.runtime.coordinator.Coordinator` is the protocol.
+What lives here is only what is *simulated*:
 
 * a single-server FIFO queue: each message takes ``service_time`` of
-  farmer CPU (that is what the 1.7 % coordinator exploitation of
-  Table 2 measures) and is handed to ``Coordinator.handle`` when its
-  service completes;
+  farmer CPU (the 1.7 % coordinator exploitation of Table 2) and is
+  handed to ``ServiceCore.handle`` when its service completes;
 * the two files of §4.1 as in-memory snapshots, taken every
   ``checkpoint_period`` and once more at termination;
 * the outage plan: a crash drops the queue, a recovery builds a fresh
-  coordinator from the snapshots — ownership, powers and leases are
-  lost, as in ``Coordinator.recover``, and workers re-claim their
-  intervals at their next update;
-* ``death_timeout`` as the coordinator's lease, checked at every
-  checkpoint tick.
+  core around the same job id from the snapshots — ownership, powers,
+  leases and the retry cache are lost, as in a service restart;
+* ``death_timeout`` as the job's lease, expired by the core's ``tick``
+  at every checkpoint.
 
-The simulated grid is the paper's firewalled, pull-only one: the
-notices the coordinator would send unasked are taken and dropped.
+The simulated grid is the paper's firewalled, pull-only one: of the
+core's outbox only the reply travels; notices have nobody to reach.
 """
 
 from __future__ import annotations
@@ -26,15 +27,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
-from repro.core.interval import Interval
 from repro.core.interval_set import IntervalSet
 from repro.core.stats import Incumbent
-from repro.grid.runtime.coordinator import Coordinator
+from repro.grid.runtime.protocol import Notice
+from repro.grid.service.core import ServiceConfig, ServiceCore
 from repro.grid.simulator.events import SimClock
 from repro.grid.simulator.failures import FarmerFailurePlan
 from repro.grid.simulator.metrics import MetricsCollector
+from repro.grid.simulator.workload import Workload
 
 __all__ = ["FarmerConfig", "SimFarmer"]
+
+#: The simulated job's id: the protocol's single-job id, so grants
+#: carry no spec and the frames are those of a one-job run.
+JOB = ""
 
 
 @dataclass
@@ -49,23 +55,22 @@ class FarmerConfig:
 
 
 class SimFarmer:
-    """Queue, clock, snapshots and outages around one ``Coordinator``."""
+    """Queue, clock, snapshots and outages around one ``ServiceCore``."""
 
     def __init__(
         self,
         clock: SimClock,
-        root_interval: Interval,
+        workload: Workload,
         metrics: MetricsCollector,
         config: Optional[FarmerConfig] = None,
         failure_plan: Optional[FarmerFailurePlan] = None,
-        initial_best: Optional[Incumbent] = None,
     ) -> None:
         self.clock = clock
+        self.workload = workload
         self.metrics = metrics
         self.config = config or FarmerConfig()
         self.failure_plan = failure_plan or FarmerFailurePlan()
-        self._root = root_interval
-        self.coordinator = self._coordinator(initial_best)
+        self._start(None)
         self.terminated = False
         self.down = False
         self._epoch = 0  # bumped on crash: stale queued work is dropped
@@ -79,14 +84,19 @@ class SimFarmer:
             clock.schedule_at(crash + downtime, self._recover)
         clock.schedule(self.config.checkpoint_period, self._checkpoint_tick)
 
-    def _coordinator(self, solution: Optional[Incumbent]) -> Coordinator:
-        return Coordinator(
-            self._root,
-            self.config.duplication_threshold,
-            initial_best=solution,
-            lease_seconds=self.config.death_timeout,
-            clock=lambda: self.clock.now,
+    def _start(self, solution: Optional[Incumbent]) -> None:
+        """A fresh core holding the one job, starting from ``solution``."""
+        config = self.config
+        self.core = ServiceCore(
+            ServiceConfig(
+                duplication_threshold=config.duplication_threshold,
+                lease_seconds=config.death_timeout,
+                drain_when_idle=True,
+            ),
+            now=self.clock.now,
         )
+        self.core.admit({}, incumbent=solution, problem=self.workload, job_id=JOB)
+        self.coordinator = self.core.coordinators[JOB]
 
     # ------------------------------------------------------------------
     # the two files, and the outages that need them
@@ -100,11 +110,11 @@ class SimFarmer:
         self._epoch += 1  # queued-but-unserved messages die with us
 
     def _recover(self) -> None:
-        """Restart: a fresh coordinator over the two files."""
+        """Restart: a fresh core over the two files."""
         self.down = False
         self.recoveries += 1
         self.flush_accounting()
-        self.coordinator = self._coordinator(self._solution_snapshot)
+        self._start(self._solution_snapshot)
         self.coordinator.intervals = IntervalSet.from_payload(
             self._intervals_snapshot, self.config.duplication_threshold
         )
@@ -117,7 +127,7 @@ class SimFarmer:
             self._snapshot()
             self.checkpoints_taken += 1
             self.metrics.add_farmer_busy(self.config.checkpoint_service_time)
-            self.coordinator.check_leases(self.clock.now)
+            self.core.tick(self.clock.now, ())  # nothing parks: it drains when idle
         self.clock.schedule(self.config.checkpoint_period, self._checkpoint_tick)
 
     def flush_accounting(self) -> None:
@@ -160,17 +170,17 @@ class SimFarmer:
             return
         coordinator = self.coordinator
         improvements = coordinator.improvements
-        reply = coordinator.handle(message)
-        coordinator.take_notices()  # pull-only grid: nobody to tell
+        outbox = self.core.handle(message, self.clock.now)
         if coordinator.improvements != improvements:
             self.metrics.solution_improved(
                 self.clock.now, coordinator.solution.cost
             )
-        if coordinator.terminated and not self.terminated:
-            # Persist the terminal state first: a crash after this
-            # point must not recover a stale non-empty INTERVALS with
-            # every worker already dismissed.
+        if self.core.draining and not self.terminated:
+            # The job settled.  Persist the terminal state first: a
+            # crash after this point must not recover a stale non-empty
+            # INTERVALS with every worker already dismissed.
             self.terminated = True
             self._snapshot()
-        if reply is not None:
-            respond(reply, *context)
+        for _, reply in outbox:
+            if not isinstance(reply, Notice):  # pull-only grid: nobody to tell
+                respond(reply, *context)

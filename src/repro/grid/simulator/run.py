@@ -75,11 +75,10 @@ class GridSimulation:
         root = Interval(0, config.workload.total_leaves())
         self.farmer = SimFarmer(
             self.clock,
-            root,
+            config.workload,
             self.metrics,
             config.farmer,
             config.farmer_failures,
-            initial_best=config.workload.initial_best(),
         )
         if config.worker.retry_timeout is None and config.farmer_failures.outages:
             # Messages are dropped while the farmer is down; without a

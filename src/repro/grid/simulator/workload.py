@@ -74,9 +74,10 @@ class Workload(ABC):
     @abstractmethod
     def create_unit(self, interval: Interval, best_cost: float) -> WorkUnit: ...
 
-    def initial_best(self) -> Incumbent:
-        """Starting SOLUTION (the paper seeded Ta056 with cost 3681)."""
-        return Incumbent()
+    def warm_start(self, interval: Optional[Interval] = None) -> Optional[Tuple[float, Any]]:
+        """Starting SOLUTION, as a problem's warm start (the paper seeded
+        Ta056 with cost 3681): what the farmer's job starts from."""
+        return None
 
     def optimum(self) -> Optional[float]:
         """Known optimum for validation, when available."""
@@ -147,8 +148,8 @@ class RealBBWorkload(Workload):
     def total_leaves(self) -> int:
         return self.problem.total_leaves()
 
-    def initial_best(self) -> Incumbent:
-        return self._initial.copy()
+    def warm_start(self, interval: Optional[Interval] = None) -> Optional[Tuple[float, Any]]:
+        return self._initial.cost, self._initial.solution
 
     def create_unit(self, interval: Interval, best_cost: float) -> WorkUnit:
         return _RealUnit(self.problem, interval, best_cost, self.nodes_per_second)
@@ -231,8 +232,8 @@ class SyntheticWorkload(Workload):
     def total_leaves(self) -> int:
         return self.leaves
 
-    def initial_best(self) -> Incumbent:
-        return self._initial.copy()
+    def warm_start(self, interval: Optional[Interval] = None) -> Optional[Tuple[float, Any]]:
+        return self._initial.cost, self._initial.solution
 
     def optimum(self) -> Optional[float]:
         return self._optimum

@@ -394,8 +394,8 @@ class SimulatorDeterminism(Rule):
     only because every stochastic source is a seeded ``random.Random``
     and every clock is virtual.  ``random.<fn>()`` module calls share
     one ambient global state, and ``time.time()`` / ``time.monotonic()``
-    read the host.  The worker core is in scope because the simulator
-    runs it.
+    read the host.  The worker core, the service core and its per-job
+    coordinator are in scope because the simulator runs them.
     """
 
     code: ClassVar[str] = "RC05"
@@ -407,6 +407,8 @@ class SimulatorDeterminism(Rule):
     scope: ClassVar[Tuple[str, ...]] = (
         "repro/grid/simulator/*.py",
         "repro/grid/runtime/worker.py",
+        "repro/grid/runtime/coordinator.py",
+        "repro/grid/service/core.py",
     )
     #: --strict extends the no-global-randomness part to benchmarks
     #: and examples, whose results are committed / copy-pasted.
@@ -1629,7 +1631,7 @@ class CheckpointFsyncCoverage(Rule):
 class HandlerExceptionSafety(Rule):
     """RC15 — message handlers may not swallow exceptions broadly.
 
-    The coordinator's ``handle()`` and the service's ``_on_*`` methods
+    The coordinator's ``handle()`` and the service core's ``_on_*`` methods
     are the single point where a worker's ``Push`` (an improved
     solution) or a ``Reconciled`` (interval accounting) takes effect.
     A ``except:`` / ``except Exception: pass`` around that dispatch
@@ -1649,6 +1651,7 @@ class HandlerExceptionSafety(Rule):
     )
     scope: ClassVar[Tuple[str, ...]] = (
         "repro/grid/runtime/coordinator.py",
+        "repro/grid/service/core.py",
         "repro/grid/service/server.py",
         "repro/grid/net/serve.py",
     )

@@ -116,3 +116,39 @@ def toy_cost_matrix(n: int, seed: int = 0) -> list:
             row.append(1 + x % 97)
         values.append(row)
     return values
+
+
+class Leaves:
+    """A job of ``n`` leaves and no warm start: all the service core
+    asks of a caller-built problem (``total_leaves``, ``warm_start``)."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def total_leaves(self) -> int:
+        return self.n
+
+    def warm_start(self, interval=None):
+        return None
+
+
+def one_job_core(length: int = 1000, **config):
+    """A :class:`ServiceCore` holding one job over ``[0, length)`` under
+    the single-job id ``""``, as the simulator admits its workload."""
+    from repro.grid.service.core import ServiceConfig, ServiceCore
+
+    config.setdefault("lease_seconds", None)
+    core = ServiceCore(ServiceConfig(drain_when_idle=True, **config))
+    core.admit({}, problem=Leaves(length), job_id="")
+    return core
+
+
+def exchange(core, message, now: float = 0.0):
+    """``core.handle(message, now)`` split into the reply (``None``: no
+    reply) and the ``(peer, Notice)`` pairs sent before it."""
+    from repro.grid.runtime.protocol import Notice
+
+    outbox = core.handle(message, now)
+    notices = [(peer, sent) for peer, sent in outbox if isinstance(sent, Notice)]
+    replies = [sent for peer, sent in outbox if not isinstance(sent, Notice)]
+    return (replies[-1] if replies else None), notices

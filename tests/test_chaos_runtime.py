@@ -42,6 +42,7 @@ from repro.grid.runtime.protocol import (
 )
 from repro.problems.flowshop import FlowShopProblem, random_instance
 from repro.problems.tsp import TSPProblem, random_tsp
+from tests.helpers import exchange, one_job_core
 
 CHAOS_SEEDS = list(range(20))
 CHAOS_WORKERS = 3
@@ -264,64 +265,69 @@ class TestTargetedFaults:
 
 
 class TestSequenceNumbers:
-    """Duplicated and reordered messages must be idempotent (unit level)."""
+    """Duplicated and reordered messages must be idempotent (unit level).
+
+    The service core is the one layer that answers retries: these drive
+    a core holding one job, as every production run and the simulator do.
+    """
 
     def make(self, length=1000, **kw):
-        return Coordinator(Interval(0, length), **kw)
+        core = one_job_core(length, **kw)
+        return core, core.coordinators[""]
 
     def test_duplicate_update_is_idempotent(self):
-        coord = self.make()
-        coord.handle(Request("w0", seq=1))
-        first = coord.handle(Update("w0", (100, 1000), nodes=7, consumed=100, seq=2))
+        core, coord = self.make()
+        exchange(core, Request("w0", seq=1))
+        first, _ = exchange(core, Update("w0", (100, 1000), nodes=7, consumed=100, seq=2))
         snapshot = coord.intervals.intervals()
         nodes_before = coord.nodes_explored
-        again = coord.handle(Update("w0", (100, 1000), nodes=7, consumed=100, seq=2))
+        again, _ = exchange(core, Update("w0", (100, 1000), nodes=7, consumed=100, seq=2))
         assert isinstance(first, Reconciled) and isinstance(again, Reconciled)
         assert again.interval == first.interval
         assert coord.intervals.intervals() == snapshot
         assert coord.nodes_explored == nodes_before  # not double-counted
-        assert coord.duplicates_ignored == 1
+        assert core.duplicates_ignored == 1
 
     def test_reordered_stale_update_is_dropped(self):
-        coord = self.make()
-        coord.handle(Request("w0", seq=1))
-        coord.handle(Update("w0", (200, 1000), nodes=5, consumed=200, seq=3))
+        core, coord = self.make()
+        exchange(core, Request("w0", seq=1))
+        exchange(core, Update("w0", (200, 1000), nodes=5, consumed=200, seq=3))
         snapshot = coord.intervals.intervals()
-        stale = coord.handle(Update("w0", (100, 1000), nodes=5, consumed=100, seq=2))
+        stale, _ = exchange(core, Update("w0", (100, 1000), nodes=5, consumed=100, seq=2))
         assert stale is None  # superseded: no reply, no state change
         assert coord.intervals.intervals() == snapshot
-        assert coord.duplicates_ignored == 1
+        assert core.duplicates_ignored == 1
 
     def test_duplicate_request_returns_same_grant(self):
-        coord = self.make()
-        first = coord.handle(Request("w0", seq=1))
-        again = coord.handle(Request("w0", seq=1))
+        core, coord = self.make()
+        first, _ = exchange(core, Request("w0", seq=1))
+        again, _ = exchange(core, Request("w0", seq=1))
         assert isinstance(first, GrantWork)
         assert again.interval == first.interval
         assert coord.work_allocations == 1
 
     def test_duplicate_push_counts_one_improvement(self):
-        coord = self.make()
-        first = coord.handle(Push("w0", 42.0, (1, 2), seq=1))
-        again = coord.handle(Push("w0", 42.0, (1, 2), seq=1))
+        core, coord = self.make()
+        first, _ = exchange(core, Push("w0", 42.0, (1, 2), seq=1))
+        again, _ = exchange(core, Push("w0", 42.0, (1, 2), seq=1))
         assert isinstance(first, Ack) and isinstance(again, Ack)
         assert coord.improvements == 1
 
     def test_replies_echo_seq(self):
-        coord = self.make()
-        grant = coord.handle(Request("w0", seq=5))
+        core, _ = self.make()
+        grant, _ = exchange(core, Request("w0", seq=5))
         assert grant.seq == 5
-        rec = coord.handle(Update("w0", (10, 1000), nodes=1, consumed=10, seq=6))
+        rec, _ = exchange(core, Update("w0", (10, 1000), nodes=1, consumed=10, seq=6))
         assert rec.seq == 6
 
     def test_duplicate_storm_keeps_union_invariant(self):
-        coord = self.make(length=5000, duplication_threshold=50)
+        core, coord = self.make(length=5000, duplication_threshold=50)
         rng = random.Random(3)
         replies = {}
         for seq in range(1, 60):
             worker = f"w{rng.randrange(3)}"
             if rng.random() < 0.4:
-                replies[worker] = coord.handle(Request(worker, seq=seq))
+                replies[worker], _ = exchange(core, Request(worker, seq=seq))
                 continue
             grant = replies.get(worker)
             if not isinstance(grant, (GrantWork, Reconciled)):
@@ -333,13 +339,13 @@ class TestSequenceNumbers:
             msg = Update(
                 worker, (iv.begin + step, iv.end), nodes=1, consumed=step, seq=seq
             )
-            reply = coord.handle(msg)
+            reply, _ = exchange(core, msg)
             union = coord.intervals.covered_union_length()
             # channel duplicate: answered from the cache, no state change
-            assert coord.handle(msg) == reply
+            assert exchange(core, msg)[0] == reply
             # reordered stale duplicate: dropped outright
             stale = Update(worker, iv.as_tuple(), nodes=1, consumed=0, seq=seq - 1)
-            assert coord.handle(stale) is None
+            assert exchange(core, stale)[0] is None
             assert coord.intervals.covered_union_length() == union
             if isinstance(reply, Reconciled):
                 replies[worker] = reply
@@ -348,9 +354,9 @@ class TestSequenceNumbers:
 class TestLeases:
     def test_lease_expiry_releases_interval(self):
         coord = Coordinator(Interval(0, 1000), lease_seconds=10.0)
-        grant = coord.handle(Request("w0", seq=1))
-        assert isinstance(grant, GrantWork)
-        t0 = time.monotonic()  # handle() stamped the lease just now
+        t0 = time.monotonic()
+        grant = coord.handle(Request("w0", seq=1), now=t0)
+        assert isinstance(grant, GrantWork)  # handle() stamped the lease at t0
         assert coord.check_leases(now=t0) == []  # lease still fresh
         assert coord.check_leases(now=t0 + 11.0) == ["w0"]
         # the orphan is whole again for the next requester
@@ -359,8 +365,9 @@ class TestLeases:
 
     def test_late_update_after_expiry_reclaims_via_carve(self):
         coord = Coordinator(Interval(0, 1000), lease_seconds=5.0)
-        coord.handle(Request("w0", seq=1))
-        coord.check_leases(now=time.monotonic() + 6.0)
+        t0 = time.monotonic()
+        coord.handle(Request("w0", seq=1), now=t0)
+        coord.check_leases(now=t0 + 6.0)
         assert coord.leases_expired == ["w0"]
         late = coord.handle(Update("w0", (300, 1000), nodes=9, consumed=0, seq=2))
         assert isinstance(late, Reconciled)

@@ -285,6 +285,16 @@ def test_rc05_covers_the_worker_core_the_simulator_runs(tmp_path):
     assert "time.monotonic()" in result.violations[1].message
 
 
+@pytest.mark.parametrize(
+    "module", ["repro/grid/service/core.py", "repro/grid/runtime/coordinator.py"]
+)
+def test_rc05_covers_the_service_core_the_simulator_runs(tmp_path, module):
+    source = "import time\n\n\ndef park(wait):\n    return time.monotonic() + wait\n"
+    result = run_check(tmp_path, module, source, select=["RC05"])
+    assert codes(result) == ["RC05"]
+    assert "time.monotonic()" in result.violations[0].message
+
+
 def test_rc05_seeded_rng_and_virtual_clock_pass(tmp_path):
     result = run_check(
         tmp_path,
@@ -1060,6 +1070,15 @@ def test_rc15_flags_bare_except_and_broad_tuple(tmp_path):
     )
     assert codes(result) == ["RC15", "RC15"]
     assert [v.line for v in result.violations] == [4, 11]
+
+
+def test_rc15_covers_the_service_core(tmp_path):
+    source = (
+        "def _on_work(self, msg):\n"
+        "    try:\n        self.apply(msg)\n    except Exception:\n        pass\n"
+    )
+    result = run_check(tmp_path, "repro/grid/service/core.py", source, select=["RC15"])
+    assert codes(result) == ["RC15"]
 
 
 def test_rc15_answering_or_narrow_handlers_pass(tmp_path):

@@ -42,13 +42,14 @@ def test_all_execution_paths_agree(instance, expected, tmp_path_factory):
     results["sequential"] = solve(problem).cost
 
     # 2. checkpoint/resume: interrupt twice, finish on the third life
+    # (a step of 20 of the 77 nodes: neither of the first two finishes)
     ckpt = tmp_path_factory.mktemp("ckpt")
-    solver = ResumableSolver(problem, ckpt, checkpoint_nodes=300)
-    solver.step()
-    solver = ResumableSolver(problem, ckpt, checkpoint_nodes=300)
-    solver.step()
+    solver = ResumableSolver(problem, ckpt, checkpoint_nodes=20)
+    assert solver.step()  # stopped short: work left
+    solver = ResumableSolver(problem, ckpt, checkpoint_nodes=20)
+    assert solver.step()
     results["resumable"] = ResumableSolver(
-        problem, ckpt, checkpoint_nodes=300
+        problem, ckpt, checkpoint_nodes=20
     ).run().cost
 
     # 3. real multiprocessing farmer-worker, with a crash

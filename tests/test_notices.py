@@ -1,7 +1,8 @@
 """The coordinator's one unsolicited message, end to end.
 
 * ``Coordinator.take_notices`` names exactly the holders whose copy
-  someone else cut, and the other holders after a Push lowered SOLUTION.
+  someone else cut, and the other holders after a Push lowered SOLUTION;
+  the service core sends them ahead of the reply and counts them.
 * ``Connection.poll`` never blocks, on either transport; the RPC layer
   tells a ``Notice`` from a reply by its type.
 * A scripted connection drives the real ``worker_main`` (its decisions
@@ -47,6 +48,7 @@ from repro.grid.runtime.protocol import (
     spec_to_wire,
 )
 from repro.problems.flowshop import FlowShopProblem, random_instance
+from tests.helpers import exchange, one_job_core
 
 instance = random_instance(9, 5, seed=3)
 serial = solve(FlowShopProblem(instance))
@@ -62,17 +64,19 @@ def coordinator(threshold=1):
 
 
 def test_split_names_the_holder_and_an_unowned_hand_over_names_nobody():
-    coord = coordinator()
-    coord.handle(Request("w0", seq=1))  # the whole root: nobody held it
-    assert coord.take_notices() == []
-    grant = coord.handle(Request("w1", seq=1))
+    # Through the service core, which routes the coordinator's notices
+    # into its outbox and counts them.
+    core = one_job_core(1000, duplication_threshold=1)
+    _, told = exchange(core, Request("w0", seq=1))  # the whole root: nobody held it
+    assert told == []
+    grant, told = exchange(core, Request("w1", seq=1))
     assert grant.interval == (500, 1000)
-    assert coord.take_notices() == [("w0", Notice(math.inf, True))]
-    assert coord.take_notices() == []  # taken once
-    coord.release_worker("w1")
-    coord.handle(Request("w2", seq=1))  # w1's orphan, whole
-    assert coord.take_notices() == []
-    assert coord.notices_sent == 1
+    assert told == [("w0", Notice(math.inf, True))]
+    assert core.coordinators[""].take_notices() == []  # taken once
+    core.release_worker("w1")
+    _, told = exchange(core, Request("w2", seq=1))  # w1's orphan, whole
+    assert told == []
+    assert core.notices_sent == 1
 
 
 def test_a_finished_duplicate_names_the_twin():

@@ -116,7 +116,7 @@ class TestAbortResume:
         # is (almost certainly) not yet exhausted.
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
-            coordinator = server1._coordinators.get(job)
+            coordinator = server1.coordinators.get(job)
             if coordinator is None or (
                 coordinator.nodes_explored > 0 and snapshot.exists()
             ):
@@ -143,7 +143,7 @@ class TestAbortResume:
         server2, resumed = one_job_service(ckpt, resume=True)
         assert resumed == job
         assert server2.epoch == 2
-        recovered = server2._coordinators.get(job)
+        recovered = server2.coordinators.get(job)
         # The optimum is not in the recovered SOLUTION yet, so the
         # successor must explore to find it.
         work_left = (
@@ -212,7 +212,7 @@ class TestAbortResume:
         try:
             # Like the recovered coordinator's nodes: one incarnation.
             assert service.jobs.get(record.job_id).work_allocations == 0
-            assert service._coordinators[record.job_id].nodes_explored == 0
+            assert service.coordinators[record.job_id].nodes_explored == 0
         finally:
             service.listener.close()
 

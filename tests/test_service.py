@@ -62,7 +62,7 @@ from repro.grid.service import (
     Scheduler,
     SchedulerConfig,
 )
-from repro.grid.service import server as server_module
+from repro.grid.service.core import KEEPALIVE_SECONDS, ServiceCore
 from repro.grid.service.client import JobRefusedError, SyncServiceClient
 from repro.grid.service.server import ServiceConfig, SolveService
 from repro.problems.flowshop import (
@@ -414,20 +414,16 @@ def test_parked_request_is_granted_in_the_iteration_that_promotes_the_job():
     assert report.work_allocations == 1
 
 
-def test_keepalive_answers_with_idle_and_the_current_status(monkeypatch):
-    monkeypatch.setattr(server_module, "KEEPALIVE_SECONDS", 0.0)
-    service = SolveService(service_config())
-    service.jobs.create(wire_a(), owner="alice", job_id="job-x")
-    sent, report = play(
-        [
-            JobStatusRequest("c0", "job-x", wait=30.0, seq=4),
-            JobStatusRequest("c0", "job-x", wait=30.0, seq=4),
-            CancelJob("c1", "job-x", seq=1),
-            Request("w0", seq=9),
-        ],
-        connected={"w0", "c0", "c1"},
-        service=service,
-    )
+def test_keepalive_answers_with_idle_and_the_current_status():
+    core = ServiceCore(service_config())
+    core.admit(wire_a(), owner="alice", job_id="job-x")
+    connected = {"w0", "c0", "c1"}
+    sent = core.handle(JobStatusRequest("c0", "job-x", wait=30.0, seq=4), 10.0)
+    sent += core.tick(10.0 + KEEPALIVE_SECONDS, connected)
+    sent += core.handle(JobStatusRequest("c0", "job-x", wait=30.0, seq=4), 11.5)
+    sent += core.handle(CancelJob("c1", "job-x", seq=1), 11.5)
+    sent += core.handle(Request("w0", seq=9), 12.0)
+    sent += core.tick(12.0 + KEEPALIVE_SECONDS, connected)
     # The wait is answered at the keep-alive with what is true then;
     # its retry gets the same cached reply, not a fresh park.
     assert [(to, type(reply), reply.seq) for to, reply in sent] == [
@@ -439,7 +435,7 @@ def test_keepalive_answers_with_idle_and_the_current_status(monkeypatch):
     assert sent[0][1].status == RUNNING and sent[1] == sent[0]
     assert sent[2][1].status == CANCELLED
     assert sent[3][1] == Idle(seq=9)
-    assert report.requests_idled == 1
+    assert core.requests_idled == 1
 
 
 def test_a_bye_is_acknowledged_and_its_stats_kept():
@@ -452,7 +448,7 @@ def test_a_bye_is_acknowledged_and_its_stats_kept():
 
 def test_bye_and_newer_rpcs_abandon_what_the_peer_had_parked():
     service = SolveService(service_config())
-    service.jobs.create(wire_a(), owner="alice", job_id="job-x")
+    service.admit(wire_a(), owner="alice", job_id="job-x")
     sent, report = play(
         [
             Request("w0", seq=1),  # granted: job-x is promoted at once
@@ -479,11 +475,11 @@ def test_bye_and_newer_rpcs_abandon_what_the_peer_had_parked():
 @pytest.mark.parametrize("job", ["", "job-unknown"])
 def test_work_for_no_running_job_is_withdrawn_and_touches_no_ledger(job):
     service = SolveService(service_config())
-    service.jobs.create(wire_a(), owner="alice", job_id="job-x")
+    service.admit(wire_a(), owner="alice", job_id="job-x")
     ledgers = []
 
     def ledger(net):
-        (coordinator,) = service._coordinators.values()
+        (coordinator,) = service.coordinators.values()
         ledgers.append(
             (
                 coordinator.intervals.to_payload(),
@@ -513,7 +509,7 @@ def test_work_for_no_running_job_is_withdrawn_and_touches_no_ledger(job):
 
 def test_a_retried_update_counts_once_after_its_job_settled():
     service = SolveService(service_config())
-    service.jobs.create(wire_a(), owner="alice", job_id="job-x")
+    service.admit(wire_a(), owner="alice", job_id="job-x")
 
     def update(seq, nodes):
         return lambda net: Update(
@@ -544,7 +540,7 @@ def test_a_retried_update_counts_once_after_its_job_settled():
 
 def test_cancel_answers_a_parked_status_wait():
     service = SolveService(service_config())
-    service.jobs.create(wire_a(), owner="alice", job_id="job-x")
+    service.admit(wire_a(), owner="alice", job_id="job-x")
     sent, _ = play(
         [
             JobStatusRequest("c0", "job-x", wait=30.0, seq=1),
@@ -773,7 +769,7 @@ def test_holder_gone_before_any_update_frees_its_interval(leaves_by):
     service = SolveService(service_config())
 
     def lease_runs_out(net):
-        (coordinator,) = service._coordinators.values()
+        (coordinator,) = service.coordinators.values()
         assert coordinator.check_leases(now=time.monotonic() + 3600) == ["w0"]
 
     sent, report = play(
@@ -940,18 +936,34 @@ def resumed(tmp_path):
     return report
 
 
-def test_kill_between_the_final_update_and_meta_done_resumes_to_the_proof(tmp_path):
-    job = run_one_job_then_abort(
-        tmp_path,
-        after=lambda r: isinstance(r, Reconciled) and r.interval[0] == r.interval[1],
-    )
+class Killed(Exception):
+    """``kill -9`` inside the pump: nothing after it runs."""
+
+
+def test_kill_between_the_final_update_and_meta_done_resumes_to_the_proof(
+    tmp_path, monkeypatch
+):
+    # The final Update settles its job while it is handled: the kill
+    # lands between the journal append and the meta write.
+    persist = JobStore.persist
+
+    def killed_at_done(store, record):
+        if record.status == DONE:
+            raise Killed
+        persist(store, record)
+
+    monkeypatch.setattr(JobStore, "persist", killed_at_done)
+    with pytest.raises(Killed):
+        run_one_job_then_abort(tmp_path, after=lambda reply: False)
+    monkeypatch.undo()
+    (job,) = MultiJobStore(tmp_path).job_ids()
     job_dir = tmp_path / "jobs" / job
     assert MultiJobStore(tmp_path).load_meta(job)["status"] == RUNNING
     assert (job_dir / "journal.log").stat().st_size > 0
 
     report = resumed(tmp_path)
     # Snapshot (if any) + journal replay re-derive the empty ledger and
-    # the incumbent; the first sweep settles the job.
+    # the incumbent; recovery settles the job.
     assert report.epoch == 2 and report.jobs_completed == 1
     summary = report.jobs[job]
     assert summary["status"] == DONE and summary["cost"] == serial_a.cost
@@ -1134,46 +1146,75 @@ def test_owner_filter_on_list():
         thread.join(timeout=30)
 
 
-def test_result_is_one_parked_request_per_keepalive(monkeypatch):
-    monkeypatch.setattr(server_module, "KEEPALIVE_SECONDS", 0.1)
-    service = SolveService(service_config())
+def test_result_is_one_parked_request_per_keepalive():
+    core = ServiceCore(service_config())
+    connected = {"c0", "c1"}
     asked = []
-    second_wait_parked = threading.Event()
-    handle_status = service._on_status
+    handle_status = core._on_status
 
     def counting(msg):
         asked.append(msg.wait)
-        reply = handle_status(msg)
-        if len(asked) == 2:
-            second_wait_parked.set()
-        return reply
+        return handle_status(msg)
 
-    service._on_status = counting
-    host, port = service.address
-    thread, _ = start_service(service)
-    try:
-        client = SyncServiceClient(host, port, timeout=10.0)
-        # No workers: the job is promoted and then just stays running.
-        job = client.submit(flowshop_spec(instance_a), owner="alice")
-        settled = {}
-        waiter = threading.Thread(
-            target=lambda: settled.update(
-                status=client.result(job, poll_interval=0.01, timeout=60.0)
-            ),
-            daemon=True,
-        )
-        waiter.start()
-        # The first wait ran into the keep-alive ("still running"), the
-        # second is parked; settling the job answers it on the spot.
-        assert second_wait_parked.wait(timeout=30)
-        client.cancel(job)
-        waiter.join(timeout=30)
-        assert not waiter.is_alive()
-        assert settled["status"].status == CANCELLED
-        assert len(asked) == 2 and all(wait > 0 for wait in asked)
-    finally:
-        service.shutdown()
-        thread.join(timeout=30)
+    core._on_status = counting
+    # No workers: the job is promoted and then just stays running.
+    ((_, accepted),) = core.handle(
+        SubmitJob("c0", wire_a(), owner="alice", seq=1), 0.0
+    )
+    job = accepted.job
+
+    def result(seq, now):
+        """The status wait ``client.result`` sends until the job settles."""
+        return core.handle(JobStatusRequest("c0", job, wait=5.0, seq=seq), now)
+
+    # The first wait ran into the keep-alive ("still running") ...
+    assert result(2, 0.0) == []
+    ((_, still),) = core.tick(KEEPALIVE_SECONDS, connected)
+    assert still.status == RUNNING
+    # ... the second is parked; settling the job answers it on the spot.
+    assert result(3, KEEPALIVE_SECONDS) == []
+    second_wait_parked = core.tick(1.5 * KEEPALIVE_SECONDS, connected) == []
+    assert second_wait_parked
+    sent = core.handle(CancelJob("c1", job, seq=1), 1.5 * KEEPALIVE_SECONDS)
+    sent += core.tick(1.5 * KEEPALIVE_SECONDS, connected)
+    settled = {"status": reply for to, reply in sent if to == "c0"}
+    assert settled["status"].status == CANCELLED
+    assert len(asked) == 2 and all(wait > 0 for wait in asked)
+
+
+def test_the_core_reads_no_clock(monkeypatch, tmp_path):
+    # Submit -> grant -> Update -> settle -> a parked status that
+    # expires: every time the core uses is the ``now`` it was given.
+    def wall_clock():
+        raise AssertionError("the service core read a clock")
+
+    monkeypatch.setattr(time, "monotonic", wall_clock)
+    monkeypatch.setattr(time, "time", wall_clock)
+    core = ServiceCore(service_config(tmp_path), now=100.0, wall_offset=1e9)
+    connected = {"c0", "w0"}
+    ((_, accepted),) = core.handle(
+        SubmitJob("c0", wire_a(), owner="alice", seq=1), 100.0
+    )
+    job = accepted.job
+    assert core.jobs.get(job).submitted_at == 1e9 + 100.0
+    assert core.jobs.get(job).queue_wait_seconds == 0.0
+    assert core.handle(JobStatusRequest("c0", job, wait=30.0, seq=2), 101.0) == []
+    ((_, status),) = core.tick(101.0 + KEEPALIVE_SECONDS, connected)
+    assert status.status == RUNNING  # expired at the keep-alive, not before
+    ((_, grant),) = core.handle(Request("w0", seq=1), 102.5)
+    begin, end = grant.interval
+    assert core.tick(102.5 + 4.0, connected) == []  # the lease still holds
+    ((_, reply),) = core.handle(
+        Update("w0", (end, end), nodes=3, consumed=end - begin, seq=2, job=job),
+        107.0,
+    )
+    assert reply.interval == (end, end)
+    assert core.jobs.get(job).status == DONE  # settled on that Update
+    assert core.handle(JobStatusRequest("c0", job, wait=30.0, seq=3), 107.0) == [
+        ("c0", JobStatus(job=job, status=DONE, best_cost=serial_a.cost,
+                         solution=core.jobs.get(job).solution, owner="alice",
+                         nodes=3, seq=3)),
+    ]
 
 
 # A weakly tracked problem factory, named on the wire like any other

@@ -8,23 +8,22 @@ virtual clock, the snapshots, the outages and the lease.
 
 import pytest
 
-from repro.core import Incumbent, Interval
 from repro.grid.runtime.protocol import Push, Reconciled, Request, Update
 from repro.grid.simulator.events import SimClock
 from repro.grid.simulator.failures import FarmerFailurePlan
 from repro.grid.simulator.farmer import FarmerConfig, SimFarmer
 from repro.grid.simulator.metrics import MetricsCollector
+from repro.grid.simulator.workload import SyntheticWorkload
 
 
 def make_farmer(length=1000, failure_plan=None, **config_kw):
     clock = SimClock()
     farmer = SimFarmer(
         clock,
-        Interval(0, length),
+        SyntheticWorkload(length, optimum=98.0, initial_gap=2.0),  # starts at 100
         MetricsCollector(length),
         FarmerConfig(**config_kw),
         failure_plan=failure_plan,
-        initial_best=Incumbent(100.0, None),
     )
     return clock, farmer
 

@@ -22,7 +22,6 @@ from repro.grid.simulator.farmer import SimFarmer
 from repro.grid.runtime.protocol import Request
 from repro.grid.simulator.events import SimClock
 from repro.grid.simulator.metrics import MetricsCollector
-from repro.core import Interval
 
 
 def heterogeneous_platform(slow=2, fast=2):
@@ -38,7 +37,7 @@ class TestPowerProportionalSplits:
     def test_fast_requester_takes_larger_share(self):
         clock = SimClock()
         metrics = MetricsCollector(1000)
-        farmer = SimFarmer(clock, Interval(0, 1000), metrics)
+        farmer = SimFarmer(clock, SyntheticWorkload(1000), metrics)
 
         def rpc(msg):
             box = []

@@ -328,7 +328,7 @@ def test_a_served_slice_returns_its_own_optimum(tmp_path):
     warm_cost, _ = FlowShopProblem(SLICE_INSTANCE).warm_start(SLICE)
     fresh = SolveService(config("fresh"))
     job = fresh.admit(wire, root=SLICE.as_tuple()).job
-    assert fresh._coordinators[job].solution.cost == warm_cost
+    assert fresh.coordinators[job].solution.cost == warm_cost
     doc = _serve_with_one_worker(fresh).jobs[job]
     assert doc["status"] == "done" and doc["cost"] == best
 
@@ -340,7 +340,7 @@ def test_a_served_slice_returns_its_own_optimum(tmp_path):
     crashed.abort()
     crashed.serve_forever()
     resumed = SolveService(config("crash", resume=True))
-    coordinator = resumed._coordinators[job]
+    coordinator = resumed.coordinators[job]
     assert coordinator.intervals.to_payload() == [SLICE.as_tuple()]
     assert coordinator.solution.cost == warm_cost
     doc = _serve_with_one_worker(resumed).jobs[job]
