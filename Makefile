@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint check typecheck test chaos chaos-net chaos-kill bench bench-show bench-recovery bench-suite bench-pairs report examples clean
+.PHONY: install lint check typecheck test chaos chaos-net chaos-kill bench bench-show bench-suite bench-pairs report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -39,8 +39,8 @@ test: lint check
 chaos:
 	$(PYTHON) -m pytest tests/test_chaos_runtime.py -q -s
 
-# The cross-transport chaos matrix (marked slow, excluded from tier-1):
-# the same seeded schedules over in-process queues AND loopback TCP,
+# The chaos matrix over the wire (marked slow, excluded from tier-1):
+# the seeded schedules over loopback TCP, the one transport,
 # plus the socket-specific faults and the multi-tenant service SIGKILL
 # acceptance run (two jobs in flight, resume, serial-identical optima).
 chaos-net:
@@ -57,11 +57,6 @@ bench:
 
 bench-show:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Crash recovery: journal replay vs snapshot-only restart, plus the
-# replay-latency sweep.  Regenerates BENCH_PR6.json.
-bench-recovery:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_recovery.py
 
 # The benchmark suite (benchmarks/suite/README.md): five workloads on
 # real processes — serial engine, TCP fleet, multi-tenant service,

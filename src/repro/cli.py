@@ -96,14 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--irregularity", type=float, default=1.2)
     sim_p.add_argument("--always-on", action="store_true")
 
-    p2p_p = sub.add_parser(
-        "p2p", help="peer-to-peer resolution (the paper's future work)"
-    )
-    p2p_p.add_argument("--peers", type=int, default=8)
-    p2p_p.add_argument("--jobs", type=int, default=8)
-    p2p_p.add_argument("--machines", type=int, default=4)
-    p2p_p.add_argument("--seed", type=int, default=12)
-
     report_p = sub.add_parser(
         "report",
         help="run a quick reproduction sweep and print paper-vs-measured",
@@ -439,33 +431,6 @@ def _cmd_simulate(args) -> int:
     print(sparkline([n for _, n in grid]))
     print(f"\nbest cost: {report.best_cost}  proof: {report.finished}")
     return 0
-
-
-def _cmd_p2p(args) -> int:
-    from repro.core import solve
-    from repro.grid.p2p import P2PConfig, P2PSimulation
-    from repro.grid.simulator import RealBBWorkload, small_platform
-    from repro.problems.flowshop import FlowShopProblem, random_instance
-
-    instance = random_instance(args.jobs, args.machines, args.seed)
-    problem = FlowShopProblem(instance)
-    expected = solve(problem).cost
-    config = P2PConfig(
-        platform=small_platform(workers=args.peers, clusters=2),
-        workload=RealBBWorkload(problem, nodes_per_second=200),
-        horizon=30 * 86400.0,
-        seed=args.seed,
-        update_period=1.0,
-        steal_backoff=0.5,
-    )
-    report = P2PSimulation(config).run()
-    print(f"instance: {instance.name}")
-    print(f"P2P optimum: {report.best_cost} (sequential: {expected}, "
-          f"Safra termination: {report.finished})")
-    print(f"peers={report.peers} steals={report.steals_succeeded}/"
-          f"{report.steals_attempted} messages={report.messages} "
-          f"hot-spot={report.max_peer_message_share:.0%}")
-    return 0 if report.best_cost == expected else 1
 
 
 def _cmd_report(args) -> int:
@@ -826,7 +791,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {
         "solve": _cmd_solve,
         "simulate": _cmd_simulate,
-        "p2p": _cmd_p2p,
         "grid": _cmd_grid,
         "job": _cmd_job,
         "report": _cmd_report,

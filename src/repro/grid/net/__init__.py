@@ -1,7 +1,7 @@
-"""Pluggable network transports for the farmer–worker runtime.
+"""The network transport of the farmer–worker runtime.
 
-The multiprocessing runtime of :mod:`repro.grid.runtime` speaks a
-transport *interface* rather than a concrete channel:
+The runtime of :mod:`repro.grid.runtime` speaks a transport
+*interface* rather than a concrete channel:
 
 * :class:`~repro.grid.net.transport.Listener` — the coordinator side:
   one inbox of worker messages plus reply routing by worker id;
@@ -10,18 +10,16 @@ transport *interface* rather than a concrete channel:
 * :class:`~repro.grid.net.transport.Connector` — a picklable recipe a
   forked/spawned worker uses to open its connection.
 
-Two backends implement it:
+:class:`~repro.grid.net.tcp.TcpTransport` implements it with
+length-prefixed frames over TCP (asyncio coordinator server, blocking
+worker client with heartbeats and jittered reconnect), for
+``solve_parallel``'s loopback workers and multi-machine runs alike.
+Fault wrappers and test fakes substitute the interface's sides.
 
-* :class:`~repro.grid.net.inprocess.InProcessTransport` — the original
-  ``multiprocessing`` queues, for single-host runs;
-* :class:`~repro.grid.net.tcp.TcpTransport` — length-prefixed frames
-  over TCP (asyncio coordinator server, blocking worker client with
-  heartbeats and jittered reconnect), for multi-machine runs.
-
-Both deliver *at-least-once* message semantics on top of an unreliable
-channel: a dropped connection is indistinguishable from a dropped
-message, and the runtime's seq/reply-cache retry machinery (PR 1)
-recovers either the same way.
+The transport delivers *at-least-once* message semantics on top of an
+unreliable channel: a dropped connection is indistinguishable from a
+dropped message, and the runtime's seq/retry machinery recovers either
+the same way.
 
 :mod:`repro.grid.net.framing` defines the versioned wire encoding;
 :mod:`repro.grid.net.serve` runs a standalone worker (``repro grid
@@ -43,13 +41,11 @@ from repro.grid.net.framing import (
     encode_frame,
     encode_message,
 )
-from repro.grid.net.inprocess import InProcessTransport
 from repro.grid.net.tcp import SocketFaults, TcpConnector, TcpListener, TcpTransport
 from repro.grid.net.transport import (
     Connection,
     Connector,
     Listener,
-    Transport,
     TransportClosed,
     TransportError,
     TransportTimeout,
@@ -63,14 +59,12 @@ __all__ = [
     "FrameError",
     "Heartbeat",
     "Hello",
-    "InProcessTransport",
     "Listener",
     "MessageDecodeError",
     "SocketFaults",
     "TcpConnector",
     "TcpListener",
     "TcpTransport",
-    "Transport",
     "TransportClosed",
     "TransportError",
     "TransportTimeout",

@@ -11,8 +11,8 @@ said Hello for that worker id.
 
 The worker side (:class:`TcpClientConnection`) is deliberately a plain
 blocking socket — the B&B process is single-threaded compute with
-occasional RPCs, and a blocking client keeps ``worker_main`` identical
-across backends.  It maintains the connection lazily:
+occasional RPCs, and a blocking client keeps ``worker_main`` free of
+any event loop.  It maintains the connection lazily:
 
 * **connect / reconnect with capped, decorrelated-jittered backoff**
   (:func:`~repro.grid.net.backoff.decorrelated_jitter`), so a fleet of
@@ -65,7 +65,6 @@ from repro.grid.net.transport import (
     Connection,
     Connector,
     Listener,
-    Transport,
     TransportClosed,
     TransportError,
     TransportTimeout,
@@ -672,8 +671,9 @@ class TcpConnector(Connector):
         )
 
 
-class TcpTransport(Transport):
-    """Loopback-or-LAN TCP transport for one coordinator run."""
+class TcpTransport:
+    """Loopback-or-LAN TCP transport for one coordinator run: the
+    listener, and a connector per worker that dials it."""
 
     def __init__(
         self,

@@ -43,7 +43,6 @@ __all__ = [
     "Connection",
     "Connector",
     "Listener",
-    "Transport",
     "TransportClosed",
     "TransportError",
     "TransportTimeout",
@@ -111,9 +110,8 @@ class Connection(abc.ABC):
         directory).  This returns True exactly once after the observed
         epoch changes — the worker must then re-reconcile its interval
         copy against the recovered coordinator (eq. 14) instead of
-        trusting state restored from a snapshot.  Transports without a
-        handshake (in-process queues) never restart out from under the
-        worker and keep this False.
+        trusting state restored from a snapshot.  A connection without
+        a handshake (a test fake) keeps this False.
         """
         return False
 
@@ -156,28 +154,11 @@ class Connector(abc.ABC):
     """A picklable recipe for opening a worker's :class:`Connection`.
 
     Built in the coordinator process, shipped to the worker (over fork
-    or a command line), and opened there — so transports that need
-    per-worker setup on the coordinator side (in-process reply queues)
-    and transports that need it on the worker side (a TCP client
-    socket) present the same shape to ``worker_main``.
+    or a command line), and opened there: the TCP client socket is
+    per-worker setup that only the worker side can do.
     """
 
     @abc.abstractmethod
     def connect(self, worker_id: str) -> Connection:
         """Open the channel for ``worker_id``."""
 
-
-class Transport(abc.ABC):
-    """Factory tying the two sides together for one run."""
-
-    @abc.abstractmethod
-    def listen(self) -> Listener:
-        """Create the coordinator-side listener (binds ports, etc.)."""
-
-    @abc.abstractmethod
-    def connector_for(self, worker_id: str) -> Connector:
-        """A picklable connector a worker uses to reach the listener."""
-
-    @abc.abstractmethod
-    def close(self) -> None:
-        """Tear down the transport; idempotent."""

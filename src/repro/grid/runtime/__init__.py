@@ -3,12 +3,11 @@
 The same protocol as the simulator — pull-model workers, interval
 updates through the intersection operator, two-file checkpoints, plus
 one advisory coordinator notice on the worker-opened connection — but
-executed by genuine OS processes exchanging messages over a pluggable
-transport (:mod:`repro.grid.net`).  There is one farmer pump,
+executed by genuine OS processes exchanging framed messages over TCP
+(:mod:`repro.grid.net`).  There is one farmer pump,
 :class:`~repro.grid.service.server.SolveService`: ``solve_parallel``
-admits its one job to it and forks the workers at its listener
-(fork-inherited queues by default, loopback TCP with
-``RuntimeConfig(transport="tcp")``); for runs that span machines,
+admits its one job to it and forks the workers, which connect to its
+loopback TCP listener; for runs that span machines,
 ``repro grid serve`` runs the same one-job service and
 ``repro grid worker --connect`` dials in.  This is the deployment a user runs
 to exactly solve an instance in parallel (the paper's grid collapsed

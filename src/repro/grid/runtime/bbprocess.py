@@ -31,10 +31,10 @@ coordination — on the critical path:
 
 Every exchange is an at-least-once RPC (:class:`_RpcChannel`); only
 when every retry times out does the worker give up and die silently,
-exactly like a crash.  The same ``worker_main`` runs over fork-inherited
-queues and over TCP: it opens the
+exactly like a crash.  ``worker_main`` opens the
 :class:`~repro.grid.net.transport.Connection` its
-:class:`~repro.grid.net.transport.Connector` names.
+:class:`~repro.grid.net.transport.Connector` names (a TCP client, or a
+test fake).
 """
 
 from __future__ import annotations
@@ -265,8 +265,8 @@ def worker_main(
 
     ``connector`` names the coordinator — a picklable
     :class:`~repro.grid.net.transport.Connector` the worker opens into
-    its :class:`~repro.grid.net.transport.Connection` (fork-inherited
-    queues or a TCP client; the loop is backend-blind).
+    its :class:`~repro.grid.net.transport.Connection` (a TCP client;
+    the loop is blind to what carries it).
 
     ``update_nodes`` is the first slice's node budget; with
     ``update_period`` set, later slices adapt toward that many wall

@@ -1,7 +1,7 @@
 """Fault injection for the real multiprocessing runtime (§4.1 end-to-end).
 
 The simulator injects failures under a virtual clock; this module does
-it against real OS processes and queues so the paper's recovery claims
+it against real OS processes and sockets so the paper's recovery claims
 are exercised where they matter:
 
 * **Coordinator crash** — the launcher aborts its solve service
@@ -12,14 +12,14 @@ are exercised where they matter:
   checkpoint directory and listener — the crash-only path a real
   ``kill -9`` of ``repro grid serve`` takes.
 * **Lossy channel** — :class:`LossyReceiver` / :class:`LossySender`
-  wrap the request and reply queues and probabilistically drop,
+  wrap queue-shaped request and reply channels and probabilistically drop,
   duplicate, or delay (reorder) individual protocol messages, driven
   by a seeded ``random.Random`` so every schedule is reproducible.
   :class:`FaultyListener` lifts the same faults to the transport
   layer: it wraps any :class:`~repro.grid.net.transport.Listener`, so
-  the identical chaos schedules run over multiprocessing queues and
-  over loopback TCP (socket-specific faults — client RSTs, half-open
-  peers — live in :mod:`repro.grid.net.tcp` and compose with these).
+  the chaos schedules run over loopback TCP (socket-specific faults —
+  client RSTs, half-open peers — live in :mod:`repro.grid.net.tcp` and
+  compose with these).
 * **Worker hang** — unlike a crash, a hung worker stays alive but
   silent past its lease; the coordinator releases its interval to the
   load balancer, and the worker's eventual late update reconciles
@@ -323,14 +323,12 @@ class _WorkerSendShim:
 class FaultyListener(Listener):
     """Channel faults over *any* transport's listener.
 
-    Wraps the coordinator side of a transport with the same
-    :class:`LossyReceiver` / :class:`LossySender` machinery the queue
-    runtime has always used — via queue-shaped shims, so drop /
-    duplicate / delay semantics (and their statistics) are identical
-    whether the traffic underneath is a multiprocessing queue or a TCP
-    stream.  One lossy sender per worker keeps the per-destination
-    delay buffers independent, exactly like the per-worker reply
-    queues did.
+    Wraps the coordinator side of a transport with the
+    :class:`LossyReceiver` / :class:`LossySender` machinery via
+    queue-shaped shims, so drop / duplicate / delay semantics (and
+    their statistics) do not depend on what carries the traffic.  One
+    lossy sender per worker keeps the per-destination delay buffers
+    independent.
     """
 
     def __init__(

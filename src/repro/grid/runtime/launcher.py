@@ -27,11 +27,10 @@ Two things stay here, because only the launcher has them:
   covers all unexplored work — makes every such run terminate with the
   same proved optimum, at worst re-exploring.
 
-``transport="inprocess"`` wires the workers over fork-inherited
-multiprocessing queues, ``transport="tcp"`` over a loopback TCP
-listener (byte-exact framing, reconnects and all); the same service
-pumps either, and ``socket_faults`` adds TCP-only chaos (client-side
-RSTs mid-run).
+The workers reach the service over a loopback TCP listener
+(byte-exact framing, reconnects and all): the same wire that ``repro
+grid serve`` and ``repro grid worker`` speak across machines.
+``socket_faults`` adds socket-level chaos (client-side RSTs mid-run).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.stats import Incumbent
 from repro.exceptions import RuntimeProtocolError
-from repro.grid.net.transport import Listener, Transport
+from repro.grid.net.transport import Listener
 from repro.grid.runtime.bbprocess import worker_main
 from repro.grid.runtime.faults import FaultPlan, FaultStats, FaultyListener
 from repro.grid.runtime.protocol import JobRefused, ProblemSpec, spec_to_wire
@@ -76,12 +75,13 @@ class RuntimeConfig:
     full range — the parallel counterpart of ``solve(..., interval=…)``;
     the proved optimum is then the optimum over that slice.
 
-    ``transport`` selects the wire between coordinator and workers:
-    ``"inprocess"`` (fork-inherited multiprocessing queues) or
-    ``"tcp"`` (a loopback TCP server; the same forked workers connect
-    as network clients, with framing, heartbeats and reconnects).
-    ``socket_faults`` is a :class:`~repro.grid.net.tcp.SocketFaults`
-    applied to every worker's client connection (TCP only).
+    The forked workers connect to a loopback TCP server as network
+    clients, with framing, heartbeats and reconnects.  ``transport``
+    names that wire and accepts only ``"tcp"``; it remains because
+    the benchmark suite's workload definitions still pass it, and goes
+    when they stop.  ``socket_faults`` is a
+    :class:`~repro.grid.net.tcp.SocketFaults` applied to every
+    worker's client connection.
     """
 
     workers: int = 2
@@ -102,8 +102,8 @@ class RuntimeConfig:
     max_retries: int = 2  # RPC retries (same seq, capped backoff)
     lease_seconds: Optional[float] = None  # silent-owner expiry (off by default)
     root_interval: Optional[Tuple[int, int]] = None  # leaf slice to solve
-    transport: str = "inprocess"  # "inprocess" | "tcp"
-    socket_faults: Optional[Any] = None  # SocketFaults, TCP only
+    transport: str = "tcp"  # the only wire; any other value is refused
+    socket_faults: Optional[Any] = None  # SocketFaults
     crash_workers: Dict[int, int] = field(default_factory=dict)
     # worker index -> crash after that many updates (fault injection)
     fault_plan: Optional[FaultPlan] = None
@@ -139,37 +139,22 @@ class ParallelResult:
     rpc_wait_seconds: float = 0.0
 
 
-def _build_transport(config: RuntimeConfig, ctx: Any) -> Transport:
-    """Instantiate the configured transport backend."""
-    # Imported here, not at module top: repro.grid.net.tcp needs the
-    # framing module, which imports this package back — the lazy
-    # import keeps `import repro.grid.net` from re-entering a
-    # half-initialized module either way around.
-    from repro.grid.net.inprocess import InProcessTransport
-    from repro.grid.net.tcp import TcpTransport
-
-    if config.transport == "tcp":
-        return TcpTransport(faults=config.socket_faults)
-    if config.transport != "inprocess":
-        raise RuntimeProtocolError(
-            f"unknown transport {config.transport!r} "
-            f"(expected 'inprocess' or 'tcp')"
-        )
-    if config.socket_faults is not None:
-        raise RuntimeProtocolError("socket_faults needs transport='tcp'")
-    return InProcessTransport(ctx)
-
-
 def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) -> ParallelResult:
     """Exactly solve ``spec`` with a farmer and N worker processes."""
     # Imported here, not at module top: the service imports this
-    # package's coordinator back (see _build_transport).
+    # package's coordinator back, and repro.grid.net.tcp needs the
+    # framing module, which imports this package back too.
+    from repro.grid.net.tcp import TcpTransport
     from repro.grid.service.server import ServiceConfig, SolveService
     from repro.grid.service.store import DONE
 
     config = config or RuntimeConfig()
     if config.workers < 1:
         raise RuntimeProtocolError("need at least one worker")
+    if config.transport != "tcp":
+        raise RuntimeProtocolError(
+            f"unknown transport {config.transport!r} (expected 'tcp')"
+        )
     plan = config.fault_plan or FaultPlan()
     crash_workers = dict(config.crash_workers)
     for idx, after in plan.worker_crashes.items():
@@ -184,7 +169,7 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
         checkpoint_dir = Path(temp_ckpt.name)
 
     ctx = mp.get_context("fork")
-    transport = _build_transport(config, ctx)
+    transport = TcpTransport(faults=config.socket_faults)
     listener: Listener = transport.listen()
     fault_stats = FaultStats()
     if plan.channel is not None:

@@ -129,7 +129,6 @@ class TestNoticeFaults:
     def _run(self, seed, notices):
         plan = FaultPlan(channel=ChannelFaults(notices=notices), seed=seed)
         config = chaos_config(plan)
-        config.transport = "tcp" if seed >= 2 else "inprocess"
         config.bound_poll_nodes = 32  # polls inside the ≤ 400-node slices
         # Trees of several slices: the module's 7-job ones fit in the first
         # worker's first slice, and a run with nobody to cut sends no notice.

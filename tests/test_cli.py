@@ -86,15 +86,6 @@ class TestOtherCommands:
         assert "Ta001" in out
         assert "trivial lower bound" in out
 
-    def test_p2p(self, capsys):
-        assert main(
-            ["p2p", "--peers", "3", "--jobs", "7", "--machines", "3",
-             "--seed", "4"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "P2P optimum" in out
-        assert "Safra termination: True" in out
-
     def test_report_all_claims_hold(self, capsys):
         assert main(["report"]) == 0
         out = capsys.readouterr().out

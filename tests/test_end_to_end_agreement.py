@@ -1,8 +1,8 @@
 """Capstone: every execution path proves the same optimum.
 
-One instance, five resolutions — sequential, checkpoint-resumed,
-real multiprocessing farmer–worker, simulated grid (real B&B under
-churn), and peer-to-peer — all built on the same interval coding.
+One instance, four resolutions — sequential, checkpoint-resumed,
+real multiprocessing farmer–worker, and simulated grid (real B&B under
+churn) — all built on the same interval coding.
 Any divergence anywhere in the stack fails here.
 """
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro.core import solve
 from repro.core.resumable import ResumableSolver
-from repro.grid.p2p import P2PConfig, P2PSimulation
 from repro.grid.runtime import RuntimeConfig, flowshop_spec, solve_parallel
 from repro.grid.simulator import (
     AvailabilityModel,
@@ -75,18 +74,6 @@ def test_all_execution_paths_agree(instance, expected, tmp_path_factory):
     )).run()
     assert sim.finished
     results["simulated-grid"] = sim.best_cost
-
-    # 5. peer-to-peer with Safra termination
-    p2p = P2PSimulation(P2PConfig(
-        platform=small_platform(workers=4),
-        workload=RealBBWorkload(problem, nodes_per_second=50.0),
-        horizon=60 * 86400.0,
-        seed=5,
-        update_period=2.0,
-        steal_backoff=1.0,
-    )).run()
-    assert p2p.finished
-    results["peer-to-peer"] = p2p.best_cost
 
     assert all(cost == expected for cost in results.values()), results
 

@@ -18,7 +18,6 @@ FAST_EXAMPLES = [
     "interval_coding.py",
     "parallel_solve.py",
     "challenge_ta056.py",
-    "p2p_stealing.py",
     "chaos_run.py",
 ]
 

@@ -1,9 +1,9 @@
 """Chaos over real sockets: the §4.1 invariant, now with TCP underneath.
 
 The randomized chaos schedules (lossy channel + coordinator crashes +
-worker crashes/hangs) run parameterized over *both* transport backends
-— the same seeds, the same proved optimum.  On top, socket-specific
-faults that have no queue analogue: a client that RSTs its own
+worker crashes/hangs) run over the loopback TCP wire every
+``solve_parallel`` uses — seeded, each proving the serial optimum.  On
+top, socket-specific faults: a client that RSTs its own
 connection mid-run (kill-and-reconnect), a raw peer that dies mid-frame,
 a half-open peer that goes silent without closing, and an oversized
 frame on the wire.  None of them may cost more than redundant work.
@@ -30,11 +30,10 @@ from repro.problems.flowshop import FlowShopProblem, random_instance
 fs_instance = random_instance(8, 4, seed=153)
 serial = solve(FlowShopProblem(fs_instance))
 
-TRANSPORTS = ("inprocess", "tcp")
 CHAOS_SEEDS = range(10)
 
 
-def chaos_config(plan: FaultPlan, transport: str, **overrides) -> RuntimeConfig:
+def chaos_config(plan: FaultPlan, **overrides) -> RuntimeConfig:
     base = dict(
         workers=3,
         update_nodes=200,
@@ -45,7 +44,6 @@ def chaos_config(plan: FaultPlan, transport: str, **overrides) -> RuntimeConfig:
         reply_timeout=0.4,
         max_retries=6,
         lease_seconds=0.6,
-        transport=transport,
         fault_plan=plan,
     )
     base.update(overrides)
@@ -53,19 +51,16 @@ def chaos_config(plan: FaultPlan, transport: str, **overrides) -> RuntimeConfig:
 
 
 @pytest.mark.slow
-class TestChaosBothTransports:
-    """The PR 1 chaos property, now quantified over the wire."""
+class TestChaosOverTcp:
+    """The seeded chaos property, over the wire."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_chaos_schedule_still_proves_optimum(self, seed, transport):
+    def test_chaos_schedule_still_proves_optimum(self, seed):
         assert serial.stats.improvements > 0  # premise: Pushes to lose
         plan = FaultPlan.chaos(seed, workers=3)
-        result = solve_parallel(
-            flowshop_spec(fs_instance), chaos_config(plan, transport)
-        )
-        assert result.optimal, f"seed {seed} over {transport} lost the proof"
-        assert result.cost == serial.cost, f"seed {seed} over {transport}"
+        result = solve_parallel(flowshop_spec(fs_instance), chaos_config(plan))
+        assert result.optimal, f"seed {seed} lost the proof"
+        assert result.cost == serial.cost, f"seed {seed}"
 
 
 class TestSocketChaos:
@@ -78,24 +73,20 @@ class TestSocketChaos:
         result = solve_parallel(
             flowshop_spec(fs_instance),
             chaos_config(
-                FaultPlan(),
-                "tcp",
-                socket_faults=SocketFaults(reset_after_sends=3),
+                FaultPlan(), socket_faults=SocketFaults(reset_after_sends=3)
             ),
         )
         assert result.optimal
         assert result.cost == serial.cost
 
     def test_lossy_channel_over_tcp(self):
-        """Generic channel faults compose with the TCP backend: the
+        """Generic channel faults compose with the TCP wire: the
         FaultyListener drops/dups/delays on top of real frames."""
         plan = FaultPlan.chaos(3, workers=3)
         plan.coordinator_crashes = []
         plan.worker_crashes = {}
         plan.worker_hangs = {}
-        result = solve_parallel(
-            flowshop_spec(fs_instance), chaos_config(plan, "tcp")
-        )
+        result = solve_parallel(flowshop_spec(fs_instance), chaos_config(plan))
         assert result.optimal
         assert result.cost == serial.cost
 

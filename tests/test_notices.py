@@ -3,13 +3,13 @@
 * ``Coordinator.take_notices`` names exactly the holders whose copy
   someone else cut, and the other holders after a Push lowered SOLUTION;
   the service core sends them ahead of the reply and counts them.
-* ``Connection.poll`` never blocks, on either transport; the RPC layer
+* ``Connection.poll`` never blocks on the TCP client; the RPC layer
   tells a ``Notice`` from a reply by its type.
 * A scripted connection drives the real ``worker_main`` (its decisions
   are tested sans IO in ``test_worker_core.py``): a cut is reconciled
   before another node, a dead coordinator noticed at the re-inform Push.
-* ``solve_parallel`` over both transports and one service job with two
-  holders: same optimum, proof, reconciled ledger, notices sent.
+* ``solve_parallel`` and one service job with two holders: same
+  optimum, proof, reconciled ledger, notices sent.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import pytest
 from repro.core import Interval, engine, solve
 from repro.grid.net import tcp
 from repro.grid.net.framing import MessageDecodeError, decode_message
-from repro.grid.net.inprocess import InProcessTransport
 from repro.grid.net.tcp import TcpClientConnection, TcpListener
 from repro.grid.net.transport import Connection, TransportError, TransportTimeout
 from repro.grid.runtime import (
@@ -131,20 +130,6 @@ def test_a_holder_that_ran_past_the_cut_shrinks_the_requesters_copy():
 # ----------------------------------------------------------------------
 # poll() never waits; a Notice is never a reply
 # ----------------------------------------------------------------------
-def test_inprocess_poll_returns_what_has_arrived_or_none():
-    transport = InProcessTransport()
-    listener = transport.listen()
-    conn = transport.connector_for("w0").connect("w0")
-    assert conn.poll() is None
-    listener.send("w0", Notice(7.0, True))
-    deadline = time.monotonic() + 2.0
-    got = None
-    while got is None and time.monotonic() < deadline:
-        got = conn.poll()  # the queue's feeder thread needs a moment
-    assert got == Notice(7.0, True)
-    assert conn.poll() is None
-
-
 def test_tcp_poll_reads_the_socket_without_blocking():
     listener = TcpListener(peer_timeout=5.0)
     conn = TcpClientConnection(*listener.address, "w0", heartbeat_interval=None)
@@ -374,11 +359,10 @@ def test_an_unanswered_reinform_push_gives_up_before_any_update():
 
 
 # ----------------------------------------------------------------------
-# real processes, both transports, and the service
+# real processes over TCP, and the service
 # ----------------------------------------------------------------------
 @pytest.mark.timeout(120)
-@pytest.mark.parametrize("transport", ["inprocess", "tcp"])
-def test_solve_parallel_sends_notices_and_proves_the_serial_optimum(transport):
+def test_solve_parallel_sends_notices_and_proves_the_serial_optimum():
     result = solve_parallel(
         flowshop_spec(instance),
         RuntimeConfig(
@@ -386,7 +370,6 @@ def test_solve_parallel_sends_notices_and_proves_the_serial_optimum(transport):
             update_nodes=100,
             update_period=None,
             bound_poll_nodes=32,
-            transport=transport,
             deadline=90,
         ),
     )
