@@ -24,15 +24,14 @@ Correspondence with the paper's four operators (§2):
   right, the stack stays number-sorted, and the fold is always the two
   integers ``[top, B)`` (:meth:`IntervalExplorer.remaining_interval`);
 * **branching** — delegated to :meth:`Problem.branch`;
-* **bounding** — delegated to :meth:`Problem.lower_bound`, or, when a
-  problem implements :meth:`Problem.bound_children`, evaluated for all
-  siblings at once at decomposition time (the batched-kernel structure
-  of the GPU-B&B follow-on work); when the problem registered pool
-  kernels (:mod:`repro.core.kernels`) the children of the whole wave
-  are bounded in one call.  The engine writes the incumbent cost
-  to :attr:`Problem.prune_at` before each such call, so a staged
-  bound can stop early on families it has already shown dead; every
-  value that comes back is admissible, and it is the exact
+* **bounding** — delegated to :meth:`Problem.lower_bound`, or, when
+  the problem registered a pool evaluator (:mod:`repro.core.kernels`),
+  evaluated at decomposition time for the children of the whole wave
+  in one call, a wave of one parent included (the batched-kernel
+  structure of the GPU-B&B follow-on work).  The engine writes the
+  incumbent cost to :attr:`Problem.prune_at` before each such call, so
+  a staged bound can stop early on families it has already shown
+  dead; every value that comes back is admissible, and it is the exact
   :meth:`Problem.lower_bound` value wherever it is below ``prune_at``
   and for every child of a parent with such a child.  Only those
   children reach the stack, so a bound cached on a stack entry is
@@ -166,11 +165,10 @@ class IntervalExplorer:
         Called ``(cost, solution)`` whenever the local best improves
         (sharing rule 2: "immediately informs the coordinator").
     batched_bounds:
-        ``None`` (default) uses :meth:`Problem.bound_children` whenever
-        the problem overrides it; ``False`` forces the per-node path
-        (the scalar oracle the conformance tests compare against);
-        ``True`` forces batch calls even on problems that may return
-        ``None`` (harmless — each ``None`` falls back).
+        ``True`` (default) bounds every wave's children with the
+        problem's pool evaluator when it registered one; ``False``
+        forces the per-node path (the scalar oracle the conformance
+        tests compare against).
     bound_provider:
         Optional zero-arg callable returning an advisory global upper
         bound (the grid worker's drain of its coordinator connection).
@@ -201,17 +199,12 @@ class IntervalExplorer:
         *,
         incumbent: Optional[Incumbent] = None,
         on_improvement: Optional[ImprovementCallback] = None,
-        batched_bounds: Optional[bool] = None,
+        batched_bounds: bool = True,
         bound_provider: Optional[Callable[[], float]] = None,
         bound_poll_nodes: int = 256,
         pool_size: int = 64,
     ):
         self.problem = problem
-        if batched_bounds is None:
-            batched_bounds = (
-                type(problem).bound_children is not Problem.bound_children
-            )
-        self._batched_bounds = bool(batched_bounds)
         if pool_size < 1:
             raise EngineError("pool_size must be >= 1")
         self.pool_size = pool_size
@@ -219,9 +212,7 @@ class IntervalExplorer:
         #: that bounded that many parents at once.
         self.pool_occupancy: Dict[int, int] = {}
         self._pool_evaluator: Optional[PoolEvaluator] = (
-            pool_evaluator_for(problem)
-            if self._batched_bounds
-            else None
+            pool_evaluator_for(problem) if batched_bounds else None
         )
         self.shape: TreeShape = problem.tree_shape()
         self._weights = self.shape.weights()
@@ -550,27 +541,24 @@ class IntervalExplorer:
     ) -> List[Optional[List[float]]]:
         """Child bounds of every parent of a wave (all at ``depth``).
 
-        One pool-evaluator call when there is one (its width recorded
-        in :attr:`pool_occupancy`), :meth:`Problem.bound_children` for
-        parents it declined or when there is none; ``None`` stays for
-        a parent whose children are leaves or that nothing bounded in
-        batch — those children get their bound when they are popped.
+        One pool-evaluator call, its width recorded in
+        :attr:`pool_occupancy`; ``None`` stays for a parent whose
+        children are leaves, that the evaluator declined, or when there
+        is no evaluator — those children get their bound when they are
+        popped.
         """
         rows: List[Any] = [None] * len(parents)
-        if not self._batched_bounds or depth + 1 >= self.shape.leaf_depth:
+        if self._pool_evaluator is None or depth + 1 >= self.shape.leaf_depth:
             return rows
-        if self._pool_evaluator is not None:
-            width = len(parents)
-            self.pool_occupancy[width] = self.pool_occupancy.get(width, 0) + 1
-            pooled = self._pool_evaluator([p.state for p in parents], depth)
-            if pooled is not None:
-                rows = list(pooled)
+        width = len(parents)
+        self.pool_occupancy[width] = self.pool_occupancy.get(width, 0) + 1
+        pooled = self._pool_evaluator([p.state for p in parents], depth)
+        if pooled is None:
+            return rows
         expected = self.shape.num_children(depth)
-        for index, row in enumerate(rows):
+        for index, row in enumerate(pooled):
             if row is None:
-                row = self.problem.bound_children(parents[index].state, depth)
-                if row is None:
-                    continue
+                continue
             if len(row) != expected:
                 raise ProblemError(
                     f"{self.problem.name()} returned {len(row)} child "
@@ -599,7 +587,7 @@ def solve(
     initial_upper_bound: float = math.inf,
     initial_solution: Any = None,
     on_improvement: Optional[ImprovementCallback] = None,
-    batched_bounds: Optional[bool] = None,
+    batched_bounds: bool = True,
     pool_size: int = 64,
 ) -> SolveResult:
     """Sequentially solve ``problem`` (over ``interval``) with proof.

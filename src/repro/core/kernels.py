@@ -2,10 +2,11 @@
 
 The engine's exploration loop pops a *wave* of same-depth parents and
 bounds all their children in one call to the problem's
-:data:`PoolEvaluator`.  Problem packages register the factory that
-builds it at import time (:mod:`repro.problems.flowshop.pool`,
-:mod:`repro.problems.tsp.pool`), so the core never imports problem
-code::
+:data:`PoolEvaluator` — every wave, a wave of one parent included, so
+each bound has one batched kernel.  Problem packages register the
+factory that builds it at import time
+(:mod:`repro.problems.flowshop.pool`, :mod:`repro.problems.tsp.pool`),
+so the core never imports problem code::
 
     from repro.core.kernels import pool_evaluator_for
     evaluator = pool_evaluator_for(problem)   # None: nothing registered
@@ -15,21 +16,21 @@ Lookup walks the problem type's MRO, so a subclass inherits its base's
 kernels unless it registers its own (the benchmark suite's tracer
 registers a timing wrapper that way).  A problem with no factory, or
 one whose factory returns ``None``, is not pooled: the engine keeps
-waves one parent wide on :meth:`Problem.bound_children` /
-:meth:`Problem.lower_bound`.
+waves one parent wide and bounds every node with
+:meth:`Problem.lower_bound` when it is popped.
 
 **Contract.**  ``evaluator(states, depth)`` bounds the children of every
 parent in ``states`` (all at ``depth``) and returns one row of child
 bounds per parent, in rank order — or ``None`` for a row, or for the
-whole pool, to decline (the engine then calls ``bound_children`` for
-those parents).  Every value must be admissible; it must be the exact
-:meth:`Problem.lower_bound` value wherever it is below
-:attr:`Problem.prune_at` (the incumbent cost the engine wrote just
-before the call) and for every child of a parent with such a child; a
-child at or above ``prune_at`` may report any admissible value
-``>= prune_at``.  tests/test_kernel_backends.py checks the evaluators
-against the scalar bounds, tests/test_engine_conformance.py the engine
-built on them.
+whole pool, to decline (the engine then bounds those parents' children
+with ``lower_bound`` when it pops them).  Every value must be
+admissible; it must be the exact :meth:`Problem.lower_bound` value
+wherever it is below :attr:`Problem.prune_at` (the incumbent cost the
+engine wrote just before the call) and for every child of a parent
+with such a child; a child at or above ``prune_at`` may report any
+admissible value ``>= prune_at``.  tests/test_pool_kernels.py checks
+the evaluators against the scalar bounds,
+tests/test_engine_conformance.py the engine built on them.
 
 There is one kernel tier, :data:`TIER`.  The registry functions take
 its name as their first argument (callers outside the package, such as

@@ -35,15 +35,16 @@ class Problem(ABC):
     """
 
     #: Advisory prune threshold for batch bounding: the incumbent cost
-    #: of the engine about to call :meth:`bound_children` (or a pool
-    #: evaluator built on this problem), written by that engine before
-    #: every such call.  A staged bound may stop at a cheap admissible
-    #: value for children it has already shown to be ``>= prune_at``
-    #: (see :meth:`bound_children`).  It is only ever *compared* with
-    #: bounds; a stale or foreign value can weaken a reported bound,
-    #: never the soundness of a prune, because every value returned is
-    #: admissible whatever the hint says.  ``inf`` (the default) asks
-    #: for exact bounds everywhere.
+    #: of the engine about to call a pool evaluator built on this
+    #: problem (:mod:`repro.core.kernels`), written by that engine
+    #: before every such call.  A staged bound may stop at a cheap
+    #: admissible value for children it has already shown to be
+    #: ``>= prune_at``; every other child bound it returns must be the
+    #: exact :meth:`lower_bound` value.  It is only ever *compared*
+    #: with bounds; a stale or foreign value can weaken a reported
+    #: bound, never the soundness of a prune, because every value
+    #: returned is admissible whatever the hint says.  ``inf`` (the
+    #: default) asks for exact bounds everywhere.
     prune_at: float = math.inf
 
     @abstractmethod
@@ -73,32 +74,6 @@ class Problem(ABC):
         calls :meth:`leaf_cost` on leaves, but a consistent bound keeps
         the LB <= cost invariant testable).
         """
-
-    def bound_children(self, state: Any, depth: int) -> Optional[Sequence[float]]:
-        """Lower bounds of *all* children of ``state``, in rank order.
-
-        Optional batch counterpart of :meth:`lower_bound`: when a
-        problem can evaluate the bounds of every child of a node in one
-        vectorised kernel (the GPU-B&B structure of Chakroun & Melab),
-        the engine calls this once per decomposition instead of calling
-        :meth:`lower_bound` once per child, and prunes children before
-        they are ever pushed.
-
-        The returned sequence must have exactly
-        ``tree_shape().num_children(depth)`` entries — one per child
-        returned by :meth:`branch`.  Every entry must be an admissible
-        bound of its child.  It must be exactly
-        ``lower_bound(branch(state, depth)[r], depth + 1)`` wherever
-        that value is below :attr:`prune_at`, and for every child of a
-        state that has such a child (the engine caches those values on
-        its stack, and its node accounting relies on the equivalence);
-        a child at or above :attr:`prune_at` may report any admissible
-        value ``>= prune_at`` — it is pruned on the spot either way.
-        Returning ``None`` falls back to the per-node path for this
-        decomposition.  The engine never calls this when the children
-        are leaves.
-        """
-        return None
 
     @abstractmethod
     def leaf_cost(self, state: Any) -> float:

@@ -11,15 +11,13 @@ are exercised where they matter:
   window, and starts a successor with ``resume=True`` over the same
   checkpoint directory and listener — the crash-only path a real
   ``kill -9`` of ``repro grid serve`` takes.
-* **Lossy channel** — :class:`LossyReceiver` / :class:`LossySender`
-  wrap queue-shaped request and reply channels and probabilistically drop,
-  duplicate, or delay (reorder) individual protocol messages, driven
-  by a seeded ``random.Random`` so every schedule is reproducible.
-  :class:`FaultyListener` lifts the same faults to the transport
-  layer: it wraps any :class:`~repro.grid.net.transport.Listener`, so
-  the chaos schedules run over loopback TCP (socket-specific faults —
-  client RSTs, half-open peers — live in :mod:`repro.grid.net.tcp` and
-  compose with these).
+* **Lossy channel** — :class:`FaultyListener` wraps any
+  :class:`~repro.grid.net.transport.Listener` and probabilistically
+  drops, duplicates, or delays (reorders) individual protocol
+  messages in both directions, driven by a seeded ``random.Random`` so
+  every schedule is reproducible; the chaos schedules run over
+  loopback TCP (socket-specific faults — client RSTs, half-open peers
+  — live in :mod:`repro.grid.net.tcp` and compose with these).
 * **Worker hang** — unlike a crash, a hung worker stays alive but
   silent past its lease; the coordinator releases its interval to the
   load balancer, and the worker's eventual late update reconciles
@@ -44,7 +42,6 @@ duplicate and delay them all (a stale notice costs one early Update).
 
 from __future__ import annotations
 
-import queue as queue_mod
 import random
 import time
 from collections import deque
@@ -61,8 +58,6 @@ __all__ = [
     "FaultStats",
     "FaultPlan",
     "FaultyListener",
-    "LossyReceiver",
-    "LossySender",
 ]
 
 
@@ -102,7 +97,7 @@ class WorkerHang:
 
 @dataclass(frozen=True)
 class ChannelFaults:
-    """Per-message fault probabilities for a lossy queue wrapper.
+    """Per-message fault probabilities for a :class:`FaultyListener`.
 
     ``notices``, when given, replaces these rates for the coordinator's
     unsolicited ``Notice`` messages (replies keep the rates above).
@@ -201,39 +196,57 @@ class FaultPlan:
         return plan
 
 
-class LossyReceiver:
-    """Wrap the coordinator's request-queue ``get`` with channel faults.
+class FaultyListener(Listener):
+    """Channel faults over *any* transport's listener.
 
-    Dropped messages are silently discarded (the worker's retry layer
-    recovers), duplicated messages are delivered twice back to back
-    (the coordinator's sequence cache dedups), and delayed messages
-    are buffered and re-inserted behind later traffic (reordering,
-    which the sequence numbers make harmless).  A buffered message is
-    always flushed when the underlying queue runs empty, so delay can
-    never turn into loss.
+    Wraps the coordinator side of a transport and probabilistically
+    drops, duplicates or delays (reorders) individual protocol
+    messages in both directions, driven by the seeded ``rng`` so every
+    schedule is reproducible:
+
+    * **inbound** (:meth:`recv`) — a dropped message is silently
+      discarded (the worker's retry layer recovers), a duplicated one
+      is delivered twice back to back (the coordinator's sequence cache
+      dedups), and a delayed one is buffered and re-inserted behind
+      later traffic (reordering, which the sequence numbers make
+      harmless).  A buffered message is always released when the inbox
+      runs empty, so delay can never turn into loss;
+    * **outbound** (:meth:`send`) — a dropped reply forces the worker's
+      RPC retry (the service then answers from its reply cache); a
+      delayed reply is emitted *after* the next one to the same worker,
+      exercising the worker's stale-reply discard.  One delay buffer
+      per worker keeps the destinations independent; :meth:`flush`
+      releases them all — the service pump calls it on idle iterations
+      so a delayed terminal reply cannot strand a worker forever.
     """
 
-    def __init__(self, queue: Any, faults: ChannelFaults, rng: random.Random,
-                 stats: Optional[FaultStats] = None):
-        self._queue = queue
+    def __init__(
+        self,
+        listener: Listener,
+        faults: ChannelFaults,
+        rng: random.Random,
+        stats: Optional[FaultStats] = None,
+    ):
+        self._listener = listener
         self._faults = faults
         self._rng = rng
         self.stats = stats if stats is not None else FaultStats()
         self._pending: deque = deque()  # duplicates / released delays
-        self._delayed: deque = deque()
+        self._delayed: deque = deque()  # inbound messages held back
+        self._held: Dict[str, deque] = {}  # outbound replies, per worker
 
-    def get(self, timeout: Optional[float] = None) -> Any:
+    def recv(self, timeout: Optional[float] = None) -> Any:
+        f = self._faults
         while True:
             if self._pending:
                 return self._pending.popleft()
             try:
-                message = self._queue.get(timeout=timeout)
-            except queue_mod.Empty:
+                message = self._listener.recv(timeout=timeout)
+            except TransportTimeout:
                 if self._delayed:
                     return self._delayed.popleft()
                 raise
             roll = self._rng.random()
-            f = self._faults
             if roll < f.drop:
                 self.stats.dropped += 1
                 continue
@@ -249,130 +262,34 @@ class LossyReceiver:
                 self._pending.append(self._delayed.popleft())
             return message
 
-
-class LossySender:
-    """Wrap a worker's reply-queue ``put`` with channel faults.
-
-    A dropped reply forces the worker's RPC retry (the service then
-    answers from its reply cache); a delayed reply is emitted
-    *after* the next one, exercising the worker's stale-reply discard.
-    ``flush`` releases any still-buffered replies — the service pump calls
-    it on idle iterations so a delayed terminal reply cannot strand a
-    worker forever.
-    """
-
-    def __init__(self, queue: Any, faults: ChannelFaults, rng: random.Random,
-                 stats: Optional[FaultStats] = None):
-        self._queue = queue
-        self._faults = faults
-        self._rng = rng
-        self.stats = stats if stats is not None else FaultStats()
-        self._delayed: deque = deque()
-
-    def put(self, item: Any) -> None:
+    def send(self, worker: str, reply: Any) -> None:
+        held = self._held.setdefault(worker, deque())
         roll = self._rng.random()
         f = self._faults
-        if f.notices is not None and isinstance(item, Notice):
+        if f.notices is not None and isinstance(reply, Notice):
             f = f.notices
         if roll < f.drop:
             self.stats.dropped += 1
-            self.flush()
-            return
-        if roll < f.drop + f.duplicate:
+        elif roll < f.drop + f.duplicate:
             self.stats.duplicated += 1
-            self._queue.put(item)
-            self._queue.put(item)
-            self.flush()
-            return
-        if roll < f.drop + f.duplicate + f.delay:
+            self._listener.send(worker, reply)
+            self._listener.send(worker, reply)
+        elif roll < f.drop + f.duplicate + f.delay:
             self.stats.delayed += 1
-            self._delayed.append(item)
+            held.append(reply)
             return
-        self._queue.put(item)
-        self.flush()
-
-    def flush(self) -> None:
-        while self._delayed:
-            self._queue.put(self._delayed.popleft())
-
-
-class _ListenerRecvShim:
-    """Queue-shaped view of a Listener's inbox for :class:`LossyReceiver`."""
-
-    def __init__(self, listener: Listener):
-        self._listener = listener
-
-    def get(self, timeout: Optional[float] = None) -> Any:
-        try:
-            return self._listener.recv(timeout=timeout)
-        except TransportTimeout:
-            raise queue_mod.Empty from None
-
-
-class _WorkerSendShim:
-    """Queue-shaped view of one worker's replies for :class:`LossySender`."""
-
-    def __init__(self, listener: Listener, worker: str):
-        self._listener = listener
-        self._worker = worker
-
-    def put(self, item: Any) -> None:
-        self._listener.send(self._worker, item)
-
-
-class FaultyListener(Listener):
-    """Channel faults over *any* transport's listener.
-
-    Wraps the coordinator side of a transport with the
-    :class:`LossyReceiver` / :class:`LossySender` machinery via
-    queue-shaped shims, so drop / duplicate / delay semantics (and
-    their statistics) do not depend on what carries the traffic.  One
-    lossy sender per worker keeps the per-destination delay buffers
-    independent.
-    """
-
-    def __init__(
-        self,
-        listener: Listener,
-        faults: ChannelFaults,
-        rng: random.Random,
-        stats: Optional[FaultStats] = None,
-    ):
-        self._listener = listener
-        self._faults = faults
-        self._rng = rng
-        self.stats = stats if stats is not None else FaultStats()
-        self._receiver = LossyReceiver(
-            _ListenerRecvShim(listener), faults, rng, self.stats
-        )
-        self._senders: Dict[str, LossySender] = {}
-
-    def recv(self, timeout: Optional[float] = None) -> Any:
-        try:
-            return self._receiver.get(timeout=timeout)
-        except queue_mod.Empty:
-            raise TransportTimeout(
-                f"no message within {timeout}s"
-            ) from None
-
-    def send(self, worker: str, reply: Any) -> None:
-        sender = self._senders.get(worker)
-        if sender is None:
-            sender = LossySender(
-                _WorkerSendShim(self._listener, worker),
-                self._faults,
-                self._rng,
-                self.stats,
-            )
-            self._senders[worker] = sender
-        sender.put(reply)
+        else:
+            self._listener.send(worker, reply)
+        while held:
+            self._listener.send(worker, held.popleft())
 
     def connected_workers(self) -> List[str]:
         return self._listener.connected_workers()
 
     def flush(self) -> None:
-        for sender in self._senders.values():
-            sender.flush()
+        for worker, held in self._held.items():
+            while held:
+                self._listener.send(worker, held.popleft())
         self._listener.flush()
 
     @property

@@ -9,12 +9,8 @@ Public surface::
     )
 """
 
-from repro.problems.flowshop.batch import makespans_batch, random_permutations
 from repro.problems.flowshop.bounds import (
     BoundData,
-    BoundDataCache,
-    bound_data_for,
-    clear_bound_data_cache,
     machine_pairs,
     one_machine_bound,
     two_machine_bound,
@@ -57,13 +53,10 @@ from repro.problems.flowshop.taillard import (
 
 __all__ = [
     "BoundData",
-    "BoundDataCache",
     "FlowShopInstance",
     "FlowShopNumpyPool",
     "advance_fronts_batch",
     "advance_fronts_pool",
-    "bound_data_for",
-    "clear_bound_data_cache",
     "FlowShopProblem",
     "FlowShopState",
     "IGResult",
@@ -80,13 +73,11 @@ __all__ = [
     "known_optimum",
     "machine_pairs",
     "makespan",
-    "makespans_batch",
     "neh",
     "one_machine_bound",
     "optimality_gap",
     "partial_makespan",
     "random_instance",
-    "random_permutations",
     "read_instance",
     "taillard_instance",
     "taillard_matrix",

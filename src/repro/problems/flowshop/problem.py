@@ -96,19 +96,6 @@ class FlowShopProblem(Problem):
             "lb2": self.bound_data.two_machine,
             "combined": self.bound_data.combined,
         }[bound]
-        self._batch_bound_fn = {
-            "lb1": self.bound_data.one_machine_children,
-            "lb2": self.bound_data.two_machine_children,
-            "combined": self.bound_data.combined_children,
-        }[bound]
-        # One-slot child-front cache: the engine calls bound_children
-        # then branch on the same state back to back; both need the
-        # (r, M) stack of child fronts, so the second call reuses it.
-        # Keyed by identity with a strong reference, so the id cannot
-        # be recycled while the entry lives.
-        self._fronts_cache: Optional[
-            Tuple[FlowShopState, np.ndarray, np.ndarray]
-        ] = None
         # Pool-kernel handoff: the pool evaluator computes the child
         # fronts of a whole wave of parents in one call, before the
         # engine branches each of them.  Rows are parked here (keyed by
@@ -117,7 +104,7 @@ class FlowShopProblem(Problem):
         # A wave's parents are all branched or dropped before the next
         # evaluator call, so each call replaces the previous wave's
         # leftovers: the cache never holds more than one wave.
-        self._pool_fronts: "dict[int, Tuple[FlowShopState, np.ndarray, np.ndarray]]" = {}
+        self._pool_fronts: "dict[int, Tuple[FlowShopState, np.ndarray]]" = {}
         # Per-child-count index matrices for branch(): row c selects
         # the remaining vector minus entry c, so the r child remaining
         # sets come from one fancy gather (allocating an r x r boolean
@@ -137,50 +124,35 @@ class FlowShopProblem(Problem):
             remaining=np.arange(self.instance.jobs, dtype=np.intp),
         )
 
-    def _child_fronts(
-        self, state: FlowShopState
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(fronts, p_rem)`` for all children of ``state``, cached once.
-
-        ``fronts`` is the (r, M) stack of child completion fronts and
-        ``p_rem`` the (r, M) processing-time rows of the remaining jobs
-        (shared with the bound kernels, which need the same gather).
-        """
-        cached = self._fronts_cache
-        if cached is not None and cached[0] is state:
-            return cached[1], cached[2]
+    def _child_fronts(self, state: FlowShopState) -> np.ndarray:
+        """The (r, M) stack of child completion fronts of ``state``:
+        the row the pool evaluator parked for it, else computed."""
         pooled = self._pool_fronts.pop(id(state), None)
         if pooled is not None and pooled[0] is state:
-            self._fronts_cache = pooled
-            return pooled[1], pooled[2]
+            return pooled[1]
         p_rem = self.instance.processing_times[state.remaining]
-        fronts = advance_fronts_batch(state.front, p_rem)
-        self._fronts_cache = (state, fronts, p_rem)
-        return fronts, p_rem
+        return advance_fronts_batch(state.front, p_rem)
 
     def store_child_fronts(
-        self,
-        states: Sequence[FlowShopState],
-        fronts: np.ndarray,
-        p_rem: np.ndarray,
+        self, states: Sequence[FlowShopState], fronts: np.ndarray
     ) -> None:
         """Park pool-computed child fronts for later :meth:`branch` reuse.
 
-        ``fronts`` / ``p_rem`` are the (N, r, M) pool arrays; row ``n``
-        belongs to ``states[n]``.  Called by the pool evaluators so the
-        fronts computed for bounding are not recomputed at branch time;
+        ``fronts`` is the (N, r, M) pool array; row ``n`` belongs to
+        ``states[n]``.  Called by the pool evaluators so the fronts
+        computed for bounding are not recomputed at branch time;
         whatever the previous wave left unconsumed (parents with no
         surviving child are never branched) is dropped first.
         """
         cache = self._pool_fronts
         cache.clear()
         for n, state in enumerate(states):
-            cache[id(state)] = (state, fronts[n], p_rem[n])
+            cache[id(state)] = (state, fronts[n])
 
     def branch(self, state: FlowShopState, depth: int) -> List[FlowShopState]:
         remaining = state.remaining
         r = remaining.size
-        fronts, _ = self._child_fronts(state)
+        fronts = self._child_fronts(state)
         # remaining-minus-one for every child in one shot: gather with
         # the cached diagonal-dropping index matrix.
         if r > 1:
@@ -204,14 +176,6 @@ class FlowShopProblem(Problem):
 
     def lower_bound(self, state: FlowShopState, depth: int) -> float:
         return self._bound_fn(state.front, state.remaining)
-
-    def bound_children(self, state: FlowShopState, depth: int) -> np.ndarray:
-        fronts, p_rem = self._child_fronts(state)
-        if self.bound == "combined":
-            return self.bound_data.combined_children(
-                fronts, state.remaining, p_rem, self.prune_at
-            )
-        return self._batch_bound_fn(fronts, state.remaining)
 
     def leaf_cost(self, state: FlowShopState) -> float:
         return int(state.front[-1])

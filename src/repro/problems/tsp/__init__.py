@@ -9,7 +9,6 @@ from repro.problems.tsp.bounds import (
     best_one_tree_bound,
     one_tree_bound,
     outgoing_edge_bound,
-    outgoing_edge_bound_children,
     outgoing_edge_bound_children_pool,
 )
 from repro.problems.tsp.instance import TSPInstance, random_tsp
@@ -24,7 +23,6 @@ __all__ = [
     "nearest_neighbour_tour",
     "one_tree_bound",
     "outgoing_edge_bound",
-    "outgoing_edge_bound_children",
     "outgoing_edge_bound_children_pool",
     "random_tsp",
 ]

@@ -5,9 +5,9 @@ Two bounds of increasing strength:
 * :func:`outgoing_edge_bound` — each unvisited node's cheapest usable
   outgoing edge (the baseline bound built into
   :class:`~repro.problems.tsp.problem.TSPProblem`), evaluated as one
-  masked row-minimum sweep, plus :func:`outgoing_edge_bound_children`,
-  the batched form that bounds every child of a decomposed node in one
-  kernel;
+  masked row-minimum sweep, plus
+  :func:`outgoing_edge_bound_children_pool`, the batched form that
+  bounds every child of a wave of decomposed nodes in one kernel;
 * :func:`one_tree_bound` — the Held–Karp 1-tree: a minimum spanning
   tree over the non-root nodes plus the two cheapest edges of a
   special node.  The record runs in the paper's Table 3 (Sw24978,
@@ -15,7 +15,7 @@ Two bounds of increasing strength:
   (with Lagrangian refinement); the plain 1-tree is implemented here
   and dominates the outgoing-edge bound at the root.  The MST runs on
   ``scipy.sparse.csgraph``; a textbook Prim in
-  ``tests/test_batched_kernels.py`` is its oracle.
+  ``tests/test_pool_kernels.py`` is its oracle.
 """
 
 from __future__ import annotations
@@ -31,26 +31,9 @@ from repro.problems.tsp.instance import TSPInstance
 
 __all__ = [
     "outgoing_edge_bound",
-    "outgoing_edge_bound_children",
     "outgoing_edge_bound_children_pool",
     "one_tree_bound",
 ]
-
-
-def _masked_distance_block(
-    d: np.ndarray, remaining: np.ndarray, home: int
-) -> np.ndarray:
-    """Rows = remaining cities, cols = remaining + [home], own col masked.
-
-    The shared table of both outgoing-edge forms: entry ``[i, t]`` is
-    the distance from remaining city ``i`` to target ``t``, with the
-    self column pushed to +inf so row minima skip it.
-    """
-    targets = np.concatenate([remaining, [home]])
-    block = d[np.ix_(remaining, targets)].astype(np.float64)
-    r = remaining.size
-    block[np.arange(r), np.arange(r)] = np.inf
-    return block
 
 
 def outgoing_edge_bound(
@@ -70,23 +53,32 @@ def outgoing_edge_bound(
     remaining = np.asarray(list(remaining), dtype=np.intp)
     if remaining.size == 0:
         return path_cost + int(d[path[-1], path[0]])
-    home = path[0]
-    targets = np.concatenate([remaining, [home]])
-    block = _masked_distance_block(d, remaining, home)
+    # Rows = remaining cities, cols = remaining + [home], with the self
+    # column pushed to +inf so row minima skip it.
+    targets = np.concatenate([remaining, [path[0]]])
+    block = d[np.ix_(remaining, targets)].astype(np.float64)
+    r = remaining.size
+    block[np.arange(r), np.arange(r)] = np.inf
     bound = path_cost + int(d[path[-1], targets].min())
     bound += int(block.min(axis=1).sum())
     return bound
 
 
-def outgoing_edge_bound_children(
+def outgoing_edge_bound_children_pool(
     instance: TSPInstance,
-    path: Sequence[int],
-    path_cost: int,
-    remaining: Sequence[int],
+    lasts: Sequence[int],
+    costs: Sequence[int],
+    homes: Sequence[int],
+    remaining: np.ndarray,
 ) -> np.ndarray:
-    """Outgoing-edge bounds of *all* children of a partial tour at once.
+    """Outgoing-edge bounds of *all* children of N partial tours at once.
 
-    Child ``c`` extends the path with ``remaining[c]``.  Its bound is
+    Row ``n`` describes one parent: current city ``lasts[n]``, open
+    path cost ``costs[n]``, tour start ``homes[n]`` and the (N, r)
+    matrix row ``remaining[n]`` of its unvisited cities (all parents
+    share one depth, hence one r; ``r >= 2`` as the engine never pools
+    leaf children).  Child ``c`` of parent ``n`` extends the path with
+    ``remaining[n, c]``.  Its bound is
 
         cost + d[current, r_c] + min_t d[r_c, t] + sum over the other
         remaining cities of their cheapest edge avoiding ``r_c``
@@ -97,52 +89,10 @@ def outgoing_edge_bound_children(
     ``min1[c]`` (its self column is masked), and the leave-one-out sum
     is ``S - min1[c]`` corrected by ``min2 - min1`` wherever ``argmin``
     pointed at ``r_c`` — so every child is O(1) after the shared
-    O(r^2) table.  Requires at least one city to remain per child
-    (the engine never batch-bounds leaf children).
-    """
-    d = instance.distances
-    remaining = np.asarray(remaining, dtype=np.intp)
-    r = remaining.size
-    if r < 2:
-        raise ProblemError(
-            "outgoing_edge_bound_children needs >= 2 remaining cities; "
-            "bound leaf children with leaf_cost instead"
-        )
-    block = _masked_distance_block(d, remaining, path[0])
-    argmin1 = block.argmin(axis=1)
-    rows = np.arange(r)
-    min1 = block[rows, argmin1]
-    masked = block.copy()
-    masked[rows, argmin1] = np.inf
-    min2 = masked.min(axis=1)
-    # Sum of every city's best edge; child c removes its own row (it
-    # is now the tour head) and forbids its column as a target.
-    total = min1.sum()
-    correction = np.bincount(
-        argmin1, weights=min2 - min1, minlength=r + 1
-    )[:r]
-    first_hop = d[path[-1], remaining].astype(np.float64)
-    bounds = path_cost + first_hop + total + correction
-    return bounds.astype(np.int64)
-
-
-def outgoing_edge_bound_children_pool(
-    instance: TSPInstance,
-    lasts: Sequence[int],
-    costs: Sequence[int],
-    homes: Sequence[int],
-    remaining: np.ndarray,
-) -> np.ndarray:
-    """Pooled :func:`outgoing_edge_bound_children` over N partial tours.
-
-    Row ``n`` describes one parent: current city ``lasts[n]``, open
-    path cost ``costs[n]``, tour start ``homes[n]`` and the (N, r)
-    matrix row ``remaining[n]`` of its unvisited cities (all parents
-    share one depth, hence one r; ``r >= 2`` as the engine never pools
-    leaf children).  Row ``n`` of the result equals the per-family
-    kernel's output exactly: the arithmetic is float64 sums of integer
-    distances below 2**53, which are order-independent-exact, and both
-    forms pick the first argmin.
+    O(r^2) table per parent.  Row ``n`` of the result equals
+    :func:`outgoing_edge_bound` of each child exactly: the arithmetic
+    is float64 sums of integer distances below 2**53, which are
+    order-independent-exact.
     """
     d = instance.distances
     remaining = np.asarray(remaining, dtype=np.intp)
@@ -164,8 +114,9 @@ def outgoing_edge_bound_children_pool(
     np.put_along_axis(block, argmin1[:, :, None], np.inf, axis=2)
     min2 = block.min(axis=2)
     total = min1.sum(axis=1)  # (N,)
-    # Scatter-add replaces the per-family bincount: same values into
-    # the same argmin slots, per pool row.
+    # Sum of every city's best edge; child c removes its own row (it
+    # is now the tour head) and forbids its column as a target, which
+    # the scatter-add of (min2 - min1) into the argmin slots corrects.
     correction = np.zeros((n_pool, r + 1), dtype=np.float64)
     np.add.at(correction, (np.arange(n_pool)[:, None], argmin1), min2 - min1)
     first_hop = d[lasts_arr[:, None], remaining].astype(np.float64)

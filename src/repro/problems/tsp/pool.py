@@ -1,23 +1,21 @@
 """TSP pool evaluator, registered with the kernel registry.
 
-One evaluator call bounds the children of a whole pool of same-depth
-partial tours via :func:`outgoing_edge_bound_children_pool` — the
-(N, r, r+1) leave-one-out scan replacing N separate (r, r+1) scans.
+One evaluator call bounds the children of a whole wave of same-depth
+partial tours, a wave of one included, via
+:func:`outgoing_edge_bound_children_pool` — one (N, r, r+1)
+leave-one-out scan.
 Registered at import time (the package ``__init__`` imports this
 module), so ``solve(TSPProblem(...))`` pools.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.core.kernels import TIER, register_pool_factory
-from repro.problems.tsp.bounds import (
-    outgoing_edge_bound_children,
-    outgoing_edge_bound_children_pool,
-)
+from repro.problems.tsp.bounds import outgoing_edge_bound_children_pool
 from repro.problems.tsp.problem import TSPProblem
 
 __all__ = ["TSPNumpyPool"]
@@ -29,16 +27,7 @@ class TSPNumpyPool:
     def __init__(self, problem: TSPProblem):
         self._instance = problem.instance
 
-    def __call__(
-        self, states: Sequence[Any], depth: int
-    ) -> Optional[np.ndarray]:
-        if len(states) == 1:
-            # Singleton pools use the 2-D per-family scan directly.
-            state = states[0]
-            row = outgoing_edge_bound_children(
-                self._instance, state.path, state.cost, state.remaining
-            )
-            return row[np.newaxis]
+    def __call__(self, states: Sequence[Any], depth: int) -> np.ndarray:
         lasts = [state.path[-1] for state in states]
         costs = [state.cost for state in states]
         homes = [state.path[0] for state in states]

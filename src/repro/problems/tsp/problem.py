@@ -10,23 +10,18 @@ of the tour must leave the current city once and leave every unvisited
 city once (ending back at city 0), so summing each node's cheapest
 admissible outgoing edge is admissible.  Bounds are evaluated by the
 vectorised kernels in :mod:`repro.problems.tsp.bounds`; at
-decomposition time all children are bounded by one batched call
-(:meth:`TSPProblem.bound_children`).
+decomposition time the children of a whole wave of parents are bounded
+by one call of the pool evaluator (:mod:`repro.problems.tsp.pool`).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.interval import Interval
 from repro.core.problem import Problem
 from repro.core.tree import TreeShape
-from repro.problems.tsp.bounds import (
-    outgoing_edge_bound,
-    outgoing_edge_bound_children,
-)
+from repro.problems.tsp.bounds import outgoing_edge_bound
 from repro.problems.tsp.instance import TSPInstance
 
 __all__ = ["TSPProblem", "nearest_neighbour_tour"]
@@ -74,11 +69,6 @@ class TSPProblem(Problem):
                 self.instance.distances[state.path[-1], 0]
             )
         return outgoing_edge_bound(
-            self.instance, state.path, state.cost, state.remaining
-        )
-
-    def bound_children(self, state: _TourState, depth: int) -> np.ndarray:
-        return outgoing_edge_bound_children(
             self.instance, state.path, state.cost, state.remaining
         )
 

@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.core import Interval, solve
+from repro.grid.net.transport import Listener, TransportTimeout
 from repro.grid.runtime import (
     ChannelFaults,
     Coordinator,
@@ -31,7 +32,7 @@ from repro.grid.runtime import (
     solve_parallel,
     tsp_spec,
 )
-from repro.grid.runtime.faults import FaultStats, LossyReceiver, LossySender
+from repro.grid.runtime.faults import FaultStats, FaultyListener
 from repro.grid.runtime.protocol import (
     Ack,
     GrantWork,
@@ -382,73 +383,72 @@ class TestLeases:
         assert coord.check_leases(now=1e18) == []
 
 
-class _ListQueue:
-    """Minimal queue double for channel-fault unit tests."""
+class _ListListener(Listener):
+    """Minimal list-backed listener double for channel-fault unit tests."""
 
     def __init__(self, items=()):
         self.items = list(items)
         self.out = []
 
-    def get(self, timeout=None):
+    def recv(self, timeout=None):
         if not self.items:
-            import queue as queue_mod
-
-            raise queue_mod.Empty
+            raise TransportTimeout("empty")
         return self.items.pop(0)
 
-    def put(self, item):
-        self.out.append(item)
+    def send(self, worker, reply):
+        self.out.append(reply)
+
+    def connected_workers(self):
+        return []
+
+    def close(self):
+        pass
+
+
+def _drain(listener):
+    seen = []
+    while True:
+        try:
+            seen.append(listener.recv(timeout=0))
+        except TransportTimeout:
+            # a drained listener has released its delay buffer too
+            return seen
 
 
 class TestLossyChannel:
     def test_receiver_conserves_undropped_messages(self):
-        import queue as queue_mod
-
         messages = list(range(200))
         stats = FaultStats()
-        receiver = LossyReceiver(
-            _ListQueue(messages),
+        listener = FaultyListener(
+            _ListListener(messages),
             ChannelFaults(drop=0.1, duplicate=0.1, delay=0.1),
             random.Random(5),
             stats,
         )
-        seen = []
-        while True:
-            try:
-                seen.append(receiver.get(timeout=0))
-            except queue_mod.Empty:
-                break  # a drained receiver has flushed its delay buffer too
+        seen = _drain(listener)
         assert stats.dropped > 0 and stats.duplicated > 0 and stats.delayed > 0
         # every message is either counted as dropped or delivered (≥ once)
         assert len(set(seen)) + stats.dropped == len(messages)
 
     def test_sender_flush_releases_delayed(self):
-        q = _ListQueue()
-        sender = LossySender(
-            q, ChannelFaults(delay=1.0), random.Random(0), FaultStats()
+        inner = _ListListener()
+        listener = FaultyListener(
+            inner, ChannelFaults(delay=1.0), random.Random(0), FaultStats()
         )
-        sender.put("a")
-        assert q.out == []  # held back
-        sender.flush()
-        assert q.out == ["a"]
+        listener.send("w0", "a")
+        assert inner.out == []  # held back
+        listener.flush()
+        assert inner.out == ["a"]
 
     def test_same_seed_same_faults(self):
         faults = ChannelFaults(drop=0.2, duplicate=0.2, delay=0.2)
         outcomes = []
         for _ in range(2):
-            import queue as queue_mod
-
             stats = FaultStats()
-            receiver = LossyReceiver(
-                _ListQueue(range(100)), faults, random.Random(42), stats
+            listener = FaultyListener(
+                _ListListener(range(100)), faults, random.Random(42), stats
             )
-            got = []
-            while True:
-                try:
-                    got.append(receiver.get(timeout=0))
-                except queue_mod.Empty:
-                    break
-            outcomes.append((got, stats.as_dict()))
+            outcomes.append((_drain(listener), stats.as_dict()))
         assert outcomes[0] == outcomes[1]
 
     def test_bad_probabilities_rejected(self):

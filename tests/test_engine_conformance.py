@@ -1,12 +1,13 @@
 """Conformance table: every engine configuration against the scalar oracle.
 
 The contract is stated once, in the :class:`IntervalExplorer` docstring:
-for every ``pool_size``, pooled or not, the optimum, the solution,
-the improvement sequence and the proof equal those of the per-node path
-(``batched_bounds=False``) and the ledger reconciles; at ``pool_size=1``
-the node counters are byte-identical to it as well.  Each row of the
-table checks that on a full tree and on a leaf-number slice, run
-straight through and paused with ``step(k)``, folded and resumed.
+for every ``pool_size`` the optimum, the solution, the improvement
+sequence and the proof of the pooled engine equal those of the
+per-node path (``batched_bounds=False``) and the ledger reconciles; at
+``pool_size=1`` the node counters are byte-identical to it as well.
+Each row of the table checks that on a full tree and on a leaf-number
+slice, run straight through and paused with ``step(k)``, folded and
+resumed.
 
 The second half pins what the engine hands the bound kernels — the
 ``Problem.prune_at`` hint, which may change no count, and families with
@@ -64,18 +65,8 @@ CASES = st.tuples(
     st.integers(0, 10_000),
     st.sampled_from(PAIR_STRATEGIES),
 )
-# None: the problem's registered pool kernels (both problems have
-# them); "off": none, as for a problem that registered no pool kernels.
-POOLING = (None, "off")
 POOL_SIZES = (1, 3, 64)
 PAUSES = (1, 17, 80)
-
-
-def _pooling(mode):
-    """A context in which explorers pool as ``mode`` says."""
-    if mode == "off":
-        return mock.patch.object(engine, "pool_evaluator_for", lambda problem: None)
-    return contextlib.nullcontext()
 
 
 def _ledger_reconciles(stats):
@@ -144,50 +135,33 @@ def _paused(make, interval, pause, **options):
 
 
 @pytest.mark.parametrize("pool_size", POOL_SIZES)
-@pytest.mark.parametrize("pooling", POOLING)
 @pytest.mark.parametrize("kind", sorted(PROBLEMS))
 @given(case=CASES)
 @settings(max_examples=4, deadline=None)
-def test_configuration_matches_scalar_oracle(kind, pooling, pool_size, case):
+def test_configuration_matches_scalar_oracle(kind, pool_size, case):
     def make():
         # Fresh problem per solve: the handoff caches must never be
         # the thing making two runs agree.
         return PROBLEMS[kind](*case)
 
     options = {"pool_size": pool_size}
-    with _pooling(pooling):
-        for interval in _extents(make()):
-            oracle, improved = _straight(make, interval, batched_bounds=False)
-            result, sequence = _straight(make, interval, **options)
-            assert (result.cost, result.solution) == (
+    for interval in _extents(make()):
+        oracle, improved = _straight(make, interval, batched_bounds=False)
+        result, sequence = _straight(make, interval, **options)
+        assert (result.cost, result.solution) == (
+            oracle.cost,
+            oracle.solution,
+        )
+        assert sequence == improved
+        if pool_size == 1:
+            assert vars(result.stats) == vars(oracle.stats)
+        for pause in PAUSES:
+            final, sequence = _paused(make, interval, pause, **options)
+            assert (final.cost, final.solution) == (
                 oracle.cost,
                 oracle.solution,
             )
             assert sequence == improved
-            if pool_size == 1:
-                assert vars(result.stats) == vars(oracle.stats)
-            for pause in PAUSES:
-                final, sequence = _paused(make, interval, pause, **options)
-                assert (final.cost, final.solution) == (
-                    oracle.cost,
-                    oracle.solution,
-                )
-                assert sequence == improved
-
-
-@pytest.mark.parametrize("batched", (True, None))
-@pytest.mark.parametrize("kind", sorted(PROBLEMS))
-def test_batched_children_without_pool_match_oracle(kind, batched):
-    """Without pool kernels the engine never goes wide, so the
-    per-family batched path is byte-identical to the oracle at the
-    default cap."""
-    for seed in range(4):
-        case = (7, 4, seed, "adjacent+ends")
-        oracle = solve(PROBLEMS[kind](*case), batched_bounds=False)
-        with _pooling("off"):
-            result = solve(PROBLEMS[kind](*case), batched_bounds=batched)
-        assert (result.cost, result.solution) == (oracle.cost, oracle.solution)
-        assert vars(result.stats) == vars(oracle.stats)
 
 
 def test_resumable_solver_round_trip(tmp_path):
@@ -256,8 +230,8 @@ class _CountingBranches(FlowShopProblem):
         self.branched += 1
         return super().branch(state, depth)
 
-    def store_child_fronts(self, states, fronts, p_rem):
-        super().store_child_fronts(states, fronts, p_rem)
+    def store_child_fronts(self, states, fronts):
+        super().store_child_fronts(states, fronts)
         self.leftovers = max(
             self.leftovers, len(self._pool_fronts) - len(states)
         )
@@ -421,8 +395,11 @@ class TestWaveWidth:
             assert report.nodes_processed <= 10 + self.INSTANCE.jobs
 
     def test_without_a_pool_evaluator_width_stays_one(self):
-        for pooling, batched in (("off", None), (None, False)):
-            with _pooling(pooling):
+        # No pool evaluator, as for a problem that registered no pool
+        # kernels; or the scalar oracle, which never asks for one.
+        unpooled = mock.patch.object(engine, "pool_evaluator_for", lambda problem: None)
+        for context, batched in ((unpooled, True), (contextlib.nullcontext(), False)):
+            with context:
                 result = solve(
                     FlowShopProblem(self.INSTANCE),
                     initial_upper_bound=self.OPTIMUM,
