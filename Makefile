@@ -31,29 +31,29 @@ typecheck:
 	fi
 
 test: lint check
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # Seeded fault schedules against the real multiprocessing runtime:
 # coordinator crash/recover, lossy channels, worker crashes and hangs,
 # and the notice families (every Notice dropped; all duplicated/delayed).
 chaos:
-	$(PYTHON) -m pytest tests/test_chaos_runtime.py -q -s
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_chaos_runtime.py -q -s
 
 # The chaos matrix over the wire (marked slow, excluded from tier-1):
 # the seeded schedules over loopback TCP, the one transport,
 # plus the socket-specific faults and the multi-tenant service SIGKILL
 # acceptance run (two jobs in flight, resume, serial-identical optima).
 chaos-net:
-	$(PYTHON) -m pytest tests/test_net_chaos.py tests/test_service_crash_e2e.py -m "slow or not slow" -q -s
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_net_chaos.py tests/test_service_crash_e2e.py -m "slow or not slow" -q -s
 
 # The kill -9 acceptance run (marked slow, excluded from tier-1): a
 # real serve process SIGKILLed mid-run, resumed from its checkpoint
 # directory while the supervisor respawns SIGKILLed workers.
 chaos-kill:
-	$(PYTHON) -m pytest tests/test_crash_recovery_e2e.py -m "slow or not slow" -q -s
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_crash_recovery_e2e.py -m "slow or not slow" -q -s
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-show:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
@@ -75,10 +75,10 @@ bench-pairs:
 	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 report:
-	$(PYTHON) -m repro.cli report
+	PYTHONPATH=src $(PYTHON) -m repro.cli report
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 clean:
 	rm -rf .pytest_cache .benchmarks build *.egg-info

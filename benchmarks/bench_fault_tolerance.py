@@ -11,7 +11,12 @@ re-explored work.
 from benchmarks.conftest import run_once
 from repro.analysis import render_table
 from repro.core import solve
-from repro.grid.runtime import RuntimeConfig, flowshop_spec, solve_parallel
+from repro.grid.runtime import (
+    FaultPlan,
+    RuntimeConfig,
+    flowshop_spec,
+    solve_parallel,
+)
 from repro.grid.simulator import (
     AvailabilityModel,
     FarmerConfig,
@@ -71,7 +76,7 @@ def test_fault_tolerance_matrix(benchmark):
                 workers=4,
                 update_nodes=200,
                 deadline=180,
-                crash_workers={0: 2, 1: 5},
+                fault_plan=FaultPlan(worker_crashes={0: 2, 1: 5}),
             ),
         )
 

@@ -11,7 +11,12 @@ Run:  python examples/parallel_solve.py
 import time
 
 from repro.core import solve
-from repro.grid.runtime import RuntimeConfig, flowshop_spec, solve_parallel
+from repro.grid.runtime import (
+    FaultPlan,
+    RuntimeConfig,
+    flowshop_spec,
+    solve_parallel,
+)
 from repro.problems.flowshop import FlowShopProblem, neh, random_instance
 
 
@@ -50,7 +55,11 @@ def main() -> None:
     print("\n=== 3 workers, one crashes after 2 updates (§4.1) ===")
     result = solve_parallel(
         spec,
-        RuntimeConfig(workers=3, update_nodes=50, crash_workers={0: 2}),
+        RuntimeConfig(
+            workers=3,
+            update_nodes=50,
+            fault_plan=FaultPlan(worker_crashes={0: 2}),
+        ),
     )
     assert result.cost == reference.cost
     print(f"optimum {result.cost} proved={result.optimal} despite "

@@ -94,7 +94,12 @@ def _check_interval_coding(cs: ComparisonSet) -> None:
 
 def _check_parallel_equivalence(cs: ComparisonSet, seed: int) -> None:
     from repro.core import solve
-    from repro.grid.runtime import RuntimeConfig, flowshop_spec, solve_parallel
+    from repro.grid.runtime import (
+        FaultPlan,
+        RuntimeConfig,
+        flowshop_spec,
+        solve_parallel,
+    )
     from repro.problems.flowshop import FlowShopProblem, random_instance
 
     instance = random_instance(8, 4, seed=seed)
@@ -102,7 +107,7 @@ def _check_parallel_equivalence(cs: ComparisonSet, seed: int) -> None:
     result = solve_parallel(
         flowshop_spec(instance),
         RuntimeConfig(workers=3, update_nodes=300, deadline=120,
-                      crash_workers={0: 3}),
+                      fault_plan=FaultPlan(worker_crashes={0: 3})),
     )
     cs.add("§4", "parallel == sequential optimum (with a real crash)",
            "same cost + proof",

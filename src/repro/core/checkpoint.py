@@ -268,10 +268,6 @@ class CheckpointStore:
     def journal_path(self) -> Path:
         return self.directory / "journal.log"
 
-    @property
-    def epoch_path(self) -> Path:
-        return self.directory / "epoch.json"
-
     # ------------------------------------------------------------------
     # INTERVALS
     # ------------------------------------------------------------------
@@ -404,29 +400,6 @@ class CheckpointStore:
             replayed_records=len(records), replayed_leaves=leaves,
         )
 
-    # ------------------------------------------------------------------
-    # server epoch (restart counter for the Welcome handshake)
-    # ------------------------------------------------------------------
-    def read_epoch(self) -> int:
-        try:
-            payload = _read_json(self.epoch_path)
-        except (FileNotFoundError, CheckpointError):
-            # Crash-only: a damaged epoch file must not block a restart.
-            # Epoch detection compares for *change*, not order, so
-            # restarting the count still flags stale workers.
-            return 0
-        if isinstance(payload, dict) and isinstance(payload.get("epoch"), int):
-            return payload["epoch"]
-        return 0
-
-    def bump_epoch(self) -> int:
-        """Advance and persist the server epoch; returns the new value."""
-        epoch = self.read_epoch() + 1
-        _atomic_write_json(
-            self.epoch_path, {"version": _FORMAT_VERSION, "epoch": epoch}
-        )
-        return epoch
-
     def load(
         self, duplication_threshold: int = 0
     ) -> Tuple[Optional[IntervalSet], Optional[Incumbent]]:
@@ -500,7 +473,6 @@ class CheckpointStore:
             self.intervals_path,
             self.solution_path,
             self.journal_path,
-            self.epoch_path,
         ):
             try:
                 path.unlink()
@@ -609,18 +581,22 @@ class MultiJobStore:
         return payload
 
     # ------------------------------------------------------------------
-    # service epoch (same contract as CheckpointStore's)
+    # service epoch (restart counter for the Welcome handshake)
     # ------------------------------------------------------------------
     def read_epoch(self) -> int:
         try:
             payload = _read_json(self.epoch_path)
         except (FileNotFoundError, CheckpointError):
+            # Crash-only: a damaged epoch file must not block a restart.
+            # Epoch detection compares for *change*, not order, so
+            # restarting the count still flags stale workers.
             return 0
         if isinstance(payload, dict) and isinstance(payload.get("epoch"), int):
             return payload["epoch"]
         return 0
 
     def bump_epoch(self) -> int:
+        """Advance and persist the service epoch; returns the new value."""
         epoch = self.read_epoch() + 1
         _atomic_write_json(
             self.epoch_path, {"version": _FORMAT_VERSION, "epoch": epoch}

@@ -6,14 +6,14 @@ The runtime of :mod:`repro.grid.runtime` speaks a transport
 * :class:`~repro.grid.net.transport.Listener` — the coordinator side:
   one inbox of worker messages plus reply routing by worker id;
 * :class:`~repro.grid.net.transport.Connection` — the worker side: a
-  bidirectional message channel to the coordinator;
-* :class:`~repro.grid.net.transport.Connector` — a picklable recipe a
-  forked/spawned worker uses to open its connection.
+  bidirectional message channel to the coordinator.
 
-:class:`~repro.grid.net.tcp.TcpTransport` implements it with
-length-prefixed frames over TCP (asyncio coordinator server, blocking
-worker client with heartbeats and jittered reconnect), for
-``solve_parallel``'s loopback workers and multi-machine runs alike.
+:mod:`repro.grid.net.tcp` implements both with length-prefixed frames
+over TCP: :class:`~repro.grid.net.tcp.TcpListener` is an asyncio
+coordinator server, and :class:`~repro.grid.net.tcp.TcpClientConnection`
+a blocking worker client with heartbeats and jittered reconnect, which
+every worker process builds for itself — ``solve_parallel``'s forked
+loopback workers and ``repro grid worker`` on another machine alike.
 Fault wrappers and test fakes substitute the interface's sides.
 
 The transport delivers *at-least-once* message semantics on top of an
@@ -41,10 +41,9 @@ from repro.grid.net.framing import (
     encode_frame,
     encode_message,
 )
-from repro.grid.net.tcp import SocketFaults, TcpConnector, TcpListener, TcpTransport
+from repro.grid.net.tcp import SocketFaults, TcpListener
 from repro.grid.net.transport import (
     Connection,
-    Connector,
     Listener,
     TransportClosed,
     TransportError,
@@ -54,7 +53,6 @@ from repro.grid.net.transport import (
 
 __all__ = [
     "Connection",
-    "Connector",
     "FrameBuffer",
     "FrameError",
     "Heartbeat",
@@ -62,9 +60,7 @@ __all__ = [
     "Listener",
     "MessageDecodeError",
     "SocketFaults",
-    "TcpConnector",
     "TcpListener",
-    "TcpTransport",
     "TransportClosed",
     "TransportError",
     "TransportTimeout",

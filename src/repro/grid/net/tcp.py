@@ -63,7 +63,6 @@ from repro.grid.net.framing import (
 )
 from repro.grid.net.transport import (
     Connection,
-    Connector,
     Listener,
     TransportClosed,
     TransportError,
@@ -74,9 +73,7 @@ from repro.grid.net.transport import (
 __all__ = [
     "SocketFaults",
     "TcpClientConnection",
-    "TcpConnector",
     "TcpListener",
-    "TcpTransport",
 ]
 
 _HEADER = struct.Struct("!I")
@@ -257,7 +254,7 @@ class TcpListener(Listener):
 
     def register(self, worker_id: str) -> None:
         """Count ``worker_id`` as connected even while its socket is down:
-        a worker its transport launched, which will dial in (again)."""
+        a worker the caller launched, which will dial in (again)."""
         self._registered.add(worker_id)
 
     def connected_workers(self) -> List[str]:
@@ -638,82 +635,3 @@ class TcpClientConnection(Connection):
             self._heartbeat_thread.join(timeout=2.0)
         with self._send_lock:
             self._drop_locked()
-
-
-@dataclass(frozen=True)
-class TcpConnector(Connector):
-    """Picklable recipe for a worker's TCP connection."""
-
-    host: str
-    port: int
-    power: float = 1.0
-    connect_timeout: float = 10.0
-    reconnect_base: float = 0.05
-    reconnect_cap: float = 2.0
-    heartbeat_interval: Optional[float] = 2.0
-    faults: Optional[SocketFaults] = None
-    peer_timeout: Optional[float] = None
-    max_reconnect_attempts: Optional[int] = None
-
-    def connect(self, worker_id: str) -> TcpClientConnection:
-        return TcpClientConnection(
-            self.host,
-            self.port,
-            worker_id,
-            power=self.power,
-            connect_timeout=self.connect_timeout,
-            reconnect_base=self.reconnect_base,
-            reconnect_cap=self.reconnect_cap,
-            heartbeat_interval=self.heartbeat_interval,
-            faults=self.faults,
-            peer_timeout=self.peer_timeout,
-            max_reconnect_attempts=self.max_reconnect_attempts,
-        )
-
-
-class TcpTransport:
-    """Loopback-or-LAN TCP transport for one coordinator run: the
-    listener, and a connector per worker that dials it."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        peer_timeout: Optional[float] = 30.0,
-        connect_timeout: float = 10.0,
-        heartbeat_interval: Optional[float] = 2.0,
-        faults: Optional[SocketFaults] = None,
-    ):
-        self._host = host
-        self._port = port
-        self._peer_timeout = peer_timeout
-        self._connect_timeout = connect_timeout
-        self._heartbeat_interval = heartbeat_interval
-        self._faults = faults
-        self._listener: Optional[TcpListener] = None
-
-    def listen(self) -> TcpListener:
-        if self._listener is None:
-            self._listener = TcpListener(
-                self._host,
-                self._port,
-                peer_timeout=self._peer_timeout,
-            )
-        return self._listener
-
-    def connector_for(self, worker_id: str) -> TcpConnector:
-        listener = self.listen()
-        listener.register(worker_id)
-        host, port = listener.address
-        return TcpConnector(
-            host,
-            port,
-            connect_timeout=self._connect_timeout,
-            heartbeat_interval=self._heartbeat_interval,
-            faults=self._faults,
-        )
-
-    def close(self) -> None:
-        if self._listener is not None:
-            self._listener.close()

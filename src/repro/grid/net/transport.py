@@ -12,9 +12,10 @@ A transport therefore has exactly two sides:
 * each worker holds a :class:`Connection` — a bidirectional message
   channel to the coordinator.
 
-Workers usually run in other processes (or on other machines), so they
-receive a :class:`Connector` — a small picklable recipe — and open the
-real connection themselves.
+Workers run in other processes (or on other machines), and each builds
+its own connection there: a socket and its heartbeat thread do not
+survive ``fork``, so whoever starts a worker hands it an address, and
+the worker process dials.
 
 Delivery contract
 -----------------
@@ -41,7 +42,6 @@ from typing import Any, List, Optional, Tuple
 
 __all__ = [
     "Connection",
-    "Connector",
     "Listener",
     "TransportClosed",
     "TransportError",
@@ -133,8 +133,8 @@ class Listener(abc.ABC):
 
     @abc.abstractmethod
     def connected_workers(self) -> List[str]:
-        """Live connections, plus every worker the listener's transport
-        built a connector for: whom a draining service waits for (their
+        """Live connections, plus every worker registered as launched
+        against this listener: whom a draining service waits for (their
         ``Bye``, or ``SolveService.release_worker``)."""
 
     def flush(self) -> None:
@@ -148,17 +148,4 @@ class Listener(abc.ABC):
     @abc.abstractmethod
     def close(self) -> None:
         """Stop accepting and release resources; idempotent."""
-
-
-class Connector(abc.ABC):
-    """A picklable recipe for opening a worker's :class:`Connection`.
-
-    Built in the coordinator process, shipped to the worker (over fork
-    or a command line), and opened there: the TCP client socket is
-    per-worker setup that only the worker side can do.
-    """
-
-    @abc.abstractmethod
-    def connect(self, worker_id: str) -> Connection:
-        """Open the channel for ``worker_id``."""
 

@@ -31,10 +31,9 @@ coordination — on the critical path:
 
 Every exchange is an at-least-once RPC (:class:`_RpcChannel`); only
 when every retry times out does the worker give up and die silently,
-exactly like a crash.  ``worker_main`` opens the
-:class:`~repro.grid.net.transport.Connection` its
-:class:`~repro.grid.net.transport.Connector` names (a TCP client, or a
-test fake).
+exactly like a crash.  ``worker_main`` drives the
+:class:`~repro.grid.net.transport.Connection` it is handed (a TCP
+client the worker process built for itself, or a test fake).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from repro.core.engine import IntervalExplorer
 from repro.core.interval import Interval
 from repro.core.stats import Incumbent
 from repro.grid.net.backoff import decorrelated_jitter
-from repro.grid.net.transport import Connection, Connector, TransportError
+from repro.grid.net.transport import Connection, TransportError
 from repro.grid.runtime.protocol import Idle, Notice, Terminate
 from repro.grid.runtime.worker import WorkerCore
 
@@ -248,7 +247,7 @@ class _RpcChannel:
 
 def worker_main(
     worker_id: str,
-    connector: Connector,
+    connection: Connection,
     update_nodes: int = 2000,
     power: float = 1.0,
     reply_timeout: float = 60.0,
@@ -257,16 +256,16 @@ def worker_main(
     hang_after_updates: Optional[int] = None,
     hang_seconds: float = 0.0,
     update_period: Optional[float] = None,
-    min_slice_nodes: int = 64,
     max_slice_nodes: int = 1 << 20,
     bound_poll_nodes: int = 256,
 ) -> str:
     """Run one B&B process until the coordinator says terminate.
 
-    ``connector`` names the coordinator — a picklable
-    :class:`~repro.grid.net.transport.Connector` the worker opens into
-    its :class:`~repro.grid.net.transport.Connection` (a TCP client;
-    the loop is blind to what carries it).
+    ``connection`` is the worker's
+    :class:`~repro.grid.net.transport.Connection` to the coordinator (a
+    TCP client, opened already or dialling on its first send; the loop
+    is blind to what carries it).  The loop owns it from here on and
+    closes it on the way out.
 
     ``update_nodes`` is the first slice's node budget; with
     ``update_period`` set, later slices adapt toward that many wall
@@ -298,10 +297,8 @@ def worker_main(
     slicer = AdaptiveSlicer(
         update_nodes,
         target_period=update_period,
-        min_nodes=min_slice_nodes,
         max_nodes=max_slice_nodes,
     )
-    connection = connector.connect(worker_id)
     chan = _RpcChannel(
         connection,
         reply_timeout,

@@ -137,7 +137,7 @@ class FaultPlan:
     """Everything that goes wrong during one parallel run.
 
     ``worker_crashes`` maps worker index -> crash after that many
-    updates (same semantics as ``RuntimeConfig.crash_workers``);
+    updates (the worker exits without a ``Bye``);
     ``worker_hangs`` maps worker index -> :class:`WorkerHang`.
     ``seed`` drives the lossy-channel RNG.
     """

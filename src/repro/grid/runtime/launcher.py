@@ -29,8 +29,11 @@ Two things stay here, because only the launcher has them:
 
 The workers reach the service over a loopback TCP listener
 (byte-exact framing, reconnects and all): the same wire that ``repro
-grid serve`` and ``repro grid worker`` speak across machines.
-``socket_faults`` adds socket-level chaos (client-side RSTs mid-run).
+grid serve`` and ``repro grid worker`` speak across machines.  The
+launcher registers each worker id with the listener and forks; the
+child builds its own :class:`~repro.grid.net.tcp.TcpClientConnection`
+(:func:`_forked_worker`).  ``socket_faults`` adds socket-level chaos
+(client-side RSTs mid-run).
 """
 
 from __future__ import annotations
@@ -65,36 +68,32 @@ class RuntimeConfig:
     slices).  Each Update round-trip overlaps the next slice of
     exploration; every ``bound_poll_nodes`` nodes a worker drains its
     connection of coordinator notices (a cut of its interval, a lower
-    bound) without blocking.  ``poll_interval`` is the
-    service pump's longest wait for a message: it bounds how late an
-    idle tick (lease expiry, a dead worker's release) comes, not
-    throughput.
+    bound) without blocking.  The service behind the run keeps its own
+    defaults for everything not named here (pump wait, duplication
+    threshold, the reconciliation journal, which is on).
 
     ``root_interval`` restricts the run to one ``(begin, end)`` slice
     of the tree's leaf numbering (the paper's work unit) instead of the
     full range — the parallel counterpart of ``solve(..., interval=…)``;
     the proved optimum is then the optimum over that slice.
 
-    The forked workers connect to a loopback TCP server as network
-    clients, with framing, heartbeats and reconnects.  ``transport``
-    names that wire and accepts only ``"tcp"``; it remains because
-    the benchmark suite's workload definitions still pass it, and goes
-    when they stop.  ``socket_faults`` is a
+    Each forked worker builds its own TCP client connection to a
+    loopback server, with framing, heartbeats and reconnects.
+    ``transport`` names that wire and accepts only ``"tcp"``; it
+    remains because the benchmark suite's workload definitions still
+    pass it, and goes when they stop.  ``socket_faults`` is a
     :class:`~repro.grid.net.tcp.SocketFaults` applied to every
-    worker's client connection.
+    worker's client connection.  Worker crashes and hangs, channel
+    faults and farmer crashes all come from ``fault_plan``.
     """
 
     workers: int = 2
     update_nodes: int = 2000  # first slice size between interval updates
     update_period: Optional[float] = 0.25  # target seconds per slice
-    min_slice_nodes: int = 64
     max_slice_nodes: int = 1 << 20
     bound_poll_nodes: int = 256  # nodes between mid-slice notice polls
-    poll_interval: float = 0.05  # service pump's message wait
-    duplication_threshold: int = 64
     checkpoint_dir: Optional[Path] = None
     checkpoint_period: float = 2.0
-    journal: bool = True  # reconciliation journal between snapshots
     initial_upper_bound: float = float("inf")
     initial_solution: Any = None
     deadline: float = 300.0  # wall-clock safety net (seconds)
@@ -104,8 +103,6 @@ class RuntimeConfig:
     root_interval: Optional[Tuple[int, int]] = None  # leaf slice to solve
     transport: str = "tcp"  # the only wire; any other value is refused
     socket_faults: Optional[Any] = None  # SocketFaults
-    crash_workers: Dict[int, int] = field(default_factory=dict)
-    # worker index -> crash after that many updates (fault injection)
     fault_plan: Optional[FaultPlan] = None
 
 
@@ -139,12 +136,30 @@ class ParallelResult:
     rpc_wait_seconds: float = 0.0
 
 
+def _forked_worker(
+    worker_id: str,
+    address: Tuple[str, int],
+    faults: Optional[Any],
+    **options: Any,
+) -> None:
+    """A forked worker process: build its own connection, run the loop.
+
+    Built here, in the child: a socket and its heartbeat thread do not
+    survive ``fork``.  The connection dials on its first send.
+    """
+    from repro.grid.net.tcp import TcpClientConnection
+
+    host, port = address
+    connection = TcpClientConnection(host, port, worker_id, faults=faults)
+    worker_main(worker_id, connection, **options)
+
+
 def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) -> ParallelResult:
     """Exactly solve ``spec`` with a farmer and N worker processes."""
     # Imported here, not at module top: the service imports this
     # package's coordinator back, and repro.grid.net.tcp needs the
     # framing module, which imports this package back too.
-    from repro.grid.net.tcp import TcpTransport
+    from repro.grid.net.tcp import TcpListener
     from repro.grid.service.server import ServiceConfig, SolveService
     from repro.grid.service.store import DONE
 
@@ -156,9 +171,6 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
             f"unknown transport {config.transport!r} (expected 'tcp')"
         )
     plan = config.fault_plan or FaultPlan()
-    crash_workers = dict(config.crash_workers)
-    for idx, after in plan.worker_crashes.items():
-        crash_workers.setdefault(idx, after)
     crashes = sorted(plan.coordinator_crashes, key=lambda c: c.after_messages)
     checkpoint_dir = config.checkpoint_dir
     temp_ckpt: Optional[tempfile.TemporaryDirectory] = None
@@ -169,8 +181,8 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
         checkpoint_dir = Path(temp_ckpt.name)
 
     ctx = mp.get_context("fork")
-    transport = TcpTransport(faults=config.socket_faults)
-    listener: Listener = transport.listen()
+    tcp = TcpListener("127.0.0.1", 0, peer_timeout=30.0)
+    listener: Listener = tcp
     fault_stats = FaultStats()
     if plan.channel is not None:
         listener = FaultyListener(
@@ -181,18 +193,18 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
     for i in range(config.workers):
         worker_id = f"worker-{i}"
         hang = plan.worker_hangs.get(i)
+        tcp.register(worker_id)
         proc = ctx.Process(
-            target=worker_main,
-            args=(worker_id, transport.connector_for(worker_id)),
+            target=_forked_worker,
+            args=(worker_id, tcp.address, config.socket_faults),
             kwargs={
                 "update_nodes": config.update_nodes,
                 "reply_timeout": config.reply_timeout,
                 "max_retries": config.max_retries,
-                "crash_after_updates": crash_workers.get(i),
+                "crash_after_updates": plan.worker_crashes.get(i),
                 "hang_after_updates": hang.after_updates if hang else None,
                 "hang_seconds": hang.seconds if hang else 0.0,
                 "update_period": config.update_period,
-                "min_slice_nodes": config.min_slice_nodes,
                 "max_slice_nodes": config.max_slice_nodes,
                 "bound_poll_nodes": config.bound_poll_nodes,
             },
@@ -204,14 +216,11 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
     def start_service(resume: bool) -> Any:
         return SolveService(
             ServiceConfig(
-                duplication_threshold=config.duplication_threshold,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_period=config.checkpoint_period,
                 deadline=config.deadline - (time.monotonic() - started),
-                poll_interval=config.poll_interval,
                 lease_seconds=config.lease_seconds,
                 resume=resume,
-                journal=config.journal,
                 drain_when_idle=True,
             ),
             listener=listener,
@@ -263,7 +272,7 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
-        transport.close()
+        tcp.close()
         if temp_ckpt is not None:
             temp_ckpt.cleanup()
 

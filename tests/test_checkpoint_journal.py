@@ -21,6 +21,7 @@ from repro.core.checkpoint import (
     CheckpointJournal,
     CheckpointStore,
     JournalRecord,
+    MultiJobStore,
 )
 from repro.core.engine import IntervalExplorer
 from repro.exceptions import CheckpointError
@@ -347,23 +348,16 @@ def test_legacy_snapshot_without_crc_still_loads(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Server epoch
-
-
-def test_epoch_starts_at_zero_and_bumps(tmp_path):
-    store = make_store(tmp_path)
-    assert store.read_epoch() == 0
-    assert store.bump_epoch() == 1
-    assert store.bump_epoch() == 2
-    assert make_store(tmp_path).read_epoch() == 2
+# Service epoch (MultiJobStore)
 
 
 def test_corrupt_epoch_file_does_not_block_restart(tmp_path):
-    store = make_store(tmp_path)
+    store = MultiJobStore(tmp_path)
     store.bump_epoch()
     store.epoch_path.write_text("{broken")
     # Crash-only: the counter restarts rather than refusing to serve.
-    assert make_store(tmp_path).bump_epoch() == 1
+    assert MultiJobStore(tmp_path).read_epoch() == 0
+    assert MultiJobStore(tmp_path).bump_epoch() == 1
 
 
 # ----------------------------------------------------------------------

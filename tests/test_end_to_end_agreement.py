@@ -10,7 +10,12 @@ import pytest
 
 from repro.core import solve
 from repro.core.resumable import ResumableSolver
-from repro.grid.runtime import RuntimeConfig, flowshop_spec, solve_parallel
+from repro.grid.runtime import (
+    FaultPlan,
+    RuntimeConfig,
+    flowshop_spec,
+    solve_parallel,
+)
 from repro.grid.simulator import (
     AvailabilityModel,
     FarmerConfig,
@@ -55,7 +60,7 @@ def test_all_execution_paths_agree(instance, expected, tmp_path_factory):
     parallel = solve_parallel(
         flowshop_spec(instance),
         RuntimeConfig(workers=3, update_nodes=300, deadline=120,
-                      crash_workers={1: 2}),
+                      fault_plan=FaultPlan(worker_crashes={1: 2})),
     )
     assert parallel.optimal
     results["multiprocessing"] = parallel.cost

@@ -22,12 +22,7 @@ from repro.core import solve
 from repro.grid.net.backoff import decorrelated_jitter
 from repro.grid.net.framing import WIRE_VERSION, Hello, Welcome, encode_frame
 from repro.grid.net.serve import run_worker
-from repro.grid.net.tcp import (
-    SocketFaults,
-    TcpClientConnection,
-    TcpListener,
-    TcpTransport,
-)
+from repro.grid.net.tcp import SocketFaults, TcpClientConnection, TcpListener
 from repro.grid.net.transport import (
     TransportTimeout,
     WireVersionError,
@@ -156,9 +151,8 @@ class TestSpecWire:
 
 class TestTcpTransport:
     def test_request_reply_roundtrip(self):
-        transport = TcpTransport()
-        listener = transport.listen()
-        conn = transport.connector_for("w0").connect("w0")
+        listener = TcpListener()
+        conn = TcpClientConnection(*listener.address, "w0")
         try:
             conn.send(Request("w0", seq=1))
             message = listener.recv(timeout=5.0)
@@ -167,26 +161,45 @@ class TestTcpTransport:
             assert conn.recv(timeout=5.0) == Ack(5.0, seq=1)
         finally:
             conn.close()
-            transport.close()
+            listener.close()
 
     def test_recv_timeout(self):
-        transport = TcpTransport()
-        listener = transport.listen()
+        listener = TcpListener()
         try:
             with pytest.raises(TransportTimeout):
                 listener.recv(timeout=0.01)
         finally:
-            transport.close()
+            listener.close()
 
     def test_unknown_worker_send_is_dropped(self):
         """Best effort: a reply to nobody is dropped, not raised."""
-        transport = TcpTransport()
-        listener = transport.listen()
+        listener = TcpListener()
         try:
             listener.send("ghost", Ack(1.0))
             assert listener.connected_workers() == []
         finally:
-            transport.close()
+            listener.close()
+
+    def test_registered_worker_counts_as_connected_while_down(self):
+        """A launched worker is waited for before it dials and after its
+        socket drops: ``register`` keeps it in ``connected_workers``."""
+        listener = TcpListener()
+        listener.register("w0")
+        try:
+            assert listener.connected_workers() == ["w0"]
+            conn = TcpClientConnection(
+                *listener.address, "w0", heartbeat_interval=None
+            )
+            conn.send(Request("w0", seq=1))
+            assert listener.recv(timeout=5.0) == Request("w0", seq=1)
+            conn.close()
+            deadline = time.monotonic() + 5.0
+            while listener._writers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not listener._writers  # the server saw the socket go
+            assert listener.connected_workers() == ["w0"]
+        finally:
+            listener.close()
 
     def test_rpc_survives_client_resets(self):
         """Every other send aborts the connection with an RST; a retry

@@ -200,9 +200,6 @@ class Fifo(Connection):
     def close(self):
         pass
 
-    def connect(self, worker_id):
-        return self
-
 
 def channel(conn):
     return _RpcChannel(conn, 1.0, 0, {"rpc_wait_seconds": 0.0})

@@ -13,6 +13,7 @@ from repro.core.checkpoint import CheckpointStore
 from repro.exceptions import RuntimeProtocolError
 from repro.grid.runtime import (
     Coordinator,
+    FaultPlan,
     RuntimeConfig,
     flowshop_spec,
     solve_parallel,
@@ -164,7 +165,8 @@ class TestParallelSolve:
                 workers=3,
                 update_nodes=200,
                 deadline=120,
-                crash_workers={0: 2},  # worker 0 dies after 2 updates
+                # worker 0 dies after 2 updates
+                fault_plan=FaultPlan(worker_crashes={0: 2}),
             ),
         )
         assert result.optimal
