@@ -8,8 +8,9 @@ step — each next delay is drawn uniformly from ``[base, prev * 3]``
 (capped), so retry times spread out while still backing off roughly
 exponentially in expectation.
 
-Used by the worker RPC retry loop (``bbprocess._RpcChannel``) and by
-the TCP client's reconnect loop.
+Used by the worker's RPC channel (``bbprocess._RpcChannel``, the worker
+loop's only way to the coordinator) and by the TCP client's reconnect
+loop.
 """
 
 from __future__ import annotations

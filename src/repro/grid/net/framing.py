@@ -19,12 +19,12 @@ fields::
   carries an explicit ``version`` field).  A decoder refuses frames
   from the *future* (``version > WIRE_VERSION``) and refuses unknown
   types — framing can evolve without silent breakage: old fields keep
-  their meaning within a version, new fields must bump it.  The
-  ``repro check`` RC12 gate enforces exactly this: each registered
-  message is diffed against its golden schema
-  (``repro/tools/check/schemas/wire.json``), and shape drift without a
-  bump fails the build (``--update-schemas`` refreshes the snapshot
-  once the bump is in place).
+  their meaning within a version, new fields must bump it.
+  ``tests/test_net_framing.py`` enforces exactly this: it diffs
+  :func:`wire_schema` against the golden
+  ``repro/tools/check/schemas/wire.json``, and shape drift without a
+  bump fails the build (``repro check --update-schemas`` refreshes the
+  golden once the bump is in place).
 
 Numbers round-trip exactly (Python's ``json`` preserves ints and
 ``repr``-exact floats, including ``inf`` for the initial bound).  JSON
@@ -84,6 +84,7 @@ __all__ = [
     "decode_message",
     "encode_frame",
     "FrameBuffer",
+    "wire_schema",
 ]
 
 #: Highest wire version this build understands.  v2 added the server
@@ -185,6 +186,25 @@ _FIELDS = {
     name: [f.name for f in dataclasses.fields(cls)]
     for name, cls in _WIRE_TYPES.items()
 }
+
+
+def wire_schema() -> Dict[str, Dict[str, Any]]:
+    """``{name: {"version", "fields"}}`` of every registered message.
+
+    ``fields`` maps each field to its annotation as written (both
+    message modules defer annotations, so they stay strings);
+    ``version`` is the field's default, ``None`` if there is none.
+    """
+    schema: Dict[str, Dict[str, Any]] = {}
+    for name, cls in _WIRE_TYPES.items():
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        version = fields.get("version")
+        schema[name] = {
+            "version": None if version is None else version.default,
+            "fields": {field: f.type for field, f in fields.items()},
+        }
+    return schema
+
 
 #: Sequence-typed fields: JSON turns tuples into lists; decode restores.
 _TUPLE_FIELDS = frozenset({"interval", "solution"})

@@ -49,7 +49,7 @@ from repro.core.interval import Interval
 from repro.core.stats import Incumbent
 from repro.grid.net.backoff import decorrelated_jitter
 from repro.grid.net.transport import Connection, TransportError
-from repro.grid.runtime.protocol import Idle, Notice, Terminate
+from repro.grid.runtime.protocol import Bye, Idle, Notice, Terminate
 from repro.grid.runtime.worker import WorkerCore
 
 __all__ = ["AdaptiveSlicer", "worker_main"]
@@ -151,6 +151,10 @@ class _RpcChannel:
     time.  It is never a reply, whatever else is in flight: ``collect``
     sets one aside for the next ``poll``, and ``poll`` keeps a reply
     that arrived early for ``collect``.
+
+    The channel is the worker loop's only handle on its connection:
+    besides the RPCs it relays the reconnect epoch check, the gave-up
+    ``farewell`` and ``close``, so no message can leave unstamped.
     """
 
     def __init__(
@@ -231,6 +235,22 @@ class _RpcChannel:
         self.send(message)
         return self.collect()
 
+    def farewell(self, bye: Bye) -> None:
+        """The last word of a worker whose retry budget ran out.
+
+        Sent once at ``seq`` 0 with no reply awaited (:class:`Bye`);
+        the launcher's process sentinel covers a farewell that is lost.
+        """
+        bye.seq = 0
+        self._connection.send(bye)
+
+    def take_epoch_change(self) -> bool:
+        """Did a reconnect reach a new server incarnation since last asked?"""
+        return self._connection.take_epoch_change()
+
+    def close(self) -> None:
+        self._connection.close()
+
     def poll(self) -> List[Notice]:
         """Drain the connection without blocking; the notices so far."""
         while True:
@@ -293,20 +313,48 @@ def worker_main(
     Request it cannot grant, so the waiting is done server-side.
     """
     core = WorkerCore(worker_id, power)
-    stats = core.stats
+    chan = _RpcChannel(
+        connection,
+        reply_timeout,
+        max_retries,
+        core.stats,
+        rng=random.Random(worker_id),  # deterministic, per-worker jitter
+    )
     slicer = AdaptiveSlicer(
         update_nodes,
         target_period=update_period,
         max_nodes=max_slice_nodes,
     )
-    chan = _RpcChannel(
-        connection,
-        reply_timeout,
-        max_retries,
-        stats,
-        rng=random.Random(worker_id),  # deterministic, per-worker jitter
-    )
+    try:
+        return _serve(
+            core,
+            chan,
+            slicer,
+            bound_poll_nodes,
+            crash_after_updates,
+            hang_after_updates,
+            hang_seconds,
+        )
+    finally:
+        chan.close()
 
+
+def _serve(
+    core: WorkerCore,
+    chan: _RpcChannel,
+    slicer: AdaptiveSlicer,
+    bound_poll_nodes: int,
+    crash_after_updates: Optional[int],
+    hang_after_updates: Optional[int],
+    hang_seconds: float,
+) -> str:
+    """The loop of :func:`worker_main`; returns its outcome.
+
+    Every message goes through ``chan``: this scope holds no name for
+    the connection under it, so none can skip the seq stamp and the
+    retries.
+    """
+    stats = core.stats
     resync = False  # a new server incarnation answered since the last slice
 
     def answered(reply: Any) -> Any:
@@ -317,7 +365,7 @@ def worker_main(
         and no earlier reply is still unread by then.
         """
         nonlocal resync
-        if connection.take_epoch_change():
+        if chan.take_epoch_change():
             core.new_incarnation()
             resync = True
         return reply
@@ -348,86 +396,82 @@ def worker_main(
             explorer.yield_at_poll()
         return cost
 
-    try:
-        while True:
-            reply = answered(chan.call(core.request()))
-            if reply is None:
-                # repro-check: ignore[RC04] -- best-effort Bye after the retry budget is exhausted; the launcher's process sentinel covers the exit
-                connection.send(core.bye())
-                return "gave-up"
-            if isinstance(reply, Terminate):
-                break
-            if isinstance(reply, Idle):
-                # Keep-alive: no job had work for as long as the service
-                # parks a Request.  The fleet outlives any one job, so
-                # ask again.
-                core.idle()
-                continue
-            # A Grant claimed from a just-restarted coordinator is
-            # already a fresh reconciliation; clear the flag so the
-            # first slice boundary is not forced synchronous for nothing.
-            resync = False
-            if not reinform(core.grant(reply)):
-                return "gave-up"
-            if core.problem is None:
-                raise TransportError(
-                    f"granted job {core.job!r} but no problem: the grant "
-                    "carried no spec"
-                )
-            # A notice that came before this grant is about another interval.
-            chan.notices.clear()
-            explorer = IntervalExplorer(
-                core.problem,
-                Interval.from_tuple(reply.interval),
-                incumbent=Incumbent(core.start_bound, None),
-                on_improvement=core.found,
-                bound_provider=poll,
-                bound_poll_nodes=bound_poll_nodes,
+    while True:
+        reply = answered(chan.call(core.request()))
+        if reply is None:
+            chan.farewell(core.bye())
+            return "gave-up"
+        if isinstance(reply, Terminate):
+            break
+        if isinstance(reply, Idle):
+            # Keep-alive: no job had work for as long as the service
+            # parks a Request.  The fleet outlives any one job, so
+            # ask again.
+            core.idle()
+            continue
+        # A Grant claimed from a just-restarted coordinator is
+        # already a fresh reconciliation; clear the flag so the
+        # first slice boundary is not forced synchronous for nothing.
+        resync = False
+        if not reinform(core.grant(reply)):
+            return "gave-up"
+        if core.problem is None:
+            raise TransportError(
+                f"granted job {core.job!r} but no problem: the grant "
+                "carried no spec"
             )
-            core.unit = explorer
-            outcome = "ok"
-            while outcome == "ok" and core.exploring:
-                started = time.monotonic()
-                report = explorer.step(slicer.next_slice())
-                seconds = time.monotonic() - started
-                stats["explore_seconds"] += seconds
-                slicer.observe(report.nodes_processed, seconds)
-                # The previous boundary's Update overlapped this slice;
-                # reconcile it before talking to the coordinator again.
-                if chan.has_pending():
-                    outcome = settle()
-                    if outcome != "ok":
-                        break
-                # A new server incarnation may have recovered stale
-                # state: the core re-pushes the best and the Update is
-                # reconciled before another node, as after a cut notice.
-                messages, reconcile_now = core.slice_done(
-                    report.nodes_processed, report.consumed, resync=resync
-                )
-                resync = False
-                for push in messages[:-1]:
-                    ack = answered(chan.call(push))
-                    if ack is None:
-                        return "gave-up"
-                    core.acked(ack)
-                chan.send(messages[-1])
-                if reconcile_now:
-                    outcome = settle()
-            # Exploration (or a cut) ended with one Update still in
-            # flight: it is retired before the next RPC goes out.
-            if outcome == "ok" and chan.has_pending():
+        # A notice that came before this grant is about another interval.
+        chan.notices.clear()
+        explorer = IntervalExplorer(
+            core.problem,
+            Interval.from_tuple(reply.interval),
+            incumbent=Incumbent(core.start_bound, None),
+            on_improvement=core.found,
+            bound_provider=poll,
+            bound_poll_nodes=bound_poll_nodes,
+        )
+        core.unit = explorer
+        outcome = "ok"
+        while outcome == "ok" and core.exploring:
+            started = time.monotonic()
+            report = explorer.step(slicer.next_slice())
+            seconds = time.monotonic() - started
+            stats["explore_seconds"] += seconds
+            slicer.observe(report.nodes_processed, seconds)
+            # The previous boundary's Update overlapped this slice;
+            # reconcile it before talking to the coordinator again.
+            if chan.has_pending():
                 outcome = settle()
-            if outcome == "terminate":
-                break
-            if outcome != "ok":
-                return outcome
+                if outcome != "ok":
+                    break
+            # A new server incarnation may have recovered stale
+            # state: the core re-pushes the best and the Update is
+            # reconciled before another node, as after a cut notice.
+            messages, reconcile_now = core.slice_done(
+                report.nodes_processed, report.consumed, resync=resync
+            )
+            resync = False
+            for push in messages[:-1]:
+                ack = answered(chan.call(push))
+                if ack is None:
+                    return "gave-up"
+                core.acked(ack)
+            chan.send(messages[-1])
+            if reconcile_now:
+                outcome = settle()
+        # Exploration (or a cut) ended with one Update still in
+        # flight: it is retired before the next RPC goes out.
+        if outcome == "ok" and chan.has_pending():
+            outcome = settle()
+        if outcome == "terminate":
+            break
+        if outcome != "ok":
+            return outcome
 
-        # Best-effort acknowledged goodbye: routed through the retry
-        # helper so a dropped Bye under a lossy channel is re-sent (same
-        # seq, so the coordinator dedups) instead of stalling the run
-        # until the process sentinel notices the exit.  If every retry
-        # times out the worker leaves anyway — the sentinel covers it.
-        chan.call(core.bye())
-        return "terminate"
-    finally:
-        connection.close()
+    # Best-effort acknowledged goodbye: routed through the retry
+    # helper so a dropped Bye under a lossy channel is re-sent (same
+    # seq, so the coordinator dedups) instead of stalling the run
+    # until the process sentinel notices the exit.  If every retry
+    # times out the worker leaves anyway — the sentinel covers it.
+    chan.call(core.bye())
+    return "terminate"

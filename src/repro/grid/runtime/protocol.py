@@ -12,10 +12,10 @@ wire-format version, serialized by the network transports
 a version is forbidden; additions must bump it.  Decoders refuse
 versions from the future, so a mixed fleet fails loudly at the frame
 boundary instead of silently misreading fields.  The contract is
-machine-enforced: ``repro check`` diffs every registered dataclass
-against the golden schemas in ``repro/tools/check/schemas/wire.json``
-(rule RC12) and fails when a field changes without a version bump;
-after bumping, refresh the snapshot with
+machine-enforced: ``tests/test_net_framing.py`` diffs every registered
+dataclass against the golden schemas in
+``repro/tools/check/schemas/wire.json`` and fails when a field changes
+without a version bump; after bumping, refresh the golden with
 ``repro check --update-schemas``.
 
 :func:`spec_to_wire` / :func:`spec_from_wire` translate a

@@ -1,17 +1,17 @@
 """``repro check`` — AST-based enforcement of the runtime's invariants.
 
-The checker is a small rule engine (:mod:`repro.tools.check.core`)
-with an intraprocedural dataflow layer
-(:mod:`repro.tools.check.dataflow`: symbol tables, def-use chains and
-a taint lattice) plus the project-specific rules
-(:mod:`repro.tools.check.rules`) that pin invariants earlier PRs of
-this repository learned the hard way: int-exact interval arithmetic,
-the launcher-only write rule on the shared incumbent, versioned wire
-messages and their golden schemas, the at-least-once RPC discipline,
-simulator determinism, non-blocking asyncio bodies, the
-strictly-typed core perimeter, checkpoint fsync coverage and
-handler exception safety.  ``docs/static-analysis.md`` documents
-every rule with the bug that motivated it.
+The checker is a small single-pass rule engine
+(:mod:`repro.tools.check.core`) with an intraprocedural dataflow layer
+(:mod:`repro.tools.check.dataflow`: symbol tables and a taint lattice)
+plus the project-specific rules (:mod:`repro.tools.check.rules`) that
+pin invariants earlier PRs of this repository learned the hard way:
+int-exact interval arithmetic, simulator determinism, non-blocking
+asyncio bodies, the strictly-typed core perimeter, durable and fsynced
+checkpoint writes, opaque job ids, the event loop's threading
+contract and handler exception safety.  ``docs/static-analysis.md``
+documents every rule with the bug that motivated it.  The wire
+contract (versioned messages, golden schemas) is a test on the live
+codec, ``tests/test_net_framing.py``.
 """
 
 from repro.tools.check.core import (
@@ -33,7 +33,6 @@ from repro.tools.check.dataflow import (
 
 # Importing the rules module registers every rule in RULES.
 from repro.tools.check import rules as _rules  # noqa: F401
-from repro.tools.check.rules import compute_wire_schema, update_wire_schemas
 
 __all__ = [
     "CheckError",
@@ -47,7 +46,5 @@ __all__ = [
     "TaintPolicy",
     "Violation",
     "check_paths",
-    "compute_wire_schema",
     "taint_scopes",
-    "update_wire_schemas",
 ]

@@ -13,6 +13,7 @@ checked at all (unreadable or syntax error) or bad usage.
 from __future__ import annotations
 
 import argparse
+import json
 from pathlib import Path
 from typing import List, Optional
 
@@ -28,6 +29,10 @@ __all__ = ["add_check_arguments", "main", "run_check"]
 
 #: What ``repro check`` (and ``make check``) scans with no arguments.
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
+
+#: The golden wire schemas ``tests/test_net_framing.py`` holds the live
+#: codec to, and ``--update-schemas`` rewrites.
+WIRE_SCHEMA_PATH = Path(__file__).resolve().parent / "schemas" / "wire.json"
 
 
 def add_check_arguments(parser: argparse.ArgumentParser) -> None:
@@ -55,7 +60,7 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--select",
         default=None,
-        metavar="RC01,RC03",
+        metavar="RC01,RC05",
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
@@ -66,8 +71,8 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--update-schemas",
         action="store_true",
-        help="rewrite the golden wire schemas (RC12) from the live "
-        "wire dataclasses and exit",
+        help="rewrite the golden wire schemas from the live wire "
+        "dataclasses (after a version bump) and exit",
     )
 
 
@@ -84,19 +89,12 @@ def run_check(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(render_rule_list([cls() for cls in RULES.values()], select))
         return 0
+    if args.update_schemas:
+        return _update_wire_schemas()
     missing = [path for path in args.paths if not Path(path).exists()]
     if missing:
         print(f"repro-check: no such path(s): {', '.join(missing)}")
         return 2
-    if getattr(args, "update_schemas", False):
-        from repro.tools.check.rules import update_wire_schemas
-
-        target, count = update_wire_schemas([Path(p) for p in args.paths])
-        print(
-            f"repro-check: wrote golden schemas for {count} wire "
-            f"message(s) to {target}"
-        )
-        return 0
     try:
         result = check_paths(
             [Path(p) for p in args.paths], strict=args.strict, select=select
@@ -111,6 +109,23 @@ def run_check(args: argparse.Namespace) -> int:
     else:
         print(render_text(result))
     return result.exit_code()
+
+
+def _update_wire_schemas() -> int:
+    """Rewrite the golden file's messages from the live codec."""
+    # Imported here so that a plain check stays stdlib-only.
+    from repro.grid.net.framing import wire_schema
+
+    golden = json.loads(WIRE_SCHEMA_PATH.read_text(encoding="utf-8"))
+    golden["messages"] = wire_schema()
+    WIRE_SCHEMA_PATH.write_text(
+        json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(
+        f"repro-check: wrote golden schemas for {len(golden['messages'])} "
+        f"wire message(s) to {WIRE_SCHEMA_PATH}"
+    )
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

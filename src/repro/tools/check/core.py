@@ -8,19 +8,15 @@ learned the hard way (see ``docs/static-analysis.md``); they are not a
 general-purpose linter and they lean on the repository's layout and
 naming conventions on purpose.
 
-Two-phase runs
---------------
-Some invariants are cross-file (RC03 needs the wire-codec registry in
-``framing.py`` while it checks ``protocol.py``), so a run makes two
-passes: every matching rule first gets :meth:`Rule.collect` over every
-file, then :meth:`Rule.check`.
+Every rule is local to one file, so a run is a single pass: each file
+is parsed, checked by every rule in scope, and dropped.
 
 Suppressions
 ------------
 A violation is silenced by a trailing (or immediately preceding)
 comment::
 
-    channel.send(message)  # repro-check: ignore[RC04] -- best-effort farewell
+    share = consumed / total  # repro-check: ignore[RC01] -- a reporting ratio, not interval state
 
 Suppressions are **line-scoped**: a trailing comment covers exactly
 its own line, a comment alone on a line covers exactly the next line.
@@ -181,8 +177,8 @@ class FileContext:
 class Rule:
     """Base class for one project-specific invariant.
 
-    Subclasses set the class attributes and implement :meth:`check`
-    (and optionally :meth:`collect` for cross-file state).  ``scope``
+    Subclasses set the class attributes and implement :meth:`check`.
+    ``scope``
     and ``strict_scope`` are fnmatch patterns matched against the end
     of the file's posix path; ``strict_scope`` only participates when
     the run passes ``--strict``.
@@ -197,9 +193,6 @@ class Rule:
     def applies_to(self, ctx: FileContext, strict: bool) -> bool:
         patterns = self.scope + (self.strict_scope if strict else ())
         return any(_match(ctx.rel, pattern) for pattern in patterns)
-
-    def collect(self, ctx: FileContext) -> None:
-        """Phase 1: gather cross-file state (default: nothing)."""
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         raise NotImplementedError
@@ -356,15 +349,6 @@ def check_paths(
     # registry is complete even when callers import core directly.
     from repro.tools.check import rules as _rules  # noqa: F401
 
-    result = CheckResult()
-    contexts: List[FileContext] = []
-    for path in iter_python_files(list(paths)):
-        try:
-            contexts.append(load_context(path))
-        except (OSError, SyntaxError, UnicodeDecodeError) as exc:
-            result.errors.append(CheckError(_relativize(path), str(exc)))
-    result.files_checked = len(contexts)
-
     wanted = None if select is None else {code.upper() for code in select}
     active = [
         cls()
@@ -376,12 +360,14 @@ def check_paths(
         if unknown:
             raise ValueError(f"unknown rule code(s): {sorted(unknown)}")
 
-    for rule in active:
-        for ctx in contexts:
-            if rule.applies_to(ctx, strict):
-                rule.collect(ctx)
-
-    for ctx in contexts:
+    result = CheckResult()
+    for path in iter_python_files(list(paths)):
+        try:
+            ctx = load_context(path)
+        except (OSError, SyntaxError, UnicodeDecodeError) as exc:
+            result.errors.append(CheckError(_relativize(path), str(exc)))
+            continue
+        result.files_checked += 1
         result.violations.extend(_suppression_violations(ctx))
         for rule in active:
             if not rule.applies_to(ctx, strict):

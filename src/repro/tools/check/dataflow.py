@@ -6,7 +6,7 @@ because ``b`` carries no interval-ish name.  This module closes that
 gap with a small, honest dataflow layer:
 
 * a per-scope **symbol table** (:class:`SymbolTable`) of definition
-  sites and uses, with flow-insensitive def-use chains;
+  sites;
 * a two-point **taint lattice** (``CLEAN < TAINTED``, join = or) run
   to a fixpoint over each function, so taint introduced by a seeded
   identifier survives assignments, tuple unpacking, ``for`` targets,
@@ -30,29 +30,13 @@ function / lambda; ``scope.walk()`` yields exactly the nodes owned by
 that scope (it does not descend into nested function bodies, which
 belong to their own scope), so a rule can pair every expression with
 the taint environment that governs it.
-
-Constants
----------
-:func:`module_constants` resolves simple module-level constants
-(``PROTOCOL_VERSION = 1``, ``WIRE_VERSION = 2``, ``X = Y + 1``) so the
-wire-schema gate (RC12) can read a dataclass's ``version`` default
-even when it is spelled as a named constant.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set
 
 __all__ = [
     "DEFAULT_SANITIZERS",
@@ -61,9 +45,6 @@ __all__ = [
     "ScopeTaint",
     "SymbolTable",
     "TaintPolicy",
-    "is_unresolved",
-    "module_constants",
-    "resolve_constant",
     "scope_walk",
     "taint_scopes",
 ]
@@ -120,12 +101,11 @@ class DefSite:
 
 
 class SymbolTable:
-    """Definition sites and uses of every local name in one scope."""
+    """Definition sites of every local name in one scope."""
 
     def __init__(self, scope: ast.AST):
         self.scope = scope
         self.defs: Dict[str, List[DefSite]] = {}
-        self.uses: Dict[str, List[ast.Name]] = {}
         self._build()
 
     def _add(self, site: DefSite) -> None:
@@ -174,17 +154,6 @@ class SymbolTable:
                 self._bind_target(node.target, node.value, "walrus")
             elif isinstance(node, ast.comprehension):
                 self._bind_target(node.target, node.iter, "comprehension")
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                self.uses.setdefault(node.id, []).append(node)
-
-    def def_use(self) -> Dict[str, List[Tuple[ast.Name, List[DefSite]]]]:
-        """Flow-insensitive def-use chains: every use paired with every
-        def of its name in this scope."""
-        chains: Dict[str, List[Tuple[ast.Name, List[DefSite]]]] = {}
-        for name, sites in self.uses.items():
-            reaching = self.defs.get(name, [])
-            chains[name] = [(use, reaching) for use in sites]
-        return chains
 
 
 def scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
@@ -402,76 +371,3 @@ def taint_scopes(
 
     _visit(tree, frozenset())
     return scopes
-
-
-_CONST_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-}
-
-
-def module_constants(tree: ast.Module) -> Dict[str, object]:
-    """Module-level constant bindings resolvable without execution.
-
-    Handles literals, references to earlier constants, and ``+ - *`` of
-    those — enough to resolve ``version: int = PROTOCOL_VERSION`` and
-    ``WIRE_VERSION = BASE + 1`` style defaults for the schema gate.
-    """
-    constants: Dict[str, object] = {}
-    for node in tree.body:
-        targets: List[str] = []
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and isinstance(
-            node.target, ast.Name
-        ):
-            targets = [node.target.id]
-            value = node.value
-        if not targets or value is None:
-            continue
-        resolved = resolve_constant(value, constants)
-        if resolved is not _UNRESOLVED:
-            for name in targets:
-                constants[name] = resolved
-    return constants
-
-
-class _Unresolved:
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<unresolved>"
-
-
-_UNRESOLVED = _Unresolved()
-
-
-def resolve_constant(
-    expr: ast.expr, constants: Dict[str, object]
-) -> object:
-    """Evaluate ``expr`` against known constants; ``_UNRESOLVED`` on miss."""
-    if isinstance(expr, ast.Constant):
-        return expr.value
-    if isinstance(expr, ast.Name):
-        return constants.get(expr.id, _UNRESOLVED)
-    if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub):
-        inner = resolve_constant(expr.operand, constants)
-        if isinstance(inner, (int, float)):
-            return -inner
-        return _UNRESOLVED
-    if isinstance(expr, ast.BinOp):
-        op = _CONST_BINOPS.get(type(expr.op))
-        left = resolve_constant(expr.left, constants)
-        right = resolve_constant(expr.right, constants)
-        if (
-            op is not None
-            and isinstance(left, (int, float))
-            and isinstance(right, (int, float))
-        ):
-            return op(left, right)
-    return _UNRESOLVED
-
-
-def is_unresolved(value: object) -> bool:
-    return value is _UNRESOLVED

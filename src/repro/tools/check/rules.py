@@ -10,38 +10,27 @@ them precise enough to run with zero tolerated violations.
 from __future__ import annotations
 
 import ast
-import json
-from pathlib import Path
-from typing import Any, ClassVar, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import ClassVar, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.tools.check.core import FileContext, Rule, Violation, _match, register
 from repro.tools.check.dataflow import (
     MUTATING_METHODS,
     ScopeTaint,
     TaintPolicy,
-    is_unresolved,
-    module_constants,
-    resolve_constant,
     scope_walk,
     taint_scopes,
 )
 
 __all__ = [
     "IntExactIntervals",
-    "VersionedWireMessages",
-    "RawSendOutsideRetryHelper",
     "SimulatorDeterminism",
     "NoBlockingIOInAsync",
     "TypedCoreDiscipline",
     "DurableCheckpointWrites",
-    "FrontierIntExactness",
     "OpaqueJobIds",
-    "WireSchemaCompatibility",
     "AsyncioConcurrencyDiscipline",
     "CheckpointFsyncCoverage",
     "HandlerExceptionSafety",
-    "compute_wire_schema",
-    "update_wire_schemas",
 ]
 
 
@@ -68,23 +57,25 @@ class IntExactIntervals(Rule):
     ``50!``; a single float creeping into an interval endpoint or a
     tree weight silently rounds it (floats hold 53 bits) and the
     §4.1 covering invariant is gone.  In the pure number-coding
-    modules *any* ``/``, ``float()`` or float literal is flagged; in
-    the wider grid/ scope only expressions touching interval-ish
-    identifiers are, so wall-clock floats stay legal there.
+    modules *any* ``/``, ``float()`` or float literal is flagged.  In
+    the engine, the resumable wrapper and the grid/ scope only values
+    derived from interval-ish or node-number identifiers are, so
+    costs, bounds and wall-clock floats stay legal there.  The engine
+    matters because its loop derives ``child_number = number + rank *
+    weight`` from weights as large as ``50!`` and folds to
+    ``[stack[-1].number, end)``: one rounded number corrupts the
+    checkpoint, not just a bound.
 
-    Since the dataflow upgrade the "touching" is taint-based, not just
-    lexical: ``b = interval[0]; b / 2`` is caught because ``b`` is
-    bound from an interval-derived value, even though the division
-    itself mentions no interval-ish name.  The old identifier
-    heuristic is retained as a floor, so everything PR 5 caught is
-    still caught.
+    "Derived" is taint-based: ``b = interval[0]; b / 2`` is caught
+    because ``b`` is bound from an interval-derived value, even though
+    the division itself mentions no interval-ish name.
     """
 
     code: ClassVar[str] = "RC01"
     title: ClassVar[str] = "interval arithmetic must stay int-exact"
     invariant: ClassVar[str] = (
-        "interval endpoints and tree weights are exact bignum ints "
-        "(PAPER eq. 1-9; floats round above 2**53)"
+        "interval endpoints, tree weights and node numbers are exact "
+        "bignum ints (PAPER eq. 1-9; floats round above 2**53)"
     )
     #: Modules where numbers are leaf counts by definition: zero floats.
     exact_scope: ClassVar[Tuple[str, ...]] = (
@@ -97,16 +88,22 @@ class IntExactIntervals(Rule):
     #: Modules where floats are legal (clocks, costs) but must not mix
     #: with interval-ish values.
     tainted_scope: ClassVar[Tuple[str, ...]] = (
+        "repro/core/engine.py",
+        "repro/core/resumable.py",
         "repro/core/interval_set.py",
         "repro/grid/*.py",
     )
     scope: ClassVar[Tuple[str, ...]] = exact_scope + tainted_scope
 
-    #: Identifiers that mark a value as an interval endpoint / weight.
+    #: Identifiers that mark a value as an interval endpoint, a tree
+    #: weight or a node number.  Cost, bound and seconds names are
+    #: float country and deliberately absent.
     TAINTED: ClassVar[FrozenSet[str]] = frozenset(
         {
             "begin",
             "end",
+            "_end",
+            "new_end",
             "interval",
             "intervals",
             "root_interval",
@@ -114,16 +111,16 @@ class IntExactIntervals(Rule):
             "consumed",
             "weight",
             "weights",
+            "_weights",
+            "child_weight",
             "leaves",
             "total_leaves",
             "leaf_number",
+            "number",
+            "numbers",
+            "child_number",
         }
     )
-
-    def _lexical(self, node: ast.AST) -> bool:
-        """PR 5's identifier-name heuristic, kept as the floor: the
-        dataflow upgrade widens what is caught, never narrows it."""
-        return bool(_identifiers(node) & self.TAINTED)
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         exact = any(_match(ctx.rel, p) for p in self.exact_scope)
@@ -143,9 +140,7 @@ class IntExactIntervals(Rule):
                     if isinstance(node, ast.BinOp)
                     else [node.target, node.value]
                 )
-                if exact or self._lexical(node) or any(
-                    scope.tainted(op) for op in operands
-                ):
+                if exact or any(scope.tainted(op) for op in operands):
                     yield self.violation(
                         ctx,
                         node,
@@ -157,10 +152,7 @@ class IntExactIntervals(Rule):
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "float"
             ):
-                if exact or any(
-                    self._lexical(arg) or scope.tainted(arg)
-                    for arg in node.args
-                ):
+                if exact or any(scope.tainted(arg) for arg in node.args):
                     yield self.violation(
                         ctx,
                         node,
@@ -182,208 +174,12 @@ class IntExactIntervals(Rule):
                 )
                 floats = [op for op in operands if _is_float_constant(op)]
                 others = [op for op in operands if not _is_float_constant(op)]
-                if floats and any(
-                    self._lexical(op) or scope.tainted(op) for op in others
-                ):
+                if floats and any(scope.tainted(op) for op in others):
                     yield self.violation(
                         ctx,
                         floats[0],
                         "float literal mixed into interval arithmetic",
                     )
-
-
-@register
-class VersionedWireMessages(Rule):
-    """RC03 — wire dataclasses carry ``version`` and are codec-registered.
-
-    PR 4's framing refuses frames from the future by reading each
-    message's explicit ``version`` field; a message without one decodes
-    as v1 forever, and one missing from ``_WIRE_TYPES`` cannot travel
-    over TCP at all (it only works over fork, a mixed-transport trap).
-    """
-
-    code: ClassVar[str] = "RC03"
-    title: ClassVar[str] = "protocol messages are versioned and registered"
-    invariant: ClassVar[str] = (
-        "every wire dataclass has an explicit version field and a "
-        "_WIRE_TYPES registration (PR 4 framing contract)"
-    )
-    scope: ClassVar[Tuple[str, ...]] = (
-        "repro/grid/runtime/protocol.py",
-        "repro/grid/net/framing.py",
-    )
-
-    def __init__(self) -> None:
-        self._registry: Optional[Set[str]] = None
-
-    # -------------------------------------------------------- phase 1
-    def collect(self, ctx: FileContext) -> None:
-        if _match(ctx.rel, "*framing.py"):
-            registry = self._parse_registry(ctx.tree)
-            if registry is not None:
-                self._registry = registry
-
-    @staticmethod
-    def _parse_registry(tree: ast.Module) -> Optional[Set[str]]:
-        """Names registered in the ``_WIRE_TYPES`` codec dict."""
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            targets = [
-                t.id for t in node.targets if isinstance(t, ast.Name)
-            ]
-            if "_WIRE_TYPES" not in targets:
-                continue
-            names: Set[str] = set()
-            if isinstance(node.value, ast.DictComp):
-                source: ast.AST = node.value.generators[0].iter
-            else:
-                source = node.value
-            for sub in ast.walk(source):
-                if isinstance(sub, ast.Name) and sub.id != "cls":
-                    names.add(sub.id)
-            return names
-        return None
-
-    # -------------------------------------------------------- phase 2
-    def _registry_for(self, ctx: FileContext) -> Optional[Set[str]]:
-        if self._registry is not None:
-            return self._registry
-        # Checking protocol.py alone: resolve the sibling framing.py.
-        framing = ctx.path.resolve().parent.parent / "net" / "framing.py"
-        if framing.exists():
-            try:
-                self._registry = self._parse_registry(
-                    ast.parse(framing.read_text(encoding="utf-8"))
-                )
-            except (OSError, SyntaxError):
-                self._registry = None
-        return self._registry
-
-    @staticmethod
-    def _dataclasses(tree: ast.Module) -> Iterator[ast.ClassDef]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for deco in node.decorator_list:
-                target = deco.func if isinstance(deco, ast.Call) else deco
-                name = (
-                    target.id
-                    if isinstance(target, ast.Name)
-                    else target.attr
-                    if isinstance(target, ast.Attribute)
-                    else None
-                )
-                if name == "dataclass":
-                    yield node
-                    break
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        registry = self._registry_for(ctx)
-        for cls in self._dataclasses(ctx.tree):
-            fields = {
-                stmt.target.id
-                for stmt in cls.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-            }
-            registered = registry is not None and cls.name in registry
-            # A dataclass is a wire message when the codec knows it or
-            # when it carries the protocol's ``seq`` field; plain value
-            # types (e.g. ProblemSpec) are neither.
-            if not registered and "seq" not in fields:
-                continue
-            if "version" not in fields:
-                yield self.violation(
-                    ctx,
-                    cls,
-                    f"wire message {cls.name} lacks an explicit "
-                    "'version' field (decoders cannot refuse future "
-                    "frames without one)",
-                )
-            if registry is not None and not registered:
-                yield self.violation(
-                    ctx,
-                    cls,
-                    f"wire message {cls.name} is not registered in "
-                    "_WIRE_TYPES — it cannot travel over the network "
-                    "transports",
-                )
-
-
-@register
-class RawSendOutsideRetryHelper(Rule):
-    """RC04 — worker RPCs go through the ``_RpcChannel`` retry helper.
-
-    PR 1's at-least-once discipline (same-seq retries, the
-    coordinator's reply cache) only holds if every message is stamped
-    and retried by the helper; a raw ``connection.send`` bypasses the
-    seq counter and can wedge the single-outstanding pipeline.
-    """
-
-    code: ClassVar[str] = "RC04"
-    title: ClassVar[str] = "no raw sends outside the RPC retry helper"
-    invariant: ClassVar[str] = (
-        "every worker->coordinator message is an at-least-once RPC "
-        "(PR 1 seq/retry discipline)"
-    )
-    scope: ClassVar[Tuple[str, ...]] = ("repro/grid/runtime/bbprocess.py",)
-    helper_class: ClassVar[str] = "_RpcChannel"
-
-    @classmethod
-    def _helper_names(cls, tree: ast.Module) -> Set[str]:
-        """Local names bound to a ``_RpcChannel(...)`` instance.
-
-        ``chan.send(...)`` *is* the retry helper (its ``send`` stamps a
-        seq and arms ``collect``); only sends on anything else bypass
-        the at-least-once machinery.
-        """
-        names: Set[str] = set()
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Name)
-                and node.value.func.id == cls.helper_class
-            ):
-                names.update(
-                    t.id for t in node.targets if isinstance(t, ast.Name)
-                )
-        return names
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        helpers = self._helper_names(ctx.tree)
-        yield from self._walk(ctx, ctx.tree, helpers, inside_helper=False)
-
-    def _walk(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        helpers: Set[str],
-        inside_helper: bool,
-    ) -> Iterator[Violation]:
-        for child in ast.iter_child_nodes(node):
-            inside = inside_helper or (
-                isinstance(child, ast.ClassDef)
-                and child.name == self.helper_class
-            )
-            if (
-                not inside
-                and isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "send"
-                and not (
-                    isinstance(child.func.value, ast.Name)
-                    and child.func.value.id in helpers
-                )
-            ):
-                yield self.violation(
-                    ctx,
-                    child,
-                    "raw .send() outside _RpcChannel — unstamped, "
-                    "unretried messages break the at-least-once protocol",
-                )
-            yield from self._walk(ctx, child, helpers, inside)
 
 
 @register
@@ -714,121 +510,6 @@ class DurableCheckpointWrites(Rule):
 
 
 @register
-class FrontierIntExactness(Rule):
-    """RC10 — frontier node numbering must stay int-exact.
-
-    The engine's one exploration loop derives ``child_number = number
-    + rank * weight`` from tree weights as large as ``50!``, and sizes
-    its waves with integer arithmetic on node counts.  RC01 protects
-    the number-coding modules; this rule extends the same discipline
-    to the engine and the resumable wrapper, where exploration
-    statistics and wall-clock floats live *beside* the exact
-    arithmetic.  Any ``/``, ``float()`` or float literal touching a
-    node-number identifier in these modules is a rounding bug waiting
-    for a tree deeper than 2**53 — the loop folds to
-    ``[stack[-1].number, end)``, so one rounded number corrupts the
-    checkpoint, not just a bound.
-    """
-
-    code: ClassVar[str] = "RC10"
-    title: ClassVar[str] = "frontier node numbering stays int-exact"
-    invariant: ClassVar[str] = (
-        "node numbers, tree weights and fold endpoints in the engine "
-        "are exact bignum ints at every wave width "
-        "(PAPER eq. 6-9; floats round above 2**53)"
-    )
-    scope: ClassVar[Tuple[str, ...]] = (
-        "repro/core/engine.py",
-        "repro/core/resumable.py",
-    )
-
-    #: Identifiers that hold node numbers / weights / fold endpoints.
-    #: Deliberately excludes cost/bound/seconds names: those are float
-    #: country, and mixing them here would drown the signal.
-    TAINTED: ClassVar[FrozenSet[str]] = frozenset(
-        {
-            "number",
-            "child_number",
-            "numbers",
-            "child_weight",
-            "weights",
-            "_weights",
-            "_end",
-            "new_end",
-            "begin",
-            "end",
-            "interval",
-            "remaining_interval",
-            "total_leaves",
-        }
-    )
-
-    def _lexical(self, node: ast.AST) -> bool:
-        return bool(_identifiers(node) & self.TAINTED)
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        policy = TaintPolicy(seeds=self.TAINTED)
-        for scope in taint_scopes(ctx.tree, policy):
-            yield from self._check_scope(ctx, scope)
-
-    def _check_scope(
-        self, ctx: FileContext, scope: ScopeTaint
-    ) -> Iterator[Violation]:
-        for node in scope.walk():
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
-                node.op, ast.Div
-            ):
-                operands = (
-                    [node.left, node.right]
-                    if isinstance(node, ast.BinOp)
-                    else [node.target, node.value]
-                )
-                if self._lexical(node) or any(
-                    scope.tainted(op) for op in operands
-                ):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        "true division on a node-number expression — "
-                        "use // so frontier folds stay int-exact",
-                    )
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "float"
-            ):
-                if any(
-                    self._lexical(arg) or scope.tainted(arg)
-                    for arg in node.args
-                ):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        "float() conversion of a node number loses "
-                        "exactness above 2**53",
-                    )
-            elif isinstance(node, (ast.BinOp, ast.Compare)):
-                operands = (
-                    [node.left, node.right]
-                    if isinstance(node, ast.BinOp)
-                    else [node.left, *node.comparators]
-                )
-                floats = [op for op in operands if _is_float_constant(op)]
-                others = [
-                    op for op in operands if not _is_float_constant(op)
-                ]
-                if floats and any(
-                    self._lexical(op) or scope.tainted(op) for op in others
-                ):
-                    yield self.violation(
-                        ctx,
-                        floats[0],
-                        "float literal mixed into node-number "
-                        "arithmetic",
-                    )
-
-
-@register
 class OpaqueJobIds(Rule):
     """RC11 — job ids are opaque tokens, never numbers.
 
@@ -906,298 +587,6 @@ class OpaqueJobIds(Rule):
                     "tokens; any order or numeric reading of them is "
                     "scheduler state leaking through the id generator",
                 )
-
-
-# ---------------------------------------------------------------------------
-# Wire-schema snapshot gate (RC12)
-# ---------------------------------------------------------------------------
-
-#: Relative location of the golden wire-schema snapshot, both inside
-#: this package and inside any checked tree that ships its own.
-_SCHEMA_RELPATH = ("tools", "check", "schemas", "wire.json")
-
-
-def _schema_fields(cls: ast.ClassDef) -> Dict[str, str]:
-    """``{field: annotation-source}`` for one wire dataclass."""
-    fields: Dict[str, str] = {}
-    for stmt in cls.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            fields[stmt.target.id] = ast.unparse(stmt.annotation)
-    return fields
-
-
-def _schema_version(
-    cls: ast.ClassDef, constants: Dict[str, object]
-) -> Optional[int]:
-    """The resolved default of the ``version`` field, when resolvable."""
-    for stmt in cls.body:
-        if (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and stmt.target.id == "version"
-            and stmt.value is not None
-        ):
-            value = resolve_constant(stmt.value, constants)
-            if not is_unresolved(value) and isinstance(value, int):
-                return value
-    return None
-
-
-@register
-class WireSchemaCompatibility(Rule):
-    """RC12 — wire-schema changes must bump the message version.
-
-    RC03 guarantees every wire dataclass *has* a ``version`` field;
-    nothing guaranteed anyone ever changed it.  Adding, removing or
-    retyping a field while the version stays put means an old worker
-    (or a checkpoint journal written by one) decodes the new frame as
-    the old shape — silent field loss across a crash/resume epoch.
-    The golden schemas under ``tools/check/schemas/wire.json`` make
-    the wire contract a reviewed, diffable artifact: this rule fails
-    when the live dataclasses drift from the snapshot without a
-    version bump, and ``repro check --update-schemas`` refreshes the
-    snapshot once the bump (or the revert) is in place.
-    """
-
-    code: ClassVar[str] = "RC12"
-    title: ClassVar[str] = "wire-schema changes bump the message version"
-    invariant: ClassVar[str] = (
-        "every _WIRE_TYPES dataclass matches its golden schema or "
-        "carries a bumped version (WIRE_VERSION for framing-level "
-        "messages) — old decoders must be able to refuse new shapes"
-    )
-    scope: ClassVar[Tuple[str, ...]] = (
-        "repro/grid/runtime/protocol.py",
-        "repro/grid/net/framing.py",
-    )
-
-    def __init__(self) -> None:
-        self._registry: Optional[Set[str]] = None
-        #: message name -> (defining rel path, classdef, fields, version)
-        self._classes: Dict[
-            str, Tuple[str, ast.ClassDef, Dict[str, str], Optional[int]]
-        ] = {}
-
-    # -------------------------------------------------------- phase 1
-    def collect(self, ctx: FileContext) -> None:
-        if _match(ctx.rel, "*framing.py"):
-            registry = VersionedWireMessages._parse_registry(ctx.tree)
-            if registry is not None:
-                self._registry = registry
-        constants = module_constants(ctx.tree)
-        for cls in VersionedWireMessages._dataclasses(ctx.tree):
-            self._classes[cls.name] = (
-                ctx.rel,
-                cls,
-                _schema_fields(cls),
-                _schema_version(cls, constants),
-            )
-
-    # -------------------------------------------------------- schema IO
-    @staticmethod
-    def locate_schema(start: Path) -> Optional[Path]:
-        """Find the golden snapshot governing a checked file.
-
-        Walks up from the file so a fixture tree can carry its own
-        snapshot; falls back to the one shipped next to this module.
-        """
-        for parent in start.resolve().parents:
-            candidate = parent.joinpath(*_SCHEMA_RELPATH)
-            if candidate.exists():
-                return candidate
-        fallback = Path(__file__).resolve().parent / "schemas" / "wire.json"
-        return fallback if fallback.exists() else None
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The golden-schema document for the collected wire types."""
-        registry = self._registry or set()
-        messages: Dict[str, Any] = {}
-        for name, (_rel, _cls, fields, version) in self._classes.items():
-            if name in registry:
-                messages[name] = {"version": version, "fields": fields}
-        return {
-            "_comment": (
-                "Golden wire-message schemas enforced by repro check "
-                "RC12; refresh with `repro check --update-schemas` "
-                "after bumping the changed message's version."
-            ),
-            "messages": messages,
-        }
-
-    # -------------------------------------------------------- phase 2
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        registry = self._registry
-        if registry is None:
-            registry = self._sibling_registry(ctx)
-        if registry is None:
-            return
-        schema_path = self.locate_schema(ctx.path)
-        local = [
-            (name, cls, fields, version)
-            for name, (rel, cls, fields, version) in self._classes.items()
-            if rel == ctx.rel and name in registry
-        ]
-        if schema_path is None:
-            if local:
-                yield self.violation(
-                    ctx,
-                    local[0][1],
-                    "no golden wire schema found "
-                    "(tools/check/schemas/wire.json) — run "
-                    "`repro check --update-schemas` to create it",
-                )
-            return
-        try:
-            golden = json.loads(schema_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            yield Violation(
-                rule=self.code,
-                path=ctx.rel,
-                line=1,
-                col=1,
-                message=f"unreadable golden wire schema at {schema_path}",
-            )
-            return
-        recorded: Dict[str, Any] = golden.get("messages", {})
-        for name, cls, fields, version in sorted(local):
-            yield from self._check_message(
-                ctx, name, cls, fields, version, recorded.get(name)
-            )
-        if _match(ctx.rel, "*framing.py"):
-            for name in sorted(set(recorded) - registry):
-                yield Violation(
-                    rule=self.code,
-                    path=ctx.rel,
-                    line=1,
-                    col=1,
-                    message=(
-                        f"wire message {name} left _WIRE_TYPES but is "
-                        "still in the golden schema — deployed peers "
-                        "may still speak it; if the removal is "
-                        "deliberate, run `repro check --update-schemas`"
-                    ),
-                )
-
-    def _check_message(
-        self,
-        ctx: FileContext,
-        name: str,
-        cls: ast.ClassDef,
-        fields: Dict[str, str],
-        version: Optional[int],
-        gold: Optional[Dict[str, Any]],
-    ) -> Iterator[Violation]:
-        if gold is None:
-            yield self.violation(
-                ctx,
-                cls,
-                f"new wire message {name} is not in the golden schema "
-                "— run `repro check --update-schemas` to record it",
-            )
-            return
-        gold_fields: Dict[str, str] = gold.get("fields", {})
-        gold_version = gold.get("version")
-        if fields != gold_fields:
-            drift = self._describe_drift(fields, gold_fields)
-            if version == gold_version or version is None:
-                yield self.violation(
-                    ctx,
-                    cls,
-                    f"wire schema of {name} changed ({drift}) without "
-                    f"a version bump (still {gold_version!r}) — old "
-                    "decoders will mis-read the new shape; bump the "
-                    "message's version (WIRE_VERSION for framing-level "
-                    "messages), then run `repro check --update-schemas`",
-                )
-            else:
-                yield self.violation(
-                    ctx,
-                    cls,
-                    f"wire schema of {name} changed ({drift}) with a "
-                    f"version bump to {version} — refresh the golden "
-                    "snapshot: `repro check --update-schemas`",
-                )
-        elif version != gold_version:
-            yield self.violation(
-                ctx,
-                cls,
-                f"version of {name} is {version!r} but the golden "
-                f"schema records {gold_version!r} — stale snapshot; "
-                "run `repro check --update-schemas`",
-            )
-
-    @staticmethod
-    def _describe_drift(
-        fields: Dict[str, str], gold_fields: Dict[str, str]
-    ) -> str:
-        added = sorted(set(fields) - set(gold_fields))
-        removed = sorted(set(gold_fields) - set(fields))
-        retyped = sorted(
-            name
-            for name in set(fields) & set(gold_fields)
-            if fields[name] != gold_fields[name]
-        )
-        parts = []
-        if added:
-            parts.append(f"added: {', '.join(added)}")
-        if removed:
-            parts.append(f"removed: {', '.join(removed)}")
-        if retyped:
-            parts.append(f"retyped: {', '.join(retyped)}")
-        return "; ".join(parts) or "reordered"
-
-    @staticmethod
-    def _sibling_registry(ctx: FileContext) -> Optional[Set[str]]:
-        framing = ctx.path.resolve().parent.parent / "net" / "framing.py"
-        if framing.exists():
-            try:
-                return VersionedWireMessages._parse_registry(
-                    ast.parse(framing.read_text(encoding="utf-8"))
-                )
-            except (OSError, SyntaxError):
-                return None
-        return None
-
-
-def compute_wire_schema(
-    paths: Sequence[Path],
-) -> Tuple[Dict[str, Any], Optional[Path]]:
-    """Extract the live wire schema from the trees under ``paths``.
-
-    Returns the snapshot document plus the golden file it should be
-    written to (an existing snapshot governing the tree, else the
-    checker package's own ``schemas/`` directory).
-    """
-    from repro.tools.check.core import iter_python_files, load_context
-
-    rule = WireSchemaCompatibility()
-    target: Optional[Path] = None
-    for path in iter_python_files(list(paths)):
-        ctx = load_context(path)
-        if not any(_match(ctx.rel, p) for p in rule.scope):
-            continue
-        rule.collect(ctx)
-        if target is None:
-            target = rule.locate_schema(ctx.path)
-    if target is None:
-        target = Path(__file__).resolve().parent / "schemas" / "wire.json"
-    return rule.snapshot(), target
-
-
-def update_wire_schemas(paths: Sequence[Path]) -> Tuple[Path, int]:
-    """The ``--update-schemas`` flow: rewrite the golden snapshot.
-
-    Returns the file written and the number of messages recorded.
-    """
-    snapshot, target = compute_wire_schema(paths)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return target, len(snapshot["messages"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""The dataflow layer under ``repro check``: symbols, taint, constants.
+"""The dataflow layer under ``repro check``: symbols and taint.
 
 The checker's rules are only as good as the analysis they stand on, so
 the layer is tested on its own terms here: symbol tables record every
-binding form, ``scope_walk`` respects scope boundaries, the taint
-fixpoint follows values through assignments / loops / calls, and the
-constant folder resolves the version spellings RC12 depends on.  A
+binding form, ``scope_walk`` respects scope boundaries, and the taint
+fixpoint follows values through assignments / loops / calls.  A
 hypothesis suite then pins the upgrade contract: the dataflow-powered
 RC01 flags a *superset* of what PR 5's identifier heuristic flagged,
 on every program the strategy can generate.
@@ -23,9 +22,6 @@ from repro.tools.check.dataflow import (
     ScopeTaint,
     SymbolTable,
     TaintPolicy,
-    is_unresolved,
-    module_constants,
-    resolve_constant,
     scope_walk,
     taint_scopes,
 )
@@ -86,24 +82,6 @@ def test_symbol_table_tuple_unpacking_binds_each_name():
     table = SymbolTable(tree.body[0])
     assert set(table.defs) == {"pair", "left", "right"}
     assert table.defs["left"][0].value is table.defs["right"][0].value
-
-
-def test_def_use_chains_pair_uses_with_reaching_defs():
-    tree = parse(
-        """\
-        def f(a):
-            b = a
-            b = b + 1
-            return b
-        """
-    )
-    chains = SymbolTable(tree.body[0]).def_use()
-    # Three loads of names; b has two defs, each use of b sees both
-    # (the analysis is flow-insensitive by design).
-    (use_a,) = chains["a"]
-    assert len(use_a[1]) == 1 and use_a[1][0].kind == "arg"
-    for _use, reaching in chains["b"]:
-        assert len(reaching) == 2
 
 
 # ----------------------------------------------------------------------
@@ -323,37 +301,6 @@ def test_seed_predicate_extends_the_seed_set():
 
 
 # ----------------------------------------------------------------------
-# Constant folding (what RC12 leans on)
-
-
-def test_module_constants_resolve_literals_references_and_arithmetic():
-    tree = parse(
-        """\
-        BASE = 1
-        WIRE_VERSION = BASE + 1
-        NAME = "wire"
-        NEGATIVE: int = -3
-        SCALED = BASE * 4
-        UNKNOWN = read_config()
-        """
-    )
-    constants = module_constants(tree)
-    assert constants["BASE"] == 1
-    assert constants["WIRE_VERSION"] == 2
-    assert constants["NAME"] == "wire"
-    assert constants["NEGATIVE"] == -3
-    assert constants["SCALED"] == 4
-    assert "UNKNOWN" not in constants
-
-
-def test_resolve_constant_reports_unresolved_not_none():
-    expr = ast.parse("MISSING + 1", mode="eval").body
-    value = resolve_constant(expr, {})
-    assert is_unresolved(value)
-    assert not is_unresolved(resolve_constant(ast.parse("0", mode="eval").body, {}))
-
-
-# ----------------------------------------------------------------------
 # The RC01 dataflow upgrade, exactly as the rule consumes it
 
 
@@ -444,8 +391,8 @@ def lexical_rc01_lines(rel, source):
     """PR 5's identifier-name heuristic, vendored as the reference.
 
     This is the *old* RC01, reimplemented independently of the live
-    rule so the superset property is tested against a fixed point of
-    reference rather than against whatever ``_lexical`` evolves into.
+    rule (which no longer keeps it as a floor) so the superset property
+    is tested against a fixed point of reference.
     """
     tainted = IntExactIntervals.TAINTED
     exact = any(
@@ -482,12 +429,16 @@ def lexical_rc01_lines(rel, source):
 
 
 _NAMES = st.sampled_from(
-    ["interval", "begin", "end", "weight", "leaves", "cost", "elapsed", "x", "acc"]
+    [
+        "interval", "begin", "end", "weight", "leaves", "number", "cost",
+        "elapsed", "x", "acc",
+    ]
 )
 _RELS = st.sampled_from(
     [
         "repro/core/tree.py",
         "repro/core/interval.py",
+        "repro/core/engine.py",
         "repro/grid/runtime/balance.py",
         "repro/grid/simulator/metrics.py",
     ]

@@ -5,16 +5,25 @@ every protocol message — intervals keep their exact (arbitrarily
 large) integers, costs keep their exact floats including ``inf``,
 tuples come back as tuples.  Hypothesis drives one property per
 message type plus the streaming frame parser.
+
+The wire contract is pinned here too: every message is registered and
+versioned, and the live schema equals the golden
+``repro/tools/check/schemas/wire.json`` unless a version was bumped
+and the golden refreshed (``repro check --update-schemas``).
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import json
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.grid.net import framing
 from repro.grid.net.framing import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
@@ -27,7 +36,9 @@ from repro.grid.net.framing import (
     decode_message,
     encode_frame,
     encode_message,
+    wire_schema,
 )
+from repro.grid.runtime import protocol
 from repro.grid.runtime.protocol import (
     Ack,
     Bye,
@@ -38,6 +49,7 @@ from repro.grid.runtime.protocol import (
     Terminate,
     Update,
 )
+from repro.tools.check.cli import WIRE_SCHEMA_PATH
 
 # Leaf numbering reaches 20! and beyond: intervals must survive as
 # exact bignums, which is why the payload is JSON and not a fixed-width
@@ -228,3 +240,149 @@ class TestFrameBuffer:
         buf = FrameBuffer()
         with pytest.raises(FrameError):
             buf.feed(header)
+
+
+def _message_module_dataclasses():
+    for module in (protocol, framing):
+        for obj in vars(module).values():
+            if (
+                isinstance(obj, type)
+                and dataclasses.is_dataclass(obj)
+                and obj.__module__ == module.__name__
+            ):
+                yield obj
+
+
+def _field_drift(now, then):
+    added = sorted(set(now) - set(then))
+    removed = sorted(set(then) - set(now))
+    retyped = sorted(f for f in set(now) & set(then) if now[f] != then[f])
+    return "; ".join(
+        f"{label}: {', '.join(names)}"
+        for label, names in (
+            ("added", added), ("removed", removed), ("retyped", retyped)
+        )
+        if names
+    )
+
+
+def schema_drift(live, golden):
+    """Each way the ``live`` schema departs from the ``golden`` one."""
+    found = [
+        f"{name} left _WIRE_TYPES but is still in the golden: deployed "
+        "peers may still speak it"
+        for name in sorted(set(golden) - set(live))
+    ]
+    for name in sorted(live):
+        now, then = live[name], golden.get(name)
+        if then is None:
+            found.append(f"new message {name} is not in the golden")
+        elif now["fields"] != then["fields"]:
+            drift = _field_drift(now["fields"], then["fields"])
+            if now["version"] == then["version"]:
+                found.append(
+                    f"{name} changed ({drift}) without a version bump "
+                    f"(still {then['version']}): old decoders would "
+                    "mis-read the new shape"
+                )
+            else:
+                found.append(
+                    f"{name} changed ({drift}) with a bump to "
+                    f"{now['version']}: the golden is stale"
+                )
+        elif now["version"] != then["version"]:
+            found.append(
+                f"{name} is version {now['version']} but the golden "
+                f"records {then['version']}: the golden is stale"
+            )
+    return found
+
+
+class TestWireContract:
+    def test_every_wire_dataclass_is_registered_and_versioned(self):
+        # A dataclass is a wire message when the codec knows it or when
+        # it carries the protocol's seq; plain values (ProblemSpec) are
+        # neither.
+        checked = 0
+        for cls in _message_module_dataclasses():
+            fields = {f.name for f in dataclasses.fields(cls)}
+            registered = framing._WIRE_TYPES.get(cls.__name__) is cls
+            if not registered and "seq" not in fields:
+                continue
+            checked += 1
+            assert registered, (
+                f"{cls.__name__} carries seq but is not in _WIRE_TYPES: "
+                "it cannot travel over TCP"
+            )
+            assert "version" in fields, (
+                f"{cls.__name__} has no version field: decoders cannot "
+                "refuse its frames from the future"
+            )
+        assert checked == len(framing._WIRE_TYPES)
+
+    def test_live_schema_matches_the_golden(self):
+        golden = json.loads(WIRE_SCHEMA_PATH.read_text(encoding="utf-8"))
+        drift = schema_drift(wire_schema(), golden["messages"])
+        assert not drift, "\n".join(
+            drift
+            + [
+                "bump the changed message's version (WIRE_VERSION for "
+                "Hello/Welcome/Heartbeat), then refresh the golden: "
+                "repro check --update-schemas"
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (
+                lambda s: s["Ack"]["fields"].update(retries="int"),
+                "Ack changed (added: retries) without a version bump",
+            ),
+            (
+                lambda s: s["Ack"]["fields"].update(seq="float"),
+                "Ack changed (retyped: seq) without a version bump",
+            ),
+            (
+                lambda s: s["Ack"]["fields"].pop("best_cost"),
+                "Ack changed (removed: best_cost) without a version bump",
+            ),
+            (
+                lambda s: (
+                    s["Ack"]["fields"].update(retries="int"),
+                    s["Ack"].update(version=2),
+                ),
+                "Ack changed (added: retries) with a bump to 2: the "
+                "golden is stale",
+            ),
+            (
+                lambda s: s["Ack"].update(version=2),
+                "Ack is version 2 but the golden records 1",
+            ),
+            (
+                lambda s: s.update(
+                    Cancel={"version": 1, "fields": {"seq": "int"}}
+                ),
+                "new message Cancel is not in the golden",
+            ),
+            (
+                lambda s: s.pop("Ack"),
+                "Ack left _WIRE_TYPES but is still in the golden",
+            ),
+        ],
+        ids=[
+            "added", "retyped", "removed", "bumped-stale", "bump-alone",
+            "new-message", "dropped",
+        ],
+    )
+    def test_drift_is_reported(self, edit, expected):
+        golden = {
+            "Ack": {
+                "version": 1,
+                "fields": {"best_cost": "float", "seq": "int", "version": "int"},
+            }
+        }
+        live = copy.deepcopy(golden)
+        edit(live)
+        (found,) = schema_drift(live, golden)
+        assert found.startswith(expected)

@@ -355,6 +355,14 @@ def test_an_unanswered_reinform_push_gives_up_before_any_update():
     assert conn.sent[-1].cost == serial.cost
 
 
+def test_an_unanswered_request_ends_in_one_farewell_at_seq_0():
+    conn = Fifo()  # nobody answers
+    assert run_worker(conn) == "gave-up"
+    request, bye = conn.sent
+    assert isinstance(request, Request) and request.seq == 1
+    assert isinstance(bye, Bye) and bye.seq == 0
+
+
 # ----------------------------------------------------------------------
 # real processes over TCP, and the service
 # ----------------------------------------------------------------------
