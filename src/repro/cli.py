@@ -137,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="continue the job in --checkpoint-dir (its "
                               "INTERVALS+SOLUTION and journal); an empty "
                               "directory starts fresh")
-    serve_p.add_argument("--no-journal", action="store_true",
-                         help="disable the reconciliation journal between "
-                              "snapshots (recovery falls back to the last "
-                              "full snapshot)")
     serve_p.add_argument("--linger-seconds", type=float, default=10.0,
                          help="grace for worker goodbyes once the search "
                               "space is empty")
@@ -201,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     service_p.add_argument("--resume", action="store_true",
                            help="recover every persisted job from "
                                 "--checkpoint-dir before serving")
-    service_p.add_argument("--no-journal", action="store_true",
-                           help="disable the per-job reconciliation journal")
     service_p.add_argument("--linger-seconds", type=float, default=10.0)
     service_p.add_argument("--drain-when-idle", action="store_true",
                            help="exit once every submitted job has settled "
@@ -463,7 +457,7 @@ def _cmd_grid_serve(args) -> int:
 
     from repro.exceptions import RuntimeProtocolError
     from repro.grid.runtime import flowshop_spec
-    from repro.grid.runtime.protocol import JobRefused, spec_to_wire
+    from repro.grid.runtime.protocol import JobRefused
     from repro.grid.service.server import ServiceConfig, SolveService
     from repro.grid.service.store import JobStore
     from repro.problems.flowshop import random_instance, taillard_instance
@@ -473,7 +467,7 @@ def _cmd_grid_serve(args) -> int:
     else:
         instance = random_instance(args.jobs, args.machines, args.seed)
     print(f"instance: {instance.name} ({instance.jobs}x{instance.machines})")
-    wire = spec_to_wire(flowshop_spec(instance, bound=args.bound))
+    wire = flowshop_spec(instance, bound=args.bound)
     root = tuple(args.interval) if args.interval else None
     checkpoint_dir = Path(args.checkpoint_dir) if args.checkpoint_dir else None
     if checkpoint_dir is not None:
@@ -501,7 +495,6 @@ def _cmd_grid_serve(args) -> int:
             lease_seconds=args.lease_seconds,
             linger_seconds=args.linger_seconds,
             resume=args.resume,
-            journal=not args.no_journal,
             drain_when_idle=True,
         )
     )
@@ -556,7 +549,6 @@ def _cmd_grid_service(args) -> int:
             lease_seconds=args.lease_seconds,
             linger_seconds=args.linger_seconds,
             resume=args.resume,
-            journal=not args.no_journal,
             scheduler=SchedulerConfig(
                 policy=args.policy,
                 max_running_jobs=args.max_running,

@@ -130,10 +130,6 @@ class ActiveList:
         """Number of active nodes ("the number of elements it contains")."""
         return len(self._nodes)
 
-    def covered_leaves(self) -> int:
-        """Total number of leaves reachable from the frontier."""
-        return sum(node.weight for node in self._nodes)
-
     def rank_paths(self) -> List[RankPath]:
         return [node.ranks for node in self._nodes]
 

@@ -103,9 +103,6 @@ class SolveResult:
     # parents.
     pool_occupancy: Dict[int, int] = field(default_factory=dict)
 
-    def found_solution(self) -> bool:
-        return self.solution is not None
-
 
 class _Entry:
     """One frontier node on the stack.

@@ -39,9 +39,6 @@ class IntervalRecord:
     interval: Interval
     owners: Set[WorkerId] = field(default_factory=set)
 
-    def is_assigned(self) -> bool:
-        return bool(self.owners)
-
 
 @dataclass
 class Assignment:

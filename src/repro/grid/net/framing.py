@@ -36,11 +36,11 @@ with an exhaustive hypothesis property.
 Besides the runtime and job-service protocol messages, three transport-level
 messages ride the same framing: :class:`Hello` (a client identifies
 its worker id when (re)connecting), :class:`Welcome` (the server's
-answer, optionally carrying the run's :class:`ProblemSpec` in wire
-form so standalone workers need nothing but ``--connect``), and
-:class:`Heartbeat` (an idle keepalive that lets the server detect
-half-open peers).  Transports swallow these; the coordinator never
-sees them.
+answer, with its best cost and epoch; the problem itself comes on
+every ``GrantWork``, so standalone workers need nothing but
+``--connect``), and :class:`Heartbeat` (an idle keepalive that lets
+the server detect half-open peers).  Transports swallow these; the
+coordinator never sees them.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import dataclasses
 import json
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.grid.runtime.protocol import (
     Ack,
@@ -90,8 +90,10 @@ __all__ = [
 #: Highest wire version this build understands.  v2 added the server
 #: ``epoch`` to the Hello/Welcome handshake (crash-only recovery); v3
 #: put the job id on GrantWork/Update/Push and dropped their job-tagged
-#: twins, so both ends of a handshake must speak exactly this version.
-WIRE_VERSION = 3
+#: twins, so both ends of a handshake must speak exactly this version;
+#: v4 made a spec name a problem of a closed table instead of a
+#: callable, and dropped ``Welcome.spec``.
+WIRE_VERSION = 4
 
 #: Upper bound on a single frame; anything larger is a protocol error
 #: (or garbage on the port), not a message worth buffering.
@@ -132,16 +134,13 @@ class Hello:
 class Welcome:
     """The server's reply to :class:`Hello`.
 
-    ``spec`` is always ``None``: every ``GrantWork`` carries its job's
-    problem, so the field is dead and goes with the next wire-version
-    bump.  ``epoch`` counts server incarnations over one
+    ``epoch`` counts server incarnations over one
     checkpoint directory (0 when the server keeps no checkpoints): a
     client that sees it change knows the coordinator restarted from a
     snapshot and must re-reconcile its interval copy (eq. 14) instead
     of trusting the recovered state.
     """
 
-    spec: Optional[Dict[str, Any]] = None
     best_cost: float = float("inf")
     epoch: int = 0
     version: int = WIRE_VERSION

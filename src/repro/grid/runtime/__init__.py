@@ -16,7 +16,7 @@ to a single host's cores, or spread over real sockets).
 Public surface::
 
     from repro.grid.runtime import (
-        ProblemSpec, RuntimeConfig, ParallelResult,
+        RuntimeConfig, ParallelResult,
         solve_parallel, Coordinator, flowshop_spec,
     )
 """
@@ -34,7 +34,7 @@ from repro.grid.runtime.launcher import (
     RuntimeConfig,
     solve_parallel,
 )
-from repro.grid.runtime.protocol import ProblemSpec, flowshop_spec, tsp_spec
+from repro.grid.runtime.protocol import flowshop_spec, tsp_spec
 from repro.grid.runtime.supervisor import (
     FleetReport,
     RespawnPolicy,
@@ -50,7 +50,6 @@ __all__ = [
     "FaultPlan",
     "FleetReport",
     "ParallelResult",
-    "ProblemSpec",
     "RespawnPolicy",
     "RuntimeConfig",
     "SlotStatus",

@@ -66,7 +66,6 @@ class Coordinator:
         checkpoint_period: float = 5.0,
         initial_best: Optional[Incumbent] = None,
         lease_seconds: Optional[float] = None,
-        journal: bool = True,
     ):
         self.root = root_interval
         self.intervals = IntervalSet.initial(root_interval, duplication_threshold)
@@ -74,7 +73,6 @@ class Coordinator:
         self.store = store
         self.checkpoint_period = checkpoint_period
         self.lease_seconds = lease_seconds
-        self.journal_enabled = journal
         self._last_checkpoint: Optional[float] = None  # the period starts at the first call
         self._powers: Dict[str, float] = {}
         # End of each worker's last grant: how far its word is taken
@@ -105,14 +103,11 @@ class Coordinator:
         duplication_threshold: int = 1,
         checkpoint_period: float = 5.0,
         lease_seconds: Optional[float] = None,
-        journal: bool = True,
     ) -> "Coordinator":
         """Restart after a farmer failure: reload the two files (§4.1),
         then replay the reconciliation journal over the snapshot so the
         recovery window shrinks to the last reconciled update."""
-        state = store.load_state(
-            root_interval, duplication_threshold, replay_journal=journal
-        )
+        state = store.load_state(root_interval, duplication_threshold)
         coord = cls(
             root_interval,
             duplication_threshold,
@@ -120,7 +115,6 @@ class Coordinator:
             checkpoint_period,
             initial_best=state.incumbent,
             lease_seconds=lease_seconds,
-            journal=journal,
         )
         if state.intervals is not None:
             coord.intervals = state.intervals
@@ -191,8 +185,7 @@ class Coordinator:
             # redundancy, never loss.
             if reported.begin > owned.end:
                 self._subtract_past_cut(worker, owned.end, reported.begin)
-            if self._journaling():
-                assert self.store is not None
+            if self.store is not None:
                 self.store.journal_explored(
                     Interval(owned.begin, reported.begin)
                 )
@@ -225,8 +218,7 @@ class Coordinator:
         if self.solution.update(msg.cost, msg.solution):
             self.improvements += 1
             self._lowered_by = msg.worker
-            if self._journaling():
-                assert self.store is not None
+            if self.store is not None:
                 self.store.journal_push(msg.cost, msg.solution)
         return Ack(self.solution.cost)
 
@@ -258,9 +250,6 @@ class Coordinator:
         self._cut = []
         self._lowered_by = None
         return notices
-
-    def _journaling(self) -> bool:
-        return self.store is not None and self.journal_enabled
 
     # ------------------------------------------------------------------
     def release_worker(self, worker: str) -> None:

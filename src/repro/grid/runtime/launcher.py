@@ -52,7 +52,7 @@ from repro.exceptions import RuntimeProtocolError
 from repro.grid.net.transport import Listener
 from repro.grid.runtime.bbprocess import worker_main
 from repro.grid.runtime.faults import FaultPlan, FaultStats, FaultyListener
-from repro.grid.runtime.protocol import JobRefused, ProblemSpec, spec_to_wire
+from repro.grid.runtime.protocol import JobRefused
 
 __all__ = ["RuntimeConfig", "ParallelResult", "solve_parallel"]
 
@@ -70,7 +70,7 @@ class RuntimeConfig:
     connection of coordinator notices (a cut of its interval, a lower
     bound) without blocking.  The service behind the run keeps its own
     defaults for everything not named here (pump wait, duplication
-    threshold, the reconciliation journal, which is on).
+    threshold; the reconciliation journal is always on).
 
     ``root_interval`` restricts the run to one ``(begin, end)`` slice
     of the tree's leaf numbering (the paper's work unit) instead of the
@@ -154,8 +154,11 @@ def _forked_worker(
     worker_main(worker_id, connection, **options)
 
 
-def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) -> ParallelResult:
-    """Exactly solve ``spec`` with a farmer and N worker processes."""
+def solve_parallel(
+    spec: Dict[str, Any], config: Optional[RuntimeConfig] = None
+) -> ParallelResult:
+    """Exactly solve the problem ``spec`` names with a farmer and N
+    worker processes (``spec`` as :func:`flowshop_spec` builds it)."""
     # Imported here, not at module top: the service imports this
     # package's coordinator back, and repro.grid.net.tcp needs the
     # framing module, which imports this package back too.
@@ -246,7 +249,7 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
     try:
         service = start_service(resume=False)
         reply = service.admit(
-            spec_to_wire(spec),
+            spec,
             root=config.root_interval,
             incumbent=Incumbent(config.initial_upper_bound, config.initial_solution),
         )

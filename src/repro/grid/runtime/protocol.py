@@ -2,9 +2,10 @@
 
 Messages are small picklable dataclasses; intervals travel as
 ``(begin, end)`` integer pairs — the paper's two-number work units.
-Problems cross the process boundary as a :class:`ProblemSpec` (a
-module-level factory plus arguments) so workers rebuild their own
-problem object instead of pickling caches and NumPy views.
+Problems cross the process boundary as a *spec*, a JSON-able
+``{"problem": name, "args": [...]}`` naming one entry of the closed
+:data:`PROBLEMS` table, so workers rebuild their own problem object
+instead of receiving caches and NumPy views.
 
 Every message carries an explicit ``version`` field — the message's
 wire-format version, serialized by the network transports
@@ -18,15 +19,13 @@ dataclass against the golden schemas in
 without a version bump; after bumping, refresh the golden with
 ``repro check --update-schemas``.
 
-:func:`spec_to_wire` / :func:`spec_from_wire` translate a
-:class:`ProblemSpec` to and from a JSON-able form (the factory as a
-``module:qualname`` reference) so a coordinator can hand the problem
-definition to standalone workers over the network, not just over fork.
+:func:`flowshop_spec` and :func:`tsp_spec` build specs;
+:func:`build_problem` is the one place a spec turns into a problem —
+on the service at admission, and on a worker at a job's first grant.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
@@ -38,11 +37,10 @@ from repro.core.problem import Problem
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "ProblemSpec",
+    "PROBLEMS",
+    "build_problem",
     "flowshop_spec",
     "tsp_spec",
-    "spec_to_wire",
-    "spec_from_wire",
     "Request",
     "Update",
     "Push",
@@ -67,18 +65,6 @@ __all__ = [
 PROTOCOL_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Recipe for building the same Problem in every process."""
-
-    factory: Callable[..., Problem]
-    args: Tuple = ()
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-
-    def build(self) -> Problem:
-        return self.factory(*self.args, **dict(self.kwargs))
-
-
 def _build_flowshop(
     processing_times: List[List[int]],
     name: str,
@@ -94,71 +80,59 @@ def _build_flowshop(
     )
 
 
-def flowshop_spec(
-    instance: "FlowShopInstance",
-    bound: str = "combined",
-    pair_strategy: str = "adjacent+ends",
-) -> ProblemSpec:
-    """Spec for a :class:`~repro.problems.flowshop.FlowShopInstance`."""
-    return ProblemSpec(
-        _build_flowshop,
-        (
-            instance.processing_times.tolist(),
-            instance.name,
-            bound,
-            pair_strategy,
-        ),
-    )
-
-
 def _build_tsp(distances: List[List[int]], name: str) -> Problem:
     from repro.problems.tsp import TSPInstance, TSPProblem
 
     return TSPProblem(TSPInstance(distances, name=name))
 
 
-def tsp_spec(instance: "TSPInstance") -> ProblemSpec:
-    """Spec for a :class:`~repro.problems.tsp.TSPInstance`."""
-    return ProblemSpec(_build_tsp, (instance.distances.tolist(), instance.name))
+#: The only problems a spec can name, and the builder of each.  Closed
+#: on purpose: a spec comes from a tenant, so what it may run is this
+#: table and nothing it could name itself.
+PROBLEMS: Dict[str, Callable[..., Problem]] = {
+    "flowshop": _build_flowshop,
+    "tsp": _build_tsp,
+}
 
 
-def spec_to_wire(spec: ProblemSpec) -> Dict[str, Any]:
-    """JSON-able form of ``spec``: the factory as ``module:qualname``.
-
-    Only module-level factories with JSON-able arguments survive the
-    trip — which is exactly what :func:`flowshop_spec` and
-    :func:`tsp_spec` construct.
-    """
-    factory = spec.factory
-    module = getattr(factory, "__module__", None)
-    qualname = getattr(factory, "__qualname__", "")
-    if not module or "." in qualname or "<" in qualname:
-        raise ValueError(
-            f"spec factory {factory!r} is not a module-level callable; "
-            f"it cannot be named on the wire"
-        )
+def flowshop_spec(
+    instance: "FlowShopInstance",
+    bound: str = "combined",
+    pair_strategy: str = "adjacent+ends",
+) -> Dict[str, Any]:
+    """Spec for a :class:`~repro.problems.flowshop.FlowShopInstance`."""
     return {
-        "factory": f"{module}:{qualname}",
-        "args": list(spec.args),
-        "kwargs": dict(spec.kwargs),
+        "problem": "flowshop",
+        "args": [
+            instance.processing_times.tolist(),
+            instance.name,
+            bound,
+            pair_strategy,
+        ],
     }
 
 
-def spec_from_wire(wire: Dict[str, Any]) -> ProblemSpec:
-    """Rebuild the :class:`ProblemSpec` named by :func:`spec_to_wire`."""
-    ref = wire.get("factory")
-    if not isinstance(ref, str) or ":" not in ref:
-        raise ValueError(f"bad factory reference {ref!r}")
-    module_name, _, qualname = ref.partition(":")
-    module = importlib.import_module(module_name)
-    factory = getattr(module, qualname, None)
-    if not callable(factory):
-        raise ValueError(f"{ref} does not name a callable")
-    return ProblemSpec(
-        factory,
-        tuple(wire.get("args", ())),
-        dict(wire.get("kwargs", {})),
-    )
+def tsp_spec(instance: "TSPInstance") -> Dict[str, Any]:
+    """Spec for a :class:`~repro.problems.tsp.TSPInstance`."""
+    return {"problem": "tsp", "args": [instance.distances.tolist(), instance.name]}
+
+
+def build_problem(spec: Any) -> Problem:
+    """The problem ``spec`` names, built from its arguments.
+
+    Raises :class:`ValueError` before anything is called unless
+    ``spec`` is exactly ``{"problem": name, "args": [...]}`` with
+    ``name`` a key of :data:`PROBLEMS`.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a spec is a dict, not {type(spec).__name__}")
+    name = spec.get("problem")
+    builder = PROBLEMS.get(name) if isinstance(name, str) else None
+    if builder is None:
+        raise ValueError(f"unknown problem {name!r} (known: {', '.join(PROBLEMS)})")
+    if set(spec) != {"problem", "args"} or not isinstance(spec["args"], list):
+        raise ValueError(f"a spec is {{'problem': name, 'args': [...]}}, not {spec!r:.200}")
+    return builder(*spec["args"])
 
 
 # ----------------------------------------------------------------------
@@ -240,12 +214,12 @@ class Bye:
 class GrantWork:
     """A work slice, ``[begin, end)`` of the job named by ``job``.
 
-    ``spec`` is that job's problem recipe in wire form
-    (:func:`spec_to_wire`), repeated on every grant of the solve service
+    ``spec`` is that job's problem spec (:func:`flowshop_spec`,
+    :func:`tsp_spec`), repeated on every grant of the solve service
     so the exchange stays stateless: a worker that has never seen the
     job (or that restarted since) rebuilds the problem without a second
-    round trip.  ``None`` on a single-job run, whose workers were given
-    the problem up front.
+    round trip.  ``None`` for a job admitted with a caller-built
+    problem (the simulator's), whose units need none.
     """
 
     interval: Tuple[int, int]
@@ -253,7 +227,7 @@ class GrantWork:
     seq: int = 0
     job: str = ""
     spec: Optional[Dict[str, Any]] = None
-    version: int = 3
+    version: int = 4
 
 
 @dataclass
@@ -332,12 +306,14 @@ class Idle:
 
 @dataclass
 class SubmitJob:
+    """Enqueue a job; ``spec`` names its problem (:func:`build_problem`)."""
+
     worker: str
     spec: Dict[str, Any]
     priority: int = 1
     owner: str = "anonymous"
     seq: int = 0
-    version: int = PROTOCOL_VERSION
+    version: int = 4
 
 
 @dataclass

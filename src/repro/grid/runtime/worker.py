@@ -31,7 +31,7 @@ from repro.grid.runtime.protocol import (
     Reconciled,
     Request,
     Update,
-    spec_from_wire,
+    build_problem,
 )
 
 __all__ = ["Unit", "WorkerCore"]
@@ -135,7 +135,7 @@ class WorkerCore:
         job = self._jobs.pop(reply.job, None)
         if job is None:
             spec = reply.spec
-            job = _Job(None if spec is None else spec_from_wire(spec).build())
+            job = _Job(None if spec is None else build_problem(spec))
         self._jobs[reply.job] = job  # (re)inserted last: most recent
         if len(self._jobs) > _JOB_CACHE_SIZE:
             del self._jobs[next(iter(self._jobs))]

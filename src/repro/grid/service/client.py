@@ -5,7 +5,8 @@
 Welcome handshake, then sequenced client RPCs (SubmitJob,
 JobStatusRequest, CancelJob, ListJobs) whose replies are matched by
 ``seq``.  The service deduplicates client seqs exactly like worker
-seqs, so a retried submit cannot enqueue a job twice.
+seqs, so a retried submit cannot enqueue a job twice; an RPC whose
+connection the service dropped is redialled and retried once.
 
 :class:`SyncServiceClient` wraps each call in its own connection and
 ``asyncio.run`` — the shape a CLI invocation wants (`repro job ...` is
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import uuid
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.grid.net.framing import (
     FrameBuffer,
@@ -35,9 +36,7 @@ from repro.grid.runtime.protocol import (
     JobStatus,
     JobStatusRequest,
     ListJobs,
-    ProblemSpec,
     SubmitJob,
-    spec_to_wire,
 )
 from repro.grid.service.store import TERMINAL
 
@@ -48,6 +47,10 @@ _READ_CHUNK = 65536
 
 class JobRefusedError(TransportError):
     """Admission control bounced the submit."""
+
+
+class _Closed(TransportError):
+    """The service closed the connection (it reaps a silent peer)."""
 
 
 class ServiceClient:
@@ -86,6 +89,9 @@ class ServiceClient:
     # ------------------------------------------------------------------
     async def connect(self) -> None:
         """Open the stream and complete the Hello/Welcome handshake."""
+        self.welcome = None
+        self._buffer = FrameBuffer()
+        self._inbound.clear()
         self._reader, self._writer = await asyncio.wait_for(
             asyncio.open_connection(self.host, self.port), self.timeout
         )
@@ -133,7 +139,7 @@ class ServiceClient:
                     "no reply within the client timeout"
                 ) from None
             if not data:
-                raise TransportError("service closed the connection")
+                raise _Closed("service closed the connection")
             for payload in self._buffer.feed(data):
                 message = decode_message(payload)
                 if isinstance(message, Heartbeat):
@@ -141,14 +147,29 @@ class ServiceClient:
                 self._inbound.append(message)
 
     async def _rpc(self, message: Any) -> Any:
-        """One sequenced round trip; replies matched by seq."""
+        """One sequenced round trip; replies matched by seq.
+
+        The client sends no heartbeats, so the service reaps one idle
+        past its ``peer_timeout``.  A lost connection is redialled once
+        and ``message`` re-sent with the same seq: the service's reply
+        cache answers an RPC it already handled instead of handling it
+        twice.
+        """
         self._seq += 1
         message.seq = self._seq
+        try:
+            return await self._round_trip(message)
+        except (_Closed, ConnectionError):
+            await self.close()
+            await self.connect()
+            return await self._round_trip(message)
+
+    async def _round_trip(self, message: Any) -> Any:
         await self._send(message)
         deadline = asyncio.get_running_loop().time() + self.timeout
         while True:
             reply = await self._recv(deadline)
-            if getattr(reply, "seq", 0) == self._seq:
+            if getattr(reply, "seq", 0) == message.seq:
                 return reply
             # Stale reply from an abandoned RPC: drop and keep waiting.
 
@@ -157,7 +178,7 @@ class ServiceClient:
     # ------------------------------------------------------------------
     async def submit(
         self,
-        spec: Union[ProblemSpec, Dict[str, Any]],
+        spec: Dict[str, Any],
         priority: int = 1,
         owner: str = "anonymous",
     ) -> str:
@@ -165,9 +186,8 @@ class ServiceClient:
 
         Raises :class:`JobRefusedError` when admission control says no.
         """
-        wire = spec_to_wire(spec) if isinstance(spec, ProblemSpec) else spec
         reply = await self._rpc(
-            SubmitJob(self.client_id, wire, priority=priority, owner=owner)
+            SubmitJob(self.client_id, spec, priority=priority, owner=owner)
         )
         if isinstance(reply, JobRefused):
             raise JobRefusedError(reply.reason)
@@ -250,7 +270,7 @@ class SyncServiceClient:
 
     def submit(
         self,
-        spec: Union[ProblemSpec, Dict[str, Any]],
+        spec: Dict[str, Any],
         priority: int = 1,
         owner: str = "anonymous",
     ) -> str:

@@ -57,7 +57,7 @@ from repro.grid.runtime.protocol import (
     SubmitJob,
     Terminate,
     Update,
-    spec_from_wire,
+    build_problem,
 )
 from repro.grid.service.scheduler import Scheduler, SchedulerConfig
 from repro.grid.service.store import (
@@ -99,7 +99,6 @@ class ServiceConfig:
     peer_timeout: Optional[float] = 30.0
     linger_seconds: float = 10.0  # grace for Byes once draining
     resume: bool = False  # rebuild the job table from checkpoint_dir
-    journal: bool = True
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     drain_when_idle: bool = False  # exit once every seen job settled
 
@@ -205,7 +204,7 @@ class ServiceCore:
         try:
             problem = self._built.pop(record.job_id, None)
             if problem is None:  # --resume, or it outlived the stash
-                problem = spec_from_wire(record.spec_wire).build()
+                problem = build_problem(record.spec_wire)
             root = _job_root(problem, record.root)
         except Exception as exc:  # noqa: BLE001 - tenant input, not ours
             record.status = FAILED
@@ -222,7 +221,6 @@ class ServiceCore:
                 duplication_threshold=config.duplication_threshold,
                 checkpoint_period=config.checkpoint_period,
                 lease_seconds=config.lease_seconds,
-                journal=config.journal,
             )
             # A job's grants and nodes count one incarnation, the one
             # that settles it: both restart with the coordinator.
@@ -235,7 +233,6 @@ class ServiceCore:
                 checkpoint_period=config.checkpoint_period,
                 initial_best=Incumbent(),
                 lease_seconds=config.lease_seconds,
-                journal=config.journal,
             )
         if record.cost is not None:  # the admitting caller's incumbent
             coordinator.solution.update(record.cost, record.solution)
@@ -494,7 +491,7 @@ class ServiceCore:
             # problem must bounce at the front door, not fail the job
             # minutes later in the scheduler.
             if problem is None:
-                problem = spec_from_wire(spec_wire).build()
+                problem = build_problem(spec_wire)
             _job_root(problem, root)
         except Exception as exc:  # noqa: BLE001 - tenant input
             return JobRefused(f"spec rejected: {exc}")

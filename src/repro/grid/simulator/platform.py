@@ -74,10 +74,6 @@ class PlatformSpec:
     def all_hosts(self) -> List[HostSpec]:
         return [h for c in self.clusters for h in c.hosts]
 
-    def cluster_table(self) -> List[Tuple[str, str, int]]:
-        """(cluster, domain, processor count) rows, Table 1 style."""
-        return [(c.name, c.domain, c.processors) for c in self.clusters]
-
 
 # ----------------------------------------------------------------------
 # The paper's pool (Table 1), row by row:

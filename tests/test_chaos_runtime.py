@@ -40,6 +40,7 @@ from repro.grid.runtime.protocol import (
     Reconciled,
     Request,
     Update,
+    build_problem,
 )
 from repro.problems.flowshop import FlowShopProblem, random_instance
 from repro.problems.tsp import TSPProblem, random_tsp
@@ -136,7 +137,7 @@ class TestNoticeFaults:
         spec = [flowshop_spec(random_instance(10, 5, seed=93)), tsp_spec(random_tsp(10, seed=13))]
         result = solve_parallel(spec[seed % 2], config)
         assert result.optimal
-        assert result.cost == solve(spec[seed % 2].build()).cost
+        assert result.cost == solve(build_problem(spec[seed % 2])).cost
         return result
 
     @pytest.mark.timeout(120)

@@ -270,7 +270,6 @@ def test_journal_replay_re_explores_fewer_nodes_than_a_snapshot_restart(tmp_path
         duplication_threshold=0,
         store=make_store(tmp_path),
         checkpoint_period=float("inf"),  # snapshots are slice-counted
-        journal=True,
     )
     grant = coordinator.handle(Request("w0", 1.0, seq=1))
     explorer = IntervalExplorer(

@@ -82,11 +82,8 @@ _spec = st.one_of(
     st.none(),
     st.fixed_dictionaries(
         {
-            "factory": st.text(max_size=20),
+            "problem": st.sampled_from(["flowshop", "tsp"]),
             "args": st.lists(st.integers(), max_size=3),
-            "kwargs": st.dictionaries(
-                st.text(max_size=8), st.integers(), max_size=3
-            ),
         }
     ),
 )
@@ -125,7 +122,6 @@ _MESSAGES = st.one_of(
     ),
     st.builds(
         Welcome,
-        spec=_spec,
         best_cost=_cost,
         epoch=st.integers(min_value=0, max_value=9),
     ),
@@ -152,8 +148,9 @@ class TestRoundTrip:
     def test_version_field_travels(self):
         # Unchanged runtime messages are stamped with PROTOCOL_VERSION
         # (still 1); the handshake messages carry WIRE_VERSION, bumped
-        # to 2 when the epoch field joined Hello/Welcome and to 3 when
-        # the job id joined GrantWork/Update/Push.
+        # to 2 when the epoch field joined Hello/Welcome, to 3 when
+        # the job id joined GrantWork/Update/Push and to 4 when a spec
+        # came to name a problem of a closed table.
         payload = encode_message(Request("w", seq=3))
         assert b'"version":1' in payload
         assert decode_message(payload).version == 1
@@ -301,8 +298,7 @@ def schema_drift(live, golden):
 class TestWireContract:
     def test_every_wire_dataclass_is_registered_and_versioned(self):
         # A dataclass is a wire message when the codec knows it or when
-        # it carries the protocol's seq; plain values (ProblemSpec) are
-        # neither.
+        # it carries the protocol's seq; plain values are neither.
         checked = 0
         for cls in _message_module_dataclasses():
             fields = {f.name for f in dataclasses.fields(cls)}

@@ -10,6 +10,7 @@ clients.
 
 from __future__ import annotations
 
+import json
 import random
 import socket
 import struct
@@ -37,8 +38,7 @@ from repro.grid.runtime import (
 from repro.grid.runtime.protocol import (
     Ack,
     Request,
-    spec_from_wire,
-    spec_to_wire,
+    build_problem,
 )
 from repro.grid.service.server import ServiceConfig, SolveService
 from repro.problems.flowshop import FlowShopProblem, random_instance
@@ -131,22 +131,40 @@ class TestDecorrelatedJitter:
 class TestSpecWire:
     def test_roundtrip_builds_the_same_problem(self):
         spec = flowshop_spec(fs_instance)
-        wire = spec_to_wire(spec)
-        assert isinstance(wire["factory"], str) and ":" in wire["factory"]
-        rebuilt = spec_from_wire(wire)
-        assert rebuilt.build().total_leaves() == spec.build().total_leaves()
+        wire = json.loads(json.dumps(spec))
+        assert wire == spec and wire["problem"] == "flowshop"
+        rebuilt = build_problem(wire)
+        assert rebuilt.total_leaves() == FlowShopProblem(fs_instance).total_leaves()
 
-    def test_non_module_factory_refused(self):
-        from repro.grid.runtime.protocol import ProblemSpec
-
-        with pytest.raises(ValueError):
-            spec_to_wire(ProblemSpec(lambda: None))
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"problem": "qap", "args": []},
+            {"problem": None, "args": []},
+            {"problem": ["flowshop"], "args": []},
+            {"args": []},
+        ],
+        ids=["not-in-table", "null", "unhashable", "missing"],
+    )
+    def test_unknown_problem_refused(self, spec):
+        with pytest.raises(ValueError, match="unknown problem"):
+            build_problem(spec)
 
     def test_bad_reference_refused(self):
-        with pytest.raises(ValueError):
-            spec_from_wire({"factory": "no-colon"})
-        with pytest.raises(ValueError):
-            spec_from_wire({"factory": "math:not_a_real_name"})
+        # A module:qualname reference, in either key, names no problem.
+        for key in ("factory", "problem"):
+            with pytest.raises(ValueError, match="unknown problem"):
+                build_problem({key: "math:sqrt", "args": [4]})
+
+    def test_malformed_spec_refused(self):
+        wire = flowshop_spec(fs_instance)
+        for spec in (
+            [wire],
+            {**wire, "args": tuple(wire["args"])},
+            {**wire, "kwargs": {}},
+        ):
+            with pytest.raises(ValueError, match="a spec is"):
+                build_problem(spec)
 
 
 class TestTcpTransport:
@@ -404,7 +422,7 @@ class TestOneJobService:
             ServiceConfig(port=0, deadline=60, lease_seconds=5.0,
                           linger_seconds=5.0, drain_when_idle=True),
         )
-        job = service.admit(spec_to_wire(flowshop_spec(fs_instance))).job
+        job = service.admit(flowshop_spec(fs_instance)).job
         host, port = service.address
         outcome = {}
 
@@ -448,7 +466,7 @@ class TestOneJobService:
         service = SolveService(
             ServiceConfig(port=0, deadline=30, drain_when_idle=True)
         )
-        service.admit(spec_to_wire(flowshop_spec(fs_instance)))
+        service.admit(flowshop_spec(fs_instance))
         thread = threading.Thread(target=service.serve_forever, daemon=True)
         thread.start()
         time.sleep(0.2)

@@ -44,7 +44,6 @@ from repro.grid.runtime.protocol import (
     Request,
     Terminate,
     Update,
-    spec_to_wire,
 )
 from repro.problems.flowshop import FlowShopProblem, random_instance
 from tests.helpers import exchange, one_job_core
@@ -52,7 +51,7 @@ from tests.helpers import exchange, one_job_core
 instance = random_instance(9, 5, seed=3)
 serial = solve(FlowShopProblem(instance))
 TOTAL = math.factorial(instance.jobs)
-SPEC = spec_to_wire(flowshop_spec(instance))  # every grant carries its job's spec
+SPEC = flowshop_spec(instance)  # every grant carries its job's spec
 
 
 # ----------------------------------------------------------------------

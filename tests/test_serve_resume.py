@@ -26,7 +26,6 @@ from repro.grid.net.serve import run_worker
 from repro.grid.net.tcp import TcpClientConnection
 from repro.grid.net.transport import TransportError, TransportTimeout
 from repro.grid.runtime import flowshop_spec
-from repro.grid.runtime.protocol import spec_to_wire
 from repro.grid.service.server import ServiceConfig, SolveService
 from repro.grid.service.store import RUNNING, JobStore
 from repro.problems.flowshop import FlowShopProblem, random_instance
@@ -35,7 +34,7 @@ from repro.problems.flowshop import FlowShopProblem, random_instance
 # checkpoint periods, so an abort lands mid-run, before the optimum.
 fs_instance = random_instance(11, 4, seed=8)
 serial = solve(FlowShopProblem(fs_instance))
-SPEC_WIRE = spec_to_wire(flowshop_spec(fs_instance))
+SPEC_WIRE = flowshop_spec(fs_instance)
 
 
 def serve_config(checkpoint_dir, **overrides):

@@ -12,6 +12,7 @@ service wire messages.
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import math
 import os
@@ -42,15 +43,14 @@ from repro.grid.runtime.protocol import (
     JobStatusRequest,
     ListJobs,
     Notice,
-    ProblemSpec,
+    PROBLEMS,
     Push,
     Reconciled,
     Request,
     SubmitJob,
     Terminate,
     Update,
-    spec_from_wire,
-    spec_to_wire,
+    build_problem,
 )
 from repro.grid.service import (
     CANCELLED,
@@ -63,7 +63,7 @@ from repro.grid.service import (
     SchedulerConfig,
 )
 from repro.grid.service.core import KEEPALIVE_SECONDS, ServiceCore
-from repro.grid.service.client import JobRefusedError, SyncServiceClient
+from repro.grid.service.client import JobRefusedError, ServiceClient, SyncServiceClient
 from repro.grid.service.server import ServiceConfig, SolveService
 from repro.problems.flowshop import (
     FlowShopInstance,
@@ -379,7 +379,7 @@ def play(script, connected, service=None, on_send=None, **config):
 
 
 def wire_a():
-    return spec_to_wire(flowshop_spec(instance_a))
+    return flowshop_spec(instance_a)
 
 
 def wire_beaten():
@@ -387,7 +387,7 @@ def wire_beaten():
     warm_cost, _ = FlowShopProblem(instance_beaten).warm_start()
     assert serial_beaten.cost < warm_cost
     assert serial_beaten.stats.improvements == 1
-    return spec_to_wire(flowshop_spec(instance_beaten))
+    return flowshop_spec(instance_beaten)
 
 
 def test_parked_request_is_granted_in_the_iteration_that_promotes_the_job():
@@ -647,7 +647,7 @@ class ScriptedWorker:
             if self.explorer is None or self.job != grant.job:
                 self.job = grant.job
                 self.explorer = IntervalExplorer(
-                    spec_from_wire(grant.spec).build(),
+                    build_problem(grant.spec),
                     Interval.from_tuple(grant.interval),
                     incumbent=Incumbent(grant.best_cost, None),
                     on_improvement=lambda *found: self.found.append(found),
@@ -800,7 +800,7 @@ def test_splittable_jobs_are_shared_out_by_the_policy(policy, later_grants):
     sent, _ = play(
         [
             SubmitJob("c0", wire_a(), owner="alice", seq=1),
-            SubmitJob("c0", spec_to_wire(flowshop_spec(instance_b)), owner="bob", seq=2),
+            SubmitJob("c0", flowshop_spec(instance_b), owner="bob", seq=2),
             w0.request,  # job a: the older of two idle jobs
             w1.request,  # job b: a's only interval is held and unproven
             w0.explore(max_nodes=20),
@@ -874,7 +874,7 @@ def test_a_job_whose_neh_is_optimal_costs_three_fsyncs(tmp_path, monkeypatch):
     instance = random_instance(7, 3, seed=71)
     assert solve(FlowShopProblem(instance)).stats.improvements == 0  # premise
     kinds, fsyncs = play_one_job_counting_fsyncs(
-        tmp_path, monkeypatch, spec_to_wire(flowshop_spec(instance)), 1
+        tmp_path, monkeypatch, flowshop_spec(instance), 1
     )
     assert Ack not in kinds  # nothing to Push
     assert fsyncs == 3
@@ -1130,6 +1130,80 @@ def test_malformed_spec_is_refused_not_failed():
     assert len(outcome["report"].jobs) == 0
 
 
+def hostile_specs(marker):
+    """Specs that would create ``marker`` if anything ran the callable
+    they name: the pre-table form, and the same name as a problem."""
+    command = ["touch " + str(marker)]
+    return [
+        {"factory": "os:system", "args": command},
+        {"factory": "os:system", "args": command, "kwargs": {}},
+        {"problem": "os:system", "args": command},
+    ]
+
+
+def test_a_spec_naming_a_callable_is_refused_at_admission(tmp_path):
+    marker = tmp_path / "marker"
+    core = ServiceCore()
+    for spec in hostile_specs(marker):
+        reply = core.admit(spec)
+        assert not marker.exists()
+        assert isinstance(reply, JobRefused)
+        assert "unknown problem" in reply.reason
+    assert len(core.jobs) == 0
+
+
+def test_a_spec_naming_a_callable_is_refused_over_the_wire(tmp_path):
+    marker = tmp_path / "marker"
+    service = SolveService(service_config())
+    host, port = service.address
+    thread, _ = start_service(service)
+    try:
+        client = SyncServiceClient(host, port, timeout=10.0)
+        for spec in hostile_specs(marker):
+            with pytest.raises(JobRefusedError) as refused:
+                client.submit(spec)
+            assert not marker.exists()
+            assert "unknown problem" in str(refused.value)
+        assert client.list_jobs() == []
+    finally:
+        service.shutdown()
+        thread.join(timeout=30)
+
+
+def test_a_grant_naming_a_callable_is_refused_by_the_worker(tmp_path):
+    marker = tmp_path / "marker"
+    core = WorkerCore("w0")
+    for spec in hostile_specs(marker):
+        with pytest.raises(Exception) as refused:
+            core.grant(GrantWork((0, 6), math.inf, job="j", spec=spec))
+        assert not marker.exists()
+        assert refused.type is ValueError
+        assert "unknown problem" in str(refused.value)
+
+
+def test_an_idle_tenant_reaped_by_the_service_redials_and_submits_once():
+    # The client sends no heartbeats: past peer_timeout the service
+    # drops its connection, and the next RPC must redial, not fail.
+    service = SolveService(service_config(peer_timeout=0.5))
+    host, port = service.address
+    thread, _ = start_service(service)
+
+    async def tenant():
+        async with ServiceClient(host, port, timeout=10.0) as client:
+            first = client.welcome
+            await asyncio.sleep(1.5)
+            job = await client.submit(flowshop_spec(instance_a), owner="alice")
+            assert client.welcome is not first  # a second handshake
+            return job, await client.list_jobs()
+
+    try:
+        job, jobs = asyncio.run(tenant())
+    finally:
+        service.shutdown()
+        thread.join(timeout=30)
+    assert [summary["job"] for summary in jobs] == [job]
+
+
 def test_owner_filter_on_list():
     service = SolveService(service_config())
     host, port = service.address
@@ -1217,27 +1291,25 @@ def test_the_core_reads_no_clock(monkeypatch, tmp_path):
     ]
 
 
-# A weakly tracked problem factory, named on the wire like any other
-# spec, so the test below can count how many built problems a worker
-# still holds.
-_live_problems = weakref.WeakSet()
+def test_worker_forgets_jobs_it_has_moved_on_from(monkeypatch):
+    # The table's flow-shop entry, weakly tracked, so the test can count
+    # how many built problems a worker still holds.
+    live_problems = weakref.WeakSet()
 
+    def tracked_flowshop(processing_times):
+        problem = FlowShopProblem(FlowShopInstance(processing_times))
+        live_problems.add(problem)
+        return problem
 
-def _tracked_flowshop(processing_times):
-    problem = FlowShopProblem(FlowShopInstance(processing_times))
-    _live_problems.add(problem)
-    return problem
-
-
-def test_worker_forgets_jobs_it_has_moved_on_from():
+    monkeypatch.setitem(PROBLEMS, "flowshop", tracked_flowshop)
     core = WorkerCore("w0")
     for n in range(50):
         times = random_instance(3, 2, seed=n).processing_times.tolist()
-        spec = spec_to_wire(ProblemSpec(_tracked_flowshop, (times,)))
+        spec = {"problem": "flowshop", "args": [times]}
         core.grant(GrantWork((0, 6), math.inf, job=f"job-{n}", spec=spec))
     gc.collect()
     # All 50 problems were built; only the newest few are still held.
-    assert len(_live_problems) == _JOB_CACHE_SIZE
+    assert len(live_problems) == _JOB_CACHE_SIZE
 
 
 def test_abort_then_resume_completes_both_jobs(tmp_path):

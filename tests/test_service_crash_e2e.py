@@ -28,7 +28,6 @@ import pytest
 
 from repro.core import solve
 from repro.grid.runtime import flowshop_spec
-from repro.grid.runtime.protocol import spec_to_wire
 from repro.grid.runtime.supervisor import RespawnPolicy, WorkerSupervisor
 from repro.grid.service import DONE, JobStore
 from repro.grid.service.client import SyncServiceClient
@@ -239,7 +238,7 @@ def test_sigkill_service_while_the_whole_fleet_is_parked(tmp_path):
         staged = JobStore(ckpt)
         staged.recover()
         job = staged.create(
-            spec_to_wire(flowshop_spec(instance_a)), owner="alice"
+            flowshop_spec(instance_a), owner="alice"
         ).job_id
 
         service2 = spawn_service(

@@ -42,7 +42,6 @@ from repro.grid.runtime import (
     flowshop_spec,
     solve_parallel,
 )
-from repro.grid.runtime.protocol import spec_to_wire
 from repro.grid.service.server import ServiceConfig, SolveService
 from repro.problems.flowshop import (
     FlowShopProblem,
@@ -317,7 +316,7 @@ def _serve_with_one_worker(service):
 
 def test_a_served_slice_returns_its_own_optimum(tmp_path):
     best = _slice_optimum()
-    wire = spec_to_wire(flowshop_spec(SLICE_INSTANCE))
+    wire = flowshop_spec(SLICE_INSTANCE)
 
     def config(name, **overrides):
         return ServiceConfig(

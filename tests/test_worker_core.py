@@ -12,14 +12,13 @@ from repro.grid.runtime.protocol import (
     Push,
     Reconciled,
     Update,
-    spec_to_wire,
 )
 from repro.grid.runtime.worker import _JOB_CACHE_SIZE, WorkerCore
 from repro.grid.simulator import SyntheticWorkload
 from repro.problems.flowshop import random_instance
 
 INF = math.inf
-SPEC = spec_to_wire(flowshop_spec(random_instance(3, 2, seed=1)))
+SPEC = flowshop_spec(random_instance(3, 2, seed=1))
 UNITS = SyntheticWorkload(1000, segments=1)
 
 
