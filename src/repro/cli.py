@@ -619,7 +619,8 @@ def _print_job_status(status) -> None:
 
 
 def _cmd_job(args) -> int:
-    from repro.grid.service.client import JobRefusedError, SyncServiceClient
+    from repro.grid.net.transport import TransportError
+    from repro.grid.service.client import SyncServiceClient
 
     host, _, port_text = args.connect.rpartition(":")
     if not host or not port_text.isdigit():
@@ -627,6 +628,16 @@ def _cmd_job(args) -> int:
               file=sys.stderr)
         return 2
     client = SyncServiceClient(host, int(port_text), timeout=args.timeout)
+    try:
+        return _job_rpc(client, args)
+    except (TransportError, OSError) as exc:
+        print(f"repro job {args.job_command}: {args.connect}: {exc}",
+              file=sys.stderr)
+        return 1
+
+
+def _job_rpc(client, args) -> int:
+    from repro.grid.service.client import JobRefusedError
 
     if args.job_command == "submit":
         spec = _job_spec_from_args(args)

@@ -28,15 +28,21 @@ Correspondence with the paper's four operators (§2):
   the problem registered a pool evaluator (:mod:`repro.core.kernels`),
   evaluated at decomposition time for the children of the whole wave
   in one call, a wave of one parent included (the batched-kernel
-  structure of the GPU-B&B follow-on work).  The engine writes the
-  incumbent cost to :attr:`Problem.prune_at` before each such call, so
-  a staged bound can stop early on families it has already shown
-  dead; every value that comes back is admissible, and it is the exact
-  :meth:`Problem.lower_bound` value wherever it is below ``prune_at``
-  and for every child of a parent with such a child.  Only those
-  children reach the stack, so a bound cached on a stack entry is
-  exact, stays valid, and is only *compared* against the then-current
-  incumbent when the entry is popped;
+  structure of the GPU-B&B follow-on work).  The frontier an interval
+  unfolds into is bounded the same way: its entries of one depth are
+  children of at most two boundary parents, so one call per depth
+  (none for a depth with no entry) bounds them all, and a pooled run calls ``lower_bound`` only for
+  the root of a whole tree (and for rows the evaluator declines).  The
+  engine writes the incumbent cost to :attr:`Problem.prune_at` before
+  each call, so a staged bound can stop early on families it has
+  already shown dead; every value that comes back is admissible, and
+  it is the exact :meth:`Problem.lower_bound` value wherever it is
+  below ``prune_at`` and for every child of a parent with such a
+  child.  A value at or above ``prune_at`` is pruned whenever it is
+  compared, because the incumbent never rises, so a bound cached on a
+  stack entry decides exactly as ``lower_bound`` would; it is only
+  *compared* against the then-current incumbent when the entry is
+  popped;
 * **elimination** — a node is eliminated when its bound reaches the
   incumbent cost *or* when its number falls outside the owned interval
   (the eq. 12 rule that makes work units independent).
@@ -99,20 +105,24 @@ class SolveResult:
     optimal: bool = True
     # Pool-evaluation telemetry (kept out of ExplorationStats so node
     # accounting stays byte-comparable with the unpooled paths): wave
-    # width -> number of pool-evaluator calls that bounded that many
-    # parents.
+    # width -> number of waves that bounded that many parents.  The
+    # calls that bound an unfolded frontier are not waves and are not
+    # counted.
     pool_occupancy: Dict[int, int] = field(default_factory=dict)
 
 
 class _Entry:
     """One frontier node on the stack.
 
-    ``bound`` caches the node's lower bound when it was computed by the
-    wave that decomposed its parent (``None`` on the per-node path).
-    Only children below the incumbent are pushed and those carry the
-    exact ``lower_bound`` value (module docstring), so the cached value
-    stays valid and only the prune *comparison* is deferred to pop
-    time.
+    ``bound`` caches the node's lower bound when a pool-evaluator call
+    computed it: the wave that decomposed its parent, or the unfold
+    that pushed it.  It is ``None`` without an evaluator (the scalar
+    oracle), for leaves, for a row the evaluator declined and for a
+    whole tree's root; those are bounded with ``lower_bound`` when
+    popped.  A cached value below the incumbent it was computed
+    against is exact, and one at or above it is pruned at any later
+    comparison too (module docstring), so only the prune *comparison*
+    is deferred to pop time.
     """
 
     __slots__ = ("ranks", "state", "number", "bound")
@@ -205,8 +215,9 @@ class IntervalExplorer:
         if pool_size < 1:
             raise EngineError("pool_size must be >= 1")
         self.pool_size = pool_size
-        #: Pool-evaluator call histogram: wave width -> number of calls
-        #: that bounded that many parents at once.
+        #: Wave histogram: wave width -> number of waves that bounded
+        #: that many parents in one pool-evaluator call (the calls of
+        #: :meth:`_init_stack` are not waves).
         self.pool_occupancy: Dict[int, int] = {}
         self._pool_evaluator: Optional[PoolEvaluator] = (
             pool_evaluator_for(problem) if batched_bounds else None
@@ -235,27 +246,69 @@ class IntervalExplorer:
             self._init_stack(interval)
 
     # ------------------------------------------------------------------
-    # initialisation: unfold the interval, materialise states
+    # initialisation: unfold the interval, materialise and bound states
     # ------------------------------------------------------------------
     def _init_stack(self, interval: Interval) -> None:
-        active = unfold(self.shape, interval)
-        # Consecutive frontier nodes share long rank-path prefixes, so a
-        # prefix -> state cache keeps materialisation at O(P) branchings.
-        prefix_states = {(): self.problem.root_state()}
+        """Push the unfold of ``interval`` (§3.5), its entries bounded.
 
-        def state_for(ranks: Tuple[int, ...]) -> Any:
-            if ranks in prefix_states:
-                return prefix_states[ranks]
-            parent = state_for(ranks[:-1])
-            children = self._branch_checked(parent, len(ranks) - 1)
-            state = children[ranks[-1]]
-            prefix_states[ranks] = state
-            return state
-
-        for node in reversed(list(active)):
-            self._stack.append(
-                _Entry(node.ranks, state_for(node.ranks), node.number)
-            )
+        The walk goes depth by depth.  A node whose range straddles a
+        boundary of the interval is decomposed — at most two per depth,
+        one on each boundary path — and its children inside the
+        interval become stack entries.  The entries of one depth are
+        children of those parents, so one pool-evaluator call bounds
+        them all (:meth:`_bound_families`), before the parents are
+        branched: a flow shop's ``branch`` then reuses the child fronts
+        that call parked.  A depth with no entry, where every
+        overlapping child straddles (the upper levels of a narrow
+        interval), makes no call.  Without an evaluator, for a row it
+        declines and for leaves, entries keep ``bound=None``, bounded
+        when popped.  A whole-tree interval unfolds to the root alone,
+        which is bounded when popped too.
+        """
+        begin, end = interval.begin, interval.end
+        weights = self._weights
+        root = _Entry((), self.problem.root_state(), 0)
+        if begin == 0 and end == weights[0]:
+            self._stack.append(root)
+            return
+        entries: List[_Entry] = []
+        parents = [root]
+        depth = 0
+        while parents:
+            child_weight = weights[depth + 1]
+            last_rank = self.shape.num_children(depth) - 1
+            # (parent index, rank, number, inside) of every child that
+            # overlaps the interval; only a family's first and last can
+            # straddle a boundary.
+            overlapping = []
+            for index, parent in enumerate(parents):
+                number = parent.number
+                lo = max(0, (begin - number) // child_weight)
+                hi = min(last_rank, (end - 1 - number) // child_weight)
+                for rank in range(lo, hi + 1):
+                    first = number + rank * child_weight
+                    inside = begin <= first and first + child_weight <= end
+                    overlapping.append((index, rank, first, inside))
+            rows = None
+            if any(inside for *_, inside in overlapping):
+                rows = self._bound_families([p.state for p in parents], depth)
+            # Branch after the call, which clears the fronts the
+            # previous one parked, and before the next depth's call.
+            families = [self._branch_checked(p.state, depth) for p in parents]
+            straddling: List[_Entry] = []
+            for index, rank, number, inside in overlapping:
+                row = None if rows is None else rows[index]
+                entry = _Entry(
+                    parents[index].ranks + (rank,),
+                    families[index][rank],
+                    number,
+                    None if row is None else row[rank],
+                )
+                (entries if inside else straddling).append(entry)
+            parents = straddling
+            depth += 1
+        entries.sort(key=lambda entry: entry.number, reverse=True)
+        self._stack.extend(entries)
 
     def _branch_checked(self, state: Any, depth: int) -> Tuple[Any, ...]:
         children = tuple(self.problem.branch(state, depth))
@@ -490,8 +543,12 @@ class IntervalExplorer:
             # of that is decided from the bound row alone, so a family
             # with no survivor is never branched.
             child_weight = weights[depth + 1]
-            problem.prune_at = incumbent_cost
-            families = self._bound_families(parents, depth)
+            families = self._bound_families([p.state for p in parents], depth)
+            if families is None:
+                families = [None] * len(parents)
+            else:
+                wide = len(parents)
+                self.pool_occupancy[wide] = self.pool_occupancy.get(wide, 0) + 1
             pruned_unpushed = 0
             for entry, child_bounds in zip(reversed(parents), reversed(families)):
                 number = entry.number
@@ -534,22 +591,22 @@ class IntervalExplorer:
         )
 
     def _bound_families(
-        self, parents: List[_Entry], depth: int
-    ) -> List[Optional[List[float]]]:
-        """Child bounds of every parent of a wave (all at ``depth``).
+        self, states: List[Any], depth: int
+    ) -> Optional[List[Optional[List[float]]]]:
+        """Child bounds of every parent state in ``states`` (all at
+        ``depth``): one pool-evaluator call, made after writing the
+        incumbent cost to :attr:`Problem.prune_at`.
 
-        One pool-evaluator call, its width recorded in
-        :attr:`pool_occupancy`; ``None`` stays for a parent whose
-        children are leaves, that the evaluator declined, or when there
-        is no evaluator — those children get their bound when they are
-        popped.
+        ``None`` when no call is made — there is no evaluator, or the
+        children are leaves.  A row stays ``None`` for a parent the
+        evaluator declined; those children get their bound when they
+        are popped.
         """
-        rows: List[Any] = [None] * len(parents)
         if self._pool_evaluator is None or depth + 1 >= self.shape.leaf_depth:
-            return rows
-        width = len(parents)
-        self.pool_occupancy[width] = self.pool_occupancy.get(width, 0) + 1
-        pooled = self._pool_evaluator([p.state for p in parents], depth)
+            return None
+        self.problem.prune_at = self.incumbent.cost
+        pooled = self._pool_evaluator(states, depth)
+        rows: List[Optional[List[float]]] = [None] * len(states)
         if pooled is None:
             return rows
         expected = self.shape.num_children(depth)

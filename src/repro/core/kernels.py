@@ -3,7 +3,9 @@
 The engine's exploration loop pops a *wave* of same-depth parents and
 bounds all their children in one call to the problem's
 :data:`PoolEvaluator` — every wave, a wave of one parent included, so
-each bound has one batched kernel.  Problem packages register the
+each bound has one batched kernel.  The frontier an interval unfolds
+into is bounded by the same calls, at most one per depth, on that
+depth's (at most two) boundary parents.  Problem packages register the
 factory that builds it at import time
 (:mod:`repro.problems.flowshop.pool`, :mod:`repro.problems.tsp.pool`),
 so the core never imports problem code::
@@ -17,13 +19,15 @@ kernels unless it registers its own (the benchmark suite's tracer
 registers a timing wrapper that way).  A problem with no factory, or
 one whose factory returns ``None``, is not pooled: the engine keeps
 waves one parent wide and bounds every node with
-:meth:`Problem.lower_bound` when it is popped.
+:meth:`Problem.lower_bound` when it is popped.  A pooled run calls
+``lower_bound`` only for a whole tree's root and for declined rows.
 
 **Contract.**  ``evaluator(states, depth)`` bounds the children of every
 parent in ``states`` (all at ``depth``) and returns one row of child
 bounds per parent, in rank order — or ``None`` for a row, or for the
-whole pool, to decline (the engine then bounds those parents' children
-with ``lower_bound`` when it pops them).  Every value must be
+whole pool, to decline: the engine then bounds those parents'
+children with ``lower_bound`` when it pops them, whether the call
+bounded a wave or an unfolded frontier.  Every value must be
 admissible; it must be the exact :meth:`Problem.lower_bound` value
 wherever it is below :attr:`Problem.prune_at` (the incumbent cost the
 engine wrote just before the call) and for every child of a parent

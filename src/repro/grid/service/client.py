@@ -20,14 +20,20 @@ import uuid
 from typing import Any, Dict, List, Optional
 
 from repro.grid.net.framing import (
+    WIRE_VERSION,
     FrameBuffer,
+    FrameError,
     Heartbeat,
     Hello,
     Welcome,
     decode_message,
     encode_frame,
 )
-from repro.grid.net.transport import TransportError, TransportTimeout
+from repro.grid.net.transport import (
+    TransportError,
+    TransportTimeout,
+    WireVersionError,
+)
 from repro.grid.runtime.protocol import (
     CancelJob,
     JobAccepted,
@@ -88,7 +94,13 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
     async def connect(self) -> None:
-        """Open the stream and complete the Hello/Welcome handshake."""
+        """Open the stream and complete the Hello/Welcome handshake.
+
+        The service's first frame must be a Welcome of this build's
+        wire version; anything else raises :class:`WireVersionError`,
+        which no redial fixes.  A service closes a Hello of another
+        version unanswered, so a close before the Welcome says so.
+        """
         self.welcome = None
         self._buffer = FrameBuffer()
         self._inbound.clear()
@@ -96,13 +108,29 @@ class ServiceClient:
             asyncio.open_connection(self.host, self.port), self.timeout
         )
         await self._send(Hello(self.client_id))
+        try:
+            self.welcome = await self._read_welcome()
+        except (TransportError, OSError):
+            await self.close()
+            raise
+
+    async def _read_welcome(self) -> Welcome:
         deadline = asyncio.get_running_loop().time() + self.timeout
-        while self.welcome is None:
+        try:
             message = await self._recv(deadline)
-            if isinstance(message, Welcome):
-                self.welcome = message
-            else:
-                self._inbound.append(message)
+        except _Closed:
+            raise _Closed(
+                "service closed the connection during the handshake; "
+                f"it may speak another wire version than v{WIRE_VERSION}"
+            ) from None
+        except FrameError as exc:
+            raise WireVersionError(f"undecodable handshake reply: {exc}") from exc
+        if not isinstance(message, Welcome) or message.version != WIRE_VERSION:
+            raise WireVersionError(
+                f"the service answered {message!r}; this client speaks "
+                f"only a v{WIRE_VERSION} Welcome"
+            )
+        return message
 
     async def close(self) -> None:
         if self._writer is not None:

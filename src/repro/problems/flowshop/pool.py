@@ -1,7 +1,8 @@
 """Flowshop pool evaluator, registered with the kernel registry.
 
 The engine hands every wave of same-depth parent states, a wave of one
-included, to one evaluator call.  :class:`FlowShopNumpyPool` stacks the
+included, to one evaluator call, and so too each depth's boundary
+parents when it unfolds an interval.  :class:`FlowShopNumpyPool` stacks the
 parents' fronts and remaining sets, advances all child fronts in one
 pooled sweep, parks the fronts on the problem's handoff cache (so
 ``branch`` reuses them), then bounds every child with the

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import socket
+import threading
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.grid.net.framing import WIRE_VERSION, Welcome, encode_frame
 
 
 class TestParser:
@@ -103,3 +108,54 @@ class TestOtherCommands:
         assert "Table 2" in out
         assert "Figure 7" in out
         assert "proof: True" in out
+
+
+@contextlib.contextmanager
+def _service_answering(reply):
+    """A one-connection stand-in service: it reads the Hello, sends
+    ``reply`` and closes."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        connection, _ = listener.accept()
+        with connection:
+            connection.recv(65536)
+            connection.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
+
+
+class TestJobCommand:
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (encode_frame(Welcome(version=WIRE_VERSION - 1)), "speaks only"),
+            (b"", "another wire version"),
+        ],
+        ids=["older-welcome", "closed-on-hello"],
+    )
+    def test_a_service_of_another_wire_version_fails_in_one_line(
+        self, capsys, reply, message
+    ):
+        with _service_answering(reply) as port:
+            code = main(
+                ["job", "--connect", f"127.0.0.1:{port}", "--timeout", "5",
+                 "status", "some-job"]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_an_unreachable_service_fails_in_one_line(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]  # closed again: nothing listens
+        assert main(["job", "--connect", f"127.0.0.1:{port}", "list"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1

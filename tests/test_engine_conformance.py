@@ -422,3 +422,125 @@ def test_stack_stays_within_its_stated_bound_on_a_20x20_slice():
         deepest = max(deepest, len(explorer._stack))
     assert max(explorer.pool_occupancy) == explorer.pool_size  # went wide
     assert explorer.pool_size < deepest <= bound
+
+
+# ----------------------------------------------------------------------
+# The unfolded frontier: bounded by pool calls, one per depth.
+# ----------------------------------------------------------------------
+
+
+class _CountingFlowShop(FlowShopProblem):
+    """Counts scalar ``lower_bound`` calls."""
+
+    scalar_calls = 0
+
+    def lower_bound(self, state, depth):
+        self.scalar_calls += 1
+        return super().lower_bound(state, depth)
+
+
+class _CountingTSP(TSPProblem):
+    """Counts scalar ``lower_bound`` calls."""
+
+    scalar_calls = 0
+
+    def lower_bound(self, state, depth):
+        self.scalar_calls += 1
+        return super().lower_bound(state, depth)
+
+
+def _costly_slice():
+    """A `costly`-style work unit: a leaf-number slice of a 20x20 shop."""
+    begin = math.factorial(20) // 3
+    return random_instance(20, 20, seed=4), Interval(begin, begin + 10**8)
+
+
+def _counters(stats):
+    return (
+        stats.nodes_explored,
+        stats.nodes_pruned,
+        stats.nodes_decomposed,
+        stats.bound_evaluations,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, interval",
+    [
+        (lambda: _CountingFlowShop(_costly_slice()[0]), _costly_slice()[1]),
+        (lambda: _CountingTSP(random_tsp(9, seed=5)), Interval(9_000, 31_000)),
+    ],
+    ids=["flowshop-20x20", "tsp-9"],
+)
+def test_a_pooled_slice_makes_no_scalar_bound_call(make, interval):
+    oracle = solve(make(), interval=interval, batched_bounds=False, pool_size=1)
+    assert oracle.stats.nodes_decomposed > 0
+    for pool_size in (1, 64):
+        problem = make()
+        result = solve(problem, interval=interval, pool_size=pool_size)
+        assert problem.scalar_calls == 0
+        assert result.cost == oracle.cost
+        if pool_size == 1:
+            assert _counters(result.stats) == _counters(oracle.stats)
+
+
+def test_a_raised_begin_re_unfolds_without_a_scalar_bound_call():
+    instance, interval = _costly_slice()
+    # A head the coordinator knows explored: past where either run paused.
+    raised = Interval(interval.begin + interval.length // 2, interval.end)
+    runs = []
+    for batched in (True, False):
+        problem = _CountingFlowShop(instance)
+        explorer = IntervalExplorer(
+            problem,
+            interval,
+            incumbent=seed_incumbent(problem, Incumbent(), interval),
+            batched_bounds=batched,
+            pool_size=1,
+        )
+        explorer.step(500)
+        assert explorer.remaining_interval().begin < raised.begin
+        calls, before = problem.scalar_calls, _counters(explorer.stats)
+        explorer.apply_interval(raised)
+        assert explorer.remaining_interval() == raised
+        explorer.run()
+        after = _counters(explorer.stats)
+        runs.append(
+            (
+                problem.scalar_calls - calls,
+                explorer.incumbent.cost,
+                tuple(b - a for a, b in zip(before, after)),
+            )
+        )
+    (pooled_calls, *pooled), (oracle_calls, *oracle) = runs
+    assert pooled_calls == 0 < oracle_calls
+    # From the re-unfold on, both runs are the same search.
+    assert pooled == oracle
+
+
+def test_a_whole_tree_run_bounds_only_its_root_with_the_scalar_bound():
+    problem = _CountingFlowShop(random_instance(8, 4, seed=3))
+    result = solve(problem)
+    assert result.stats.nodes_decomposed > 1
+    assert problem.scalar_calls == 1
+
+
+class _Declining(_CountingFlowShop):
+    """A flow shop whose pool evaluator declines every row."""
+
+
+register_pool_factory(
+    "numpy", _Declining, lambda problem: lambda states, depth: [None] * len(states)
+)
+
+
+def test_declined_rows_are_bounded_when_popped():
+    instance, interval = _costly_slice()
+    oracle = solve(
+        FlowShopProblem(instance), interval=interval, batched_bounds=False
+    )
+    problem = _Declining(instance)
+    result = solve(problem, interval=interval, pool_size=1)
+    assert problem.scalar_calls == oracle.stats.bound_evaluations
+    assert result.cost == oracle.cost
+    assert _counters(result.stats) == _counters(oracle.stats)

@@ -25,9 +25,9 @@ import pytest
 from repro.core import Incumbent, Interval, IntervalExplorer, solve
 from repro.core.checkpoint import MultiJobStore
 from repro.exceptions import CheckpointError
-from repro.grid.net.framing import decode_message, encode_frame
+from repro.grid.net.framing import WIRE_VERSION, Welcome, decode_message, encode_frame
 from repro.grid.net.serve import run_worker
-from repro.grid.net.transport import TransportError, TransportTimeout
+from repro.grid.net.transport import TransportError, TransportTimeout, WireVersionError
 from repro.grid.runtime import flowshop_spec
 from repro.grid.runtime.worker import _JOB_CACHE_SIZE, WorkerCore
 from repro.grid.runtime.protocol import (
@@ -1202,6 +1202,40 @@ def test_an_idle_tenant_reaped_by_the_service_redials_and_submits_once():
         service.shutdown()
         thread.join(timeout=30)
     assert [summary["job"] for summary in jobs] == [job]
+
+
+@pytest.mark.parametrize(
+    "reply, error, match",
+    [
+        (encode_frame(Welcome(version=WIRE_VERSION - 1)), WireVersionError, "speaks only"),
+        (encode_frame(Welcome(version=WIRE_VERSION + 1)), WireVersionError, "from the future"),
+        (b"", TransportError, "another wire version"),
+    ],
+    ids=["older-welcome", "newer-welcome", "closed-on-hello"],
+)
+def test_a_service_of_another_wire_version_is_refused_at_the_handshake(
+    reply, error, match
+):
+    async def handshake():
+        async def serve(reader, writer):
+            await reader.read(65536)  # the Hello
+            writer.write(reply)
+            await writer.drain()
+            writer.close()
+
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        client = ServiceClient("127.0.0.1", port, timeout=5.0)
+        try:
+            with pytest.raises(error, match=match):
+                await client.connect()
+            assert client.welcome is None
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(handshake())
 
 
 def test_owner_filter_on_list():
