@@ -9,8 +9,9 @@ The runtime of :mod:`repro.grid.runtime` speaks a transport
   bidirectional message channel to the coordinator.
 
 :mod:`repro.grid.net.tcp` implements both with length-prefixed frames
-over TCP: :class:`~repro.grid.net.tcp.TcpListener` is an asyncio
-coordinator server, and :class:`~repro.grid.net.tcp.TcpClientConnection`
+over TCP: :class:`~repro.grid.net.tcp.TcpListener` is a coordinator
+server with no event loop (its I/O runs inside ``recv`` / ``send`` /
+``flush`` / ``close``), and :class:`~repro.grid.net.tcp.TcpClientConnection`
 a blocking worker client with heartbeats and jittered reconnect, which
 every worker process builds for itself — ``solve_parallel``'s forked
 loopback workers and ``repro grid worker`` on another machine alike.

@@ -1,13 +1,13 @@
-"""TCP transport: asyncio coordinator server, blocking worker client.
+"""TCP transport: a non-blocking coordinator server, a blocking worker client.
 
-The coordinator side (:class:`TcpListener`) runs an asyncio server on
-a background thread: one task per client connection reads frames
-(:mod:`repro.grid.net.framing`), answers :class:`Hello` with
+The coordinator side (:class:`TcpListener`) is a ``selectors`` server
+with no thread and no event loop: its I/O runs inside ``recv`` /
+``send`` / ``flush`` / ``close``, on the caller's thread.  It reads
+frames (:mod:`repro.grid.net.framing`), answers :class:`Hello` with
 :class:`Welcome` (or, at another wire version, closes the connection
-unregistered), swallows :class:`Heartbeat`, and funnels every
-protocol message into a thread-safe inbox the coordinator pump drains
-exactly like a queue.  Replies are routed to the connection that last
-said Hello for that worker id.
+unregistered), swallows :class:`Heartbeat`, reaps peers silent past
+``peer_timeout``, routes replies to the connection that last said Hello
+for that worker id, and drops a peer that stopped reading them.
 
 The worker side (:class:`TcpClientConnection`) is deliberately a plain
 blocking socket — the B&B process is single-threaded compute with
@@ -36,16 +36,16 @@ worker process.
 
 from __future__ import annotations
 
-import asyncio
-import queue as queue_mod
+import math
 import random
 import select
+import selectors
 import socket
 import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.grid.net.backoff import decorrelated_jitter
@@ -76,7 +76,6 @@ __all__ = [
     "TcpListener",
 ]
 
-_HEADER = struct.Struct("!I")
 _RECV_CHUNK = 65536
 
 
@@ -111,8 +110,19 @@ class SocketFaults:
             raise ValueError("reset_after_sends must be >= 1")
 
 
+@dataclass(eq=False)
+class _Peer:
+    """One accepted connection, as the listener's loop sees it."""
+
+    sock: socket.socket
+    last_rx: float
+    frames: FrameBuffer = field(default_factory=FrameBuffer)
+    out: bytearray = field(default_factory=bytearray)  # not yet taken
+    worker: Optional[str] = None  # set by its Hello
+
+
 class TcpListener(Listener):
-    """Coordinator-side asyncio server behind the blocking Listener API."""
+    """Coordinator-side non-blocking server, run by whoever calls it."""
 
     def __init__(
         self,
@@ -122,132 +132,130 @@ class TcpListener(Listener):
         peer_timeout: Optional[float] = 30.0,
         epoch: int = 0,
     ):
-        self._host = host
-        self._requested_port = port
-        self._peer_timeout = peer_timeout
+        # No timeout: no peer is ever silent past an infinite one.
+        self._peer_timeout = math.inf if peer_timeout is None else peer_timeout
         self._epoch = epoch
-        self._inbox: "queue_mod.Queue[Any]" = queue_mod.Queue()
-        self._writers: Dict[str, asyncio.StreamWriter] = {}
-        self._registered: Set[str] = set()  # see connected_workers()
-        self._all_writers: set = set()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._address: Optional[Tuple[str, int]] = None
-        self._startup_error: Optional[BaseException] = None
-        self._closing = False
-        self._started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="tcp-listener", daemon=True
-        )
-        self._thread.start()
-        self._started.wait(timeout=10.0)
-        if self._startup_error is not None:
-            raise TransportError(
-                f"cannot listen on {host}:{port}: {self._startup_error}"
-            )
-        if self._address is None:
-            raise TransportError(f"listener on {host}:{port} failed to start")
-
-    # ---------------------------------------------------------- loop side
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
         try:
-            loop.run_until_complete(self._main())
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-        finally:
-            self._started.set()  # belt and braces for startup failures
-            loop.close()
-
-    async def _main(self) -> None:
-        self._stop = asyncio.Event()
-        try:
-            server = await asyncio.start_server(
-                self._handle_client, self._host, self._requested_port
-            )
+            server = socket.create_server((host, port), family=family, backlog=100)
         except OSError as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        sockname = server.sockets[0].getsockname()
-        self._address = (sockname[0], sockname[1])
-        self._started.set()
-        try:
-            await self._stop.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            for writer in list(self._all_writers):
-                writer.close()
+            raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
+        server.setblocking(False)
+        self._server = server
+        self._address: Tuple[str, int] = server.getsockname()[:2]
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(server, selectors.EVENT_READ)  # data None
+        self._writers: Dict[str, _Peer] = {}  # worker id -> its last Hello
+        self._registered: Set[str] = set()  # see connected_workers()
+        self._inbox: deque = deque()
+        self._next_reap = math.inf  # no peer can be silent past this sooner
 
-    async def _read_exactly(self, reader: asyncio.StreamReader, n: int) -> bytes:
-        if self._peer_timeout is None:
-            return await reader.readexactly(n)
+    # ------------------------------------------------------------ the loop
+    def _pump(self, wait: Optional[float]) -> None:
+        """One pass: wait up to ``wait`` s for readiness, serve it, reap."""
+        if self._next_reap < math.inf:
+            until_reap = max(self._next_reap - time.monotonic(), 0.0)
+            wait = until_reap if wait is None else min(wait, until_reap)
+        for key, events in self._selector.select(wait):
+            peer = key.data
+            if peer is None:
+                self._accept()
+                continue
+            if events & selectors.EVENT_READ:
+                self._read(peer)
+            if events & selectors.EVENT_WRITE:
+                self._write(peer)
+        now = time.monotonic()
+        if now >= self._next_reap:
+            self._reap(now)
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._server.accept()
+        except OSError:
+            return  # the caller gave up first, or a spurious wake-up
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        now = time.monotonic()
+        self._selector.register(sock, selectors.EVENT_READ, _Peer(sock, now))
+        self._next_reap = min(self._next_reap, now + self._peer_timeout)
+
+    def _read(self, peer: _Peer) -> None:
+        try:
+            data = peer.sock.recv(_RECV_CHUNK)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._drop(peer)
+            return
         # Any traffic (heartbeats included) restarts the clock; a peer
         # silent past the timeout is treated as half-open and dropped.
-        return await asyncio.wait_for(
-            reader.readexactly(n), timeout=self._peer_timeout
-        )
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._all_writers.add(writer)
-        worker: Optional[str] = None
+        peer.last_rx = time.monotonic()
         try:
-            while not self._closing:
-                try:
-                    header = await self._read_exactly(reader, _HEADER.size)
-                    (length,) = _HEADER.unpack(header)
-                    if length > MAX_FRAME_BYTES:
-                        break  # garbage or attack: poison this conn only
-                    payload = await self._read_exactly(reader, length)
-                except (
-                    asyncio.IncompleteReadError,
-                    asyncio.TimeoutError,
-                    asyncio.CancelledError,
-                    ConnectionError,
-                    OSError,
-                ):
-                    break
-                try:
-                    message = decode_message(payload)
-                except FrameError:
-                    break  # undecodable stream: drop the connection
-                if isinstance(message, Hello):
-                    if message.version != WIRE_VERSION:
-                        break  # another wire version: never registered
-                    worker = message.worker
-                    stale = self._writers.get(worker)
-                    self._writers[worker] = writer
-                    if stale is not None and stale is not writer:
-                        stale.close()  # a reconnect supersedes the old conn
-                    try:
-                        writer.write(encode_frame(Welcome(epoch=self._epoch)))
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        break
-                elif isinstance(message, Heartbeat):
-                    continue  # the read itself refreshed the peer clock
-                else:
-                    self._inbox.put(message)
-        finally:
-            self._all_writers.discard(writer)
-            if worker is not None and self._writers.get(worker) is writer:
-                del self._writers[worker]
-            try:
-                writer.close()
-            except Exception:
-                pass
+            messages = [decode_message(p) for p in peer.frames.feed(data)]
+        except FrameError:
+            self._drop(peer)  # garbage, attack or undecodable: this conn only
+            return
+        for message in messages:
+            if isinstance(message, Hello):
+                if message.version != WIRE_VERSION:
+                    self._drop(peer)  # another wire version: never registered
+                    return
+                stale = self._writers.get(message.worker)
+                if stale is not None and stale is not peer:
+                    self._drop(stale)  # a reconnect supersedes the old conn
+                peer.worker = message.worker
+                self._writers[message.worker] = peer
+                peer.out += encode_frame(Welcome(epoch=self._epoch))
+                self._write(peer)
+            elif not isinstance(message, Heartbeat):
+                self._inbox.append(message)
 
-    # ------------------------------------------------------- blocking side
+    def _write(self, peer: _Peer) -> None:
+        """Send what the socket takes now; wait for writability for the
+        rest, and drop a peer whose backlog passed one frame's cap."""
+        if peer.sock.fileno() < 0:
+            return  # dropped earlier in this pass
+        if peer.out:
+            try:
+                del peer.out[: peer.sock.send(peer.out)]
+            except BlockingIOError:
+                pass
+            except OSError:
+                self._drop(peer)
+                return
+        if len(peer.out) > MAX_FRAME_BYTES:
+            self._drop(peer)  # it stopped reading: its replies are lost
+            return
+        events = selectors.EVENT_READ
+        if peer.out:
+            events |= selectors.EVENT_WRITE
+        self._selector.modify(peer.sock, events, peer)
+
+    def _reap(self, now: float) -> None:
+        self._next_reap = math.inf
+        for key in list(self._selector.get_map().values()):
+            peer = key.data
+            if peer is None:
+                continue
+            if now - peer.last_rx > self._peer_timeout:
+                self._drop(peer)
+            else:
+                self._next_reap = min(
+                    self._next_reap, peer.last_rx + self._peer_timeout
+                )
+
+    def _drop(self, peer: _Peer) -> None:
+        if peer.sock.fileno() < 0:
+            return  # already dropped
+        self._selector.unregister(peer.sock)
+        peer.sock.close()
+        if peer.worker is not None and self._writers.get(peer.worker) is peer:
+            del self._writers[peer.worker]
+
+    # ------------------------------------------------------------ interface
     @property
     def address(self) -> Optional[Tuple[str, int]]:
         return self._address
@@ -262,47 +270,39 @@ class TcpListener(Listener):
         return sorted(self._registered.union(self._writers))
 
     def recv(self, timeout: Optional[float] = None) -> Any:
-        try:
-            if timeout is None:
-                return self._inbox.get()
-            return self._inbox.get(timeout=timeout)
-        except queue_mod.Empty:
-            raise TransportTimeout(f"no message within {timeout}s") from None
+        """Run the loop until a protocol message is queued or ``timeout``
+        passes (``0`` serves what is ready, once)."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._inbox:
+            wait = None
+            if deadline is not None:
+                wait = max(deadline - time.monotonic(), 0.0)
+            self._pump(wait)
+            if wait == 0.0 and not self._inbox:
+                raise TransportTimeout(f"no message within {timeout}s")
+        return self._inbox.popleft()
 
     def send(self, worker: str, reply: Any) -> None:
-        if self._closing:
-            return
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-        data = encode_frame(reply)
+        """Write at once; what the socket will not take waits for the
+        next ``recv`` / ``flush`` / ``close``."""
+        peer = self._writers.get(worker)
+        if peer is None:
+            return  # worker unreachable: the reply is dropped;
+            # its same-seq retry will be answered from the cache
+        peer.out += encode_frame(reply)
+        self._write(peer)
 
-        def _write() -> None:
-            w = self._writers.get(worker)
-            if w is None or w.is_closing():
-                return  # worker unreachable: the reply is dropped;
-                # its same-seq retry will be answered from the cache
-            try:
-                w.write(data)
-            except Exception:
-                pass
-
-        try:
-            loop.call_soon_threadsafe(_write)
-        except RuntimeError:
-            pass  # loop shut down between the check and the call
+    def flush(self) -> None:
+        for peer in list(self._writers.values()):
+            self._write(peer)
 
     def close(self) -> None:
-        if self._closing:
-            return
-        self._closing = True
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None and not loop.is_closed():
-            try:
-                loop.call_soon_threadsafe(stop.set)
-            except RuntimeError:
-                pass
-        self._thread.join(timeout=5.0)
+        if self._server.fileno() < 0:
+            return  # closed already
+        self.flush()
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
 
 
 class TcpClientConnection(Connection):

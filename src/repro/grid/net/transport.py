@@ -138,7 +138,7 @@ class Listener(abc.ABC):
         ``Bye``, or ``SolveService.release_worker``)."""
 
     def flush(self) -> None:
-        """Release any internally buffered traffic (fault wrappers)."""
+        """Release any internally buffered traffic (fault wrappers, unsent bytes)."""
 
     @property
     def address(self) -> Optional[Tuple[str, int]]:

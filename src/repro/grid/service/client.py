@@ -8,9 +8,9 @@ JobStatusRequest, CancelJob, ListJobs) whose replies are matched by
 seqs, so a retried submit cannot enqueue a job twice; an RPC whose
 connection the service dropped is redialled and retried once.
 
-:class:`SyncServiceClient` wraps each call in its own connection and
-``asyncio.run`` — the shape a CLI invocation wants (`repro job ...` is
-one RPC per process anyway).
+:class:`SyncServiceClient` runs each call in its own ``asyncio.run`` and
+connection, redialled by the one :class:`ServiceClient` it keeps: one
+sender id and seq counter, so one retry-cache entry in the service.
 """
 
 from __future__ import annotations
@@ -276,22 +276,18 @@ class ServiceClient:
 
 
 class SyncServiceClient:
-    """Blocking facade: one connection + event loop per call.
+    """Blocking facade: one sender, one connection + event loop per call.
 
     Exactly what the ``repro job`` CLI needs; library code with an
     event loop of its own should use :class:`ServiceClient` directly.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
+        self._client = ServiceClient(host, port, timeout=timeout)
 
     def _run(self, method: str, *args: Any, **kwargs: Any) -> Any:
         async def call() -> Any:
-            async with ServiceClient(
-                self.host, self.port, timeout=self.timeout
-            ) as client:
+            async with self._client as client:
                 return await getattr(client, method)(*args, **kwargs)
 
         return asyncio.run(call())

@@ -7,8 +7,8 @@ plus the project-specific rules (:mod:`repro.tools.check.rules`) that
 pin invariants earlier PRs of this repository learned the hard way:
 int-exact interval arithmetic, simulator determinism, non-blocking
 asyncio bodies, the strictly-typed core perimeter, durable and fsynced
-checkpoint writes, opaque job ids, the event loop's threading
-contract and handler exception safety.  ``docs/static-analysis.md``
+checkpoint writes, opaque job ids, the async service client's
+threading contract and handler exception safety.  ``docs/static-analysis.md``
 documents every rule with the bug that motivated it.  The wire
 contract (versioned messages, golden schemas) is a test on the live
 codec, ``tests/test_net_framing.py``.

@@ -270,17 +270,17 @@ class SimulatorDeterminism(Rule):
 class NoBlockingIOInAsync(Rule):
     """RC06 — no blocking socket/file I/O inside ``async def`` bodies.
 
-    The TCP listener runs one asyncio loop for *every* connected
-    worker; one blocking call inside a coroutine stalls heartbeat
-    processing for the whole fleet and turns the half-open-peer
-    detector into a half-open-server generator.
+    The TCP listener has no event loop; the only async bodies in scope
+    are the service client's (``grid/service/client.py``, async because
+    the benchmark drives its tenants as coroutines on one loop, which a
+    blocking call stalls).  The rule retires with that client.
     """
 
     code: ClassVar[str] = "RC06"
     title: ClassVar[str] = "async bodies never block"
     invariant: ClassVar[str] = (
-        "the listener's event loop services every peer; blocking calls "
-        "freeze heartbeats fleet-wide"
+        "the async service client's tenants share one event loop; a "
+        "blocking call stalls them all (retires with that client)"
     )
     scope: ClassVar[Tuple[str, ...]] = (
         "repro/grid/net/*.py",
@@ -334,7 +334,7 @@ class NoBlockingIOInAsync(Rule):
                         ctx,
                         node,
                         f"blocking {func.value.id}.{func.attr}() inside "
-                        "an async def stalls the whole listener loop",
+                        "an async def stalls the whole event loop",
                     )
                     return
             if func.attr in self.BLOCKING_METHODS:
@@ -604,11 +604,12 @@ def _lock_name(name: str) -> bool:
 
 @register
 class AsyncioConcurrencyDiscipline(Rule):
-    """RC13 — the service/net event loop is a single-threaded world.
+    """RC13 — an event loop in scope is a single-threaded world.
 
-    Two hazards, both learned from the PR 4/PR 9 listener design
-    (asyncio loop on a daemon thread, synchronous callers marshalling
-    in via ``loop.call_soon_threadsafe``):
+    Two hazards, both learned from the listener's former design (an
+    asyncio loop on a daemon thread; the listener now has neither), now
+    guarded only in the async service client, ``grid/service/client.py``
+    (async because the benchmark drives it); the rule retires with it:
 
     * ``await`` while holding a *synchronous* lock parks the coroutine
       with the lock held; every other coroutine on the loop that wants
@@ -627,8 +628,8 @@ class AsyncioConcurrencyDiscipline(Rule):
     title: ClassVar[str] = "asyncio concurrency discipline"
     invariant: ClassVar[str] = (
         "no await under a held sync lock; loop-confined state is "
-        "mutated only from the event-loop thread (PR 9 service "
-        "threading contract)"
+        "mutated only from the event-loop thread (the async service "
+        "client's; retires with it)"
     )
     scope: ClassVar[Tuple[str, ...]] = (
         "repro/grid/net/*.py",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence, Tuple
 
 from repro.core import Problem, TreeShape
@@ -152,3 +154,30 @@ def exchange(core, message, now: float = 0.0):
     notices = [(peer, sent) for peer, sent in outbox if isinstance(sent, Notice)]
     replies = [sent for peer, sent in outbox if not isinstance(sent, Notice)]
     return (replies[-1] if replies else None), notices
+
+
+def pump(listener, until, timeout: float = 5.0) -> list:
+    """Run a :class:`~repro.grid.net.tcp.TcpListener`'s loop on this
+    thread until ``until()`` holds or ``timeout`` passes; returns the
+    protocol messages it delivered meanwhile."""
+    from repro.grid.net.transport import TransportTimeout
+
+    delivered = []
+    deadline = time.monotonic() + timeout
+    while not until() and time.monotonic() < deadline:
+        try:
+            delivered.append(listener.recv(timeout=0.01))
+        except TransportTimeout:
+            pass
+    return delivered
+
+
+def pump_while(listener, step, timeout: float = 5.0):
+    """Run the blocking client call ``step`` on a helper thread while
+    this thread runs ``listener``'s loop (the listener answers only
+    inside its own calls); returns ``(step's result, what the listener
+    delivered)`` and re-raises what ``step`` raised."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(step)
+        delivered = pump(listener, future.done, timeout)
+        return future.result(timeout=0), delivered

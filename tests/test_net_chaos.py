@@ -18,12 +18,13 @@ import time
 import pytest
 
 from repro.core import solve
-from repro.grid.net.framing import encode_frame, Hello
+from repro.grid.net.framing import MAX_FRAME_BYTES, encode_frame, Hello
 from repro.grid.net.tcp import SocketFaults, TcpClientConnection, TcpListener
 from repro.grid.net.transport import TransportTimeout
 from repro.grid.runtime import FaultPlan, RuntimeConfig, flowshop_spec, solve_parallel
-from repro.grid.runtime.protocol import Ack, Request
+from repro.grid.runtime.protocol import Ack, JobRefused, Request
 from repro.problems.flowshop import FlowShopProblem, random_instance
+from tests.helpers import pump, pump_while
 
 # The warm start is not optimal here: 525 nodes and 3 Pushes from its
 # bound, so a lost Push would surface as a wrong cost.
@@ -97,7 +98,7 @@ class TestSocketChaos:
             # with half a header on the wire).
             raw = socket.create_connection(listener.address, timeout=2.0)
             raw.sendall(encode_frame(Hello("corpse")))
-            time.sleep(0.2)
+            pump(listener, lambda: "corpse" in listener.connected_workers())
             frame = encode_frame(Request("corpse", seq=1))
             raw.sendall(frame[: len(frame) // 2])
             raw.setsockopt(
@@ -109,7 +110,7 @@ class TestSocketChaos:
                 *listener.address, "healthy", heartbeat_interval=None
             )
             try:
-                healthy.open(timeout=5.0)
+                pump_while(listener, lambda: healthy.open(timeout=5.0))
                 healthy.send(Request("healthy", seq=1))
                 message = listener.recv(timeout=2.0)
                 assert message.worker == "healthy"
@@ -117,11 +118,11 @@ class TestSocketChaos:
                 assert healthy.recv(timeout=2.0) == Ack(1.0, seq=1)
             finally:
                 healthy.close()
-            deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline:
-                if "corpse" not in listener.connected_workers():
-                    break
-                time.sleep(0.05)
+            pump(
+                listener,
+                lambda: "corpse" not in listener.connected_workers(),
+                timeout=2.0,
+            )
             assert "corpse" not in listener.connected_workers()
         finally:
             listener.close()
@@ -133,15 +134,15 @@ class TestSocketChaos:
                 *listener.address, "silent", heartbeat_interval=None
             )
             try:
-                silent.open(timeout=5.0)
+                pump_while(listener, lambda: silent.open(timeout=5.0))
                 assert listener.connected_workers() == ["silent"]
                 # Never closes, never speaks: the read timeout treats it
                 # as half-open and drops the connection server-side.
-                deadline = time.monotonic() + 3.0
-                while time.monotonic() < deadline:
-                    if not listener.connected_workers():
-                        break
-                    time.sleep(0.05)
+                pump(
+                    listener,
+                    lambda: not listener.connected_workers(),
+                    timeout=3.0,
+                )
                 assert listener.connected_workers() == []
             finally:
                 silent.close()
@@ -155,8 +156,9 @@ class TestSocketChaos:
                 *listener.address, "idle", heartbeat_interval=0.1
             )
             try:
-                idle.open(timeout=5.0)
-                time.sleep(1.5)  # several peer_timeouts of silence
+                pump_while(listener, lambda: idle.open(timeout=5.0))
+                # several peer_timeouts of silence
+                pump(listener, lambda: False, timeout=1.5)
                 assert listener.connected_workers() == ["idle"]
             finally:
                 idle.close()
@@ -169,22 +171,48 @@ class TestSocketChaos:
             raw = socket.create_connection(listener.address, timeout=2.0)
             raw.sendall(struct.pack("!I", (16 << 20) + 1))  # absurd length
             raw.settimeout(2.0)
-            # Server closes on us rather than buffering 16 MiB of lies.
-            deadline = time.monotonic() + 3.0
-            closed = False
-            while time.monotonic() < deadline:
-                try:
-                    if raw.recv(4096) == b"":
-                        closed = True
-                        break
-                except socket.timeout:
-                    break
-                except OSError:
-                    closed = True
-                    break
+
+            def closed_on_us():
+                # Server closes on us rather than buffering 16 MiB of lies.
+                deadline = time.monotonic() + 3.0
+                while time.monotonic() < deadline:
+                    try:
+                        if raw.recv(4096) == b"":
+                            return True
+                    except socket.timeout:
+                        return False
+                    except OSError:
+                        return True
+                return False
+
+            closed, _ = pump_while(listener, closed_on_us)
             raw.close()
             assert closed, "server kept a poisoned connection open"
             with pytest.raises(TransportTimeout):
                 listener.recv(timeout=0.1)  # nothing was delivered
         finally:
+            listener.close()
+
+    def test_a_peer_that_never_reads_is_dropped_not_buffered(self):
+        listener = TcpListener(peer_timeout=5.0)
+        raw = socket.socket()
+        try:
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            raw.connect(listener.address)
+            raw.sendall(encode_frame(Hello("deaf")))
+            pump(listener, lambda: "deaf" in listener.connected_workers())
+            assert listener.connected_workers() == ["deaf"]
+            # It never reads: every reply piles up server-side until
+            # the backlog passes one frame's cap.
+            reply = JobRefused("x" * (1 << 20))
+            sent = 0
+            while "deaf" in listener.connected_workers() and sent < 40:
+                started = time.monotonic()
+                listener.send("deaf", reply)
+                assert time.monotonic() - started < 1.0  # never blocks
+                sent += 1
+            assert listener.connected_workers() == []
+            assert sent * len(encode_frame(reply)) > MAX_FRAME_BYTES
+        finally:
+            raw.close()
             listener.close()

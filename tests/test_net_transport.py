@@ -21,7 +21,14 @@ import pytest
 
 from repro.core import solve
 from repro.grid.net.backoff import decorrelated_jitter
-from repro.grid.net.framing import WIRE_VERSION, Hello, Welcome, encode_frame
+from repro.grid.net.framing import (
+    WIRE_VERSION,
+    FrameBuffer,
+    Hello,
+    Welcome,
+    decode_message,
+    encode_frame,
+)
 from repro.grid.net.serve import run_worker
 from repro.grid.net.tcp import SocketFaults, TcpClientConnection, TcpListener
 from repro.grid.net.transport import (
@@ -42,6 +49,7 @@ from repro.grid.runtime.protocol import (
 )
 from repro.grid.service.server import ServiceConfig, SolveService
 from repro.problems.flowshop import FlowShopProblem, random_instance
+from tests.helpers import pump, pump_while
 
 fs_instance = random_instance(8, 4, seed=51)
 serial = solve(FlowShopProblem(fs_instance))
@@ -172,6 +180,7 @@ class TestTcpTransport:
         listener = TcpListener()
         conn = TcpClientConnection(*listener.address, "w0")
         try:
+            pump_while(listener, lambda: conn.open(timeout=5.0))
             conn.send(Request("w0", seq=1))
             message = listener.recv(timeout=5.0)
             assert message == Request("w0", seq=1)
@@ -188,6 +197,25 @@ class TestTcpTransport:
                 listener.recv(timeout=0.01)
         finally:
             listener.close()
+
+    def test_the_listener_starts_no_thread(self):
+        """All its I/O runs inside its own calls, so ``solve_parallel``
+        forks its workers from a process with one thread."""
+        threads = threading.active_count()
+        listener = TcpListener(peer_timeout=5.0)
+        try:
+            assert threading.active_count() == threads
+            with socket.create_connection(listener.address, timeout=5.0) as sock:
+                sock.sendall(encode_frame(Hello("w0")))
+                with pytest.raises(TransportTimeout):
+                    listener.recv(timeout=0.2)  # serves the handshake
+                assert listener.connected_workers() == ["w0"]
+                (payload,) = FrameBuffer().feed(sock.recv(4096))
+                assert isinstance(decode_message(payload), Welcome)
+                assert threading.active_count() == threads
+        finally:
+            listener.close()
+        assert threading.active_count() == threads
 
     def test_unknown_worker_send_is_dropped(self):
         """Best effort: a reply to nobody is dropped, not raised."""
@@ -208,12 +236,11 @@ class TestTcpTransport:
             conn = TcpClientConnection(
                 *listener.address, "w0", heartbeat_interval=None
             )
+            pump_while(listener, lambda: conn.open(timeout=5.0))
             conn.send(Request("w0", seq=1))
             assert listener.recv(timeout=5.0) == Request("w0", seq=1)
             conn.close()
-            deadline = time.monotonic() + 5.0
-            while listener._writers and time.monotonic() < deadline:
-                time.sleep(0.01)
+            pump(listener, lambda: not listener._writers)
             assert not listener._writers  # the server saw the socket go
             assert listener.connected_workers() == ["w0"]
         finally:
@@ -261,9 +288,10 @@ class TestTcpTransport:
             assert conn.connects >= 2, "resets should have forced reconnects"
         finally:
             server_done.set()
+            thread.join(timeout=2.0)  # the listener is the thread's until here
+            assert not thread.is_alive()
             conn.close()
             listener.close()
-            thread.join(timeout=2.0)
 
     def test_reconnect_supersedes_stale_connection(self):
         listener = TcpListener(peer_timeout=5.0)
@@ -271,16 +299,16 @@ class TestTcpTransport:
             old = TcpClientConnection(
                 *listener.address, "w0", heartbeat_interval=None
             )
-            old.open(timeout=5.0)
+            pump_while(listener, lambda: old.open(timeout=5.0))
             new = TcpClientConnection(
                 *listener.address, "w0", heartbeat_interval=None
             )
-            new.open(timeout=5.0)
-            deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline:
-                if listener.connected_workers() == ["w0"]:
-                    break
-                time.sleep(0.02)
+            pump_while(listener, lambda: new.open(timeout=5.0))
+            pump(
+                listener,
+                lambda: listener.connected_workers() == ["w0"],
+                timeout=2.0,
+            )
             # Replies go to the most recent Hello for that worker id.
             listener.send("w0", Ack(1.0, seq=1))
             assert new.recv(timeout=2.0) == Ack(1.0, seq=1)
@@ -297,10 +325,15 @@ class TestTcpTransport:
                     encode_frame(Hello("old", version=2))
                     + encode_frame(Request("old", seq=1))
                 )
-                try:
-                    assert sock.recv(4096) == b""  # no Welcome: closed
-                except ConnectionResetError:
-                    pass  # closed with the Request unread
+
+                def closed_unanswered():
+                    try:
+                        assert sock.recv(4096) == b""  # no Welcome: closed
+                    except ConnectionResetError:
+                        pass  # closed with the Request unread
+
+                _, delivered = pump_while(listener, closed_unanswered)
+                assert delivered == []
             assert listener.connected_workers() == []
             with pytest.raises(TransportTimeout):
                 listener.recv(timeout=0.2)  # the Request never got in

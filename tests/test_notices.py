@@ -46,7 +46,7 @@ from repro.grid.runtime.protocol import (
     Update,
 )
 from repro.problems.flowshop import FlowShopProblem, random_instance
-from tests.helpers import exchange, one_job_core
+from tests.helpers import exchange, one_job_core, pump_while
 
 instance = random_instance(9, 5, seed=3)
 serial = solve(FlowShopProblem(instance))
@@ -136,7 +136,7 @@ def test_tcp_poll_reads_the_socket_without_blocking():
         # The parent's only non-blocking read, recv(timeout=0), gives up
         # before it looks at the socket.
         assert conn.poll() is None  # not connected: no dialling from here
-        conn.open(timeout=5.0)
+        pump_while(listener, lambda: conn.open(timeout=5.0))
         started = time.monotonic()
         assert conn.poll() is None
         assert time.monotonic() - started < 0.2  # io_timeout is 0.25 s
@@ -163,7 +163,7 @@ def test_a_worker_that_predates_the_notice_drops_the_frame(monkeypatch):
     listener = TcpListener(peer_timeout=5.0)
     conn = TcpClientConnection(*listener.address, "w0", heartbeat_interval=None)
     try:
-        conn.open(timeout=5.0)
+        pump_while(listener, lambda: conn.open(timeout=5.0))
         monkeypatch.setattr(tcp, "decode_message", old_decode)
         listener.send("w0", Notice(7.0, True))
         listener.send("w0", Ack(1.0, seq=1))

@@ -1091,6 +1091,28 @@ def test_cancel_and_unknown_job_status():
     assert outcome["report"].jobs_cancelled == 1
 
 
+def test_one_sync_client_is_one_sender_across_calls():
+    # The facade redials for every call, but under one sender id and
+    # seq counter: the service keeps one retry-cache entry for it.
+    service = SolveService(service_config())
+    host, port = service.address
+    thread, outcome = start_service(service)
+    try:
+        client = SyncServiceClient(host, port, timeout=10.0)
+        job = client.submit(flowshop_spec(instance_a), owner="alice")
+        for _ in range(30):
+            client.status(job)
+        client.list_jobs()
+        client.cancel(job)
+    finally:
+        service.shutdown()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert len(service._clients) == 1
+    assert len(service._last_reply) == 1
+    assert outcome["report"].duplicates_ignored == 0
+
+
 def test_admission_control_refuses_over_the_wire():
     config = service_config(
         scheduler=SchedulerConfig(
