@@ -53,6 +53,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _power(text: str) -> float:
+    """argparse type: a finite processor power >= 0 (the coordinator
+    refuses any other in a Request)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -150,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="coordinator server address")
     worker_p.add_argument("--id", default=None,
                           help="worker id (default: host-pid)")
-    worker_p.add_argument("--power", type=float, default=1.0)
+    worker_p.add_argument("--power", type=_power, default=1.0)
     worker_p.add_argument("--update-nodes", type=int, default=2000)
     worker_p.add_argument("--update-period", type=float, default=0.25,
                           help="target seconds per interval update "

@@ -11,18 +11,15 @@ null power", so ``C == A`` and the requester gets everything.
 
 *Selection* does not pick the longest interval but the one that yields
 the longest requester share ``[C, B)`` — the paper is explicit about
-this distinction.
+this distinction.  :meth:`~repro.core.interval_set.IntervalSet.assign`
+runs it over :func:`requester_share_length`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple, TypeVar
-
 from repro.core.interval import Interval
 
-__all__ = ["partition_point", "requester_share_length", "select_for_request"]
-
-K = TypeVar("K")
+__all__ = ["partition_point", "requester_share_length"]
 
 
 def partition_point(
@@ -35,19 +32,17 @@ def partition_point(
     holder (unassigned interval) yields ``C == A``.  Powers must be
     non-negative; a zero-power requester paired with a zero-power holder
     also hands everything to the requester (the request proves it is
-    alive).
+    alive).  The arithmetic is exact: each power is the ratio of two
+    integers, so ``A <= C <= B`` however long the interval.
     """
     if holder_power < 0 or requester_power < 0:
         raise ValueError("processor powers must be non-negative")
-    total = holder_power + requester_power
-    if total == 0 or holder_power == 0:
+    if holder_power == 0:
         return interval.begin
-    keep = (interval.length * holder_power) // total if isinstance(
-        holder_power, int
-    ) and isinstance(requester_power, int) else int(
-        interval.length * (holder_power / total)
-    )
-    return interval.begin + keep
+    held_num, held_den = float(holder_power).as_integer_ratio()
+    req_num, req_den = float(requester_power).as_integer_ratio()
+    held, requester = held_num * req_den, req_num * held_den
+    return interval.begin + interval.length * held // (held + requester)
 
 
 def requester_share_length(
@@ -55,33 +50,3 @@ def requester_share_length(
 ) -> int:
     """Length of ``[C, B)`` that a split would give the requester."""
     return interval.end - partition_point(interval, holder_power, requester_power)
-
-
-def select_for_request(
-    candidates: Iterable[Tuple[K, Interval, float]],
-    requester_power: float,
-) -> Optional[K]:
-    """Selection operator: maximise the requester share (§4.2).
-
-    Parameters
-    ----------
-    candidates:
-        ``(key, interval, holder_power)`` triples.
-    requester_power:
-        Power of the requesting process.
-
-    Returns
-    -------
-    The key of the best candidate, or ``None`` when there are none.
-    Ties break on the smallest key for determinism.
-    """
-    best_key: Optional[K] = None
-    best_share = -1
-    for key, interval, holder_power in candidates:
-        share = requester_share_length(interval, holder_power, requester_power)
-        if share > best_share or (
-            share == best_share and best_key is not None and repr(key) < repr(best_key)
-        ):
-            best_share = share
-            best_key = key
-    return best_key

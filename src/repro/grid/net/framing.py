@@ -148,7 +148,12 @@ class Welcome:
 
 @dataclass
 class Heartbeat:
-    """Idle keepalive so a silent-but-connected peer stays detectable."""
+    """Idle keepalive so a silent-but-connected peer stays detectable.
+
+    A worker sends one from its connection's own ``recv`` / ``poll``
+    calls when nothing else went out for ``heartbeat_interval``; no
+    thread sends it, so a peer whose owner makes no call goes quiet.
+    """
 
     worker: str = ""
     version: int = WIRE_VERSION

@@ -29,7 +29,6 @@ def run_worker(
     update_period: Optional[float] = 0.25,
     reply_timeout: float = 60.0,
     max_retries: int = 2,
-    heartbeat_interval: Optional[float] = 2.0,
     peer_timeout: Optional[float] = None,
     max_reconnect_attempts: Optional[int] = None,
     backoff_cap: float = 2.0,
@@ -52,7 +51,6 @@ def run_worker(
         port,
         worker_id,
         power=power,
-        heartbeat_interval=heartbeat_interval,
         peer_timeout=peer_timeout,
         max_reconnect_attempts=max_reconnect_attempts,
         reconnect_cap=backoff_cap,

@@ -10,17 +10,21 @@ unregistered), swallows :class:`Heartbeat`, reaps peers silent past
 for that worker id, and drops a peer that stopped reading them.
 
 The worker side (:class:`TcpClientConnection`) is deliberately a plain
-blocking socket — the B&B process is single-threaded compute with
-occasional RPCs, and a blocking client keeps ``worker_main`` free of
-any event loop.  It maintains the connection lazily:
+blocking socket on the caller's thread — the B&B process is
+single-threaded compute with occasional RPCs, and a blocking client
+keeps ``worker_main`` free of any event loop and of any lock.  It
+maintains the connection lazily:
 
 * **connect / reconnect with capped, decorrelated-jittered backoff**
   (:func:`~repro.grid.net.backoff.decorrelated_jitter`), so a fleet of
   workers that lost the coordinator together does not thundering-herd
   it on recovery;
-* **heartbeats** from a tiny daemon thread, so the server can tell a
-  half-open peer (dead, but the OS never sent a FIN/RST) from a worker
-  that is just exploring a long slice;
+* **heartbeats** that ride its own calls: a ``recv`` or ``poll`` that
+  finds nothing sent for ``heartbeat_interval`` seconds sends a
+  :class:`Heartbeat` first, so the server can tell a half-open peer
+  (dead, but the OS never sent a FIN/RST) from a worker exploring a
+  long slice (its engine polls every few hundred nodes).  There is no
+  thread: a client whose owner makes no call sends nothing;
 * **drop-equals-drop semantics**: a send that fails after one
   reconnect attempt is silently dropped, and a connection lost while a
   reply was in flight simply loses the reply — either way the worker's
@@ -42,7 +46,6 @@ import select
 import selectors
 import socket
 import struct
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -77,6 +80,7 @@ __all__ = [
 ]
 
 _RECV_CHUNK = 65536
+_IO_TIMEOUT = 0.25  # a client write stalled this long means a dead link
 
 
 def _read_welcome(payload: bytes) -> Welcome:
@@ -306,7 +310,12 @@ class TcpListener(Listener):
 
 
 class TcpClientConnection(Connection):
-    """Blocking worker-side connection with reconnect and heartbeats."""
+    """Blocking worker-side connection with reconnect and heartbeats.
+
+    It has no thread: all its I/O, heartbeats included (module
+    docstring), runs inside ``open`` / ``send`` / ``recv`` / ``poll`` /
+    ``close``, on the caller's thread.
+    """
 
     def __init__(
         self,
@@ -319,8 +328,6 @@ class TcpClientConnection(Connection):
         reconnect_base: float = 0.05,
         reconnect_cap: float = 2.0,
         heartbeat_interval: Optional[float] = 2.0,
-        io_timeout: float = 0.25,
-        rng: Optional[random.Random] = None,
         faults: Optional[SocketFaults] = None,
         peer_timeout: Optional[float] = None,
         max_reconnect_attempts: Optional[int] = None,
@@ -332,35 +339,30 @@ class TcpClientConnection(Connection):
         self._connect_timeout = connect_timeout
         self._reconnect_base = reconnect_base
         self._reconnect_cap = reconnect_cap
-        self._io_timeout = io_timeout
-        self._rng = rng if rng is not None else random.Random(worker_id)
+        # None (or <= 0): no heartbeats; None peer_timeout: no reaping.
+        self._heartbeat_interval = (
+            heartbeat_interval
+            if heartbeat_interval is not None and heartbeat_interval > 0
+            else math.inf
+        )
+        self._peer_timeout = math.inf if peer_timeout is None else peer_timeout
+        self._rng = random.Random(worker_id)  # deterministic, per-worker jitter
         self._faults = faults
-        self._peer_timeout = peer_timeout
         self._max_reconnect_attempts = max_reconnect_attempts
         self._sock: Optional[socket.socket] = None
         self._buf = FrameBuffer()
         self._inbound: deque = deque()
-        self._send_lock = threading.RLock()
         self._backoff = reconnect_base
         self._sent_frames = 0
         self._failed_attempts = 0
         self._exhausted = False
-        self._last_rx = time.monotonic()
+        self._last_rx = self._last_tx = time.monotonic()
         self._last_epoch = 0
         self._epoch_changed = False
-        self._closed = threading.Event()
+        self._closed = False
         self.welcome: Optional[Welcome] = None
         #: total (re)connections that completed the Hello/Welcome handshake
         self.connects = 0
-        self._heartbeat_thread: Optional[threading.Thread] = None
-        if heartbeat_interval is not None and heartbeat_interval > 0:
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop,
-                args=(heartbeat_interval,),
-                name=f"heartbeat-{worker_id}",
-                daemon=True,
-            )
-            self._heartbeat_thread.start()
 
     # ------------------------------------------------------------- plumbing
     def _connect_once(self) -> bool:
@@ -372,7 +374,7 @@ class TcpClientConnection(Connection):
             return False
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self._io_timeout)
+            sock.settimeout(_IO_TIMEOUT)
             buf = FrameBuffer()
             sock.sendall(
                 encode_frame(
@@ -411,7 +413,7 @@ class TcpClientConnection(Connection):
         self.connects += 1
         self._backoff = self._reconnect_base
         self._failed_attempts = 0
-        self._last_rx = time.monotonic()
+        self._last_rx = self._last_tx = time.monotonic()
         return True
 
     def _note_welcome(self, welcome: Welcome) -> None:
@@ -428,11 +430,11 @@ class TcpClientConnection(Connection):
             self._epoch_changed = True
         self._last_epoch = welcome.epoch
 
-    def _ensure_connected_locked(self, deadline: Optional[float]) -> bool:
-        while not self._closed.is_set():
-            if self._sock is not None:
-                return True
-            if self._exhausted:
+    def _ensure_connected(self, deadline: float) -> bool:
+        """Dial with backoff until connected; ``False`` once closed, out
+        of attempts, or when the next attempt would pass ``deadline``."""
+        while self._sock is None:
+            if self._closed or self._exhausted:
                 return False
             if self._connect_once():
                 return True
@@ -448,14 +450,12 @@ class TcpClientConnection(Connection):
                 self._reconnect_cap,
             )
             self._backoff = delay
-            if deadline is not None and time.monotonic() + delay >= deadline:
+            if time.monotonic() + delay >= deadline:
                 return False
             time.sleep(delay)
-        return False
+        return True
 
-    def _drop_locked(self, expected: Optional[socket.socket] = None) -> None:
-        if expected is not None and self._sock is not expected:
-            return  # someone already reconnected past this socket
+    def _drop(self) -> None:
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -464,31 +464,39 @@ class TcpClientConnection(Connection):
         self._sock = None
         self._buf = FrameBuffer()
 
-    def _abort_locked(self) -> None:
+    def _abort(self) -> None:
         """Hard reset (RST) — the fault-injection shape of a dead network."""
-        sock = self._sock
-        if sock is None:
+        if self._sock is None:
             return
         try:
-            sock.setsockopt(
+            self._sock.setsockopt(
                 socket.SOL_SOCKET,
                 socket.SO_LINGER,
                 struct.pack("ii", 1, 0),
             )
         except OSError:
             pass
-        self._drop_locked()
+        self._drop()
 
-    def _heartbeat_loop(self, interval: float) -> None:
-        while not self._closed.wait(interval):
-            with self._send_lock:
-                sock = self._sock
-                if sock is None:
-                    continue  # never dials: reconnect is send/recv's job
-                try:
-                    sock.sendall(encode_frame(Heartbeat(self._worker)))
-                except OSError:
-                    self._drop_locked(expected=sock)
+    def _write(self, data: bytes) -> bool:
+        """Send one frame on the live socket; a failure drops the link."""
+        try:
+            self._sock.sendall(data)
+        except OSError:
+            self._drop()
+            return False
+        self._last_tx = time.monotonic()
+        return True
+
+    def _heartbeat_if_due(self) -> None:
+        """Tell the server we are alive if nothing went out for
+        ``heartbeat_interval`` — on the live socket only: a heartbeat
+        never dials."""
+        if (
+            self._sock is not None
+            and time.monotonic() - self._last_tx >= self._heartbeat_interval
+        ):
+            self._write(encode_frame(Heartbeat(self._worker)))
 
     # ------------------------------------------------------------ interface
     def open(self, timeout: Optional[float] = None) -> None:
@@ -502,80 +510,77 @@ class TcpClientConnection(Connection):
         without reconnect attempts — here, and from the lazy reconnect
         of ``send`` / ``recv`` alike.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._send_lock:
-            if not self._ensure_connected_locked(deadline):
-                raise TransportError(
-                    f"cannot reach coordinator at {self._host}:{self._port}"
-                )
+        deadline = math.inf if timeout is None else time.monotonic() + timeout
+        if not self._ensure_connected(deadline):
+            raise TransportError(
+                f"cannot reach coordinator at {self._host}:{self._port}"
+            )
 
     def send(self, message: Any) -> None:
-        if self._closed.is_set():
+        if self._closed:
             return
         data = encode_frame(message)
-        with self._send_lock:
-            deadline = time.monotonic() + self._connect_timeout
-            if not self._ensure_connected_locked(deadline):
-                return  # unreachable: dropped, the RPC retry recovers
-            try:
-                self._sock.sendall(data)
-            except OSError:
-                self._drop_locked()
-                if not self._ensure_connected_locked(deadline):
-                    return
-                try:
-                    self._sock.sendall(data)
-                except OSError:
-                    self._drop_locked()
-                    return
-            self._sent_frames += 1
-            faults = self._faults
-            if (
-                faults is not None
-                and faults.reset_after_sends
-                and self._sent_frames % faults.reset_after_sends == 0
-            ):
-                self._abort_locked()
+        deadline = time.monotonic() + self._connect_timeout
+        # A failed write is retried once, on a fresh connection; then
+        # the frame is dropped, and the RPC retry recovers.
+        for _attempt in range(2):
+            if not self._ensure_connected(deadline):
+                return
+            if self._write(data):
+                break
+        else:
+            return
+        self._sent_frames += 1
+        faults = self._faults
+        if (
+            faults is not None
+            and faults.reset_after_sends
+            and self._sent_frames % faults.reset_after_sends == 0
+        ):
+            self._abort()
 
     def recv(self, timeout: Optional[float] = None) -> Any:
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = math.inf if timeout is None else time.monotonic() + timeout
         while True:
             if self._inbound:
                 return self._inbound.popleft()
-            if self._closed.is_set():
+            if self._closed:
                 raise TransportClosed("connection closed")
-            if deadline is not None and time.monotonic() >= deadline:
+            if time.monotonic() >= deadline:
                 raise TransportTimeout(f"no reply within {timeout}s")
-            with self._send_lock:
-                ok = self._ensure_connected_locked(deadline)
-                sock, buf = self._sock, self._buf
-            if not ok or sock is None:
+            if not self._ensure_connected(deadline):
                 if self._exhausted:
                     raise TransportError(
                         f"coordinator at {self._host}:{self._port} "
                         f"unreachable after "
                         f"{self._max_reconnect_attempts} reconnect attempts"
                     )
-                if deadline is None:
-                    continue
                 raise TransportTimeout(f"no reply within {timeout}s")
-            try:
-                data = sock.recv(_RECV_CHUNK)
-            except socket.timeout:
-                if (
-                    self._peer_timeout is not None
-                    and time.monotonic() - self._last_rx > self._peer_timeout
-                ):
+            self._heartbeat_if_due()
+            sock = self._sock
+            if sock is None:
+                continue  # the heartbeat found the link dead
+            # Wake for the deadline, the next heartbeat due, or the
+            # moment a silent peer counts as half-open.
+            wake = min(
+                deadline,
+                self._last_tx + self._heartbeat_interval,
+                self._last_rx + self._peer_timeout,
+            )
+            wait = None if wake == math.inf else max(wake - time.monotonic(), 0.0)
+            if not select.select([sock], [], [], wait)[0]:
+                if time.monotonic() - self._last_rx >= self._peer_timeout:
                     # Half-open link: the socket looks connected but the
                     # peer has been silent past the budget — reconnect.
-                    with self._send_lock:
-                        self._drop_locked(expected=sock)
+                    self._drop()
                 continue
+            try:
+                data = sock.recv(_RECV_CHUNK)
             except OSError:
                 data = b""
-            self._ingest(sock, buf, data)
+            self._ingest(data)
 
-    def _ingest(self, sock: socket.socket, buf: FrameBuffer, data: bytes) -> None:
+    def _ingest(self, data: bytes) -> None:
         """Queue the protocol messages in ``data`` (``b""``: the link died).
 
         Heartbeats are swallowed and a Welcome is noted here, for
@@ -585,12 +590,11 @@ class TcpClientConnection(Connection):
         payloads = None
         if data:
             try:
-                payloads = buf.feed(data)
+                payloads = self._buf.feed(data)
             except FrameError:
                 pass  # an unrecoverable stream is a dead link too
         if payloads is None:
-            with self._send_lock:
-                self._drop_locked(expected=sock)
+            self._drop()
             return
         self._last_rx = time.monotonic()
         for payload in payloads:
@@ -606,32 +610,26 @@ class TcpClientConnection(Connection):
             self._inbound.append(message)
 
     def poll(self) -> Any:
+        self._heartbeat_if_due()
         if not self._inbound:
-            sock, buf = self._sock, self._buf
+            sock = self._sock
             if sock is None:
                 return None  # reconnecting is send/recv's job
             try:
-                # The socket carries io_timeout, so recv() alone would
-                # wait; look first.
+                # A recv() on this blocking socket could wait; look first.
                 if not select.select([sock], [], [], 0)[0]:
                     return None
                 data = sock.recv(_RECV_CHUNK)
             except (OSError, ValueError):
                 data = b""
-            self._ingest(sock, buf, data)
+            self._ingest(data)
         return self._inbound.popleft() if self._inbound else None
 
     def take_epoch_change(self) -> bool:
-        with self._send_lock:
-            changed = self._epoch_changed
-            self._epoch_changed = False
-            return changed
+        changed = self._epoch_changed
+        self._epoch_changed = False
+        return changed
 
     def close(self) -> None:
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        if self._heartbeat_thread is not None:
-            self._heartbeat_thread.join(timeout=2.0)
-        with self._send_lock:
-            self._drop_locked()
+        self._closed = True
+        self._drop()

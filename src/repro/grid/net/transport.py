@@ -13,9 +13,9 @@ A transport therefore has exactly two sides:
   channel to the coordinator.
 
 Workers run in other processes (or on other machines), and each builds
-its own connection there: a socket and its heartbeat thread do not
-survive ``fork``, so whoever starts a worker hands it an address, and
-the worker process dials.
+its own connection there: a socket does not survive ``fork``, so
+whoever starts a worker hands it an address, and the worker process
+dials.
 
 Delivery contract
 -----------------

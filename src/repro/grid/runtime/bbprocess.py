@@ -55,6 +55,8 @@ from repro.grid.runtime.worker import WorkerCore
 __all__ = ["AdaptiveSlicer", "worker_main"]
 
 _BACKOFF_CAP = 8.0  # max multiplier over reply_timeout per attempt
+_SMOOTHING = 0.5  # weight of the newest slice in the throughput EMA
+_MAX_GROWTH = 2.0  # the most one step grows or shrinks a slice budget
 
 
 class AdaptiveSlicer:
@@ -63,7 +65,7 @@ class AdaptiveSlicer:
     The controller keeps an exponential moving average of the worker's
     observed throughput and proposes ``rate × target_period`` nodes for
     the next slice, clamped to ``[min_nodes, max_nodes]`` and never
-    changing by more than ``max_growth``× per step (so one noisy slice
+    changing by more than ``_MAX_GROWTH``× per step (so one noisy slice
     — a pruning burst, a page fault — cannot swing the cadence).  With
     ``target_period=None`` the slicer degrades to exactly the fixed
     ``initial_nodes`` count (the clamp range only constrains adaptive
@@ -76,22 +78,14 @@ class AdaptiveSlicer:
         target_period: Optional[float] = None,
         min_nodes: int = 64,
         max_nodes: int = 1 << 20,
-        smoothing: float = 0.5,
-        max_growth: float = 2.0,
     ):
         if initial_nodes < 1:
             raise ValueError("initial_nodes must be >= 1")
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
-        if max_growth <= 1.0:
-            raise ValueError("max_growth must be > 1")
         if min_nodes < 1 or max_nodes < min_nodes:
             raise ValueError("need 1 <= min_nodes <= max_nodes")
         self.target_period = target_period
         self.min_nodes = min_nodes
         self.max_nodes = max_nodes
-        self.smoothing = smoothing
-        self.max_growth = max_growth
         if target_period is None:
             # Fixed mode: honor the requested size exactly, even below
             # min_nodes — the clamps only bound adaptive steps.
@@ -117,11 +111,10 @@ class AdaptiveSlicer:
         if self._rate is None:
             self._rate = rate
         else:
-            s = self.smoothing
-            self._rate = s * rate + (1.0 - s) * self._rate
+            self._rate = _SMOOTHING * rate + (1.0 - _SMOOTHING) * self._rate
         ideal = self._rate * self.target_period
-        lo = self._nodes / self.max_growth
-        hi = self._nodes * self.max_growth
+        lo = self._nodes / _MAX_GROWTH
+        hi = self._nodes * _MAX_GROWTH
         self._nodes = int(
             min(self.max_nodes, max(self.min_nodes, min(hi, max(lo, ideal))))
         )

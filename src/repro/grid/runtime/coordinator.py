@@ -12,6 +12,7 @@ every message reaching ``handle`` is new.  The state is an
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.checkpoint import CheckpointStore
@@ -30,7 +31,20 @@ from repro.grid.runtime.protocol import (
     Update,
 )
 
-__all__ = ["Coordinator"]
+__all__ = ["Coordinator", "check_power"]
+
+
+def check_power(msg: Request) -> None:
+    """Refuse a Request whose power the split arithmetic cannot use
+    (the wire checks no field's type)."""
+    power = msg.power
+    if not (
+        isinstance(power, (int, float))
+        and 0.0 <= power <= sys.float_info.max  # NaN fails both
+    ):
+        raise RuntimeProtocolError(
+            f"{msg.worker}: power must be finite and >= 0, got {power!r}"
+        )
 
 
 class Coordinator:
@@ -141,6 +155,7 @@ class Coordinator:
         return reply
 
     def _on_request(self, msg: Request) -> Union[GrantWork, Terminate]:
+        check_power(msg)
         self._powers[msg.worker] = msg.power
         self._outlasted_slice.discard(msg.worker)
         if self.intervals.is_empty():

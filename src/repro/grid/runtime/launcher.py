@@ -144,8 +144,9 @@ def _forked_worker(
 ) -> None:
     """A forked worker process: build its own connection, run the loop.
 
-    Built here, in the child: a socket and its heartbeat thread do not
-    survive ``fork``.  The connection dials on its first send.
+    Built here, in the child: a socket does not survive ``fork``.  The
+    connection dials on its first send, and its heartbeats ride the
+    loop's own calls (the engine's mid-slice polls among them).
     """
     from repro.grid.net.tcp import TcpClientConnection
 

@@ -39,7 +39,7 @@ from repro.core.interval import Interval
 from repro.core.problem import seed_incumbent
 from repro.core.stats import Incumbent
 from repro.exceptions import RuntimeProtocolError
-from repro.grid.runtime.coordinator import Coordinator
+from repro.grid.runtime.coordinator import Coordinator, check_power
 from repro.grid.runtime.protocol import (
     Ack,
     Bye,
@@ -342,6 +342,7 @@ class ServiceCore:
 
     # -- workers -------------------------------------------------------
     def _on_request(self, msg: Request) -> Any:
+        check_power(msg)  # before it can park: the flush would grant it
         cached, reply = self._dedup(msg.worker, msg.seq)
         if cached:
             return reply

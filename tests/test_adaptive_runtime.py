@@ -71,7 +71,7 @@ class TestAdaptiveSlicer:
     )
     @settings(max_examples=80, deadline=None)
     def test_growth_cap_and_clamps_always_hold(self, observations):
-        """No single observation moves the budget more than max_growth×."""
+        """No single observation moves the budget more than 2× (_MAX_GROWTH)."""
         slicer = AdaptiveSlicer(
             200, target_period=0.25, min_nodes=64, max_nodes=4096
         )

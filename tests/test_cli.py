@@ -34,6 +34,20 @@ class TestParser:
         expected = "invalid int" if value == "many" else "positive integer"
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ("-1", "nan", "inf", "fast"))
+    def test_worker_power_must_be_finite_and_non_negative(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["grid", "worker", "--connect", "h:1", "--power", value]
+            )
+        assert exc.value.code == 2
+        expected = "invalid float" if value == "fast" else "finite number >= 0"
+        assert expected in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["grid", "worker", "--connect", "h:1", "--power", "0"]
+        )
+        assert args.power == 0.0
+
 
 class TestSolveCommand:
     def test_sequential_solve(self, capsys):

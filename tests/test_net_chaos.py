@@ -157,11 +157,41 @@ class TestSocketChaos:
             )
             try:
                 pump_while(listener, lambda: idle.open(timeout=5.0))
-                # several peer_timeouts of silence
-                pump(listener, lambda: False, timeout=1.5)
+
+                def poll_like_the_engine():
+                    # several peer_timeouts with no protocol traffic,
+                    # only the engine's mid-slice polls
+                    deadline = time.monotonic() + 1.5
+                    while time.monotonic() < deadline:
+                        assert idle.poll() is None
+                        time.sleep(0.05)
+
+                pump_while(listener, poll_like_the_engine)
                 assert listener.connected_workers() == ["idle"]
             finally:
                 idle.close()
+        finally:
+            listener.close()
+
+    def test_a_client_that_makes_no_call_sends_no_heartbeat(self):
+        """Heartbeats ride the owner's calls: with no thread behind
+        them, a connected client that is never called is reaped."""
+        listener = TcpListener(peer_timeout=0.4)
+        try:
+            quiet = TcpClientConnection(
+                *listener.address, "quiet", heartbeat_interval=0.1
+            )
+            try:
+                pump_while(listener, lambda: quiet.open(timeout=5.0))
+                assert listener.connected_workers() == ["quiet"]
+                pump(
+                    listener,
+                    lambda: not listener.connected_workers(),
+                    timeout=3.0,
+                )
+                assert listener.connected_workers() == []
+            finally:
+                quiet.close()
         finally:
             listener.close()
 

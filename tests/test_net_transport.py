@@ -217,6 +217,31 @@ class TestTcpTransport:
             listener.close()
         assert threading.active_count() == threads
 
+    def test_the_client_starts_no_thread(self):
+        """Heartbeats ride the client's own calls: a worker process is
+        one thread, the B&B loop that owns its connection."""
+        listener = TcpListener(peer_timeout=5.0)
+        threads = threading.active_count()
+        conn = TcpClientConnection(
+            *listener.address, "w0", heartbeat_interval=0.05
+        )
+        try:
+            assert threading.active_count() == threads
+            pump_while(listener, lambda: conn.open(timeout=5.0))
+            assert threading.active_count() == threads  # the pool joined
+            time.sleep(0.1)  # a heartbeat is due: poll sends it
+            assert conn.poll() is None
+            conn.send(Request("w0", seq=1))
+            assert listener.recv(timeout=5.0) == Request("w0", seq=1)
+            listener.send("w0", Ack(5.0, seq=1))
+            assert conn.recv(timeout=5.0) == Ack(5.0, seq=1)
+            assert threading.active_count() == threads
+        finally:
+            conn.close()
+            listener.close()
+        assert threading.active_count() == threads
+        assert conn.connects == 1
+
     def test_unknown_worker_send_is_dropped(self):
         """Best effort: a reply to nobody is dropped, not raised."""
         listener = TcpListener()
@@ -473,7 +498,6 @@ class TestOneJobService:
                     update_period=0.05,
                     reply_timeout=2.0,
                     max_retries=4,
-                    heartbeat_interval=0.5,
                 ),
                 daemon=True,
             )

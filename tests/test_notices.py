@@ -139,7 +139,7 @@ def test_tcp_poll_reads_the_socket_without_blocking():
         pump_while(listener, lambda: conn.open(timeout=5.0))
         started = time.monotonic()
         assert conn.poll() is None
-        assert time.monotonic() - started < 0.2  # io_timeout is 0.25 s
+        assert time.monotonic() - started < 0.2  # the socket's own timeout is 0.25 s
         listener.send("w0", Notice(7.0, False, job="j"))
         listener.send("w0", Ack(1.0, seq=1))
         got = []
@@ -414,7 +414,7 @@ def test_service_job_with_two_holders_gets_job_tagged_notices(tmp_path):
         try:
             run_worker(
                 host, port, worker_id,
-                update_nodes=100, update_period=None, heartbeat_interval=None,
+                update_nodes=100, update_period=None,
             )
         except TransportError:
             pass  # the service drained and left before this one got in

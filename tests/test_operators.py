@@ -1,13 +1,14 @@
-"""Tests for the partitioning and selection policy functions (§4.2)."""
+"""Tests for the partitioning policy functions (§4.2).
+
+Selection is :meth:`IntervalSet.assign`'s, tested in test_interval_set.
+"""
+
+import math
 
 import pytest
 
 from repro.core import Interval
-from repro.core.operators import (
-    partition_point,
-    requester_share_length,
-    select_for_request,
-)
+from repro.core.operators import partition_point, requester_share_length
 
 
 class TestPartitionPoint:
@@ -31,6 +32,18 @@ class TestPartitionPoint:
         c = partition_point(Interval(0, huge), 1, 3)
         assert c == huge // 4
 
+    def test_float_powers_split_exactly_past_float_precision(self):
+        # 50! has 65 significant bits: a float product would round.
+        big = math.factorial(50)
+        assert partition_point(Interval(0, big), 1.0, 1.0) == big // 2
+        assert partition_point(Interval(0, big), 0.5, 1.5) == big // 4
+
+    def test_a_zero_power_requester_leaves_the_holder_everything(self):
+        # The float path computed C past B on a 2**60 interval.
+        iv = Interval(0, 2**60 - 1)
+        assert partition_point(iv, 1.0, 0.0) == iv.end
+        assert requester_share_length(iv, 1.0, 0.0) == 0
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             partition_point(Interval(0, 10), -1.0, 1.0)
@@ -51,21 +64,3 @@ class TestRequesterShare:
         iv = Interval(7, 107)
         c = partition_point(iv, 2.0, 3.0)
         assert (c - iv.begin) + requester_share_length(iv, 2.0, 3.0) == iv.length
-
-
-class TestSelection:
-    def test_picks_largest_share_not_largest_interval(self):
-        # The paper: "The selection operator does not choose the
-        # greatest interval ... but the one which produces the greatest
-        # possible interval [C, B)."
-        candidates = [
-            ("big-held", Interval(0, 1000), 99.0),  # share = 10
-            ("small-orphan", Interval(5000, 5200), 0.0),  # share = 200
-        ]
-        assert select_for_request(candidates, 1.0) == "small-orphan"
-
-    def test_empty_candidates(self):
-        assert select_for_request([], 1.0) is None
-
-    def test_single_candidate(self):
-        assert select_for_request([("only", Interval(0, 10), 1.0)], 1.0) == "only"

@@ -81,7 +81,6 @@ def start_workers(host, port, count, prefix, outcomes):
                 update_period=0.05,
                 reply_timeout=2.0,
                 max_retries=3,
-                heartbeat_interval=0.5,
                 max_reconnect_attempts=4,
                 backoff_cap=0.2,
             )

@@ -507,6 +507,46 @@ def test_work_for_no_running_job_is_withdrawn_and_touches_no_ledger(job):
     assert report.protocol_errors == 0
 
 
+def huge_job_core():
+    """A core whose one job, a 20x5 flow shop over ``[0, 2**60 - 1)``,
+    ``w1`` holds after an Update that left work: a split candidate."""
+    core = ServiceCore(service_config())
+    core.admit(
+        flowshop_spec(random_instance(20, 5, seed=1)),
+        owner="alice",
+        root=(0, 2**60 - 1),
+        job_id="big",
+    )
+    (_, grant), = core.handle(Request("w1", seq=1), 0.0)
+    assert grant.interval == (0, 2**60 - 1)
+    (_, reply), = core.handle(
+        Update("w1", (10, 2**60 - 1), nodes=10, consumed=10, seq=2, job="big"),
+        0.5,
+    )
+    assert isinstance(reply, Reconciled) and reply.interval == (10, 2**60 - 1)
+    return core
+
+
+def test_a_zero_power_request_on_a_huge_interval_is_answered():
+    core = huge_job_core()
+    (to, reply), = core.handle(Request("w2", power=0.0, seq=1), 1.0)
+    assert to == "w2" and isinstance(reply, GrantWork)
+    assert core.protocol_errors == 0
+
+
+@pytest.mark.parametrize("power", [-1.0, math.nan, math.inf, 10**400, "1", None])
+def test_a_request_with_an_unusable_power_is_a_protocol_error(power):
+    core = huge_job_core()
+    assert core.handle(Request("w2", power=power, seq=1), 1.0) == []
+    assert core.protocol_errors == 1
+    # Refused before it could park: no later flush grants it.
+    idle = ServiceCore(service_config())
+    assert idle.handle(Request("w2", power=power, seq=1), 0.0) == []
+    idle.admit(wire_a(), owner="alice")
+    assert idle.tick(KEEPALIVE_SECONDS, {"w2"}) == []
+    assert idle.protocol_errors == 1
+
+
 def test_a_retried_update_counts_once_after_its_job_settled():
     service = SolveService(service_config())
     service.admit(wire_a(), owner="alice", job_id="job-x")
@@ -1011,7 +1051,6 @@ def start_workers(host, port, count, prefix="w"):
                 update_period=0.05,
                 reply_timeout=2.0,
                 max_retries=3,
-                heartbeat_interval=0.5,
                 max_reconnect_attempts=3,
                 backoff_cap=0.2,
             )
