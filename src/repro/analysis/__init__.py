@@ -10,11 +10,6 @@ Public surface::
 """
 
 from repro.analysis.compare import Comparison, ComparisonSet
-from repro.analysis.export import (
-    read_series_csv,
-    write_series_csv,
-    write_table2_csv,
-)
 from repro.analysis.records import (
     RECORD_RESOLUTIONS,
     RecordResolution,
@@ -28,7 +23,6 @@ __all__ = [
     "ComparisonSet",
     "RECORD_RESOLUTIONS",
     "RecordResolution",
-    "read_series_csv",
     "render_table",
     "render_table1",
     "render_table2",
@@ -36,6 +30,4 @@ __all__ = [
     "resample",
     "series_summary",
     "sparkline",
-    "write_series_csv",
-    "write_table2_csv",
 ]

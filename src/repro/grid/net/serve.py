@@ -50,7 +50,6 @@ def run_worker(
         host,
         port,
         worker_id,
-        power=power,
         peer_timeout=peer_timeout,
         max_reconnect_attempts=max_reconnect_attempts,
         reconnect_cap=backoff_cap,

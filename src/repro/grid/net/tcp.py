@@ -7,7 +7,10 @@ frames (:mod:`repro.grid.net.framing`), answers :class:`Hello` with
 :class:`Welcome` (or, at another wire version, closes the connection
 unregistered), swallows :class:`Heartbeat`, reaps peers silent past
 ``peer_timeout``, routes replies to the connection that last said Hello
-for that worker id, and drops a peer that stopped reading them.
+for that worker id, and drops a peer that stopped reading them.  A
+connection's identity is fixed by its Hello: a peer whose first frame
+is not a Hello, or whose later frame names another worker, is dropped,
+so no connection can speak (or spend seqs) for another.
 
 The worker side (:class:`TcpClientConnection`) is deliberately a plain
 blocking socket on the caller's thread — the B&B process is
@@ -59,10 +62,10 @@ from repro.grid.net.framing import (
     FrameError,
     Heartbeat,
     Hello,
-    MessageDecodeError,
     Welcome,
     decode_message,
     encode_frame,
+    read_welcome,
 )
 from repro.grid.net.transport import (
     Connection,
@@ -81,20 +84,6 @@ __all__ = [
 
 _RECV_CHUNK = 65536
 _IO_TIMEOUT = 0.25  # a client write stalled this long means a dead link
-
-
-def _read_welcome(payload: bytes) -> Welcome:
-    """The server's first frame, which must be a Welcome of this version."""
-    try:
-        message = decode_message(payload)
-    except MessageDecodeError as exc:
-        raise WireVersionError(f"undecodable handshake reply: {exc}") from exc
-    if not isinstance(message, Welcome) or message.version != WIRE_VERSION:
-        raise WireVersionError(
-            f"the server answered {message!r}; this worker speaks only "
-            f"a v{WIRE_VERSION} Welcome"
-        )
-    return message
 
 
 @dataclass(frozen=True)
@@ -203,17 +192,22 @@ class TcpListener(Listener):
             self._drop(peer)  # garbage, attack or undecodable: this conn only
             return
         for message in messages:
-            if isinstance(message, Hello):
-                if message.version != WIRE_VERSION:
-                    self._drop(peer)  # another wire version: never registered
+            if peer.worker is None:
+                if not isinstance(message, Hello) or message.version != WIRE_VERSION:
+                    self._drop(peer)  # no handshake, or another wire version
                     return
                 stale = self._writers.get(message.worker)
-                if stale is not None and stale is not peer:
+                if stale is not None:
                     self._drop(stale)  # a reconnect supersedes the old conn
                 peer.worker = message.worker
                 self._writers[message.worker] = peer
                 peer.out += encode_frame(Welcome(epoch=self._epoch))
                 self._write(peer)
+            elif isinstance(message, Hello) or (
+                getattr(message, "worker", peer.worker) != peer.worker
+            ):
+                self._drop(peer)  # the identity is its Hello's, for good
+                return
             elif not isinstance(message, Heartbeat):
                 self._inbox.append(message)
 
@@ -323,7 +317,6 @@ class TcpClientConnection(Connection):
         port: int,
         worker_id: str,
         *,
-        power: float = 1.0,
         connect_timeout: float = 10.0,
         reconnect_base: float = 0.05,
         reconnect_cap: float = 2.0,
@@ -335,7 +328,6 @@ class TcpClientConnection(Connection):
         self._host = host
         self._port = port
         self._worker = worker_id
-        self._power = power
         self._connect_timeout = connect_timeout
         self._reconnect_base = reconnect_base
         self._reconnect_cap = reconnect_cap
@@ -376,11 +368,7 @@ class TcpClientConnection(Connection):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(_IO_TIMEOUT)
             buf = FrameBuffer()
-            sock.sendall(
-                encode_frame(
-                    Hello(self._worker, self._power, epoch=self._last_epoch)
-                )
-            )
+            sock.sendall(encode_frame(Hello(self._worker)))
             deadline = time.monotonic() + self._connect_timeout
             welcome: Optional[Welcome] = None
             while welcome is None:
@@ -394,7 +382,7 @@ class TcpClientConnection(Connection):
                     raise OSError("connection closed during the handshake")
                 for payload in buf.feed(data):
                     if welcome is None:
-                        welcome = _read_welcome(payload)
+                        welcome = read_welcome(payload)
                         continue
                     message = decode_message(payload)
                     if not isinstance(message, Heartbeat):
@@ -496,7 +484,7 @@ class TcpClientConnection(Connection):
             self._sock is not None
             and time.monotonic() - self._last_tx >= self._heartbeat_interval
         ):
-            self._write(encode_frame(Heartbeat(self._worker)))
+            self._write(encode_frame(Heartbeat()))
 
     # ------------------------------------------------------------ interface
     def open(self, timeout: Optional[float] = None) -> None:

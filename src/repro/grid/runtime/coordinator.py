@@ -36,7 +36,8 @@ __all__ = ["Coordinator", "check_power"]
 
 def check_power(msg: Request) -> None:
     """Refuse a Request whose power the split arithmetic cannot use
-    (the wire checks no field's type)."""
+    (the wire checks its type, not its range; in-process callers
+    bypass the wire)."""
     power = msg.power
     if not (
         isinstance(power, (int, float))

@@ -7,16 +7,15 @@ Problems cross the process boundary as a *spec*, a JSON-able
 :data:`PROBLEMS` table, so workers rebuild their own problem object
 instead of receiving caches and NumPy views.
 
-Every message carries an explicit ``version`` field — the message's
-wire-format version, serialized by the network transports
-(:mod:`repro.grid.net.framing`).  Renaming or retyping a field within
-a version is forbidden; additions must bump it.  Decoders refuse
-versions from the future, so a mixed fleet fails loudly at the frame
-boundary instead of silently misreading fields.  The contract is
-machine-enforced: ``tests/test_net_framing.py`` diffs every registered
-dataclass against the golden schemas in
-``repro/tools/check/schemas/wire.json`` and fails when a field changes
-without a version bump; after bumping, refresh the golden with
+No message carries a version of its own: the wire has one,
+:data:`~repro.grid.net.framing.WIRE_VERSION`, which both ends check
+once per connection in the Hello / Welcome handshake, so no frame
+from a peer of another version is ever handled.  Adding, renaming,
+retyping or removing a field of any message therefore bumps
+``WIRE_VERSION``.  The contract is machine-enforced:
+``tests/test_net_framing.py`` diffs every registered dataclass against
+the golden ``repro/tools/check/schemas/wire.json`` and fails when a
+field changes without a bump; after bumping, refresh the golden with
 ``repro check --update-schemas``.
 
 :func:`flowshop_spec` and :func:`tsp_spec` build specs;
@@ -36,7 +35,6 @@ if TYPE_CHECKING:  # import-free at runtime: keep the wire module light
 from repro.core.problem import Problem
 
 __all__ = [
-    "PROTOCOL_VERSION",
     "PROBLEMS",
     "build_problem",
     "flowshop_spec",
@@ -60,9 +58,6 @@ __all__ = [
     "ListJobs",
     "JobList",
 ]
-
-#: Wire-format version stamped on every message.
-PROTOCOL_VERSION = 1
 
 
 def _build_flowshop(
@@ -158,7 +153,6 @@ class Request:
     worker: str
     power: float = 1.0
     seq: int = 0
-    version: int = PROTOCOL_VERSION
 
 
 @dataclass
@@ -169,7 +163,6 @@ class Update:
     consumed: int
     seq: int = 0
     job: str = ""
-    version: int = 3
 
 
 @dataclass
@@ -179,7 +172,6 @@ class Push:
     solution: Any
     seq: int = 0
     job: str = ""
-    version: int = 3
 
 
 @dataclass
@@ -199,7 +191,6 @@ class Bye:
     worker: str
     stats: Dict[str, float]
     seq: int = 0
-    version: int = PROTOCOL_VERSION
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +218,6 @@ class GrantWork:
     seq: int = 0
     job: str = ""
     spec: Optional[Dict[str, Any]] = None
-    version: int = 4
 
 
 @dataclass
@@ -235,21 +225,18 @@ class Reconciled:
     interval: Tuple[int, int]
     best_cost: float
     seq: int = 0
-    version: int = PROTOCOL_VERSION
 
 
 @dataclass
 class Ack:
     best_cost: float
     seq: int = 0
-    version: int = PROTOCOL_VERSION
 
 
 @dataclass
 class Terminate:
     best_cost: float
     seq: int = 0
-    version: int = PROTOCOL_VERSION
 
 
 @dataclass
@@ -277,7 +264,6 @@ class Notice:
     best_cost: float
     cut: bool
     job: str = ""
-    version: int = PROTOCOL_VERSION
 
 
 @dataclass
@@ -291,7 +277,6 @@ class Idle:
     """
 
     seq: int = 0
-    version: int = 3
 
 
 # ----------------------------------------------------------------------
@@ -313,14 +298,12 @@ class SubmitJob:
     priority: int = 1
     owner: str = "anonymous"
     seq: int = 0
-    version: int = 4
 
 
 @dataclass
 class JobAccepted:
     job: str
     seq: int = 0
-    version: int = PROTOCOL_VERSION
 
 
 @dataclass
@@ -329,7 +312,6 @@ class JobRefused:
 
     reason: str
     seq: int = 0
-    version: int = PROTOCOL_VERSION
 
 
 @dataclass
@@ -345,7 +327,6 @@ class JobStatusRequest:
     job: str
     wait: float = 0.0
     seq: int = 0
-    version: int = 2
 
 
 @dataclass
@@ -366,7 +347,6 @@ class JobStatus:
     nodes: int = 0
     error: str = ""
     seq: int = 0
-    version: int = PROTOCOL_VERSION
 
 
 @dataclass
@@ -374,7 +354,6 @@ class CancelJob:
     worker: str
     job: str
     seq: int = 0
-    version: int = PROTOCOL_VERSION
 
 
 @dataclass
@@ -382,7 +361,6 @@ class ListJobs:
     worker: str
     owner: str = ""
     seq: int = 0
-    version: int = PROTOCOL_VERSION
 
 
 @dataclass
@@ -391,4 +369,3 @@ class JobList:
 
     jobs: List[Dict[str, Any]] = field(default_factory=list)
     seq: int = 0
-    version: int = PROTOCOL_VERSION

@@ -28,6 +28,7 @@ from repro.grid.net.framing import (
     Welcome,
     decode_message,
     encode_frame,
+    read_welcome,
 )
 from repro.grid.net.transport import (
     TransportError,
@@ -82,7 +83,7 @@ class ServiceClient:
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._buffer = FrameBuffer()
-        self._inbound: List[Any] = []
+        self._inbound: List[bytes] = []  # frame payloads not yet read
         self._seq = 0
 
     async def __aenter__(self) -> "ServiceClient":
@@ -117,7 +118,7 @@ class ServiceClient:
     async def _read_welcome(self) -> Welcome:
         deadline = asyncio.get_running_loop().time() + self.timeout
         try:
-            message = await self._recv(deadline)
+            payload = await self._next_payload(deadline)
         except _Closed:
             raise _Closed(
                 "service closed the connection during the handshake; "
@@ -125,12 +126,7 @@ class ServiceClient:
             ) from None
         except FrameError as exc:
             raise WireVersionError(f"undecodable handshake reply: {exc}") from exc
-        if not isinstance(message, Welcome) or message.version != WIRE_VERSION:
-            raise WireVersionError(
-                f"the service answered {message!r}; this client speaks "
-                f"only a v{WIRE_VERSION} Welcome"
-            )
-        return message
+        return read_welcome(payload)
 
     async def close(self) -> None:
         if self._writer is not None:
@@ -149,12 +145,10 @@ class ServiceClient:
         self._writer.write(encode_frame(message))
         await self._writer.drain()
 
-    async def _recv(self, deadline: float) -> Any:
+    async def _next_payload(self, deadline: float) -> bytes:
         if self._reader is None:
             raise TransportError("client is not connected")
-        while True:
-            if self._inbound:
-                return self._inbound.pop(0)
+        while not self._inbound:
             remaining = deadline - asyncio.get_running_loop().time()
             if remaining <= 0:
                 raise TransportTimeout("no reply within the client timeout")
@@ -168,11 +162,14 @@ class ServiceClient:
                 ) from None
             if not data:
                 raise _Closed("service closed the connection")
-            for payload in self._buffer.feed(data):
-                message = decode_message(payload)
-                if isinstance(message, Heartbeat):
-                    continue
-                self._inbound.append(message)
+            self._inbound.extend(self._buffer.feed(data))
+        return self._inbound.pop(0)
+
+    async def _recv(self, deadline: float) -> Any:
+        while True:
+            message = decode_message(await self._next_payload(deadline))
+            if not isinstance(message, Heartbeat):
+                return message
 
     async def _rpc(self, message: Any) -> Any:
         """One sequenced round trip; replies matched by seq.

@@ -10,7 +10,7 @@ asyncio bodies, the strictly-typed core perimeter, durable and fsynced
 checkpoint writes, opaque job ids, the async service client's
 threading contract and handler exception safety.  ``docs/static-analysis.md``
 documents every rule with the bug that motivated it.  The wire
-contract (versioned messages, golden schemas) is a test on the live
+contract (one ``WIRE_VERSION``, golden schemas) is a test on the live
 codec, ``tests/test_net_framing.py``.
 """
 

@@ -72,7 +72,7 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
         "--update-schemas",
         action="store_true",
         help="rewrite the golden wire schemas from the live wire "
-        "dataclasses (after a version bump) and exit",
+        "dataclasses (after a WIRE_VERSION bump) and exit",
     )
 
 
@@ -112,12 +112,12 @@ def run_check(args: argparse.Namespace) -> int:
 
 
 def _update_wire_schemas() -> int:
-    """Rewrite the golden file's messages from the live codec."""
+    """Rewrite the golden file's version and messages from the live codec."""
     # Imported here so that a plain check stays stdlib-only.
     from repro.grid.net.framing import wire_schema
 
     golden = json.loads(WIRE_SCHEMA_PATH.read_text(encoding="utf-8"))
-    golden["messages"] = wire_schema()
+    golden.update(wire_schema())
     WIRE_SCHEMA_PATH.write_text(
         json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -6,10 +6,14 @@ large) integers, costs keep their exact floats including ``inf``,
 tuples come back as tuples.  Hypothesis drives one property per
 message type plus the streaming frame parser.
 
-The wire contract is pinned here too: every message is registered and
-versioned, and the live schema equals the golden
-``repro/tools/check/schemas/wire.json`` unless a version was bumped
-and the golden refreshed (``repro check --update-schemas``).
+Decoding is typed: a field whose JSON value its annotation refuses
+fails the frame, as hostile frames do.
+
+The wire contract is pinned here too: every message is registered,
+only the Hello / Welcome handshake carries a version (``WIRE_VERSION``,
+the wire's one), and the live schema equals the golden
+``repro/tools/check/schemas/wire.json`` unless ``WIRE_VERSION`` was
+bumped and the golden refreshed (``repro check --update-schemas``).
 """
 
 from __future__ import annotations
@@ -36,8 +40,10 @@ from repro.grid.net.framing import (
     decode_message,
     encode_frame,
     encode_message,
+    read_welcome,
     wire_schema,
 )
+from repro.grid.net.transport import WireVersionError
 from repro.grid.runtime import protocol
 from repro.grid.runtime.protocol import (
     Ack,
@@ -114,18 +120,9 @@ _MESSAGES = st.one_of(
     st.builds(Reconciled, interval=_interval, best_cost=_cost, seq=_seq),
     st.builds(Ack, best_cost=_cost, seq=_seq),
     st.builds(Terminate, best_cost=_cost, seq=_seq),
-    st.builds(
-        Hello,
-        worker=_worker,
-        power=_cost,
-        epoch=st.integers(min_value=0, max_value=9),
-    ),
-    st.builds(
-        Welcome,
-        best_cost=_cost,
-        epoch=st.integers(min_value=0, max_value=9),
-    ),
-    st.builds(Heartbeat, worker=_worker),
+    st.builds(Hello, worker=_worker),
+    st.builds(Welcome, epoch=st.integers(min_value=0, max_value=9)),
+    st.builds(Heartbeat),
 )
 
 
@@ -146,19 +143,15 @@ class TestRoundTrip:
         assert buf.pending_bytes() == 0
 
     def test_version_field_travels(self):
-        # Unchanged runtime messages are stamped with PROTOCOL_VERSION
-        # (still 1); the handshake messages carry WIRE_VERSION, bumped
-        # to 2 when the epoch field joined Hello/Welcome, to 3 when
-        # the job id joined GrantWork/Update/Push and to 4 when a spec
-        # came to name a problem of a closed table.
-        payload = encode_message(Request("w", seq=3))
-        assert b'"version":1' in payload
-        assert decode_message(payload).version == 1
-        hello = encode_message(Hello("w", epoch=4))
-        assert b'"version":%d' % WIRE_VERSION in hello
-        decoded = decode_message(hello)
-        assert decoded.version == WIRE_VERSION
-        assert decoded.epoch == 4
+        # Only the handshake carries the version, WIRE_VERSION, once per
+        # connection; no other frame spends bytes on one.
+        assert b"version" not in encode_message(Request("w", seq=3))
+        hello = encode_message(Hello("w"))
+        assert hello == b'{"t":"Hello","worker":"w","version":%d}' % WIRE_VERSION
+        assert decode_message(hello).version == WIRE_VERSION
+        welcome = decode_message(encode_message(Welcome(epoch=4)))
+        assert (welcome.epoch, welcome.version) == (4, WIRE_VERSION)
+        assert encode_message(Heartbeat()) == b'{"t":"Heartbeat"}'
 
     def test_interval_bignum_exact(self):
         import math
@@ -175,18 +168,21 @@ class TestRoundTrip:
 class TestDecodeErrors:
     def test_unknown_type_refused(self):
         with pytest.raises(MessageDecodeError):
-            decode_message(b'{"t":"Nonsense","version":1}')
+            decode_message(b'{"t":"Nonsense"}')
+        with pytest.raises(MessageDecodeError):
+            decode_message(b'{"t":["Ack"]}')  # not even a name
 
     def test_future_version_refused(self):
-        with pytest.raises(MessageDecodeError, match="future"):
-            decode_message(
-                b'{"t":"Ack","best_cost":1,"seq":0,"version":%d}'
-                % (WIRE_VERSION + 1)
-            )
+        # Refused once, at the handshake: the one Welcome check both
+        # clients call.  Frames after it carry no version to refuse.
+        future = encode_message(Welcome(version=WIRE_VERSION + 1))
+        with pytest.raises(WireVersionError, match="speaks only"):
+            read_welcome(future)
+        assert read_welcome(encode_message(Welcome(epoch=2))).epoch == 2
 
     def test_missing_required_field_refused(self):
         with pytest.raises(MessageDecodeError):
-            decode_message(b'{"t":"Update","worker":"w","version":1}')
+            decode_message(b'{"t":"Update","worker":"w"}')
 
     def test_garbage_refused(self):
         with pytest.raises(MessageDecodeError):
@@ -195,8 +191,8 @@ class TestDecodeErrors:
             decode_message(b"[1,2,3]")
 
     def test_unknown_extra_fields_ignored(self):
-        # Forward-compatible within a version: new optional fields from
-        # a same-version peer are skipped, not fatal.
+        # Fields this build does not know (here a pre-v5 peer's
+        # per-message version) are skipped, not fatal.
         msg = decode_message(
             b'{"t":"Ack","best_cost":2.5,"seq":9,"version":1,"novel":true}'
         )
@@ -205,6 +201,51 @@ class TestDecodeErrors:
     def test_non_wire_object_refused_at_encode(self):
         with pytest.raises(MessageDecodeError):
             encode_message(object())
+
+
+class TestTypedDecode:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"t":"Request","worker":"w","seq":"1"}',
+            b'{"t":"Update","worker":"w","interval":5,"nodes":1,"consumed":0}',
+            b'{"t":"Push","worker":"w","cost":"x","solution":null}',
+            b'{"t":"Ack","best_cost":1.0,"seq":true}',  # int is not bool
+            b'{"t":"Request","worker":"w","power":false}',  # nor is float
+            b'{"t":"Reconciled","interval":[1,2,3],"best_cost":0}',
+            b'{"t":"Reconciled","interval":[1,2.5],"best_cost":0}',
+            b'{"t":"Notice","best_cost":0,"cut":1}',
+            b'{"t":"Hello","worker":7}',
+            b'{"t":"Hello","worker":"w","version":"5"}',
+            b'{"t":"GrantWork","interval":[0,1],"best_cost":0,"spec":[]}',
+            b'{"t":"SubmitJob","worker":"w","spec":null}',
+            b'{"t":"Bye","worker":"w","stats":{"nodes":"many"}}',
+            b'{"t":"JobList","jobs":[1]}',
+        ],
+    )
+    def test_a_mistyped_field_fails_the_frame(self, payload):
+        with pytest.raises(MessageDecodeError):
+            decode_message(payload)
+
+    def test_each_type_takes_what_it_should(self):
+        # float takes an int; Optional takes None; Any takes anything.
+        assert decode_message(b'{"t":"Ack","best_cost":3}') == Ack(3)
+        grant = decode_message(
+            b'{"t":"GrantWork","interval":[0,1],"best_cost":0,"spec":null}'
+        )
+        assert grant == GrantWork((0, 1), 0)
+        push = decode_message(
+            b'{"t":"Push","worker":"w","cost":1.5,"solution":{"a":1}}'
+        )
+        assert push.solution == {"a": 1}
+
+    def test_every_field_annotation_has_a_check(self):
+        annotations = {
+            annotation
+            for fields in wire_schema()["messages"].values()
+            for annotation in fields.values()
+        }
+        assert annotations == set(framing._TYPE_CHECKS)
 
 
 class TestFrameBuffer:
@@ -265,43 +306,45 @@ def _field_drift(now, then):
 
 def schema_drift(live, golden):
     """Each way the ``live`` schema departs from the ``golden`` one."""
+    bumped = live["version"] != golden["version"]
     found = [
         f"{name} left _WIRE_TYPES but is still in the golden: deployed "
         "peers may still speak it"
-        for name in sorted(set(golden) - set(live))
+        for name in sorted(set(golden["messages"]) - set(live["messages"]))
     ]
-    for name in sorted(live):
-        now, then = live[name], golden.get(name)
+    for name, now in sorted(live["messages"].items()):
+        then = golden["messages"].get(name)
         if then is None:
             found.append(f"new message {name} is not in the golden")
-        elif now["fields"] != then["fields"]:
-            drift = _field_drift(now["fields"], then["fields"])
-            if now["version"] == then["version"]:
+        elif now != then:
+            drift = _field_drift(now, then)
+            if bumped:
                 found.append(
-                    f"{name} changed ({drift}) without a version bump "
-                    f"(still {then['version']}): old decoders would "
-                    "mis-read the new shape"
+                    f"{name} changed ({drift}) with a bump to "
+                    f"v{live['version']}: the golden is stale"
                 )
             else:
                 found.append(
-                    f"{name} changed ({drift}) with a bump to "
-                    f"{now['version']}: the golden is stale"
+                    f"{name} changed ({drift}) without a WIRE_VERSION bump "
+                    f"(still v{golden['version']}): peers of that version "
+                    "would mis-read the new shape"
                 )
-        elif now["version"] != then["version"]:
-            found.append(
-                f"{name} is version {now['version']} but the golden "
-                f"records {then['version']}: the golden is stale"
-            )
+    if bumped and not found:
+        found.append(
+            f"WIRE_VERSION is {live['version']} but the golden records "
+            f"{golden['version']}: the golden is stale"
+        )
     return found
 
 
 class TestWireContract:
     def test_every_wire_dataclass_is_registered_and_versioned(self):
         # A dataclass is a wire message when the codec knows it or when
-        # it carries the protocol's seq; plain values are neither.
+        # it carries the protocol's seq; plain values are neither.  Its
+        # version is the connection's: only the handshake carries one.
         checked = 0
         for cls in _message_module_dataclasses():
-            fields = {f.name for f in dataclasses.fields(cls)}
+            fields = {f.name: f for f in dataclasses.fields(cls)}
             registered = framing._WIRE_TYPES.get(cls.__name__) is cls
             if not registered and "seq" not in fields:
                 continue
@@ -310,20 +353,22 @@ class TestWireContract:
                 f"{cls.__name__} carries seq but is not in _WIRE_TYPES: "
                 "it cannot travel over TCP"
             )
-            assert "version" in fields, (
-                f"{cls.__name__} has no version field: decoders cannot "
-                "refuse its frames from the future"
-            )
+            if cls in (Hello, Welcome):
+                assert fields["version"].default == WIRE_VERSION
+            else:
+                assert "version" not in fields, (
+                    f"{cls.__name__} carries a version of its own: the "
+                    "wire has one, WIRE_VERSION, checked at the handshake"
+                )
         assert checked == len(framing._WIRE_TYPES)
 
     def test_live_schema_matches_the_golden(self):
         golden = json.loads(WIRE_SCHEMA_PATH.read_text(encoding="utf-8"))
-        drift = schema_drift(wire_schema(), golden["messages"])
+        drift = schema_drift(wire_schema(), golden)
         assert not drift, "\n".join(
             drift
             + [
-                "bump the changed message's version (WIRE_VERSION for "
-                "Hello/Welcome/Heartbeat), then refresh the golden: "
+                "bump WIRE_VERSION, then refresh the golden: "
                 "repro check --update-schemas"
             ]
         )
@@ -332,37 +377,35 @@ class TestWireContract:
         "edit, expected",
         [
             (
-                lambda s: s["Ack"]["fields"].update(retries="int"),
-                "Ack changed (added: retries) without a version bump",
+                lambda s: s["messages"]["Ack"].update(retries="int"),
+                "Ack changed (added: retries) without a WIRE_VERSION bump",
             ),
             (
-                lambda s: s["Ack"]["fields"].update(seq="float"),
-                "Ack changed (retyped: seq) without a version bump",
+                lambda s: s["messages"]["Ack"].update(seq="float"),
+                "Ack changed (retyped: seq) without a WIRE_VERSION bump",
             ),
             (
-                lambda s: s["Ack"]["fields"].pop("best_cost"),
-                "Ack changed (removed: best_cost) without a version bump",
+                lambda s: s["messages"]["Ack"].pop("best_cost"),
+                "Ack changed (removed: best_cost) without a WIRE_VERSION bump",
             ),
             (
                 lambda s: (
-                    s["Ack"]["fields"].update(retries="int"),
-                    s["Ack"].update(version=2),
+                    s["messages"]["Ack"].update(retries="int"),
+                    s.update(version=6),
                 ),
-                "Ack changed (added: retries) with a bump to 2: the "
+                "Ack changed (added: retries) with a bump to v6: the "
                 "golden is stale",
             ),
             (
-                lambda s: s["Ack"].update(version=2),
-                "Ack is version 2 but the golden records 1",
+                lambda s: s.update(version=6),
+                "WIRE_VERSION is 6 but the golden records 5",
             ),
             (
-                lambda s: s.update(
-                    Cancel={"version": 1, "fields": {"seq": "int"}}
-                ),
+                lambda s: s["messages"].update(Cancel={"seq": "int"}),
                 "new message Cancel is not in the golden",
             ),
             (
-                lambda s: s.pop("Ack"),
+                lambda s: s["messages"].pop("Ack"),
                 "Ack left _WIRE_TYPES but is still in the golden",
             ),
         ],
@@ -373,10 +416,8 @@ class TestWireContract:
     )
     def test_drift_is_reported(self, edit, expected):
         golden = {
-            "Ack": {
-                "version": 1,
-                "fields": {"best_cost": "float", "seq": "int", "version": "int"},
-            }
+            "version": 5,
+            "messages": {"Ack": {"best_cost": "float", "seq": "int"}},
         }
         live = copy.deepcopy(golden)
         edit(live)

@@ -365,6 +365,26 @@ class TestTcpTransport:
         finally:
             listener.close()
 
+    def test_a_frame_before_the_hello_is_closed_unregistered(self):
+        listener = TcpListener(peer_timeout=5.0)
+        try:
+            with socket.create_connection(listener.address, timeout=5.0) as sock:
+                sock.sendall(
+                    encode_frame(Request("w0", seq=1)) + encode_frame(Hello("w0"))
+                )
+
+                def closed_unanswered():
+                    try:
+                        assert sock.recv(4096) == b""  # no Welcome: closed
+                    except ConnectionResetError:
+                        pass
+
+                _, delivered = pump_while(listener, closed_unanswered)
+                assert delivered == []
+            assert listener.connected_workers() == []
+        finally:
+            listener.close()
+
     @pytest.mark.parametrize(
         "reply",
         [

@@ -16,6 +16,7 @@ import asyncio
 import gc
 import math
 import os
+import socket
 import threading
 import time
 import weakref
@@ -25,8 +26,15 @@ import pytest
 from repro.core import Incumbent, Interval, IntervalExplorer, solve
 from repro.core.checkpoint import MultiJobStore
 from repro.exceptions import CheckpointError
-from repro.grid.net.framing import WIRE_VERSION, Welcome, decode_message, encode_frame
+from repro.grid.net.framing import (
+    WIRE_VERSION,
+    Hello,
+    Welcome,
+    decode_message,
+    encode_frame,
+)
 from repro.grid.net.serve import run_worker
+from repro.grid.net.tcp import TcpClientConnection
 from repro.grid.net.transport import TransportError, TransportTimeout, WireVersionError
 from repro.grid.runtime import flowshop_spec
 from repro.grid.runtime.worker import _JOB_CACHE_SIZE, WorkerCore
@@ -307,10 +315,8 @@ def test_service_messages_round_trip_the_frame_codec(message):
 
 
 def test_status_request_from_a_pre_wait_client_decodes_as_non_blocking():
-    old = b'{"t":"JobStatusRequest","version":1,"worker":"c","job":"j","seq":3}'
-    assert decode_message(old) == JobStatusRequest(
-        "c", "j", wait=0.0, seq=3, version=1
-    )
+    old = b'{"t":"JobStatusRequest","worker":"c","job":"j","seq":3}'
+    assert decode_message(old) == JobStatusRequest("c", "j", wait=0.0, seq=3)
 
 
 def test_job_grant_intervals_survive_as_exact_int_tuples():
@@ -1269,7 +1275,7 @@ def test_an_idle_tenant_reaped_by_the_service_redials_and_submits_once():
     "reply, error, match",
     [
         (encode_frame(Welcome(version=WIRE_VERSION - 1)), WireVersionError, "speaks only"),
-        (encode_frame(Welcome(version=WIRE_VERSION + 1)), WireVersionError, "from the future"),
+        (encode_frame(Welcome(version=WIRE_VERSION + 1)), WireVersionError, "speaks only"),
         (b"", TransportError, "another wire version"),
     ],
     ids=["older-welcome", "newer-welcome", "closed-on-hello"],
@@ -1445,3 +1451,59 @@ def test_abort_then_resume_completes_both_jobs(tmp_path):
     # Workers either got told Terminate or arrived after the drain;
     # neither may be a hang or a protocol error.
     assert set(worker_outcomes.values()) <= {"terminate", "unreachable"}
+
+
+def closed_by_peer(sock, timeout=5.0):
+    """Read ``sock`` until the other end closes it; False if it stays open."""
+    sock.settimeout(timeout)
+    try:
+        while sock.recv(4096):
+            pass
+    except ConnectionResetError:
+        pass
+    except socket.timeout:
+        return False
+    return True
+
+
+def test_a_mistyped_frame_drops_its_connection_not_the_service():
+    service = SolveService(service_config())
+    host, port = service.address
+    thread, _ = start_service(service)
+    try:
+        with socket.create_connection((host, port), timeout=5.0) as rogue:
+            payload = b'{"t":"Request","worker":"rogue","seq":"1"}'
+            rogue.sendall(
+                encode_frame(Hello("rogue"))
+                + len(payload).to_bytes(4, "big") + payload
+            )
+            assert closed_by_peer(rogue)
+        assert SyncServiceClient(host, port, timeout=10.0).list_jobs() == []
+        assert thread.is_alive()
+    finally:
+        service.shutdown()
+        thread.join(timeout=30)
+
+
+def test_a_connection_cannot_speak_for_another_worker():
+    # A frame that names another worker than its connection's Hello
+    # would spend that worker's seqs: its real RPCs would read as retries.
+    service = SolveService(service_config())
+    host, port = service.address
+    thread, _ = start_service(service)
+    a = TcpClientConnection(host, port, "a", heartbeat_interval=None)
+    try:
+        a.open(timeout=5.0)
+        with socket.create_connection((host, port), timeout=5.0) as b:
+            b.sendall(
+                encode_frame(Hello("b")) + encode_frame(Request("a", seq=10**6))
+            )
+            assert closed_by_peer(b)
+        a.send(Request("a", seq=1))
+        reply = a.recv(timeout=KEEPALIVE_SECONDS + 5.0)  # parked, then Idle
+        assert (type(reply), reply.seq) == (Idle, 1)
+        assert service.duplicates_ignored == 0
+    finally:
+        a.close()
+        service.shutdown()
+        thread.join(timeout=30)
