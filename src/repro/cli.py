@@ -31,6 +31,8 @@ import math
 import sys
 from typing import List, Optional
 
+from repro.exceptions import CheckpointError
+
 __all__ = ["main", "build_parser"]
 
 
@@ -496,7 +498,7 @@ def _cmd_grid_serve(args) -> int:
                     f"({record.status}): continue it with --resume, or "
                     f"start in an empty directory"
                 )
-            if (record.spec_wire, record.root) != (wire, root):
+            if not record.solves(wire, root):
                 raise RuntimeProtocolError(
                     f"--resume: job {record.job_id} in {checkpoint_dir} "
                     f"solves another problem or slice than this command line"
@@ -817,7 +819,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "taillard": _cmd_taillard,
         "check": _cmd_check,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except CheckpointError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

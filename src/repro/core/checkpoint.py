@@ -1,10 +1,10 @@
-"""Two-file checkpointing of ``INTERVALS`` and ``SOLUTION`` (§4.1).
+"""Checkpointing of ``INTERVALS`` and ``SOLUTION`` (§4.1).
 
 "The coordinator manages a possible failure of the farmer by
 periodically saving, in two files, the contents of INTERVALS and
-SOLUTION."  This module is that persistence layer: JSON payloads
-written atomically (temp file + rename) so a crash mid-write never
-corrupts the previous checkpoint.
+SOLUTION."  :class:`CheckpointStore` is that persistence layer for one
+solve: JSON payloads written atomically (temp file + rename) so a crash
+mid-write never corrupts the previous checkpoint.
 
 Node numbers can exceed 2**53 (``50!`` for Ta056), so intervals are
 serialised as decimal strings — Python's ``json`` would emit big ints
@@ -12,12 +12,17 @@ fine, but many readers would round-trip them through doubles.
 
 Between full snapshots the store keeps an append-only *journal* of
 reconciliation events (explored ranges, incumbent pushes).  Each record
-is one line, ``<crc32-hex> <canonical-json>``, stamped with the
-generation of the snapshot it follows.  Replay truncates a torn tail
-(a crash mid-append) at the last valid record and ignores records
-stamped for a different generation (a crash between the snapshot write
-and the journal rotation).  The journal shrinks the recovery window
-from ``checkpoint_period`` to the last reconciled update.
+is one line, ``<crc32-hex> <json>``, stamped with the generation of the
+snapshot it follows.  Replay truncates a torn tail (a crash mid-append)
+at the last valid record and ignores records stamped for a different
+generation (a crash between the snapshot write and the journal
+rotation).  The journal shrinks the recovery window from
+``checkpoint_period`` to the last reconciled update.
+
+The solve service keeps every job in one such CRC-framed log instead,
+:class:`MultiJobStore`: each job's meta, snapshots and reconciliations
+are appended to ``service.log``, so no job creates, renames or unlinks
+a file of its own.
 """
 
 from __future__ import annotations
@@ -28,7 +33,19 @@ import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, IO, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    IO,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    TypeVar,
+)
 
 from repro.core.interval import Interval
 from repro.core.interval_set import IntervalSet
@@ -38,12 +55,15 @@ from repro.exceptions import CheckpointError
 __all__ = [
     "CheckpointJournal",
     "CheckpointStore",
+    "JobCheckpoint",
     "JournalRecord",
     "MultiJobStore",
     "RecoveredState",
 ]
 
 _FORMAT_VERSION = 1
+
+T = TypeVar("T")
 
 
 def _payload_crc(payload: Any) -> str:
@@ -108,14 +128,19 @@ class JournalRecord:
     cost: Optional[float] = None
     solution: Optional[Any] = None
 
-    def to_json(self) -> str:
-        doc: Dict[str, Any] = {"gen": self.generation, "kind": self.kind}
+    def to_doc(self, **extra: Any) -> Dict[str, Any]:
+        """The record as a JSON object (``gen`` aside), with ``extra``."""
+        doc: Dict[str, Any] = dict(extra, kind=self.kind)
         if self.interval is not None:
             doc["interval"] = [str(self.interval[0]), str(self.interval[1])]
         if self.cost is not None:
             doc["cost"] = self.cost
         if self.solution is not None:
             doc["solution"] = _jsonable_solution(self.solution)
+        return doc
+
+    def to_json(self) -> str:
+        doc = self.to_doc(gen=self.generation)
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
@@ -124,9 +149,16 @@ class JournalRecord:
         if not isinstance(doc, dict):
             raise ValueError(f"journal record is not an object: {text!r}")
         generation = doc["gen"]
-        kind = doc["kind"]
-        if not isinstance(generation, int) or kind not in ("explored", "push"):
+        if not isinstance(generation, int):
             raise ValueError(f"malformed journal record: {text!r}")
+        return cls.from_doc(generation, doc)
+
+    @classmethod
+    def from_doc(cls, generation: int, doc: Dict[str, Any]) -> "JournalRecord":
+        """The record a decoded JSON object holds (``gen`` aside)."""
+        kind = doc["kind"]
+        if kind not in ("explored", "push"):
+            raise ValueError(f"malformed journal record: {doc!r}")
         interval: Optional[Tuple[int, int]] = None
         if "interval" in doc:
             begin, end = doc["interval"]
@@ -135,6 +167,68 @@ class JournalRecord:
         if isinstance(solution, list):
             solution = tuple(solution)
         return cls(generation, kind, interval, doc.get("cost"), solution)
+
+
+def _frame(body: bytes) -> bytes:
+    """One record of a CRC-framed log: ``<crc32-hex> <body>\\n``."""
+    return format(zlib.crc32(body), "08x").encode("ascii") + b" " + body + b"\n"
+
+
+def _unframe(line: bytes, parse: Callable[[bytes], T]) -> Optional[T]:
+    """``parse(body)`` of one framed line; ``None`` when the line is
+    incomplete, fails its CRC or does not parse."""
+    if not line.endswith(b"\n") or line[8:9] != b" ":
+        return None
+    body = line[9:-1]
+    if format(zlib.crc32(body), "08x").encode("ascii") != line[:8]:
+        return None
+    try:
+        return parse(body)
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+        return None
+
+
+def _scan(path: Path, parse: Callable[[bytes], T]) -> Iterator[Tuple[int, T]]:
+    """Yield ``(offset, record)`` for the valid prefix of a framed log.
+
+    The first line that is incomplete, fails its CRC or does not parse
+    starts the torn tail of a crash mid-append: once the scan is
+    exhausted the file is truncated there, durably, so later appends
+    cannot interleave with garbage.  A valid record *after* a bad one is
+    no torn append but damage to acknowledged records, and raises
+    :class:`CheckpointError` rather than dropping what follows.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    torn: Optional[int] = None
+    offset = 0
+    with fh:
+        for line in fh:
+            record = _unframe(line, parse)
+            if record is None:
+                if torn is None:
+                    torn = offset
+            elif torn is not None:
+                raise CheckpointError(
+                    f"checksum mismatch in {path}: the record at byte {torn} "
+                    f"is damaged and valid records follow it"
+                )
+            else:
+                yield offset, record
+            offset += len(line)
+    if torn is not None:
+        # Durable truncation: if the torn tail came back after a crash,
+        # the next append would interleave live records with garbage.
+        with open(path, "r+b") as out:
+            out.truncate(torn)
+            out.flush()
+            os.fsync(out.fileno())
+
+
+def _parse_journal_record(body: bytes) -> "JournalRecord":
+    return JournalRecord.from_json(body.decode("utf-8"))
 
 
 class CheckpointJournal:
@@ -150,8 +244,7 @@ class CheckpointJournal:
         self._fh: Optional[IO[bytes]] = None
 
     def append(self, record: JournalRecord) -> None:
-        body = record.to_json().encode("utf-8")
-        line = format(zlib.crc32(body), "08x").encode("ascii") + b" " + body + b"\n"
+        line = _frame(record.to_json().encode("utf-8"))
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "ab")
@@ -179,49 +272,15 @@ class CheckpointJournal:
     def replay(self, generation: int) -> List[JournalRecord]:
         """Parse records stamped ``generation``; truncate any torn tail.
 
-        Scans the valid prefix of the file: a line that is incomplete,
-        fails its CRC, or does not parse marks the torn tail — the file
-        is truncated there so later appends cannot interleave with
-        garbage.  Valid records stamped for another generation are
-        skipped (they predate the snapshot being recovered) but do not
-        stop the scan.
+        Valid records stamped for another generation are skipped (they
+        predate the snapshot being recovered) but do not stop the scan.
         """
-        try:
-            raw = self.path.read_bytes()
-        except FileNotFoundError:
-            return []
-        records: List[JournalRecord] = []
-        pos = 0
-        valid = 0
-        while pos < len(raw):
-            newline = raw.find(b"\n", pos)
-            if newline == -1:
-                break  # incomplete final line: torn append
-            line = raw[pos:newline]
-            space = line.find(b" ")
-            if space != 8:
-                break
-            body = line[9:]
-            if format(zlib.crc32(body), "08x").encode("ascii") != line[:8]:
-                break
-            try:
-                record = JournalRecord.from_json(body.decode("utf-8"))
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                break
-            pos = newline + 1
-            valid = pos
-            if record.generation == generation:
-                records.append(record)
-        if valid < len(raw):
-            self.close()
-            # Durable truncation: if the torn tail came back after a
-            # crash, the next append would interleave live records
-            # with garbage and the CRC scan would stop at the seam.
-            with open(self.path, "r+b") as fh:
-                fh.truncate(valid)
-                fh.flush()
-                os.fsync(fh.fileno())
-        return records
+        self.close()
+        return [
+            record
+            for _, record in _scan(self.path, _parse_journal_record)
+            if record.generation == generation
+        ]
 
 
 @dataclass
@@ -277,9 +336,7 @@ class CheckpointStore:
         payload = {
             "version": _FORMAT_VERSION,
             "generation": generation,
-            "intervals": [
-                [str(b), str(e)] for b, e in intervals.to_payload()
-            ],
+            "intervals": _intervals_doc(intervals),
         }
         _atomic_write_json(self.intervals_path, payload)
 
@@ -293,9 +350,7 @@ class CheckpointStore:
             return None
         self._check_version(payload, self.intervals_path)
         try:
-            pairs: List[Tuple[int, int]] = [
-                (int(b), int(e)) for b, e in payload["intervals"]
-            ]
+            pairs = _interval_pairs(payload["intervals"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed intervals checkpoint {self.intervals_path}: {exc}"
@@ -308,12 +363,11 @@ class CheckpointStore:
     def save_solution(
         self, incumbent: Incumbent, generation: Optional[int] = None
     ) -> None:
-        payload = {
-            "version": _FORMAT_VERSION,
-            "generation": generation,
-            "cost": None if incumbent.cost == float("inf") else incumbent.cost,
-            "solution": _jsonable_solution(incumbent.solution),
-        }
+        payload = dict(
+            _incumbent_doc(incumbent),
+            version=_FORMAT_VERSION,
+            generation=generation,
+        )
         _atomic_write_json(self.solution_path, payload)
 
     def load_solution(self) -> Optional[Incumbent]:
@@ -323,14 +377,7 @@ class CheckpointStore:
         except FileNotFoundError:
             return None
         self._check_version(payload, self.solution_path)
-        cost = payload.get("cost")
-        solution = payload.get("solution")
-        if solution is not None and isinstance(solution, list):
-            solution = tuple(solution)
-        return Incumbent(
-            float("inf") if cost is None else cost,
-            solution,
-        )
+        return _incumbent(payload)
 
     # ------------------------------------------------------------------
     # combined convenience
@@ -375,10 +422,6 @@ class CheckpointStore:
         When no snapshot exists yet and ``root_interval`` is given, the
         journal replays over a fresh root set — a crash before the
         first snapshot still recovers every reconciled update.
-        Explored records subtract their range from INTERVALS (position
-        subtraction is order-insensitive and idempotent, so replay
-        after a torn tail is always safe); push records re-apply
-        through the monotonic incumbent update.
         """
         intervals, incumbent = self.load(duplication_threshold)
         generation = self._read_generation(self.intervals_path) or 0
@@ -386,19 +429,7 @@ class CheckpointStore:
         if base is None and root_interval is not None:
             base = IntervalSet.initial(root_interval, duplication_threshold)
         records = self.journal.replay(generation) if replay_journal else []
-        leaves = 0
-        for record in records:
-            if record.kind == "explored" and base is not None:
-                assert record.interval is not None
-                leaves += base.subtract(Interval.from_tuple(record.interval))
-            elif record.kind == "push" and record.cost is not None:
-                if incumbent is None:
-                    incumbent = Incumbent()
-                incumbent.update(record.cost, record.solution)
-        return RecoveredState(
-            base, incumbent, generation,
-            replayed_records=len(records), replayed_leaves=leaves,
-        )
+        return _replay(base, incumbent, generation, records)
 
     def load(
         self, duplication_threshold: int = 0
@@ -488,140 +519,394 @@ class CheckpointStore:
             )
 
 
+class JobCheckpoint(Protocol):
+    """What a :class:`~repro.grid.runtime.coordinator.Coordinator`
+    persists through: a :class:`CheckpointStore`, or one job of a
+    :class:`MultiJobStore` (:meth:`MultiJobStore.job_store`)."""
+
+    def journal_explored(self, explored: Interval) -> None: ...
+
+    def journal_push(self, cost: float, solution: Any) -> None: ...
+
+    def save(self, intervals: IntervalSet, incumbent: Incumbent) -> None: ...
+
+    def load_state(
+        self,
+        root_interval: Optional[Interval] = None,
+        duplication_threshold: int = 0,
+    ) -> RecoveredState: ...
+
+
+#: The service's one durable file, in its checkpoint directory.
+_LOG_NAME = "service.log"
+#: Compaction runs once the log has grown past this many times its size
+#: at the last compaction (or at opening), and never below the floor.
+_COMPACT_GROWTH = 2
+_COMPACT_FLOOR = 1 << 20
+_LOG_KINDS = frozenset({"meta", "snapshot", "explored", "push", "epoch"})
+
+
+def _parse_log_record(body: bytes) -> Dict[str, Any]:
+    doc = json.loads(body)
+    if not isinstance(doc, dict) or doc.get("kind") not in _LOG_KINDS:
+        raise ValueError(f"malformed service log record: {body[:80]!r}")
+    if doc["kind"] != "epoch" and not isinstance(doc.get("job"), str):
+        raise ValueError(f"service log record without a job: {body[:80]!r}")
+    return doc
+
+
 class MultiJobStore:
-    """Durable layout for the multi-tenant solve service.
+    """Durable state of the multi-tenant solve service: one append-only log.
 
-    One service directory fans out into per-job checkpoint stores::
+    ::
 
-        <directory>/
-            epoch.json            service incarnation counter
-            jobs/<job-id>/
-                meta.json         spec + status + owner + priority
-                intervals.json    ┐
-                solution.json     │ one CheckpointStore per job
-                journal.log       ┘
+        <directory>/service.log     one CRC-framed record per line
 
-    Each job keeps the full crash-only machinery of
-    :class:`CheckpointStore` — generation-stamped snapshot pairs plus
-    the reconciliation journal — so recovering the service is just
-    recovering every job.  ``meta.json`` is written atomically through
-    the same path as the snapshots; status transitions are durable the
-    moment :meth:`save_meta` returns.
+    Every write appends one record — framed and scanned as
+    :class:`CheckpointJournal`'s, and fsynced before it returns:
 
-    Job ids are opaque strings but they double as directory names, so
-    the store only accepts filesystem-safe ids (hex uuids qualify).
+    ``meta``
+        a job's metadata.  The spec rides the job's first meta record
+        only; a record marked ``settled`` settles the job, which makes
+        its spec and checkpoint records dead.
+    ``snapshot``
+        a job's INTERVALS and SOLUTION in one record.
+    ``explored`` / ``push``
+        a job's reconciliations since its latest snapshot.
+    ``epoch``
+        the service incarnation counter of the Welcome handshake.
+
+    A job replays as its latest snapshot followed by its later
+    ``explored`` / ``push`` records: order in the one file replaces the
+    generation stamps of :class:`CheckpointStore`.  No job creates,
+    renames or unlinks a file — on a disk that discards freed blocks,
+    an unlink of a synced file or a rename over one blocks the caller
+    for tens of milliseconds.  Dead records stay in the log until a
+    compaction, once the log has doubled since the last one (1 MiB
+    floor), copies the live ones in order to a temp file, syncs it and
+    renames it over the log; a crash before the rename leaves the old
+    log whole.  The store keeps only offsets of live records in memory,
+    and reads a record back when it is asked for.
+
+    One writer per directory: a second store may read the log, but only
+    while the writer is not appending.
     """
 
     def __init__(self, directory: Path):
         self.directory = Path(directory)
-        self._stores: Dict[str, CheckpointStore] = {}
+        self._loaded = False
+        self._fh: Optional[IO[bytes]] = None  # appends
+        self._reader: Optional[IO[bytes]] = None  # records read back
+        self._size = 0
+        self._compacted_size = 0
+        self.compactions = 0
+        self._epoch = 0
+        self._epoch_at: Optional[int] = None
+        # Offsets of the live records: every job's latest meta; an
+        # unsettled job's spec record, and its latest snapshot followed
+        # by its later reconciliations.
+        self._meta: Dict[str, int] = {}
+        self._spec: Dict[str, int] = {}
+        self._checkpoint: Dict[str, List[int]] = {}
 
     @property
-    def jobs_root(self) -> Path:
-        return self.directory / "jobs"
+    def path(self) -> Path:
+        return self.directory / _LOG_NAME
 
-    @property
-    def epoch_path(self) -> Path:
-        return self.directory / "epoch.json"
-
-    @staticmethod
-    def _check_id(job_id: str) -> str:
-        if not job_id or not all(
-            c.isalnum() or c in "._-" for c in job_id
-        ) or job_id.startswith("."):
+    def _load(self) -> None:
+        """Scan the log once: index its records, cut a torn tail."""
+        if self._loaded:
+            return
+        legacy = [n for n in ("jobs", "epoch.json") if (self.directory / n).exists()]
+        if legacy:
             raise CheckpointError(
-                f"job id {job_id!r} is not filesystem-safe"
+                f"{self.directory} holds the per-job checkpoint layout "
+                f"({', '.join(legacy)}) of an earlier release, which this "
+                f"one does not read: finish its jobs with that release, or "
+                f"start in an empty directory"
             )
-        return job_id
+        for offset, doc in _scan(self.path, _parse_log_record):
+            self._index(offset, doc)
+        try:
+            self._size = self.path.stat().st_size
+        except FileNotFoundError:
+            self._size = 0
+        self._compacted_size = self._size
+        self._loaded = True
 
-    def job_dir(self, job_id: str) -> Path:
-        return self.jobs_root / self._check_id(job_id)
+    def _index(self, offset: int, doc: Dict[str, Any]) -> None:
+        kind = doc["kind"]
+        if kind == "epoch":
+            self._epoch, self._epoch_at = int(doc["epoch"]), offset
+            return
+        job = doc["job"]
+        if kind == "meta":
+            self._meta[job] = offset
+            if doc.get("settled"):
+                self._spec.pop(job, None)
+                self._checkpoint.pop(job, None)
+            elif "spec" in doc["meta"]:
+                self._spec[job] = offset
+        elif kind == "snapshot":
+            self._checkpoint[job] = [offset]
+        else:
+            self._checkpoint.setdefault(job, []).append(offset)
 
-    def job_store(self, job_id: str) -> CheckpointStore:
-        """The per-job :class:`CheckpointStore` (cached per id)."""
-        store = self._stores.get(job_id)
-        if store is None:
-            store = CheckpointStore(self.job_dir(job_id))
-            self._stores[job_id] = store
-        return store
+    def _append(self, doc: Dict[str, Any]) -> None:
+        """Append one record, durably, and index it."""
+        self._load()
+        line = _frame(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
+        if self._fh is None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "ab")
+            _fsync_directory(self.directory)  # a new log's own entry
+        self._fh.write(line)
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+        self._index(self._size, doc)
+        self._size += len(line)
+        if self._size > max(_COMPACT_GROWTH * self._compacted_size, _COMPACT_FLOOR):
+            self._compact()
 
-    def drop_job_store(self, job_id: str) -> None:
-        """Clear a job's checkpoint files and forget its cached store."""
-        store = self._stores.pop(job_id, None) or CheckpointStore(self.job_dir(job_id))
-        store.clear()
+    def _line_at(self, offset: int) -> bytes:
+        if self._reader is None:
+            self._reader = open(self.path, "rb")
+        self._reader.seek(offset)
+        return self._reader.readline()
+
+    def _read(self, offset: int) -> Dict[str, Any]:
+        """The record at ``offset``, read back and checked."""
+        doc = _unframe(self._line_at(offset), _parse_log_record)
+        if doc is None:
+            raise CheckpointError(f"no valid record at byte {offset} of {self.path}")
+        return doc
+
+    def _compact(self) -> None:
+        """Copy the live records, in log order, over the log.
+
+        Streams: one record in memory at a time, plus the offsets.
+        """
+        live = set(self._meta.values())
+        live.update(self._spec.values())
+        for offsets in self._checkpoint.values():
+            live.update(offsets)
+        if self._epoch_at is not None:
+            live.add(self._epoch_at)
+        moved: Dict[int, int] = {}
+        size = 0
+        temp = self.directory / (_LOG_NAME + ".compact")
+        with open(temp, "wb") as out:
+            for offset in sorted(live):
+                line = self._line_at(offset)
+                out.write(line)
+                moved[offset] = size
+                size += len(line)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(temp, self.path)
+        _fsync_directory(self.directory)
+        self.close()
+        self._meta = {job: moved[o] for job, o in self._meta.items()}
+        self._spec = {job: moved[o] for job, o in self._spec.items()}
+        self._checkpoint = {
+            job: [moved[o] for o in offsets]
+            for job, offsets in self._checkpoint.items()
+        }
+        if self._epoch_at is not None:
+            self._epoch_at = moved[self._epoch_at]
+        self._size = self._compacted_size = size
+        self.compactions += 1
+
+    def close(self) -> None:
+        """Close the log's handles; the next call reopens them."""
+        for fh in (self._fh, self._reader):
+            if fh is not None:
+                fh.close()
+        self._fh = self._reader = None
+
+    # ------------------------------------------------------------------
+    # per-job checkpoints
+    # ------------------------------------------------------------------
+    def job_store(self, job_id: str) -> JobCheckpoint:
+        """One job's INTERVALS/SOLUTION checkpoint, as records of the log."""
+        return _LoggedJob(self, job_id)
 
     def job_ids(self) -> List[str]:
-        """Every job with an on-disk directory, in stable (name) order."""
-        try:
-            entries = sorted(p.name for p in self.jobs_root.iterdir() if p.is_dir())
-        except FileNotFoundError:
-            return []
-        return entries
+        """Every job the log holds a meta record for, in (name) order."""
+        self._load()
+        return sorted(self._meta)
 
     # ------------------------------------------------------------------
     # per-job metadata (spec, status, owner, priority, result)
     # ------------------------------------------------------------------
-    def save_meta(self, job_id: str, meta: Dict[str, Any]) -> None:
-        """Atomically persist one job's metadata document."""
-        payload = dict(meta, version=_FORMAT_VERSION)
-        _atomic_write_json(self.job_dir(job_id) / "meta.json", payload)
+    def save_meta(
+        self, job_id: str, meta: Dict[str, Any], settled: bool = False
+    ) -> None:
+        """Durably record one job's metadata; ``settled`` settles the job.
+
+        The ``spec`` is written with the job's first meta record only,
+        and never with its settling one: :meth:`load_meta` reads it back
+        from that first record while the job is unsettled.
+        """
+        self._load()
+        doc: Dict[str, Any] = {"kind": "meta", "job": job_id, "meta": meta}
+        if "spec" in meta and (settled or job_id in self._spec):
+            doc["meta"] = {k: v for k, v in meta.items() if k != "spec"}
+        if settled:
+            doc["settled"] = True
+        self._append(doc)
 
     def load_meta(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The job's metadata, or ``None`` when it was never written."""
-        try:
-            payload = _read_json(self.job_dir(job_id) / "meta.json")
-        except FileNotFoundError:
+        self._load()
+        offset = self._meta.get(job_id)
+        if offset is None:
             return None
-        if not isinstance(payload, dict):
-            raise CheckpointError(
-                f"malformed job metadata for {job_id!r}: {payload!r}"
-            )
-        payload.pop("crc", None)
-        payload.pop("version", None)
-        return payload
+        meta: Dict[str, Any] = self._read(offset)["meta"]
+        spec_at = self._spec.get(job_id)
+        if "spec" not in meta and spec_at is not None:
+            meta["spec"] = self._read(spec_at)["meta"]["spec"]
+        return meta
 
     # ------------------------------------------------------------------
     # service epoch (restart counter for the Welcome handshake)
     # ------------------------------------------------------------------
     def read_epoch(self) -> int:
-        try:
-            payload = _read_json(self.epoch_path)
-        except (FileNotFoundError, CheckpointError):
-            # Crash-only: a damaged epoch file must not block a restart.
-            # Epoch detection compares for *change*, not order, so
-            # restarting the count still flags stale workers.
-            return 0
-        if isinstance(payload, dict) and isinstance(payload.get("epoch"), int):
-            return payload["epoch"]
-        return 0
+        self._load()
+        return self._epoch
 
     def bump_epoch(self) -> int:
         """Advance and persist the service epoch; returns the new value."""
-        epoch = self.read_epoch() + 1
-        _atomic_write_json(
-            self.epoch_path, {"version": _FORMAT_VERSION, "epoch": epoch}
-        )
-        return epoch
+        self._load()
+        self._append({"kind": "epoch", "epoch": self._epoch + 1})
+        return self._epoch
 
     def clear(self) -> None:
-        """Remove every job directory and the epoch file."""
-        for job_id in self.job_ids():
-            store = self.job_store(job_id)
-            store.clear()
-            meta = store.directory / "meta.json"
+        """Forget every job and the epoch: the log is emptied, durably."""
+        self._load()
+        self.close()
+        if self.path.exists():
+            with open(self.path, "r+b") as fh:
+                fh.truncate(0)
+                fh.flush()
+                os.fsync(fh.fileno())
+        self._meta, self._spec, self._checkpoint = {}, {}, {}
+        self._epoch, self._epoch_at = 0, None
+        self._size = self._compacted_size = 0
+
+
+class _LoggedJob:
+    """One job's checkpoint in a :class:`MultiJobStore`'s log."""
+
+    def __init__(self, log: MultiJobStore, job_id: str):
+        self.log = log
+        self.job_id = job_id
+
+    def journal_explored(self, explored: Interval) -> None:
+        """Record a definitely-explored range (an owned-path update)."""
+        record = JournalRecord(0, "explored", explored.as_tuple())
+        self.log._append(record.to_doc(job=self.job_id))
+
+    def journal_push(self, cost: float, solution: Any) -> None:
+        """Record an incumbent improvement (a Push the coordinator kept)."""
+        record = JournalRecord(0, "push", cost=cost, solution=solution)
+        self.log._append(record.to_doc(job=self.job_id))
+
+    def save(self, intervals: IntervalSet, incumbent: Incumbent) -> None:
+        """One snapshot record: it makes the job's earlier records dead."""
+        self.log._append(
+            dict(
+                _incumbent_doc(incumbent),
+                kind="snapshot",
+                job=self.job_id,
+                intervals=_intervals_doc(intervals),
+            )
+        )
+
+    def load_state(
+        self,
+        root_interval: Optional[Interval] = None,
+        duplication_threshold: int = 0,
+    ) -> RecoveredState:
+        """The latest snapshot, with the later records replayed over it."""
+        self.log._load()
+        docs = [self.log._read(o) for o in self.log._checkpoint.get(self.job_id, [])]
+        intervals: Optional[IntervalSet] = None
+        incumbent: Optional[Incumbent] = None
+        if docs and docs[0]["kind"] == "snapshot":
+            snapshot = docs.pop(0)
             try:
-                meta.unlink()
-            except FileNotFoundError:
-                pass
-            try:
-                store.directory.rmdir()
-            except OSError:
-                pass
-        self._stores.clear()
-        try:
-            self.epoch_path.unlink()
-        except FileNotFoundError:
-            pass
+                pairs = _interval_pairs(snapshot["intervals"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(
+                    f"malformed snapshot of job {self.job_id!r}: {exc}"
+                ) from exc
+            intervals = IntervalSet.from_payload(pairs, duplication_threshold)
+            incumbent = _incumbent(snapshot)
+        elif root_interval is not None:
+            intervals = IntervalSet.initial(root_interval, duplication_threshold)
+        records = [JournalRecord.from_doc(0, doc) for doc in docs]
+        return _replay(intervals, incumbent, 0, records)
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make a directory's entries (a new or renamed file) durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _intervals_doc(intervals: IntervalSet) -> List[List[str]]:
+    return [[str(b), str(e)] for b, e in intervals.to_payload()]
+
+
+def _interval_pairs(doc: Any) -> List[Tuple[int, int]]:
+    return [(int(b), int(e)) for b, e in doc]
+
+
+def _incumbent_doc(incumbent: Incumbent) -> Dict[str, Any]:
+    return {
+        "cost": None if incumbent.cost == float("inf") else incumbent.cost,
+        "solution": _jsonable_solution(incumbent.solution),
+    }
+
+
+def _incumbent(doc: Dict[str, Any]) -> Incumbent:
+    cost = doc.get("cost")
+    solution = doc.get("solution")
+    if isinstance(solution, list):
+        solution = tuple(solution)
+    return Incumbent(float("inf") if cost is None else cost, solution)
+
+
+def _replay(
+    base: Optional[IntervalSet],
+    incumbent: Optional[Incumbent],
+    generation: int,
+    records: Iterable[JournalRecord],
+) -> RecoveredState:
+    """Replay reconciliations over a snapshot.
+
+    Explored records subtract their range from INTERVALS (position
+    subtraction is order-insensitive and idempotent, so replay after a
+    torn tail is always safe); push records re-apply through the
+    monotonic incumbent update.
+    """
+    count = leaves = 0
+    for record in records:
+        count += 1
+        if record.kind == "explored" and base is not None:
+            assert record.interval is not None
+            leaves += base.subtract(Interval.from_tuple(record.interval))
+        elif record.kind == "push" and record.cost is not None:
+            if incumbent is None:
+                incumbent = Incumbent()
+            incumbent.update(record.cost, record.solution)
+    return RecoveredState(
+        base, incumbent, generation, replayed_records=count, replayed_leaves=leaves
+    )
 
 
 def _jsonable_solution(solution: Any) -> Any:

@@ -384,9 +384,7 @@ class TcpClientConnection(Connection):
                     if welcome is None:
                         welcome = read_welcome(payload)
                         continue
-                    message = decode_message(payload)
-                    if not isinstance(message, Heartbeat):
-                        self._inbound.append(message)
+                    self._inbound.append(decode_message(payload))
         except (OSError, FrameError, WireVersionError) as exc:
             try:
                 sock.close()
@@ -571,9 +569,9 @@ class TcpClientConnection(Connection):
     def _ingest(self, data: bytes) -> None:
         """Queue the protocol messages in ``data`` (``b""``: the link died).
 
-        Heartbeats are swallowed and a Welcome is noted here, for
-        :meth:`recv` and :meth:`poll` alike; a frame this build cannot
-        decode (a message type from a newer peer) is skipped.
+        A Welcome is noted here, for :meth:`recv` and :meth:`poll`
+        alike; a frame this build cannot decode (a message type from a
+        newer peer) is skipped.
         """
         payloads = None
         if data:
@@ -589,8 +587,6 @@ class TcpClientConnection(Connection):
             try:
                 message = decode_message(payload)
             except FrameError:
-                continue
-            if isinstance(message, Heartbeat):
                 continue
             if isinstance(message, Welcome):
                 self._note_welcome(message)

@@ -6,7 +6,9 @@ the time arrives with each call.  The solve service core
 the TCP pump and the grid simulator alike, and answers retries itself:
 every message reaching ``handle`` is new.  The state is an
 :class:`~repro.core.interval_set.IntervalSet`, an
-:class:`~repro.core.stats.Incumbent` and, when given, the two-file
+:class:`~repro.core.stats.Incumbent` and, when given, a
+:class:`~repro.core.checkpoint.JobCheckpoint`: one job of the service's
+log (:class:`~repro.core.checkpoint.MultiJobStore`), or the two-file
 :class:`~repro.core.checkpoint.CheckpointStore`.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from repro.core.checkpoint import CheckpointStore
+from repro.core.checkpoint import JobCheckpoint
 from repro.core.interval import Interval
 from repro.core.interval_set import IntervalSet
 from repro.core.stats import Incumbent
@@ -77,7 +79,7 @@ class Coordinator:
         self,
         root_interval: Interval,
         duplication_threshold: int = 1,
-        store: Optional[CheckpointStore] = None,
+        store: Optional[JobCheckpoint] = None,
         checkpoint_period: float = 5.0,
         initial_best: Optional[Incumbent] = None,
         lease_seconds: Optional[float] = None,
@@ -113,14 +115,14 @@ class Coordinator:
     @classmethod
     def recover(
         cls,
-        store: CheckpointStore,
+        store: JobCheckpoint,
         root_interval: Interval,
         duplication_threshold: int = 1,
         checkpoint_period: float = 5.0,
         lease_seconds: Optional[float] = None,
     ) -> "Coordinator":
-        """Restart after a farmer failure: reload the two files (§4.1),
-        then replay the reconciliation journal over the snapshot so the
+        """Restart after a farmer failure: reload the snapshot (§4.1),
+        then replay the reconciliations journaled after it so the
         recovery window shrinks to the last reconciled update."""
         state = store.load_state(root_interval, duplication_threshold)
         coord = cls(

@@ -23,7 +23,6 @@ from repro.grid.net.framing import (
     WIRE_VERSION,
     FrameBuffer,
     FrameError,
-    Heartbeat,
     Hello,
     Welcome,
     decode_message,
@@ -166,10 +165,7 @@ class ServiceClient:
         return self._inbound.pop(0)
 
     async def _recv(self, deadline: float) -> Any:
-        while True:
-            message = decode_message(await self._next_payload(deadline))
-            if not isinstance(message, Heartbeat):
-                return message
+        return decode_message(await self._next_payload(deadline))
 
     async def _rpc(self, message: Any) -> Any:
         """One sequenced round trip; replies matched by seq.

@@ -17,8 +17,8 @@ the coordinator its ``job`` names.  A job settles on the Update that
 empties its INTERVALS; promotion runs when a job is admitted or
 settles.  Job metadata goes through the durable
 :class:`~repro.grid.service.store.JobStore`, each job checkpoints
-through its coordinator's store, and ``resume=True`` rebuilds the
-queue from ``jobs/*/meta.json`` (crash-only).
+through its coordinator into the same ``service.log``, and
+``resume=True`` rebuilds the queue from that log (crash-only).
 
 The core is the one at-least-once layer: its per-peer reply cache
 answers every retry and channel duplicate, so none reaches a
@@ -265,9 +265,11 @@ class ServiceCore:
 
         No final snapshot: if the crash beats this write the job is still
         ``running`` and snapshot + journal replay re-derive its ledger.
-        Its slot then goes to the next queued job.
+        The write settles the job's checkpoint records, and the job
+        forgets its spec.  Its slot then goes to the next queued job.
         """
         record.status = status
+        record.forget_spec()
         if coordinator is not None:
             record.cost = coordinator.solution.cost
             record.solution = coordinator.solution.solution
@@ -275,7 +277,6 @@ class ServiceCore:
             record.updates = coordinator.worker_checkpoint_ops
             record.redundant_rate = coordinator.redundant_rate(coordinator.root.length)
         self.jobs.persist(record)
-        self.jobs.drop_checkpoint(record.job_id)
         self._promote()
 
     def _promote(self) -> None:

@@ -6,9 +6,9 @@ job settles — the proved result.  :class:`JobStore` keeps the records
 in memory and mirrors every transition into a
 :class:`~repro.core.checkpoint.MultiJobStore` when a checkpoint
 directory is configured, so the service is crash-only: a status is
-true the moment the meta write returns, and a restarted service
-rebuilds its whole queue from ``jobs/*/meta.json`` plus each running
-job's INTERVALS/SOLUTION snapshot pair.
+true the moment the meta record's append returns, and a restarted
+service rebuilds its whole queue from the meta records of its
+``service.log`` plus each running job's snapshot and reconciliations.
 
 Job ids are **opaque strings** (rule RC11): the store mints them from
 ``uuid4`` and orders jobs by their admission counter (``order``),
@@ -17,12 +17,14 @@ never by id.
 
 from __future__ import annotations
 
+import json
 import uuid
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.checkpoint import CheckpointStore, MultiJobStore
+from repro.core.checkpoint import JobCheckpoint, MultiJobStore
 
 __all__ = [
     "QUEUED",
@@ -47,7 +49,7 @@ TERMINAL = frozenset({DONE, CANCELLED, FAILED})
 
 @dataclass
 class JobRecord:
-    """One job's durable state (mirrors ``jobs/<id>/meta.json``)."""
+    """One job's durable state (mirrors its meta records in the log)."""
 
     job_id: str
     spec_wire: Dict[str, Any]
@@ -67,9 +69,23 @@ class JobRecord:
     redundant_rate: float = 0.0  # share of leaves explored twice, at settle
     work_allocations: int = 0  # grants made for this job (durable with its status)
     root: Optional[Tuple[int, int]] = None  # a slice of the tree; None: all of it
+    spec_digest: str = ""  # what a settled job keeps of its spec
 
     def is_terminal(self) -> bool:
         return self.status in TERMINAL
+
+    def forget_spec(self) -> None:
+        """Drop the spec, keeping its digest: nothing reads a settled
+        job's spec but :meth:`solves`."""
+        if self.spec_wire:
+            self.spec_digest = _digest(self.spec_wire)
+            self.spec_wire = {}
+
+    def solves(self, spec_wire: Dict[str, Any], root: Optional[Tuple[int, int]]) -> bool:
+        """Whether this job is ``spec_wire`` over ``root``, settled or not."""
+        if self.spec_wire:
+            return (self.spec_wire, self.root) == (spec_wire, root)
+        return (self.spec_digest, self.root) == (_digest(spec_wire), root)
 
     def meta(self) -> Dict[str, Any]:
         return {
@@ -91,6 +107,7 @@ class JobRecord:
             "work_allocations": self.work_allocations,
             # Decimal strings, as in the journal: endpoints exceed 2**53.
             "root": None if self.root is None else [str(x) for x in self.root],
+            "spec_digest": self.spec_digest,
         }
 
     @classmethod
@@ -116,6 +133,7 @@ class JobRecord:
             redundant_rate=float(meta.get("redundant_rate", 0.0)),
             work_allocations=int(meta.get("work_allocations", 0)),
             root=None if root is None else (int(root[0]), int(root[1])),
+            spec_digest=str(meta.get("spec_digest", "")),
         )
 
     def summary(self) -> Dict[str, Any]:
@@ -135,8 +153,9 @@ class JobStore:
     """In-memory job table mirrored into the durable multi-job layout.
 
     With ``directory=None`` the store is purely in-memory (unit tests,
-    throwaway services); otherwise every :meth:`persist` is an atomic
-    ``meta.json`` write and :meth:`recover` reloads the full table.
+    throwaway services); otherwise every :meth:`persist` appends one
+    meta record to the service log and :meth:`recover` reloads the
+    full table.
     """
 
     def __init__(self, directory: Optional[Path] = None):
@@ -190,9 +209,12 @@ class JobStore:
         return record
 
     def persist(self, record: JobRecord) -> None:
-        """Mirror the record's current state into ``meta.json``."""
+        """Mirror the record's current state into the log; a terminal
+        record settles the job there too."""
         if self.disk is not None:
-            self.disk.save_meta(record.job_id, record.meta())
+            self.disk.save_meta(
+                record.job_id, record.meta(), settled=record.is_terminal()
+            )
         if record.is_terminal():
             self._unsettled.pop(record.job_id, None)
 
@@ -203,8 +225,7 @@ class JobStore:
         recovered: List[JobRecord] = []
         for job_id in self.disk.job_ids():
             meta = self.disk.load_meta(job_id)
-            if meta is None:
-                continue  # a crash between mkdir and the first meta write
+            assert meta is not None  # job_ids() lists the jobs with a meta record
             record = JobRecord.from_meta(job_id, meta)
             self._records[job_id] = record
             recovered.append(record)
@@ -239,24 +260,19 @@ class JobStore:
     # ------------------------------------------------------------------
     # durable plumbing
     # ------------------------------------------------------------------
-    def checkpoint_store(self, job_id: str) -> Optional[CheckpointStore]:
-        """The job's own INTERVALS/SOLUTION store (None when in-memory)."""
+    def checkpoint_store(self, job_id: str) -> Optional[JobCheckpoint]:
+        """The job's own INTERVALS/SOLUTION checkpoint (None when in-memory)."""
         if self.disk is None:
             return None
         return self.disk.job_store(job_id)
-
-    def drop_checkpoint(self, job_id: str) -> None:
-        """Unlink a settled job's snapshot pair and journal.
-
-        Unsynced on purpose: recovery never opens a settled job's
-        checkpoint, so files that resurface after a crash are ignored.
-        The cached store goes too: the cache holds unsettled jobs only.
-        """
-        if self.disk is not None:
-            self.disk.drop_job_store(job_id)
 
     def bump_epoch(self) -> int:
         """Advance the *service* epoch (0 for an in-memory store)."""
         if self.disk is None:
             return 0
         return self.disk.bump_epoch()
+
+
+def _digest(spec_wire: Dict[str, Any]) -> str:
+    body = json.dumps(spec_wire, sort_keys=True, separators=(",", ":"))
+    return format(zlib.crc32(body.encode("utf-8")), "08x")

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import time
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence, Tuple
 
@@ -181,3 +183,24 @@ def pump_while(listener, step, timeout: float = 5.0):
         future = pool.submit(step)
         delivered = pump(listener, future.done, timeout)
         return future.result(timeout=0), delivered
+
+
+def journalled_jobs(checkpoint_dir: Path) -> set:
+    """Jobs whose log holds a snapshot and a reconciliation after it.
+
+    A read-only peek at a live service's ``service.log``: it skips an
+    incomplete last line rather than cutting it, as opening a store
+    would under the writer.
+    """
+    try:
+        lines = (Path(checkpoint_dir) / "service.log").read_bytes().split(b"\n")[:-1]
+    except FileNotFoundError:
+        return set()
+    snapshotted, journalled = set(), set()
+    for line in lines:
+        doc = json.loads(line[9:])
+        if doc["kind"] == "snapshot":
+            snapshotted.add(doc["job"])
+        elif doc["kind"] == "explored" and doc["job"] in snapshotted:
+            journalled.add(doc["job"])
+    return journalled

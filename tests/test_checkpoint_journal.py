@@ -353,10 +353,14 @@ def test_legacy_snapshot_without_crc_still_loads(tmp_path):
 def test_corrupt_epoch_file_does_not_block_restart(tmp_path):
     store = MultiJobStore(tmp_path)
     store.bump_epoch()
-    store.epoch_path.write_text("{broken")
-    # Crash-only: the counter restarts rather than refusing to serve.
-    assert MultiJobStore(tmp_path).read_epoch() == 0
-    assert MultiJobStore(tmp_path).bump_epoch() == 1
+    store.bump_epoch()
+    # A crash mid-append tears the latest epoch record.
+    store.path.write_bytes(store.path.read_bytes()[:-5])
+    # Crash-only: the torn record is cut, and the count goes on from
+    # the last whole one (the torn bump was never acknowledged).
+    assert MultiJobStore(tmp_path).read_epoch() == 1
+    assert MultiJobStore(tmp_path).bump_epoch() == 2
+    assert MultiJobStore(tmp_path).read_epoch() == 2
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ import pytest
 from repro.core import solve
 from repro.grid.runtime.supervisor import RespawnPolicy, WorkerSupervisor
 from repro.problems.flowshop import FlowShopProblem, random_instance
+from tests.helpers import journalled_jobs
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -117,17 +118,9 @@ def test_sigkill_server_and_workers_recovery(tmp_path):
         supervisor.start()
 
         # Let the run make checkpointed progress: the job's snapshot
-        # pair exists and its journal has reconciled updates beyond it.
+        # is in the log and reconciled updates follow it.
         def progressed():
-            for job_dir in ckpt.glob("jobs/*"):
-                journal = job_dir / "journal.log"
-                if (
-                    (job_dir / "intervals.json").exists()
-                    and journal.exists()
-                    and journal.stat().st_size > 0
-                ):
-                    return True
-            return False
+            return bool(journalled_jobs(ckpt))
 
         assert wait_until(
             lambda: supervisor.poll() or progressed(), timeout=60

@@ -199,7 +199,7 @@ class TestParallelSolve:
             ),
         )
         assert result.optimal
-        # The service's layout: the run's job settled, and its meta.json
+        # The service's log: the run's job settled, and its meta record
         # (all a settled job keeps) holds the proved result.
         (record,) = JobStore(tmp_path).recover()
         assert record.status == DONE and record.cost == result.cost

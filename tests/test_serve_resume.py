@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro import cli
-from repro.core import Incumbent, IntervalSet, solve
+from repro.core import Incumbent, Interval, IntervalSet, solve
 from repro.exceptions import CheckpointError, RuntimeProtocolError
 from repro.grid.net.serve import run_worker
 from repro.grid.net.tcp import TcpClientConnection
@@ -29,6 +29,7 @@ from repro.grid.runtime import flowshop_spec
 from repro.grid.service.server import ServiceConfig, SolveService
 from repro.grid.service.store import RUNNING, JobStore
 from repro.problems.flowshop import FlowShopProblem, random_instance
+from tests.helpers import journalled_jobs
 
 # 31 300 nodes, 13 improvements over NEH: the run outlasts several
 # checkpoint periods, so an abort lands mid-run, before the optimum.
@@ -104,7 +105,6 @@ class TestAbortResume:
 
         server1, job = one_job_service(ckpt)
         assert server1.epoch == 1
-        snapshot = server1.jobs.checkpoint_store(job).intervals_path
         host, port = server1.address
         thread1, outcome1 = start_server(server1)
         worker_outcomes = {}
@@ -116,7 +116,7 @@ class TestAbortResume:
         while time.monotonic() < deadline:
             coordinator = server1.coordinators.get(job)
             if coordinator is None or (
-                coordinator.nodes_explored > 0 and snapshot.exists()
+                coordinator.nodes_explored > 0 and journalled_jobs(ckpt)
             ):
                 break
             time.sleep(0.01)
@@ -309,11 +309,11 @@ class TestResumeErrors:
         jobs.persist(record)
         store = jobs.checkpoint_store(record.job_id)
         store.save(IntervalSet.from_payload([(0, 100)], 0), Incumbent())
-        # Flip a byte inside the payload: the CRC must catch it.
-        text = store.intervals_path.read_text()
-        store.intervals_path.write_text(
-            text.replace('"100"', '"900"', 1)
-        )
+        store.journal_explored(Interval(0, 10))
+        # Flip a byte inside the snapshot record, which a valid record
+        # follows: no torn append, so the CRC must refuse it.
+        log = ckpt / "service.log"
+        log.write_text(log.read_text().replace('"100"', '"900"', 1))
         with pytest.raises(CheckpointError, match="checksum mismatch"):
             SolveService(serve_config(ckpt, resume=True))
 

@@ -23,9 +23,9 @@ import weakref
 
 import pytest
 
-from repro.core import Incumbent, Interval, IntervalExplorer, solve
+from repro.core import Incumbent, Interval, IntervalExplorer, IntervalSet, solve
+from repro.core import checkpoint
 from repro.core.checkpoint import MultiJobStore
-from repro.exceptions import CheckpointError
 from repro.grid.net.framing import (
     WIRE_VERSION,
     Hello,
@@ -93,30 +93,28 @@ serial_beaten = solve(FlowShopProblem(instance_beaten))
 
 
 # ----------------------------------------------------------------------
-# MultiJobStore (the durable layout underneath the job store)
+# MultiJobStore (the durable log underneath the job store)
 
 
 def test_multi_job_store_isolates_jobs_and_survives_reopen(tmp_path):
     store = MultiJobStore(tmp_path)
     store.save_meta("job-a", {"status": "queued", "owner": "alice"})
-    store.save_meta("job-b", {"status": "running", "owner": "bob"})
-    assert store.job_ids() == ["job-a", "job-b"]
+    # An id is an opaque string, not a path: nothing escapes the log.
+    store.save_meta("../b", {"status": "running", "owner": "bob"})
+    store.job_store("job-a").journal_explored(Interval(0, 4))
+    store.job_store("../b").save(IntervalSet.from_payload([(2, 9)], 0), Incumbent(7.0, (1, 0)))
+    store.job_store("../b").journal_explored(Interval(2, 5))
+    assert store.job_ids() == ["../b", "job-a"]
 
     reopened = MultiJobStore(tmp_path)
     assert reopened.load_meta("job-a")["owner"] == "alice"
-    assert reopened.load_meta("job-b")["status"] == "running"
-    # Per-job checkpoint stores live in disjoint directories.
-    assert (
-        reopened.job_store("job-a").directory
-        != reopened.job_store("job-b").directory
-    )
-
-
-def test_multi_job_store_rejects_path_like_ids(tmp_path):
-    store = MultiJobStore(tmp_path)
-    for bad in ("../escape", "a/b", "", ".hidden", "semi;colon"):
-        with pytest.raises(CheckpointError):
-            store.save_meta(bad, {})
+    assert reopened.load_meta("../b")["status"] == "running"
+    # Each job replays its own records only.
+    a = reopened.job_store("job-a").load_state(Interval(0, 10))
+    b = reopened.job_store("../b").load_state(Interval(0, 10))
+    assert a.intervals.to_payload() == [(4, 10)] and a.incumbent is None
+    assert b.intervals.to_payload() == [(5, 9)] and b.incumbent.cost == 7.0
+    assert os.listdir(tmp_path) == ["service.log"]
 
 
 def test_multi_job_store_epoch_bumps_across_reopen(tmp_path):
@@ -210,15 +208,23 @@ def test_in_status_keeps_admission_order_across_transitions(tmp_path):
 def test_the_checkpoint_store_cache_holds_unsettled_jobs_only(tmp_path):
     jobs = JobStore(tmp_path)
     records = [jobs.create({"n": i}, owner="o") for i in range(53)]
-    for record in records:  # as _start_job opens each running job's store
+    for record in records:  # as a running job's coordinator journals
         jobs.checkpoint_store(record.job_id).journal_explored(Interval(0, 1))
     for record in records[:50]:  # as _settle retires it
         record.status = DONE
+        record.forget_spec()
         jobs.persist(record)
-        jobs.drop_checkpoint(record.job_id)
-    assert set(jobs.disk._stores) == {r.job_id for r in records[50:]}
-    settled = tmp_path / "jobs" / records[0].job_id
-    assert sorted(p.name for p in settled.iterdir()) == ["meta.json"]
+    unsettled = {r.job_id for r in records[50:]}
+    # The log's memory of a settled job is one offset: its meta.
+    assert set(jobs.disk._checkpoint) == unsettled
+    assert set(jobs.disk._spec) == unsettled
+    assert len(jobs.disk._meta) == 53
+    assert os.listdir(tmp_path) == ["service.log"]
+    reopened = MultiJobStore(tmp_path)
+    settled = records[0].job_id
+    assert reopened.job_store(settled).load_state().replayed_records == 0
+    assert "spec" not in reopened.load_meta(settled)
+    assert reopened.load_meta(records[50].job_id)["spec"] == {"n": 50}
 
 
 # ----------------------------------------------------------------------
@@ -871,16 +877,31 @@ def test_splittable_jobs_are_shared_out_by_the_policy(policy, later_grants):
 # The write budget: what a job costs in fsyncs, and what it leaves on disk
 
 
+class CountingDisk:
+    """Counts the service's fsyncs, and every rename and unlink."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"fsync": 0, "replace": 0, "rename": 0, "unlink": 0}
+        for name in self.calls:
+            monkeypatch.setattr(os, name, self._counting(name, getattr(os, name)))
+
+    def _counting(self, name, real):
+        def call(*args, **kwargs):
+            self.calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+
 def play_one_job_counting_fsyncs(tmp_path, monkeypatch, wire, slices):
     """One job over ``slices`` slices; (reply kinds, fsyncs) once it is done.
 
     meta(running) + meta(done), and one journal append per Push kept
-    and per Update.
+    and per Update — all appended to the one log, which no job renames
+    or unlinks.
     """
     service = SolveService(service_config(tmp_path, checkpoint_period=3600.0))
-    fsyncs = []
-    real_fsync = os.fsync
-    monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd))
+    disk = CountingDisk(monkeypatch)
     w0 = ScriptedWorker("w0")
     sent, report = play(
         [
@@ -896,10 +917,11 @@ def play_one_job_counting_fsyncs(tmp_path, monkeypatch, wire, slices):
     )
     (job,) = report.jobs
     assert report.jobs[job]["status"] == DONE
-    assert sorted(p.name for p in (tmp_path / "jobs" / job).iterdir()) == ["meta.json"]
+    assert os.listdir(tmp_path) == ["service.log"]
+    assert (disk.calls["replace"], disk.calls["rename"], disk.calls["unlink"]) == (0, 0, 0)
     kinds = [type(reply) for _, reply in sent]
     assert kinds.count(Reconciled) == slices
-    return kinds, len(fsyncs)
+    return kinds, disk.calls["fsync"]
 
 
 @pytest.mark.parametrize("slices", [1, 2])
@@ -924,6 +946,45 @@ def test_a_job_whose_neh_is_optimal_costs_three_fsyncs(tmp_path, monkeypatch):
     )
     assert Ack not in kinds  # nothing to Push
     assert fsyncs == 3
+
+
+def test_many_jobs_rename_only_to_compact_and_within_the_doubling_bound(
+    tmp_path, monkeypatch
+):
+    floor = 4096  # a few jobs' records, so a short run compacts
+    monkeypatch.setattr(checkpoint, "_COMPACT_FLOOR", floor)
+    compactions = []  # (log size, size at the previous compaction)
+    real_compact = MultiJobStore._compact
+
+    def compact(store):
+        compactions.append((store._size, store._compacted_size))
+        real_compact(store)
+
+    monkeypatch.setattr(MultiJobStore, "_compact", compact)
+    service = SolveService(service_config(tmp_path, checkpoint_period=3600.0))
+    disk = CountingDisk(monkeypatch)
+    jobs = 40
+    w0 = ScriptedWorker("w0")
+    script = []
+    for i in range(jobs):
+        script += [SubmitJob("c0", wire_a(), owner="alice", seq=i + 1),
+                   w0.request, w0.explore(), w0.update]
+    _, report = play(script + [None], connected={"c0", "w0"}, service=service)
+    assert report.jobs_completed == jobs
+    assert all(doc["cost"] == serial_a.cost for doc in report.jobs.values())
+    # Each compaction waited for the log to double past the floor...
+    assert len(compactions) >= 2
+    for size, base in compactions:
+        assert size > max(2 * base, floor)
+    # ...and is the only rename; nothing is ever unlinked.
+    assert disk.calls["replace"] == len(compactions)
+    assert disk.calls["rename"] == disk.calls["unlink"] == 0
+    assert os.listdir(tmp_path) == ["service.log"]
+    # A resume reads every settled job back from the compacted log.
+    back = resumed(tmp_path)
+    assert back.epoch == 2 and len(back.jobs) == jobs
+    assert all(doc["status"] == DONE and doc["cost"] == serial_a.cost
+               for doc in back.jobs.values())
 
 
 def test_a_submit_that_must_queue_is_written_once_as_queued(tmp_path, monkeypatch):
@@ -1003,9 +1064,8 @@ def test_kill_between_the_final_update_and_meta_done_resumes_to_the_proof(
         run_one_job_then_abort(tmp_path, after=lambda reply: False)
     monkeypatch.undo()
     (job,) = MultiJobStore(tmp_path).job_ids()
-    job_dir = tmp_path / "jobs" / job
     assert MultiJobStore(tmp_path).load_meta(job)["status"] == RUNNING
-    assert (job_dir / "journal.log").stat().st_size > 0
+    assert checkpoint_records(tmp_path, job) > 0
 
     report = resumed(tmp_path)
     # Snapshot (if any) + journal replay re-derive the empty ledger and
@@ -1014,23 +1074,54 @@ def test_kill_between_the_final_update_and_meta_done_resumes_to_the_proof(
     summary = report.jobs[job]
     assert summary["status"] == DONE and summary["cost"] == serial_a.cost
     assert makespan(instance_a, tuple(summary["solution"])) == serial_a.cost
-    assert sorted(p.name for p in job_dir.iterdir()) == ["meta.json"]
+    assert checkpoint_records(tmp_path, job) == 0
+    assert os.listdir(tmp_path) == ["service.log"]
+
+
+def checkpoint_records(tmp_path, job):
+    """How many live snapshot / journal records the log holds for ``job``."""
+    state = MultiJobStore(tmp_path).job_store(job).load_state()
+    return state.replayed_records + (state.intervals is not None)
 
 
 def test_kill_after_meta_done_leaves_a_done_job_with_no_snapshot(tmp_path):
     job = run_one_job_then_abort(
         tmp_path, after=lambda r: isinstance(r, JobStatus)
     )
-    job_dir = tmp_path / "jobs" / job
-    assert sorted(p.name for p in job_dir.iterdir()) == ["meta.json"]
+    assert checkpoint_records(tmp_path, job) == 0
 
     report = resumed(tmp_path)
     assert report.jobs_completed == 0  # nothing left to do or to redo
     summary = report.jobs[job]
     assert summary["status"] == DONE and summary["cost"] == serial_a.cost
     assert makespan(instance_a, tuple(summary["solution"])) == serial_a.cost
-    assert sorted(p.name for p in job_dir.iterdir()) == ["meta.json"]
+    assert checkpoint_records(tmp_path, job) == 0
+    assert os.listdir(tmp_path) == ["service.log"]
 
+
+def test_a_settled_job_forgets_its_spec_and_still_reads_back(tmp_path):
+    service = SolveService(service_config(tmp_path))
+    w0 = ScriptedWorker("w0")
+    sent, _ = play(
+        [SubmitJob("c0", wire_a(), owner="alice", seq=1), w0.request, w0.explore(), w0.update],
+        connected={"w0", "c0"},
+        service=service,
+    )
+    job = sent[0][1].job
+    record = service.jobs.get(job)
+    assert record.status == DONE and record.spec_wire == {}
+    assert "spec" not in MultiJobStore(tmp_path).load_meta(job)
+
+    report = resumed(tmp_path)
+    summary = report.jobs[job]
+    assert summary["status"] == DONE and summary["cost"] == serial_a.cost
+    assert makespan(instance_a, tuple(summary["solution"])) == serial_a.cost
+    # What is kept of the spec still tells this job from another.
+    (back,) = JobStore(tmp_path).recover()
+    assert back.spec_wire == {}
+    assert back.solves(wire_a(), None)
+    assert not back.solves(flowshop_spec(instance_b), None)
+    assert not back.solves(wire_a(), (0, 1))
 
 
 def start_service(service):

@@ -33,6 +33,7 @@ from repro.grid.service import DONE, JobStore
 from repro.grid.service.client import SyncServiceClient
 from repro.grid.net.transport import TransportError, TransportTimeout
 from repro.problems.flowshop import FlowShopProblem, makespan, random_instance
+from tests.helpers import journalled_jobs
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -151,16 +152,11 @@ def test_sigkill_service_with_two_jobs_in_flight(tmp_path):
         job_b = submit_with_retry(client, flowshop_spec(inflight_b), "bob")
         supervisor.start()
 
-        # Both jobs in flight: each per-job ledger has a snapshot and
+        # Both jobs in flight: each job's ledger has a snapshot and
         # journalled updates beyond it.
         def both_journalled():
             supervisor.poll()
-            return all(
-                (ckpt / "jobs" / job / "intervals.json").exists()
-                and (ckpt / "jobs" / job / "journal.log").exists()
-                and (ckpt / "jobs" / job / "journal.log").stat().st_size > 0
-                for job in (job_a, job_b)
-            )
+            return {job_a, job_b} <= journalled_jobs(ckpt)
 
         assert wait_until(both_journalled, timeout=90), (
             "both jobs never reached checkpointed in-flight state"

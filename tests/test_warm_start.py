@@ -332,7 +332,7 @@ def test_a_served_slice_returns_its_own_optimum(tmp_path):
     assert doc["status"] == "done" and doc["cost"] == best
 
     # Abort before any worker came, then --resume: the slice is read
-    # back from the job's meta.json, and the resumed job starts from the
+    # back from the job's meta record, and the resumed job starts from the
     # slice's own warm start too.
     crashed = SolveService(config("crash"))
     job = crashed.admit(wire, root=SLICE.as_tuple()).job
