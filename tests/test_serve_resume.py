@@ -103,7 +103,8 @@ class TestAbortResume:
     def test_abort_midrun_then_resume_completes_exactly(self, tmp_path):
         ckpt = tmp_path / "ckpt"
 
-        server1, job = one_job_service(ckpt)
+        # Snapshots every 10 ms: the abort lands while the job is young.
+        server1, job = one_job_service(ckpt, checkpoint_period=0.01)
         assert server1.epoch == 1
         host, port = server1.address
         thread1, outcome1 = start_server(server1)

@@ -177,7 +177,8 @@ def crash_then_resume(ckpt, before_abort=lambda server: True, between=lambda: No
     """Serve one job with two workers, abort it once the log holds its
     snapshot and a reconciliation after it (and ``before_abort`` holds),
     call ``between``, resume, finish."""
-    server1, job = one_job_service(ckpt)
+    # Snapshots every 10 ms: the abort lands while the job is young.
+    server1, job = one_job_service(ckpt, checkpoint_period=0.01)
     host, port = server1.address
     thread1, _ = start_server(server1)
     workers1 = start_workers(host, port, 2, "lw1", {})
