@@ -491,7 +491,12 @@ def _cmd_grid_serve(args) -> int:
     if checkpoint_dir is not None:
         # One directory, one job: a fresh start never buries another
         # job's checkpoint, and --resume continues only this one.
-        for record in JobStore(checkpoint_dir).recover():
+        vetting = JobStore(checkpoint_dir)
+        try:
+            recorded = vetting.recover()
+        finally:
+            vetting.close()  # the service opens the log itself
+        for record in recorded:
             if not args.resume:
                 raise RuntimeProtocolError(
                     f"{checkpoint_dir} already holds job {record.job_id} "

@@ -10,17 +10,12 @@ Public surface re-exported here::
     from repro.core import (
         TreeShape, Interval, IntervalSet, ActiveList, ActiveNode,
         fold, unfold, Problem, IntervalExplorer, solve,
-        Incumbent, ExplorationStats, CheckpointStore,
+        Incumbent, ExplorationStats, ResumableSolver,
     )
 """
 
 from repro.core.active_list import ActiveList, ActiveNode
-from repro.core.checkpoint import (
-    CheckpointJournal,
-    CheckpointStore,
-    JournalRecord,
-    RecoveredState,
-)
+from repro.core.checkpoint import JournalRecord, RecoveredState
 from repro.core.engine import (
     IntervalExplorer,
     SolveResult,
@@ -46,8 +41,6 @@ __all__ = [
     "ActiveList",
     "ActiveNode",
     "Assignment",
-    "CheckpointJournal",
-    "CheckpointStore",
     "JournalRecord",
     "RecoveredState",
     "ExplorationStats",

@@ -2,50 +2,31 @@
 
 "The coordinator manages a possible failure of the farmer by
 periodically saving, in two files, the contents of INTERVALS and
-SOLUTION."  :class:`CheckpointStore` is that persistence layer for one
-solve: JSON payloads written atomically (temp file + rename) so a crash
-mid-write never corrupts the previous checkpoint.
+SOLUTION."  Here both go into one record of one append-only log,
+:class:`MultiJobStore`'s ``service.log``, which holds every job of a
+solve service and the one job of a
+:class:`~repro.core.resumable.ResumableSolver`.  Between a job's
+snapshots the log keeps its reconciliation events (explored ranges,
+incumbent pushes), which shrink the recovery window from
+``checkpoint_period`` to the last reconciled update.
+
+Each record is one line, ``<crc32-hex> <json>``, fsynced before its
+append returns.  A scan cuts a torn tail (a crash mid-append) at the
+last valid record.
 
 Node numbers can exceed 2**53 (``50!`` for Ta056), so intervals are
 serialised as decimal strings — Python's ``json`` would emit big ints
 fine, but many readers would round-trip them through doubles.
-
-Between full snapshots the store keeps an append-only *journal* of
-reconciliation events (explored ranges, incumbent pushes).  Each record
-is one line, ``<crc32-hex> <json>``, stamped with the generation of the
-snapshot it follows.  Replay truncates a torn tail (a crash mid-append)
-at the last valid record and ignores records stamped for a different
-generation (a crash between the snapshot write and the journal
-rotation).  The journal shrinks the recovery window from
-``checkpoint_period`` to the last reconciled update.
-
-The solve service keeps every job in one such CRC-framed log instead,
-:class:`MultiJobStore`: each job's meta, snapshots and reconciliations
-are appended to ``service.log``, so no job creates, renames or unlinks
-a file of its own.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    IO,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    TypeVar,
-)
+from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.interval import Interval
 from repro.core.interval_set import IntervalSet
@@ -53,83 +34,28 @@ from repro.core.stats import Incumbent
 from repro.exceptions import CheckpointError
 
 __all__ = [
-    "CheckpointJournal",
-    "CheckpointStore",
-    "JobCheckpoint",
     "JournalRecord",
+    "LoggedJob",
     "MultiJobStore",
     "RecoveredState",
 ]
 
-_FORMAT_VERSION = 1
-
-T = TypeVar("T")
-
-
-def _payload_crc(payload: Any) -> str:
-    """CRC32 (hex) over the canonical JSON form, minus any crc field."""
-    if isinstance(payload, dict):
-        payload = {k: v for k, v in payload.items() if k != "crc"}
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return format(zlib.crc32(body.encode("utf-8")), "08x")
-
-
-def _atomic_write_json(path: Path, payload: Any) -> None:
-    if isinstance(payload, dict):
-        payload = dict(payload, crc=_payload_crc(payload))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _read_json(path: Path) -> Any:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        raise
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    # Files written before the checksum field existed carry no crc and
-    # still load; a present-but-wrong crc means silent corruption.
-    if isinstance(payload, dict) and "crc" in payload:
-        if payload["crc"] != _payload_crc(payload):
-            raise CheckpointError(
-                f"checksum mismatch in {path}: the file was modified "
-                "outside the atomic-write path"
-            )
-    return payload
-
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One reconciliation event appended between snapshots.
+    """One reconciliation event appended after a job's snapshot.
 
     ``kind`` is ``"explored"`` (a definitely-explored range subtracted
     from INTERVALS on replay) or ``"push"`` (an incumbent improvement).
-    ``generation`` names the snapshot pair the record follows; replay
-    ignores records stamped for any other generation.
     """
 
-    generation: int
     kind: str
     interval: Optional[Tuple[int, int]] = None
     cost: Optional[float] = None
     solution: Optional[Any] = None
 
     def to_doc(self, **extra: Any) -> Dict[str, Any]:
-        """The record as a JSON object (``gen`` aside), with ``extra``."""
+        """The record as a JSON object, with ``extra``."""
         doc: Dict[str, Any] = dict(extra, kind=self.kind)
         if self.interval is not None:
             doc["interval"] = [str(self.interval[0]), str(self.interval[1])]
@@ -139,23 +65,9 @@ class JournalRecord:
             doc["solution"] = _jsonable_solution(self.solution)
         return doc
 
-    def to_json(self) -> str:
-        doc = self.to_doc(gen=self.generation)
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
     @classmethod
-    def from_json(cls, text: str) -> "JournalRecord":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError(f"journal record is not an object: {text!r}")
-        generation = doc["gen"]
-        if not isinstance(generation, int):
-            raise ValueError(f"malformed journal record: {text!r}")
-        return cls.from_doc(generation, doc)
-
-    @classmethod
-    def from_doc(cls, generation: int, doc: Dict[str, Any]) -> "JournalRecord":
-        """The record a decoded JSON object holds (``gen`` aside)."""
+    def from_doc(cls, doc: Dict[str, Any]) -> "JournalRecord":
+        """The record a decoded JSON object holds."""
         kind = doc["kind"]
         if kind not in ("explored", "push"):
             raise ValueError(f"malformed journal record: {doc!r}")
@@ -166,16 +78,47 @@ class JournalRecord:
         solution = doc.get("solution")
         if isinstance(solution, list):
             solution = tuple(solution)
-        return cls(generation, kind, interval, doc.get("cost"), solution)
+        return cls(kind, interval, doc.get("cost"), solution)
+
+
+@dataclass
+class RecoveredState:
+    """What :meth:`LoggedJob.load_state` reconstructed."""
+
+    intervals: Optional[IntervalSet]
+    incumbent: Optional[Incumbent]
+    replayed_records: int = 0
+    replayed_leaves: int = 0
+
+
+#: The service's one durable file, in its checkpoint directory.
+_LOG_NAME = "service.log"
+#: Files of the layouts earlier releases wrote: a directory holding one
+#: is refused rather than silently started afresh.
+_LEGACY_NAMES = ("jobs", "epoch.json", "intervals.json", "solution.json", "journal.log")
+#: Compaction runs once the log has grown past this many times its size
+#: at the last compaction (or at opening), and never below the floor.
+_COMPACT_GROWTH = 2
+_COMPACT_FLOOR = 1 << 20
+_LOG_KINDS = frozenset({"meta", "snapshot", "explored", "push", "epoch"})
 
 
 def _frame(body: bytes) -> bytes:
-    """One record of a CRC-framed log: ``<crc32-hex> <body>\\n``."""
+    """One record of the log: ``<crc32-hex> <body>\\n``."""
     return format(zlib.crc32(body), "08x").encode("ascii") + b" " + body + b"\n"
 
 
-def _unframe(line: bytes, parse: Callable[[bytes], T]) -> Optional[T]:
-    """``parse(body)`` of one framed line; ``None`` when the line is
+def _parse_log_record(body: bytes) -> Dict[str, Any]:
+    doc = json.loads(body)
+    if not isinstance(doc, dict) or doc.get("kind") not in _LOG_KINDS:
+        raise ValueError(f"malformed service log record: {body[:80]!r}")
+    if doc["kind"] != "epoch" and not isinstance(doc.get("job"), str):
+        raise ValueError(f"service log record without a job: {body[:80]!r}")
+    return doc
+
+
+def _unframe(line: bytes) -> Optional[Dict[str, Any]]:
+    """The record one framed line holds; ``None`` when the line is
     incomplete, fails its CRC or does not parse."""
     if not line.endswith(b"\n") or line[8:9] != b" ":
         return None
@@ -183,13 +126,13 @@ def _unframe(line: bytes, parse: Callable[[bytes], T]) -> Optional[T]:
     if format(zlib.crc32(body), "08x").encode("ascii") != line[:8]:
         return None
     try:
-        return parse(body)
+        return _parse_log_record(body)
     except (ValueError, KeyError, TypeError, UnicodeDecodeError):
         return None
 
 
-def _scan(path: Path, parse: Callable[[bytes], T]) -> Iterator[Tuple[int, T]]:
-    """Yield ``(offset, record)`` for the valid prefix of a framed log.
+def _scan(path: Path) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Yield ``(offset, record)`` for the valid prefix of the log.
 
     The first line that is incomplete, fails its CRC or does not parse
     starts the torn tail of a crash mid-append: once the scan is
@@ -206,7 +149,7 @@ def _scan(path: Path, parse: Callable[[bytes], T]) -> Iterator[Tuple[int, T]]:
     offset = 0
     with fh:
         for line in fh:
-            record = _unframe(line, parse)
+            record = _unframe(line)
             if record is None:
                 if torn is None:
                     torn = offset
@@ -227,343 +170,17 @@ def _scan(path: Path, parse: Callable[[bytes], T]) -> Iterator[Tuple[int, T]]:
             os.fsync(out.fileno())
 
 
-def _parse_journal_record(body: bytes) -> "JournalRecord":
-    return JournalRecord.from_json(body.decode("utf-8"))
-
-
-class CheckpointJournal:
-    """Append-only, CRC-framed record log between full snapshots.
-
-    One record per line: ``<crc32-hex> <canonical-json>\\n``.  Appends
-    are flushed and fsynced individually so a SIGKILL can lose at most
-    the record being written — which replay then truncates away.
-    """
-
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self._fh: Optional[IO[bytes]] = None
-
-    def append(self, record: JournalRecord) -> None:
-        line = _frame(record.to_json().encode("utf-8"))
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "ab")
-        self._fh.write(line)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def rotate(self) -> None:
-        """Empty the journal: a fresh snapshot has subsumed its records."""
-        self.close()
-        if self.path.exists():
-            # The truncation must be durable before the caller trusts
-            # the snapshot alone: a power cut that resurrects the old
-            # journal bytes would replay reconciliations against the
-            # *new* snapshot's interval state.
-            with open(self.path, "wb") as fh:
-                fh.flush()
-                os.fsync(fh.fileno())
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def replay(self, generation: int) -> List[JournalRecord]:
-        """Parse records stamped ``generation``; truncate any torn tail.
-
-        Valid records stamped for another generation are skipped (they
-        predate the snapshot being recovered) but do not stop the scan.
-        """
-        self.close()
-        return [
-            record
-            for _, record in _scan(self.path, _parse_journal_record)
-            if record.generation == generation
-        ]
-
-
-@dataclass
-class RecoveredState:
-    """What :meth:`CheckpointStore.load_state` reconstructed."""
-
-    intervals: Optional[IntervalSet]
-    incumbent: Optional[Incumbent]
-    generation: int
-    replayed_records: int = 0
-    replayed_leaves: int = 0
-
-
-@dataclass
-class CheckpointStore:
-    """Reads/writes the coordinator's two checkpoint files.
-
-    ``directory`` holds ``intervals.json`` and ``solution.json``.
-
-    Paired saves through :meth:`save` stamp both files with a shared,
-    monotonically increasing *generation* counter; :meth:`load`
-    refuses a pair whose generations disagree (a crash landed between
-    the two writes) or where only one file exists, raising
-    :class:`~repro.exceptions.CheckpointError` instead of silently
-    recovering half a snapshot.
-    """
-
-    directory: Path
-
-    def __post_init__(self) -> None:
-        self.directory = Path(self.directory)
-        self._generation: Optional[int] = None
-        self.journal = CheckpointJournal(self.journal_path)
-
-    @property
-    def intervals_path(self) -> Path:
-        return self.directory / "intervals.json"
-
-    @property
-    def solution_path(self) -> Path:
-        return self.directory / "solution.json"
-
-    @property
-    def journal_path(self) -> Path:
-        return self.directory / "journal.log"
-
-    # ------------------------------------------------------------------
-    # INTERVALS
-    # ------------------------------------------------------------------
-    def save_intervals(
-        self, intervals: IntervalSet, generation: Optional[int] = None
-    ) -> None:
-        payload = {
-            "version": _FORMAT_VERSION,
-            "generation": generation,
-            "intervals": _intervals_doc(intervals),
-        }
-        _atomic_write_json(self.intervals_path, payload)
-
-    def load_intervals(
-        self, duplication_threshold: int = 0
-    ) -> Optional[IntervalSet]:
-        """Restore INTERVALS; ``None`` when no checkpoint exists yet."""
-        try:
-            payload = _read_json(self.intervals_path)
-        except FileNotFoundError:
-            return None
-        self._check_version(payload, self.intervals_path)
-        try:
-            pairs = _interval_pairs(payload["intervals"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed intervals checkpoint {self.intervals_path}: {exc}"
-            ) from exc
-        return IntervalSet.from_payload(pairs, duplication_threshold)
-
-    # ------------------------------------------------------------------
-    # SOLUTION
-    # ------------------------------------------------------------------
-    def save_solution(
-        self, incumbent: Incumbent, generation: Optional[int] = None
-    ) -> None:
-        payload = dict(
-            _incumbent_doc(incumbent),
-            version=_FORMAT_VERSION,
-            generation=generation,
-        )
-        _atomic_write_json(self.solution_path, payload)
-
-    def load_solution(self) -> Optional[Incumbent]:
-        """Restore SOLUTION; ``None`` when no checkpoint exists yet."""
-        try:
-            payload = _read_json(self.solution_path)
-        except FileNotFoundError:
-            return None
-        self._check_version(payload, self.solution_path)
-        return _incumbent(payload)
-
-    # ------------------------------------------------------------------
-    # combined convenience
-    # ------------------------------------------------------------------
-    def save(self, intervals: IntervalSet, incumbent: Incumbent) -> None:
-        generation = self._next_generation()
-        self.save_intervals(intervals, generation=generation)
-        self.save_solution(incumbent, generation=generation)
-        # The snapshot subsumes every journaled event; a crash landing
-        # before this rotation leaves records stamped with the previous
-        # generation, which replay filters out.
-        self.journal.rotate()
-
-    # ------------------------------------------------------------------
-    # journal (reconciliation events between snapshots)
-    # ------------------------------------------------------------------
-    def journal_explored(self, explored: Interval) -> None:
-        """Record a definitely-explored range (an owned-path update)."""
-        self.journal.append(
-            JournalRecord(
-                self._committed_generation(), "explored", explored.as_tuple()
-            )
-        )
-
-    def journal_push(self, cost: float, solution: Any) -> None:
-        """Record an incumbent improvement (a Push the coordinator kept)."""
-        self.journal.append(
-            JournalRecord(
-                self._committed_generation(), "push", cost=cost,
-                solution=solution,
-            )
-        )
-
-    def load_state(
-        self,
-        root_interval: Optional[Interval] = None,
-        duplication_threshold: int = 0,
-        replay_journal: bool = True,
-    ) -> RecoveredState:
-        """Restore the snapshot pair, then replay the journal over it.
-
-        When no snapshot exists yet and ``root_interval`` is given, the
-        journal replays over a fresh root set — a crash before the
-        first snapshot still recovers every reconciled update.
-        """
-        intervals, incumbent = self.load(duplication_threshold)
-        generation = self._read_generation(self.intervals_path) or 0
-        base = intervals
-        if base is None and root_interval is not None:
-            base = IntervalSet.initial(root_interval, duplication_threshold)
-        records = self.journal.replay(generation) if replay_journal else []
-        return _replay(base, incumbent, generation, records)
-
-    def load(
-        self, duplication_threshold: int = 0
-    ) -> Tuple[Optional[IntervalSet], Optional[Incumbent]]:
-        """Restore the pair; ``(None, None)`` for a fresh directory.
-
-        Raises :class:`CheckpointError` when the snapshot is partial —
-        exactly one of the two files exists, or both carry generation
-        stamps that disagree.  Recovering such a pair would silently
-        mix an old SOLUTION with a new INTERVALS (or vice versa).
-        """
-        intervals = self.load_intervals(duplication_threshold)
-        solution_exists = self.solution_path.exists()
-        if intervals is None and solution_exists:
-            raise CheckpointError(
-                f"partial checkpoint: {self.solution_path} exists but "
-                f"{self.intervals_path} is missing"
-            )
-        if intervals is not None and not solution_exists:
-            raise CheckpointError(
-                f"partial checkpoint: {self.intervals_path} exists but "
-                f"{self.solution_path} is missing"
-            )
-        incumbent = self.load_solution()
-        gen_i = self._read_generation(self.intervals_path)
-        gen_s = self._read_generation(self.solution_path)
-        if gen_i is not None and gen_s is not None and gen_i != gen_s:
-            raise CheckpointError(
-                f"checkpoint generation mismatch: INTERVALS at {gen_i}, "
-                f"SOLUTION at {gen_s} — the pair was partially written"
-            )
-        return intervals, incumbent
-
-    def _committed_generation(self) -> int:
-        """Generation of the snapshot the journal currently follows."""
-        if self._generation is not None:
-            return self._generation
-        on_disk = [
-            self._read_generation(p)
-            for p in (self.intervals_path, self.solution_path)
-        ]
-        self._generation = max((g for g in on_disk if g is not None), default=0)
-        return self._generation
-
-    def _next_generation(self) -> int:
-        if self._generation is None:
-            on_disk = [
-                self._read_generation(p)
-                for p in (self.intervals_path, self.solution_path)
-            ]
-            self._generation = max(
-                (g for g in on_disk if g is not None), default=0
-            )
-        self._generation += 1
-        return self._generation
-
-    @staticmethod
-    def _read_generation(path: Path) -> Optional[int]:
-        try:
-            payload = _read_json(path)
-        except (FileNotFoundError, CheckpointError):
-            return None
-        if isinstance(payload, dict) and isinstance(
-            payload.get("generation"), int
-        ):
-            return payload["generation"]
-        return None
-
-    def clear(self) -> None:
-        self.journal.close()
-        for path in (
-            self.intervals_path,
-            self.solution_path,
-            self.journal_path,
-        ):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
-
-    @staticmethod
-    def _check_version(payload: Any, path: Path) -> None:
-        if not isinstance(payload, dict) or payload.get("version") != _FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has unsupported format: "
-                f"{payload.get('version') if isinstance(payload, dict) else payload!r}"
-            )
-
-
-class JobCheckpoint(Protocol):
-    """What a :class:`~repro.grid.runtime.coordinator.Coordinator`
-    persists through: a :class:`CheckpointStore`, or one job of a
-    :class:`MultiJobStore` (:meth:`MultiJobStore.job_store`)."""
-
-    def journal_explored(self, explored: Interval) -> None: ...
-
-    def journal_push(self, cost: float, solution: Any) -> None: ...
-
-    def save(self, intervals: IntervalSet, incumbent: Incumbent) -> None: ...
-
-    def load_state(
-        self,
-        root_interval: Optional[Interval] = None,
-        duplication_threshold: int = 0,
-    ) -> RecoveredState: ...
-
-
-#: The service's one durable file, in its checkpoint directory.
-_LOG_NAME = "service.log"
-#: Compaction runs once the log has grown past this many times its size
-#: at the last compaction (or at opening), and never below the floor.
-_COMPACT_GROWTH = 2
-_COMPACT_FLOOR = 1 << 20
-_LOG_KINDS = frozenset({"meta", "snapshot", "explored", "push", "epoch"})
-
-
-def _parse_log_record(body: bytes) -> Dict[str, Any]:
-    doc = json.loads(body)
-    if not isinstance(doc, dict) or doc.get("kind") not in _LOG_KINDS:
-        raise ValueError(f"malformed service log record: {body[:80]!r}")
-    if doc["kind"] != "epoch" and not isinstance(doc.get("job"), str):
-        raise ValueError(f"service log record without a job: {body[:80]!r}")
-    return doc
-
-
 class MultiJobStore:
-    """Durable state of the multi-tenant solve service: one append-only log.
+    """Durable state of a checkpoint directory: one append-only log.
+
+    It holds every job of a solve service, or a
+    :class:`~repro.core.resumable.ResumableSolver`'s one job.
 
     ::
 
         <directory>/service.log     one CRC-framed record per line
 
-    Every write appends one record — framed and scanned as
-    :class:`CheckpointJournal`'s, and fsynced before it returns:
+    Every write appends one record, fsynced before it returns:
 
     ``meta``
         a job's metadata.  The spec rides the job's first meta record
@@ -572,14 +189,15 @@ class MultiJobStore:
     ``snapshot``
         a job's INTERVALS and SOLUTION in one record.
     ``explored`` / ``push``
-        a job's reconciliations since its latest snapshot.
+        a job's reconciliations since its latest snapshot
+        (:class:`JournalRecord`).
     ``epoch``
         the service incarnation counter of the Welcome handshake.
 
     A job replays as its latest snapshot followed by its later
-    ``explored`` / ``push`` records: order in the one file replaces the
-    generation stamps of :class:`CheckpointStore`.  No job creates,
-    renames or unlinks a file — on a disk that discards freed blocks,
+    ``explored`` / ``push`` records: order in the one file says which
+    records a snapshot has subsumed.  No job creates, renames or
+    unlinks a file — on a disk that discards freed blocks,
     an unlink of a synced file or a rename over one blocks the caller
     for tens of milliseconds.  Dead records stay in the log until a
     compaction, once the log has doubled since the last one (1 MiB
@@ -617,15 +235,15 @@ class MultiJobStore:
         """Scan the log once: index its records, cut a torn tail."""
         if self._loaded:
             return
-        legacy = [n for n in ("jobs", "epoch.json") if (self.directory / n).exists()]
+        legacy = [n for n in _LEGACY_NAMES if (self.directory / n).exists()]
         if legacy:
             raise CheckpointError(
-                f"{self.directory} holds the per-job checkpoint layout "
+                f"{self.directory} holds the checkpoint layout "
                 f"({', '.join(legacy)}) of an earlier release, which this "
                 f"one does not read: finish its jobs with that release, or "
                 f"start in an empty directory"
             )
-        for offset, doc in _scan(self.path, _parse_log_record):
+        for offset, doc in _scan(self.path):
             self._index(offset, doc)
         try:
             self._size = self.path.stat().st_size
@@ -676,7 +294,7 @@ class MultiJobStore:
 
     def _read(self, offset: int) -> Dict[str, Any]:
         """The record at ``offset``, read back and checked."""
-        doc = _unframe(self._line_at(offset), _parse_log_record)
+        doc = _unframe(self._line_at(offset))
         if doc is None:
             raise CheckpointError(f"no valid record at byte {offset} of {self.path}")
         return doc
@@ -727,9 +345,9 @@ class MultiJobStore:
     # ------------------------------------------------------------------
     # per-job checkpoints
     # ------------------------------------------------------------------
-    def job_store(self, job_id: str) -> JobCheckpoint:
+    def job_store(self, job_id: str) -> "LoggedJob":
         """One job's INTERVALS/SOLUTION checkpoint, as records of the log."""
-        return _LoggedJob(self, job_id)
+        return LoggedJob(self, job_id)
 
     def job_ids(self) -> List[str]:
         """Every job the log holds a meta record for, in (name) order."""
@@ -795,8 +413,10 @@ class MultiJobStore:
         self._size = self._compacted_size = 0
 
 
-class _LoggedJob:
-    """One job's checkpoint in a :class:`MultiJobStore`'s log."""
+class LoggedJob:
+    """One job's checkpoint in a :class:`MultiJobStore`'s log: what a
+    :class:`~repro.grid.runtime.coordinator.Coordinator` or a
+    :class:`~repro.core.resumable.ResumableSolver` persists through."""
 
     def __init__(self, log: MultiJobStore, job_id: str):
         self.log = log
@@ -804,23 +424,24 @@ class _LoggedJob:
 
     def journal_explored(self, explored: Interval) -> None:
         """Record a definitely-explored range (an owned-path update)."""
-        record = JournalRecord(0, "explored", explored.as_tuple())
+        record = JournalRecord("explored", explored.as_tuple())
         self.log._append(record.to_doc(job=self.job_id))
 
     def journal_push(self, cost: float, solution: Any) -> None:
         """Record an incumbent improvement (a Push the coordinator kept)."""
-        record = JournalRecord(0, "push", cost=cost, solution=solution)
+        record = JournalRecord("push", cost=cost, solution=solution)
         self.log._append(record.to_doc(job=self.job_id))
 
     def save(self, intervals: IntervalSet, incumbent: Incumbent) -> None:
         """One snapshot record: it makes the job's earlier records dead."""
         self.log._append(
-            dict(
-                _incumbent_doc(incumbent),
-                kind="snapshot",
-                job=self.job_id,
-                intervals=_intervals_doc(intervals),
-            )
+            {
+                "kind": "snapshot",
+                "job": self.job_id,
+                "intervals": [[str(b), str(e)] for b, e in intervals.to_payload()],
+                "cost": None if incumbent.cost == float("inf") else incumbent.cost,
+                "solution": _jsonable_solution(incumbent.solution),
+            }
         )
 
     def load_state(
@@ -828,25 +449,46 @@ class _LoggedJob:
         root_interval: Optional[Interval] = None,
         duplication_threshold: int = 0,
     ) -> RecoveredState:
-        """The latest snapshot, with the later records replayed over it."""
+        """The latest snapshot, with the later records replayed over it.
+
+        With no snapshot yet and ``root_interval`` given, the records
+        replay over a fresh root set: a crash before the first snapshot
+        still recovers every reconciled update.  Explored records
+        subtract their range from INTERVALS (position subtraction is
+        order-insensitive and idempotent, so replay after a torn tail is
+        always safe); push records re-apply through the monotonic
+        incumbent update.
+        """
         self.log._load()
         docs = [self.log._read(o) for o in self.log._checkpoint.get(self.job_id, [])]
-        intervals: Optional[IntervalSet] = None
-        incumbent: Optional[Incumbent] = None
+        state = RecoveredState(None, None)
         if docs and docs[0]["kind"] == "snapshot":
             snapshot = docs.pop(0)
             try:
-                pairs = _interval_pairs(snapshot["intervals"])
+                pairs = [(int(b), int(e)) for b, e in snapshot["intervals"]]
+                cost, solution = snapshot["cost"], snapshot["solution"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(
                     f"malformed snapshot of job {self.job_id!r}: {exc}"
                 ) from exc
-            intervals = IntervalSet.from_payload(pairs, duplication_threshold)
-            incumbent = _incumbent(snapshot)
+            state.intervals = IntervalSet.from_payload(pairs, duplication_threshold)
+            if isinstance(solution, list):
+                solution = tuple(solution)
+            state.incumbent = Incumbent(float("inf") if cost is None else cost, solution)
         elif root_interval is not None:
-            intervals = IntervalSet.initial(root_interval, duplication_threshold)
-        records = [JournalRecord.from_doc(0, doc) for doc in docs]
-        return _replay(intervals, incumbent, 0, records)
+            state.intervals = IntervalSet.initial(root_interval, duplication_threshold)
+        for doc in docs:
+            record = JournalRecord.from_doc(doc)
+            state.replayed_records += 1
+            if record.kind == "explored" and state.intervals is not None:
+                assert record.interval is not None
+                explored = Interval.from_tuple(record.interval)
+                state.replayed_leaves += state.intervals.subtract(explored)
+            elif record.kind == "push" and record.cost is not None:
+                if state.incumbent is None:
+                    state.incumbent = Incumbent()
+                state.incumbent.update(record.cost, record.solution)
+        return state
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -856,57 +498,6 @@ def _fsync_directory(directory: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def _intervals_doc(intervals: IntervalSet) -> List[List[str]]:
-    return [[str(b), str(e)] for b, e in intervals.to_payload()]
-
-
-def _interval_pairs(doc: Any) -> List[Tuple[int, int]]:
-    return [(int(b), int(e)) for b, e in doc]
-
-
-def _incumbent_doc(incumbent: Incumbent) -> Dict[str, Any]:
-    return {
-        "cost": None if incumbent.cost == float("inf") else incumbent.cost,
-        "solution": _jsonable_solution(incumbent.solution),
-    }
-
-
-def _incumbent(doc: Dict[str, Any]) -> Incumbent:
-    cost = doc.get("cost")
-    solution = doc.get("solution")
-    if isinstance(solution, list):
-        solution = tuple(solution)
-    return Incumbent(float("inf") if cost is None else cost, solution)
-
-
-def _replay(
-    base: Optional[IntervalSet],
-    incumbent: Optional[Incumbent],
-    generation: int,
-    records: Iterable[JournalRecord],
-) -> RecoveredState:
-    """Replay reconciliations over a snapshot.
-
-    Explored records subtract their range from INTERVALS (position
-    subtraction is order-insensitive and idempotent, so replay after a
-    torn tail is always safe); push records re-apply through the
-    monotonic incumbent update.
-    """
-    count = leaves = 0
-    for record in records:
-        count += 1
-        if record.kind == "explored" and base is not None:
-            assert record.interval is not None
-            leaves += base.subtract(Interval.from_tuple(record.interval))
-        elif record.kind == "push" and record.cost is not None:
-            if incumbent is None:
-                incumbent = Incumbent()
-            incumbent.update(record.cost, record.solution)
-    return RecoveredState(
-        base, incumbent, generation, replayed_records=count, replayed_leaves=leaves
-    )
 
 
 def _jsonable_solution(solution: Any) -> Any:

@@ -2,8 +2,9 @@
 
 The interval coding makes a *single* B&B process restartable for free:
 fold the frontier to two integers every ``checkpoint_nodes`` nodes,
-persist them (plus the incumbent) through the §4.1 two-file store, and
-on restart unfold and continue.  This is the paper's fault-tolerance
+append them (plus the incumbent) as one snapshot record of the
+directory's ``service.log`` (§4.1, :class:`~repro.core.checkpoint.MultiJobStore`),
+and on restart unfold and continue.  This is the paper's fault-tolerance
 machinery applied at N = 1 — and the easiest way to run a multi-day
 exact resolution on one workstation through reboots.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.core.checkpoint import CheckpointStore
+from repro.core.checkpoint import MultiJobStore
 from repro.core.engine import IntervalExplorer, SolveResult
 from repro.core.interval import Interval
 from repro.core.interval_set import IntervalSet
@@ -23,6 +24,9 @@ from repro.core.problem import Problem, seed_incumbent
 from repro.core.stats import Incumbent
 
 __all__ = ["ResumableSolver"]
+
+#: The one job a solver's log holds.
+_JOB = "solve"
 
 
 @dataclass
@@ -39,8 +43,8 @@ class ResumableSolver:
     problem:
         The problem to minimise.
     directory:
-        Where the two checkpoint files live.  A directory holding a
-        previous run of the *same* problem resumes it; a fresh
+        Where the checkpoint log, ``service.log``, lives.  A directory
+        holding a previous run of the *same* problem resumes it; a fresh
         directory starts from the root interval.
     checkpoint_nodes:
         Explore this many nodes between checkpoints.
@@ -65,11 +69,13 @@ class ResumableSolver:
         initial_solution=None,
     ):
         self.problem = problem
-        self.store = CheckpointStore(Path(directory))
+        self.log = MultiJobStore(Path(directory))
+        self.store = self.log.job_store(_JOB)
         self.checkpoint_nodes = checkpoint_nodes
         self.progress = _Progress()
 
-        intervals, incumbent = self.store.load()
+        state = self.store.load_state()
+        intervals, incumbent = state.intervals, state.incumbent
         root = Interval(0, problem.total_leaves())
         if intervals is None:
             interval = root
@@ -106,8 +112,11 @@ class ResumableSolver:
 
     def run(self) -> SolveResult:
         """Explore to completion (resuming transparently), with proof."""
-        while self.step():
-            pass
+        try:
+            while self.step():
+                pass
+        finally:
+            self.log.close()
         return SolveResult(
             cost=self.explorer.incumbent.cost,
             solution=self.explorer.incumbent.solution,

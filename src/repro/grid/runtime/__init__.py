@@ -1,7 +1,7 @@
 """Real parallel farmer–worker runtime on local processes.
 
 The same protocol as the simulator — pull-model workers, interval
-updates through the intersection operator, two-file checkpoints, plus
+updates through the intersection operator, logged checkpoints, plus
 one advisory coordinator notice on the worker-opened connection — but
 executed by genuine OS processes exchanging framed messages over TCP
 (:mod:`repro.grid.net`).  There is one farmer pump,

@@ -7,9 +7,8 @@ the TCP pump and the grid simulator alike, and answers retries itself:
 every message reaching ``handle`` is new.  The state is an
 :class:`~repro.core.interval_set.IntervalSet`, an
 :class:`~repro.core.stats.Incumbent` and, when given, a
-:class:`~repro.core.checkpoint.JobCheckpoint`: one job of the service's
-log (:class:`~repro.core.checkpoint.MultiJobStore`), or the two-file
-:class:`~repro.core.checkpoint.CheckpointStore`.
+:class:`~repro.core.checkpoint.LoggedJob`: one job of the service's
+log (:class:`~repro.core.checkpoint.MultiJobStore`).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from repro.core.checkpoint import JobCheckpoint
+from repro.core.checkpoint import LoggedJob
 from repro.core.interval import Interval
 from repro.core.interval_set import IntervalSet
 from repro.core.stats import Incumbent
@@ -79,7 +78,7 @@ class Coordinator:
         self,
         root_interval: Interval,
         duplication_threshold: int = 1,
-        store: Optional[JobCheckpoint] = None,
+        store: Optional[LoggedJob] = None,
         checkpoint_period: float = 5.0,
         initial_best: Optional[Incumbent] = None,
         lease_seconds: Optional[float] = None,
@@ -115,7 +114,7 @@ class Coordinator:
     @classmethod
     def recover(
         cls,
-        store: JobCheckpoint,
+        store: LoggedJob,
         root_interval: Interval,
         duplication_threshold: int = 1,
         checkpoint_period: float = 5.0,

@@ -130,8 +130,7 @@ class SolveService(ServiceCore):
                 listener.flush()
             if self._owns_listener:
                 listener.close()
-            if self.jobs.disk is not None:
-                self.jobs.disk.close()
+            self.jobs.close()
         return self._report(time.monotonic() - started)
 
     def _report(self, wall_seconds: float) -> ServiceReport:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.checkpoint import JobCheckpoint, MultiJobStore
+from repro.core.checkpoint import LoggedJob, MultiJobStore
 
 __all__ = [
     "QUEUED",
@@ -260,11 +260,16 @@ class JobStore:
     # ------------------------------------------------------------------
     # durable plumbing
     # ------------------------------------------------------------------
-    def checkpoint_store(self, job_id: str) -> Optional[JobCheckpoint]:
+    def checkpoint_store(self, job_id: str) -> Optional[LoggedJob]:
         """The job's own INTERVALS/SOLUTION checkpoint (None when in-memory)."""
         if self.disk is None:
             return None
         return self.disk.job_store(job_id)
+
+    def close(self) -> None:
+        """Close the log's handles; the next write reopens them."""
+        if self.disk is not None:
+            self.disk.close()
 
     def bump_epoch(self) -> int:
         """Advance the *service* epoch (0 for an in-memory store)."""

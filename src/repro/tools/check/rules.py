@@ -417,20 +417,20 @@ class TypedCoreDiscipline(Rule):
 class DurableCheckpointWrites(Rule):
     """RC08 — checkpoint state reaches disk only through the durable API.
 
-    PR 6's crash-only recovery holds because every checkpoint artifact
-    is either written atomically (tmpfile + fsync + ``os.replace`` in
-    ``_atomic_write_json``) or appended with a per-record CRC through
-    ``CheckpointJournal``.  A raw ``open(path, "w")`` on a checkpoint
+    Crash-only recovery holds because every checkpoint record is
+    appended, CRC-framed and fsynced, to the service log through
+    ``MultiJobStore``, whose scan cuts a torn tail and refuses damage
+    before valid records.  A raw ``open(path, "w")`` on a checkpoint
     path can be torn by a ``kill -9`` mid-write, and a torn INTERVALS
-    file silently drops sub-intervals — lost work the §4.1 invariant
+    record silently drops sub-intervals — lost work the §4.1 invariant
     can never detect.
     """
 
     code: ClassVar[str] = "RC08"
     title: ClassVar[str] = "checkpoint writes go through the durable API"
     invariant: ClassVar[str] = (
-        "INTERVALS/SOLUTION/journal/epoch files survive kill -9 "
-        "mid-write (atomic replace or CRC-framed append only)"
+        "INTERVALS/SOLUTION/journal/epoch records survive kill -9 "
+        "mid-write (CRC-framed append to the service log only)"
     )
     scope: ClassVar[Tuple[str, ...]] = (
         "repro/core/*.py",
@@ -478,8 +478,8 @@ class DurableCheckpointWrites(Rule):
                     ctx,
                     node,
                     "raw open(..., 'w'/'a') on a checkpoint path — a "
-                    "kill -9 mid-write tears the file; use "
-                    "_atomic_write_json or the CheckpointJournal API",
+                    "kill -9 mid-write tears the file; append through "
+                    "the service log (MultiJobStore)",
                 )
             elif (
                 isinstance(func, ast.Attribute)
@@ -490,8 +490,8 @@ class DurableCheckpointWrites(Rule):
                     ctx,
                     node,
                     f".{func.attr}() on a checkpoint path is not "
-                    "atomic — use _atomic_write_json or the "
-                    "CheckpointJournal API",
+                    "atomic — append through the service log "
+                    "(MultiJobStore)",
                 )
 
     def _write_mode(self, node: ast.Call) -> bool:

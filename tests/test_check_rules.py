@@ -376,7 +376,7 @@ def test_rc08_flags_raw_write_on_checkpoint_paths(tmp_path):
     )
     assert codes(result) == ["RC08", "RC08"]
     assert [v.line for v in result.violations] == [5, 10]
-    assert "_atomic_write_json" in result.violations[0].message
+    assert "MultiJobStore" in result.violations[0].message
 
 
 def test_rc08_reads_and_unrelated_writes_pass(tmp_path):

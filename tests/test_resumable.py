@@ -1,5 +1,7 @@
 """Tests for the checkpointed sequential solver."""
 
+import os
+
 import pytest
 
 from repro.core import solve
@@ -25,8 +27,10 @@ class TestFreshRun:
         solver = ResumableSolver(problem, tmp_path, checkpoint_nodes=50)
         solver.run()
         assert solver.progress.checkpoints_written > 2
-        assert (tmp_path / "intervals.json").exists()
-        assert (tmp_path / "solution.json").exists()
+        # One snapshot record per checkpoint, in the directory's one log.
+        assert os.listdir(tmp_path) == ["service.log"]
+        log = (tmp_path / "service.log").read_bytes().splitlines()
+        assert len(log) == solver.progress.checkpoints_written
 
     def test_initial_upper_bound_used(self, problem, tmp_path):
         expected = solve(problem).cost

@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 from repro.core import Incumbent, Interval, solve
-from repro.core.checkpoint import CheckpointStore
+from repro.core.checkpoint import MultiJobStore
 from repro.exceptions import RuntimeProtocolError
 from repro.grid.runtime import (
     Coordinator,
@@ -108,18 +108,19 @@ class TestCoordinatorUnit:
             self.make().handle("banana")
 
     def test_checkpoint_and_recover(self, tmp_path):
-        store = CheckpointStore(tmp_path)
+        store = MultiJobStore(tmp_path).job_store("job")
         coord = Coordinator(Interval(0, 720), store=store, checkpoint_period=0.0)
         coord.handle(Request("w0"))
         coord.handle(Update("w0", (100, 720), nodes=5, consumed=100))
         coord.handle(Push("w0", 99.0, (0, 1)))
         assert coord.maybe_checkpoint(force=True)
-        recovered = Coordinator.recover(store, Interval(0, 720))
+        reopened = MultiJobStore(tmp_path).job_store("job")
+        recovered = Coordinator.recover(reopened, Interval(0, 720))
         assert recovered.intervals.size == 620
         assert recovered.solution.cost == 99.0
 
     def test_recover_without_checkpoint_starts_fresh(self, tmp_path):
-        store = CheckpointStore(tmp_path)
+        store = MultiJobStore(tmp_path).job_store("job")
         coord = Coordinator.recover(store, Interval(0, 720))
         assert coord.intervals.size == 720
 

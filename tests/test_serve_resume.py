@@ -12,10 +12,12 @@ line's rule for which job a ``--resume`` continues.
 
 from __future__ import annotations
 
+import gc
 import json
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -327,6 +329,22 @@ class TestResumeErrors:
         with pytest.raises(RuntimeProtocolError, match="another problem"):
             cli.main(serve_argv(port, ckpt, 7, "--resume"))
         assert "proof: True" in capsys.readouterr().out  # the 6-job run's
+
+    def test_a_resume_leaves_no_handle_on_the_log_to_the_collector(self, tmp_path):
+        # The command line vets the directory before the service opens
+        # the log; the vetting reads must not leave a file open behind.
+        ckpt = tmp_path / "ckpt"
+        port = free_port()
+        assert serve_with_a_worker(serve_argv(port, ckpt, 6)) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert cli.main(serve_argv(port, ckpt, 6, "--resume")) == 0
+            gc.collect()
+        leaked = [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning) and "service.log" in str(w.message)
+        ]
+        assert leaked == []
 
     def test_a_fresh_start_over_a_held_job_is_refused(self, tmp_path):
         ckpt = tmp_path / "ckpt"

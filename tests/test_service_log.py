@@ -12,6 +12,7 @@ that reconciles with its workers.
 from __future__ import annotations
 
 import os
+import re
 import time
 
 import pytest
@@ -156,20 +157,31 @@ def test_a_kill_between_compaction_write_and_rename_resumes_from_the_old_log(
     assert state_of(MultiJobStore(tmp_path)) == EXPECTED
 
 
-@pytest.mark.parametrize("layout", ["jobs", "epoch.json"])
+@pytest.mark.parametrize("layout", ["jobs", "epoch.json", "two-file"])
 def test_a_directory_in_the_per_job_layout_is_refused(tmp_path, layout, capsys):
     ckpt = tmp_path / "ckpt"
-    (ckpt / "jobs" / "abc").mkdir(parents=True)
-    (ckpt / "jobs" / "abc" / "meta.json").write_text("{}")
-    if layout == "epoch.json":
-        (ckpt / "epoch.json").write_text('{"epoch": 1}')
-    with pytest.raises(CheckpointError, match="per-job checkpoint layout"):
+    if layout == "two-file":
+        # What `repro solve --checkpoint-dir` wrote before it kept a log.
+        names = ["intervals.json", "solution.json", "journal.log"]
+        ckpt.mkdir()
+        for name in names:
+            (ckpt / name).write_text("{}")
+        argv = ["solve", "--jobs", "6", "--machines", "3",
+                "--checkpoint-dir", str(ckpt)]
+    else:
+        names = ["jobs", "epoch.json"][: 1 + (layout == "epoch.json")]
+        (ckpt / "jobs" / "abc").mkdir(parents=True)
+        (ckpt / "jobs" / "abc" / "meta.json").write_text("{}")
+        if layout == "epoch.json":
+            (ckpt / "epoch.json").write_text('{"epoch": 1}')
+        argv = ["grid", "serve", "--port", "0", "--jobs", "6", "--machines", "3",
+                "--checkpoint-dir", str(ckpt), "--resume"]
+    refusal = f"checkpoint layout ({', '.join(names)}) of an earlier release"
+    with pytest.raises(CheckpointError, match=re.escape(refusal)):
         SolveService(serve_config(ckpt, resume=True))
-    argv = ["grid", "serve", "--port", "0", "--jobs", "6", "--machines", "3",
-            "--checkpoint-dir", str(ckpt), "--resume"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "per-job checkpoint layout" in err[0]
+    assert len(err) == 1 and refusal in err[0]
     assert not (ckpt / "service.log").exists()
 
 
