@@ -26,7 +26,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.interval import Interval
 from repro.core.interval_set import IntervalSet
@@ -354,6 +354,17 @@ class MultiJobStore:
         self._load()
         return sorted(self._meta)
 
+    def solver_jobs(self) -> List[str]:
+        """Jobs with checkpoint records but no meta record, in order.
+
+        A :class:`~repro.core.resumable.ResumableSolver`'s one job: a
+        service writes every job's meta record before its first
+        checkpoint, and a solver writes none.  A service and a solver
+        never share a log (each refuses the other's).
+        """
+        self._load()
+        return sorted(set(self._checkpoint) - set(self._meta))
+
     # ------------------------------------------------------------------
     # per-job metadata (spec, status, owner, priority, result)
     # ------------------------------------------------------------------
@@ -448,6 +459,7 @@ class LoggedJob:
         self,
         root_interval: Optional[Interval] = None,
         duplication_threshold: int = 0,
+        believe: Optional[Callable[[float, Any], bool]] = None,
     ) -> RecoveredState:
         """The latest snapshot, with the later records replayed over it.
 
@@ -457,7 +469,8 @@ class LoggedJob:
         subtract their range from INTERVALS (position subtraction is
         order-insensitive and idempotent, so replay after a torn tail is
         always safe); push records re-apply through the monotonic
-        incumbent update.
+        incumbent update — only those ``believe(cost, solution)``
+        accepts, when it is given (the farmer's check of a live Push).
         """
         self.log._load()
         docs = [self.log._read(o) for o in self.log._checkpoint.get(self.job_id, [])]
@@ -485,6 +498,8 @@ class LoggedJob:
                 explored = Interval.from_tuple(record.interval)
                 state.replayed_leaves += state.intervals.subtract(explored)
             elif record.kind == "push" and record.cost is not None:
+                if believe is not None and not believe(record.cost, record.solution):
+                    continue
                 if state.incumbent is None:
                     state.incumbent = Incumbent()
                 state.incumbent.update(record.cost, record.solution)

@@ -16,10 +16,16 @@ Correspondence with the paper's four operators (§2):
   smallest-numbered entries), bounds all their children in one call
   and pushes the survivors.  ``W = 1`` is the paper's order exactly —
   the smallest node number is always explored next.  The engine picks
-  ``W`` itself from how long ago the incumbent last moved (see
-  :meth:`IntervalExplorer.step`): narrow while improvements are
-  arriving, so prune tests see the freshest incumbent; wide during
-  proof-only phases, so the pool kernels receive full pools.  Waves
+  ``W`` itself from how long ago one of its own leaves last improved
+  the incumbent (see :meth:`IntervalExplorer.step`): narrow while its
+  own improvements are arriving, so prune tests see the freshest
+  incumbent; wide during proof-only phases, so the pool kernels
+  receive full pools.  A bound heard from elsewhere
+  (:meth:`IntervalExplorer.set_upper_bound`, a ``bound_provider``
+  poll) tightens pruning at once but leaves ``W`` alone, and
+  :meth:`IntervalExplorer.reaim` points the explorer at a new
+  interval with its ``W`` intact — so a grid worker that explores
+  grant after grant of one job keeps its pools full.  Waves
   always consume the top of the stack, so leaves are evaluated left to
   right, the stack stays number-sorted, and the fold is always the two
   integers ``[top, B)`` (:meth:`IntervalExplorer.remaining_interval`);
@@ -72,9 +78,9 @@ __all__ = [
 ]
 
 #: Wave width gained per this many parents decomposed since the
-#: incumbent last moved.  A constant, not a knob: ``//2 … //8`` measure
-#: within noise of each other on every benchmark workload (CHANGES.md,
-#: PR 15).
+#: explorer's own leaf last improved the incumbent.  A constant, not a
+#: knob: ``//2 … //8`` measure within noise of each other on every
+#: benchmark workload (CHANGES.md, PR 15).
 _QUIET_PARENTS_PER_WIDTH = 4
 
 ImprovementCallback = Callable[[float, Any], None]
@@ -224,10 +230,6 @@ class IntervalExplorer:
         )
         self.shape: TreeShape = problem.tree_shape()
         self._weights = self.shape.weights()
-        full = Interval(0, self.shape.total_leaves)
-        interval = full if interval is None else interval.intersect(full)
-        self._original = interval
-        self._end = max(interval.end, interval.begin)
         self.incumbent = incumbent.copy() if incumbent is not None else Incumbent()
         self.on_improvement = on_improvement
         self.bound_provider = bound_provider
@@ -236,12 +238,21 @@ class IntervalExplorer:
         self.bound_poll_nodes = bound_poll_nodes
         self._yield_requested = False
         self.stats = ExplorationStats()
-        # ``stats.nodes_decomposed`` when the incumbent last moved; the
-        # distance from it is what the wave width grows with.
-        self._incumbent_moved_at = 0
+        # ``stats.nodes_decomposed`` when a leaf of this explorer last
+        # improved the incumbent; the distance from it is what the wave
+        # width grows with.
+        self._improved_at = 0
         # Stack ordered by DECREASING node number so list.pop() yields
         # the leftmost (smallest-numbered) frontier node.
         self._stack: List[_Entry] = []
+        self._aim(interval)
+
+    def _aim(self, interval: Optional[Interval]) -> None:
+        """Own ``interval`` (clipped to the tree; ``None``: all of it)
+        and push its bounded unfold onto the empty stack."""
+        full = Interval(0, self.shape.total_leaves)
+        interval = full if interval is None else interval.intersect(full)
+        self._end = max(interval.end, interval.begin)
         if not interval.is_empty():
             self._init_stack(interval)
 
@@ -397,13 +408,31 @@ class IntervalExplorer:
             self._init_stack(merged)
 
     def set_upper_bound(self, cost: float, solution: Any = None) -> bool:
-        """Adopt a better global bound (sharing rule 3, §4.4)."""
+        """Adopt a better global bound (sharing rule 3, §4.4).
+
+        It prunes from the next comparison on, but it is not a leaf of
+        this explorer: the wave width is left as it is (:meth:`step`).
+        """
         if cost < self.incumbent.cost:
             self.incumbent.cost = cost
             self.incumbent.solution = solution
-            self._incumbent_moved_at = self.stats.nodes_decomposed
             return True
         return False
+
+    def reaim(self, interval: Interval, upper_bound: float = math.inf) -> None:
+        """Explore ``interval`` next, from ``upper_bound`` or better.
+
+        For a grid worker's next grant of the same job: the frontier is
+        replaced by the unfold of ``interval`` (clipped to the tree), as
+        a new explorer would build it, while the incumbent (lowered to
+        ``upper_bound`` through :meth:`set_upper_bound`), the stats, the
+        wave histogram and the wave width carry over — a proof-only
+        phase that filled the pools on one grant fills them on the next.
+        """
+        self.set_upper_bound(upper_bound)
+        self._yield_requested = False
+        self._stack.clear()
+        self._aim(interval)
 
     def yield_at_poll(self) -> None:
         """Make :meth:`step` return at its next provider poll.
@@ -427,19 +456,24 @@ class IntervalExplorer:
         survivors, highest-numbered first, so the stack stays sorted.
 
         ``W`` is not an option.  It is the number of parents
-        decomposed since the incumbent last moved (a leaf improvement,
+        decomposed since a leaf of *this* explorer last improved the
+        incumbent ``// 4``, clamped to ``[1, pool_size]``: every parent
+        of a wave is tested against the incumbent as it stood when the
+        wave began, so a wide wave wastes work while improvements are
+        arriving and costs nothing once they have stopped, which is
+        also when the pool kernels have the most to gain from full
+        pools.  Decompositions, not explored nodes, are counted
+        because the children a wide wave prunes on the spot are
+        explored nodes too — counting them lets one wide wave widen
+        the next.  A bound heard from elsewhere —
         :meth:`set_upper_bound`, or a ``bound_provider`` poll that
-        lowered it) ``// 4``, clamped to ``[1, pool_size]``: every
-        parent of a wave is tested against the incumbent as it stood
-        when the wave began, so a wide wave wastes work while
-        improvements are arriving and costs nothing once they have
-        stopped, which is also when the pool kernels have the most to
-        gain from full pools.  Decompositions, not explored nodes, are
-        counted because the children a wide wave prunes on the spot
-        are explored nodes too — counting them lets one wide wave
-        widen the next.  Without a pool evaluator (the scalar oracle,
-        problems with no pooled kernels) going wide buys nothing and
-        ``W`` stays 1.
+        lowers the incumbent — prunes from the next comparison on but
+        does not narrow ``W``: it says the incumbent has moved, not
+        that improvements are arriving in this explorer's part of the
+        tree, and narrowing on it left a grid worker's pools starved
+        (docs/performance.md).  :meth:`reaim` keeps ``W`` too.
+        Without a pool evaluator (the scalar oracle, problems with no
+        pooled kernels) going wide buys nothing and ``W`` stays 1.
 
         One "node" is one frontier entry taken off the stack, matching
         the paper's explored-node accounting (pruned, decomposed and
@@ -490,7 +524,7 @@ class IntervalExplorer:
                 if cost < incumbent.cost:
                     incumbent.cost = cost
                     incumbent.solution = problem.leaf_solution(entry.state)
-                    self._incumbent_moved_at = stats.nodes_decomposed
+                    self._improved_at = stats.nodes_decomposed
                     stats.improvements += 1
                     improved = True
                     if self.on_improvement is not None:
@@ -500,7 +534,7 @@ class IntervalExplorer:
             # Pop the wave.  No leaf is evaluated inside it, so the
             # incumbent cannot move under it.
             width = min(
-                (stats.nodes_decomposed - self._incumbent_moved_at)
+                (stats.nodes_decomposed - self._improved_at)
                 // _QUIET_PARENTS_PER_WIDTH,
                 widest,
             )

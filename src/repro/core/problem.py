@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from numbers import Integral
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.core.interval import Interval
 from repro.core.stats import Incumbent
 from repro.core.tree import TreeShape
+from repro.exceptions import ProblemError
 
-__all__ = ["Problem", "seed_incumbent"]
+__all__ = ["Problem", "as_permutation", "seed_incumbent"]
 
 
 class Problem(ABC):
@@ -119,6 +121,23 @@ class Problem(ABC):
         """
         return None
 
+    def solution_cost(self, solution: Any) -> float:
+        """Exact cost of ``solution``, recomputed from the instance alone.
+
+        ``solution`` is untrusted input, as a worker's ``Push`` delivers
+        it: in :meth:`leaf_solution`'s spelling, or a JSON round trip
+        of it (a list for a tuple).  The solve service's farmer costs
+        every pushed solution before it believes it, and refuses one
+        whose cost differs from the pushed one.  Raises
+        :class:`~repro.exceptions.ProblemError` when ``solution`` is
+        not a solution of this instance.
+
+        Default: raises for every solution — a problem that cannot
+        check a solution cannot have one believed, so a farmer accepts
+        no ``Push`` for it.
+        """
+        raise ProblemError(f"{self.name()} cannot check a solution")
+
     # ------------------------------------------------------------------
     # conveniences shared by all problems
     # ------------------------------------------------------------------
@@ -129,6 +148,24 @@ class Problem(ABC):
     def name(self) -> str:
         """Human-readable identifier used in logs and benchmark tables."""
         return type(self).__name__
+
+
+def as_permutation(solution: Any, size: int) -> Tuple[int, ...]:
+    """``solution`` as a permutation of ``0 .. size - 1``, or raise.
+
+    For :meth:`Problem.solution_cost` of a permutation problem: only a
+    list or tuple of integers passes (``True`` and ``1.0`` equal ``1``
+    but are not job numbers).
+    """
+    if not isinstance(solution, (list, tuple)) or not all(
+        isinstance(item, Integral) and not isinstance(item, bool)
+        for item in solution
+    ):
+        raise ProblemError(f"not a sequence of integers: {solution!r:.200}")
+    permutation = tuple(int(item) for item in solution)
+    if sorted(permutation) != list(range(size)):
+        raise ProblemError(f"not a permutation of 0..{size - 1}: {solution!r:.200}")
+    return permutation
 
 
 def seed_incumbent(

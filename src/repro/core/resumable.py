@@ -22,6 +22,7 @@ from repro.core.interval import Interval
 from repro.core.interval_set import IntervalSet
 from repro.core.problem import Problem, seed_incumbent
 from repro.core.stats import Incumbent
+from repro.exceptions import CheckpointError
 
 __all__ = ["ResumableSolver"]
 
@@ -45,7 +46,9 @@ class ResumableSolver:
     directory:
         Where the checkpoint log, ``service.log``, lives.  A directory
         holding a previous run of the *same* problem resumes it; a fresh
-        directory starts from the root interval.
+        directory starts from the root interval.  A solve service's
+        directory is refused (:class:`~repro.exceptions.CheckpointError`):
+        the two never share a log.
     checkpoint_nodes:
         Explore this many nodes between checkpoints.
 
@@ -70,6 +73,12 @@ class ResumableSolver:
     ):
         self.problem = problem
         self.log = MultiJobStore(Path(directory))
+        if self.log.job_ids() or self.log.read_epoch():
+            self.log.close()
+            raise CheckpointError(
+                f"{directory} holds a solve service's log: `repro solve` "
+                f"keeps its checkpoints in a directory of its own"
+            )
         self.store = self.log.job_store(_JOB)
         self.checkpoint_nodes = checkpoint_nodes
         self.progress = _Progress()

@@ -43,6 +43,11 @@ worker process.
 
 from __future__ import annotations
 
+# ``socket.create_connection`` encodes the host name with the idna
+# codec, whose module Python imports on first use: imported here, it is
+# loaded once in the parent instead of in every forked worker, where
+# the first dial paid about 4 ms for it.
+import encodings.idna  # noqa: F401
 import math
 import random
 import select

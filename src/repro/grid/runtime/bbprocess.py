@@ -27,7 +27,19 @@ coordination — on the critical path:
   change, or a cut notice.
 * **Coordinator notices** (:class:`~repro.grid.runtime.protocol.Notice`):
   the engine's mid-slice poll (every ``bound_poll_nodes`` nodes) is a
-  non-blocking drain of the connection, handed to the core.
+  non-blocking drain of the connection, handed to the core.  The cost
+  it hears prunes at once; it does not narrow the explorer's waves.
+* **One explorer per job**: a B&B process lives for the whole run and
+  takes grant after grant of one job (§4), so it keeps one
+  :class:`~repro.core.engine.IntervalExplorer` per job it holds —
+  evicted with the core's job cache — and re-aims it at each new
+  grant (:meth:`~repro.core.engine.IntervalExplorer.reaim`).  The wave
+  width grows with the parents decomposed since the explorer's *own*
+  leaf last improved the incumbent, so a job's proof phase keeps the
+  pool kernels full across grants instead of restarting each one at
+  one parent per call; a bound heard from the farmer (a notice, an
+  Ack, a Reconciled, a grant's cost) tightens pruning without
+  narrowing it.
 
 Every exchange is an at-least-once RPC (:class:`_RpcChannel`); only
 when every retry times out does the worker give up and die silently,
@@ -50,7 +62,7 @@ from repro.core.stats import Incumbent
 from repro.grid.net.backoff import decorrelated_jitter
 from repro.grid.net.transport import Connection, TransportError
 from repro.grid.runtime.protocol import Bye, Idle, Notice, Terminate
-from repro.grid.runtime.worker import WorkerCore
+from repro.grid.runtime.worker import _JOB_CACHE_SIZE, WorkerCore
 
 __all__ = ["AdaptiveSlicer", "worker_main"]
 
@@ -299,11 +311,12 @@ def worker_main(
 
     The coordinator is always a solve service, and the same loop serves
     *many* jobs: each grant carries an opaque job id plus the job's spec
-    in wire form, the worker keeps one built problem and one local
-    incumbent per job id (for the last few jobs it was granted —
-    :class:`WorkerCore`), stamps its Updates and Pushes with the grant's
-    id, and asks again on an :class:`Idle` reply — the service parks a
-    Request it cannot grant, so the waiting is done server-side.
+    in wire form, the worker keeps one built problem, one local
+    incumbent and one explorer per job id (for the last few jobs it was
+    granted — :class:`WorkerCore`), stamps its Updates and Pushes with
+    the grant's id, and asks again on an :class:`Idle` reply — the
+    service parks a Request it cannot grant, so the waiting is done
+    server-side.
     """
     core = WorkerCore(worker_id, power)
     chan = _RpcChannel(
@@ -349,6 +362,10 @@ def _serve(
     """
     stats = core.stats
     resync = False  # a new server incarnation answered since the last slice
+    # One explorer per job, least recently granted first, kept as long
+    # as the core keeps the job's problem: a job's next grant re-aims
+    # it, so the wave width it reached carries over (module docstring).
+    explorers: Dict[str, IntervalExplorer] = {}
 
     def answered(reply: Any) -> Any:
         """Pass a reply on, telling the core if a new incarnation sent it.
@@ -415,14 +432,23 @@ def _serve(
             )
         # A notice that came before this grant is about another interval.
         chan.notices.clear()
-        explorer = IntervalExplorer(
-            core.problem,
-            Interval.from_tuple(reply.interval),
-            incumbent=Incumbent(core.start_bound, None),
-            on_improvement=core.found,
-            bound_provider=poll,
-            bound_poll_nodes=bound_poll_nodes,
-        )
+        interval = Interval.from_tuple(reply.interval)
+        kept = explorers.pop(core.job, None)
+        if kept is not None and kept.problem is core.problem:
+            explorer = kept
+            explorer.reaim(interval, core.start_bound)
+        else:
+            explorer = IntervalExplorer(
+                core.problem,
+                interval,
+                incumbent=Incumbent(core.start_bound, None),
+                on_improvement=core.found,
+                bound_provider=poll,
+                bound_poll_nodes=bound_poll_nodes,
+            )
+        explorers[core.job] = explorer  # (re)inserted last: most recent
+        if len(explorers) > _JOB_CACHE_SIZE:
+            del explorers[next(iter(explorers))]
         core.unit = explorer
         outcome = "ok"
         while outcome == "ok" and core.exploring:

@@ -13,14 +13,16 @@ log (:class:`~repro.core.checkpoint.MultiJobStore`).
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.checkpoint import LoggedJob
 from repro.core.interval import Interval
 from repro.core.interval_set import IntervalSet
+from repro.core.problem import Problem
 from repro.core.stats import Incumbent
-from repro.exceptions import RuntimeProtocolError
+from repro.exceptions import ProblemError, RuntimeProtocolError
 from repro.grid.runtime.protocol import (
     Ack,
     GrantWork,
@@ -32,7 +34,7 @@ from repro.grid.runtime.protocol import (
     Update,
 )
 
-__all__ = ["Coordinator", "check_power"]
+__all__ = ["Coordinator", "check_power", "checked_cost"]
 
 
 def check_power(msg: Request) -> None:
@@ -47,6 +49,35 @@ def check_power(msg: Request) -> None:
         raise RuntimeProtocolError(
             f"{msg.worker}: power must be finite and >= 0, got {power!r}"
         )
+
+
+def checked_cost(problem: Problem, cost: float, solution: Any) -> float:
+    """The farmer's own cost of a pushed ``solution``, or a refusal.
+
+    Refused, as a :class:`RuntimeProtocolError`: a solution that is not
+    one of ``problem``'s (not a permutation of the job, for the
+    permutation problems), and one whose recomputed cost differs from
+    the pushed ``cost``.  A believed incumbent prunes every holder's
+    tree (notices carry its cost), so a wrong one would end the job
+    ``done`` with a false "proof".
+    """
+    try:
+        own = problem.solution_cost(solution)
+    except ProblemError as exc:
+        raise RuntimeProtocolError(f"push refused: {exc}") from exc
+    if own != cost:
+        raise RuntimeProtocolError(
+            f"push refused: the solution costs {own}, not {cost}"
+        )
+    return own
+
+
+def _believable(problem: Problem, cost: float, solution: Any) -> bool:
+    try:
+        checked_cost(problem, cost, solution)
+    except RuntimeProtocolError:
+        return False
+    return True
 
 
 class Coordinator:
@@ -69,6 +100,13 @@ class Coordinator:
         merely slow reconciles later through the carve path — the
         interval-set invariant makes a wrongly-expired lease cost
         redundancy, never lost work.
+    problem:
+        The job's problem.  When given, a Push that would lower
+        SOLUTION is believed only once :meth:`Problem.solution_cost`
+        recomputes its cost (:func:`checked_cost`), and so is every
+        push record a :meth:`recover` replays.  The simulator's farmer
+        holds a workload, not a problem: its synthetic solutions name
+        no schedule and cannot be checked, so it passes none.
 
     Every ``now`` is the driver's clock in seconds: the pump's monotonic
     one, or the simulator's virtual one.
@@ -82,8 +120,10 @@ class Coordinator:
         checkpoint_period: float = 5.0,
         initial_best: Optional[Incumbent] = None,
         lease_seconds: Optional[float] = None,
+        problem: Optional[Problem] = None,
     ):
         self.root = root_interval
+        self.problem = problem
         self.intervals = IntervalSet.initial(root_interval, duplication_threshold)
         self.solution = (initial_best or Incumbent()).copy()
         self.store = store
@@ -119,11 +159,18 @@ class Coordinator:
         duplication_threshold: int = 1,
         checkpoint_period: float = 5.0,
         lease_seconds: Optional[float] = None,
+        problem: Optional[Problem] = None,
     ) -> "Coordinator":
         """Restart after a farmer failure: reload the snapshot (§4.1),
         then replay the reconciliations journaled after it so the
-        recovery window shrinks to the last reconciled update."""
-        state = store.load_state(root_interval, duplication_threshold)
+        recovery window shrinks to the last reconciled update.  A
+        checkpoint directory is input too: with a ``problem``, a push
+        record whose solution does not cost what it says is skipped."""
+        state = store.load_state(
+            root_interval,
+            duplication_threshold,
+            None if problem is None else functools.partial(_believable, problem),
+        )
         coord = cls(
             root_interval,
             duplication_threshold,
@@ -131,6 +178,7 @@ class Coordinator:
             checkpoint_period,
             initial_best=state.incumbent,
             lease_seconds=lease_seconds,
+            problem=problem,
         )
         if state.intervals is not None:
             coord.intervals = state.intervals
@@ -232,7 +280,10 @@ class Coordinator:
         self.intervals.subtract(past)
 
     def _on_push(self, msg: Push) -> Ack:
-        if self.solution.update(msg.cost, msg.solution):
+        cost = msg.cost
+        if self.problem is not None and cost < self.solution.cost:
+            cost = checked_cost(self.problem, cost, msg.solution)
+        if self.solution.update(cost, msg.solution):
             self.improvements += 1
             self._lowered_by = msg.worker
             if self.store is not None:

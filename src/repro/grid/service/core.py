@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Collection, Dict, List, Optional, Set, Tuple
 
 from repro.core.interval import Interval
-from repro.core.problem import seed_incumbent
+from repro.core.problem import Problem, seed_incumbent
 from repro.core.stats import Incumbent
 from repro.exceptions import RuntimeProtocolError
 from repro.grid.runtime.coordinator import Coordinator, check_power
@@ -214,6 +214,10 @@ class ServiceCore:
             return False
         store = self.jobs.checkpoint_store(record.job_id)
         config = self.config
+        # What the farmer costs pushed solutions with: a spec's problem.
+        # The simulator's workload is no Problem, and its synthetic
+        # solutions cannot be checked (Coordinator).
+        checkable = problem if isinstance(problem, Problem) else None
         if recover and store is not None:
             coordinator = Coordinator.recover(
                 store,
@@ -221,6 +225,7 @@ class ServiceCore:
                 duplication_threshold=config.duplication_threshold,
                 checkpoint_period=config.checkpoint_period,
                 lease_seconds=config.lease_seconds,
+                problem=checkable,
             )
             # A job's grants and nodes count one incarnation, the one
             # that settles it: both restart with the coordinator.
@@ -233,6 +238,7 @@ class ServiceCore:
                 checkpoint_period=config.checkpoint_period,
                 initial_best=Incumbent(),
                 lease_seconds=config.lease_seconds,
+                problem=checkable,
             )
         if record.cost is not None:  # the admitting caller's incumbent
             coordinator.solution.update(record.cost, record.solution)

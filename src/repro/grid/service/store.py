@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.checkpoint import LoggedJob, MultiJobStore
+from repro.exceptions import CheckpointError
 
 __all__ = [
     "QUEUED",
@@ -162,6 +163,13 @@ class JobStore:
         self.disk: Optional[MultiJobStore] = (
             MultiJobStore(Path(directory)) if directory is not None else None
         )
+        if self.disk is not None and self.disk.solver_jobs():
+            self.disk.close()
+            raise CheckpointError(
+                f"{directory} holds a `repro solve` checkpoint, not a "
+                f"service's jobs: a service keeps its log in a directory "
+                f"of its own"
+            )
         self._records: Dict[str, JobRecord] = {}
         # The unsettled few, in admission order: what the service asks
         # about on every message, however many jobs it has ever settled.

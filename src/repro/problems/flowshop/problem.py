@@ -12,20 +12,20 @@ branching and for the bounds without touching the prefix again.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.active_list import ActiveNode
 from repro.core.interval import Interval
-from repro.core.problem import Problem
+from repro.core.problem import Problem, as_permutation
 from repro.core.tree import TreeShape
 from repro.core.unfold import unfold
 from repro.exceptions import ProblemError
 from repro.problems.flowshop.bounds import BoundData
 from repro.problems.flowshop.instance import FlowShopInstance
 from repro.problems.flowshop.iterated_greedy import iterated_greedy
-from repro.problems.flowshop.makespan import advance_fronts_batch
+from repro.problems.flowshop.makespan import advance_fronts_batch, makespan
 from repro.problems.flowshop.neh import neh
 
 __all__ = ["FlowShopProblem", "FlowShopState"]
@@ -182,6 +182,10 @@ class FlowShopProblem(Problem):
 
     def leaf_solution(self, state: FlowShopState) -> Tuple[int, ...]:
         return state.scheduled
+
+    def solution_cost(self, solution: Any) -> float:
+        """The makespan of a permutation of all the jobs (eq. 15)."""
+        return makespan(self.instance, as_permutation(solution, self.instance.jobs))
 
     def warm_start(
         self, interval: Optional[Interval] = None

@@ -16,10 +16,10 @@ by one call of the pool evaluator (:mod:`repro.problems.tsp.pool`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.core.interval import Interval
-from repro.core.problem import Problem
+from repro.core.problem import Problem, as_permutation
 from repro.core.tree import TreeShape
 from repro.problems.tsp.bounds import outgoing_edge_bound
 from repro.problems.tsp.instance import TSPInstance
@@ -77,6 +77,12 @@ class TSPProblem(Problem):
 
     def leaf_solution(self, state: _TourState) -> Tuple[int, ...]:
         return state.path
+
+    def solution_cost(self, solution: Any) -> float:
+        """The length of a closed tour through every city."""
+        return self.instance.tour_length(
+            as_permutation(solution, self.instance.cities)
+        )
 
     def warm_start(
         self, interval: Optional[Interval] = None

@@ -12,8 +12,10 @@ resumed.
 The second half pins what the engine hands the bound kernels — the
 ``Problem.prune_at`` hint, which may change no count, and families with
 no survivor, which are never branched — and the third how it sizes its
-waves: from how long ago the incumbent last moved, within the node
-budget, within a bounded stack.
+waves: from how long ago the explorer's own leaf last improved the
+incumbent (a heard bound prunes but does not narrow, and a re-aimed
+explorer keeps its width), within the node budget, within a bounded
+stack.  ``solve()`` hears no bound, and its node counts are pinned.
 """
 
 import contextlib
@@ -164,6 +166,38 @@ def test_configuration_matches_scalar_oracle(kind, pool_size, case):
             assert sequence == improved
 
 
+# (explored, pruned, decomposed, leaves, bounded) and pool calls of
+# solve() on one fixed row per problem kind, as the engine counted them
+# before a heard bound stopped narrowing the waves: solve() never hears
+# one, so its node counts do not move.
+SOLVE_PINS = {
+    "flowshop-9x5": (lambda: FlowShopProblem(random_instance(9, 5, seed=3)), None,
+                     663, (2114, 1583, 531, 0, 2114), 57),
+    "flowshop-lb1-8x4": (lambda: FlowShopProblem(random_instance(8, 4, seed=11), bound="lb1"),
+                         None, 581, (482, 363, 119, 0, 482), 34),
+    "flowshop-20x20-slice": (lambda: FlowShopProblem(random_instance(20, 20, seed=4)),
+                             Interval(math.factorial(20) // 3, math.factorial(20) // 3 + 10**8),
+                             2682, (905, 749, 154, 2, 903), 53),
+    "tsp-9": (lambda: TSPProblem(random_tsp(9, seed=2)), None, 2604, (644, 504, 136, 4, 640), 35),
+}
+
+
+@pytest.mark.parametrize("row", sorted(SOLVE_PINS))
+def test_solve_node_counts_are_pinned(row):
+    make, interval, cost, counts, waves = SOLVE_PINS[row]
+    result = solve(make(), interval=interval)
+    stats = result.stats
+    assert result.cost == cost
+    assert (
+        stats.nodes_explored,
+        stats.nodes_pruned,
+        stats.nodes_decomposed,
+        stats.leaves_evaluated,
+        stats.bound_evaluations,
+    ) == counts
+    assert sum(result.pool_occupancy.values()) == waves
+
+
 def test_resumable_solver_round_trip(tmp_path):
     instance = random_instance(7, 3, seed=34)  # 271 nodes from its warm start's bound
     oracle = solve(FlowShopProblem(instance), batched_bounds=False)
@@ -291,7 +325,12 @@ def _logging_factory(problem):
 
     def evaluate(states, depth):
         problem.log.append(
-            ("wave", problem.explorer.stats.nodes_decomposed, len(states))
+            (
+                "wave",
+                problem.explorer.stats.nodes_decomposed,
+                len(states),
+                problem.prune_at,
+            )
         )
         return inner(states, depth)
 
@@ -316,15 +355,30 @@ def _logged_explorer(instance, **options):
 
 def _assert_widths_follow_the_incumbent(log, pool_size):
     """No wave is wider than the parents decomposed between the last
-    incumbent move and its own start allow (``// 4``, at least 1)."""
+    improvement by the explorer's own leaf (``"moved"``) and its own
+    start allow (``// 4``, at least 1).  A ``"heard"`` bound, however
+    low, does not count as a move."""
     moved_at = 0
-    for kind, decomposed, value in log:
+    for kind, decomposed, value, *_ in log:
         if kind == "moved":
             moved_at = decomposed
+        if kind != "wave":
             continue
         # ``decomposed`` already counts this wave's own parents.
         quiet_before_wave = decomposed - value - moved_at
         assert value <= min(pool_size, max(1, quiet_before_wave // 4))
+
+
+def _wider_than_a_reset_allows(log, decomposed_at):
+    """Whether one of the next few waves is wider than a width counted
+    afresh from ``decomposed_at`` would allow: the heard bound at that
+    point did not narrow the waves.  (The first wave after it may hold
+    one parent anyway: the stack top offers only so many of one depth.)"""
+    waves = [entry for entry in log if entry[0] == "wave"][:4]
+    return any(
+        width > max(1, (decomposed - width - decomposed_at) // 4)
+        for _, decomposed, width, _ in waves
+    )
 
 
 class TestWaveWidth:
@@ -341,7 +395,7 @@ class TestWaveWidth:
         explorer.run()
         assert explorer.incumbent.cost == self.OPTIMUM
         _assert_widths_follow_the_incumbent(log, 16)
-        assert max(v for kind, _, v in log if kind == "wave") == 16
+        assert max(entry[2] for entry in log if entry[0] == "wave") == 16
         # Somewhere the width had grown past 1, a leaf improved the
         # incumbent, and the very next wave held a single parent.
         assert any(
@@ -351,22 +405,28 @@ class TestWaveWidth:
             for before, moved, after in zip(log, log[1:], log[2:])
         )
 
-    def test_collapses_on_set_upper_bound(self):
+    def test_a_heard_bound_keeps_the_width_and_prunes_at_once(self):
         explorer, log = _logged_explorer(
             self.INSTANCE, incumbent=Incumbent(self.OPTIMUM), pool_size=8
         )
         self._run_until_width(explorer, log, 8)  # proof only: fills up
         assert explorer.set_upper_bound(self.OPTIMUM - 1)
         seen = len(log)
-        explorer.step(50)
-        assert log[seen][2] == 1
+        explorer.run()
+        # The very next pool call is told the new cost, and the waves
+        # stay as wide as the quiet phase made them: the bound came
+        # from elsewhere, not from a leaf of this explorer.
+        assert log[seen][3] == self.OPTIMUM - 1
+        assert _wider_than_a_reset_allows(log[seen:], log[seen - 1][1])
+        assert explorer.incumbent.cost == self.OPTIMUM - 1  # nothing beats it
+        _assert_widths_follow_the_incumbent(log, 8)
 
-    def test_collapses_on_a_provider_poll_that_lowers_the_bound(self):
+    def test_a_provider_poll_keeps_the_width_and_prunes(self):
         shared = {"bound": math.inf}
 
         def provider():
             if shared["bound"] < explorer.incumbent.cost:
-                log.append(("moved", explorer.stats.nodes_decomposed, None))
+                log.append(("heard", explorer.stats.nodes_decomposed, None))
             return shared["bound"]
 
         explorer, log = _logged_explorer(
@@ -379,9 +439,48 @@ class TestWaveWidth:
         self._run_until_width(explorer, log, 8)
         shared["bound"] = self.OPTIMUM - 1
         explorer.run()
-        (move,) = [i for i, entry in enumerate(log) if entry[0] == "moved"]
-        assert log[move + 1][2] == 1
+        (heard,) = [i for i, entry in enumerate(log) if entry[0] == "heard"]
+        assert log[heard + 1][3] == self.OPTIMUM - 1
+        assert _wider_than_a_reset_allows(log[heard + 1 :], log[heard][1])
         _assert_widths_follow_the_incumbent(log, 8)
+
+    def test_a_leaf_improvement_after_a_heard_bound_narrows(self):
+        """The width counts from the explorer's own last improvement:
+        a heard bound above the optimum prunes, and the leaf that beats
+        it drops the next wave to one parent."""
+        explorer, log = _logged_explorer(
+            self.INSTANCE, incumbent=Incumbent(self.OPTIMUM + 40), pool_size=16
+        )
+        explorer.step(64)
+        assert explorer.set_upper_bound(self.OPTIMUM + 20)
+        explorer.run()
+        assert explorer.incumbent.cost == self.OPTIMUM
+        moves = [i for i, entry in enumerate(log) if entry[0] == "moved"]
+        assert moves
+        # Every leaf that moved the incumbent narrowed the next wave.
+        assert all(log[i + 1][2] == 1 for i in moves)
+        _assert_widths_follow_the_incumbent(log, 16)
+
+    def test_reaim_keeps_the_width_and_unfolds_the_interval(self):
+        total = math.factorial(self.INSTANCE.jobs)
+        half = Interval(0, total // 2)
+        explorer, log = _logged_explorer(
+            self.INSTANCE, incumbent=Incumbent(self.OPTIMUM), pool_size=8
+        )
+        explorer.reaim(half)
+        while not explorer.is_finished():
+            explorer.step(200)
+        assert max(entry[2] for entry in log) == 8
+        first = vars(explorer.stats).copy()
+        explorer.reaim(Interval(total // 2, total), self.OPTIMUM - 1)
+        assert explorer.remaining_interval() == Interval(total // 2, total)
+        assert explorer.incumbent.cost == self.OPTIMUM - 1
+        assert vars(explorer.stats) == first  # stats carry over
+        seen = len(log)
+        explorer.step(200)
+        # The unfold's own calls come first; the waves after them are
+        # as wide as the first interval's proof phase left them.
+        assert max(entry[2] for entry in log[seen:]) == 8
 
     def test_step_budget_bounds_the_wave(self):
         """``step(10)`` counts at most 10 nodes plus one sibling family,

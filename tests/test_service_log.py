@@ -185,6 +185,44 @@ def test_a_directory_in_the_per_job_layout_is_refused(tmp_path, layout, capsys):
     assert not (ckpt / "service.log").exists()
 
 
+def test_repro_solve_refuses_a_service_directory(tmp_path, capsys):
+    """``repro solve --checkpoint-dir`` over a service's log appends
+    nothing to it: one line, exit 1, the log as it was."""
+    two_jobs(tmp_path).close()
+    before = (tmp_path / "service.log").read_bytes()
+    argv = ["solve", "--jobs", "6", "--machines", "3", "--checkpoint-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("repro: ")
+    assert "holds a solve service's log" in err[0]
+    assert (tmp_path / "service.log").read_bytes() == before
+    # An epoch alone (a service that never admitted a job) is a service's too.
+    empty = tmp_path / "epoch-only"
+    MultiJobStore(empty).bump_epoch()
+    assert cli.main(argv[:-1] + [str(empty)]) == 1
+
+
+@pytest.mark.timeout(60)  # a service that is not refused would serve on
+@pytest.mark.parametrize("front_door", ["grid serve", "grid service"])
+def test_a_service_refuses_a_repro_solve_directory(tmp_path, front_door, capsys):
+    """A service over a ``repro solve`` log would carry the solver's
+    records through every compaction: refused before it serves."""
+    solve_argv = ["solve", "--jobs", "6", "--machines", "3", "--checkpoint-dir", str(tmp_path)]
+    assert cli.main(solve_argv) == 0
+    capsys.readouterr()
+    before = (tmp_path / "service.log").read_bytes()
+    refusal = "holds a `repro solve` checkpoint"
+    with pytest.raises(CheckpointError, match=re.escape(refusal)):
+        SolveService(serve_config(tmp_path))
+    argv = [*front_door.split(), "--port", "0", "--checkpoint-dir", str(tmp_path)]
+    if front_door == "grid serve":
+        argv[2:2] = ["--jobs", "6", "--machines", "3"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("repro: ") and refusal in err[0]
+    assert (tmp_path / "service.log").read_bytes() == before
+
+
 def crash_then_resume(ckpt, before_abort=lambda server: True, between=lambda: None):
     """Serve one job with two workers, abort it once the log holds its
     snapshot and a reconciliation after it (and ``before_abort`` holds),
